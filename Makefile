@@ -11,11 +11,14 @@ check: diff race
 # snapshot fixture), plus service telemetry on × off, plus allocation
 # policy static × none (and dynamic-policy determinism under every
 # loop), must agree bit-for-bit on the full Result (reflect.DeepEqual)
-# across every preset. Fast feedback when touching the issue stage, the
-# quiescence skip, the parallel loop, the memory hierarchy, the
-# metrics/tracing hooks, the snapshot codec, or the alloc subsystem.
+# across every preset; plus the entry pool's own gates — recycled slots
+# read as committed entries (scan × wakeup on a 16-entry window), the
+# steady-state loop allocates nothing, and no slot leaks or is held
+# twice. Fast feedback when touching the issue stage, the quiescence
+# skip, the parallel loop, the memory hierarchy, the metrics/tracing
+# hooks, the snapshot codec, the alloc subsystem, or the entry pool.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestAlloc'
+	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation'
 	go test ./internal/service -run TestTelemetryDifferential
 
 # Race-check the concurrent layers: the core parallel execution mode
@@ -35,4 +38,12 @@ race:
 bench:
 	WRITE_BENCH=1 go test -run TestWriteBenchCoreJSON -v .
 
-.PHONY: check diff race bench
+# The measurement spine (benchmark/README.md): every workload's
+# end-to-end metrics, and the per-layer numbers from a traced run.
+perf:
+	go run ./benchmark
+
+perf-trace:
+	go run ./benchmark -trace 1
+
+.PHONY: check diff race bench perf perf-trace

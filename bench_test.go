@@ -255,6 +255,7 @@ func BenchmarkCoreFastForward(b *testing.B) {
 		{"event-driven", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				res, err := runStallHeavy(mode.eventDriven)
@@ -353,6 +354,7 @@ func BenchmarkCoreWakeup(b *testing.B) {
 		{"wakeup", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				res, err := runComputeBound(mode.eventIssue)
@@ -462,6 +464,7 @@ func BenchmarkCoreMemory(b *testing.B) {
 		{"fastpath", false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				res, err := runMemBound(mode.reference)
@@ -523,6 +526,7 @@ func BenchmarkCoreParallel(b *testing.B) {
 		{"parallel", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				res, err := runFPStream(mode.parallel)
@@ -570,6 +574,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"sampled", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
 				res, err := runObsOverhead(mode.sampled)
@@ -672,6 +677,7 @@ func BenchmarkSweepFork(b *testing.B) {
 		{"fork", warmAt},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := runForkSweep(specs, mode.warm); err != nil {
 					b.Fatal(err)
@@ -855,6 +861,7 @@ func BenchmarkFabricScaleOut(b *testing.B) {
 	specs := fabricSweepSpecs()
 	for _, n := range []int{1, 3} {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				runFabricSweep(b, n, specs)
 			}

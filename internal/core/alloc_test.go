@@ -315,10 +315,13 @@ func TestAllocInvalidProposalsRejected(t *testing.T) {
 // checkResidence audits the committed machine state between cycles:
 // every thread resides on exactly one cluster, its back-pointer agrees
 // with the hosting cluster, live threads never exceed a cluster's
-// hardware contexts (counting in-flight migrations), and migrateIn
-// never goes negative.
+// hardware contexts (counting in-flight migrations), migrateIn never
+// goes negative, and every cluster's entry pool passes its structural
+// audit (migration moves a thread's fifo and last-writer refs between
+// pools).
 func checkResidence(t *testing.T, s *Simulator) {
 	t.Helper()
+	auditPools(t, s)
 	seen := make(map[int]int, len(s.threads))
 	for _, cl := range s.clusters {
 		if cl.migrateIn < 0 {

@@ -37,8 +37,8 @@ type threadCtx struct {
 	memBase int64
 
 	block         blockReason
-	pendingBranch *entry // mispredicted branch being waited on
-	lockGranted   bool   // TryLock succeeded while blocked; consume at fetch
+	pendingBranch ref  // mispredicted branch being waited on
+	lockGranted   bool // TryLock succeeded while blocked; consume at fetch
 	barArrived    bool
 	barTarget     uint64
 
@@ -50,17 +50,15 @@ type threadCtx struct {
 	migrateTo    *cluster
 	migrateReady int64
 
-	lastWriterInt [isa.NumIntRegs]*entry
-	lastWriterFP  [isa.NumFPRegs]*entry
+	// lastWriter* may point at entries that committed long ago, so they
+	// are seq-checked refs (entry.go, the stale-handle rule).
+	lastWriterInt [isa.NumIntRegs]ref
+	lastWriterFP  [isa.NumFPRegs]ref
 
-	// lastStore maps an effective address to the thread's youngest
-	// in-flight store to it (lazily allocated; evicted at commit). Loads
-	// bind their forwarding candidate from it at fetch, replacing the
-	// per-issue FIFO scan.
-	lastStore map[int64]*entry
-
-	fifo     []*entry // program order, for in-order commit
-	fifoHead int
+	// fifo is the thread's uncommitted instructions in program order, for
+	// in-order commit: a WindowEntries-deep ring (every cluster of a
+	// machine has the same Arch, so it travels with a migrating thread).
+	fifo     ring
 	inWindow int
 
 	// frontEvent caches the cycle the fifo front can first commit:
@@ -78,24 +76,13 @@ type threadCtx struct {
 // done reports whether the thread has halted and drained.
 func (t *threadCtx) done() bool { return t.fn.Halted && t.inWindow == 0 }
 
-func (t *threadCtx) fifoLen() int { return len(t.fifo) - t.fifoHead }
-
-func (t *threadCtx) fifoFront() *entry { return t.fifo[t.fifoHead] }
-
+// fifoPop retires the fifo front and re-derives frontEvent from the
+// entry behind it.
 func (t *threadCtx) fifoPop() {
-	t.fifo[t.fifoHead] = nil
-	t.fifoHead++
-	if t.fifoHead >= 128 && t.fifoHead*2 >= len(t.fifo) {
-		n := copy(t.fifo, t.fifo[t.fifoHead:])
-		for i := n; i < len(t.fifo); i++ {
-			t.fifo[i] = nil
-		}
-		t.fifo = t.fifo[:n]
-		t.fifoHead = 0
-	}
+	t.fifo.pop()
 	t.frontEvent = noEvent
-	if t.fifoLen() > 0 {
-		if f := t.fifoFront(); f.state != stateDispatched {
+	if t.fifo.len() > 0 {
+		if f := &t.cluster.pool[t.fifo.front()]; f.state != stateDispatched {
 			t.frontEvent = f.completeAt
 		}
 	}
@@ -123,10 +110,22 @@ type cluster struct {
 	// here; capacity checks charge them so an epoch can never oversubscribe
 	// a cluster's hardware contexts.
 	migrateIn int
-	window    []*entry // reorder buffer: dispatch -> commit
-	iqCount   int      // instruction-queue occupancy: dispatch -> issue
-	zombies   int      // committed entries not yet swept out of window
-	seq       uint64
+	// pool holds every window entry of the cluster, allocated once and
+	// indexed by handle; free is the stack of unoccupied slots. Live
+	// entries never exceed WindowEntries and committed ones linger at
+	// most a quarter window before the sweep returns their slots (see
+	// commit), so WindowEntries + WindowEntries/4 slots always suffice:
+	// exhaustion is a bug and panics (overflow).
+	pool []entry
+	free []handle
+
+	window  []handle // reorder buffer: dispatch -> commit, in seq order
+	iqCount int      // instruction-queue occupancy: dispatch -> issue
+	zombies int      // committed entries not yet swept out of window
+	seq     uint64
+
+	// stores is the store-forwarding table (storetable.go).
+	stores storeTable
 
 	renameIntFree int
 	renameFPFree  int
@@ -141,17 +140,16 @@ type cluster struct {
 	// next-event computation) is O(1) instead of a scan.
 	minFree [3]int64
 
-	// Wakeup-path state (wakeup.go): the front-end pending deque
+	// Wakeup-path state (wakeup.go): the front-end pending ring
 	// (entries not yet past the decode/rename delay, in fetch and hence
-	// eligibleAt order), the time-bucketed wakeup wheel, the seq-sorted
-	// ready list, and the waiting entries' hazard tallies maintained
-	// incrementally. All empty on the scan path.
-	pending     []*entry
-	pendingHead int
-	wheel       wheel
-	ready       []*entry
-	waitMemN    int
-	waitDataN   int
+	// eligibleAt order), the wakeup wheel, the seq-sorted ready list,
+	// and the waiting entries' hazard tallies maintained incrementally.
+	// All fixed-capacity; all empty on the scan path.
+	pending   ring
+	wheel     wheel
+	ready     []handle
+	waitMemN  int
+	waitDataN int
 
 	bp  *BranchPredictor
 	btb *BTB
@@ -164,13 +162,6 @@ type cluster struct {
 
 	fetchRR  int
 	commitRR int
-
-	// arena batch-allocates window entries (entryArenaSize at a time) so
-	// the steady-state fetch path does not hit the allocator once per
-	// instruction. Slots are never reused — in-flight pointers (window,
-	// fifo, lastWriter, producers) stay valid — and retention is bounded
-	// because committed entries drop their producer links.
-	arena []entry
 
 	// Per-run counters.
 	slots            stats.Slots
@@ -187,26 +178,23 @@ type cluster struct {
 	pcHighWater int64
 }
 
-// entryArenaSize is the batch size of the cluster entry allocator —
-// small enough that stale lastWriter references (at most one per
-// architectural register per thread) pin only a bounded tail of chunks.
-const entryArenaSize = 64
-
-// newEntry returns a fresh zeroed entry from the cluster's arena.
-func (c *cluster) newEntry() *entry {
-	if len(c.arena) == 0 {
-		c.arena = make([]entry, entryArenaSize)
-	}
-	e := &c.arena[0]
-	c.arena = c.arena[1:]
-	return e
-}
+// poolSlots is the entry-pool capacity for a window of the given size:
+// the live bound plus the zombie bound (commit's sweep threshold).
+func poolSlots(windowEntries int) int { return windowEntries + windowEntries/4 }
 
 func newCluster(chip, idx int, cfg config.Arch) *cluster {
-	return &cluster{
+	n := poolSlots(cfg.WindowEntries)
+	c := &cluster{
 		chip:          chip,
 		idx:           idx,
 		cfg:           cfg,
+		pool:          make([]entry, n+1), // slot 0 is the "no entry" handle
+		free:          make([]handle, n),
+		window:        make([]handle, 0, n),
+		stores:        newStoreTable(n),
+		pending:       newRing(cfg.WindowEntries),
+		wheel:         newWheel(n + 2*cfg.WindowEntries),
+		ready:         make([]handle, 0, cfg.WindowEntries),
 		renameIntFree: cfg.RenameInt,
 		renameFPFree:  cfg.RenameFP,
 		intUnits:      make([]int64, cfg.IntUnits),
@@ -215,6 +203,28 @@ func newCluster(chip, idx int, cfg config.Arch) *cluster {
 		bp:            NewBranchPredictor(cfg.PredictorSize()),
 		btb:           NewBTB(cfg.BTBSize()),
 	}
+	for i := range c.free {
+		c.free[i] = handle(n - i) // popped from the end: slot 1 first
+	}
+	return c
+}
+
+// overflow panics for a fixed-capacity structure that filled up. Every
+// capacity is derived from WindowEntries and guarded by the fetch
+// stage's window check, so reaching one is a simulator bug.
+func (c *cluster) overflow(what string) {
+	panic(fmt.Sprintf("core: chip %d cluster %d: %s exhausted (window %d entries)", c.chip, c.idx, what, c.cfg.WindowEntries))
+}
+
+// allocEntry takes a free pool slot. The caller overwrites it whole.
+func (c *cluster) allocEntry() handle {
+	n := len(c.free)
+	if n == 0 {
+		c.overflow("entry pool")
+	}
+	h := c.free[n-1]
+	c.free = c.free[:n-1]
+	return h
 }
 
 func (c *cluster) units(class isa.Class) []int64 {
@@ -290,7 +300,8 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 	for i := 0; i < n && budget > 0; i++ {
 		t := c.threads[(c.commitRR+i)%n]
 		for budget > 0 && t.frontEvent <= now {
-			e := t.fifoFront()
+			h := t.fifo.front()
+			e := &c.pool[h]
 			t.fifoPop()
 			if e.isStore {
 				if s.par != nil {
@@ -299,13 +310,13 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 					// to the coordinator, which drains the queues in exact
 					// sequential order. Store never feeds a value back into
 					// commit, so deferral is invisible to this stage.
-					c.storeQ = append(c.storeQ, e.d.Addr+e.thread.memBase)
+					c.storeQ = append(c.storeQ, e.d.Addr+t.memBase)
 				} else if s.tr != nil {
 					pre := s.dirCounters()
-					s.msys.Store(now, c.chip, e.d.Addr+e.thread.memBase)
+					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
 					s.traceDirDelta(now, c, e, pre)
 				} else {
-					s.msys.Store(now, c.chip, e.d.Addr+e.thread.memBase)
+					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
 				}
 			}
 			if e.usesIntRename {
@@ -316,12 +327,8 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 			}
 			e.committed = true
 			c.zombies++
-			e.dropProducers()
-			if e.isStore && t.lastStore[e.d.Addr] == e {
-				// Youngest in-flight store to this address: nothing
-				// younger replaced it, so the mapping dies with it and
-				// the map stays bounded by in-flight stores.
-				delete(t.lastStore, e.d.Addr)
+			if e.isStore {
+				c.stores.retire(e.tid, e.d.Addr, h)
 			}
 			t.inWindow--
 			if t.fn.Halted && t.inWindow == 0 {
@@ -341,27 +348,32 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 
 	// Compact lazily: committed entries are invisible to every window
 	// walk already (their state is not dispatched), so sweeping them out
-	// each cycle — a full pointer-slice rewrite, all barriered writes —
-	// buys nothing. They only pad the slice, which the capacity checks
-	// correct for via c.zombies. Sweep once a quarter-window of zombies
-	// accumulates (or the window is all zombies, so the sweep is free),
-	// skipping the still-uncommitted prefix in place.
+	// each cycle buys nothing. They only pad the slice, which the
+	// capacity checks correct for via c.zombies. Sweep once a
+	// quarter-window of zombies accumulates (or the window is all
+	// zombies, so the sweep is free), skipping the still-uncommitted
+	// prefix in place. The sweep is where pool slots are recycled: a
+	// zombie keeps its slot — and so stays inspectable through every
+	// handle — until it leaves the window. Zombies therefore never
+	// exceed the threshold between cycles, which with the fetch stage's
+	// live bound caps the window (and the pool) at poolSlots. A freed
+	// slot keeps its contents until fetch reuses it, so this cycle's
+	// wheel event for a just-swept producer still finds its consumers.
 	if threshold := c.cfg.WindowEntries / 4; c.zombies > 0 &&
 		(c.zombies > threshold || c.zombies == len(c.window)) {
 		w := c.window
 		i := 0
-		for i < len(w) && !w[i].committed {
+		for i < len(w) && !c.pool[w[i]].committed {
 			i++
 		}
 		j := i
 		for ; i < len(w); i++ {
-			if e := w[i]; !e.committed {
-				w[j] = e
+			if h := w[i]; c.pool[h].committed {
+				c.free = append(c.free, h)
+			} else {
+				w[j] = h
 				j++
 			}
-		}
-		for k := j; k < len(w); k++ {
-			w[k] = nil
 		}
 		c.window = w[:j]
 		c.zombies = 0
@@ -378,14 +390,15 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 // replaces the scan and must stay bit-identical to it.
 func (c *cluster) issue(s *Simulator, now int64, votes *stats.Votes) int {
 	issued := 0
-	for _, e := range c.window {
+	for _, h := range c.window {
 		if issued >= c.cfg.IssueWidth {
 			break
 		}
+		e := &c.pool[h]
 		if e.state != stateDispatched || now < e.eligibleAt {
 			continue
 		}
-		ready, memWait := e.sourcesReady(now)
+		ready, memWait := c.sourcesReady(e, now)
 		if !ready {
 			if memWait {
 				votes[stats.Memory]++
@@ -394,7 +407,7 @@ func (c *cluster) issue(s *Simulator, now int64, votes *stats.Votes) int {
 			}
 			continue
 		}
-		if c.tryIssue(s, e, now, votes) {
+		if c.tryIssue(s, h, now, votes) {
 			issued++
 		}
 	}
@@ -413,7 +426,8 @@ var debugCheckForwarding bool
 // caller retries next cycle. Shared by the scan and wakeup issue paths
 // so the two stay vote-, order- and side-effect-identical by
 // construction.
-func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes) bool {
+func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes) bool {
+	e := &c.pool[h]
 	class := e.fuCl
 	unit := c.freeUnit(class, now)
 	if unit < 0 {
@@ -424,10 +438,10 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 	var completeAt int64
 	switch {
 	case e.isLoad:
-		st := e.forwardingStore()
+		st := c.forwardingStore(e)
 		if debugCheckForwarding {
-			if ref := c.forwardingStoreScan(e); ref != st {
-				panic(fmt.Sprintf("core: forwarding map %v disagrees with FIFO scan %v (load seq %d)", st, ref, e.seq))
+			if ref := c.forwardingStoreScan(s.threads[e.tid], e); ref != st {
+				panic(fmt.Sprintf("core: forwarding table %v disagrees with FIFO scan %v (load seq %d)", st, ref, e.seq))
 			}
 		}
 		if st != nil {
@@ -445,7 +459,7 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 			if s.tr != nil {
 				pre = s.dirCounters()
 			}
-			dataReady, cls, ok := s.msys.Load(now, c.chip, e.d.Addr+e.thread.memBase)
+			dataReady, cls, ok := s.msys.Load(now, c.chip, e.d.Addr+s.threads[e.tid].memBase)
 			if !ok {
 				// MSHR file full: retry next cycle.
 				votes[stats.Memory]++
@@ -477,24 +491,23 @@ func (c *cluster) tryIssue(s *Simulator, e *entry, now int64, votes *stats.Votes
 
 	e.state = stateIssued
 	e.completeAt = completeAt
-	if t := e.thread; t.fifo[t.fifoHead] == e {
+	if t := s.threads[e.tid]; t.fifo.front() == h {
 		t.frontEvent = completeAt
 	}
 	c.iqCount--
 	s.traceEvent(now, c, "I", e)
 	if s.EventIssue {
-		c.wake(e)
+		c.wake(h)
 	}
 	return true
 }
 
 // forwardingStoreScan is the reference FIFO scan behind
-// entry.forwardingStore's map-bound answer; kept for the equivalence
+// cluster.forwardingStore's table-bound answer; kept for the equivalence
 // tests (wakeup_test.go) and the debugCheckForwarding cross-check.
-func (c *cluster) forwardingStoreScan(load *entry) *entry {
-	t := load.thread
-	for i := len(t.fifo) - 1; i >= t.fifoHead; i-- {
-		e := t.fifo[i]
+func (c *cluster) forwardingStoreScan(t *threadCtx, load *entry) *entry {
+	for i := t.fifo.len() - 1; i >= 0; i-- {
+		e := &c.pool[t.fifo.at(i)]
 		if e.seq >= load.seq {
 			continue
 		}
@@ -518,9 +531,9 @@ func (c *cluster) unblock(s *Simulator, now int64) bool {
 	for _, t := range c.threads {
 		switch t.block {
 		case blockBranch:
-			if t.pendingBranch.done(now) {
+			if c.refDone(t.pendingBranch, now) {
 				t.block = blockNone
-				t.pendingBranch = nil
+				t.pendingBranch = ref{}
 				resumed = true
 			}
 		case blockLock:
@@ -659,10 +672,11 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		if !inf.Pipel {
 			occ = int64(inf.Latency)
 		}
-		e := c.newEntry()
+		h := c.allocEntry()
+		e := &c.pool[h]
 		*e = entry{
 			d:          d,
-			thread:     t,
+			tid:        int32(t.id),
 			seq:        c.seq,
 			fetchedAt:  now,
 			eligibleAt: now + config.FrontEndDelay,
@@ -692,12 +706,12 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		if needInt {
 			c.renameIntFree--
 			e.usesIntRename = true
-			t.lastWriterInt[in.RD] = e
+			t.lastWriterInt[in.RD] = c.refOf(h)
 		}
 		if needFP {
 			c.renameFPFree--
 			e.usesFPRename = true
-			t.lastWriterFP[in.FD] = e
+			t.lastWriterFP[in.FD] = c.refOf(h)
 		}
 
 		// Memory-dependence bookkeeping: stores publish themselves as
@@ -706,26 +720,30 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		// at fetch, §3.1).
 		switch {
 		case e.isStore:
-			if t.lastStore == nil {
-				t.lastStore = make(map[int64]*entry)
-			}
-			t.lastStore[e.d.Addr] = e
+			c.stores.put(e.tid, e.d.Addr, h)
 		case e.isLoad:
-			e.fwdStore = t.lastStore[e.d.Addr]
+			if st := c.stores.get(e.tid, e.d.Addr); st != 0 {
+				e.fwdStore = c.refOf(st)
+			}
 		}
 
-		c.window = append(c.window, e)
+		if len(c.window) == cap(c.window) {
+			c.overflow("window")
+		}
+		c.window = append(c.window, h)
 		c.iqCount++
-		t.fifo = append(t.fifo, e)
+		if !t.fifo.push(h) {
+			c.overflow("thread fifo")
+		}
 		t.inWindow++
 		t.fetched++
 		s.traceEvent(now, c, "F", e)
 		if s.EventIssue {
-			c.dispatchEvent(e)
+			c.dispatchEvent(h)
 		}
 
 		if inf.Branch {
-			if c.handleBranch(t, e, d) {
+			if c.handleBranch(t, h, d) {
 				// The redirect point: no wrong-path instructions were
 				// fetched, so the squash marks where fetch stops.
 				s.traceEvent(now, c, "S", e)
@@ -750,7 +768,8 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 // handleBranch trains the predictors and, on a misprediction, blocks
 // the thread's fetch until the branch resolves. It returns true when
 // fetch must stop because of a misprediction.
-func (c *cluster) handleBranch(t *threadCtx, e *entry, d interp.DynInstr) bool {
+func (c *cluster) handleBranch(t *threadCtx, h handle, d interp.DynInstr) bool {
+	e := &c.pool[h]
 	switch {
 	case d.Instr.Info().CondBr:
 		_, correct := c.bp.PredictAndUpdate(d.PC, d.Taken)
@@ -768,7 +787,7 @@ func (c *cluster) handleBranch(t *threadCtx, e *entry, d interp.DynInstr) bool {
 	}
 	if e.mispredicted {
 		t.block = blockBranch
-		t.pendingBranch = e
+		t.pendingBranch = c.refOf(h)
 		return true
 	}
 	return false

@@ -79,6 +79,7 @@ func NewMulti(m config.Machine, progs []*prog.Program) (*Simulator, error) {
 			sync:       parallel.NewSync(1),
 			memBase:    int64(i) * asidStride,
 			frontEvent: noEvent,
+			fifo:       newRing(m.Arch.WindowEntries),
 		}
 		cl.threads = append(cl.threads, t)
 		s.threads = append(s.threads, t)

@@ -256,11 +256,12 @@ func (s *Simulator) ensureTurn(c *cluster) {
 // touches the memory system.
 func (s *Simulator) anyDirLoad() bool {
 	for _, cl := range s.clusters {
-		for _, e := range cl.ready {
-			if !e.isLoad || e.forwardingStore() != nil {
+		for _, h := range cl.ready {
+			e := &cl.pool[h]
+			if !e.isLoad || cl.forwardingStore(e) != nil {
 				continue
 			}
-			if s.msys.LoadMayFetch(cl.chip, e.d.Addr+e.thread.memBase) {
+			if s.msys.LoadMayFetch(cl.chip, e.d.Addr+s.threads[e.tid].memBase) {
 				return true
 			}
 		}

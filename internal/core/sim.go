@@ -211,6 +211,7 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 			fn:         interp.NewThread(tid, p, s.mem),
 			sync:       sync,
 			frontEvent: noEvent,
+			fifo:       newRing(m.Arch.WindowEntries),
 		}
 		cl.threads = append(cl.threads, t)
 		s.threads = append(s.threads, t)

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"clustersmt/internal/coherence"
 	"clustersmt/internal/config"
@@ -17,8 +16,8 @@ import (
 
 // This file implements checkpoint/restore and copy-on-write forking.
 //
-// Snapshot serializes the complete simulator state — clusters (window
-// entry graph, wakeup wheel, predictors, per-thread front-end state),
+// Snapshot serializes the complete simulator state — clusters (entry
+// pool, wakeup wheel, predictors, per-thread front-end state),
 // synchronization controller, sampler ring, functional memory and the
 // timing memory system — into a versioned, self-validating binary
 // envelope. Restore rebuilds an equivalent simulator from the bytes;
@@ -38,34 +37,38 @@ import (
 //   - Snapshots are taken between cycles (a fresh simulator, one paused
 //     by RunTo, or a completed one). Mid-cycle state (parallel runner,
 //     undrained store queues) is refused with ErrSnapshotUnsupported.
-//   - Pointer-linked window entries are serialized as one per-cluster
-//     universe: a deterministic worklist enumeration assigns each
-//     reachable entry an index, pointer fields encode as indices
-//     (-1 = nil), and decode rebuilds the graph in a single fresh slab.
-//     Static instruction words are NOT serialized: entry.d.Instr is
-//     re-derived from Program.Code[d.PC], which is what lets a prefix
-//     checkpoint restore under a different same-prefix program variant.
-//   - Ephemeral positions that do not affect behavior are normalized
-//     rather than preserved: fifo/pending head offsets restart at 0,
-//     the wakeup wheel's heap is rebuilt by pushing buckets in
-//     ascending cycle order (bucket keys are unique, so pop order — the
-//     only observable — is unchanged), arenas and free lists restart
-//     empty.
-//   - Decoding validates everything it reads (counts against remaining
-//     bytes, indices against ranges, enums against their bounds) and
-//     fails with a typed error instead of panicking; FuzzSnapshotDecode
-//     holds it to that.
+//   - Window entries are written as their cluster's pool, slot by slot
+//     in handle order, followed by the free stack. A handle is a slot
+//     index, so it already is its own serialized id: every structure
+//     that names an entry (window, fifos, refs, wheel, store table) is
+//     written as the handles it holds, and decoding needs no id map and
+//     no fix-up pass. Static instruction words are NOT serialized:
+//     entry.d.Instr is re-derived from Program.Code[d.PC], which is
+//     what lets a prefix checkpoint restore under a different
+//     same-prefix program variant.
+//   - Nothing is normalized except ring head offsets (fifo and pending
+//     restart at position 0, which no reader can observe): the free
+//     stack, the wheel's heap array and the store table's slot layout
+//     are written as they are, so Restore followed by Snapshot
+//     reproduces the payload byte for byte.
+//   - Every container is allocated by the freshly built shell from the
+//     machine configuration, never from a count in the payload, so a
+//     crafted payload cannot demand memory. Decoding range-checks what
+//     it reads (counts against capacities, handles against the pool,
+//     enums against their bounds), then cluster.audit checks the
+//     structural invariants a genuine between-cycles state has — pool
+//     conservation, no slot held twice, every handle naming a live
+//     entry — and anything else is ErrSnapshotCorrupt, never a panic;
+//     FuzzSnapshotDecode holds it to that.
 
 // SnapshotVersion is the current checkpoint format version. Any change
-// to the encoding must bump it; Restore refuses versions it does not
-// understand with ErrSnapshotVersion. Version 2 added the dynamic
-// allocation sections (per-cluster thread assignment, migration refill
-// state, allocator epoch state); version-1 payloads — which could only
-// ever hold the static seed placement — still decode.
-const SnapshotVersion = 2
-
-// snapshotMinVersion is the oldest payload version Restore accepts.
-const snapshotMinVersion = 1
+// to the encoding must bump it; Restore refuses every other version
+// with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
+// harness keys persisted ones by version, so after a bump old files are
+// simply never looked up and the warm-up re-runs. Version 3 writes
+// entries as handle-indexed pool slots (versions 1 and 2 serialized a
+// pointer graph).
+const SnapshotVersion = 3
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
@@ -203,8 +206,8 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 	if magic != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrSnapshotCorrupt, magic)
 	}
-	if ver < snapshotMinVersion || ver > SnapshotVersion {
-		return nil, fmt.Errorf("%w: payload version %d, this build reads %d through %d", ErrSnapshotVersion, ver, snapshotMinVersion, SnapshotVersion)
+	if ver != SnapshotVersion {
+		return nil, fmt.Errorf("%w: payload version %d, this build reads %d", ErrSnapshotVersion, ver, SnapshotVersion)
 	}
 	mh := r.Bytes8()
 	fp := r.Bytes8()
@@ -232,16 +235,13 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.decodeCore(r, ver); err != nil {
+	if err := s.decodeCore(r); err != nil {
 		return nil, err
 	}
 	s.mem.DecodeSnap(r)
 	s.msys.DecodeSnap(r)
 	if err := r.Err(); err != nil {
-		if errors.Is(err, snap.ErrTruncated) {
-			return nil, fmt.Errorf("core: snapshot payload: %w", err)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return nil, snapErr(err)
 	}
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Remaining())
@@ -287,13 +287,158 @@ func (s *Simulator) ForkProgram(p2 *prog.Program) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.decodeCore(snap.NewReader(w.Bytes()), SnapshotVersion); err != nil {
+	if err := cp.decodeCore(snap.NewReader(w.Bytes())); err != nil {
 		// Cannot happen for bytes we just produced; surface rather than
 		// hand back a half-decoded simulator.
 		return nil, err
 	}
 	cp.resumable = true
 	return cp, nil
+}
+
+// ---- field transfer ----
+
+// xfer moves state between a simulator and a snapshot one field at a
+// time, in whichever direction it was built for. Each section lists its
+// fields once, so the encoder and the decoder cannot drift apart. A
+// decoding violation latches ErrSnapshotCorrupt on the reader, after
+// which every read returns zero: sections run straight through and the
+// caller checks the reader at its checkpoints.
+type xfer struct {
+	w *snap.Writer // set when encoding
+	r *snap.Reader // set when decoding
+	c *cluster     // the cluster being transferred: bounds its handles
+}
+
+func (x *xfer) corrupt(format string, args ...any) {
+	x.r.Fail(fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...)))
+}
+
+// snapErr types a latched reader error: truncation stays matchable as
+// ErrSnapshotTruncated, everything else is ErrSnapshotCorrupt.
+func snapErr(err error) error {
+	switch {
+	case errors.Is(err, snap.ErrTruncated):
+		return fmt.Errorf("core: snapshot payload: %w", err)
+	case errors.Is(err, ErrSnapshotCorrupt):
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+}
+
+type integer interface {
+	~int | ~int32 | ~int64 | ~uint8 | ~uint32 | ~uint64
+}
+
+// xi transfers an integer field; every integer is 8 bytes on the wire
+// whatever its Go type (narrow types are range-checked by the caller).
+func xi[T integer](x *xfer, p *T) {
+	if x.w != nil {
+		x.w.I64(int64(*p))
+		return
+	}
+	*p = T(x.r.I64())
+}
+
+func (x *xfer) f64(p *float64) {
+	if x.w != nil {
+		x.w.F64(*p)
+		return
+	}
+	*p = x.r.F64()
+}
+
+func (x *xfer) bool(p *bool) {
+	if x.w != nil {
+		x.w.Bool(*p)
+		return
+	}
+	*p = x.r.Bool()
+}
+
+// bytes transfers a fixed-size byte table (predictor counters).
+func (x *xfer) bytes(b []uint8) {
+	for i := range b {
+		if x.w != nil {
+			x.w.U8(b[i])
+		} else {
+			b[i] = x.r.U8()
+		}
+	}
+}
+
+// count transfers an element count, bounded by the container's
+// fixed capacity when decoding.
+func (x *xfer) count(n *int, max int, what string) {
+	xi(x, n)
+	if x.r != nil && (*n < 0 || *n > max) {
+		x.corrupt("%s holds %d of at most %d", what, *n, max)
+		*n = 0
+	}
+}
+
+// handle transfers a handle, range-checked against the cluster's pool
+// when decoding (0, "none", is in range).
+func (x *xfer) handle(p *handle) {
+	xi(x, p)
+	if x.r != nil && int(*p) >= len(x.c.pool) {
+		x.corrupt("chip %d cluster %d: handle %d outside the %d-slot pool", x.c.chip, x.c.idx, *p, len(x.c.pool)-1)
+		*p = 0
+	}
+}
+
+func (x *xfer) ref(p *ref) {
+	xi(x, &p.seq)
+	x.handle(&p.h)
+}
+
+// handles transfers a counted handle list within its backing array.
+func (x *xfer) handles(p *[]handle, what string) {
+	n := len(*p)
+	x.count(&n, cap(*p), what)
+	*p = (*p)[:n]
+	for i := range *p {
+		x.handle(&(*p)[i])
+	}
+}
+
+// ring transfers a FIFO front to back; decoding refills it from
+// position 0 (head offsets are unobservable).
+func (x *xfer) ring(q *ring, what string) {
+	n := q.len()
+	x.count(&n, len(q.buf), what)
+	if x.r != nil {
+		q.reset()
+	}
+	for i := 0; i < n; i++ {
+		var h handle
+		if x.w != nil {
+			h = q.at(i)
+		}
+		x.handle(&h)
+		if x.r != nil {
+			q.push(h)
+		}
+	}
+}
+
+func (x *xfer) slots(sl *stats.Slots) {
+	for i := range sl.Counts {
+		x.f64(&sl.Counts[i])
+	}
+	xi(x, &sl.Cycles)
+}
+
+func (x *xfer) memSnapshot(m *coherence.MemSnapshot) {
+	xi(x, &m.Loads)
+	xi(x, &m.Stores)
+	xi(x, &m.LoadRetries)
+	xi(x, &m.L1Hits)
+	xi(x, &m.L1Misses)
+	xi(x, &m.L2Hits)
+	xi(x, &m.L2Misses)
+	xi(x, &m.MSHROccupancy)
+	xi(x, &m.DirLines)
 }
 
 // ---- core section ----
@@ -303,156 +448,15 @@ func (s *Simulator) ForkProgram(p2 *prog.Program) (*Simulator, error) {
 // controller, every cluster (entries, threads, predictors) and the
 // sampler. Fork serializes only this section and shares the bulk state
 // copy-on-write instead.
-func (s *Simulator) encodeCore(w *snap.Writer) {
-	w.I64(s.cycle)
-	w.U64(s.committed)
-	w.U64(s.forwardedLoads)
-	w.F64(s.runningAccum)
-	w.Int(s.running)
-	w.Int(s.finished)
-	w.I64(s.ffCycles)
-	w.I64(s.parBCycles)
-	w.Bool(s.EventDriven)
-	w.Bool(s.EventIssue)
-	encodeSlots(w, &s.slots)
-	s.syncs[0].EncodeSnap(w)
-	// v2: the current thread-to-cluster assignment, as each cluster's
-	// thread-id list in residence order. Dynamic policies migrate
-	// threads, so the freshly built shell's seed placement must be
-	// overlaid before the per-cluster sections (which iterate c.threads)
-	// can decode.
-	tidOf := make(map[*threadCtx]int, len(s.threads))
-	for i, t := range s.threads {
-		tidOf[t] = i
-	}
-	for _, c := range s.clusters {
-		w.Int(len(c.threads))
-		for _, t := range c.threads {
-			w.Int(tidOf[t])
-		}
-	}
-	for _, c := range s.clusters {
-		c.encodeSnap(w)
-	}
-	// v2: migration refill state and the allocator's epoch state.
-	for _, t := range s.threads {
-		w.I64(t.migrateReady)
-	}
-	if s.alloc == nil {
-		w.Bool(false)
-	} else {
-		w.Bool(true)
-		a := s.alloc
-		w.I64(a.interval)
-		w.I64(a.nextAt)
-		w.U64(a.epoch)
-		w.U64(a.migrations)
-		for _, v := range a.prevThreadCommitted {
-			w.U64(v)
-		}
-		for _, v := range a.lastMigrated {
-			w.I64(v)
-		}
-		for i := range a.prevChipMem {
-			m := &a.prevChipMem[i]
-			w.U64(m.Loads)
-			w.U64(m.Stores)
-			w.U64(m.LoadRetries)
-			w.U64(m.L1Hits)
-			w.U64(m.L1Misses)
-			w.U64(m.L2Hits)
-			w.U64(m.L2Misses)
-			w.Int(m.MSHROccupancy)
-			w.Int(m.DirLines)
-		}
-	}
-	if s.obs != nil {
-		w.Bool(true)
-		s.encodeSampler(w)
-	} else {
-		w.Bool(false)
-	}
-}
+func (s *Simulator) encodeCore(w *snap.Writer) { s.xferCore(&xfer{w: w}) }
 
-// decodeCore overlays a core section onto a freshly built shell. ver
-// is the payload's format version (Restore's header; forks always use
-// the current version).
-func (s *Simulator) decodeCore(r *snap.Reader, ver uint32) error {
-	s.cycle = r.I64()
-	s.committed = r.U64()
-	s.forwardedLoads = r.U64()
-	s.runningAccum = r.F64()
-	s.running = r.Int()
-	s.finished = r.Int()
-	s.ffCycles = r.I64()
-	s.parBCycles = r.I64()
-	s.EventDriven = r.Bool()
-	s.EventIssue = r.Bool()
-	decodeSlots(r, &s.slots)
-	s.syncs[0].DecodeSnap(r)
-	if s.finished < 0 || s.finished > len(s.threads) || s.running < 0 || s.running > len(s.threads) {
-		return fmt.Errorf("%w: thread accounting out of range", ErrSnapshotCorrupt)
-	}
-	if ver >= 2 {
-		if err := s.decodeAssignment(r); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.clusters {
-		if err := c.decodeSnap(r, s.Program, ver); err != nil {
-			return err
-		}
-	}
-	if ver >= 2 {
-		for _, t := range s.threads {
-			t.migrateReady = r.I64()
-		}
-		hasAlloc := r.Bool()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if hasAlloc != (s.alloc != nil) {
-			return fmt.Errorf("%w: allocator state presence disagrees with machine policy", ErrSnapshotCorrupt)
-		}
-		if hasAlloc {
-			a := s.alloc
-			a.interval = r.I64()
-			a.nextAt = r.I64()
-			a.epoch = r.U64()
-			a.migrations = r.U64()
-			for i := range a.prevThreadCommitted {
-				a.prevThreadCommitted[i] = r.U64()
-			}
-			for i := range a.lastMigrated {
-				a.lastMigrated[i] = r.I64()
-			}
-			for i := range a.prevChipMem {
-				m := &a.prevChipMem[i]
-				m.Loads = r.U64()
-				m.Stores = r.U64()
-				m.LoadRetries = r.U64()
-				m.L1Hits = r.U64()
-				m.L1Misses = r.U64()
-				m.L2Hits = r.U64()
-				m.L2Misses = r.U64()
-				m.MSHROccupancy = r.Int()
-				m.DirLines = r.Int()
-			}
-			if r.Err() == nil && a.interval <= 0 {
-				return fmt.Errorf("%w: allocator epoch interval %d", ErrSnapshotCorrupt, a.interval)
-			}
-		}
-	}
-	if r.Bool() {
-		if err := s.decodeSampler(r); err != nil {
-			return err
-		}
+// decodeCore overlays a core section onto a freshly built shell.
+func (s *Simulator) decodeCore(r *snap.Reader) error {
+	if err := s.xferCore(&xfer{r: r}); err != nil {
+		return snapErr(err)
 	}
 	if err := r.Err(); err != nil {
-		if errors.Is(err, snap.ErrTruncated) {
-			return fmt.Errorf("core: snapshot payload: %w", err)
-		}
-		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+		return snapErr(err)
 	}
 	// With thread state fully decoded, enforce the capacity invariant
 	// the residence-list pass deferred: live (unfinished) threads never
@@ -471,8 +475,86 @@ func (s *Simulator) decodeCore(r *snap.Reader, ver uint32) error {
 	return nil
 }
 
-// decodeAssignment reads each cluster's thread-id residence list (v2)
-// and re-homes the shell's threads to match the encoded placement, so
+// xferCore transfers the core section. It returns early, with the
+// reader's error or its own, only where decoding on would be unsafe.
+func (s *Simulator) xferCore(x *xfer) error {
+	xi(x, &s.cycle)
+	xi(x, &s.committed)
+	xi(x, &s.forwardedLoads)
+	x.f64(&s.runningAccum)
+	xi(x, &s.running)
+	xi(x, &s.finished)
+	xi(x, &s.ffCycles)
+	xi(x, &s.parBCycles)
+	x.bool(&s.EventDriven)
+	x.bool(&s.EventIssue)
+	x.slots(&s.slots)
+	if x.w != nil {
+		s.syncs[0].EncodeSnap(x.w)
+	} else {
+		s.syncs[0].DecodeSnap(x.r)
+	}
+	if s.finished < 0 || s.finished > len(s.threads) || s.running < 0 || s.running > len(s.threads) {
+		return fmt.Errorf("%w: thread accounting out of range", ErrSnapshotCorrupt)
+	}
+	// The current thread-to-cluster assignment, as each cluster's
+	// thread-id list in residence order. Dynamic policies migrate
+	// threads, so the freshly built shell's seed placement must be
+	// overlaid before the per-cluster sections (which iterate c.threads)
+	// can decode.
+	if x.w != nil {
+		for _, c := range s.clusters {
+			x.w.Int(len(c.threads))
+			for _, t := range c.threads {
+				x.w.Int(t.id)
+			}
+		}
+	} else if err := s.decodeAssignment(x.r); err != nil {
+		return err
+	}
+	for _, c := range s.clusters {
+		x.c = c
+		if err := c.xferSnap(x, s.Program, len(s.threads)); err != nil {
+			return err
+		}
+	}
+	// Migration refill state and the allocator's epoch state.
+	for _, t := range s.threads {
+		xi(x, &t.migrateReady)
+	}
+	hasAlloc := s.alloc != nil
+	x.bool(&hasAlloc)
+	if x.r != nil && x.r.Err() == nil && hasAlloc != (s.alloc != nil) {
+		return fmt.Errorf("%w: allocator state presence disagrees with machine policy", ErrSnapshotCorrupt)
+	}
+	if a := s.alloc; a != nil {
+		xi(x, &a.interval)
+		xi(x, &a.nextAt)
+		xi(x, &a.epoch)
+		xi(x, &a.migrations)
+		for i := range a.prevThreadCommitted {
+			xi(x, &a.prevThreadCommitted[i])
+		}
+		for i := range a.lastMigrated {
+			xi(x, &a.lastMigrated[i])
+		}
+		for i := range a.prevChipMem {
+			x.memSnapshot(&a.prevChipMem[i])
+		}
+		if x.r != nil && x.r.Err() == nil && a.interval <= 0 {
+			return fmt.Errorf("%w: allocator epoch interval %d", ErrSnapshotCorrupt, a.interval)
+		}
+	}
+	hasObs := s.obs != nil
+	x.bool(&hasObs)
+	if hasObs {
+		s.xferSampler(x)
+	}
+	return nil
+}
+
+// decodeAssignment reads each cluster's thread-id residence list and
+// re-homes the shell's threads to match the encoded placement, so
 // the per-cluster sections that follow iterate the same thread order
 // the encoder did.
 func (s *Simulator) decodeAssignment(r *snap.Reader) error {
@@ -522,666 +604,355 @@ func (s *Simulator) decodeAssignment(r *snap.Reader) error {
 	return nil
 }
 
-func encodeSlots(w *snap.Writer, sl *stats.Slots) {
-	for _, v := range sl.Counts {
-		w.F64(v)
-	}
-	w.I64(sl.Cycles)
-}
-
-func decodeSlots(r *snap.Reader, sl *stats.Slots) {
-	for i := range sl.Counts {
-		sl.Counts[i] = r.F64()
-	}
-	sl.Cycles = r.I64()
-}
-
-// ---- sampler ----
-
-// encodeSampler writes the metrics configuration, the previous-boundary
-// counter snapshot and the frame ring, so a restored run's frames
-// continue tiling the cycle axis exactly where the original's left off.
-// The OnInterval callback is host state and is not serialized; callers
-// re-register after Restore/Fork.
-func (s *Simulator) encodeSampler(w *snap.Writer) {
+// xferSampler transfers the metrics configuration, the previous-
+// boundary counter snapshot and the frame ring, so a restored run's
+// frames continue tiling the cycle axis exactly where the original's
+// left off. The OnInterval callback is host state and is not
+// serialized; callers re-register after Restore/Fork.
+func (s *Simulator) xferSampler(x *xfer) {
 	o := s.obs
-	w.I64(o.interval)
-	w.I64(o.nextAt)
-	w.Int(o.index)
-	w.I64(o.prevCycle)
-	w.U64(o.prevCommitted)
-	w.F64(o.prevRunningAccum)
-	for _, v := range o.prevSlots {
-		w.F64(v)
+	if x.r != nil {
+		o = &sampler{prevCluster: make([][stats.NumCategories]float64, len(s.clusters))}
 	}
-	for i := range o.prevCluster {
-		for _, v := range o.prevCluster[i] {
-			w.F64(v)
-		}
+	xi(x, &o.interval)
+	xi(x, &o.nextAt)
+	xi(x, &o.index)
+	xi(x, &o.prevCycle)
+	xi(x, &o.prevCommitted)
+	x.f64(&o.prevRunningAccum)
+	for i := range o.prevSlots {
+		x.f64(&o.prevSlots[i])
 	}
-	m := &o.prevMem
-	w.U64(m.Loads)
-	w.U64(m.Stores)
-	w.U64(m.LoadRetries)
-	w.U64(m.L1Hits)
-	w.U64(m.L1Misses)
-	w.U64(m.L2Hits)
-	w.U64(m.L2Misses)
-	w.Int(m.MSHROccupancy)
-	w.Int(m.DirLines)
-	w.Int(o.ring.Cap())
-	o.ring.EncodeSnap(w)
-}
-
-func (s *Simulator) decodeSampler(r *snap.Reader) error {
-	interval := r.I64()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if interval <= 0 {
-		return fmt.Errorf("%w: sampler interval %d", ErrSnapshotCorrupt, interval)
-	}
-	nextAt := r.I64()
-	index := r.Int()
-	prevCycle := r.I64()
-	prevCommitted := r.U64()
-	prevRunningAccum := r.F64()
-	var prevSlots [stats.NumCategories]float64
-	for i := range prevSlots {
-		prevSlots[i] = r.F64()
-	}
-	ringCap := 0
-	o := &sampler{prevCluster: make([][stats.NumCategories]float64, len(s.clusters))}
 	for i := range o.prevCluster {
 		for j := range o.prevCluster[i] {
-			o.prevCluster[i][j] = r.F64()
+			x.f64(&o.prevCluster[i][j])
 		}
 	}
-	m := &o.prevMem
-	m.Loads = r.U64()
-	m.Stores = r.U64()
-	m.LoadRetries = r.U64()
-	m.L1Hits = r.U64()
-	m.L1Misses = r.U64()
-	m.L2Hits = r.U64()
-	m.L2Misses = r.U64()
-	m.MSHROccupancy = r.Int()
-	m.DirLines = r.Int()
-	ringCap = r.Int()
-	if r.Err() != nil {
-		return r.Err()
+	x.memSnapshot(&o.prevMem)
+	if x.w != nil {
+		x.w.Int(o.ring.Cap())
+		o.ring.EncodeSnap(x.w)
+		return
 	}
-	if ringCap <= 0 || ringCap > maxSnapshotRingCap {
-		return fmt.Errorf("%w: sampler ring capacity %d", ErrSnapshotCorrupt, ringCap)
+	ringCap := x.r.Int()
+	if x.r.Err() != nil {
+		return
 	}
-	o.interval = interval
-	o.nextAt = nextAt
-	o.index = index
-	o.prevCycle = prevCycle
-	o.prevCommitted = prevCommitted
-	o.prevRunningAccum = prevRunningAccum
-	o.prevSlots = prevSlots
+	if o.interval <= 0 || ringCap <= 0 || ringCap > maxSnapshotRingCap {
+		x.corrupt("sampler interval %d, ring capacity %d", o.interval, ringCap)
+		return
+	}
 	o.ring = obs.NewRing(ringCap)
-	o.ring.DecodeSnap(r)
-	if r.Err() != nil {
-		return r.Err()
-	}
+	o.ring.DecodeSnap(x.r)
 	s.obs = o
-	return nil
 }
 
 // ---- cluster section ----
 
-// entryUniverse enumerates every entry reachable from the cluster's
-// live structures in a deterministic order and assigns each an index.
-// Roots are visited in a fixed order (window, per-thread state, the
-// wakeup structures), then the worklist closes over the entries' own
-// pointer fields; committed-and-swept entries still referenced as
-// producers are therefore included.
-func (c *cluster) entryUniverse() ([]*entry, map[*entry]int32) {
-	var list []*entry
-	idx := make(map[*entry]int32)
-	add := func(e *entry) {
-		if e == nil {
-			return
-		}
-		if _, ok := idx[e]; ok {
-			return
-		}
-		idx[e] = int32(len(list))
-		list = append(list, e)
-	}
-	for _, e := range c.window {
-		add(e)
-	}
-	for _, t := range c.threads {
-		for i := t.fifoHead; i < len(t.fifo); i++ {
-			add(t.fifo[i])
-		}
-		add(t.pendingBranch)
-		for _, e := range t.lastWriterInt {
-			add(e)
-		}
-		for _, e := range t.lastWriterFP {
-			add(e)
-		}
-		for _, a := range sortedStoreAddrs(t.lastStore) {
-			add(t.lastStore[a])
-		}
-	}
-	for i := c.pendingHead; i < len(c.pending); i++ {
-		add(c.pending[i])
-	}
-	for _, e := range c.ready {
-		add(e)
-	}
-	for _, cy := range sortedWheelCycles(&c.wheel) {
-		for _, e := range c.wheel.buckets[cy] {
-			add(e)
-		}
-	}
-	for i := 0; i < len(list); i++ {
-		e := list[i]
-		add(e.producers[0])
-		add(e.producers[1])
-		add(e.fwdStore)
-		add(e.firstCons)
-		add(e.consNext[0])
-		add(e.consNext[1])
-	}
-	return list, idx
-}
-
-func sortedStoreAddrs(m map[int64]*entry) []int64 {
-	if len(m) == 0 {
-		return nil
-	}
-	addrs := make([]int64, 0, len(m))
-	for a := range m {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
-}
-
-func sortedWheelCycles(w *wheel) []int64 {
-	if len(w.buckets) == 0 {
-		return nil
-	}
-	cycles := make([]int64, 0, len(w.buckets))
-	for cy := range w.buckets {
-		cycles = append(cycles, cy)
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-	return cycles
-}
-
-// entryRef encodes a possibly-nil entry pointer as its universe index.
-func entryRef(w *snap.Writer, idx map[*entry]int32, e *entry) {
-	if e == nil {
-		w.Int(-1)
-		return
-	}
-	w.Int(int(idx[e]))
-}
-
-func (c *cluster) encodeSnap(w *snap.Writer) {
+// xferSnap transfers one cluster; decoding overlays a freshly built
+// cluster of the same configuration. p supplies the static code the
+// entries' instruction words are re-derived from; nthreads bounds entry
+// thread ids. Reads are range-checked as they go; audit then vets the
+// structure as a whole.
+func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	// Scalars and fixed-size structures first.
-	w.U64(c.seq)
-	w.Int(c.iqCount)
-	w.Int(c.zombies)
-	w.Int(c.renameIntFree)
-	w.Int(c.renameFPFree)
-	for _, us := range [][]int64{c.intUnits, c.ldstUnits, c.fpUnits} {
-		for _, v := range us {
-			w.I64(v)
-		}
-	}
-	for _, v := range c.minFree {
-		w.I64(v)
-	}
-	w.Int(c.waitMemN)
-	w.Int(c.waitDataN)
-	w.Bool(c.icount)
-	w.Int(c.fetchRR)
-	w.I64(int64(c.commitRR))
-	encodeSlots(w, &c.slots)
-	w.U64(c.renameStalls)
-	w.U64(c.fetchGroups)
-	w.U64(c.windowFullStalls)
-	w.I64(c.pcHighWater)
-	for _, v := range c.bp.counters {
-		w.U8(v)
-	}
-	w.U64(c.bp.Lookups)
-	w.U64(c.bp.Mispred)
-	for _, v := range c.btb.targets {
-		w.I64(v)
-	}
-	for _, v := range c.btb.valid {
-		w.Bool(v)
-	}
-	w.U64(c.btb.Lookups)
-	w.U64(c.btb.Mispred)
-
-	// The entry universe.
-	list, idx := c.entryUniverse()
-	w.Int(len(list))
-	for _, e := range list {
-		w.U64(e.d.Seq)
-		w.I64(e.d.PC)
-		w.I64(e.d.Addr)
-		w.Bool(e.d.Taken)
-		w.I64(e.d.Target)
-		ti := 0
-		for i, t := range c.threads {
-			if t == e.thread {
-				ti = i
-				break
-			}
-		}
-		w.Int(ti)
-		w.U64(e.seq)
-		w.U8(uint8(e.state))
-		w.I64(e.fetchedAt)
-		w.I64(e.eligibleAt)
-		w.I64(e.completeAt)
-		w.U8(uint8(e.fuCl))
-		w.I64(e.lat)
-		w.I64(e.occ)
-		w.Bool(e.isLoad)
-		w.Bool(e.isStore)
-		w.Bool(e.isBranch)
-		w.Bool(e.mispredicted)
-		w.Bool(e.usesIntRename)
-		w.Bool(e.usesFPRename)
-		w.Bool(e.forwarded)
-		w.Bool(e.committed)
-		w.U8(uint8(e.memClass))
-		w.U8(e.queued)
-		w.Bool(e.waitMem)
-		entryRef(w, idx, e.producers[0])
-		entryRef(w, idx, e.producers[1])
-		entryRef(w, idx, e.fwdStore)
-		entryRef(w, idx, e.firstCons)
-		entryRef(w, idx, e.consNext[0])
-		entryRef(w, idx, e.consNext[1])
-	}
-
-	// Window (in order; includes committed zombies awaiting the sweep).
-	w.Int(len(c.window))
-	for _, e := range c.window {
-		entryRef(w, idx, e)
-	}
-
-	// Per-thread front-end state.
-	for _, t := range c.threads {
-		w.U8(uint8(t.block))
-		w.Bool(t.lockGranted)
-		w.Bool(t.barArrived)
-		w.U64(t.barTarget)
-		w.I64(t.frontEvent)
-		w.U64(t.fetched)
-		w.U64(t.committed)
-		w.Int(t.inWindow)
-		entryRef(w, idx, t.pendingBranch)
-		for _, e := range t.lastWriterInt {
-			entryRef(w, idx, e)
-		}
-		for _, e := range t.lastWriterFP {
-			entryRef(w, idx, e)
-		}
-		addrs := sortedStoreAddrs(t.lastStore)
-		w.Int(len(addrs))
-		for _, a := range addrs {
-			w.I64(a)
-			entryRef(w, idx, t.lastStore[a])
-		}
-		w.Int(t.fifoLen())
-		for i := t.fifoHead; i < len(t.fifo); i++ {
-			entryRef(w, idx, t.fifo[i])
-		}
-		t.fn.EncodeArch(w)
-	}
-
-	// Wakeup structures.
-	w.Int(len(c.pending) - c.pendingHead)
-	for i := c.pendingHead; i < len(c.pending); i++ {
-		entryRef(w, idx, c.pending[i])
-	}
-	w.Int(len(c.ready))
-	for _, e := range c.ready {
-		entryRef(w, idx, e)
-	}
-	cycles := sortedWheelCycles(&c.wheel)
-	w.Int(len(cycles))
-	for _, cy := range cycles {
-		b := c.wheel.buckets[cy]
-		w.I64(cy)
-		w.Int(len(b))
-		for _, e := range b {
-			entryRef(w, idx, e)
-		}
-	}
-}
-
-// decodeSnap overlays an encoded cluster onto a freshly built one for
-// the same configuration, rebuilding the entry graph into a single
-// fresh slab. p supplies the static code the entries' instruction
-// words are re-derived from.
-func (c *cluster) decodeSnap(r *snap.Reader, p *prog.Program, ver uint32) error {
-	c.seq = r.U64()
-	c.iqCount = r.Int()
-	c.zombies = r.Int()
-	c.renameIntFree = r.Int()
-	c.renameFPFree = r.Int()
-	for _, us := range [][]int64{c.intUnits, c.ldstUnits, c.fpUnits} {
+	xi(x, &c.seq)
+	xi(x, &c.iqCount)
+	xi(x, &c.zombies)
+	xi(x, &c.renameIntFree)
+	xi(x, &c.renameFPFree)
+	for _, us := range [][]int64{c.intUnits, c.ldstUnits, c.fpUnits, c.minFree[:]} {
 		for i := range us {
-			us[i] = r.I64()
+			xi(x, &us[i])
 		}
 	}
-	for i := range c.minFree {
-		c.minFree[i] = r.I64()
-	}
-	c.waitMemN = r.Int()
-	c.waitDataN = r.Int()
-	c.icount = r.Bool()
-	c.fetchRR = r.Int()
-	c.commitRR = int(r.I64())
-	decodeSlots(r, &c.slots)
-	c.renameStalls = r.U64()
-	c.fetchGroups = r.U64()
-	c.windowFullStalls = r.U64()
-	c.pcHighWater = r.I64()
-	for i := range c.bp.counters {
-		c.bp.counters[i] = r.U8()
-	}
-	c.bp.Lookups = r.U64()
-	c.bp.Mispred = r.U64()
+	xi(x, &c.waitMemN)
+	xi(x, &c.waitDataN)
+	x.bool(&c.icount)
+	xi(x, &c.fetchRR)
+	xi(x, &c.commitRR)
+	x.slots(&c.slots)
+	xi(x, &c.renameStalls)
+	xi(x, &c.fetchGroups)
+	xi(x, &c.windowFullStalls)
+	xi(x, &c.pcHighWater)
+	x.bytes(c.bp.counters)
+	xi(x, &c.bp.Lookups)
+	xi(x, &c.bp.Mispred)
 	for i := range c.btb.targets {
-		c.btb.targets[i] = r.I64()
+		xi(x, &c.btb.targets[i])
 	}
 	for i := range c.btb.valid {
-		c.btb.valid[i] = r.Bool()
+		x.bool(&c.btb.valid[i])
 	}
-	c.btb.Lookups = r.U64()
-	c.btb.Mispred = r.U64()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n := len(c.threads); c.fetchRR < 0 || (n > 0 && c.fetchRR >= n) {
-		return fmt.Errorf("%w: fetch round-robin %d out of range", ErrSnapshotCorrupt, c.fetchRR)
+	xi(x, &c.btb.Lookups)
+	xi(x, &c.btb.Mispred)
+	if n := len(c.threads); x.r != nil && (c.fetchRR < 0 || (n > 0 && c.fetchRR >= n)) {
+		x.corrupt("fetch round-robin %d out of range", c.fetchRR)
 	}
 
-	// Entry universe: fields first, then pointer wiring.
-	n := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n < 0 || n > r.Remaining() {
-		return fmt.Errorf("%w: entry count %d", ErrSnapshotCorrupt, n)
-	}
-	slab := make([]entry, n)
-	refs := make([][6]int, n)
-	for i := range slab {
-		e := &slab[i]
-		e.d.Seq = r.U64()
-		e.d.PC = r.I64()
-		e.d.Addr = r.I64()
-		e.d.Taken = r.Bool()
-		e.d.Target = r.I64()
-		ti := r.Int()
-		e.seq = r.U64()
-		state := r.U8()
-		e.fetchedAt = r.I64()
-		e.eligibleAt = r.I64()
-		e.completeAt = r.I64()
-		fuCl := r.U8()
-		e.lat = r.I64()
-		e.occ = r.I64()
-		e.isLoad = r.Bool()
-		e.isStore = r.Bool()
-		e.isBranch = r.Bool()
-		e.mispredicted = r.Bool()
-		e.usesIntRename = r.Bool()
-		e.usesFPRename = r.Bool()
-		e.forwarded = r.Bool()
-		e.committed = r.Bool()
-		memClass := r.U8()
-		e.queued = r.U8()
-		e.waitMem = r.Bool()
-		for k := 0; k < 6; k++ {
-			refs[i][k] = r.Int()
+	// The entry pool, slot by slot in handle order (free slots included:
+	// their stale contents are what a ref to them reads), then the free
+	// stack and the window (in order; committed zombies included).
+	for i := 1; i < len(c.pool); i++ {
+		e := &c.pool[i]
+		xi(x, &e.d.Seq)
+		xi(x, &e.d.PC)
+		xi(x, &e.d.Addr)
+		x.bool(&e.d.Taken)
+		xi(x, &e.d.Target)
+		xi(x, &e.tid)
+		xi(x, &e.seq)
+		xi(x, &e.state)
+		xi(x, &e.fetchedAt)
+		xi(x, &e.eligibleAt)
+		xi(x, &e.completeAt)
+		xi(x, &e.fuCl)
+		xi(x, &e.lat)
+		xi(x, &e.occ)
+		x.bool(&e.isLoad)
+		x.bool(&e.isStore)
+		x.bool(&e.isBranch)
+		x.bool(&e.mispredicted)
+		x.bool(&e.usesIntRename)
+		x.bool(&e.usesFPRename)
+		x.bool(&e.forwarded)
+		x.bool(&e.committed)
+		xi(x, &e.memClass)
+		xi(x, &e.queued)
+		x.bool(&e.waitMem)
+		x.ref(&e.producers[0])
+		x.ref(&e.producers[1])
+		x.ref(&e.fwdStore)
+		x.handle(&e.firstCons)
+		x.handle(&e.consNext[0])
+		x.handle(&e.consNext[1])
+		if x.w != nil {
+			continue
 		}
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if e.d.PC < 0 || e.d.PC >= int64(len(p.Code)) {
-			return fmt.Errorf("%w: entry PC %d outside program", ErrSnapshotCorrupt, e.d.PC)
-		}
-		e.d.Instr = p.Code[e.d.PC]
-		if ti < 0 || ti >= len(c.threads) {
-			return fmt.Errorf("%w: entry thread index %d", ErrSnapshotCorrupt, ti)
-		}
-		e.thread = c.threads[ti]
-		if state > uint8(stateCompleted) {
-			return fmt.Errorf("%w: entry state %d", ErrSnapshotCorrupt, state)
-		}
-		e.state = entryState(state)
-		if fuCl > uint8(isa.ClassFP) {
-			return fmt.Errorf("%w: functional-unit class %d", ErrSnapshotCorrupt, fuCl)
-		}
-		e.fuCl = isa.Class(fuCl)
-		if memClass >= uint8(coherence.NumAccessClasses) {
-			return fmt.Errorf("%w: memory access class %d", ErrSnapshotCorrupt, memClass)
-		}
-		e.memClass = coherence.AccessClass(memClass)
-		if e.queued > qReady {
-			return fmt.Errorf("%w: entry queue state %d", ErrSnapshotCorrupt, e.queued)
+		switch {
+		case x.r.Err() != nil:
+			return x.r.Err()
+		case e.d.PC < 0 || e.d.PC >= int64(len(p.Code)):
+			x.corrupt("entry PC %d outside program", e.d.PC)
+		case e.tid < 0 || int(e.tid) >= nthreads:
+			x.corrupt("entry thread id %d", e.tid)
+		case e.state > stateCompleted || e.fuCl > isa.ClassFP || e.memClass >= coherence.NumAccessClasses || e.queued > qReady:
+			x.corrupt("entry enums: state %d, unit class %d, access class %d, queue state %d", e.state, e.fuCl, e.memClass, e.queued)
+		default:
+			e.d.Instr = p.Code[e.d.PC]
 		}
 	}
-	ent := func(i int) (*entry, error) {
-		if i == -1 {
-			return nil, nil
-		}
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("%w: entry reference %d of %d", ErrSnapshotCorrupt, i, n)
-		}
-		return &slab[i], nil
-	}
-	var err error
-	wire := func(dst **entry, i int) {
-		if err == nil {
-			*dst, err = ent(i)
-		}
-	}
-	for i := range slab {
-		e := &slab[i]
-		wire(&e.producers[0], refs[i][0])
-		wire(&e.producers[1], refs[i][1])
-		wire(&e.fwdStore, refs[i][2])
-		wire(&e.firstCons, refs[i][3])
-		wire(&e.consNext[0], refs[i][4])
-		wire(&e.consNext[1], refs[i][5])
-	}
-	if err != nil {
-		return err
-	}
-
-	// Window.
-	wn := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if wn < 0 || wn > n {
-		return fmt.Errorf("%w: window length %d of %d entries", ErrSnapshotCorrupt, wn, n)
-	}
-	c.window = make([]*entry, wn)
-	for i := range c.window {
-		e, werr := ent(r.Int())
-		if werr != nil {
-			return werr
-		}
-		if e == nil {
-			return fmt.Errorf("%w: nil window slot", ErrSnapshotCorrupt)
-		}
-		c.window[i] = e
-	}
-	if c.zombies < 0 || c.zombies > wn {
-		return fmt.Errorf("%w: zombie count %d of window %d", ErrSnapshotCorrupt, c.zombies, wn)
-	}
+	x.handles(&c.free, "free stack")
+	x.handles(&c.window, "window")
 
 	// Per-thread front-end state.
 	for _, t := range c.threads {
-		block := r.U8()
-		t.lockGranted = r.Bool()
-		t.barArrived = r.Bool()
-		t.barTarget = r.U64()
-		t.frontEvent = r.I64()
-		t.fetched = r.U64()
-		t.committed = r.U64()
-		t.inWindow = r.Int()
-		if r.Err() != nil {
-			return r.Err()
+		xi(x, &t.block)
+		x.bool(&t.lockGranted)
+		x.bool(&t.barArrived)
+		xi(x, &t.barTarget)
+		xi(x, &t.frontEvent)
+		xi(x, &t.fetched)
+		xi(x, &t.committed)
+		xi(x, &t.inWindow)
+		if x.r != nil && t.block > blockMigrate {
+			x.corrupt("thread block state %d", t.block)
 		}
-		maxBlock := uint8(blockMigrate)
-		if ver < 2 {
-			// v1 predates migration; its payloads can never hold the state.
-			maxBlock = uint8(blockBarrier)
-		}
-		if block > maxBlock {
-			return fmt.Errorf("%w: thread block state %d", ErrSnapshotCorrupt, block)
-		}
-		t.block = blockReason(block)
-		pb, perr := ent(r.Int())
-		if perr != nil {
-			return perr
-		}
-		t.pendingBranch = pb
+		x.ref(&t.pendingBranch)
 		for i := range t.lastWriterInt {
-			if t.lastWriterInt[i], err = ent(r.Int()); err != nil {
-				return err
-			}
+			x.ref(&t.lastWriterInt[i])
 		}
 		for i := range t.lastWriterFP {
-			if t.lastWriterFP[i], err = ent(r.Int()); err != nil {
-				return err
-			}
+			x.ref(&t.lastWriterFP[i])
 		}
-		ls := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if ls < 0 || ls > n {
-			return fmt.Errorf("%w: store map size %d", ErrSnapshotCorrupt, ls)
-		}
-		t.lastStore = nil
-		if ls > 0 {
-			t.lastStore = make(map[int64]*entry, ls)
-			for i := 0; i < ls; i++ {
-				a := r.I64()
-				e, serr := ent(r.Int())
-				if serr != nil {
-					return serr
-				}
-				if e == nil {
-					return fmt.Errorf("%w: nil store-map entry", ErrSnapshotCorrupt)
-				}
-				t.lastStore[a] = e
-			}
-		}
-		fl := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if fl < 0 || fl > n {
-			return fmt.Errorf("%w: fifo length %d", ErrSnapshotCorrupt, fl)
-		}
-		t.fifo = make([]*entry, fl)
-		t.fifoHead = 0
-		for i := range t.fifo {
-			e, ferr := ent(r.Int())
-			if ferr != nil {
-				return ferr
-			}
-			if e == nil {
-				return fmt.Errorf("%w: nil fifo slot", ErrSnapshotCorrupt)
-			}
-			t.fifo[i] = e
-		}
-		t.fn.DecodeArch(r)
-		if r.Err() != nil {
-			return r.Err()
+		x.ring(&t.fifo, "thread fifo")
+		if x.w != nil {
+			t.fn.EncodeArch(x.w)
+		} else if t.fn.DecodeArch(x.r); x.r.Err() != nil {
+			return x.r.Err()
 		}
 	}
 
-	// Wakeup structures. The wheel is rebuilt by pushing buckets in
-	// ascending cycle order; bucket keys are unique per cycle, so the
-	// heap's internal layout is irrelevant to pop order.
-	pn := r.Int()
-	if r.Err() != nil {
-		return r.Err()
+	// The store table's occupied slots, each with its index, and the
+	// wakeup structures; the wheel is its heap array as it stands.
+	st := &c.stores
+	x.count(&st.live, len(st.slots)/2, "store table")
+	slot := func(i *int, sl *storeSlot) {
+		xi(x, i)
+		xi(x, &sl.addr)
+		xi(x, &sl.tid)
+		x.handle(&sl.h)
 	}
-	if pn < 0 || pn > n {
-		return fmt.Errorf("%w: pending length %d", ErrSnapshotCorrupt, pn)
-	}
-	c.pending = make([]*entry, pn)
-	c.pendingHead = 0
-	for i := range c.pending {
-		e, perr := ent(r.Int())
-		if perr != nil {
-			return perr
-		}
-		if e == nil {
-			return fmt.Errorf("%w: nil pending slot", ErrSnapshotCorrupt)
-		}
-		c.pending[i] = e
-	}
-	rn := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if rn < 0 || rn > n {
-		return fmt.Errorf("%w: ready length %d", ErrSnapshotCorrupt, rn)
-	}
-	c.ready = make([]*entry, rn)
-	for i := range c.ready {
-		e, rerr := ent(r.Int())
-		if rerr != nil {
-			return rerr
-		}
-		if e == nil {
-			return fmt.Errorf("%w: nil ready slot", ErrSnapshotCorrupt)
-		}
-		c.ready[i] = e
-	}
-	bn := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if bn < 0 || bn > r.Remaining() {
-		return fmt.Errorf("%w: wheel bucket count %d", ErrSnapshotCorrupt, bn)
-	}
-	c.wheel = wheel{}
-	for i := 0; i < bn; i++ {
-		cy := r.I64()
-		bl := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if bl <= 0 || bl > n {
-			return fmt.Errorf("%w: wheel bucket length %d", ErrSnapshotCorrupt, bl)
-		}
-		for j := 0; j < bl; j++ {
-			e, berr := ent(r.Int())
-			if berr != nil {
-				return berr
+	if x.w != nil {
+		for i := range st.slots {
+			if st.slots[i].h != 0 {
+				slot(&i, &st.slots[i])
 			}
-			if e == nil {
-				return fmt.Errorf("%w: nil wheel slot", ErrSnapshotCorrupt)
-			}
-			c.wheel.push(cy, e)
 		}
 	}
-	return r.Err()
+	for n := st.live; x.r != nil && n > 0; n-- {
+		var i int
+		var sl storeSlot
+		if slot(&i, &sl); i < 0 || i >= len(st.slots) || st.slots[i].h != 0 || sl.h == 0 {
+			x.corrupt("store table slot %d", i)
+			break
+		}
+		st.slots[i] = sl
+	}
+	x.ring(&c.pending, "pending ring")
+	x.handles(&c.ready, "ready list")
+	n := len(c.wheel.ev)
+	x.count(&n, cap(c.wheel.ev), "wakeup wheel")
+	c.wheel.ev = c.wheel.ev[:n]
+	for i := range c.wheel.ev {
+		xi(x, &c.wheel.ev[i].cycle)
+		x.ref(&c.wheel.ev[i].r)
+	}
+	if x.w != nil {
+		return nil
+	}
+	if x.r.Err() != nil {
+		return x.r.Err()
+	}
+	if err := c.audit(); err != nil {
+		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
+	}
+	return nil
+}
+
+// audit checks the structural invariants every between-cycles cluster
+// state satisfies, returning the first violation. It is what stands
+// between a crafted checkpoint and a runtime panic — the fixed-capacity
+// structures cannot overflow from a state that passes — and the entry
+// pool's leak check (TestEntryPoolConservation runs it mid-run): every
+// slot is on the free stack or in the window, never both or twice;
+// every structure names only in-window entries of the right kind; the
+// occupancy counters agree with what the window holds.
+func (c *cluster) audit() error {
+	n := len(c.pool) - 1
+	const (
+		isFree uint8 = 1 << iota
+		inWindow
+		inFifo
+		inQueue // pending ring or ready list
+	)
+	mark := make([]uint8, n+1)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("chip %d cluster %d: %s", c.chip, c.idx, fmt.Sprintf(format, args...))
+	}
+	// claim marks slot h with bit; the slot must carry the need bits and
+	// be neither free nor already claimed for bit.
+	claim := func(h handle, need, bit uint8, what string) error {
+		if h == 0 || int(h) > n || mark[h]&need != need || mark[h]&(isFree|bit) != 0 {
+			return bad("%s holds slot %d, which is free, repeated or out of place", what, h)
+		}
+		mark[h] |= bit
+		return nil
+	}
+	for _, h := range c.free {
+		if err := claim(h, 0, isFree, "free stack"); err != nil {
+			return err
+		}
+	}
+	if len(c.free)+len(c.window) != n {
+		return bad("%d free + %d in window != %d slots", len(c.free), len(c.window), n)
+	}
+	zombies, unissued, waitMem, waitData := 0, 0, 0, 0
+	for _, h := range c.window {
+		if err := claim(h, 0, inWindow, "window"); err != nil {
+			return err
+		}
+		switch e := &c.pool[h]; {
+		case e.committed:
+			zombies++
+		case e.state == stateDispatched:
+			unissued++
+			if e.queued == qWaiting && e.waitMem {
+				waitMem++
+			} else if e.queued == qWaiting {
+				waitData++
+			}
+		}
+	}
+	if zombies != c.zombies || zombies > c.cfg.WindowEntries/4 || unissued != c.iqCount ||
+		waitMem != c.waitMemN || waitData != c.waitDataN {
+		return bad("window holds %d zombies, %d unissued, %d+%d waiting; counters say %d, %d, %d+%d", zombies, unissued, waitMem, waitData, c.zombies, c.iqCount, c.waitMemN, c.waitDataN)
+	}
+	inFlight := 0
+	for _, t := range c.threads {
+		if t.fifo.len() != t.inWindow {
+			return bad("thread %d fifo holds %d, inWindow %d", t.id, t.fifo.len(), t.inWindow)
+		}
+		for i := 0; i < t.fifo.len(); i++ {
+			h := t.fifo.at(i)
+			if err := claim(h, inWindow, inFifo, "thread fifo"); err != nil {
+				return err
+			}
+			if e := &c.pool[h]; e.committed || int(e.tid) != t.id {
+				return bad("thread %d fifo holds slot %d (thread %d, committed %v)", t.id, h, e.tid, e.committed)
+			}
+		}
+		inFlight += t.fifo.len()
+	}
+	if inFlight != len(c.window)-zombies {
+		return bad("fifos hold %d entries, window %d live", inFlight, len(c.window)-zombies)
+	}
+	for i := 0; i < c.pending.len()+len(c.ready); i++ {
+		h, want, what := handle(0), qNone, "pending ring"
+		if i < c.pending.len() {
+			h = c.pending.at(i)
+		} else {
+			h, want, what = c.ready[i-c.pending.len()], qReady, "ready list"
+		}
+		if err := claim(h, inWindow, inQueue, what); err != nil {
+			return err
+		}
+		if e := &c.pool[h]; e.state != stateDispatched || e.queued != want {
+			return bad("%s holds slot %d (state %d, queued %d)", what, h, e.state, e.queued)
+		}
+	}
+	// Consumer lists hang off in-flight producers and hold dispatched
+	// consumers whose producer slot names the list's owner.
+	for _, xh := range c.window {
+		xr := c.refOf(xh)
+		steps := 0
+		for cur := c.pool[xh].firstCons; cur != 0; steps++ {
+			ce := &c.pool[cur]
+			k := 1
+			if ce.producers[0] == xr {
+				k = 0
+			}
+			if steps == n || mark[xh]&inFifo == 0 || mark[cur]&inFifo == 0 || ce.state != stateDispatched || ce.producers[k] != xr {
+				return bad("consumer list of slot %d reaches slot %d", xh, cur)
+			}
+			cur = ce.consNext[k]
+		}
+	}
+	// Wheel events are drained by the cycle their entry completes, which
+	// is before it can commit: between cycles each names an in-flight
+	// entry — at most one event per source while it waits, one for its
+	// own completion once issued.
+	events := make([]uint8, n+1)
+	for i, ev := range c.wheel.ev {
+		e := c.resolve(ev.r)
+		if e == nil || mark[ev.r.h]&inFifo == 0 || events[ev.r.h] >= 2 || (i > 0 && c.wheel.ev[(i-1)/2].cycle > ev.cycle) {
+			return bad("wheel event %d (cycle %d, slot %d seq %d)", i, ev.cycle, ev.r.h, ev.r.seq)
+		}
+		events[ev.r.h]++
+	}
+	live := 0
+	for i, sl := range c.stores.slots {
+		if sl.h == 0 {
+			continue
+		}
+		live++
+		if e := &c.pool[sl.h]; mark[sl.h]&inFifo == 0 || !e.isStore || e.tid != sl.tid || e.d.Addr != sl.addr || c.stores.find(sl.tid, sl.addr) != i {
+			return bad("store table slot %d (thread %d addr %d slot %d)", i, sl.tid, sl.addr, sl.h)
+		}
+	}
+	if live != c.stores.live || live > len(c.stores.slots)/2 {
+		return bad("store table holds %d, counter says %d", live, c.stores.live)
+	}
+	return nil
 }

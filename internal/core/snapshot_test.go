@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -378,9 +379,58 @@ func TestFailedForkLeavesParentIntact(t *testing.T) {
 	}
 }
 
+// damagedPoolSnapshots returns checkpoints of the fixture run whose
+// entry-pool bookkeeping was damaged just before encoding (Snapshot
+// does not audit; Restore must): a handle past the pool, one slot in
+// the window twice, one slot on the free stack twice (the array form of
+// a free-list cycle), and a live slot also on the free stack.
+func damagedPoolSnapshots(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	damage := map[string]func(cl *cluster){
+		"out-of-range handle":     func(cl *cluster) { cl.window[0] = handle(len(cl.pool)) },
+		"duplicate slot":          func(cl *cluster) { cl.window[1] = cl.window[0] },
+		"free-list cycle":         func(cl *cluster) { cl.free[0] = cl.free[len(cl.free)-1] },
+		"live slot on free stack": func(cl *cluster) { cl.free[0] = cl.window[0] },
+	}
+	m := config.LowEnd(config.FA4)
+	w := workloads.Synthetic(checkpointSpec())
+	out := make(map[string][]byte, len(damage))
+	for name, hurt := range damage {
+		s, err := New(m, w.Build(m.Threads(), m.Chips, workloads.SizeTest))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.RunTo(400); err != nil {
+			tb.Fatal(err)
+		}
+		cl := s.clusters[0]
+		if len(cl.window) < 2 || len(cl.free) < 2 {
+			tb.Fatalf("fixture cluster too empty to damage: window %d, free %d", len(cl.window), len(cl.free))
+		}
+		hurt(cl)
+		if out[name], err = s.Snapshot(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestSnapshotCorruptPool checks that every kind of damaged pool
+// bookkeeping is refused with ErrSnapshotCorrupt.
+func TestSnapshotCorruptPool(t *testing.T) {
+	m := config.LowEnd(config.FA4)
+	p := workloads.Synthetic(checkpointSpec()).Build(m.Threads(), m.Chips, workloads.SizeTest)
+	for name, data := range damagedPoolSnapshots(t) {
+		if _, err := Restore(m, p, data); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: got %v, want ErrSnapshotCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzSnapshotDecode feeds arbitrary bytes to Restore: it must reject
 // them with an error, never panic. Seeded with a valid snapshot so the
-// fuzzer starts inside the interesting decode paths.
+// fuzzer starts inside the interesting decode paths, and with the
+// damaged-pool checkpoints so it starts inside the audit too.
 func FuzzSnapshotDecode(f *testing.F) {
 	m := config.LowEnd(config.FA4)
 	w := workloads.Synthetic(checkpointSpec())
@@ -399,6 +449,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(data)
 	f.Add(data[:len(data)/2])
 	f.Add([]byte{})
+	damaged := damagedPoolSnapshots(f)
+	for _, name := range []string{"out-of-range handle", "duplicate slot", "free-list cycle"} {
+		f.Add(damaged[name])
+	}
 	p := build()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sim, err := Restore(m, p, b)
@@ -414,8 +468,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 // compatibility tripwire: any encoding change that invalidates old
 // checkpoints must bump SnapshotVersion and regenerate the fixture
 // (WRITE_GOLDEN=1 go test ./internal/core -run TestSnapshotGolden).
+// It also pins that Restore→Snapshot reproduces the payload byte for
+// byte, and that the retired v1 fixture is refused with the typed
+// version error rather than misread.
 func TestSnapshotGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint_v1.bin")
+	golden := filepath.Join("testdata", "checkpoint_v3.bin")
 	m := config.LowEnd(config.FA4)
 	w := workloads.Synthetic(checkpointSpec())
 	build := func() *prog.Program { return w.Build(m.Threads(), m.Chips, workloads.SizeTest) }
@@ -448,6 +505,16 @@ func TestSnapshotGolden(t *testing.T) {
 	restored, err := Restore(m, build(), data)
 	if err != nil {
 		t.Fatalf("golden fixture no longer decodes — bump SnapshotVersion and regenerate: %v", err)
+	}
+	if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, data) {
+		t.Errorf("Restore→Snapshot is not byte-identical to the fixture (err %v, %d vs %d bytes)", err, len(again), len(data))
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(m, build(), old); !errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("v1 fixture: got %v, want ErrSnapshotVersion", err)
 	}
 	got, err := restored.Run()
 	if err != nil {

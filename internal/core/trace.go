@@ -129,17 +129,17 @@ type textSink struct {
 
 func (ts *textSink) event(now int64, cl *cluster, kind string, e *entry) {
 	fmt.Fprintf(ts.w, "c%-7d chip%d.cl%d %s t%-2d pc=%-5d %s\n",
-		now, cl.chip, cl.idx, kind, e.thread.id, e.d.PC, e.d.Instr.String())
+		now, cl.chip, cl.idx, kind, e.tid, e.d.PC, e.d.Instr.String())
 }
 
 func (ts *textSink) memSpan(start, end int64, cl *cluster, e *entry, cls coherence.AccessClass) {
 	fmt.Fprintf(ts.w, "c%-7d chip%d.cl%d M t%-2d pc=%-5d %s +%dcyc\n",
-		start, cl.chip, cl.idx, e.thread.id, e.d.PC, cls.String(), end-start)
+		start, cl.chip, cl.idx, e.tid, e.d.PC, cls.String(), end-start)
 }
 
 func (ts *textSink) dirEvent(now int64, cl *cluster, e *entry, kind string, n uint64) {
 	fmt.Fprintf(ts.w, "c%-7d chip%d.cl%d D t%-2d pc=%-5d %s x%d\n",
-		now, cl.chip, cl.idx, e.thread.id, e.d.PC, kind, n)
+		now, cl.chip, cl.idx, e.tid, e.d.PC, kind, n)
 }
 
 func (ts *textSink) flush() { ts.w.Flush() }
@@ -207,32 +207,32 @@ var chromeKindName = map[string]string{
 }
 
 func (cs *chromeSink) event(now int64, cl *cluster, kind string, e *entry) {
-	cs.meta(cl, e.thread.id)
+	cs.meta(cl, int(e.tid))
 	name := chromeKindName[kind]
 	if name == "" {
 		name = kind
 	}
 	cs.sep()
 	fmt.Fprintf(cs.w, `{"name":%s,"cat":"pipeline","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"instr":%s}}`,
-		strconv.Quote(name), now, cs.pid(cl), e.thread.id, e.d.PC, strconv.Quote(e.d.Instr.String()))
+		strconv.Quote(name), now, cs.pid(cl), e.tid, e.d.PC, strconv.Quote(e.d.Instr.String()))
 }
 
 func (cs *chromeSink) memSpan(start, end int64, cl *cluster, e *entry, cls coherence.AccessClass) {
-	cs.meta(cl, e.thread.id)
+	cs.meta(cl, int(e.tid))
 	dur := end - start
 	if dur < 1 {
 		dur = 1
 	}
 	cs.sep()
 	fmt.Fprintf(cs.w, `{"name":%s,"cat":"memory","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"addr":%d}}`,
-		strconv.Quote("load "+cls.String()), start, dur, cs.pid(cl), e.thread.id, e.d.PC, e.d.Addr)
+		strconv.Quote("load "+cls.String()), start, dur, cs.pid(cl), e.tid, e.d.PC, e.d.Addr)
 }
 
 func (cs *chromeSink) dirEvent(now int64, cl *cluster, e *entry, kind string, n uint64) {
-	cs.meta(cl, e.thread.id)
+	cs.meta(cl, int(e.tid))
 	cs.sep()
 	fmt.Fprintf(cs.w, `{"name":%s,"cat":"directory","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"count":%d}}`,
-		strconv.Quote("dir "+kind), now, cs.pid(cl), e.thread.id, e.d.PC, n)
+		strconv.Quote("dir "+kind), now, cs.pid(cl), e.tid, e.d.PC, n)
 }
 
 func (cs *chromeSink) flush() {

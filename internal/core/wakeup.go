@@ -1,25 +1,19 @@
 package core
 
-import (
-	"sort"
-
-	"clustersmt/internal/stats"
-)
+import "clustersmt/internal/stats"
 
 // This file implements the dependence-driven (wakeup) issue stage that
 // replaces the per-cycle full-window scan. When an entry issues it
 // pushes a wakeup onto each in-flight consumer — the inverse of the
 // entry.producers links — scheduled at its completeAt; a per-cluster
-// time-bucketed wakeup wheel re-evaluates woken entries and moves those
-// whose last producer resolved into a seq-ordered ready list, so
-// issueEvent pops oldest-first from ready entries only instead of
-// re-polling all WindowEntries every cycle. Entries still inside the
-// decode/rename delay sit in a plain FIFO deque (eligibleAt is
-// monotone in fetch order, so no wheel bucket is needed to order
-// them), and unready entries sit in an unsorted waiting set whose
-// memory/data hazard tallies are maintained incrementally — cheap
-// swap-removes instead of sorted-slice memmoves, whose pointer write
-// barriers would dominate the win.
+// wakeup wheel re-evaluates woken entries and moves those whose last
+// producer resolved into a seq-ordered ready list, so issueEvent pops
+// oldest-first from ready entries only instead of re-polling all
+// WindowEntries every cycle. Entries still inside the decode/rename
+// delay sit in a plain FIFO ring (eligibleAt is monotone in fetch
+// order, so no wheel event is needed to order them), and unready
+// entries sit in an unsorted waiting set whose memory/data hazard
+// tallies are maintained incrementally.
 //
 // The contract is the same as fast-forward's (fastforward.go):
 // bit-identity, not approximation. The hazard votes the scan produced
@@ -34,8 +28,13 @@ import (
 // evaluate is therefore idempotent — guarded on state, eligibility and
 // current queue membership — and stale events (for entries that issued
 // or committed since being scheduled) fall through the state guard.
-// Window entries come from a bump-allocated arena and are never
-// recycled, so a stale pointer is always safe to inspect.
+// Pool slots are recycled, so every wheel event is a seq-checked ref:
+// an event whose slot now holds a younger instruction resolves to nil
+// and is dropped, exactly as an event for a committed entry with an
+// already-walked consumer list falls through (entry.go, the
+// stale-handle rule). Everything here is a fixed-capacity array of
+// handles sized at construction — no maps, no pointers, nothing for the
+// collector to barrier or mark.
 
 // entry.queued states: membership in the cluster's issue bookkeeping.
 const (
@@ -44,137 +43,138 @@ const (
 	qReady                // sources resolved; an issue candidate
 )
 
-// wheel is a time-bucketed wakeup wheel: a bucket per pending cycle,
-// with the bucket keys in a hand-rolled int64 min-heap (no
-// container/heap to keep pushes allocation-free) and drained bucket
-// slices recycled through a free list.
+// wheelEvent schedules the entry behind r for re-evaluation at cycle.
+type wheelEvent struct {
+	cycle int64
+	r     ref
+}
+
+// wheel is the wakeup wheel: a fixed-capacity binary min-heap of events
+// keyed by cycle. Same-cycle events pop in no particular order, which
+// is invisible: draining an event only reclassifies the entries it
+// names from state that no other same-cycle event changes (evaluate
+// reads producers' done-ness and writes its own entry's queue
+// membership; ready insertion is by seq), so same-cycle drains commute.
+// Capacity is one self event per pool slot (wake) plus one per source
+// of each unissued entry (dispatchEvent).
 type wheel struct {
-	buckets map[int64][]*entry
-	cycles  []int64    // min-heap of pending bucket keys
-	free    [][]*entry // recycled bucket slices
+	ev []wheelEvent
 }
 
-// push schedules e for re-evaluation at the given cycle.
-func (w *wheel) push(cycle int64, e *entry) {
-	if w.buckets == nil {
-		w.buckets = make(map[int64][]*entry)
-	}
-	b, ok := w.buckets[cycle]
-	if !ok {
-		w.heapPush(cycle)
-		if n := len(w.free); n > 0 {
-			b = w.free[n-1]
-			w.free = w.free[:n-1]
-		}
-	}
-	w.buckets[cycle] = append(b, e)
-}
+func newWheel(capacity int) wheel { return wheel{ev: make([]wheelEvent, 0, capacity)} }
 
-// min returns the earliest pending bucket cycle, or noEvent when the
-// wheel is empty (the fast-forward next-event bound).
-func (w *wheel) min() int64 {
-	if len(w.cycles) == 0 {
-		return noEvent
+// push schedules r for re-evaluation at the given cycle, reporting
+// false when the wheel is full.
+func (w *wheel) push(cycle int64, r ref) bool {
+	h := w.ev
+	i := len(h)
+	if i == cap(h) {
+		return false
 	}
-	return w.cycles[0]
-}
-
-func (w *wheel) heapPush(cy int64) {
-	h := append(w.cycles, cy)
-	i := len(h) - 1
+	h = h[:i+1]
 	for i > 0 {
 		p := (i - 1) / 2
-		if h[p] <= h[i] {
+		if h[p].cycle <= cycle {
 			break
 		}
-		h[p], h[i] = h[i], h[p]
+		h[i] = h[p]
 		i = p
 	}
-	w.cycles = h
+	h[i] = wheelEvent{cycle: cycle, r: r}
+	w.ev = h
+	return true
 }
 
-func (w *wheel) heapPop() int64 {
-	h := w.cycles
+// min returns the earliest pending event cycle, or noEvent when the
+// wheel is empty (the fast-forward next-event bound).
+func (w *wheel) min() int64 {
+	if len(w.ev) == 0 {
+		return noEvent
+	}
+	return w.ev[0].cycle
+}
+
+// pop removes and returns the earliest event.
+func (w *wheel) pop() wheelEvent {
+	h := w.ev
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	h = h[:n]
 	i := 0
 	for {
-		l, r, small := 2*i+1, 2*i+2, i
-		if l < n && h[l] < h[small] {
-			small = l
-		}
-		if r < n && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
+		small := 2*i + 1
+		if small >= n {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
+		if r := small + 1; r < n && h[r].cycle < h[small].cycle {
+			small = r
+		}
+		if last.cycle <= h[small].cycle {
+			break
+		}
+		h[i] = h[small]
 		i = small
 	}
-	w.cycles = h
+	if n > 0 {
+		h[i] = last
+	}
+	w.ev = h
 	return top
 }
 
 // drainEvents processes every pending entry past its front-end delay
-// and every wheel bucket due by cycle now, re-evaluating each woken
+// and every wheel event due by cycle now, re-evaluating each woken
 // entry. Draining is idempotent at a fixed cycle — it is exactly what
 // issueEvent does first — so the fast-forward quiescence probe may
 // drain early without perturbing a subsequent step.
 func (c *cluster) drainEvents(now int64) {
-	// Popped slots are left holding their stale pointers rather than
-	// nil'ed: a nil store is still a barriered pointer write, and the
-	// slots are recycled (append overwrites them), so the anchoring is
-	// bounded by the slices' capacity — entries sever their own producer
-	// links at commit, so nothing transitive hangs off them.
-	for c.pendingHead < len(c.pending) && c.pending[c.pendingHead].eligibleAt <= now {
-		e := c.pending[c.pendingHead]
-		c.pendingHead++
-		c.evaluate(e, now)
-	}
-	if c.pendingHead == len(c.pending) {
-		c.pending = c.pending[:0]
-		c.pendingHead = 0
-	}
-	for len(c.wheel.cycles) > 0 && c.wheel.cycles[0] <= now {
-		cy := c.wheel.heapPop()
-		b := c.wheel.buckets[cy]
-		delete(c.wheel.buckets, cy)
-		for _, x := range b {
-			if x.state == stateDispatched {
-				// A wakeup scheduled for x itself (dispatchEvent saw an
-				// already-issued producer).
-				c.evaluate(x, now)
-				continue
-			}
-			if !x.done(now) {
-				// Stale wakeup for an entry that issued since it was
-				// scheduled; its own completion event (wake) will walk
-				// the consumers.
-				continue
-			}
-			// x's completion: wake its consumer chain. Every consumer
-			// is still dispatched here — it cannot have issued before
-			// x was done, and this walk runs before any issue at the
-			// first cycle that sees x done (fast-forward never skips
-			// past wheel.min()) — so the producer links that select
-			// the next-pointer slot are intact.
-			cur := x.firstCons
-			x.firstCons = nil // chains are walked exactly once
-			for cur != nil {
-				var next *entry
-				if cur.producers[0] == x {
-					next = cur.consNext[0]
-				} else {
-					next = cur.consNext[1]
-				}
-				c.evaluate(cur, now)
-				cur = next
-			}
+	for c.pending.len() > 0 {
+		h := c.pending.front()
+		if c.pool[h].eligibleAt > now {
+			break
 		}
-		c.wheel.free = append(c.wheel.free, b[:0])
+		c.pending.pop()
+		c.evaluate(h, now)
+	}
+	for c.wheel.min() <= now {
+		ev := c.wheel.pop()
+		x := c.resolve(ev.r)
+		if x == nil {
+			continue // slot recycled: a long-committed entry's leftover event
+		}
+		if x.state == stateDispatched {
+			// A wakeup scheduled for x itself (dispatchEvent saw an
+			// already-issued producer).
+			c.evaluate(ev.r.h, now)
+			continue
+		}
+		if !x.done(now) {
+			// Stale wakeup for an entry that issued since it was
+			// scheduled; its own completion event (wake) will walk
+			// the consumers.
+			continue
+		}
+		// x's completion: wake its consumer chain. Every consumer
+		// is still dispatched here — it cannot have issued before
+		// x was done, and this walk runs before any issue at the
+		// first cycle that sees x done (fast-forward never skips
+		// past wheel.min()) — so the producer links that select
+		// the next-link slot are intact. x itself may have
+		// committed and been swept earlier this very cycle; its slot
+		// is not reused before this cycle's fetch, so the list head
+		// is intact too.
+		cur := x.firstCons
+		x.firstCons = 0 // chains are walked exactly once
+		for cur != 0 {
+			ce := &c.pool[cur]
+			next := ce.consNext[1]
+			if ce.producers[0] == ev.r {
+				next = ce.consNext[0]
+			}
+			c.evaluate(cur, now)
+			cur = next
+		}
 	}
 }
 
@@ -184,15 +184,15 @@ func (c *cluster) drainEvents(now int64) {
 // the same sourcesReady verdict the scan re-derives per cycle,
 // computed only when an event can have changed it. Waiting entries
 // exist only as the aggregate waitMemN/waitDataN tallies plus per-
-// entry flags (no list: maintaining one costs a pointer write barrier
-// per transition, which is the scan's whole cost re-spent); the rare
-// per-entry walk waitingVotes needs is over the seq-ordered window.
+// entry flags (no list to maintain per transition); the rare per-entry
+// walk waitingVotes needs is over the seq-ordered window.
 // Producers never become un-done, so ready is terminal until issue.
-func (c *cluster) evaluate(e *entry, now int64) {
+func (c *cluster) evaluate(h handle, now int64) {
+	e := &c.pool[h]
 	if e.state != stateDispatched || now < e.eligibleAt || e.queued == qReady {
 		return
 	}
-	ready, memWait := e.sourcesReady(now)
+	ready, memWait := c.sourcesReady(e, now)
 	if ready {
 		if e.queued == qWaiting {
 			if e.waitMem {
@@ -202,7 +202,7 @@ func (c *cluster) evaluate(e *entry, now int64) {
 			}
 		}
 		e.queued = qReady
-		c.ready = insertBySeq(c.ready, e)
+		c.insertReady(h, e.seq)
 		return
 	}
 	if e.queued == qNone {
@@ -230,48 +230,71 @@ func (c *cluster) evaluate(e *entry, now int64) {
 	}
 }
 
-// insertBySeq inserts e into the seq-sorted ready list. The ready set
-// is small — entries leave it the cycle their FU is free — so a binary
-// search plus short memmove beats a heap's pointer churn.
-func insertBySeq(list []*entry, e *entry) []*entry {
-	i := sort.Search(len(list), func(j int) bool { return list[j].seq > e.seq })
-	list = append(list, nil)
-	copy(list[i+1:], list[i:])
-	list[i] = e
-	return list
+// insertReady inserts h (of age seq) into the seq-sorted ready list.
+// The ready set is small — entries leave it the cycle their FU is free
+// — so a binary search plus short memmove beats a heap.
+func (c *cluster) insertReady(h handle, seq uint64) {
+	list := c.ready
+	lo, hi := 0, len(list)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); c.pool[list[mid]].seq > seq {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if len(list) == cap(list) {
+		c.overflow("ready list")
+	}
+	list = list[:len(list)+1]
+	copy(list[lo+1:], list[lo:])
+	list[lo] = h
+	c.ready = list
 }
 
 // dispatchEvent registers a freshly fetched entry with the wakeup
 // machinery: it subscribes to each in-flight producer — dispatched
 // producers link it onto their intrusive consumer list (walked when
 // their completion event pops), already-issued ones get a wheel wakeup
-// at their completion — and queues the entry on the pending deque,
+// at their completion — and queues the entry on the pending ring,
 // whose pop at eligibleAt is the first cycle the scan path would look
 // at it.
-func (c *cluster) dispatchEvent(e *entry) {
-	for k, p := range e.producers {
-		if p == nil || (k == 1 && e.producers[0] == p) {
-			// Slot 1 duplicating slot 0 (both sources read the same
-			// in-flight result) must link only once.
+func (c *cluster) dispatchEvent(h handle) {
+	e := &c.pool[h]
+	for k, r := range e.producers {
+		p := c.resolve(r)
+		if p == nil || (k == 1 && e.producers[0] == r) {
+			// Stale producers committed long ago. Slot 1 duplicating
+			// slot 0 (both sources read the same in-flight result) must
+			// link only once.
 			continue
 		}
 		if p.state == stateDispatched {
 			e.consNext[k] = p.firstCons
-			p.firstCons = e
+			p.firstCons = h
 		} else if p.completeAt > e.eligibleAt {
-			c.wheel.push(p.completeAt, e)
+			c.wheelPush(p.completeAt, c.refOf(h))
 		}
 		// Producers already done by eligibleAt are covered by the
 		// pending pop below.
 	}
-	c.pending = append(c.pending, e)
+	if !c.pending.push(h) {
+		c.overflow("pending ring")
+	}
 }
 
-// wake fires when e issues: its completion becomes a wheel event — the
-// consumer-chain walk, the fast-forward next-event bound, and the
-// commit-progress signal even when nothing reads the result.
-func (c *cluster) wake(e *entry) {
-	c.wheel.push(e.completeAt, e)
+// wake fires when the entry in slot h issues: its completion becomes a
+// wheel event — the consumer-chain walk, the fast-forward next-event
+// bound, and the commit-progress signal even when nothing reads the
+// result.
+func (c *cluster) wake(h handle) {
+	c.wheelPush(c.pool[h].completeAt, c.refOf(h))
+}
+
+func (c *cluster) wheelPush(cycle int64, r ref) {
+	if !c.wheel.push(cycle, r) {
+		c.overflow("wakeup wheel")
+	}
 }
 
 // issueEvent is the wakeup-path issue stage: drain due events, then
@@ -288,14 +311,15 @@ func (c *cluster) issueEvent(s *Simulator, now int64, votes *stats.Votes) int {
 	broke := false
 	var breakSeq uint64
 	kept := c.ready[:0]
-	for i, e := range c.ready {
+	for i, h := range c.ready {
 		if issued >= c.cfg.IssueWidth {
 			// The scan would not visit these: keep them, no votes.
 			// Writes into kept trail i, so this forward copy is safe.
 			kept = append(kept, c.ready[i:]...)
 			break
 		}
-		if c.tryIssue(s, e, now, votes) {
+		if c.tryIssue(s, h, now, votes) {
+			e := &c.pool[h]
 			e.queued = qNone
 			issued++
 			if issued >= c.cfg.IssueWidth {
@@ -303,10 +327,10 @@ func (c *cluster) issueEvent(s *Simulator, now int64, votes *stats.Votes) int {
 				breakSeq = e.seq
 			}
 		} else {
-			kept = append(kept, e)
+			kept = append(kept, h)
 		}
 	}
-	c.ready = kept // stale tail slots: same bounded-anchoring story as drainEvents
+	c.ready = kept
 	c.waitingVotes(votes, broke, breakSeq)
 	return issued
 }
@@ -326,7 +350,8 @@ func (c *cluster) waitingVotes(votes *stats.Votes, broke bool, breakSeq uint64) 
 		return
 	}
 	mem, data := 0, 0
-	for _, e := range c.window {
+	for _, h := range c.window {
+		e := &c.pool[h]
 		if e.seq >= breakSeq {
 			break
 		}

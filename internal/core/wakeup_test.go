@@ -21,9 +21,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestStoreForwardingMap pins the per-thread last-store-by-address map:
-// a load must bind the youngest older same-address store (not the
-// first), and commit must evict mappings so the map drains with the
+// TestStoreForwardingMap pins the cluster's store-forwarding table: a
+// load must bind the youngest older same-address store (not the
+// first), and commit must retire mappings so the table drains with the
 // in-flight stores.
 func TestStoreForwardingMap(t *testing.T) {
 	b := prog.NewBuilder("fwdmap")
@@ -48,36 +48,35 @@ func TestStoreForwardingMap(t *testing.T) {
 	s.step() // cycle 0 fetches the whole straight-line body
 
 	th := s.threads[0]
-	var stores []*entry
+	cl := th.cluster
+	var stores []handle
 	var load *entry
-	for i := th.fifoHead; i < len(th.fifo); i++ {
-		e := th.fifo[i]
-		if e.isStore {
-			stores = append(stores, e)
-		}
-		if e.isLoad {
+	for i := 0; i < th.fifo.len(); i++ {
+		h := th.fifo.at(i)
+		if e := &cl.pool[h]; e.isStore {
+			stores = append(stores, h)
+		} else if e.isLoad {
 			load = e
 		}
 	}
 	if len(stores) != 3 || load == nil {
 		t.Fatalf("fetch did not dispatch the kernel in one cycle: %d stores, load %v", len(stores), load)
 	}
-	if load.fwdStore != stores[1] {
-		t.Errorf("load bound store seq %d as forwarding candidate, want the younger same-address store seq %d",
-			load.fwdStore.seq, stores[1].seq)
+	if want := cl.refOf(stores[1]); load.fwdStore != want {
+		t.Errorf("load bound %+v as forwarding candidate, want the younger same-address store %+v", load.fwdStore, want)
 	}
-	if got := th.lastStore[stores[0].d.Addr]; got != stores[1] {
-		t.Errorf("lastStore[a] = seq %d, want the younger store seq %d", got.seq, stores[1].seq)
+	if got := cl.stores.get(load.tid, load.d.Addr); got != stores[1] {
+		t.Errorf("store table maps a to slot %d, want the younger store's slot %d", got, stores[1])
 	}
-	if got, want := load.forwardingStore(), th.cluster.forwardingStoreScan(load); got != want {
-		t.Errorf("map answer %v disagrees with reference FIFO scan %v", got, want)
+	if got, want := cl.forwardingStore(load), cl.forwardingStoreScan(th, load); got != want {
+		t.Errorf("table answer %v disagrees with reference FIFO scan %v", got, want)
 	}
 
 	for !s.done() {
 		s.step()
 	}
-	if len(th.lastStore) != 0 {
-		t.Errorf("lastStore holds %d mappings after all stores committed, want 0", len(th.lastStore))
+	if cl.stores.live != 0 {
+		t.Errorf("store table holds %d mappings after all stores committed, want 0", cl.stores.live)
 	}
 	if r := s.result(); r.ForwardedLoads != 1 {
 		t.Errorf("ForwardedLoads = %d, want 1", r.ForwardedLoads)

@@ -179,15 +179,13 @@ func buildFmm(threads, chips int, size Size) *prog.Program {
 	return pr
 }
 
-var cellSeq int
-
 // emitCellLocked wraps body in lock/unlock of lock id 10+cell, where
 // cell (0..fmmCells-1) is a runtime value in reg. Lock ids are
 // instruction immediates, so this emits a small dispatch over the
 // possible cells — the shape a real runtime's lock-array indexing
 // would compile to on this ISA.
 func emitCellLocked(b *prog.Builder, cellReg isa.Reg, body func()) {
-	cellSeq++
+	cellSeq := b.Seq() // per-builder: concurrent builds share no state
 	done := labelf(".cell%d_done", cellSeq)
 	for c := int64(0); c < fmmCells; c++ {
 		next := labelf(".cell%d_n%d", cellSeq, c)
