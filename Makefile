@@ -14,11 +14,16 @@ check: diff race
 # across every preset; plus the entry pool's own gates — recycled slots
 # read as committed entries (scan × wakeup on a 16-entry window), the
 # steady-state loop allocates nothing, and no slot leaks or is held
-# twice. Fast feedback when touching the issue stage, the quiescence
-# skip, the parallel loop, the memory hierarchy, the metrics/tracing
-# hooks, the snapshot codec, the alloc subsystem, or the entry pool.
+# twice; plus program-digest identity — the streamed Fingerprint and
+# PrefixKey equal the map-and-sort oracle byte for byte on every
+# workload and on seeded odd images, and ForkProgram/Restore accept the
+# same programs as before. Fast feedback when touching the issue stage,
+# the quiescence skip, the parallel loop, the memory hierarchy, the
+# metrics/tracing hooks, the snapshot codec, the alloc subsystem, the
+# entry pool, or the program image and its digests.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation'
+	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation'
+	go test ./internal/prog -run 'TestDigest'
 	go test ./internal/service -run TestTelemetryDifferential
 
 # Race-check the concurrent layers: the core parallel execution mode
@@ -26,11 +31,12 @@ diff:
 # (children racing each other and the continuing parent), harness
 # (suite cache + singleflight + warm-up sharing + cancellation),
 # service (queue, two-tier cache, backpressure, snapshot persistence,
-# e2e HTTP, cross-node tracing) and telemetry (concurrent scrapes
-# against concurrent observers, span-ring races).
+# e2e HTTP, cross-node tracing), telemetry (concurrent scrapes against
+# concurrent observers, span-ring races) and prog (one program's
+# digests asked for by many goroutines at once).
 race:
 	go test -race ./internal/core -run 'TestParallel|TestInterrupt|TestObsFrameConservationParallel|TestMetricsRingDropsParallel|TestSnapshotRoundTripRace|TestAllocParallel'
-	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/...
+	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/...
 
 # Regenerate BENCH_core.json (fast-forward, wakeup, memory-path,
 # observability, parallel-execution, checkpoint-forking and fabric

@@ -228,7 +228,7 @@ func buildStallHeavy(links int64) *clustersmt.Program {
 	p := b.MustBuild()
 	base := p.SymbolAddr("chain")
 	for i := int64(0); i < n; i++ {
-		p.Init[base+i*8] = uint64((i*577 + 1) % n)
+		p.Init.Set(base+i*8, uint64((i*577+1)%n))
 	}
 	return p
 }
@@ -426,7 +426,7 @@ func buildMemBound(iters int64) *clustersmt.Program {
 	p := b.MustBuild()
 	base := p.SymbolAddr("chain")
 	for i := int64(0); i < chainLen; i++ {
-		p.Init[base+i*8] = uint64((i*577 + 1) % chainLen)
+		p.Init.Set(base+i*8, uint64((i*577+1)%chainLen))
 	}
 	return p
 }

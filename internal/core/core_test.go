@@ -54,7 +54,7 @@ func buildVectorSum(n int64, threads int) *prog.Program {
 	b.Halt()
 	p := b.MustBuild()
 	for i := int64(0); i < n; i++ {
-		p.Init[p.SymbolAddr("data")+i*prog.WordSize] = uint64(i)
+		p.Init.Set(p.SymbolAddr("data")+i*prog.WordSize, uint64(i))
 	}
 	return p
 }
@@ -601,7 +601,7 @@ func TestMemoryVotesOnMissChain(t *testing.T) {
 	// (i + 97 words) mod n, each hop a new line.
 	for i := int64(0); i < n; i++ {
 		next := (i + 97) % n
-		p.Init[data+i*prog.WordSize] = uint64(data + next*prog.WordSize)
+		p.Init.Set(data+i*prog.WordSize, uint64(data+next*prog.WordSize))
 	}
 	res := runOn(t, config.LowEnd(config.FA1), p)
 	if res.Slots.Fraction(5) < 0.3 { // stats.Memory

@@ -28,7 +28,7 @@ func buildJob(seed, n int64) *prog.Program {
 	b.Halt()
 	p := b.MustBuild()
 	for i := int64(0); i < n; i++ {
-		p.Init[data+i*prog.WordSize] = uint64(seed + i)
+		p.Init.Set(data+i*prog.WordSize, uint64(seed+i))
 	}
 	return p
 }

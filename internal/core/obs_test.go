@@ -198,7 +198,7 @@ func TestObsFrameConservationFastForwardDominated(t *testing.T) {
 		// Strided cyclic permutation: each hop lands on a new line.
 		for i := int64(0); i < n; i++ {
 			next := (i + 97) % n
-			p.Init[data+i*prog.WordSize] = uint64(data + next*prog.WordSize)
+			p.Init.Set(data+i*prog.WordSize, uint64(data+next*prog.WordSize))
 		}
 		return p
 	}

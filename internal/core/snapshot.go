@@ -225,9 +225,11 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 	if want := m.Hash(); string(mh) != string(want[:]) {
 		return nil, fmt.Errorf("%w: machine configuration differs", ErrSnapshotMismatch)
 	}
-	if want := p.Fingerprint(); string(fp) != string(want[:]) {
-		key, ok := p.PrefixKey()
-		if !prefixOK || !ok || string(pk) != string(key[:]) {
+	// The prefix key is tried first: a sweep variant restoring a shared
+	// warm-up matches on it and never needs its full fingerprint.
+	key, ok := p.PrefixKey()
+	if !prefixOK || !ok || string(pk) != string(key[:]) {
+		if want := p.Fingerprint(); string(fp) != string(want[:]) {
 			return nil, fmt.Errorf("%w: program differs and no shared warm-up prefix applies", ErrSnapshotMismatch)
 		}
 	}
@@ -270,13 +272,18 @@ func (s *Simulator) ForkProgram(p2 *prog.Program) (*Simulator, error) {
 	if err := s.snapshotSupported(); err != nil {
 		return nil, err
 	}
-	if p2 != s.Program && p2.Fingerprint() != s.Program.Fingerprint() {
+	if p2 != s.Program {
+		// Prefix keys first: the common caller is a sweep forking variants
+		// off a warmed parent under the parent's lock, and a variant that
+		// matches here is never fingerprinted at all. The accepted set is
+		// the same in either order.
 		k1, ok1 := s.Program.PrefixKey()
 		k2, ok2 := p2.PrefixKey()
-		if !ok1 || !ok2 || k1 != k2 {
-			return nil, fmt.Errorf("%w: programs share no marked prefix", ErrSnapshotMismatch)
-		}
-		if !s.PrefixValid() {
+		samePrefix := ok1 && ok2 && k1 == k2
+		if !(samePrefix && s.PrefixValid()) && p2.Fingerprint() != s.Program.Fingerprint() {
+			if !samePrefix {
+				return nil, fmt.Errorf("%w: programs share no marked prefix", ErrSnapshotMismatch)
+			}
 			return nil, fmt.Errorf("%w: execution ran past the shared prefix (pc high water %d, prefix %d)",
 				ErrSnapshotMismatch, s.PCHighWater(), s.Program.PrefixLen)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"clustersmt/internal/config"
@@ -244,6 +245,95 @@ func TestForkCrossVariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			compareRuns(t, "restore-variant", ref, got2, scratch, restored)
+		})
+	}
+}
+
+// TestProgramAcceptance tables which programs ForkProgram and Restore
+// take over a paused simulator's state — the same pointer, an equal
+// fingerprint, or an equal prefix key while the state is still
+// prefix-only — and the refusal each gives otherwise. Both try the
+// prefix key before the fingerprint; the accepted set must not depend
+// on that order.
+func TestProgramAcceptance(t *testing.T) {
+	m := config.LowEnd(config.FA4)
+	build := func(mut func(*workloads.SyntheticSpec)) *prog.Program {
+		spec := checkpointSpec()
+		spec.WarmupIters = 1500
+		if mut != nil {
+			mut(&spec)
+		}
+		return workloads.Synthetic(spec).Build(m.Threads(), m.Chips, workloads.SizeTest)
+	}
+	variant := func(s *workloads.SyntheticSpec) { s.ChainLen, s.Iters = 6, 512 }
+	noPrefix := func(s *workloads.SyntheticSpec) { s.WarmupIters = 0 }
+	otherImage := func(s *workloads.SyntheticSpec) { s.FootprintKB = 128 }
+
+	const (
+		noShared = "programs share no marked prefix"
+		ranPast  = "execution ran past the shared prefix"
+		restore  = "program differs and no shared warm-up prefix applies"
+	)
+	for _, c := range []struct {
+		name         string
+		parent       func(*workloads.SyntheticSpec)
+		pastPrefix   bool // pause after execution has left the prefix
+		samePointer  bool
+		child        func(*workloads.SyntheticSpec)
+		fork, reload string // wanted refusal; "" = accepted
+	}{
+		{name: "same pointer in prefix", samePointer: true},
+		{name: "same pointer past prefix", pastPrefix: true, samePointer: true},
+		{name: "same fingerprint no prefix", parent: noPrefix, child: noPrefix},
+		{name: "same fingerprint past prefix", pastPrefix: true},
+		{name: "equal prefix in prefix", child: variant},
+		{name: "equal prefix past prefix", pastPrefix: true, child: variant, fork: ranPast, reload: restore},
+		{name: "different prefix", child: otherImage, fork: noShared, reload: restore},
+		{name: "prefix against none", child: noPrefix, fork: noShared, reload: restore},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			parent, err := New(m, build(c.parent))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pause := int64(1000)
+			if err := parent.RunTo(pause); err != nil {
+				t.Fatal(err)
+			}
+			for c.pastPrefix && parent.PrefixValid() {
+				pause += 500
+				if err := parent.RunTo(pause); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if parent.Done() {
+				t.Fatal("parent finished before the pause point")
+			}
+			if c.parent == nil && parent.PrefixValid() == c.pastPrefix {
+				t.Fatalf("at cycle %d PrefixValid = %v (high water %d, prefix %d)",
+					pause, parent.PrefixValid(), parent.PCHighWater(), parent.Program.PrefixLen)
+			}
+			data, err := parent.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := parent.Program
+			if !c.samePointer {
+				child = build(c.child)
+			}
+			check := func(op string, err error, want string) {
+				t.Helper()
+				switch {
+				case want == "" && err != nil:
+					t.Errorf("%s refused: %v", op, err)
+				case want != "" && (!errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), want)):
+					t.Errorf("%s: got %v, want ErrSnapshotMismatch %q", op, err, want)
+				}
+			}
+			_, err = parent.ForkProgram(child)
+			check("ForkProgram", err, c.fork)
+			_, err = Restore(m, child, data)
+			check("Restore", err, c.reload)
 		})
 	}
 }

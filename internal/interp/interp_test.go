@@ -1,12 +1,14 @@
 package interp
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"clustersmt/internal/isa"
 	"clustersmt/internal/prog"
+	"clustersmt/internal/snap"
 )
 
 func buildAndRun(t *testing.T, build func(b *prog.Builder)) (*Thread, *Memory) {
@@ -272,5 +274,50 @@ func TestSwapInstr(t *testing.T) {
 	}
 	if mem.Load(prog.DataBase) != 1 {
 		t.Errorf("after swap mem = %d", mem.Load(prog.DataBase))
+	}
+}
+
+// TestLoadImageMatchesWordStores checks that the page-at-a-time loader
+// leaves memory exactly as one Store per image word does: the same
+// pages exist — a page holding nothing but explicit zeros included, a
+// page of never-set words not — and they hold the same words, so the
+// checkpoint encoding of a freshly loaded memory is unchanged.
+func TestLoadImageMatchesWordStores(t *testing.T) {
+	b := prog.NewBuilder("img")
+	runs := b.Global("runs", 3*pageWords) // a run crossing two page boundaries, from mid-page
+	b.Global("untouched", 2*pageWords)
+	zeros := b.Global("zeros", 2*pageWords) // explicit zeros only
+	tail := b.Global("tail", 8)
+	b.Halt()
+	p := b.MustBuild()
+	want := NewMemory()
+	set := func(addr int64, v uint64) {
+		p.Init.Set(addr, v)
+		want.Store(addr, v)
+	}
+	for i := int64(100); i < 2*pageWords+300; i++ {
+		set(runs+i*prog.WordSize, uint64(i)*0x9e3779b97f4a7c15)
+	}
+	for i := int64(0); i < pageWords; i += 7 {
+		set(zeros+(pageWords+i)*prog.WordSize, 0)
+	}
+	set(tail+3*prog.WordSize, 5)
+	set(tail, 6) // out of order
+
+	got := NewMemory()
+	got.LoadImage(p)
+	if got.Pages() != want.Pages() {
+		t.Fatalf("LoadImage touched %d pages, word stores %d", got.Pages(), want.Pages())
+	}
+	for a := int64(prog.DataBase) - pageBytes; a < p.DataEnd+pageBytes; a += prog.WordSize {
+		if g, w := got.Load(a), want.Load(a); g != w {
+			t.Fatalf("word %#x = %#x, want %#x", a, g, w)
+		}
+	}
+	gw, ww := snap.NewWriter(), snap.NewWriter()
+	got.EncodeSnap(gw)
+	want.EncodeSnap(ww)
+	if !bytes.Equal(gw.Bytes(), ww.Bytes()) {
+		t.Fatal("checkpoint bytes of the loaded memory differ from the word-store memory's")
 	}
 }

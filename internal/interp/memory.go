@@ -56,11 +56,17 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[int64]*[pageWords]uint64), lastPN: -1}
 }
 
-// LoadImage installs a program's initial data segment.
+// LoadImage installs a program's initial data segment, copying each run
+// of the image a page at a time. Only pages holding a present word are
+// allocated — one holding nothing but explicit zeros included.
 func (m *Memory) LoadImage(p *prog.Program) {
-	for addr, v := range p.Init {
-		m.Store(addr, v)
-	}
+	p.Init.Runs(func(addr int64, vals []uint64) {
+		for len(vals) > 0 {
+			n := copy(m.page(addr, true)[(addr%pageBytes)/prog.WordSize:], vals)
+			vals = vals[n:]
+			addr += int64(n) * prog.WordSize
+		}
+	})
 }
 
 // Fork returns a copy-on-write clone of the address space. Every

@@ -179,10 +179,10 @@ func TestRunFunctionalParallelSum(t *testing.T) {
 		// with GlobalWords is cleaner, but here we poke them through a
 		// fresh image: the program already reserves the space, so we
 		// use Init.
-		p.Init[p.SymbolAddr("n")] = uint64(threads)
+		p.Init.Set(p.SymbolAddr("n"), uint64(threads))
 		var want uint64
 		for i := int64(0); i < n; i++ {
-			p.Init[p.SymbolAddr("data")+i*prog.WordSize] = uint64(i * 3)
+			p.Init.Set(p.SymbolAddr("data")+i*prog.WordSize, uint64(i*3))
 			want += uint64(i * 3)
 		}
 		res, err := RunFunctional(p, threads, 0)

@@ -3,7 +3,7 @@ package prog
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"hash"
 )
 
 // fingerprintVersion is folded into every program hash so the hash
@@ -15,8 +15,12 @@ const fingerprintVersion = "clustersmt.Program/v1"
 // segment bound (which places thread stacks) and the initial memory
 // image. The name and symbol table are deliberately excluded — two
 // programs that differ only in labels behave identically.
+//
+// The hash is computed on the first call and remembered: a Program is
+// immutable once hashed (see Program.Init).
 func (p *Program) Fingerprint() [32]byte {
-	return p.hashCode(len(p.Code))
+	p.fpOnce.Do(func() { p.fp = p.hashCode(len(p.Code)) })
+	return p.fp
 }
 
 // PrefixKey returns a hash identifying the program's warm-up prefix:
@@ -24,42 +28,65 @@ func (p *Program) Fingerprint() [32]byte {
 // initial memory image. Two programs with equal PrefixKeys execute
 // identically for as long as no PC at or beyond the prefix has been
 // fetched or peeked (the simulator tracks that bound as its PC high
-// water mark). ok is false when no prefix was declared.
+// water mark). ok is false when no prefix was declared. Like
+// Fingerprint, the key is computed once per Program.
 func (p *Program) PrefixKey() (key [32]byte, ok bool) {
 	if p.PrefixLen <= 0 || p.PrefixLen > len(p.Code) {
 		return key, false
 	}
-	return p.hashCode(p.PrefixLen), true
+	p.pkOnce.Do(func() { p.pk = p.hashCode(p.PrefixLen) })
+	return p.pk, true
 }
 
+// digestWriter batches the fixed-width fields of a program digest into
+// large SHA-256 writes; the byte stream is what one Write per field
+// would produce.
+type digestWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// room flushes when fewer than n bytes of buffer are left.
+func (w *digestWriter) room(n int) {
+	if len(w.buf)+n > cap(w.buf) {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *digestWriter) u64(v uint64) {
+	w.room(8)
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+// hashCode digests the first n code slots and the rest of the program's
+// execution-relevant state. The initial image streams out in address
+// order straight from its backing array. It freezes Init: the digest is
+// about to be remembered, so the image may no longer change.
 func (p *Program) hashCode(n int) [32]byte {
-	h := sha256.New()
-	var scratch [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
-	h.Write([]byte(fingerprintVersion))
-	w64(uint64(n))
+	p.Init.freeze(p.Name)
+	w := digestWriter{h: sha256.New(), buf: make([]byte, 0, 16<<10)}
+	w.buf = append(w.buf, fingerprintVersion...)
+	w.u64(uint64(n))
 	for _, in := range p.Code[:n] {
-		h.Write([]byte{byte(in.Op), byte(in.RD), byte(in.RS1), byte(in.RS2),
-			byte(in.FD), byte(in.FS1), byte(in.FS2)})
-		w64(uint64(in.Imm))
+		w.room(7)
+		w.buf = append(w.buf, byte(in.Op), byte(in.RD), byte(in.RS1), byte(in.RS2),
+			byte(in.FD), byte(in.FS1), byte(in.FS2))
+		w.u64(uint64(in.Imm))
 	}
-	w64(uint64(p.Entry))
-	w64(uint64(p.DataEnd))
-	addrs := make([]int64, 0, len(p.Init))
-	for a := range p.Init {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w64(uint64(len(addrs)))
-	for _, a := range addrs {
-		w64(uint64(a))
-		w64(p.Init[a])
-	}
+	w.u64(uint64(p.Entry))
+	w.u64(uint64(p.DataEnd))
+	w.u64(uint64(p.Init.Len()))
+	p.Init.Runs(func(addr int64, vals []uint64) {
+		for _, v := range vals {
+			w.u64(uint64(addr))
+			w.u64(v)
+			addr += WordSize
+		}
+	})
+	w.h.Write(w.buf)
 	var out [32]byte
-	h.Sum(out[:0])
+	w.h.Sum(out[:0])
 	return out
 }
 

@@ -7,12 +7,21 @@
 // per-thread stacks are carved by the parallel runtime above the data
 // segment. Absolute addressing of globals uses r0 (hard-wired zero) as
 // the base register with the symbol's address as the displacement.
+//
+// A program's initial memory is an Image: a dense word array over the
+// data segment plus a bitmap of the words actually initialized, kept in
+// address order. The loader copies it into memory a page at a time and
+// the program digests (Fingerprint, PrefixKey) stream it as it lies;
+// each digest is computed once per Program and the image is frozen from
+// then on (see Program.Init).
 package prog
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
+	"sync"
 
 	"clustersmt/internal/isa"
 )
@@ -33,14 +42,26 @@ type Symbol struct {
 	Size int64 // size in bytes
 }
 
-// Program is an assembled, validated program image.
+// Program is an assembled, validated program image. Pass it by pointer:
+// it remembers its digests, so a copy made after the first hash would
+// carry them on without the guard that keeps them true.
 type Program struct {
 	Name    string
 	Code    []isa.Instr
 	Entry   int64             // PC of the first instruction each thread executes
 	DataEnd int64             // first byte past the data segment
 	Symbols map[string]Symbol // global objects by name
-	Init    map[int64]uint64  // initial memory image (word addr -> bits)
+
+	// Init is the initial memory image (word address -> bits). Workloads
+	// fill it with Init.Set after Build; the first Fingerprint or
+	// PrefixKey call freezes it, because both digests cover the image
+	// and are computed only once — a Set after that panics naming the
+	// program rather than leave a remembered digest describing an image
+	// that no longer exists (a checkpoint could then restore under the
+	// wrong data). Snapshot, Restore, ForkProgram and the harness's
+	// warm-up sharing all hash their program, so finish filling the image
+	// before handing the program to a simulator.
+	Init Image
 
 	// PrefixLen, when non-zero, marks the first PrefixLen code slots as a
 	// warm-up prefix: a region the workload promises is identical across a
@@ -48,6 +69,12 @@ type Program struct {
 	// while execution has only consumed prefix code may be restored under
 	// any program with an equal PrefixKey. Zero means no prefix declared.
 	PrefixLen int
+
+	// Fingerprint and PrefixKey, each computed on first use. Code, Entry,
+	// DataEnd and PrefixLen must not change after Build; Init cannot
+	// once either digest exists.
+	fpOnce, pkOnce sync.Once
+	fp, pk         [32]byte
 }
 
 // SymbolAddr returns the address of a named global. It panics if the
@@ -67,11 +94,11 @@ func (p *Program) Len() int { return len(p.Code) }
 // Disassemble renders the whole program, one instruction per line, with
 // PCs; intended for debugging and golden tests.
 func (p *Program) Disassemble() string {
-	out := ""
+	var out strings.Builder
 	for pc, in := range p.Code {
-		out += fmt.Sprintf("%5d: %s\n", pc, in.String())
+		fmt.Fprintf(&out, "%5d: %s\n", pc, in.String())
 	}
-	return out
+	return out.String()
 }
 
 type fixup struct {
@@ -90,7 +117,7 @@ type Builder struct {
 	fixups  []fixup
 	symbols map[string]Symbol
 	next    int64 // next free data address
-	init    map[int64]uint64
+	init    Image
 	pool    map[uint64]int64 // constant pool: bits -> address
 	prefix  int              // PrefixLen of the built program (0 = none)
 	seq     int              // unique-label counter (see Seq)
@@ -114,7 +141,6 @@ func NewBuilder(name string) *Builder {
 		labels:  make(map[string]int),
 		symbols: make(map[string]Symbol),
 		next:    DataBase,
-		init:    make(map[int64]uint64),
 		pool:    make(map[uint64]int64),
 	}
 }
@@ -166,7 +192,7 @@ func (b *Builder) MustAddr(name string) int64 {
 func (b *Builder) GlobalFloats(name string, vals []float64) int64 {
 	addr := b.Global(name, int64(len(vals)))
 	for i, v := range vals {
-		b.init[addr+int64(i)*WordSize] = math.Float64bits(v)
+		b.init.Set(addr+int64(i)*WordSize, math.Float64bits(v))
 	}
 	return addr
 }
@@ -175,7 +201,7 @@ func (b *Builder) GlobalFloats(name string, vals []float64) int64 {
 func (b *Builder) GlobalWords(name string, vals []uint64) int64 {
 	addr := b.Global(name, int64(len(vals)))
 	for i, v := range vals {
-		b.init[addr+int64(i)*WordSize] = v
+		b.init.Set(addr+int64(i)*WordSize, v)
 	}
 	return addr
 }
@@ -189,7 +215,7 @@ func (b *Builder) floatConst(v float64) int64 {
 	}
 	a := b.next
 	b.next += WordSize
-	b.init[a] = bits
+	b.init.Set(a, bits)
 	b.pool[bits] = a
 	return a
 }
@@ -487,23 +513,22 @@ func (b *Builder) Build() (*Program, error) {
 	if len(code) == 0 || code[len(code)-1].Op != isa.OpHalt {
 		return nil, fmt.Errorf("prog: %s: program must end with halt", b.name)
 	}
-	init := make(map[int64]uint64, len(b.init))
-	for k, v := range b.init {
-		init[k] = v
-	}
 	syms := make(map[string]Symbol, len(b.symbols))
 	for k, v := range b.symbols {
 		syms[k] = v
 	}
-	return &Program{
+	p := &Program{
 		Name:      b.name,
 		Code:      code,
 		Entry:     0,
 		DataEnd:   b.next,
 		Symbols:   syms,
-		Init:      init,
 		PrefixLen: b.prefix,
-	}, nil
+	}
+	// One copy, sized to the whole data segment: the builder stays
+	// reusable, and a workload filling its globals never regrows it.
+	b.init.cloneInto(&p.Init, DataBase, b.next)
+	return p, nil
 }
 
 // MustBuild is Build but panics on error; for statically authored

@@ -90,10 +90,10 @@ func TestGlobalFloatsInit(t *testing.T) {
 	addr := b.GlobalFloats("v", []float64{1.5, -2.25})
 	b.Halt()
 	p := b.MustBuild()
-	if len(p.Init) != 2 {
-		t.Fatalf("init words = %d, want 2", len(p.Init))
+	if p.Init.Len() != 2 {
+		t.Fatalf("init words = %d, want 2", p.Init.Len())
 	}
-	if _, ok := p.Init[addr]; !ok {
+	if _, ok := p.Init.Get(addr); !ok {
 		t.Error("first element not initialized")
 	}
 }
@@ -106,8 +106,8 @@ func TestFliInternsConstants(t *testing.T) {
 	b.Halt()
 	p := b.MustBuild()
 	// Two distinct constants -> two pool words.
-	if len(p.Init) != 2 {
-		t.Fatalf("pool words = %d, want 2", len(p.Init))
+	if p.Init.Len() != 2 {
+		t.Fatalf("pool words = %d, want 2", p.Init.Len())
 	}
 	if p.Code[0].Imm != p.Code[1].Imm {
 		t.Error("same constant not interned to same address")

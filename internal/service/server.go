@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,10 +116,14 @@ type Server struct {
 	suiteMu sync.Mutex
 	suites  map[workloads.Size]*harness.Suite
 
-	jobsMu sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	seq    atomic.Uint64
+	// The job table: every queued or running job, plus the most recent
+	// maxFinishedJobs terminal ones (finished, oldest first). order
+	// lists what is retained in admission order.
+	jobsMu   sync.Mutex
+	jobs     map[string]*Job
+	order    []string
+	finished []string
+	seq      atomic.Uint64
 
 	// Fabric role state: at most one of coord/worker is non-nil. coord
 	// is fixed at New; worker is installed by JoinFabric after the
@@ -316,14 +321,14 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 
 	if res, tier, ok := s.cache.Get(j.Hash); ok {
 		j.Complete(res, tier)
-		s.observeJobDone(j)
+		s.jobDone(j)
 		return
 	}
 	rj := j.Rj
 	res, err := s.suite(rj.Size).RunContext(ctx, rj.Workload, rj.Arch, rj.Spec.HighEnd)
 	if err != nil {
 		j.Fail(err)
-		s.observeJobDone(j)
+		s.jobDone(j)
 		return
 	}
 	// A failed disk write degrades this entry to memory-only; the
@@ -333,12 +338,33 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(wstart))
 	s.span(j.TraceID, "cache-write", wstart, nil)
 	j.Complete(res, "")
-	s.observeJobDone(j)
+	s.jobDone(j)
 }
 
-// observeJobDone records a terminal job's end-to-end latency.
-func (s *Server) observeJobDone(j *Job) {
+// maxFinishedJobs bounds how many terminal jobs the table retains. A
+// job's result lives on in the cache; the table only has to outlast
+// the submitter's poll, and a long-lived daemon must not grow with
+// every job it has ever served.
+const maxFinishedJobs = 1024
+
+// jobDone records a terminal job's end-to-end latency and files it
+// under the finished jobs, evicting the one that finished longest ago
+// once more than maxFinishedJobs are held. An evicted ID answers 404
+// like one never issued. Queued and running jobs are never evicted.
+func (s *Server) jobDone(j *Job) {
 	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.e2e }), time.Since(j.submittedAt()))
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) <= maxFinishedJobs {
+		return
+	}
+	old := s.finished[0]
+	s.finished = s.finished[1:]
+	delete(s.jobs, old)
+	if i := slices.Index(s.order, old); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
 }
 
 // Close drains the pool (bounded by ctx — expired deadlines cancel
@@ -461,18 +487,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.Complete(res, tier)
 		s.rememberJob(j)
 		s.span(j.TraceID, "submit", arrived, map[string]string{"job": j.ID, "outcome": "cache-" + tier})
-		s.observeJobDone(j)
+		s.jobDone(j)
 		writeJSON(w, http.StatusOK, j.view())
 		return
 	}
 
-	if err := s.pool.Submit(j); err != nil {
+	if err := s.admitJob(j); err != nil {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 		s.span(j.TraceID, "submit", arrived, map[string]string{"job": j.ID, "outcome": "rejected"})
 		writeError(w, http.StatusTooManyRequests, err)
 		return
 	}
-	s.rememberJob(j)
 	s.span(j.TraceID, "submit", arrived, map[string]string{"job": j.ID, "outcome": "queued"})
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	writeJSON(w, http.StatusAccepted, j.view())
@@ -510,11 +535,27 @@ func (s *Server) retryAfter() int {
 	return n
 }
 
+// rememberJob enters an already terminal job (a cache hit) in the table.
 func (s *Server) rememberJob(j *Job) {
 	s.jobsMu.Lock()
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.jobsMu.Unlock()
+}
+
+// admitJob queues j on the pool and enters it in the job table; a job
+// the pool refuses is not entered. Pool.Submit never blocks, and it
+// runs under the table lock so that a job a worker finishes at once
+// cannot reach jobDone before it is in the table.
+func (s *Server) admitJob(j *Job) error {
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	if err := s.pool.Submit(j); err != nil {
+		return err
+	}
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	return nil
 }
 
 func (s *Server) lookupJob(id string) (*Job, bool) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -447,5 +448,101 @@ func TestCacheLRUEviction(t *testing.T) {
 	st := c.Stats()
 	if st.Entries != 2 || st.Capacity != 2 {
 		t.Fatalf("bad stats: %+v", st)
+	}
+}
+
+// TestJobTableBounded checks that the daemon's job table does not grow
+// with every job served: past maxFinishedJobs terminal jobs the one
+// that finished longest ago is evicted (its ID answers 404 and it
+// leaves the listing), while a job still waiting for its worker is
+// kept however many others finish around it.
+func TestJobTableBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1, QueueCap: 2})
+	gate := make(chan struct{})
+	srv.pool.gate = gate
+
+	hot := JobSpec{App: "swim", Arch: "FA8"}
+	_, first, _ := submit(t, ts, hot)
+	gate <- struct{}{} // let exactly this one through
+	if j := waitJob(t, ts, first.ID); j.Status != StateDone {
+		t.Fatalf("seed job ended %q (%s)", j.Status, j.Error)
+	}
+	status, held, _ := submit(t, ts, JobSpec{App: "swim", Arch: "FA4"})
+	if status != http.StatusAccepted {
+		t.Fatalf("held job: status %d", status)
+	}
+
+	const extra = 40
+	ids := []string{first.ID}
+	for i := 0; i < maxFinishedJobs+extra; i++ {
+		status, j, _ := submit(t, ts, hot)
+		if status != http.StatusOK || !j.CacheHit {
+			t.Fatalf("resubmission %d: status %d, cache hit %v", i, status, j.CacheHit)
+		}
+		ids = append(ids, j.ID)
+	}
+
+	statusOf := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	listed := func() []string {
+		resp, err := http.Get(ts.URL + "/v1/jobs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct{ Jobs []wireJob }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(out.Jobs))
+		for i, j := range out.Jobs {
+			got[i] = j.ID
+		}
+		return got
+	}
+	check := func(when string, evicted int, want []string) {
+		t.Helper()
+		for _, id := range ids[:evicted] {
+			if c := statusOf(id); c != http.StatusNotFound {
+				t.Fatalf("%s: evicted job %s answers %d, want 404", when, id, c)
+			}
+		}
+		if c := statusOf(ids[evicted]); c != http.StatusOK {
+			t.Fatalf("%s: oldest retained job %s answers %d", when, ids[evicted], c)
+		}
+		if got := listed(); !slices.Equal(got, want) {
+			t.Fatalf("%s: listing holds %d jobs (%v ... %v), want %d", when, len(got), got[:2], got[len(got)-2:], len(want))
+		}
+	}
+
+	// 1 + 1024 + extra jobs finished: the first 1 + extra are gone. The
+	// held job was admitted second and is listed there.
+	want := append([]string{held.ID}, ids[1+extra:]...)
+	check("worker held", 1+extra, want)
+
+	close(gate)
+	if j := waitJob(t, ts, held.ID); j.Status != StateDone {
+		t.Fatalf("held job ended %q (%s)", j.Status, j.Error)
+	}
+	// jobDone runs after the job turns terminal; the pool counts the job
+	// completed once jobDone has returned.
+	waitFor(t, "held job filed as finished", func() bool {
+		_, _, completed := srv.pool.Counters()
+		return completed == 2
+	})
+	// Its finishing pushed one more out; it is now the newest finished.
+	want = append([]string{held.ID}, ids[2+extra:]...)
+	check("worker released", 2+extra, want)
+	srv.jobsMu.Lock()
+	nJobs, nFinished := len(srv.jobs), len(srv.finished)
+	srv.jobsMu.Unlock()
+	if nJobs != maxFinishedJobs || nFinished != maxFinishedJobs {
+		t.Fatalf("table holds %d jobs, %d finished; want %d of each", nJobs, nFinished, maxFinishedJobs)
 	}
 }

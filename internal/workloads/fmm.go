@@ -170,11 +170,11 @@ func buildFmm(threads, chips int, size Size) *prog.Program {
 
 	pr := b.MustBuild()
 	for i := int64(0); i < bodies; i++ {
-		pr.Init[posx+i*prog.WordSize] = floatBits(float64(i%17) * 0.3)
-		pr.Init[posy+i*prog.WordSize] = floatBits(float64(i%23) * 0.2)
+		pr.Init.Set(posx+i*prog.WordSize, floatBits(float64(i%17)*0.3))
+		pr.Init.Set(posy+i*prog.WordSize, floatBits(float64(i%23)*0.2))
 		// Imbalanced interaction lists: quadratic ramp 4..28-ish.
 		ln := 4 + (i*i)%25
-		pr.Init[nint+i*prog.WordSize] = uint64(ln)
+		pr.Init.Set(nint+i*prog.WordSize, uint64(ln))
 	}
 	return pr
 }

@@ -139,7 +139,7 @@ func buildLU(threads, chips int, size Size) *prog.Program {
 			if i == j {
 				v = float64(n) + 1.5
 			}
-			p.Init[a+(i*n+j)*prog.WordSize] = floatBits(v)
+			p.Init.Set(a+(i*n+j)*prog.WordSize, floatBits(v))
 		}
 	}
 	return p

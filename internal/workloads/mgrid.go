@@ -231,7 +231,7 @@ func buildMgrid(threads, chips int, size Size) *prog.Program {
 	pr := b.MustBuild()
 	for i := int64(0); i < n; i++ {
 		for j := int64(0); j < n; j++ {
-			pr.Init[g0+(i*n+j)*prog.WordSize] = floatBits(0.8 + 0.01*float64((i*j)%23))
+			pr.Init.Set(g0+(i*n+j)*prog.WordSize, floatBits(0.8+0.01*float64((i*j)%23)))
 		}
 	}
 	return pr

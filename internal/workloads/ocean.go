@@ -144,8 +144,8 @@ func buildOcean(threads, chips int, size Size) *prog.Program {
 	for i := int64(0); i < n; i++ {
 		for j := int64(0); j < n; j++ {
 			off := (i*n + j) * prog.WordSize
-			pr.Init[q+off] = floatBits(0.5 + 0.001*float64((i*31+j*7)%101))
-			pr.Init[rhs+off] = floatBits(0.1 * float64((i+j)%5))
+			pr.Init.Set(q+off, floatBits(0.5+0.001*float64((i*31+j*7)%101)))
+			pr.Init.Set(rhs+off, floatBits(0.1*float64((i+j)%5)))
 		}
 	}
 	return pr

@@ -159,7 +159,7 @@ func buildRadix(threads, chips int, size Size) *prog.Program {
 	state := uint64(0x12345678)
 	for i := int64(0); i < n; i++ {
 		state = state*6364136223846793005 + 1442695040888963407
-		p.Init[src+i*prog.WordSize] = (state >> 33) & 0xFF
+		p.Init.Set(src+i*prog.WordSize, (state>>33)&0xFF)
 	}
 	return p
 }

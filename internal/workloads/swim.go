@@ -188,9 +188,9 @@ func initSwim(pr *prog.Program, n, u, v, p int64) {
 	for i := int64(0); i < n; i++ {
 		for j := int64(0); j < n; j++ {
 			off := (i*n + j) * prog.WordSize
-			pr.Init[p+off] = floatBits(1.0 + 0.01*float64(i) - 0.02*float64(j))
-			pr.Init[u+off] = floatBits(0.5 + 0.005*float64(i*j%17))
-			pr.Init[v+off] = floatBits(-0.25 + 0.004*float64((i+j)%13))
+			pr.Init.Set(p+off, floatBits(1.0+0.01*float64(i)-0.02*float64(j)))
+			pr.Init.Set(u+off, floatBits(0.5+0.005*float64(i*j%17)))
+			pr.Init.Set(v+off, floatBits(-0.25+0.004*float64((i+j)%13)))
 		}
 	}
 }

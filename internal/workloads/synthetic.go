@@ -80,7 +80,7 @@ func Synthetic(spec SyntheticSpec) Workload {
 		// The name encodes the full defaulted spec: harness.Suite keys
 		// its run cache by workload name, so two distinct specs must
 		// never share one (and two equal specs always do).
-		Name: syntheticName(spec),
+		Name:        syntheticName(spec),
 		Description: "parameterized synthetic workload (threads x ILP plane generator)",
 		ParCap:      spec.ParCap,
 		Build: func(threads, chips int, size Size) *prog.Program {
@@ -258,7 +258,7 @@ func buildSynthetic(spec SyntheticSpec, threads, chips int, size Size) *prog.Pro
 
 	p := b.MustBuild()
 	for i := int64(0); i < words; i++ {
-		p.Init[data+i*prog.WordSize] = floatBits(0.25 + 0.001*float64(i%97))
+		p.Init.Set(data+i*prog.WordSize, floatBits(0.25+0.001*float64(i%97)))
 	}
 	return p
 }

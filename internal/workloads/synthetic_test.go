@@ -1,11 +1,13 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"clustersmt/internal/config"
 	"clustersmt/internal/core"
 	"clustersmt/internal/parallel"
+	"clustersmt/internal/prog"
 )
 
 func runSynth(t *testing.T, spec SyntheticSpec, arch config.Arch) *core.Result {
@@ -145,5 +147,22 @@ func TestParseSynthetic(t *testing.T) {
 		if _, err := ParseSynthetic(bad); err == nil {
 			t.Errorf("ParseSynthetic(%q) accepted a non-canonical name", bad)
 		}
+	}
+}
+
+var buildSink *prog.Program
+
+// BenchmarkBuildSynthetic is the cost of assembling one sweep point and
+// filling its data image, at a footprint inside the modelled L1 and at
+// one that spills the L2.
+func BenchmarkBuildSynthetic(b *testing.B) {
+	for _, kb := range []int{16, 2048} {
+		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
+			w := Synthetic(SyntheticSpec{FootprintKB: kb, ChainLen: 4, IndepOps: 2, MemOps: 2, WarmupIters: 12000})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildSink = w.Build(2, 1, SizeTest)
+			}
+		})
 	}
 }

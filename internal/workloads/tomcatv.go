@@ -237,8 +237,8 @@ func buildTomcatv(threads, chips int, size Size) *prog.Program {
 	for i := int64(0); i < n; i++ {
 		for j := int64(0); j < n; j++ {
 			off := (i*n + j) * prog.WordSize
-			pr.Init[x+off] = floatBits(float64(j) + 0.03*float64(i))
-			pr.Init[y+off] = floatBits(float64(i) - 0.02*float64(j))
+			pr.Init.Set(x+off, floatBits(float64(j)+0.03*float64(i)))
+			pr.Init.Set(y+off, floatBits(float64(i)-0.02*float64(j)))
 		}
 	}
 	return pr

@@ -126,9 +126,9 @@ func buildVpenta(threads, chips int, size Size) *prog.Program {
 	for s := int64(0); s < systems; s++ {
 		for k := int64(0); k < length; k++ {
 			off := (s*length + k) * prog.WordSize
-			pr.Init[a+off] = floatBits(2.5 + 0.01*float64(k))
-			pr.Init[c+off] = floatBits(0.3 + 0.002*float64(s))
-			pr.Init[f+off] = floatBits(1.0 + 0.05*float64((s+k)%11))
+			pr.Init.Set(a+off, floatBits(2.5+0.01*float64(k)))
+			pr.Init.Set(c+off, floatBits(0.3+0.002*float64(s)))
+			pr.Init.Set(f+off, floatBits(1.0+0.05*float64((s+k)%11)))
 		}
 	}
 	return pr
