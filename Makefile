@@ -17,12 +17,17 @@ check: diff race
 # twice; plus program-digest identity — the streamed Fingerprint and
 # PrefixKey equal the map-and-sort oracle byte for byte on every
 # workload and on seeded odd images, and ForkProgram/Restore accept the
-# same programs as before. Fast feedback when touching the issue stage,
-# the quiescence skip, the parallel loop, the memory hierarchy, the
+# same programs as before; plus the chunk-lazy cache tag array against
+# the dense array it replaced (same answers, victims, counters and
+# snapshot bytes on seeded op streams with forks), and the concurrent
+# oracle search against its sequential reference under the pinned
+# enumeration order. Fast feedback when touching the issue stage, the
+# quiescence skip, the parallel loop, the memory hierarchy, the
 # metrics/tracing hooks, the snapshot codec, the alloc subsystem, the
-# entry pool, or the program image and its digests.
+# entry pool, the program image and its digests, or the cache arrays.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation'
+	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden'
+	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential'
 	go test ./internal/prog -run 'TestDigest'
 	go test ./internal/service -run TestTelemetryDifferential
 
@@ -32,11 +37,13 @@ diff:
 # (suite cache + singleflight + warm-up sharing + cancellation),
 # service (queue, two-tier cache, backpressure, snapshot persistence,
 # e2e HTTP, cross-node tracing), telemetry (concurrent scrapes against
-# concurrent observers, span-ring races) and prog (one program's
-# digests asked for by many goroutines at once).
+# concurrent observers, span-ring races), prog (one program's digests
+# asked for by many goroutines at once), the oracle search's workers
+# (candidates built from one shared frozen program, scored at once) and
+# memsys (forked caches sharing chunks).
 race:
-	go test -race ./internal/core -run 'TestParallel|TestInterrupt|TestObsFrameConservationParallel|TestMetricsRingDropsParallel|TestSnapshotRoundTripRace|TestAllocParallel'
-	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/...
+	go test -race ./internal/core -run 'TestParallel|TestInterrupt|TestObsFrameConservationParallel|TestMetricsRingDropsParallel|TestSnapshotRoundTripRace|TestAllocParallel|TestSearchStatic'
+	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/... ./internal/memsys/...
 
 # Regenerate BENCH_core.json (fast-forward, wakeup, memory-path,
 # observability, parallel-execution, checkpoint-forking and fabric

@@ -127,14 +127,12 @@ func main() {
 	if *allocPolicy == "oracle" {
 		// The oracle is an offline search, not a runtime policy: profile
 		// every canonical static assignment over a short prefix and
-		// install the winner before the measured run (same budget as the
-		// harness).
+		// install the winner before the measured run. The search
+		// simulators share the one frozen program.
 		sm := m
 		sm.Alloc = config.AllocConfig{}
-		mk := func() (*core.Simulator, error) {
-			return core.New(sm, w.Build(sm.Threads(), sm.Chips, size))
-		}
-		best, _, err := core.SearchStatic(mk, 20_000, 64)
+		mk := func() (*core.Simulator, error) { return core.New(sm, prg) }
+		best, _, err := core.SearchStatic(mk, core.SearchPrefixCycles, core.SearchMaxCandidates)
 		if err != nil {
 			log.Fatal(err)
 		}

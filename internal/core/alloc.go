@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"clustersmt/internal/alloc"
 	"clustersmt/internal/coherence"
@@ -316,39 +319,99 @@ func (s *Simulator) moveThread(t *threadCtx, now int64) {
 
 // ---- oracle search ----
 
+// The oracle-search budget every caller of SearchStatic uses (the
+// harness's oracle policy, the allocation figure, clustersim -alloc
+// oracle): each candidate static assignment is profiled for
+// SearchPrefixCycles, and the canonical enumeration is capped at
+// SearchMaxCandidates. The cap keeps the high-end machines, whose
+// assignment spaces are huge, bounded; enumeration order is
+// deterministic, so the cap never introduces run-to-run variance.
+const (
+	SearchPrefixCycles  = 20_000
+	SearchMaxCandidates = 64
+)
+
 // SearchStatic profiles candidate static assignments over a prefix of
 // prefixCycles and returns the best and worst performers — the oracle
 // upper bound and the adversarial baseline the dynamic policies are
 // measured between. mk must build a fresh, identically configured
-// simulator on every call. Candidates are enumerated canonically
-// (clusters within a chip, and whole empty chips, are interchangeable,
-// so symmetric duplicates are skipped) and capped at maxCandidates;
-// score is committed instructions at the prefix boundary, ties broken
-// by enumeration order, so the search is fully deterministic.
+// simulator on every call, and is called from several goroutines at
+// once: whatever its simulators share (the program, a jobs slice) must
+// be read-only. Candidates are enumerated canonically (clusters within
+// a chip, and whole empty chips, are interchangeable, so symmetric
+// duplicates are skipped) and capped at maxCandidates; score is
+// committed instructions at the prefix boundary.
+//
+// Candidates are independent simulations, so min(GOMAXPROCS,
+// candidates) workers score them, each pulling the next unscored index
+// from one counter. Nothing about the answer depends on the schedule:
+// scores land in a slice indexed by candidate and are reduced in
+// enumeration order afterwards (ties go to the earlier candidate), and
+// when candidates fail the error returned is that of the lowest index —
+// workers stop pulling once any candidate has failed, but every lower
+// index was pulled before the failing one and runs to its own verdict.
 func SearchStatic(mk func() (*Simulator, error), prefixCycles int64, maxCandidates int) (best, worst []int, err error) {
 	probe, err := mk()
 	if err != nil {
 		return nil, nil, err
 	}
 	cands := enumerateAssignments(len(probe.threads), probe.clusterInfos(), maxCandidates)
-	var bestScore, worstScore uint64
-	for i, cand := range cands {
-		sim, err := mk()
-		if err != nil {
-			return nil, nil, err
+	scores := make([]uint64, len(cands))
+	errs := make([]error, len(cands))
+	score := func(i int) (uint64, error) {
+		var sim *Simulator
+		if i == 0 {
+			// Candidate 0 runs on the probe. Only this call touches the
+			// variable, and clearing it makes the probe garbage once
+			// scored, like every other candidate's simulator.
+			sim, probe = probe, nil
+		} else {
+			var err error
+			if sim, err = mk(); err != nil {
+				return 0, err
+			}
 		}
-		if err := sim.SetAssignment(cand); err != nil {
-			return nil, nil, err
+		if err := sim.SetAssignment(cands[i]); err != nil {
+			return 0, err
 		}
 		if err := sim.RunTo(prefixCycles); err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		score := sim.committed
-		if i == 0 || score > bestScore {
-			bestScore, best = score, cand
+		return sim.committed, nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(cands)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(cands) {
+					return
+				}
+				if scores[i], errs[i] = score(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: SearchStatic: candidate %d %v: %w", i, cands[i], err)
 		}
-		if i == 0 || score < worstScore {
-			worstScore, worst = score, cand
+	}
+	var bestScore, worstScore uint64
+	for i, cand := range cands {
+		if i == 0 || scores[i] > bestScore {
+			bestScore, best = scores[i], cand
+		}
+		if i == 0 || scores[i] < worstScore {
+			worstScore, worst = scores[i], cand
 		}
 	}
 	return best, worst, nil
@@ -357,15 +420,19 @@ func SearchStatic(mk func() (*Simulator, error), prefixCycles int64, maxCandidat
 // enumerateAssignments lists canonical thread-to-cluster assignments:
 // every placement of n threads onto the clusters respecting capacity,
 // up to within-chip cluster interchange and whole-chip interchange.
-// Enumeration is depth-first in thread-id order, truncated at cap.
-func enumerateAssignments(n int, infos []alloc.ClusterInfo, cap int) [][]int {
+// Enumeration is depth-first in thread-id order, truncated at limit.
+func enumerateAssignments(n int, infos []alloc.ClusterInfo, limit int) [][]int {
 	var out [][]int
 	assign := make([]int, n)
 	occ := make([]int, len(infos))
-	chipOcc := map[int]int{}
+	chips := 0
+	for _, c := range infos {
+		chips = max(chips, c.Chip+1)
+	}
+	chipOcc := make([]int, chips)
 	var rec func(tid int)
 	rec = func(tid int) {
-		if len(out) >= cap {
+		if len(out) >= limit {
 			return
 		}
 		if tid == n {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"clustersmt/internal/config"
+	"clustersmt/internal/core"
 	"clustersmt/internal/workloads"
 )
 
@@ -178,5 +179,29 @@ func TestRunMatrixConcurrentCallers(t *testing.T) {
 		if raw[0][app]["FA8"] != raw[0][app]["SMT8"] {
 			t.Fatalf("%s: FA8 and SMT8 did not share a cached run", app)
 		}
+	}
+}
+
+// TestOraclePolicy runs a cell under the oracle policy, whose offline
+// search builds its throwaway simulators concurrently from the cell's
+// one shared program (the -race leg is what checks that sharing), and
+// requires two fresh suites to agree on the result.
+func TestOraclePolicy(t *testing.T) {
+	w, err := workloads.ByName("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() *core.Result {
+		t.Helper()
+		s := NewSuite(workloads.SizeTest)
+		s.AllocPolicy = "oracle"
+		r, err := s.Run(w, config.SMT2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	if a, b := run(), run(); a.Cycles <= 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("oracle runs differ or are empty:\n%+v\n%+v", a, b)
 	}
 }

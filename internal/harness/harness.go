@@ -26,6 +26,7 @@ import (
 	"clustersmt/internal/core"
 	"clustersmt/internal/model"
 	"clustersmt/internal/obs"
+	"clustersmt/internal/prog"
 	"clustersmt/internal/stats"
 	"clustersmt/internal/workloads"
 )
@@ -320,7 +321,7 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 			return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
 		}
 		if pol == "oracle" {
-			if err := s.oracleAssign(ctx, sim, m, app); err != nil {
+			if err := s.oracleAssign(ctx, sim, m, p); err != nil {
 				return nil, fmt.Errorf("harness: %s on %s: oracle search: %w", app.Name, m.Name, err)
 			}
 		}
@@ -372,31 +373,24 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 	return r, nil
 }
 
-// Oracle-search budget: each candidate static assignment is profiled
-// for this many cycles, and the canonical enumeration is capped at
-// this many candidates (core.SearchStatic).
-const (
-	oraclePrefixCycles  = 20_000
-	oracleMaxCandidates = 64
-)
-
 // oracleAssign replaces sim's seed placement with the best static
 // assignment found by profiling every canonical assignment of the same
 // workload for a short prefix under the static policy
-// (core.SearchStatic). The throwaway search runs are sequential and
-// abort with ctx.
-func (s *Suite) oracleAssign(ctx context.Context, sim *core.Simulator, m config.Machine, app workloads.Workload) error {
+// (core.SearchStatic, at its standard budget). The throwaway search
+// simulators run sim's own program p — built once, shared read-only —
+// concurrently, and all abort with ctx.
+func (s *Suite) oracleAssign(ctx context.Context, sim *core.Simulator, m config.Machine, p *prog.Program) error {
 	sm := m
 	sm.Alloc = config.AllocConfig{}
 	mk := func() (*core.Simulator, error) {
-		probe, err := core.New(sm, app.Build(sm.Threads(), sm.Chips, s.Size))
+		probe, err := core.New(sm, p)
 		if err != nil {
 			return nil, err
 		}
 		probe.Interrupt = ctx.Done()
 		return probe, nil
 	}
-	best, _, err := core.SearchStatic(mk, oraclePrefixCycles, oracleMaxCandidates)
+	best, _, err := core.SearchStatic(mk, core.SearchPrefixCycles, core.SearchMaxCandidates)
 	if err != nil {
 		return err
 	}

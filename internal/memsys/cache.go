@@ -38,6 +38,32 @@ type way struct {
 	lru   uint64 // larger = more recently used
 }
 
+// chunkSets is the granule of the tag array: a chunk covers this many
+// consecutive sets (a whole cache smaller than that is one chunk).
+const (
+	chunkSets  = 1 << chunkShift
+	chunkShift = 6
+)
+
+// chunk is one granule of the tag array, allocated when a line is first
+// filled into it. An absent chunk reads as chunkSets sets of Invalid,
+// never-touched ways with MRU hint 0 — exactly what a zeroed chunk
+// holds — so allocating one changes no answer.
+type chunk struct {
+	// owner is the ownership token of the one cache that may write this
+	// chunk in place; every other cache reaching it (a forked twin)
+	// copies it first. See Cache.Fork.
+	owner *token
+	ways  []way // min(sets, chunkSets)*assoc, row-major by set
+	// mru holds, per set, the way index last hit or filled — checked
+	// first on every lookup so repeated touches of the same line skip
+	// the set walk. Purely a hint: a stale value only costs the walk.
+	mru [chunkSets]int32
+}
+
+// token is a chunk-ownership identity; only its address matters.
+type token struct{ _ byte }
+
 // Cache is a set-associative tag array. Addresses passed in must be
 // line-aligned ("line addresses"). Geometries are powers of two so set
 // selection is a shift and a mask (enforced at construction).
@@ -48,17 +74,18 @@ type Cache struct {
 	lineBytes int64
 	lineShift uint  // log2(lineBytes)
 	setMask   int64 // sets - 1
-	ways      []way // sets*assoc, row-major by set
-	// mru holds, per set, the way index last hit or filled — checked
-	// first on every lookup so repeated touches of the same line skip
-	// the set walk. Purely a hint: a stale value only costs the walk.
-	mru  []int32
-	tick uint64
+	// chunks is the tag array: chunk i covers sets [i*chunkSets,
+	// (i+1)*chunkSets); nil until a line is first filled there. A
+	// simulation touches a small part of a large L2, so construction,
+	// Fork and the live heap cost what was touched, not the geometry.
+	chunks    []*chunk
+	chunkWays int // ways per chunk
+	tick      uint64
 
-	// cow marks the tag arrays (ways, mru) as shared with a forked twin;
-	// the first mutating method privatizes them via own(). Scalar fields
-	// (tick, stats) are copied by value at Fork time and never shared.
-	cow bool
+	// own marks the chunks this cache may write in place (chunk.owner ==
+	// own). The table itself is always private; scalar fields (tick,
+	// stats) are copied by value at Fork time and never shared.
+	own *token
 
 	// Stats.
 	Hits, Misses, Evictions, WritebackEvictions uint64
@@ -94,32 +121,44 @@ func NewCache(name string, sizeKB, lineBytes, assoc int) *Cache {
 		lineBytes: int64(lineBytes),
 		lineShift: log2OfPow2(name+" line size", int64(lineBytes)),
 		setMask:   int64(sets - 1),
-		ways:      make([]way, sets*assoc),
-		mru:       make([]int32, sets),
+		chunks:    make([]*chunk, (sets+chunkSets-1)/chunkSets),
+		chunkWays: min(sets, chunkSets) * assoc,
+		own:       new(token),
 	}
 	log2OfPow2(name+" set count", int64(sets))
 	return c
 }
 
-// Fork returns a copy-on-write clone of the cache: the clone shares the
-// tag arrays with c until either side first mutates, at which point the
-// mutator copies them (own). Counters and the LRU tick diverge freely —
-// they live in the struct, which is copied by value here.
+// Fork returns a copy-on-write clone of the cache: the clone gets its
+// own chunk table pointing at c's chunks, and both sides take a fresh
+// ownership token, so neither owns a chunk that exists now — whichever
+// side first writes one copies it (writable). A fork therefore costs the
+// table, and afterwards one chunk per chunk written. Counters and the
+// LRU tick diverge freely — they live in the struct, which is copied by
+// value here.
 func (c *Cache) Fork() *Cache {
-	c.cow = true
+	c.own = new(token)
 	cp := *c
+	cp.chunks = append([]*chunk(nil), c.chunks...)
+	cp.own = new(token)
 	return &cp
 }
 
-// own privatizes the tag arrays before a mutation when they are still
-// shared with a forked twin.
-func (c *Cache) own() {
-	if !c.cow {
-		return
+// writable returns chunk ci ready to be written in place: allocated if
+// absent, copied if still shared with a forked twin.
+func (c *Cache) writable(ci int) *chunk {
+	ch := c.chunks[ci]
+	if ch != nil && ch.owner == c.own {
+		return ch
 	}
-	c.ways = append([]way(nil), c.ways...)
-	c.mru = append([]int32(nil), c.mru...)
-	c.cow = false
+	if ch == nil {
+		ch = &chunk{ways: make([]way, c.chunkWays)}
+	} else {
+		ch = &chunk{ways: append([]way(nil), ch.ways...), mru: ch.mru}
+	}
+	ch.owner = c.own
+	c.chunks[ci] = ch
+	return ch
 }
 
 // Sets returns the number of sets (diagnostics).
@@ -136,73 +175,79 @@ func (c *Cache) setIndex(line int64) int {
 	return int((line >> c.lineShift) & c.setMask)
 }
 
-func (c *Cache) set(line int64) []way {
-	s := c.setIndex(line)
-	return c.ways[s*c.assoc : (s+1)*c.assoc]
+// find locates line without side effects: its set index and the way
+// within that set holding it, or way -1 when it is not resident (which
+// includes every line of an absent chunk).
+func (c *Cache) find(line int64) (si, i int) {
+	si = c.setIndex(line)
+	ch := c.chunks[si>>chunkShift]
+	if ch == nil {
+		return si, -1
+	}
+	s := si & (chunkSets - 1)
+	set := ch.ways[s*c.assoc : (s+1)*c.assoc]
+	if w := &set[ch.mru[s]]; w.state != Invalid && w.line == line {
+		return si, int(ch.mru[s])
+	}
+	for i := range set {
+		w := &set[i]
+		if w.state != Invalid && w.line == line {
+			return si, i
+		}
+	}
+	return si, -1
+}
+
+// at returns the index, within its chunk's ways, of way i of set si.
+func (c *Cache) at(si, i int) int { return (si&(chunkSets-1))*c.assoc + i }
+
+// touch marks way i of set si most recently used and returns its state.
+func (c *Cache) touch(si, i int) LineState {
+	ch := c.writable(si >> chunkShift)
+	s := si & (chunkSets - 1)
+	w := &ch.ways[s*c.assoc+i]
+	w.lru = c.tick
+	ch.mru[s] = int32(i)
+	return w.state
 }
 
 // Lookup returns the state of line, counting a hit or miss, and updates
 // LRU on hit.
 func (c *Cache) Lookup(line int64) LineState {
-	c.own()
 	c.tick++
-	si := c.setIndex(line)
-	base := si * c.assoc
-	if w := &c.ways[base+int(c.mru[si])]; w.state != Invalid && w.line == line {
-		w.lru = c.tick
-		c.Hits++
-		return w.state
+	si, i := c.find(line)
+	if i < 0 {
+		c.Misses++
+		return Invalid
 	}
-	set := c.ways[base : base+c.assoc]
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.line == line {
-			w.lru = c.tick
-			c.mru[si] = int32(i)
-			c.Hits++
-			return w.state
-		}
-	}
-	c.Misses++
-	return Invalid
+	c.Hits++
+	return c.touch(si, i)
 }
 
-// FindWay returns the absolute way-array index holding line, or -1 —
-// without touching stats, LRU or the MRU hint. Together with TouchHit /
-// TouchMiss it lets a caller that needs an early residence check (the
-// load path's MSHR gate) walk the set once instead of probing and then
-// looking up.
+// FindWay returns the absolute way index (set*assoc + way) holding line,
+// or -1 — without touching stats, LRU or the MRU hint. Together with
+// TouchHit / TouchMiss it lets a caller that needs an early residence
+// check (the load path's MSHR gate) walk the set once instead of probing
+// and then looking up.
 func (c *Cache) FindWay(line int64) int {
-	si := c.setIndex(line)
-	base := si * c.assoc
-	if w := &c.ways[base+int(c.mru[si])]; w.state != Invalid && w.line == line {
-		return base + int(c.mru[si])
+	si, i := c.find(line)
+	if i < 0 {
+		return -1
 	}
-	set := c.ways[base : base+c.assoc]
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.line == line {
-			return base + i
-		}
-	}
-	return -1
+	return si*c.assoc + i
 }
 
 // TouchHit replays exactly what Lookup does on a hit at the way index
 // returned by FindWay: one tick, the LRU update and the Hits count. The
 // cache must not have been mutated since the FindWay call.
 func (c *Cache) TouchHit(wi int) LineState {
-	c.own()
 	c.tick++
-	w := &c.ways[wi]
-	w.lru = c.tick
-	c.mru[wi/c.assoc] = int32(wi % c.assoc)
 	c.Hits++
-	return w.state
+	return c.touch(wi/c.assoc, wi%c.assoc)
 }
 
 // TouchMiss replays what Lookup does on a miss: one tick and the Misses
-// count. It touches only value fields, so no own() is needed.
+// count. It touches only value fields, never a chunk.
 func (c *Cache) TouchMiss() {
 	c.tick++
 	c.Misses++
@@ -210,27 +255,18 @@ func (c *Cache) TouchMiss() {
 
 // Probe returns the state of line without touching LRU or stats.
 func (c *Cache) Probe(line int64) LineState {
-	set := c.set(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.line == line {
-			return w.state
-		}
+	si, i := c.find(line)
+	if i < 0 {
+		return Invalid
 	}
-	return Invalid
+	return c.chunks[si>>chunkShift].ways[c.at(si, i)].state
 }
 
 // SetState changes the state of a resident line; it is a no-op if the
 // line is not resident. Setting Invalid invalidates.
 func (c *Cache) SetState(line int64, st LineState) {
-	c.own()
-	set := c.set(line)
-	for i := range set {
-		w := &set[i]
-		if w.state != Invalid && w.line == line {
-			w.state = st
-			return
-		}
+	if si, i := c.find(line); i >= 0 {
+		c.writable(si >> chunkShift).ways[c.at(si, i)].state = st
 	}
 }
 
@@ -245,17 +281,18 @@ type Victim struct {
 // set is full. If the line is already resident its state is updated in
 // place (no eviction).
 func (c *Cache) Insert(line int64, st LineState) Victim {
-	c.own()
 	c.tick++
 	si := c.setIndex(line)
-	set := c.ways[si*c.assoc : (si+1)*c.assoc]
+	ch := c.writable(si >> chunkShift)
+	s := si & (chunkSets - 1)
+	set := ch.ways[s*c.assoc : (s+1)*c.assoc]
 	var free, lruIdx = -1, 0
 	for i := range set {
 		w := &set[i]
 		if w.state != Invalid && w.line == line {
 			w.state = st
 			w.lru = c.tick
-			c.mru[si] = int32(i)
+			ch.mru[s] = int32(i)
 			return Victim{}
 		}
 		if w.state == Invalid {
@@ -266,7 +303,7 @@ func (c *Cache) Insert(line int64, st LineState) Victim {
 	}
 	if free >= 0 {
 		set[free] = way{line: line, state: st, lru: c.tick}
-		c.mru[si] = int32(free)
+		ch.mru[s] = int32(free)
 		return Victim{}
 	}
 	v := Victim{Line: set[lruIdx].line, State: set[lruIdx].state, Evicted: true}
@@ -275,16 +312,21 @@ func (c *Cache) Insert(line int64, st LineState) Victim {
 		c.WritebackEvictions++
 	}
 	set[lruIdx] = way{line: line, state: st, lru: c.tick}
-	c.mru[si] = int32(lruIdx)
+	ch.mru[s] = int32(lruIdx)
 	return v
 }
 
 // Resident reports how many lines are currently valid (testing aid).
 func (c *Cache) Resident() int {
 	n := 0
-	for i := range c.ways {
-		if c.ways[i].state != Invalid {
-			n++
+	for _, ch := range c.chunks {
+		if ch == nil {
+			continue
+		}
+		for i := range ch.ways {
+			if ch.ways[i].state != Invalid {
+				n++
+			}
 		}
 	}
 	return n

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -108,8 +109,7 @@ func TestCacheInvariants(t *testing.T) {
 		}
 		// No duplicate lines.
 		seen := map[int64]bool{}
-		for i := range c.ways {
-			w := c.ways[i]
+		for _, w := range denseWays(c) {
 			if w.state == Invalid {
 				continue
 			}
@@ -342,12 +342,7 @@ func TestCacheSingleWalkDifferential(t *testing.T) {
 		if ref.Hits != fast.Hits || ref.Misses != fast.Misses || ref.tick != fast.tick {
 			return false
 		}
-		for i := range ref.ways {
-			if ref.ways[i] != fast.ways[i] {
-				return false
-			}
-		}
-		return true
+		return reflect.DeepEqual(denseWays(ref), denseWays(fast))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

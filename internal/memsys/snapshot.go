@@ -15,23 +15,37 @@ import (
 //
 // Encoding choices that matter for bit-identity:
 //   - Cache tag arrays are written raw (way order, MRU hints, LRU tick),
-//     so replacement decisions replay exactly.
+//     so replacement decisions replay exactly. The layout is dense even
+//     though the in-memory array is chunk-lazy (see Cache.EncodeSnap).
 //   - The MSHR fill heap is written as its backing array, not re-pushed:
 //     two fills with equal ready cycles pop in layout order, so the heap
 //     layout itself is state.
 //   - TLB slots are written in slot order with the PRNG cursor; the
 //     page->slot map is rebuilt from the slots.
 
-// EncodeSnap writes the cache's tag arrays, LRU tick and counters.
+// EncodeSnap writes the cache's tag arrays, LRU tick and counters. The
+// wire layout is the dense one — every way of every set, then every
+// set's MRU hint — so an absent chunk is written as the zero ways and
+// hints it reads as, and the bytes do not depend on which chunks happen
+// to be allocated.
 func (c *Cache) EncodeSnap(w *snap.Writer) {
-	w.Int(len(c.ways))
-	for i := range c.ways {
-		wy := &c.ways[i]
-		w.I64(wy.line)
-		w.U8(uint8(wy.state))
-		w.U64(wy.lru)
+	w.Int(len(c.chunks) * c.chunkWays)
+	for _, ch := range c.chunks {
+		for i := 0; i < c.chunkWays; i++ {
+			var wy way
+			if ch != nil {
+				wy = ch.ways[i]
+			}
+			w.I64(wy.line)
+			w.U8(uint8(wy.state))
+			w.U64(wy.lru)
+		}
 	}
-	for _, m := range c.mru {
+	for si := 0; si < c.sets; si++ {
+		var m int32
+		if ch := c.chunks[si>>chunkShift]; ch != nil {
+			m = ch.mru[si&(chunkSets-1)]
+		}
 		w.U32(uint32(m))
 	}
 	w.U64(c.tick)
@@ -42,31 +56,36 @@ func (c *Cache) EncodeSnap(w *snap.Writer) {
 }
 
 // DecodeSnap overlays state produced by EncodeSnap onto a cache of the
-// same geometry.
+// same geometry. A chunk whose ways and hints are all zero is left
+// absent, so a restored cache is as small as the one that was saved and
+// re-encodes to the same bytes.
 func (c *Cache) DecodeSnap(r *snap.Reader) {
-	c.own()
-	if n := r.Int(); n != len(c.ways) {
-		r.Fail(fmt.Errorf("memsys: %s: snapshot has %d ways, cache has %d", c.name, n, len(c.ways)))
+	if n := r.Int(); n != len(c.chunks)*c.chunkWays {
+		r.Fail(fmt.Errorf("memsys: %s: snapshot has %d ways, cache has %d", c.name, n, len(c.chunks)*c.chunkWays))
 		return
 	}
-	for i := range c.ways {
-		wy := &c.ways[i]
-		wy.line = r.I64()
-		st := LineState(r.U8())
-		if st > Modified {
-			r.Fail(fmt.Errorf("memsys: %s: invalid line state %d", c.name, st))
-			return
+	for ci := range c.chunks {
+		c.chunks[ci] = nil
+		for i := 0; i < c.chunkWays; i++ {
+			wy := way{line: r.I64(), state: LineState(r.U8()), lru: r.U64()}
+			if wy.state > Modified {
+				r.Fail(fmt.Errorf("memsys: %s: invalid line state %d", c.name, wy.state))
+				return
+			}
+			if wy != (way{}) {
+				c.writable(ci).ways[i] = wy
+			}
 		}
-		wy.state = st
-		wy.lru = r.U64()
 	}
-	for i := range c.mru {
+	for si := 0; si < c.sets; si++ {
 		m := int32(r.U32())
 		if m < 0 || int(m) >= c.assoc {
 			r.Fail(fmt.Errorf("memsys: %s: MRU hint %d out of range", c.name, m))
 			return
 		}
-		c.mru[i] = m
+		if m != 0 {
+			c.writable(si >> chunkShift).mru[si&(chunkSets-1)] = m
+		}
 	}
 	c.tick = r.U64()
 	c.Hits = r.U64()
@@ -237,8 +256,8 @@ func (b *BankSet) DecodeSnap(r *snap.Reader) {
 }
 
 // Fork returns a clone of the chip: the cache tag arrays are shared
-// copy-on-write (see Cache.Fork); the TLB, MSHRs and bank state are
-// small and copied eagerly.
+// copy-on-write, chunk by chunk (see Cache.Fork); the TLB, MSHRs and
+// bank state are small and copied eagerly.
 func (c *Chip) Fork() *Chip {
 	cp := *c
 	cp.L1 = c.L1.Fork()
