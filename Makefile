@@ -4,30 +4,28 @@ check: diff race
 	go vet ./...
 	go test ./...
 
-# Differential matrix only: scan × wakeup issue crossed with stepped ×
-# fast-forward cycle loops, plus sequential × parallel execution, plus
-# reference × fast memory paths, plus observability on × off, plus
-# run-from-checkpoint × run-from-scratch (and the golden on-disk
-# snapshot fixture), plus service telemetry on × off, plus allocation
-# policy static × none (and dynamic-policy determinism under every
-# loop), must agree bit-for-bit on the full Result (reflect.DeepEqual)
-# across every preset; plus the entry pool's own gates — recycled slots
-# read as committed entries (scan × wakeup on a 16-entry window), the
-# steady-state loop allocates nothing, and no slot leaks or is held
-# twice; plus program-digest identity — the streamed Fingerprint and
-# PrefixKey equal the map-and-sort oracle byte for byte on every
-# workload and on seeded odd images, and ForkProgram/Restore accept the
-# same programs as before; plus the chunk-lazy cache tag array against
-# the dense array it replaced (same answers, victims, counters and
-# snapshot bytes on seeded op streams with forks), and the concurrent
-# oracle search against its sequential reference under the pinned
-# enumeration order. Fast feedback when touching the issue stage, the
-# quiescence skip, the parallel loop, the memory hierarchy, the
-# metrics/tracing hooks, the snapshot codec, the alloc subsystem, the
-# entry pool, the program image and its digests, or the cache arrays.
+# Differentials only. The binary carries one implementation per layer —
+# one cycle loop, one issue stage, one memory path — and each is held
+# to its definition, which lives in _test.go: the stepped reference
+# loop and the window-scan issue stage (internal/core/oracle_test.go)
+# against Simulator.Run on the full Result (reflect.DeepEqual) across
+# every preset, with the ready lists, waiting tallies and forwarding
+# stores audited every cycle; the sweep MSHR file, the dense tag array
+# and the map directory against the heap, chunk-lazy and open-addressed
+# structures on seeded op streams; the map-and-sort hash against the
+# streamed program digests; the sequential loop against the concurrent
+# oracle search. Whole-run Results on all presets are pinned separately
+# by the golden corpus (go test ./benchmark, in `make check`). Beside
+# those: sequential × per-chip parallel execution, observability on ×
+# off, run-from-checkpoint × run-from-scratch (and the on-disk snapshot
+# fixture), service telemetry on × off, allocation policy static × none
+# (and dynamic-policy determinism), and the entry pool's own gates —
+# stale handles read as committed entries, the steady-state loop
+# allocates nothing, no slot leaks or is held twice.
 diff:
 	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden'
-	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential'
+	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential|TestMSHRDifferential'
+	go test ./internal/coherence -run 'TestDirectoryMapTableDifferential'
 	go test ./internal/prog -run 'TestDigest'
 	go test ./internal/service -run TestTelemetryDifferential
 
@@ -45,12 +43,6 @@ race:
 	go test -race ./internal/core -run 'TestParallel|TestInterrupt|TestObsFrameConservationParallel|TestMetricsRingDropsParallel|TestSnapshotRoundTripRace|TestAllocParallel|TestSearchStatic'
 	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/... ./internal/memsys/...
 
-# Regenerate BENCH_core.json (fast-forward, wakeup, memory-path,
-# observability, parallel-execution, checkpoint-forking and fabric
-# scale-out measurements).
-bench:
-	WRITE_BENCH=1 go test -run TestWriteBenchCoreJSON -v .
-
 # The measurement spine (benchmark/README.md): every workload's
 # end-to-end metrics, and the per-layer numbers from a traced run.
 perf:
@@ -59,4 +51,8 @@ perf:
 perf-trace:
 	go run ./benchmark -trace 1
 
-.PHONY: check diff race bench perf perf-trace
+# Non-test Go lines outside benchmark/ — ROADMAP's code-size metric.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+
+.PHONY: check diff race perf perf-trace loc

@@ -77,17 +77,14 @@ const dirMinSlots = 256
 // Tracked lines live in an open-addressed linear-probe table with
 // inline entries; entries whose sharer set and owner both empty out are
 // deleted (tombstoned), so Lines() counts exactly the lines some chip
-// caches — the same delete-when-empty semantics the original
-// map[int64]*dirEntry had. That map is kept behind the reference flag
-// as the differential baseline (see System.SetReferencePaths).
+// caches — the delete-when-empty semantics of a plain
+// map[int64]*dirEntry, which is the test oracle (mapDirectory in
+// directory_test.go).
 type Directory struct {
 	nchips    int
 	pageBytes int64
 
-	ref     bool                // use the reference map representation
-	entries map[int64]*dirEntry // reference representation
-
-	slots     []dirSlot // fast representation; len is a power of two
+	slots     []dirSlot // len is a power of two
 	hashShift uint      // 64 - log2(len(slots))
 	live      int       // slots in state slotFull
 	dead      int       // tombstones awaiting the next rehash
@@ -103,7 +100,7 @@ func NewDirectory(nchips int, pageBytes int64) *Directory {
 	if nchips <= 0 || nchips > 32 {
 		panic(fmt.Sprintf("coherence: unsupported chip count %d", nchips))
 	}
-	d := &Directory{nchips: nchips, pageBytes: pageBytes, entries: make(map[int64]*dirEntry)}
+	d := &Directory{nchips: nchips, pageBytes: pageBytes}
 	d.initTable(dirMinSlots)
 	return d
 }
@@ -182,14 +179,6 @@ func (d *Directory) grow() {
 // The pointer is stable only until the next entry() call (an insertion
 // may rehash); callers finish with it before touching another line.
 func (d *Directory) entry(line int64) *dirEntry {
-	if d.ref {
-		e := d.entries[line]
-		if e == nil {
-			e = &dirEntry{owner: noOwner}
-			d.entries[line] = e
-		}
-		return e
-	}
 	idx, found := d.find(line)
 	if !found {
 		if (d.live+d.dead)*4 >= len(d.slots)*3 {
@@ -210,21 +199,6 @@ func (d *Directory) entry(line int64) *dirEntry {
 // DropSharer records that chip no longer caches line (eviction). If the
 // chip owned the line dirty, the eviction is a writeback.
 func (d *Directory) DropSharer(chip int, line int64) {
-	if d.ref {
-		e := d.entries[line]
-		if e == nil {
-			return
-		}
-		e.sharers &^= 1 << uint(chip)
-		if int(e.owner) == chip {
-			e.owner = noOwner
-			d.Writebacks++
-		}
-		if e.sharers == 0 && e.owner == noOwner {
-			delete(d.entries, line)
-		}
-		return
-	}
 	idx, found := d.find(line)
 	if !found {
 		return
@@ -244,13 +218,6 @@ func (d *Directory) DropSharer(chip int, line int64) {
 
 // Sharers returns the sharer set and owner of a line (testing aid).
 func (d *Directory) Sharers(line int64) (mask uint32, owner int) {
-	if d.ref {
-		e := d.entries[line]
-		if e == nil {
-			return 0, noOwner
-		}
-		return e.sharers, int(e.owner)
-	}
 	idx, found := d.find(line)
 	if !found {
 		return 0, noOwner
@@ -260,12 +227,7 @@ func (d *Directory) Sharers(line int64) (mask uint32, owner int) {
 }
 
 // Lines returns the number of tracked lines (testing aid).
-func (d *Directory) Lines() int {
-	if d.ref {
-		return len(d.entries)
-	}
-	return d.live
-}
+func (d *Directory) Lines() int { return d.live }
 
 // Stats aggregates machine-wide memory statistics.
 type Stats struct {
@@ -307,10 +269,6 @@ type System struct {
 	// panic if the promise is broken (defense in depth for the
 	// parallel mode's soundness argument; see DESIGN.md §8).
 	noDir bool
-
-	// refPaths selects the pre-optimization load path (separate L1
-	// probe and lookup walks); set via SetReferencePaths.
-	refPaths bool
 }
 
 // NewSystem builds the memory system for nchips identical chips.
@@ -324,21 +282,6 @@ func NewSystem(nchips int, cfg config.MemConfig) *System {
 		Chips: chips,
 		Dir:   NewDirectory(nchips, int64(cfg.PageBytes)),
 		Net:   interconnect.New(nchips, cfg.NetOccupancy),
-	}
-}
-
-// SetReferencePaths selects (on=true) the pre-optimization reference
-// implementations of every per-access structure on the Load/Store
-// path: the MSHR map-sweep retirement, the directory's
-// map-of-pointers representation, and the probe-then-lookup double
-// walk in Load. Results are bit-identical either way (guarded by
-// TestMemPathDifferential); the reference exists as the differential
-// baseline and escape hatch. Must be called before any traffic.
-func (s *System) SetReferencePaths(on bool) {
-	s.refPaths = on
-	s.Dir.ref = on
-	for _, c := range s.Chips {
-		c.MSHR.Reference = on
 	}
 }
 
@@ -414,12 +357,8 @@ func (s *System) translate(now int64, c *memsys.Chip, addr int64) int64 {
 // was disturbed).
 //
 // The L1 set is walked once: FindWay answers the early MSHR gate, and
-// on a hit TouchHit replays the LRU/stat effects of the lookup the
-// reference path performs separately.
+// on a hit TouchHit applies the LRU/stat effects of a Lookup.
 func (s *System) Load(now int64, chip int, addr int64) (ready int64, cls AccessClass, ok bool) {
-	if s.refPaths {
-		return s.loadRef(now, chip, addr)
-	}
 	c := s.Chips[chip]
 	line := c.Line(addr)
 	st := s.stats(chip)
@@ -473,58 +412,6 @@ func (s *System) Load(now int64, chip int, addr int64) (ready int64, cls AccessC
 	mustAlloc(c.MSHR, s2, line, ready)
 	st.ByClass[cls]++
 	st.LatencyByClass[cls] += uint64(ready - now)
-	return ready, cls, true
-}
-
-// loadRef is the pre-optimization Load: a Probe for the MSHR gate
-// followed by a full Lookup — two set walks on the L1-hit path. Kept
-// verbatim as the differential baseline.
-func (s *System) loadRef(now int64, chip int, addr int64) (ready int64, cls AccessClass, ok bool) {
-	c := s.Chips[chip]
-	line := c.Line(addr)
-	stc := s.stats(chip)
-
-	if c.L1.Probe(line) == memsys.Invalid {
-		if _, merging := c.MSHR.Pending(now, line); !merging && c.MSHR.Free(now) == 0 {
-			stc.LoadRetries++
-			return 0, 0, false
-		}
-	}
-
-	stc.Loads++
-	t := s.translate(now, c, addr)
-
-	if fill, merging := c.MSHR.Pending(t, line); merging {
-		ready = max(fill, t+int64(s.Cfg.L1Latency))
-		stc.ByClass[MSHRMerge]++
-		stc.LatencyByClass[MSHRMerge] += uint64(ready - now)
-		return ready, MSHRMerge, true
-	}
-
-	start := c.L1Banks.Acquire(t, line)
-	if st := c.L1.Lookup(line); st != memsys.Invalid {
-		ready = start + int64(s.Cfg.L1Latency)
-		stc.ByClass[L1Hit]++
-		stc.LatencyByClass[L1Hit] += uint64(ready - now)
-		return ready, L1Hit, true
-	}
-
-	s2 := c.L2Banks.Acquire(start+int64(s.Cfg.L1Latency), line)
-	if st := c.L2.Lookup(line); st != memsys.Invalid {
-		ready = s2 + int64(s.Cfg.L2Latency)
-		c.L1.Insert(line, st)
-		c.L1Banks.Extend(line, s.Cfg.FillTime)
-		mustAlloc(c.MSHR, s2, line, ready)
-		stc.ByClass[L2Hit]++
-		stc.LatencyByClass[L2Hit] += uint64(ready - now)
-		return ready, L2Hit, true
-	}
-
-	ready, cls = s.fetch(chip, line, s2, false)
-	s.install(chip, line, memsys.Shared)
-	mustAlloc(c.MSHR, s2, line, ready)
-	stc.ByClass[cls]++
-	stc.LatencyByClass[cls] += uint64(ready - now)
 	return ready, cls, true
 }
 

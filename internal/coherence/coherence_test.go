@@ -343,55 +343,6 @@ func TestTLBMissPenaltyApplied(t *testing.T) {
 	}
 }
 
-// Property (directory representation differential): random
-// interleavings of entry installs (a chip starts caching a line) and
-// DropSharer evictions drive the reference map-of-pointers and the
-// open-addressed inline table through identical states: same Lines()
-// count, same sharer mask and owner for every touched line, same
-// Writebacks — including the delete-when-empty reclamation.
-func TestDirectoryMapTableDifferential(t *testing.T) {
-	f := func(ops []uint16) bool {
-		ref := NewDirectory(4, 4096)
-		ref.ref = true
-		tab := NewDirectory(4, 4096)
-		touched := map[int64]bool{}
-		for _, op := range ops {
-			chip := int(op>>2) % 4
-			line := int64(op%128) * 64
-			touched[line] = true
-			if op%3 != 0 {
-				// Install: chip begins caching line; odd ops take
-				// dirty ownership like an exclusive fetch.
-				for _, d := range []*Directory{ref, tab} {
-					e := d.entry(line)
-					e.sharers |= 1 << uint(chip)
-					if op%2 == 1 {
-						e.sharers = 1 << uint(chip)
-						e.owner = int8(chip)
-					}
-				}
-			} else {
-				ref.DropSharer(chip, line)
-				tab.DropSharer(chip, line)
-			}
-			if ref.Lines() != tab.Lines() || ref.Writebacks != tab.Writebacks {
-				return false
-			}
-		}
-		for line := range touched {
-			m1, o1 := ref.Sharers(line)
-			m2, o2 := tab.Sharers(line)
-			if m1 != m2 || o1 != o2 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestDirectoryTableGrowth drives the table through enough distinct
 // lines to force several rehashes (growth and tombstone reclamation)
 // and checks every entry survives with its state intact.

@@ -7,12 +7,6 @@ import (
 	"clustersmt/internal/snap"
 )
 
-// ReferencePaths reports whether the system is running the reference
-// (pre-optimization) memory paths. Checkpointing refuses them: the
-// reference directory representation (map of pointers) has no stable
-// encoding, and reference runs exist only as differential baselines.
-func (s *System) ReferencePaths() bool { return s.refPaths }
-
 // Fork returns a clone of the memory system: cache tag arrays are
 // shared copy-on-write (memsys.Cache.Fork); the directory table,
 // network ports, TLBs, MSHRs and bank state are bounded-size and copied
@@ -31,15 +25,9 @@ func (s *System) Fork() *System {
 	return &cp
 }
 
-// Clone returns an independent deep copy of the directory's fast
-// representation. The reference map must be empty (reference runs are
-// not forkable).
+// Clone returns an independent deep copy of the directory.
 func (d *Directory) Clone() *Directory {
-	if d.ref || len(d.entries) > 0 {
-		panic("coherence: cannot clone a reference-mode directory")
-	}
 	cp := *d
-	cp.entries = make(map[int64]*dirEntry)
 	cp.slots = append([]dirSlot(nil), d.slots...)
 	return &cp
 }
@@ -141,7 +129,7 @@ func (st *Stats) DecodeSnap(r *snap.Reader) {
 
 // EncodeSnap writes every chip hierarchy, the directory, the network
 // and the folded machine-wide stats. Stat shards must be folded (they
-// always are between cycles); reference paths must be off.
+// always are between cycles).
 func (s *System) EncodeSnap(w *snap.Writer) {
 	for _, c := range s.Chips {
 		c.EncodeSnap(w)

@@ -39,23 +39,16 @@ func buildImbalanced(threads int, iters int64) *prog.Program {
 	return b.MustBuild()
 }
 
-// runAlloc runs one machine over build with the given cycle loop and
-// execution loop (always on the wakeup issue path, which Parallel
-// requires).
+// runAlloc runs one machine over build with the given cycle loop
+// (ff=false: the stepped reference loop) and execution loop.
 func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, par bool) *Result {
 	t.Helper()
 	s, err := New(m, build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EventIssue = true
-	s.EventDriven = ff
 	s.Parallel = par
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return runSim(t, s, true, ff)
 }
 
 // TestAllocDifferential is the seed bit-identity gate for the default

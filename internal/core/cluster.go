@@ -140,11 +140,11 @@ type cluster struct {
 	// next-event computation) is O(1) instead of a scan.
 	minFree [3]int64
 
-	// Wakeup-path state (wakeup.go): the front-end pending ring
+	// Issue-stage state (wakeup.go): the front-end pending ring
 	// (entries not yet past the decode/rename delay, in fetch and hence
 	// eligibleAt order), the wakeup wheel, the seq-sorted ready list,
 	// and the waiting entries' hazard tallies maintained incrementally.
-	// All fixed-capacity; all empty on the scan path.
+	// All fixed-capacity.
 	pending   ring
 	wheel     wheel
 	ready     []handle
@@ -383,49 +383,11 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 
 // ---- issue ----
 
-// issue is the reference issue stage: it selects up to IssueWidth ready
-// instructions, oldest first, by re-scanning every window entry, and
-// starts them on functional units. Unissuable instructions vote for
-// their hazard class (§4.1). The wakeup path (issueEvent, wakeup.go)
-// replaces the scan and must stay bit-identical to it.
-func (c *cluster) issue(s *Simulator, now int64, votes *stats.Votes) int {
-	issued := 0
-	for _, h := range c.window {
-		if issued >= c.cfg.IssueWidth {
-			break
-		}
-		e := &c.pool[h]
-		if e.state != stateDispatched || now < e.eligibleAt {
-			continue
-		}
-		ready, memWait := c.sourcesReady(e, now)
-		if !ready {
-			if memWait {
-				votes[stats.Memory]++
-			} else {
-				votes[stats.Data]++
-			}
-			continue
-		}
-		if c.tryIssue(s, h, now, votes) {
-			issued++
-		}
-	}
-	return issued
-}
-
-// debugCheckForwarding, set by tests, cross-checks the fetch-bound
-// forwarding candidate against the reference FIFO scan on every load
-// issue attempt.
-var debugCheckForwarding bool
-
 // tryIssue attempts to start a source-ready entry on a functional unit
 // at cycle now. On failure it records the entry's hazard vote —
 // structural on FU exhaustion, data behind a pending same-address
 // store, memory when the MSHR file is full — and reports false; the
-// caller retries next cycle. Shared by the scan and wakeup issue paths
-// so the two stay vote-, order- and side-effect-identical by
-// construction.
+// caller retries next cycle.
 func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes) bool {
 	e := &c.pool[h]
 	class := e.fuCl
@@ -438,13 +400,7 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 	var completeAt int64
 	switch {
 	case e.isLoad:
-		st := c.forwardingStore(e)
-		if debugCheckForwarding {
-			if ref := c.forwardingStoreScan(s.threads[e.tid], e); ref != st {
-				panic(fmt.Sprintf("core: forwarding table %v disagrees with FIFO scan %v (load seq %d)", st, ref, e.seq))
-			}
-		}
-		if st != nil {
+		if st := c.forwardingStore(e); st != nil {
 			if !st.done(now) {
 				// Store-to-load dependence through memory whose
 				// producer has not generated its value yet.
@@ -496,26 +452,8 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 	}
 	c.iqCount--
 	s.traceEvent(now, c, "I", e)
-	if s.EventIssue {
-		c.wake(h)
-	}
+	c.wake(h)
 	return true
-}
-
-// forwardingStoreScan is the reference FIFO scan behind
-// cluster.forwardingStore's table-bound answer; kept for the equivalence
-// tests (wakeup_test.go) and the debugCheckForwarding cross-check.
-func (c *cluster) forwardingStoreScan(t *threadCtx, load *entry) *entry {
-	for i := t.fifo.len() - 1; i >= 0; i-- {
-		e := &c.pool[t.fifo.at(i)]
-		if e.seq >= load.seq {
-			continue
-		}
-		if e.isStore && e.d.Addr == load.d.Addr {
-			return e
-		}
-	}
-	return nil
 }
 
 // ---- fetch ----
@@ -738,9 +676,7 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		t.inWindow++
 		t.fetched++
 		s.traceEvent(now, c, "F", e)
-		if s.EventIssue {
-			c.dispatchEvent(h)
-		}
+		c.dispatchEvent(h)
 
 		if inf.Branch {
 			if c.handleBranch(t, h, d) {

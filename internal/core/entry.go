@@ -72,7 +72,7 @@ type entry struct {
 	forwarded       bool                  // load satisfied by an older in-window store
 	committed       bool                  // retired; awaiting window compaction
 
-	// Wakeup-path bookkeeping (wakeup.go; all zero on the scan path).
+	// Issue-stage bookkeeping (wakeup.go).
 	// queued tracks the entry's issue-stage classification; waitMem
 	// caches the memory-vs-data hazard class while queued == qWaiting.
 	// firstCons heads this entry's intrusive consumer list — dependents
@@ -144,8 +144,8 @@ func (c *cluster) refOf(h handle) ref { return ref{seq: c.pool[h].seq, h: h} }
 // in order per thread, the candidate having committed (or its slot
 // having been recycled, which implies it) means every older
 // same-address store has too, so the answer degrades straight to nil —
-// no FIFO scan needed (the reference scan is kept as
-// forwardingStoreScan for the equivalence tests).
+// no FIFO scan needed (the scan is the test oracle forwardingStoreScan
+// in oracle_test.go).
 func (c *cluster) forwardingStore(e *entry) *entry {
 	if st := c.resolve(e.fwdStore); st != nil && !st.committed {
 		return st

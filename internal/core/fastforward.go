@@ -22,8 +22,9 @@ import (
 // thread accumulation).
 //
 // The contract is bit-identity, not approximation: the differential
-// tests in fastforward_test.go run both modes over every preset and
-// assert reflect.DeepEqual on the full Result.
+// tests in fastforward_test.go run every preset under this loop and
+// under a test-only stepped runner built on step(), and assert
+// reflect.DeepEqual on the full Result.
 
 // noEvent means a cluster is quiescent with no self-scheduled event —
 // it can only be woken by another cluster (e.g. a barrier release).
@@ -54,7 +55,7 @@ type ffStalledCluster struct {
 // replay work (lock spinners' failed polls, fetch-stall counters) on s.
 //
 // The stages are checked cheapest-first — per-thread scans before the
-// O(window) issue scan — so a busy machine pays little for a failed
+// issue-stage drain — so a busy machine pays little for a failed
 // quiescence probe.
 func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes) (quiet bool, next int64) {
 	next = noEvent
@@ -79,7 +80,7 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 		switch t.block {
 		case blockBranch:
 			// Resolution is the branch's completion; the branch entry is
-			// in flight, so the window scan below collects its event.
+			// in flight, so its wheel event below bounds the skip.
 			if cl.refDone(t.pendingBranch, now) {
 				return false, 0
 			}
@@ -155,11 +156,7 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 	// Issue stage: replicate the issue path's vote logic without
 	// issuing. Nothing may be issuable — an issuable entry is progress,
 	// and for loads even the attempt mutates memory-system counters.
-	if s.EventIssue {
-		if !quiescentIssueEvent(cl, now, votes, event) {
-			return false, 0
-		}
-	} else if !quiescentIssueScan(cl, now, votes, event) {
+	if !quiescentIssue(cl, now, votes, event) {
 		return false, 0
 	}
 
@@ -167,70 +164,18 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 	return true, next
 }
 
-// quiescentIssueScan dry-runs the reference window scan (issue): per
-// dispatched entry, the vote it would record this cycle, plus the
-// future cycles that could change the verdict.
-func quiescentIssueScan(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
-	for _, h := range cl.window {
-		e := &cl.pool[h]
-		if e.state != stateDispatched {
-			// Issued and not yet done: completion is this entry's event.
-			// Done but stuck behind program order: no event of its own.
-			if e.state == stateIssued && e.completeAt > now {
-				event(e.completeAt)
-			}
-			continue
-		}
-		if now < e.eligibleAt {
-			// Still in decode/rename: silent (no vote) until eligible.
-			event(e.eligibleAt)
-			continue
-		}
-		ready, memWait := cl.sourcesReady(e, now)
-		if !ready {
-			if memWait {
-				votes[stats.Memory]++
-			} else {
-				votes[stats.Data]++
-			}
-			// The blocking producer is in this window; its completion
-			// (or its own issue chain) is already an event above.
-			continue
-		}
-		class := e.fuCl
-		if cl.freeUnit(class, now) < 0 {
-			votes[stats.Structural]++
-			event(cl.nextUnitFree(class)) // all busy, so the min is > now
-			continue
-		}
-		if e.isLoad {
-			if st := cl.forwardingStore(e); st != nil && !st.done(now) {
-				// Store-to-load dependence through memory (tryIssue votes
-				// Data here); the store's completion is an event above.
-				votes[stats.Data]++
-				continue
-			}
-		}
-		// Ready with a free unit: it would issue this cycle (or, for a
-		// load, at least hit the memory system and bump its retry
-		// accounting). Either way the cluster is not quiescent.
-		return false
-	}
-	return true
-}
-
-// quiescentIssueEvent dry-runs the wakeup issue stage (issueEvent).
-// The event drain is idempotent at a fixed cycle, so running it here
-// leaves a subsequent step (on probe failure) unperturbed. After the
-// drain, the ready list and waiting tallies are exactly what the scan
-// would re-derive: ready entries are checked individually (their FU /
-// pending-store verdicts can change without a wheel event), waiting
-// entries vote in bulk, and the pending ring's head plus the wheel's
-// earliest event bound every front-end transition, producer
-// completion and in-flight completion — so no wakeup fires strictly
-// inside a skip interval, which is what keeps the per-cycle votes
-// constant while quiescent.
-func quiescentIssueEvent(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
+// quiescentIssue dry-runs the issue stage (cluster.issue). The event
+// drain is idempotent at a fixed cycle, so running it here leaves a
+// subsequent step (on probe failure) unperturbed. After the drain, the
+// ready list and waiting tallies are exactly what a window scan with
+// sourcesReady would derive: ready entries are checked individually
+// (their FU / pending-store verdicts can change without a wheel
+// event), waiting entries vote in bulk, and the pending ring's head
+// plus the wheel's earliest event bound every front-end transition,
+// producer completion and in-flight completion — so no wakeup fires
+// strictly inside a skip interval, which is what keeps the per-cycle
+// votes constant while quiescent.
+func quiescentIssue(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
 	cl.drainEvents(now)
 	for _, h := range cl.ready {
 		e := &cl.pool[h]

@@ -9,28 +9,12 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// runMode runs one (machine, program) pair with the given issue-path
-// and cycle-loop selections, returning the result and the number of
-// cycles the quiescence fast-forward skipped.
-func runMode(t *testing.T, m config.Machine, build func() *prog.Program, eventIssue, fastForward bool) (*Result, int64) {
-	t.Helper()
-	s, err := New(m, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.EventIssue = eventIssue
-	s.EventDriven = fastForward
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, s.FastForwarded()
-}
-
 // diffModes are the three mode combinations compared against the
-// scan × stepped reference: the issue stage (full-window scan vs
-// dependence-driven wakeup) crossed with the cycle loop (cycle-by-cycle
-// vs quiescence fast-forward).
+// scan × stepped reference (oracle_test.go): the issue stage (the
+// window-scan definition vs the production stage) crossed with the
+// cycle loop (the stepped reference loop vs quiescence fast-forward).
+// wakeup+ff is the production configuration, Simulator.Run itself;
+// wakeup+stepped also audits the issue state every cycle.
 var diffModes = []struct {
 	name       string
 	eventIssue bool
@@ -41,10 +25,9 @@ var diffModes = []struct {
 	{"wakeup+ff", true, true},
 }
 
-// runBothModes runs the same (machine, program) pair with and without
-// the event-driven fast-forward (on the default wakeup issue path) and
-// returns both results plus the number of cycles the event-driven run
-// skipped.
+// runBothModes runs the same (machine, program) pair under the stepped
+// reference loop and under Simulator.Run, and returns both results plus
+// the number of cycles the production run skipped.
 func runBothModes(t *testing.T, m config.Machine, build func() *prog.Program) (stepped, ff *Result, skipped int64) {
 	t.Helper()
 	stepped, _ = runMode(t, m, build, true, false)
@@ -54,12 +37,12 @@ func runBothModes(t *testing.T, m config.Machine, build func() *prog.Program) (s
 
 // TestEventDrivenDifferential is the contract test for both event
 // layers: on every Table 2 preset, low- and high-end, over a
-// memory-bound and a sync-bound workload, every combination of
-// {scan, wakeup} issue stage × {stepped, fast-forward} cycle loop must
-// produce a Result that is bit-identical (reflect.DeepEqual — same
-// cycles, same float64 slot counts, every counter) to the scan ×
-// stepped reference. It also asserts the fast path actually engaged
-// somewhere, so the fast-forward legs are not vacuous.
+// memory-bound and a sync-bound workload, the production run and the
+// two mixed legs must produce a Result that is bit-identical
+// (reflect.DeepEqual — same cycles, same float64 slot counts, every
+// counter) to the scan × stepped reference. It also asserts the fast
+// path actually engaged somewhere, so the fast-forward legs are not
+// vacuous.
 func TestEventDrivenDifferential(t *testing.T) {
 	apps := []string{"ocean", "fmm"}
 	var totalSkipped int64
@@ -150,9 +133,8 @@ func TestEventDrivenDeadlockGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.EventDriven = false
 	base.MaxCycles = cap
-	_, errStepped := base.Run()
+	_, errStepped := refLoop{}.run(base)
 
 	ev, err := New(m, buildBarrierDeadlock())
 	if err != nil {
@@ -202,13 +184,7 @@ func TestEventDrivenMultiprogram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EventIssue = eventIssue
-		s.EventDriven = ff
-		r, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return runSim(t, s, eventIssue, ff)
 	}
 	ref := run(false, false)
 	for _, md := range diffModes {

@@ -5,36 +5,21 @@ import (
 	"testing"
 
 	"clustersmt/internal/config"
-	"clustersmt/internal/prog"
 	"clustersmt/internal/workloads"
 )
 
 // memSideStats collects the memory-path counters that are NOT part of
 // Result — the per-chip MSHR and cache stats plus the directory's
-// tracked-line count — so the differential covers them too (the
-// tentpole contract is that Merges/Rejected/Allocated and every cache
-// counter stay exact, not just the Result-visible aggregates).
+// tracked-line count — so the loop differentials cover them too.
 type memSideStats struct {
 	MSHR     [][3]uint64 // per chip: Merges, Rejected, Allocated
 	L1, L2   [][4]uint64 // per chip: Hits, Misses, Evictions, WritebackEvictions
 	DirLines int
 }
 
-// runMemMode runs one (machine, program) pair with either the
-// reference or the fast memory-path implementations (event-driven
-// cycle loop and issue stage at their defaults) and returns the Result
-// plus the side stats.
-func runMemMode(t *testing.T, m config.Machine, build func() *prog.Program, reference bool) (*Result, memSideStats) {
-	t.Helper()
-	s, err := New(m, build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetReferenceMemPaths(reference)
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+// collectMemSide gathers the off-Result memory-path counters after a
+// run.
+func collectMemSide(s *Simulator) memSideStats {
 	var side memSideStats
 	for _, c := range s.msys.Chips {
 		side.MSHR = append(side.MSHR, [3]uint64{c.MSHR.Merges, c.MSHR.Rejected, c.MSHR.Allocated})
@@ -42,17 +27,19 @@ func runMemMode(t *testing.T, m config.Machine, build func() *prog.Program, refe
 		side.L2 = append(side.L2, [4]uint64{c.L2.Hits, c.L2.Misses, c.L2.Evictions, c.L2.WritebackEvictions})
 	}
 	side.DirLines = s.msys.Dir.Lines()
-	return r, side
+	return side
 }
 
-// TestMemPathDifferential is the contract test for the memory-path
-// fast paths (heap-retired MSHRs, open-addressed directory table,
-// single-walk L1 access): on every Table 2 preset, low- and high-end,
-// over a memory-bound and a sync-bound workload, the fast paths must
-// produce a Result that is bit-identical (reflect.DeepEqual — same
-// cycles, same float64 slot votes, every memory and directory counter)
-// to the reference implementations, and the off-Result MSHR, cache and
-// directory counters must match exactly as well.
+// TestMemPathDifferential holds the memory path to the same contract
+// across cycle loops as the pipeline: on every Table 2 preset, low- and
+// high-end, over a memory-bound and a sync-bound workload, a production
+// run must leave the MSHR files, both cache levels and the directory
+// with exactly the counters the scan × stepped reference loop leaves —
+// the fast-forward skips cycles but never an access, and lazy MSHR
+// retirement must not depend on how many idle cycles were stepped in
+// between. (The structures themselves are checked against their
+// definitions where they live: sweepMSHR and denseCache in
+// internal/memsys, mapDirectory in internal/coherence.)
 func TestMemPathDifferential(t *testing.T) {
 	apps := []string{"ocean", "fmm"}
 	for _, arch := range config.AllArchs {
@@ -67,16 +54,16 @@ func TestMemPathDifferential(t *testing.T) {
 					m = config.HighEnd(arch)
 				}
 				t.Run(app+"/"+m.Name, func(t *testing.T) {
-					build := func() *prog.Program {
-						return w.Build(m.Threads(), m.Chips, workloads.SizeTest)
+					side := func(eventIssue, ff bool) memSideStats {
+						s, err := New(m, w.Build(m.Threads(), m.Chips, workloads.SizeTest))
+						if err != nil {
+							t.Fatal(err)
+						}
+						runSim(t, s, eventIssue, ff)
+						return collectMemSide(s)
 					}
-					ref, refSide := runMemMode(t, m, build, true)
-					fast, fastSide := runMemMode(t, m, build, false)
-					if !reflect.DeepEqual(ref, fast) {
-						t.Errorf("fast-path Result differs from reference:\n  ref:  %v\n  fast: %v", ref, fast)
-					}
-					if !reflect.DeepEqual(refSide, fastSide) {
-						t.Errorf("fast-path side stats differ from reference:\n  ref:  %+v\n  fast: %+v", refSide, fastSide)
+					if ref, got := side(false, false), side(true, true); !reflect.DeepEqual(ref, got) {
+						t.Errorf("memory-path side stats differ from the stepped reference:\n  ref: %+v\n  got: %+v", ref, got)
 					}
 				})
 			}

@@ -87,8 +87,6 @@ func NewMulti(m config.Machine, progs []*prog.Program) (*Simulator, error) {
 	}
 	s.mem = s.mems[0]
 	s.running = len(s.threads)
-	s.EventDriven = true
-	s.EventIssue = true
 	return s, nil
 }
 

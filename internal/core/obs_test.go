@@ -21,16 +21,11 @@ func runObsMode(t *testing.T, m config.Machine, build func() *prog.Program, ff b
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EventDriven = ff
 	s.EnableMetrics(interval, 0)
 	var frames []obs.Frame
 	s.OnInterval(func(f obs.Frame) { frames = append(frames, f) })
 	s.TraceChromeTo(io.Discard, 0, 0)
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, frames
+	return runSim(t, s, true, ff), frames
 }
 
 // TestObsResultNeutral is the observability contract test: on every
@@ -236,15 +231,10 @@ func runObsParMode(t *testing.T, m config.Machine, build func() *prog.Program, p
 		t.Fatal(err)
 	}
 	s.Parallel = parallel
-	s.EventDriven = ff
 	s.EnableMetrics(interval, 0)
 	var frames []obs.Frame
 	s.OnInterval(func(f obs.Frame) { frames = append(frames, f) })
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, frames
+	return runSim(t, s, true, ff), frames
 }
 
 // TestObsFrameConservationParallel extends the conservation property to

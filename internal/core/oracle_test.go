@@ -1,0 +1,318 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"clustersmt/internal/config"
+	"clustersmt/internal/prog"
+	"clustersmt/internal/stats"
+)
+
+// This file holds the definitions the production core is tested
+// against. The binary carries one cycle loop (Simulator.run, with the
+// quiescence fast-forward), one issue stage (cluster.issue, wakeup.go)
+// and one forwarding lookup (cluster.forwardingStore); what each of
+// them must equal lives here, reachable from tests only:
+//
+//   - refLoop is the plain cycle-by-cycle loop built on step() — the
+//     reference for fast-forward, with the allocation-epoch and sampler
+//     calls in the same places Simulator.run makes them;
+//   - issueScan / stepScan are the §4.1 issue stage as a per-cycle scan
+//     of the whole window, the definition cluster.issue reproduces from
+//     its ready list and waiting tallies;
+//   - issueAudit checks, at a cycle boundary, that those ready lists
+//     and tallies are exactly what a scan would derive, and that every
+//     load's fetch-bound forwarding store is the one a FIFO scan
+//     (forwardingStoreScan) finds.
+
+// refLoop drives a simulator with the reference loop.
+type refLoop struct {
+	// scan issues through issueScan instead of cluster.issue.
+	scan bool
+	// ff probes quiescence with the production fastForward after every
+	// idle cycle (no back-off) — the fast-forward dry run over a machine
+	// whose issue stage is the scan.
+	ff bool
+	// audit, when non-nil, checks the issue state before every cycle.
+	audit *issueAudit
+}
+
+// run drives s to completion and returns its Result.
+func (l refLoop) run(s *Simulator) (*Result, error) { return l.runTo(s, -1) }
+
+// runTo mirrors Simulator.run without the interrupt poll: target < 0
+// runs to completion, otherwise it pauses once s.cycle >= target and
+// returns (nil, nil) with the simulator resumable by either loop.
+func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
+	if s.cycle != 0 && !s.resumable {
+		return nil, fmt.Errorf("core: simulator already run")
+	}
+	s.resumable = false
+	if s.Parallel {
+		if err := s.startParallel(); err != nil {
+			return nil, err
+		}
+		defer s.stopParallel()
+	}
+	if s.tr != nil {
+		defer s.tr.flush()
+	}
+	idle := false
+	for !s.done() {
+		if target >= 0 && s.cycle >= target {
+			s.resumable = true
+			return nil, nil
+		}
+		if s.cycle >= s.MaxCycles {
+			return nil, fmt.Errorf("core: %s: exceeded %d cycles (committed %d instrs); livelock?",
+				s.Machine.Name, s.MaxCycles, s.committed)
+		}
+		if s.alloc != nil && s.cycle >= s.alloc.nextAt {
+			s.allocEpoch()
+		}
+		if l.ff && idle && s.fastForward() {
+			idle = false
+			continue
+		}
+		if l.audit != nil {
+			if err := l.audit.check(s); err != nil {
+				return nil, err
+			}
+		}
+		var progressed bool
+		switch {
+		case s.par != nil:
+			progressed = s.stepParallel()
+		case l.scan:
+			progressed = stepScan(s)
+		default:
+			progressed = s.step()
+		}
+		idle = !progressed
+		if s.obs != nil && s.cycle >= s.obs.nextAt {
+			s.sample()
+		}
+	}
+	if s.obs != nil && s.cycle > s.obs.prevCycle {
+		s.sample()
+	}
+	return s.result(), nil
+}
+
+// stepScan is Simulator.step with the issue stage replaced by
+// issueScan; everything else is the same calls in the same order.
+func stepScan(s *Simulator) bool {
+	now := s.cycle
+	active := false
+	for _, cl := range s.clusters {
+		if cl.commit(s, now) {
+			active = true
+		}
+	}
+	if len(s.migrating) > 0 && s.completeMigrations(now) {
+		active = true
+	}
+	var votes stats.Votes
+	for _, cl := range s.clusters {
+		votes.Reset()
+		issued := issueScan(cl, s, now, &votes)
+		if issued > 0 {
+			active = true
+		}
+		if cl.unblock(s, now) {
+			active = true
+		}
+		if cl.fetch(s, now, &votes) {
+			active = true
+		}
+		cl.threadVotes(&votes)
+		s.slots.RecordCycle(cl.cfg.IssueWidth, issued, &votes)
+		cl.slots.RecordCycle(cl.cfg.IssueWidth, issued, &votes)
+	}
+	s.slots.AdvanceCycle()
+	s.runningAccum += float64(s.running)
+	s.cycle++
+	return active
+}
+
+// issueScan is the issue stage by definition: select up to IssueWidth
+// ready instructions, oldest first, by re-scanning every window entry,
+// and start them on functional units; unissuable instructions vote for
+// their hazard class (§4.1). It reads neither the ready list nor the
+// waiting tallies. Fetch and tryIssue feed the production stage's
+// fixed-capacity wheel and pending ring regardless, so the scan drains
+// them (their contents never influence it) and strikes what it issued
+// from the ready list, which keeps the structures bounded and lets the
+// production fastForward probe a scan-issued machine.
+func issueScan(c *cluster, s *Simulator, now int64, votes *stats.Votes) int {
+	c.drainEvents(now)
+	issued := 0
+	for _, h := range c.window {
+		if issued >= c.cfg.IssueWidth {
+			break
+		}
+		e := &c.pool[h]
+		if e.state != stateDispatched || now < e.eligibleAt {
+			continue
+		}
+		ready, memWait := c.sourcesReady(e, now)
+		if !ready {
+			if memWait {
+				votes[stats.Memory]++
+			} else {
+				votes[stats.Data]++
+			}
+			continue
+		}
+		if c.tryIssue(s, h, now, votes) {
+			e.queued = qNone
+			issued++
+		}
+	}
+	kept := c.ready[:0]
+	for _, h := range c.ready {
+		if c.pool[h].state == stateDispatched {
+			kept = append(kept, h)
+		}
+	}
+	c.ready = kept
+	return issued
+}
+
+// forwardingStoreScan is the definition behind cluster.forwardingStore:
+// the youngest older same-address store still in the thread's fifo.
+func forwardingStoreScan(c *cluster, t *threadCtx, load *entry) *entry {
+	for i := t.fifo.len() - 1; i >= 0; i-- {
+		e := &c.pool[t.fifo.at(i)]
+		if e.seq >= load.seq {
+			continue
+		}
+		if e.isStore && e.d.Addr == load.d.Addr {
+			return e
+		}
+	}
+	return nil
+}
+
+// issueAudit tallies what its checks saw, so a test can tell an audit
+// that passed from one that never met a waiting entry or a forwarding
+// load.
+type issueAudit struct {
+	ready, waiting, forwarding int
+	scratch                    []handle
+}
+
+// check compares every cluster's issue-stage bookkeeping against a
+// window scan at the current cycle boundary. Draining is idempotent at
+// a fixed cycle (the fast-forward probe relies on it), so the audit
+// leaves the following step unperturbed. After the drain: the eligible
+// dispatched entries whose sources are ready must be the ready list,
+// in seq order; every other eligible one must be flagged waiting with
+// the hazard class sourcesReady gives it now, and the two tallies must
+// count exactly those; entries still in decode/rename must be
+// unclassified; and every uncommitted load's table-bound forwarding
+// store must be the FIFO scan's.
+func (a *issueAudit) check(s *Simulator) error {
+	now := s.cycle
+	for _, c := range s.clusters {
+		c.drainEvents(now)
+		fail := func(format string, args ...any) error {
+			return fmt.Errorf("cycle %d chip %d cluster %d: %s", now, c.chip, c.idx, fmt.Sprintf(format, args...))
+		}
+		ready := a.scratch[:0]
+		mem, data := 0, 0
+		for _, h := range c.window {
+			e := &c.pool[h]
+			if e.isLoad && !e.committed {
+				want := forwardingStoreScan(c, s.threads[e.tid], e)
+				if got := c.forwardingStore(e); got != want {
+					return fail("load seq %d: forwarding table %v, FIFO scan %v", e.seq, got, want)
+				}
+				if want != nil {
+					a.forwarding++
+				}
+			}
+			if e.state != stateDispatched {
+				continue
+			}
+			if now < e.eligibleAt {
+				if e.queued != qNone {
+					return fail("seq %d classified %d inside the front-end delay", e.seq, e.queued)
+				}
+				continue
+			}
+			ok, memWait := c.sourcesReady(e, now)
+			switch {
+			case ok:
+				ready = append(ready, h)
+				if e.queued != qReady {
+					return fail("seq %d has ready sources but queued=%d", e.seq, e.queued)
+				}
+			case e.queued != qWaiting || e.waitMem != memWait:
+				return fail("seq %d waits (memory=%v) but queued=%d waitMem=%v", e.seq, memWait, e.queued, e.waitMem)
+			case memWait:
+				mem++
+			default:
+				data++
+			}
+		}
+		a.scratch = ready
+		if !slices.Equal(ready, c.ready) {
+			return fail("ready list %v, window scan %v", c.ready, ready)
+		}
+		if mem != c.waitMemN || data != c.waitDataN {
+			return fail("waiting tallies mem=%d data=%d, window scan mem=%d data=%d", c.waitMemN, c.waitDataN, mem, data)
+		}
+		a.ready += len(ready)
+		a.waiting += mem + data
+	}
+	return nil
+}
+
+// runMode runs one (machine, program) pair under the given issue stage
+// (eventIssue=false: the window scan) and cycle loop (ff=false: plain
+// stepping), returning the result and the number of cycles the
+// quiescence fast-forward skipped. Only eventIssue && ff is the
+// production configuration; the other three go through refLoop, and
+// the stepped production-issue leg audits the issue state every cycle.
+func runMode(t *testing.T, m config.Machine, build func() *prog.Program, eventIssue, ff bool) (*Result, int64) {
+	t.Helper()
+	s, err := New(m, build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runSim(t, s, eventIssue, ff), s.FastForwarded()
+}
+
+// runSim drives an already configured simulator in one of runMode's
+// four modes.
+func runSim(t *testing.T, s *Simulator, eventIssue, ff bool) *Result {
+	t.Helper()
+	var r *Result
+	var err error
+	switch {
+	case eventIssue && ff:
+		r, err = s.Run()
+	case eventIssue:
+		r, err = refLoop{audit: new(issueAudit)}.run(s)
+	default:
+		r, err = refLoop{scan: true, ff: ff}.run(s)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// advance is RunTo in one of runMode's four modes, without the audit
+// (which allocates): the zero-allocation and pool-conservation tests
+// pause and resume through it.
+func advance(s *Simulator, target int64, eventIssue, ff bool) error {
+	if eventIssue && ff {
+		return s.RunTo(target)
+	}
+	_, err := refLoop{scan: !eventIssue, ff: ff}.runTo(s, target)
+	return err
+}

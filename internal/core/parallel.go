@@ -189,7 +189,7 @@ func (r *parRunner) runPhaseB(chip int) {
 		gid := cl.gid
 		votes := &r.votes[gid]
 		votes.Reset()
-		issued := cl.issueEvent(s, now, votes)
+		issued := cl.issue(s, now, votes)
 		active := issued > 0
 		if r.parB && cl.hasSyncBlocked() {
 			// unblock polls the shared sync controller for lock/barrier
@@ -385,13 +385,9 @@ func (s *Simulator) addRunning(chip, d int) {
 // ---- lifecycle ----
 
 // startParallel validates the configuration and spawns the chip
-// workers. Parallel execution requires the event-driven issue stage
-// (classification reads its ready lists) and is incompatible with
-// instruction tracing (the trace writer is strictly sequential).
+// workers. Parallel execution is incompatible with instruction tracing
+// (the trace writer is strictly sequential).
 func (s *Simulator) startParallel() error {
-	if !s.EventIssue {
-		return fmt.Errorf("core: %s: parallel execution requires the event-driven issue stage (EventIssue)", s.Machine.Name)
-	}
 	if s.tr != nil {
 		return fmt.Errorf("core: %s: parallel execution is incompatible with instruction tracing", s.Machine.Name)
 	}

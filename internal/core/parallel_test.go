@@ -10,21 +10,8 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// collectMemSide gathers the off-Result memory-path counters after a
-// run, in the same shape the mem-path differential uses, so the
-// parallel differential covers them too.
-func collectMemSide(s *Simulator) memSideStats {
-	var side memSideStats
-	for _, c := range s.msys.Chips {
-		side.MSHR = append(side.MSHR, [3]uint64{c.MSHR.Merges, c.MSHR.Rejected, c.MSHR.Allocated})
-		side.L1 = append(side.L1, [4]uint64{c.L1.Hits, c.L1.Misses, c.L1.Evictions, c.L1.WritebackEvictions})
-		side.L2 = append(side.L2, [4]uint64{c.L2.Hits, c.L2.Misses, c.L2.Evictions, c.L2.WritebackEvictions})
-	}
-	side.DirLines = s.msys.Dir.Lines()
-	return side
-}
-
-// runParLeg runs one (machine, program) pair in one execution mode and
+// runParLeg runs one (machine, program) pair in one execution mode
+// (runSim's issue stage and cycle loop, sequential or per-chip) and
 // returns the Result, the off-Result memory counters, and the number of
 // cycles whose issue/fetch phase actually ran concurrently on the chip
 // workers (always zero for sequential legs and single-chip machines).
@@ -35,12 +22,7 @@ func runParLeg(t *testing.T, m config.Machine, build func() *prog.Program, paral
 		t.Fatal(err)
 	}
 	s.Parallel = parallel
-	s.EventIssue = eventIssue
-	s.EventDriven = ff
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runSim(t, s, eventIssue, ff)
 	return r, collectMemSide(s), s.parBCycles
 }
 
@@ -119,13 +101,7 @@ func TestParallelMultiprogram(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Parallel = parallel
-		s.EventIssue = eventIssue
-		s.EventDriven = ff
-		r, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r, s.parBCycles
+		return runSim(t, s, eventIssue, ff), s.parBCycles
 	}
 	ref, _ := run(false, false, false)
 	var totalParB int64
@@ -141,23 +117,7 @@ func TestParallelMultiprogram(t *testing.T) {
 	}
 }
 
-// TestParallelRequiresEventIssue pins the escape-hatch contract: the
-// parallel loop reuses the event-driven issue bookkeeping, so enabling
-// Parallel with the full-window scan stage must fail up front rather
-// than silently diverge.
-func TestParallelRequiresEventIssue(t *testing.T) {
-	s, err := New(config.HighEnd(config.SMT2), buildVectorSum(64, config.HighEnd(config.SMT2).Threads()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Parallel = true
-	s.EventIssue = false
-	if _, err := s.Run(); err == nil {
-		t.Fatal("Parallel without EventIssue did not fail")
-	}
-}
-
-// TestParallelRejectsTracing pins the other precondition: Chrome
+// TestParallelRejectsTracing pins the one precondition: Chrome
 // tracing orders its events by the sequential stage walk, so a parallel
 // run with a tracer attached must be refused.
 func TestParallelRejectsTracing(t *testing.T) {

@@ -53,9 +53,10 @@ func buildSlotReuse(iters int64) *prog.Program {
 
 // TestStaleHandleSlotReuse pins the stale-handle rule on a 16-entry
 // window: references whose slot has been recycled must read as
-// committed entries, so the run is bit-identical whichever issue stage
-// and cycle loop executes it. A stepped run first proves the kernel
-// really strands each kind of reference (the test is not vacuous).
+// committed entries, so the production run is bit-identical to the
+// scan × stepped reference and the mixed legs. A stepped run first
+// proves the kernel really strands each kind of reference (the test is
+// not vacuous).
 func TestStaleHandleSlotReuse(t *testing.T) {
 	m := tinyWindow()
 	build := func() *prog.Program { return buildSlotReuse(200) }
@@ -159,11 +160,12 @@ func TestBoundedQueues(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAllocs asserts the tentpole's claim directly: once
-// a run is warm (pages touched, scratch slices grown), advancing it
-// 2000 cycles allocates nothing — under both cycle loops and both
-// issue stages, on a single-chip SMT, a 32-cluster machine and a
-// multiprogrammed mix.
+// TestSteadyStateZeroAllocs asserts the entry pool's claim directly:
+// once a run is warm (pages touched, scratch slices grown), advancing
+// it 2000 cycles allocates nothing — under Simulator.RunTo (ff/wakeup)
+// and under the reference loops that step the same stages one cycle at
+// a time or issue by window scan (oracle_test.go), on a single-chip
+// SMT, a 32-cluster machine and a multiprogrammed mix.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	app := func(name string, m config.Machine) func() (*Simulator, error) {
 		return func() (*Simulator, error) {
@@ -205,8 +207,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					probe.EventDriven, probe.EventIssue = ff, eventIssue
-					full, err := probe.Run()
+					full, err := probe.Run() // every mode runs the same cycle count
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -223,13 +224,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.EventDriven, s.EventIssue = ff, eventIssue
-					if err := s.RunTo(warm); err != nil {
+					if err := advance(s, warm, eventIssue, ff); err != nil {
 						t.Fatal(err)
 					}
 					for i := 0; i < measurements; i++ {
 						allocs := testing.AllocsPerRun(1, func() {
-							if err := s.RunTo(s.Cycle() + window); err != nil {
+							if err := advance(s, s.Cycle()+window, eventIssue, ff); err != nil {
 								t.Fatal(err)
 							}
 						})
@@ -257,7 +257,8 @@ func auditPools(t *testing.T, s *Simulator) {
 }
 
 // TestEntryPoolConservation is the pool's leak check: on every preset
-// and both machines, under both issue stages, the run pauses every 5 k
+// and both machines, under the production issue stage and the window
+// scan it is defined by, the run pauses every 5 k
 // cycles and each cluster must pass audit — every slot free or in the
 // window exactly once, every handle any structure holds naming a live
 // entry of the right kind, the occupancy counters agreeing with the
@@ -277,10 +278,9 @@ func TestEntryPoolConservation(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					s.EventIssue = eventIssue
 					audits := 0
 					for target := int64(5000); !s.Done(); target += 5000 {
-						if err := s.RunTo(target); err != nil {
+						if err := advance(s, target, eventIssue, true); err != nil {
 							t.Fatal(err)
 						}
 						auditPools(t, s)

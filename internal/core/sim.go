@@ -57,27 +57,11 @@ type Simulator struct {
 	// finished counts drained threads; done() is finished == len(threads).
 	finished int
 
-	// EventDriven enables the quiescence fast-forward: when no cluster
-	// can commit, issue, unblock or fetch, Run jumps to the next event
-	// cycle, bulk-charging the skipped slot accounting. Results are
-	// bit-identical either way (guarded by TestEventDrivenDifferential);
-	// turning it off forces plain cycle-by-cycle stepping.
-	EventDriven bool
-
-	// EventIssue selects the dependence-driven issue stage (wakeup.go):
-	// producer→consumer wakeups through a per-cluster wheel feed a
-	// seq-ordered ready list, replacing the per-cycle full-window scan.
-	// Results are bit-identical either way (guarded by the scan×wakeup
-	// differential matrix); turning it off falls back to the reference
-	// scan. Must be set before Run.
-	EventIssue bool
-
 	// Parallel runs one goroutine per chip in per-cycle lockstep
 	// (parallel.go). Results are bit-identical to the sequential loop
-	// (guarded by TestParallelDifferential); the sequential loop remains
-	// the reference implementation and the escape hatch, following the
-	// same idiom as EventIssue/SetReferenceMemPaths. Requires EventIssue
-	// and no instruction tracing. Must be set before Run.
+	// (guarded by TestParallelDifferential), which remains the reference
+	// implementation. Requires no instruction tracing. Must be set
+	// before Run.
 	Parallel bool
 
 	// par is the live parallel runner, non-nil only inside a Parallel
@@ -217,8 +201,6 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 		s.threads = append(s.threads, t)
 	}
 	s.running = len(s.threads)
-	s.EventDriven = true
-	s.EventIssue = true
 	return s, nil
 }
 
@@ -229,17 +211,6 @@ func (s *Simulator) numberClusters() {
 	for i, cl := range s.clusters {
 		cl.gid = i
 	}
-}
-
-// SetReferenceMemPaths selects (on=true) the pre-optimization
-// reference implementations of the per-access memory-path structures —
-// MSHR map-sweep retirement, directory map-of-pointers, and the
-// probe-then-lookup double walk on loads. Results are bit-identical
-// either way (guarded by TestMemPathDifferential); the reference is
-// the differential baseline and the escape hatch. Must be called
-// before Run.
-func (s *Simulator) SetReferenceMemPaths(on bool) {
-	s.msys.SetReferencePaths(on)
 }
 
 // Mem exposes the functional memory (post-run inspection in tests).
@@ -271,12 +242,7 @@ func (s *Simulator) step() bool {
 	var votes stats.Votes
 	for _, cl := range s.clusters {
 		votes.Reset()
-		var issued int
-		if s.EventIssue {
-			issued = cl.issueEvent(s, now, &votes)
-		} else {
-			issued = cl.issue(s, now, &votes)
-		}
+		issued := cl.issue(s, now, &votes)
 		if issued > 0 {
 			active = true
 		}
@@ -380,7 +346,7 @@ func (s *Simulator) run(target int64) (*Result, error) {
 			// the machine at exactly this cycle under every execution mode.
 			s.allocEpoch()
 		}
-		if idle && s.EventDriven && s.cycle >= probeAt {
+		if idle && s.cycle >= probeAt {
 			if s.fastForward() {
 				idle = false
 				failStreak = 0

@@ -65,10 +65,10 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 3 writes
-// entries as handle-indexed pool slots (versions 1 and 2 serialized a
-// pointer graph).
-const SnapshotVersion = 3
+// simply never looked up and the warm-up re-runs. Version 4 drops the
+// two implementation-selector bools version 3 carried in the core
+// section.
+const SnapshotVersion = 4
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
@@ -128,17 +128,13 @@ func (s *Simulator) PrefixValid() bool {
 // snapshotSupported reports why this simulator cannot be checkpointed
 // or forked, or nil. The excluded configurations are all explicitly
 // out of scope: multiprogrammed runs (per-job memories and sync
-// controllers), reference memory paths (their map-of-pointer directory
-// has no stable encoding and exists only as a differential baseline),
-// instruction tracing (the trace writer is an open file), and a run
-// currently inside the parallel runner (between runs par is nil; the
-// Parallel flag itself is a host execution choice and is not state).
+// controllers), instruction tracing (the trace writer is an open
+// file), and a run currently inside the parallel runner (between runs
+// par is nil; the Parallel flag itself is a host execution choice and
+// is not state).
 func (s *Simulator) snapshotSupported() error {
 	if len(s.mems) > 1 {
 		return fmt.Errorf("%w: multiprogrammed simulators", ErrSnapshotUnsupported)
-	}
-	if s.msys.ReferencePaths() {
-		return fmt.Errorf("%w: reference memory paths", ErrSnapshotUnsupported)
 	}
 	if s.tr != nil {
 		return fmt.Errorf("%w: instruction tracing active", ErrSnapshotUnsupported)
@@ -493,8 +489,6 @@ func (s *Simulator) xferCore(x *xfer) error {
 	xi(x, &s.finished)
 	xi(x, &s.ffCycles)
 	xi(x, &s.parBCycles)
-	x.bool(&s.EventDriven)
-	x.bool(&s.EventIssue)
 	x.slots(&s.slots)
 	if x.w != nil {
 		s.syncs[0].EncodeSnap(x.w)

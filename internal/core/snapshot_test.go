@@ -411,15 +411,6 @@ func TestSnapshotUnsupported(t *testing.T) {
 	w := workloads.Synthetic(checkpointSpec())
 	p := w.Build(m.Threads(), m.Chips, workloads.SizeTest)
 
-	ref, err := New(m, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.SetReferenceMemPaths(true)
-	if _, err := ref.Snapshot(); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Fatalf("reference paths: got %v, want ErrSnapshotUnsupported", err)
-	}
-
 	multi, err := NewMulti(m, []*prog.Program{p, p})
 	if err != nil {
 		t.Fatal(err)
@@ -559,10 +550,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 // checkpoints must bump SnapshotVersion and regenerate the fixture
 // (WRITE_GOLDEN=1 go test ./internal/core -run TestSnapshotGolden).
 // It also pins that Restore→Snapshot reproduces the payload byte for
-// byte, and that the retired v1 fixture is refused with the typed
+// byte, and that the retired v3 fixture is refused with the typed
 // version error rather than misread.
 func TestSnapshotGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint_v3.bin")
+	golden := filepath.Join("testdata", "checkpoint_v4.bin")
 	m := config.LowEnd(config.FA4)
 	w := workloads.Synthetic(checkpointSpec())
 	build := func() *prog.Program { return w.Build(m.Threads(), m.Chips, workloads.SizeTest) }
@@ -599,12 +590,12 @@ func TestSnapshotGolden(t *testing.T) {
 	if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, data) {
 		t.Errorf("Restore→Snapshot is not byte-identical to the fixture (err %v, %d vs %d bytes)", err, len(again), len(data))
 	}
-	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.bin"))
+	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Restore(m, build(), old); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("v1 fixture: got %v, want ErrSnapshotVersion", err)
+		t.Errorf("v3 fixture: got %v, want ErrSnapshotVersion", err)
 	}
 	got, err := restored.Run()
 	if err != nil {

@@ -2,26 +2,28 @@ package core
 
 import "clustersmt/internal/stats"
 
-// This file implements the dependence-driven (wakeup) issue stage that
-// replaces the per-cycle full-window scan. When an entry issues it
-// pushes a wakeup onto each in-flight consumer — the inverse of the
-// entry.producers links — scheduled at its completeAt; a per-cluster
-// wakeup wheel re-evaluates woken entries and moves those whose last
-// producer resolved into a seq-ordered ready list, so issueEvent pops
-// oldest-first from ready entries only instead of re-polling all
+// This file implements the issue stage. It is dependence-driven: when
+// an entry issues it pushes a wakeup onto each in-flight consumer — the
+// inverse of the entry.producers links — scheduled at its completeAt; a
+// per-cluster wakeup wheel re-evaluates woken entries and moves those
+// whose last producer resolved into a seq-ordered ready list, so issue
+// pops oldest-first from ready entries only instead of polling all
 // WindowEntries every cycle. Entries still inside the decode/rename
 // delay sit in a plain FIFO ring (eligibleAt is monotone in fetch
 // order, so no wheel event is needed to order them), and unready
 // entries sit in an unsorted waiting set whose memory/data hazard
 // tallies are maintained incrementally.
 //
-// The contract is the same as fast-forward's (fastforward.go):
-// bit-identity, not approximation. The hazard votes the scan produced
-// for unready entries are reproduced exactly from the waiting tallies,
-// the issue order (and hence FU assignment and memory-system call
-// order) is the same seq order the window scan walks, and the
-// differential tests in fastforward_test.go assert reflect.DeepEqual
-// on the full Result across scan × wakeup × stepped × fast-forward.
+// The stage is defined by the per-cycle window scan it stands for
+// (§4.1): every eligible unissued entry, oldest first, either issues,
+// or votes for its hazard class — sourcesReady's memory/data verdict
+// for unready sources, tryIssue's for the rest — until IssueWidth
+// entries have issued. The contract is the same as fast-forward's
+// (fastforward.go): a Result bit-identical to that definition's, not
+// an approximation. The scan itself lives in oracle_test.go; the
+// differential tests run it against this stage on the full Result, and
+// audit every cycle that the ready list and the waiting tallies equal
+// what a scan would derive.
 //
 // Events are at-least-once: an entry with two in-flight producers gets
 // a wakeup from each, and the pending pop races producer completions.
@@ -126,8 +128,8 @@ func (w *wheel) pop() wheelEvent {
 // drainEvents processes every pending entry past its front-end delay
 // and every wheel event due by cycle now, re-evaluating each woken
 // entry. Draining is idempotent at a fixed cycle — it is exactly what
-// issueEvent does first — so the fast-forward quiescence probe may
-// drain early without perturbing a subsequent step.
+// issue does first — so the fast-forward quiescence probe may drain
+// early without perturbing a subsequent step.
 func (c *cluster) drainEvents(now int64) {
 	for c.pending.len() > 0 {
 		h := c.pending.front()
@@ -181,11 +183,10 @@ func (c *cluster) drainEvents(now int64) {
 // evaluate reclassifies a dispatched entry at cycle now: into ready
 // when every producer has resolved, otherwise into (or within) the
 // waiting state with its memory-vs-data hazard class kept current —
-// the same sourcesReady verdict the scan re-derives per cycle,
-// computed only when an event can have changed it. Waiting entries
-// exist only as the aggregate waitMemN/waitDataN tallies plus per-
-// entry flags (no list to maintain per transition); the rare per-entry
-// walk waitingVotes needs is over the seq-ordered window.
+// the sourcesReady verdict a per-cycle scan would re-derive, computed
+// only when an event can have changed it. Waiting entries exist only
+// as the aggregate waitMemN/waitDataN tallies plus per-entry flags (no
+// list to maintain per transition).
 // Producers never become un-done, so ready is terminal until issue.
 func (c *cluster) evaluate(h handle, now int64) {
 	e := &c.pool[h]
@@ -257,7 +258,7 @@ func (c *cluster) insertReady(h handle, seq uint64) {
 // producers link it onto their intrusive consumer list (walked when
 // their completion event pops), already-issued ones get a wheel wakeup
 // at their completion — and queues the entry on the pending ring,
-// whose pop at eligibleAt is the first cycle the scan path would look
+// whose pop at eligibleAt is the first cycle the issue stage may look
 // at it.
 func (c *cluster) dispatchEvent(h handle) {
 	e := &c.pool[h]
@@ -297,72 +298,35 @@ func (c *cluster) wheelPush(cycle int64, r ref) {
 	}
 }
 
-// issueEvent is the wakeup-path issue stage: drain due events, then
-// pop oldest-first from the ready list only. Bit-identical to the
-// reference scan (issue): ready entries are visited in the same seq
-// order the window scan walks, failed attempts vote and retry through
-// tryIssue exactly as the scan's would, and the scan's loop-top break
-// — it stops at the first entry after the width-th issue — becomes a
-// seq cut at the width-th issued entry's seq, applied to the remaining
-// ready entries here and to the waiting tallies in waitingVotes.
-func (c *cluster) issueEvent(s *Simulator, now int64, votes *stats.Votes) int {
+// issue is the issue stage: drain due events, then pop oldest-first
+// from the ready list only, starting up to IssueWidth entries on
+// functional units. Ready entries are visited in the seq order a
+// window scan walks, and failed attempts vote and retry through
+// tryIssue. Every waiting entry then votes for its hazard class
+// straight from the incremental tallies. The scan stops voting at the
+// first entry after the width-th issue; that cut has no counterpart
+// here because it cannot be observed — a cycle that issued IssueWidth
+// entries wastes no slot, and the accounting reads the votes only to
+// apportion wasted slots (stats.RecordCycle).
+func (c *cluster) issue(s *Simulator, now int64, votes *stats.Votes) int {
 	c.drainEvents(now)
 	issued := 0
-	broke := false
-	var breakSeq uint64
 	kept := c.ready[:0]
 	for i, h := range c.ready {
 		if issued >= c.cfg.IssueWidth {
-			// The scan would not visit these: keep them, no votes.
 			// Writes into kept trail i, so this forward copy is safe.
 			kept = append(kept, c.ready[i:]...)
 			break
 		}
 		if c.tryIssue(s, h, now, votes) {
-			e := &c.pool[h]
-			e.queued = qNone
+			c.pool[h].queued = qNone
 			issued++
-			if issued >= c.cfg.IssueWidth {
-				broke = true
-				breakSeq = e.seq
-			}
 		} else {
 			kept = append(kept, h)
 		}
 	}
 	c.ready = kept
-	c.waitingVotes(votes, broke, breakSeq)
+	votes[stats.Memory] += float64(c.waitMemN)
+	votes[stats.Data] += float64(c.waitDataN)
 	return issued
-}
-
-// waitingVotes adds the hazard votes of the waiting entries the scan
-// would have visited this cycle: all of them — straight from the
-// incremental tallies, the common case — when the issue loop ran to
-// exhaustion, else only those older than the width-th issued entry
-// (seqs are unique, so the cut is exact). The cut walks the window,
-// which is in seq order, so it stops at the break position — issues
-// pop oldest-first, so the prefix before the width-th issued entry is
-// short — and only on width-saturated cycles.
-func (c *cluster) waitingVotes(votes *stats.Votes, broke bool, breakSeq uint64) {
-	if !broke {
-		votes[stats.Memory] += float64(c.waitMemN)
-		votes[stats.Data] += float64(c.waitDataN)
-		return
-	}
-	mem, data := 0, 0
-	for _, h := range c.window {
-		e := &c.pool[h]
-		if e.seq >= breakSeq {
-			break
-		}
-		if e.state == stateDispatched && e.queued == qWaiting {
-			if e.waitMem {
-				mem++
-			} else {
-				data++
-			}
-		}
-	}
-	votes[stats.Memory] += float64(mem)
-	votes[stats.Data] += float64(data)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
@@ -12,14 +11,6 @@ import (
 	"clustersmt/internal/isa"
 	"clustersmt/internal/prog"
 )
-
-// TestMain arms the forwarding cross-check for the whole package: every
-// load issue attempt in every test compares the fetch-bound map answer
-// against the reference FIFO scan and panics on disagreement.
-func TestMain(m *testing.M) {
-	debugCheckForwarding = true
-	os.Exit(m.Run())
-}
 
 // TestStoreForwardingMap pins the cluster's store-forwarding table: a
 // load must bind the youngest older same-address store (not the
@@ -68,7 +59,7 @@ func TestStoreForwardingMap(t *testing.T) {
 	if got := cl.stores.get(load.tid, load.d.Addr); got != stores[1] {
 		t.Errorf("store table maps a to slot %d, want the younger store's slot %d", got, stores[1])
 	}
-	if got, want := cl.forwardingStore(load), cl.forwardingStoreScan(th, load); got != want {
+	if got, want := cl.forwardingStore(load), forwardingStoreScan(cl, th, load); got != want {
 		t.Errorf("table answer %v disagrees with reference FIFO scan %v", got, want)
 	}
 
@@ -145,36 +136,26 @@ func TestWakeupICountDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetICountFetch(true)
-		s.EventIssue = eventIssue
-		s.EventDriven = ff
-		r, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return runSim(t, s, eventIssue, ff)
 	}
 	ref := run(false, false)
-	for _, mode := range []struct {
-		name           string
-		eventIssue, ff bool
-	}{
-		{"scan+ff", false, true},
-		{"wakeup+stepped", true, false},
-		{"wakeup+ff", true, true},
-	} {
+	for _, mode := range diffModes {
 		if got := run(mode.eventIssue, mode.ff); !reflect.DeepEqual(got, ref) {
 			t.Errorf("%s result differs from scan+stepped under ICOUNT:\n  ref: %v\n  got: %v", mode.name, ref, got)
 		}
 	}
 }
 
-// TestWakeupSlotConservationRandom is the wakeup path's property test:
+// TestWakeupSlotConservationRandom is the issue stage's property test:
 // over random synthetic workloads the §4.1 conservation invariant —
-// slot categories sum to chip width × cycles × chips — must hold on
-// the wakeup issue stage, and the full Result must stay bit-identical
-// to the reference scan.
+// slot categories sum to chip width × cycles × chips — must hold, the
+// per-cycle issue-state audit must pass, and the full Result must stay
+// bit-identical to the scan's. The kernels are built to collide stores
+// with loads and to hang consumers behind loads, so the audit must
+// have met waiting entries and forwarding loads.
 func TestWakeupSlotConservationRandom(t *testing.T) {
 	archs := []config.Arch{config.FA8, config.SMT2, config.SMT1}
+	var seen issueAudit
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, arch := range archs {
 			m := config.LowEnd(arch)
@@ -183,19 +164,32 @@ func TestWakeupSlotConservationRandom(t *testing.T) {
 				build := func() *prog.Program {
 					return buildRandomKernel(seed, m.Threads())
 				}
-				wake, _ := runMode(t, m, build, true, false)
+				s, err := New(m, build())
+				if err != nil {
+					t.Fatal(err)
+				}
+				audit := new(issueAudit)
+				wake, err := refLoop{audit: audit}.run(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen.waiting += audit.waiting
+				seen.forwarding += audit.forwarding
 
 				want := float64(8 * wake.Cycles * int64(m.Chips))
 				got := wake.Slots.TotalSlots()
 				if math.Abs(got-want) > 1e-6*want {
-					t.Errorf("wakeup slot conservation violated: got %.6f, want %.6f", got, want)
+					t.Errorf("slot conservation violated: got %.6f, want %.6f", got, want)
 				}
 
 				scan, _ := runMode(t, m, build, false, false)
 				if !reflect.DeepEqual(scan, wake) {
-					t.Errorf("wakeup result differs from scan on random kernel:\n  scan:   %v\n  wakeup: %v", scan, wake)
+					t.Errorf("result differs from scan on random kernel:\n  scan:   %v\n  wakeup: %v", scan, wake)
 				}
 			})
 		}
+	}
+	if seen.waiting == 0 || seen.forwarding == 0 {
+		t.Errorf("issue-state audit is vacuous: %d waiting entries, %d forwarding loads seen", seen.waiting, seen.forwarding)
 	}
 }

@@ -349,51 +349,6 @@ func TestCacheSingleWalkDifferential(t *testing.T) {
 	}
 }
 
-// Property (MSHR retirement differential): the heap-retired fast path
-// and the reference map sweep agree on every Pending/TryAlloc/Free/
-// InFlight answer and on the exact Merges/Rejected/Allocated counts
-// under random allocation streams with out-of-order completion times.
-func TestMSHRDifferential(t *testing.T) {
-	f := func(ops []uint16) bool {
-		ref := NewMSHRFile(4)
-		ref.Reference = true
-		fast := NewMSHRFile(4)
-		now := int64(0)
-		for _, op := range ops {
-			now += int64(op % 7)
-			line := int64(op%16) * 64
-			switch op % 3 {
-			case 0:
-				ready := now + int64(op%200)
-				if _, merging := ref.Pending(now, line); !merging {
-					a := ref.TryAlloc(now, line, ready)
-					// Mirror the Pending-then-TryAlloc sequence exactly.
-					_, _ = fast.Pending(now, line)
-					if b := fast.TryAlloc(now, line, ready); a != b {
-						return false
-					}
-				} else {
-					_, _ = fast.Pending(now, line)
-				}
-			case 1:
-				r1, ok1 := ref.Pending(now, line)
-				r2, ok2 := fast.Pending(now, line)
-				if r1 != r2 || ok1 != ok2 {
-					return false
-				}
-			case 2:
-				if ref.Free(now) != fast.Free(now) || ref.InFlight(now) != fast.InFlight(now) {
-					return false
-				}
-			}
-		}
-		return ref.Merges == fast.Merges && ref.Rejected == fast.Rejected && ref.Allocated == fast.Allocated
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMSHROccupancyReadOnly: the observability probe must count
 // outstanding fills without retiring completed ones — retirement order
 // (and hence Merges/Allocated accounting) stays untouched.

@@ -4,23 +4,17 @@ package memsys
 // merges secondary misses to a line already being fetched (§3.1:
 // "non-blocking with up to 32 outstanding loads").
 //
-// Completed fills retire lazily. The fast path keeps, next to the
-// line→ready map, a min-heap of (ready, line) pairs ordered by
-// fill-complete cycle, so retirement pops only the fills that have
-// actually completed — amortized O(1) per fill — instead of sweeping
-// every pending entry on every Pending/TryAlloc/Free call. The original
-// map-sweep retirement is kept behind Reference as the differential
-// baseline; both paths produce identical entries and identical
+// Completed fills retire lazily. Next to the line→ready map sits a
+// min-heap of (ready, line) pairs ordered by fill-complete cycle, so
+// retirement pops only the fills that have actually completed —
+// amortized O(1) per fill — instead of sweeping every pending entry on
+// every Pending/TryAlloc/Free call. The sweep is the definition and the
+// test oracle (sweepMSHR in mshr_test.go): same entries, same
 // Merges/Rejected/Allocated counts.
 type MSHRFile struct {
 	cap     int
 	pending map[int64]int64 // line -> fill-complete cycle
-	fills   fillHeap        // fast path: pending fills ordered by ready
-
-	// Reference selects the original O(pending) map-sweep retirement.
-	// Must be set before the first access (see
-	// coherence.System.SetReferencePaths).
-	Reference bool
+	fills   fillHeap        // pending fills ordered by ready
 
 	Merges    uint64 // secondary misses piggybacked on a pending fill
 	Rejected  uint64 // allocation attempts refused because the file was full
@@ -39,24 +33,10 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	}
 }
 
-// sweep is the reference retirement: scan every pending entry and
-// delete those whose fills have completed by now.
-func (m *MSHRFile) sweep(now int64) {
-	for line, ready := range m.pending {
-		if ready <= now {
-			delete(m.pending, line)
-		}
-	}
-}
-
-// retire removes entries whose fills have completed by now. The fast
-// path pops the heap only while its earliest fill is due, so a call
-// that retires nothing is O(1).
+// retire removes entries whose fills have completed by now. It pops
+// the heap only while its earliest fill is due, so a call that retires
+// nothing is O(1).
 func (m *MSHRFile) retire(now int64) {
-	if m.Reference {
-		m.sweep(now)
-		return
-	}
 	for len(m.fills) > 0 && m.fills[0].ready <= now {
 		f := m.fills.pop()
 		// A stale heap entry (the line was re-allocated with a new ready
@@ -87,9 +67,7 @@ func (m *MSHRFile) TryAlloc(now, line, ready int64) bool {
 		return false
 	}
 	m.pending[line] = ready
-	if !m.Reference {
-		m.fills.push(fill{ready: ready, line: line})
-	}
+	m.fills.push(fill{ready: ready, line: line})
 	m.Allocated++
 	return true
 }
@@ -108,8 +86,7 @@ func (m *MSHRFile) InFlight(now int64) int {
 
 // Occupancy counts the fills still outstanding at cycle now WITHOUT
 // retiring completed entries — a strictly read-only probe for the
-// observability sampler, which must not perturb the retirement order
-// either path (reference sweep or heap) would otherwise follow.
+// observability sampler, which must not perturb the retirement order.
 func (m *MSHRFile) Occupancy(now int64) int {
 	n := 0
 	for _, ready := range m.pending {

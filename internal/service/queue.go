@@ -39,6 +39,11 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 
+	// pool is the pool whose worker is running the job, nil before pickup
+	// and for jobs completed inline from the cache. Its counters are
+	// published by finish, before the terminal state can be observed.
+	pool *Pool
+
 	done chan struct{}
 }
 
@@ -65,35 +70,41 @@ func (j *Job) submittedAt() time.Time {
 	return j.submitted
 }
 
-func (j *Job) start() {
+func (j *Job) start(p *Pool) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.started = time.Now()
+	j.pool = p
 	j.mu.Unlock()
+}
+
+// finish moves the job to a terminal state. The running pool's gauge
+// and completed counter move first, under the same lock that guards the
+// state: whoever sees the job done — through Done or a status poll —
+// and then reads the pool's counters finds the job already counted.
+func (j *Job) finish(state string, res *core.Result, tier, errMsg string) {
+	j.mu.Lock()
+	if p := j.pool; p != nil {
+		j.pool = nil
+		p.running.Add(-1)
+		p.completed.Add(1)
+	}
+	j.state = state
+	j.res = res
+	j.cacheHit = tier != ""
+	j.cacheTier = tier
+	j.errMsg = errMsg
+	j.finished = time.Now()
+	j.mu.Unlock()
+	close(j.done)
 }
 
 // Complete marks the job done with a result; tier is "" for a fresh
 // run, TierMemory/TierDisk for a cache hit.
-func (j *Job) Complete(res *core.Result, tier string) {
-	j.mu.Lock()
-	j.state = StateDone
-	j.res = res
-	j.cacheHit = tier != ""
-	j.cacheTier = tier
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
+func (j *Job) Complete(res *core.Result, tier string) { j.finish(StateDone, res, tier, "") }
 
 // Fail marks the job failed.
-func (j *Job) Fail(err error) {
-	j.mu.Lock()
-	j.state = StateFailed
-	j.errMsg = err.Error()
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
+func (j *Job) Fail(err error) { j.finish(StateFailed, nil, "", err.Error()) }
 
 // ErrQueueFull is returned by Submit when the FIFO is at capacity — the
 // admission-control signal the HTTP layer turns into 429 + Retry-After.
@@ -166,15 +177,14 @@ func (p *Pool) worker() {
 			select {
 			case <-p.gate:
 			case <-p.ctx.Done():
+				p.completed.Add(1) // before the failure is observable, as finish does
 				j.Fail(ErrDraining)
 				continue
 			}
 		}
 		p.running.Add(1)
-		j.start()
+		j.start(p)
 		p.run(p.ctx, j)
-		p.running.Add(-1)
-		p.completed.Add(1)
 	}
 }
 

@@ -320,15 +320,15 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	ctx = telemetry.WithTraceID(ctx, j.TraceID)
 
 	if res, tier, ok := s.cache.Get(j.Hash); ok {
-		j.Complete(res, tier)
 		s.jobDone(j)
+		j.Complete(res, tier)
 		return
 	}
 	rj := j.Rj
 	res, err := s.suite(rj.Size).RunContext(ctx, rj.Workload, rj.Arch, rj.Spec.HighEnd)
 	if err != nil {
-		j.Fail(err)
 		s.jobDone(j)
+		j.Fail(err)
 		return
 	}
 	// A failed disk write degrades this entry to memory-only; the
@@ -337,8 +337,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	_ = s.cache.Put(j.Hash, rj.Spec, res)
 	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(wstart))
 	s.span(j.TraceID, "cache-write", wstart, nil)
-	j.Complete(res, "")
 	s.jobDone(j)
+	j.Complete(res, "")
 }
 
 // maxFinishedJobs bounds how many terminal jobs the table retains. A
@@ -347,10 +347,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // every job it has ever served.
 const maxFinishedJobs = 1024
 
-// jobDone records a terminal job's end-to-end latency and files it
+// jobDone records a finishing job's end-to-end latency and files it
 // under the finished jobs, evicting the one that finished longest ago
 // once more than maxFinishedJobs are held. An evicted ID answers 404
 // like one never issued. Queued and running jobs are never evicted.
+// runJob calls it just before the terminal transition, so a client
+// that sees the job done finds its latency already in the histogram.
 func (s *Server) jobDone(j *Job) {
 	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.e2e }), time.Since(j.submittedAt()))
 	s.jobsMu.Lock()
