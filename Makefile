@@ -1,10 +1,14 @@
-# Tier-1 gate: everything CI requires green.
-check: diff race
+# Tier-1 gate: everything CI requires green, each thing once — build,
+# vet, every test (the differentials of `make diff` among them), then
+# the race check of the concurrent layers.
+check:
 	go build ./...
 	go vet ./...
 	go test ./...
+	$(MAKE) race
 
-# Differentials only. The binary carries one implementation per layer —
+# Differentials only: the quick standalone gate, a subset of what
+# `go test ./...` runs. The binary carries one implementation per layer —
 # one cycle loop, one issue stage, one memory path — and each is held
 # to its definition, which lives in _test.go: the stepped reference
 # loop and the window-scan issue stage (internal/core/oracle_test.go)

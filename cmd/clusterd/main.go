@@ -61,6 +61,12 @@ import (
 	"clustersmt/internal/workloads"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections
+// (and their goroutines) open forever. Bodies are bounded by size in
+// the service; long-poll responses are unaffected.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("clusterd: ")
@@ -183,7 +189,7 @@ func main() {
 		handler = outer
 		log.Printf("pprof enabled at /debug/pprof (expvar at /debug/vars)")
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math"
 
 	"clustersmt/internal/memsys"
 	"clustersmt/internal/snap"
@@ -32,54 +33,45 @@ func (d *Directory) Clone() *Directory {
 	return &cp
 }
 
-// EncodeSnap writes the directory's open-addressed table raw — slot
+// XferSnap transfers the directory's open-addressed table raw — slot
 // positions, tombstones and all — so probe chains replay exactly, plus
-// the protocol counters. Table geometry (hashShift, live, dead) is
-// derived from the slots on decode.
-func (d *Directory) EncodeSnap(w *snap.Writer) {
-	w.Int(len(d.slots))
-	for i := range d.slots {
-		s := &d.slots[i]
-		w.I64(s.line)
-		w.U32(s.e.sharers)
-		w.U8(uint8(s.e.owner))
-		w.U8(s.state)
-	}
-	w.U64(d.Invalidations)
-	w.U64(d.Downgrades)
-	w.U64(d.Writebacks)
-	w.U64(d.ThreeHops)
-}
-
-// DecodeSnap overlays a table produced by EncodeSnap onto a fresh
-// directory for the same chip count.
-func (d *Directory) DecodeSnap(r *snap.Reader) {
-	n := r.Int()
-	if n < dirMinSlots || n&(n-1) != 0 || n > r.Remaining() {
-		r.Fail(fmt.Errorf("coherence: corrupt directory table size %d", n))
-		return
-	}
-	d.initTable(n)
-	for i := range d.slots {
-		s := &d.slots[i]
-		s.line = r.I64()
-		s.e.sharers = r.U32()
-		s.e.owner = int8(r.U8())
-		s.state = r.U8()
-		if r.Err() != nil {
+// the protocol counters. Decoding overlays a fresh directory for the
+// same chip count and derives the table geometry (hashShift, live,
+// dead) from the slots.
+func (d *Directory) XferSnap(x *snap.Xfer) {
+	n := len(d.slots)
+	if x.Count(&n, math.MaxInt, "coherence: directory table"); x.Decoding() {
+		if n < dirMinSlots || n&(n-1) != 0 {
+			x.Fail(fmt.Errorf("coherence: corrupt directory table size %d", n))
 			return
 		}
+		d.initTable(n)
+	}
+	for i := range d.slots {
+		s := &d.slots[i]
+		x.I64(&s.line)
+		x.U32(&s.e.sharers)
+		owner := uint8(s.e.owner)
+		x.U8(&owner)
+		x.U8(&s.state)
+		if !x.Decoding() {
+			continue
+		}
+		if x.Err() != nil {
+			return
+		}
+		s.e.owner = int8(owner)
 		if s.state > slotDead {
-			r.Fail(fmt.Errorf("coherence: invalid directory slot state %d", s.state))
+			x.Fail(fmt.Errorf("coherence: invalid directory slot state %d", s.state))
 			return
 		}
 		if s.state == slotFull {
 			if d.nchips < 32 && s.e.sharers>>uint(d.nchips) != 0 {
-				r.Fail(fmt.Errorf("coherence: sharer mask %#x exceeds %d chips", s.e.sharers, d.nchips))
+				x.Fail(fmt.Errorf("coherence: sharer mask %#x exceeds %d chips", s.e.sharers, d.nchips))
 				return
 			}
 			if s.e.owner != noOwner && (s.e.owner < 0 || int(s.e.owner) >= d.nchips) {
-				r.Fail(fmt.Errorf("coherence: directory owner %d out of range", s.e.owner))
+				x.Fail(fmt.Errorf("coherence: directory owner %d out of range", s.e.owner))
 				return
 			}
 			d.live++
@@ -87,65 +79,34 @@ func (d *Directory) DecodeSnap(r *snap.Reader) {
 			d.dead++
 		}
 	}
-	d.Invalidations = r.U64()
-	d.Downgrades = r.U64()
-	d.Writebacks = r.U64()
-	d.ThreeHops = r.U64()
+	x.U64(&d.Invalidations)
+	x.U64(&d.Downgrades)
+	x.U64(&d.Writebacks)
+	x.U64(&d.ThreeHops)
 }
 
-// EncodeSnap writes the machine-wide counter block.
-func (st *Stats) EncodeSnap(w *snap.Writer) {
-	w.U64(st.Loads)
-	w.U64(st.Stores)
-	w.U64(st.LoadRetries)
-	for _, v := range st.ByClass {
-		w.U64(v)
-	}
-	for _, v := range st.LatencyByClass {
-		w.U64(v)
-	}
-	w.U64(st.StoreHits)
-	w.U64(st.StoreUpgrade)
-	w.U64(st.StoreMisses)
-	w.U64(st.TLBMisses)
+// XferSnap transfers the machine-wide counter block.
+func (st *Stats) XferSnap(x *snap.Xfer) {
+	x.U64(&st.Loads)
+	x.U64(&st.Stores)
+	x.U64(&st.LoadRetries)
+	x.U64s(st.ByClass[:])
+	x.U64s(st.LatencyByClass[:])
+	x.U64(&st.StoreHits)
+	x.U64(&st.StoreUpgrade)
+	x.U64(&st.StoreMisses)
+	x.U64(&st.TLBMisses)
 }
 
-// DecodeSnap reads the block written by EncodeSnap.
-func (st *Stats) DecodeSnap(r *snap.Reader) {
-	st.Loads = r.U64()
-	st.Stores = r.U64()
-	st.LoadRetries = r.U64()
-	for i := range st.ByClass {
-		st.ByClass[i] = r.U64()
-	}
-	for i := range st.LatencyByClass {
-		st.LatencyByClass[i] = r.U64()
-	}
-	st.StoreHits = r.U64()
-	st.StoreUpgrade = r.U64()
-	st.StoreMisses = r.U64()
-	st.TLBMisses = r.U64()
-}
-
-// EncodeSnap writes every chip hierarchy, the directory, the network
-// and the folded machine-wide stats. Stat shards must be folded (they
+// XferSnap transfers every chip hierarchy, the directory, the network
+// and the folded machine-wide stats; decoding overlays a freshly built
+// system of the same configuration. Stat shards must be folded (they
 // always are between cycles).
-func (s *System) EncodeSnap(w *snap.Writer) {
+func (s *System) XferSnap(x *snap.Xfer) {
 	for _, c := range s.Chips {
-		c.EncodeSnap(w)
+		c.XferSnap(x)
 	}
-	s.Dir.EncodeSnap(w)
-	s.Net.EncodeSnap(w)
-	s.Stats.EncodeSnap(w)
-}
-
-// DecodeSnap overlays a system encoded by EncodeSnap onto a freshly
-// built system of the same configuration.
-func (s *System) DecodeSnap(r *snap.Reader) {
-	for _, c := range s.Chips {
-		c.DecodeSnap(r)
-	}
-	s.Dir.DecodeSnap(r)
-	s.Net.DecodeSnap(r)
-	s.Stats.DecodeSnap(r)
+	s.Dir.XferSnap(x)
+	s.Net.XferSnap(x)
+	s.Stats.XferSnap(x)
 }

@@ -179,9 +179,10 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	key, ok := s.Program.PrefixKey()
 	w.Bool(ok && s.PrefixValid())
 	w.Bytes8(key[:])
-	s.encodeCore(w)
-	s.mem.EncodeSnap(w)
-	s.msys.EncodeSnap(w)
+	x := w.Xfer()
+	s.encodeCore(x)
+	s.mem.XferSnap(x)
+	s.msys.XferSnap(x)
 	return w.Bytes(), nil
 }
 
@@ -233,11 +234,12 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.decodeCore(r); err != nil {
+	x := r.Xfer()
+	if err := s.decodeCore(x); err != nil {
 		return nil, err
 	}
-	s.mem.DecodeSnap(r)
-	s.msys.DecodeSnap(r)
+	s.mem.XferSnap(x)
+	s.msys.XferSnap(x)
 	if err := r.Err(); err != nil {
 		return nil, snapErr(err)
 	}
@@ -285,12 +287,12 @@ func (s *Simulator) ForkProgram(p2 *prog.Program) (*Simulator, error) {
 		}
 	}
 	w := snap.NewWriter()
-	s.encodeCore(w)
+	s.encodeCore(w.Xfer())
 	cp, err := newShell(s.Machine, p2, s.mem.Fork(), s.msys.Fork())
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.decodeCore(snap.NewReader(w.Bytes())); err != nil {
+	if err := cp.decodeCore(snap.NewReader(w.Bytes()).Xfer()); err != nil {
 		// Cannot happen for bytes we just produced; surface rather than
 		// hand back a half-decoded simulator.
 		return nil, err
@@ -301,20 +303,20 @@ func (s *Simulator) ForkProgram(p2 *prog.Program) (*Simulator, error) {
 
 // ---- field transfer ----
 
-// xfer moves state between a simulator and a snapshot one field at a
-// time, in whichever direction it was built for. Each section lists its
-// fields once, so the encoder and the decoder cannot drift apart. A
-// decoding violation latches ErrSnapshotCorrupt on the reader, after
-// which every read returns zero: sections run straight through and the
-// caller checks the reader at its checkpoints.
+// xfer is the snapshot transfer (snap.Xfer: each section lists its
+// fields once, so the encoder and the decoder cannot drift apart) plus
+// what only a cluster's sections need. A decoding violation latches on
+// the reader, after which every read returns zero: sections run
+// straight through and the caller checks Err at its checkpoints. The
+// Xfer is embedded by value (it is two pointers and no state of its
+// own) so the per-field direction test costs one load, not two.
 type xfer struct {
-	w *snap.Writer // set when encoding
-	r *snap.Reader // set when decoding
-	c *cluster     // the cluster being transferred: bounds its handles
+	snap.Xfer
+	c *cluster // the cluster being transferred: bounds its handles
 }
 
 func (x *xfer) corrupt(format string, args ...any) {
-	x.r.Fail(fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...)))
+	x.Fail(fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...)))
 }
 
 // snapErr types a latched reader error: truncation stays matchable as
@@ -336,55 +338,16 @@ type integer interface {
 // xi transfers an integer field; every integer is 8 bytes on the wire
 // whatever its Go type (narrow types are range-checked by the caller).
 func xi[T integer](x *xfer, p *T) {
-	if x.w != nil {
-		x.w.I64(int64(*p))
-		return
-	}
-	*p = T(x.r.I64())
-}
-
-func (x *xfer) f64(p *float64) {
-	if x.w != nil {
-		x.w.F64(*p)
-		return
-	}
-	*p = x.r.F64()
-}
-
-func (x *xfer) bool(p *bool) {
-	if x.w != nil {
-		x.w.Bool(*p)
-		return
-	}
-	*p = x.r.Bool()
-}
-
-// bytes transfers a fixed-size byte table (predictor counters).
-func (x *xfer) bytes(b []uint8) {
-	for i := range b {
-		if x.w != nil {
-			x.w.U8(b[i])
-		} else {
-			b[i] = x.r.U8()
-		}
-	}
-}
-
-// count transfers an element count, bounded by the container's
-// fixed capacity when decoding.
-func (x *xfer) count(n *int, max int, what string) {
-	xi(x, n)
-	if x.r != nil && (*n < 0 || *n > max) {
-		x.corrupt("%s holds %d of at most %d", what, *n, max)
-		*n = 0
-	}
+	v := int64(*p)
+	x.I64(&v)
+	*p = T(v)
 }
 
 // handle transfers a handle, range-checked against the cluster's pool
 // when decoding (0, "none", is in range).
 func (x *xfer) handle(p *handle) {
 	xi(x, p)
-	if x.r != nil && int(*p) >= len(x.c.pool) {
+	if x.Decoding() && int(*p) >= len(x.c.pool) {
 		x.corrupt("chip %d cluster %d: handle %d outside the %d-slot pool", x.c.chip, x.c.idx, *p, len(x.c.pool)-1)
 		*p = 0
 	}
@@ -397,51 +360,32 @@ func (x *xfer) ref(p *ref) {
 
 // handles transfers a counted handle list within its backing array.
 func (x *xfer) handles(p *[]handle, what string) {
-	n := len(*p)
-	x.count(&n, cap(*p), what)
-	*p = (*p)[:n]
-	for i := range *p {
-		x.handle(&(*p)[i])
-	}
+	snap.Slice(&x.Xfer, p, cap(*p), what, x.handle)
 }
 
 // ring transfers a FIFO front to back; decoding refills it from
 // position 0 (head offsets are unobservable).
 func (x *xfer) ring(q *ring, what string) {
 	n := q.len()
-	x.count(&n, len(q.buf), what)
-	if x.r != nil {
+	x.Count(&n, len(q.buf), what)
+	if x.Decoding() {
 		q.reset()
 	}
 	for i := 0; i < n; i++ {
 		var h handle
-		if x.w != nil {
+		if !x.Decoding() {
 			h = q.at(i)
 		}
 		x.handle(&h)
-		if x.r != nil {
+		if x.Decoding() {
 			q.push(h)
 		}
 	}
 }
 
 func (x *xfer) slots(sl *stats.Slots) {
-	for i := range sl.Counts {
-		x.f64(&sl.Counts[i])
-	}
-	xi(x, &sl.Cycles)
-}
-
-func (x *xfer) memSnapshot(m *coherence.MemSnapshot) {
-	xi(x, &m.Loads)
-	xi(x, &m.Stores)
-	xi(x, &m.LoadRetries)
-	xi(x, &m.L1Hits)
-	xi(x, &m.L1Misses)
-	xi(x, &m.L2Hits)
-	xi(x, &m.L2Misses)
-	xi(x, &m.MSHROccupancy)
-	xi(x, &m.DirLines)
+	snap.Each(sl.Counts[:], x.F64)
+	x.I64(&sl.Cycles)
 }
 
 // ---- core section ----
@@ -451,14 +395,14 @@ func (x *xfer) memSnapshot(m *coherence.MemSnapshot) {
 // controller, every cluster (entries, threads, predictors) and the
 // sampler. Fork serializes only this section and shares the bulk state
 // copy-on-write instead.
-func (s *Simulator) encodeCore(w *snap.Writer) { s.xferCore(&xfer{w: w}) }
+func (s *Simulator) encodeCore(x *snap.Xfer) { s.xferCore(&xfer{Xfer: *x}) }
 
 // decodeCore overlays a core section onto a freshly built shell.
-func (s *Simulator) decodeCore(r *snap.Reader) error {
-	if err := s.xferCore(&xfer{r: r}); err != nil {
+func (s *Simulator) decodeCore(x *snap.Xfer) error {
+	if err := s.xferCore(&xfer{Xfer: *x}); err != nil {
 		return snapErr(err)
 	}
-	if err := r.Err(); err != nil {
+	if err := x.Err(); err != nil {
 		return snapErr(err)
 	}
 	// With thread state fully decoded, enforce the capacity invariant
@@ -484,17 +428,13 @@ func (s *Simulator) xferCore(x *xfer) error {
 	xi(x, &s.cycle)
 	xi(x, &s.committed)
 	xi(x, &s.forwardedLoads)
-	x.f64(&s.runningAccum)
+	x.F64(&s.runningAccum)
 	xi(x, &s.running)
 	xi(x, &s.finished)
 	xi(x, &s.ffCycles)
 	xi(x, &s.parBCycles)
 	x.slots(&s.slots)
-	if x.w != nil {
-		s.syncs[0].EncodeSnap(x.w)
-	} else {
-		s.syncs[0].DecodeSnap(x.r)
-	}
+	s.syncs[0].XferSnap(&x.Xfer)
 	if s.finished < 0 || s.finished > len(s.threads) || s.running < 0 || s.running > len(s.threads) {
 		return fmt.Errorf("%w: thread accounting out of range", ErrSnapshotCorrupt)
 	}
@@ -503,14 +443,7 @@ func (s *Simulator) xferCore(x *xfer) error {
 	// threads, so the freshly built shell's seed placement must be
 	// overlaid before the per-cluster sections (which iterate c.threads)
 	// can decode.
-	if x.w != nil {
-		for _, c := range s.clusters {
-			x.w.Int(len(c.threads))
-			for _, t := range c.threads {
-				x.w.Int(t.id)
-			}
-		}
-	} else if err := s.decodeAssignment(x.r); err != nil {
+	if err := s.xferAssignment(x); err != nil {
 		return err
 	}
 	for _, c := range s.clusters {
@@ -524,8 +457,8 @@ func (s *Simulator) xferCore(x *xfer) error {
 		xi(x, &t.migrateReady)
 	}
 	hasAlloc := s.alloc != nil
-	x.bool(&hasAlloc)
-	if x.r != nil && x.r.Err() == nil && hasAlloc != (s.alloc != nil) {
+	x.Bool(&hasAlloc)
+	if x.Err() == nil && hasAlloc != (s.alloc != nil) {
 		return fmt.Errorf("%w: allocator state presence disagrees with machine policy", ErrSnapshotCorrupt)
 	}
 	if a := s.alloc; a != nil {
@@ -540,53 +473,61 @@ func (s *Simulator) xferCore(x *xfer) error {
 			xi(x, &a.lastMigrated[i])
 		}
 		for i := range a.prevChipMem {
-			x.memSnapshot(&a.prevChipMem[i])
+			(*obs.MemFrame)(&a.prevChipMem[i]).XferSnap(&x.Xfer)
 		}
-		if x.r != nil && x.r.Err() == nil && a.interval <= 0 {
+		if x.Err() == nil && a.interval <= 0 {
 			return fmt.Errorf("%w: allocator epoch interval %d", ErrSnapshotCorrupt, a.interval)
 		}
 	}
 	hasObs := s.obs != nil
-	x.bool(&hasObs)
+	x.Bool(&hasObs)
 	if hasObs {
 		s.xferSampler(x)
 	}
 	return nil
 }
 
-// decodeAssignment reads each cluster's thread-id residence list and
-// re-homes the shell's threads to match the encoded placement, so
-// the per-cluster sections that follow iterate the same thread order
+// xferAssignment transfers each cluster's thread-id residence list.
+// Decoding re-homes the shell's threads to match the encoded placement,
+// so the per-cluster sections that follow iterate the same thread order
 // the encoder did.
-func (s *Simulator) decodeAssignment(r *snap.Reader) error {
-	seen := make([]bool, len(s.threads))
-	lists := make([][]int, len(s.clusters))
-	for ci := range s.clusters {
-		n := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
+func (s *Simulator) xferAssignment(x *xfer) error {
+	var seen []bool // decoding only, as is lists
+	var lists [][]int
+	if x.Decoding() {
+		seen, lists = make([]bool, len(s.threads)), make([][]int, len(s.clusters))
+	}
+	for ci, c := range s.clusters {
 		// Residence lists include finished threads, which stay on the
 		// cluster that retired them, so a cluster that absorbed
 		// migrations can legally list more threads than it has hardware
 		// contexts. Only the total is bounded here; the live-thread
 		// capacity invariant is checked after per-thread state decodes.
-		if n < 0 || n > len(s.threads) {
-			return fmt.Errorf("%w: cluster %d residence list holds %d of %d threads", ErrSnapshotCorrupt, ci, n, len(s.threads))
-		}
-		list := make([]int, n)
-		for i := range list {
-			tid := r.Int()
-			if r.Err() != nil {
-				return r.Err()
+		n := len(c.threads)
+		x.Count(&n, len(s.threads), "cluster residence list")
+		for i := 0; i < n; i++ {
+			var tid int
+			if !x.Decoding() {
+				tid = c.threads[i].id
+			}
+			if x.Int(&tid); !x.Decoding() {
+				continue
+			}
+			if x.Err() != nil {
+				return x.Err()
 			}
 			if tid < 0 || tid >= len(s.threads) || seen[tid] {
 				return fmt.Errorf("%w: thread id %d in cluster %d residence list", ErrSnapshotCorrupt, tid, ci)
 			}
 			seen[tid] = true
-			list[i] = tid
+			lists[ci] = append(lists[ci], tid)
 		}
-		lists[ci] = list
+	}
+	if !x.Decoding() {
+		return nil
+	}
+	if x.Err() != nil {
+		return x.Err()
 	}
 	for tid, ok := range seen {
 		if !ok {
@@ -612,7 +553,7 @@ func (s *Simulator) decodeAssignment(r *snap.Reader) error {
 // serialized; callers re-register after Restore/Fork.
 func (s *Simulator) xferSampler(x *xfer) {
 	o := s.obs
-	if x.r != nil {
+	if x.Decoding() {
 		o = &sampler{prevCluster: make([][stats.NumCategories]float64, len(s.clusters))}
 	}
 	xi(x, &o.interval)
@@ -620,32 +561,28 @@ func (s *Simulator) xferSampler(x *xfer) {
 	xi(x, &o.index)
 	xi(x, &o.prevCycle)
 	xi(x, &o.prevCommitted)
-	x.f64(&o.prevRunningAccum)
-	for i := range o.prevSlots {
-		x.f64(&o.prevSlots[i])
-	}
+	x.F64(&o.prevRunningAccum)
+	snap.Each(o.prevSlots[:], x.F64)
 	for i := range o.prevCluster {
-		for j := range o.prevCluster[i] {
-			x.f64(&o.prevCluster[i][j])
+		snap.Each(o.prevCluster[i][:], x.F64)
+	}
+	(*obs.MemFrame)(&o.prevMem).XferSnap(&x.Xfer)
+	var ringCap int
+	if !x.Decoding() {
+		ringCap = o.ring.Cap()
+	}
+	if x.Int(&ringCap); x.Decoding() {
+		if x.Err() != nil {
+			return
 		}
+		if o.interval <= 0 || ringCap <= 0 || ringCap > maxSnapshotRingCap {
+			x.corrupt("sampler interval %d, ring capacity %d", o.interval, ringCap)
+			return
+		}
+		o.ring = obs.NewRing(ringCap)
+		s.obs = o
 	}
-	x.memSnapshot(&o.prevMem)
-	if x.w != nil {
-		x.w.Int(o.ring.Cap())
-		o.ring.EncodeSnap(x.w)
-		return
-	}
-	ringCap := x.r.Int()
-	if x.r.Err() != nil {
-		return
-	}
-	if o.interval <= 0 || ringCap <= 0 || ringCap > maxSnapshotRingCap {
-		x.corrupt("sampler interval %d, ring capacity %d", o.interval, ringCap)
-		return
-	}
-	o.ring = obs.NewRing(ringCap)
-	o.ring.DecodeSnap(x.r)
-	s.obs = o
+	o.ring.XferSnap(&x.Xfer)
 }
 
 // ---- cluster section ----
@@ -669,7 +606,7 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	}
 	xi(x, &c.waitMemN)
 	xi(x, &c.waitDataN)
-	x.bool(&c.icount)
+	x.Bool(&c.icount)
 	xi(x, &c.fetchRR)
 	xi(x, &c.commitRR)
 	x.slots(&c.slots)
@@ -677,18 +614,20 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	xi(x, &c.fetchGroups)
 	xi(x, &c.windowFullStalls)
 	xi(x, &c.pcHighWater)
-	x.bytes(c.bp.counters)
+	for i := range c.bp.counters { // the big tables loop in place: Each costs a closure call an element
+		x.U8(&c.bp.counters[i])
+	}
 	xi(x, &c.bp.Lookups)
 	xi(x, &c.bp.Mispred)
 	for i := range c.btb.targets {
 		xi(x, &c.btb.targets[i])
 	}
 	for i := range c.btb.valid {
-		x.bool(&c.btb.valid[i])
+		x.Bool(&c.btb.valid[i])
 	}
 	xi(x, &c.btb.Lookups)
 	xi(x, &c.btb.Mispred)
-	if n := len(c.threads); x.r != nil && (c.fetchRR < 0 || (n > 0 && c.fetchRR >= n)) {
+	if n := len(c.threads); c.fetchRR < 0 || (n > 0 && c.fetchRR >= n) {
 		x.corrupt("fetch round-robin %d out of range", c.fetchRR)
 	}
 
@@ -700,7 +639,7 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		xi(x, &e.d.Seq)
 		xi(x, &e.d.PC)
 		xi(x, &e.d.Addr)
-		x.bool(&e.d.Taken)
+		x.Bool(&e.d.Taken)
 		xi(x, &e.d.Target)
 		xi(x, &e.tid)
 		xi(x, &e.seq)
@@ -711,29 +650,29 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		xi(x, &e.fuCl)
 		xi(x, &e.lat)
 		xi(x, &e.occ)
-		x.bool(&e.isLoad)
-		x.bool(&e.isStore)
-		x.bool(&e.isBranch)
-		x.bool(&e.mispredicted)
-		x.bool(&e.usesIntRename)
-		x.bool(&e.usesFPRename)
-		x.bool(&e.forwarded)
-		x.bool(&e.committed)
+		x.Bool(&e.isLoad)
+		x.Bool(&e.isStore)
+		x.Bool(&e.isBranch)
+		x.Bool(&e.mispredicted)
+		x.Bool(&e.usesIntRename)
+		x.Bool(&e.usesFPRename)
+		x.Bool(&e.forwarded)
+		x.Bool(&e.committed)
 		xi(x, &e.memClass)
 		xi(x, &e.queued)
-		x.bool(&e.waitMem)
+		x.Bool(&e.waitMem)
 		x.ref(&e.producers[0])
 		x.ref(&e.producers[1])
 		x.ref(&e.fwdStore)
 		x.handle(&e.firstCons)
 		x.handle(&e.consNext[0])
 		x.handle(&e.consNext[1])
-		if x.w != nil {
+		if !x.Decoding() {
 			continue
 		}
 		switch {
-		case x.r.Err() != nil:
-			return x.r.Err()
+		case x.Err() != nil:
+			return x.Err()
 		case e.d.PC < 0 || e.d.PC >= int64(len(p.Code)):
 			x.corrupt("entry PC %d outside program", e.d.PC)
 		case e.tid < 0 || int(e.tid) >= nthreads:
@@ -750,14 +689,14 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	// Per-thread front-end state.
 	for _, t := range c.threads {
 		xi(x, &t.block)
-		x.bool(&t.lockGranted)
-		x.bool(&t.barArrived)
+		x.Bool(&t.lockGranted)
+		x.Bool(&t.barArrived)
 		xi(x, &t.barTarget)
 		xi(x, &t.frontEvent)
 		xi(x, &t.fetched)
 		xi(x, &t.committed)
 		xi(x, &t.inWindow)
-		if x.r != nil && t.block > blockMigrate {
+		if t.block > blockMigrate {
 			x.corrupt("thread block state %d", t.block)
 		}
 		x.ref(&t.pendingBranch)
@@ -768,31 +707,29 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 			x.ref(&t.lastWriterFP[i])
 		}
 		x.ring(&t.fifo, "thread fifo")
-		if x.w != nil {
-			t.fn.EncodeArch(x.w)
-		} else if t.fn.DecodeArch(x.r); x.r.Err() != nil {
-			return x.r.Err()
+		if t.fn.XferSnap(&x.Xfer); x.Err() != nil {
+			return x.Err()
 		}
 	}
 
 	// The store table's occupied slots, each with its index, and the
 	// wakeup structures; the wheel is its heap array as it stands.
 	st := &c.stores
-	x.count(&st.live, len(st.slots)/2, "store table")
+	x.Count(&st.live, len(st.slots)/2, "store table")
 	slot := func(i *int, sl *storeSlot) {
 		xi(x, i)
 		xi(x, &sl.addr)
 		xi(x, &sl.tid)
 		x.handle(&sl.h)
 	}
-	if x.w != nil {
+	if !x.Decoding() {
 		for i := range st.slots {
 			if st.slots[i].h != 0 {
 				slot(&i, &st.slots[i])
 			}
 		}
 	}
-	for n := st.live; x.r != nil && n > 0; n-- {
+	for n := st.live; x.Decoding() && n > 0; n-- {
 		var i int
 		var sl storeSlot
 		if slot(&i, &sl); i < 0 || i >= len(st.slots) || st.slots[i].h != 0 || sl.h == 0 {
@@ -803,18 +740,12 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	}
 	x.ring(&c.pending, "pending ring")
 	x.handles(&c.ready, "ready list")
-	n := len(c.wheel.ev)
-	x.count(&n, cap(c.wheel.ev), "wakeup wheel")
-	c.wheel.ev = c.wheel.ev[:n]
-	for i := range c.wheel.ev {
-		xi(x, &c.wheel.ev[i].cycle)
-		x.ref(&c.wheel.ev[i].r)
-	}
-	if x.w != nil {
-		return nil
-	}
-	if x.r.Err() != nil {
-		return x.r.Err()
+	snap.Slice(&x.Xfer, &c.wheel.ev, cap(c.wheel.ev), "wakeup wheel", func(ev *wheelEvent) {
+		xi(x, &ev.cycle)
+		x.ref(&ev.r)
+	})
+	if !x.Decoding() || x.Err() != nil {
+		return x.Err()
 	}
 	if err := c.audit(); err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)

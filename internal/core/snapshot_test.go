@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"clustersmt/internal/config"
 	"clustersmt/internal/prog"
+	"clustersmt/internal/snap"
 	"clustersmt/internal/workloads"
 )
 
@@ -503,6 +505,73 @@ func TestSnapshotCorruptPool(t *testing.T) {
 	p := workloads.Synthetic(checkpointSpec()).Build(m.Threads(), m.Chips, workloads.SizeTest)
 	for name, data := range damagedPoolSnapshots(t) {
 		if _, err := Restore(m, p, data); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: got %v, want ErrSnapshotCorrupt", name, err)
+		}
+	}
+}
+
+// TestSnapshotLeafViolations damages one field inside each leaf section
+// of an otherwise valid checkpoint — a value the section's own XferSnap
+// range-checks while decoding — and requires Restore to refuse every
+// one with ErrSnapshotCorrupt: the validation lives in the leaves, the
+// typed error is core's.
+func TestSnapshotLeafViolations(t *testing.T) {
+	m := config.HighEnd(config.SMT2)
+	p := workloads.Synthetic(checkpointSpec()).Build(m.Threads(), m.Chips, workloads.SizeTest)
+	s, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EnableMetrics(100, 8)
+	if err := s.RunTo(500); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(m, p, data); err != nil {
+		t.Fatalf("undamaged checkpoint: %v", err)
+	}
+
+	// Sections are located from the back of the payload: it ends with the
+	// memory system (chips, then directory, network, stats), preceded by
+	// the functional memory, preceded by the core section, whose last
+	// part is the sampler ring.
+	size := func(sec interface{ XferSnap(*snap.Xfer) }) int {
+		w := snap.NewWriter()
+		sec.XferSnap(w.Xfer())
+		return w.Len()
+	}
+	chip0 := s.msys.Chips[0]
+	l1 := len(data) - size(s.msys)
+	ring := l1 - size(s.mem) - size(s.obs.ring)
+	mshr := l1 + size(chip0) - 8 - size(chip0.MSHR) // a chip ends: MSHR file, one counter
+	dir := len(data) - size(&s.msys.Stats) - size(s.msys.Net) - size(s.msys.Dir)
+	// A directory slot is line (8 bytes), sharers (4), owner (1), state
+	// (1), after the table's 8-byte slot count; state 1 is a full slot.
+	const slotBytes, slotsAt = 14, 8
+	full := -1
+	for i := 0; i < int(binary.LittleEndian.Uint64(data[dir:])) && full < 0; i++ {
+		if data[dir+slotsAt+slotBytes*i+13] == 1 {
+			full = dir + slotsAt + slotBytes*i
+		}
+	}
+	if full < 0 || s.obs.ring.Len() == 0 {
+		t.Fatalf("fixture too idle: full directory slot at %d, %d frames", full, s.obs.ring.Len())
+	}
+	l1Ways := m.Mem.L1SizeKB * 1024 / m.Mem.LineBytes // 17 bytes a way, after the 8-byte way count
+
+	for name, hurt := range map[string]func(b []byte){
+		"directory slot state > dead":  func(b []byte) { b[dir+slotsAt+13] = 3 },
+		"sharer mask beyond the chips": func(b []byte) { b[full+8+3] = 0x80 },
+		"L1 MRU hint out of range":     func(b []byte) { b[l1+8+17*l1Ways] = 0xff },
+		"MSHR capacity mismatch":       func(b []byte) { b[mshr]++ },
+		"ring pushed < count":          func(b []byte) { clear(b[ring+16 : ring+24]) },
+	} {
+		bad := append([]byte(nil), data...)
+		hurt(bad)
+		if _, err := Restore(m, p, bad); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Errorf("%s: got %v, want ErrSnapshotCorrupt", name, err)
 		}
 	}

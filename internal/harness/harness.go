@@ -60,15 +60,66 @@ type runKey struct {
 	epoch  int64
 }
 
-// inflight is one simulation's cache slot, registered before the run
-// starts (singleflight): the first caller for a key owns the run and
-// closes done when res/err are set; later callers wait on done. Errors
-// are cached like results, so a failing configuration is simulated
-// once, not once per figure that includes it.
-type inflight struct {
+// flight is a cancel-aware singleflight memo, the one mechanism behind
+// the result cache and the warmed-parent cache. The first caller of do
+// for a key owns the computation; later callers wait for it. A finished
+// call stays for good and answers every later caller — errors are
+// cached like values, so a failing configuration is simulated once, not
+// once per figure that includes it. A canceled owner takes its slot
+// with it, so a cancellation can never poison the memo: the waiters it
+// releases are still live and retry, one of them becoming the new owner.
+type flight[K comparable, V any] struct {
+	mu    sync.Mutex
+	cache map[K]*call[V]
+}
+
+// call is one key's slot, registered before the computation starts;
+// done is closed once val and err are set.
+type call[V any] struct {
 	done chan struct{}
-	res  *core.Result
+	val  V
 	err  error
+}
+
+// do returns fn's outcome for k, running fn at most once at a time per
+// key. A caller whose ctx ends while it waits on another's computation
+// gets ctx.Err(), bare; fn watches its own caller's ctx itself.
+func (f *flight[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, error) {
+	for {
+		f.mu.Lock()
+		c, ok := f.cache[k]
+		if !ok {
+			if f.cache == nil {
+				f.cache = make(map[K]*call[V])
+			}
+			c = &call[V]{done: make(chan struct{})}
+			f.cache[k] = c
+			f.mu.Unlock()
+			c.val, c.err = fn()
+			if canceled(c.err) {
+				f.mu.Lock()
+				delete(f.cache, k)
+				f.mu.Unlock()
+			}
+			close(c.done)
+			return c.val, c.err
+		}
+		f.mu.Unlock()
+		// Another caller owns (or already finished) this key; wait for
+		// it without holding anything.
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			var zero V
+			return zero, ctx.Err()
+		}
+		if !canceled(c.err) {
+			return c.val, c.err
+		}
+		// The owner was canceled (and removed the slot before closing
+		// done); this caller is still live, so retry — it may become
+		// the new owner.
+	}
 }
 
 // Suite runs and caches simulations at a fixed input size.
@@ -145,12 +196,10 @@ type Suite struct {
 	// respect to results. Set before the first Run.
 	OnSimulate func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error)
 
-	mu    sync.Mutex
-	cache map[runKey]*inflight
-	sem   chan struct{}
+	flight[runKey, *core.Result] // the result cache: mu and cache
+	sem                          chan struct{}
 
-	warmMu       sync.Mutex
-	warm         map[warmKey]*warmParent
+	warm         flight[warmKey, *warmParent]
 	warmForks    atomic.Int64
 	warmRestores atomic.Int64
 	sims         atomic.Int64
@@ -166,9 +215,8 @@ type Suite struct {
 // GOMAXPROCS simulations concurrently.
 func NewSuite(size workloads.Size) *Suite {
 	return &Suite{
-		Size:  size,
-		cache: make(map[runKey]*inflight),
-		sem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
+		Size: size,
+		sem:  make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
@@ -231,40 +279,15 @@ func canceled(err error) bool {
 func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
 	m := s.machine(arch, highEnd)
 	k := key(app.Name, arch, m.Chips, m.Alloc.Normalize())
-
-	for {
-		s.mu.Lock()
-		fl, ok := s.cache[k]
-		if ok {
-			s.mu.Unlock()
-			// Another caller owns (or already finished) this run; wait
-			// for it without holding a semaphore slot.
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, ctx.Err())
-			}
-			if fl.err != nil && canceled(fl.err) {
-				// The owner was canceled (and removed the entry before
-				// closing done); this caller is still live, so retry —
-				// it may become the new owner.
-				continue
-			}
-			return fl.res, fl.err
-		}
-		fl = &inflight{done: make(chan struct{})}
-		s.cache[k] = fl
-		s.mu.Unlock()
-
-		fl.res, fl.err = s.runShared(ctx, app, arch, highEnd, m)
-		if fl.err != nil && canceled(fl.err) {
-			s.mu.Lock()
-			delete(s.cache, k)
-			s.mu.Unlock()
-		}
-		close(fl.done)
-		return fl.res, fl.err
+	res, err := s.do(ctx, k, func() (*core.Result, error) {
+		return s.runShared(ctx, app, arch, highEnd, m)
+	})
+	if err != nil && err == ctx.Err() {
+		// This caller gave up waiting on another's run: name the run,
+		// as every error the owner returns already does.
+		err = fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
 	}
+	return res, err
 }
 
 // runShared is the owner half of RunContext's singleflight: it gives

@@ -33,17 +33,13 @@ type warmKey struct {
 	prefix  [32]byte
 }
 
-// warmParent is one warmed parent simulator's cache slot, registered
-// before the warm-up run starts (singleflight, mirroring the result
-// cache): the first caller for a key owns the run and closes done when
-// sim is set; later callers wait on done and then fork. A nil sim with
-// canceled=false means the warm-up is unusable for this key (the run
-// left the prefix before WarmupCycles) and every caller simulates from
-// scratch; canceled=true means the owner was interrupted and the entry
-// was removed, so surviving waiters retry.
+// warmParent is one warmed parent simulator, memoized per warmKey
+// (Suite.warm): the first caller for a key runs the warm-up, later
+// callers wait for it and then fork. A nil sim means the warm-up is
+// unusable for this key (the run left the prefix before WarmupCycles)
+// and every caller simulates from scratch; an interrupted warm-up is
+// not memoized at all, so surviving waiters retry.
 type warmParent struct {
-	done     chan struct{}
-	canceled bool
 	// mu serializes forks: ForkProgram mutates the parent's
 	// copy-on-write bookkeeping (page table freeze, cache ownership
 	// flags), so concurrent forks of one parent must not overlap.
@@ -75,54 +71,29 @@ func (s *Suite) warmStart(ctx context.Context, m config.Machine, p *prog.Program
 	}
 	k := warmKey{machine: m.Hash(), prefix: pk}
 
-	for {
-		s.warmMu.Lock()
-		wp, exists := s.warm[k]
-		if exists {
-			s.warmMu.Unlock()
-			select {
-			case <-wp.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if wp.canceled {
-				// The owner was interrupted (and removed the entry
-				// before closing done); this caller is still live, so
-				// retry — it may become the new owner.
-				continue
-			}
-		} else {
-			if s.warm == nil {
-				s.warm = make(map[warmKey]*warmParent)
-			}
-			wp = &warmParent{done: make(chan struct{})}
-			s.warm[k] = wp
-			s.warmMu.Unlock()
-			wp.sim = s.warmParent(ctx, m, p, w, k)
-			if wp.sim == nil && ctx.Err() != nil {
-				wp.canceled = true
-				s.warmMu.Lock()
-				delete(s.warm, k)
-				s.warmMu.Unlock()
-				close(wp.done)
-				return nil, false, ctx.Err()
-			}
-			close(wp.done)
+	wp, err := s.warm.do(ctx, k, func() (*warmParent, error) {
+		sim := s.warmParent(ctx, m, p, w, k)
+		if sim == nil && ctx.Err() != nil {
+			return nil, ctx.Err()
 		}
-		if wp.sim == nil {
-			return nil, false, nil
-		}
-		wp.mu.Lock()
-		child, err := wp.sim.ForkProgram(p)
-		wp.mu.Unlock()
-		if err != nil {
-			// Should not happen for a key-matched parent; treated as a
-			// soft miss rather than a run failure.
-			return nil, false, nil
-		}
-		s.warmForks.Add(1)
-		return child, true, nil
+		return &warmParent{sim: sim}, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	if wp.sim == nil {
+		return nil, false, nil
+	}
+	wp.mu.Lock()
+	child, err := wp.sim.ForkProgram(p)
+	wp.mu.Unlock()
+	if err != nil {
+		// Should not happen for a key-matched parent; treated as a
+		// soft miss rather than a run failure.
+		return nil, false, nil
+	}
+	s.warmForks.Add(1)
+	return child, true, nil
 }
 
 // warmParent builds (or restores) the warmed parent for key k: a

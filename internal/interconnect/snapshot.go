@@ -1,10 +1,6 @@
 package interconnect
 
-import (
-	"fmt"
-
-	"clustersmt/internal/snap"
-)
+import "clustersmt/internal/snap"
 
 // Clone returns an independent deep copy of the network.
 func (n *Network) Clone() *Network {
@@ -13,30 +9,14 @@ func (n *Network) Clone() *Network {
 	return &cp
 }
 
-// EncodeSnap writes the per-port next-free cycles and counters; the
-// geometry (node count, occupancy) is config-derived and validated on
-// decode rather than trusted from the stream.
-func (n *Network) EncodeSnap(w *snap.Writer) {
-	w.Int(len(n.ports))
-	for _, p := range n.ports {
-		w.I64(p)
-	}
-	w.U64(n.Messages)
-	w.U64(n.Conflicts)
-	w.U64(n.BusyCycles)
-}
-
-// DecodeSnap overlays state produced by EncodeSnap onto a fresh network
-// of the same size.
-func (n *Network) DecodeSnap(r *snap.Reader) {
-	if c := r.Int(); c != len(n.ports) {
-		r.Fail(fmt.Errorf("interconnect: snapshot has %d ports, network has %d", c, len(n.ports)))
-		return
-	}
-	for i := range n.ports {
-		n.ports[i] = r.I64()
-	}
-	n.Messages = r.U64()
-	n.Conflicts = r.U64()
-	n.BusyCycles = r.U64()
+// XferSnap transfers the per-port next-free cycles and counters,
+// overlaying a fresh network of the same size when decoding; the
+// geometry (node count, occupancy) is config-derived and validated
+// rather than trusted from the stream.
+func (n *Network) XferSnap(x *snap.Xfer) {
+	x.Const(len(n.ports), "interconnect: ports")
+	snap.Each(n.ports, x.I64)
+	x.U64(&n.Messages)
+	x.U64(&n.Conflicts)
+	x.U64(&n.BusyCycles)
 }

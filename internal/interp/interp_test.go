@@ -315,8 +315,8 @@ func TestLoadImageMatchesWordStores(t *testing.T) {
 		}
 	}
 	gw, ww := snap.NewWriter(), snap.NewWriter()
-	got.EncodeSnap(gw)
-	want.EncodeSnap(ww)
+	got.XferSnap(gw.Xfer())
+	want.XferSnap(ww.Xfer())
 	if !bytes.Equal(gw.Bytes(), ww.Bytes()) {
 		t.Fatal("checkpoint bytes of the loaded memory differ from the word-store memory's")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clustersmt/internal/snap"
@@ -39,6 +40,11 @@ func snapBytes(enc func(*snap.Writer)) []byte {
 	return w.Bytes()
 }
 
+// xferBytes is snapBytes for a section's XferSnap.
+func xferBytes(sec func(*snap.Xfer)) []byte {
+	return snapBytes(func(w *snap.Writer) { sec(w.Xfer()) })
+}
+
 // cachePair is one chunked cache and the dense oracle driven beside it.
 type cachePair struct {
 	c *Cache
@@ -57,8 +63,8 @@ func (p cachePair) check(t *testing.T, what string) {
 	if c.Resident() != d.Resident() {
 		t.Fatalf("%s: Resident %d, dense %d", what, c.Resident(), d.Resident())
 	}
-	if !bytes.Equal(snapBytes(c.EncodeSnap), snapBytes(d.EncodeSnap)) {
-		t.Fatalf("%s: EncodeSnap bytes differ from the dense oracle", what)
+	if !bytes.Equal(xferBytes(c.XferSnap), snapBytes(d.EncodeSnap)) {
+		t.Fatalf("%s: XferSnap bytes differ from the dense oracle", what)
 	}
 }
 
@@ -66,7 +72,7 @@ func (p cachePair) check(t *testing.T, what string) {
 // oracle (dense_test.go) with the same seeded random op streams —
 // Lookup, FindWay+TouchHit/TouchMiss, Probe, SetState, Insert, and Fork
 // followed by writes on either side — and requires every return value,
-// victim, counter, Resident() and the EncodeSnap bytes to be equal, on
+// victim, counter, Resident() and the encoded bytes to be equal, on
 // a one-chunk cache, the L1 (8 chunks) and the L2 (64 chunks).
 func TestCacheChunkedMatchesDense(t *testing.T) {
 	geoms := []struct{ sizeKB, line, assoc int }{
@@ -147,14 +153,14 @@ func TestCacheChunkedMatchesDense(t *testing.T) {
 				q.check(t, what)
 				// Decode → encode returns the same bytes, into no more
 				// chunks than the source holds.
-				enc := snapBytes(q.c.EncodeSnap)
+				enc := xferBytes(q.c.XferSnap)
 				back := NewCache("c", g.sizeKB, g.line, g.assoc)
 				r := snap.NewReader(enc)
-				back.DecodeSnap(r)
+				back.XferSnap(r.Xfer())
 				if r.Err() != nil || r.Remaining() != 0 {
 					t.Fatalf("%s: decode: err %v, %d bytes left", what, r.Err(), r.Remaining())
 				}
-				if !bytes.Equal(snapBytes(back.EncodeSnap), enc) {
+				if !bytes.Equal(xferBytes(back.XferSnap), enc) {
 					t.Fatalf("%s: decode→encode changed the bytes", what)
 				}
 				if got, src := len(presentChunks(back)), len(presentChunks(q.c)); got > src {
@@ -240,7 +246,7 @@ func TestCacheDecodeZeroChunks(t *testing.T) {
 		t.Helper()
 		c := NewCache("c", 1024, 64, 4)
 		r := snap.NewReader(b)
-		c.DecodeSnap(r)
+		c.XferSnap(r.Xfer())
 		if r.Err() != nil || r.Remaining() != 0 {
 			t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Remaining())
 		}
@@ -250,7 +256,7 @@ func TestCacheDecodeZeroChunks(t *testing.T) {
 	if got := presentChunks(c); fmt.Sprint(got) != "[0 3 62]" {
 		t.Fatalf("present chunks after decode %v, want [0 3 62]", got)
 	}
-	if !bytes.Equal(snapBytes(c.EncodeSnap), in) {
+	if !bytes.Equal(xferBytes(c.XferSnap), in) {
 		t.Fatal("decode→encode changed the bytes")
 	}
 	if c.Probe(200*64) != Modified || c.Probe(500*64) != Invalid || c.Resident() != 5 {
@@ -265,7 +271,44 @@ func TestCacheDecodeZeroChunks(t *testing.T) {
 	if got := presentChunks(c); fmt.Sprint(got) != "[0 3 15 62]" {
 		t.Fatalf("present chunks after crafted decode %v, want [0 3 15 62]", got)
 	}
-	if !bytes.Equal(snapBytes(c.EncodeSnap), crafted) {
+	if !bytes.Equal(xferBytes(c.XferSnap), crafted) {
 		t.Fatal("decode→encode dropped an MRU hint of an all-zero chunk")
 	}
+}
+
+// FuzzCacheSnap feeds arbitrary bytes to Cache.XferSnap over a fresh
+// four-chunk cache: the decode never panics, and one that succeeds
+// re-encodes to exactly the bytes it consumed into no chunk it did not
+// need — a present chunk always holds a non-zero way or hint. Seeded
+// from a cache populated in two of its chunks.
+func FuzzCacheSnap(f *testing.F) {
+	fresh := func() *Cache { return NewCache("c", 32, 64, 2) } // 256 sets
+	c := fresh()
+	for _, set := range []int64{1, 1 + 256, 63, 130, 131} { // chunks 0 and 2
+		c.Insert(set*64, Modified)
+	}
+	c.Lookup(130 * 64)
+	if got := presentChunks(c); fmt.Sprint(got) != "[0 2]" {
+		f.Fatalf("seed cache holds chunks %v, want [0 2]", got)
+	}
+	seed := xferBytes(c.XferSnap)
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(xferBytes(fresh().XferSnap))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d, r := fresh(), snap.NewReader(b)
+		if d.XferSnap(r.Xfer()); r.Err() != nil {
+			return
+		}
+		if !bytes.Equal(xferBytes(d.XferSnap), b[:len(b)-r.Remaining()]) {
+			t.Fatal("decode→encode changed the bytes")
+		}
+		for ci, ch := range d.chunks {
+			if ch != nil && !slices.ContainsFunc(ch.ways, func(w way) bool { return w != way{} }) &&
+				!slices.ContainsFunc(ch.mru[:], func(m int32) bool { return m != 0 }) {
+				t.Fatalf("chunk %d is present and all zero", ci)
+			}
+		}
+	})
 }

@@ -2,129 +2,58 @@ package obs
 
 import (
 	"fmt"
+	"math"
 
 	"clustersmt/internal/snap"
 )
 
-// Clone returns an independent deep copy of the ring (same capacity,
-// same retained frames, same drop accounting). Per-cluster slices
-// inside retained frames are copied so the clone never aliases the
-// original.
-func (r *Ring) Clone() *Ring {
-	cp := &Ring{frames: make([]Frame, len(r.frames)), count: r.count, pushed: r.pushed}
-	for i := 0; i < r.count; i++ {
-		f := r.frames[(r.start+i)%len(r.frames)]
-		f.Clusters = append([]ClusterSlots(nil), f.Clusters...)
-		cp.frames[i] = f
-	}
-	return cp
-}
-
-// EncodeSnap writes the ring's retained frames (oldest first) and its
-// push accounting so Dropped() is exact after a restore.
-func (r *Ring) EncodeSnap(w *snap.Writer) {
-	w.Int(len(r.frames))
-	w.Int(r.count)
-	w.Int(r.pushed)
-	for i := 0; i < r.count; i++ {
-		encodeFrame(w, &r.frames[(r.start+i)%len(r.frames)])
-	}
-}
-
-// DecodeSnap overlays state produced by EncodeSnap onto a fresh ring of
-// the same capacity.
-func (r *Ring) DecodeSnap(rd *snap.Reader) {
-	if c := rd.Int(); c != len(r.frames) {
-		rd.Fail(fmt.Errorf("obs: snapshot ring capacity %d, ring has %d", c, len(r.frames)))
-		return
-	}
-	count := rd.Int()
-	pushed := rd.Int()
+// XferSnap transfers the ring's retained frames (oldest first) and its
+// push accounting, so Dropped() is exact after a restore; decoding
+// overlays a fresh ring of the same capacity.
+func (r *Ring) XferSnap(x *snap.Xfer) {
+	x.Const(len(r.frames), "obs: ring capacity")
+	count, pushed := r.count, r.pushed
+	x.Int(&count)
+	x.Int(&pushed)
 	if count < 0 || count > len(r.frames) || pushed < count {
-		rd.Fail(fmt.Errorf("obs: corrupt ring accounting (count %d, pushed %d)", count, pushed))
+		x.Fail(fmt.Errorf("obs: corrupt ring accounting (count %d, pushed %d)", count, pushed))
 		return
 	}
-	r.start = 0
-	r.count = count
-	r.pushed = pushed
-	for i := 0; i < count; i++ {
-		decodeFrame(rd, &r.frames[i])
-		if rd.Err() != nil {
-			return
-		}
+	if x.Decoding() {
+		r.start, r.count, r.pushed = 0, count, pushed
+	}
+	for i := 0; i < count && x.Err() == nil; i++ {
+		r.frames[(r.start+i)%len(r.frames)].xferSnap(x)
 	}
 }
 
-func encodeFrame(w *snap.Writer, f *Frame) {
-	w.Int(f.Index)
-	w.I64(f.Start)
-	w.I64(f.End)
-	w.I64(f.Cycles)
-	w.U64(f.Committed)
-	w.F64(f.IPC)
-	w.Int(f.Running)
-	w.F64(f.AvgRunning)
-	for _, v := range f.Slots {
-		w.F64(v)
-	}
-	w.Int(len(f.Clusters))
-	for i := range f.Clusters {
-		c := &f.Clusters[i]
-		w.Int(c.Chip)
-		w.Int(c.Cluster)
-		for _, v := range c.Slots {
-			w.F64(v)
-		}
-	}
-	m := &f.Mem
-	w.U64(m.Loads)
-	w.U64(m.Stores)
-	w.U64(m.LoadRetries)
-	w.U64(m.L1Hits)
-	w.U64(m.L1Misses)
-	w.U64(m.L2Hits)
-	w.U64(m.L2Misses)
-	w.Int(m.MSHROccupancy)
-	w.Int(m.DirLines)
+func (f *Frame) xferSnap(x *snap.Xfer) {
+	x.Int(&f.Index)
+	x.I64(&f.Start)
+	x.I64(&f.End)
+	x.I64(&f.Cycles)
+	x.U64(&f.Committed)
+	x.F64(&f.IPC)
+	x.Int(&f.Running)
+	x.F64(&f.AvgRunning)
+	snap.Each(f.Slots[:], x.F64)
+	snap.Slice(x, &f.Clusters, math.MaxInt, "obs: frame clusters", func(c *ClusterSlots) {
+		x.Int(&c.Chip)
+		x.Int(&c.Cluster)
+		snap.Each(c.Slots[:], x.F64)
+	})
+	f.Mem.XferSnap(x)
 }
 
-func decodeFrame(r *snap.Reader, f *Frame) {
-	f.Index = r.Int()
-	f.Start = r.I64()
-	f.End = r.I64()
-	f.Cycles = r.I64()
-	f.Committed = r.U64()
-	f.IPC = r.F64()
-	f.Running = r.Int()
-	f.AvgRunning = r.F64()
-	for i := range f.Slots {
-		f.Slots[i] = r.F64()
-	}
-	n := r.Int()
-	if n < 0 || n > r.Remaining() {
-		r.Fail(fmt.Errorf("obs: corrupt cluster count %d: %w", n, snap.ErrTruncated))
-		return
-	}
-	f.Clusters = nil
-	if n > 0 {
-		f.Clusters = make([]ClusterSlots, n)
-		for i := range f.Clusters {
-			c := &f.Clusters[i]
-			c.Chip = r.Int()
-			c.Cluster = r.Int()
-			for j := range c.Slots {
-				c.Slots[j] = r.F64()
-			}
-		}
-	}
-	m := &f.Mem
-	m.Loads = r.U64()
-	m.Stores = r.U64()
-	m.LoadRetries = r.U64()
-	m.L1Hits = r.U64()
-	m.L1Misses = r.U64()
-	m.L2Hits = r.U64()
-	m.L2Misses = r.U64()
-	m.MSHROccupancy = r.Int()
-	m.DirLines = r.Int()
+// XferSnap transfers the memory counter block of a frame.
+func (m *MemFrame) XferSnap(x *snap.Xfer) {
+	x.U64(&m.Loads)
+	x.U64(&m.Stores)
+	x.U64(&m.LoadRetries)
+	x.U64(&m.L1Hits)
+	x.U64(&m.L1Misses)
+	x.U64(&m.L2Hits)
+	x.U64(&m.L2Misses)
+	x.Int(&m.MSHROccupancy)
+	x.Int(&m.DirLines)
 }

@@ -1,87 +1,16 @@
 package parallel
 
-import (
-	"fmt"
-	"sort"
+import "clustersmt/internal/snap"
 
-	"clustersmt/internal/snap"
-)
-
-// encodeI64IntMap writes an int64-keyed map sorted by key for a stable
-// byte stream.
-func encodeI64IntMap(w *snap.Writer, m map[int64]int) {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Int(len(keys))
-	for _, k := range keys {
-		w.I64(k)
-		w.Int(m[k])
-	}
-}
-
-func decodeI64IntMap(r *snap.Reader, m map[int64]int) {
-	n := r.Int()
-	if n < 0 || n > r.Remaining() {
-		r.Fail(fmt.Errorf("parallel: corrupt map size %d: %w", n, snap.ErrTruncated))
-		return
-	}
-	for i := 0; i < n; i++ {
-		k := r.I64()
-		v := r.Int()
-		if r.Err() != nil {
-			return
-		}
-		m[k] = v
-	}
-}
-
-// EncodeSnap writes the controller's lock and barrier state (maps
-// sorted by id) and counters.
-func (s *Sync) EncodeSnap(w *snap.Writer) {
-	w.Int(s.n)
-	encodeI64IntMap(w, s.lockOwn)
-	encodeI64IntMap(w, s.barCount)
-	gens := make([]int64, 0, len(s.barGen))
-	for k := range s.barGen {
-		gens = append(gens, k)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
-	w.Int(len(gens))
-	for _, k := range gens {
-		w.I64(k)
-		w.U64(s.barGen[k])
-	}
-	w.U64(s.LockAcquires)
-	w.U64(s.LockConflicts)
-	w.U64(s.BarrierWaits)
-}
-
-// DecodeSnap overlays state produced by EncodeSnap onto a fresh
-// controller for the same thread count.
-func (s *Sync) DecodeSnap(r *snap.Reader) {
-	if n := r.Int(); n != s.n {
-		r.Fail(fmt.Errorf("parallel: snapshot has %d participants, controller has %d", n, s.n))
-		return
-	}
-	decodeI64IntMap(r, s.lockOwn)
-	decodeI64IntMap(r, s.barCount)
-	n := r.Int()
-	if n < 0 || n > r.Remaining() {
-		r.Fail(fmt.Errorf("parallel: corrupt barrier map size %d: %w", n, snap.ErrTruncated))
-		return
-	}
-	for i := 0; i < n; i++ {
-		k := r.I64()
-		v := r.U64()
-		if r.Err() != nil {
-			return
-		}
-		s.barGen[k] = v
-	}
-	s.LockAcquires = r.U64()
-	s.LockConflicts = r.U64()
-	s.BarrierWaits = r.U64()
+// XferSnap transfers the controller's lock and barrier state (maps
+// sorted by id) and counters; decoding overlays a fresh controller for
+// the same thread count.
+func (s *Sync) XferSnap(x *snap.Xfer) {
+	x.Const(s.n, "parallel: sync participants")
+	snap.Map(x, s.lockOwn, "parallel: lock owners", x.Int)
+	snap.Map(x, s.barCount, "parallel: barrier counts", x.Int)
+	snap.Map(x, s.barGen, "parallel: barrier generations", x.U64)
+	x.U64(&s.LockAcquires)
+	x.U64(&s.LockConflicts)
+	x.U64(&s.BarrierWaits)
 }

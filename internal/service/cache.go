@@ -156,7 +156,9 @@ func (c *Cache) reconcile() error {
 }
 
 // isHexHash reports whether s is a 64-char lowercase hex string — the
-// filename stem Put gives every envelope.
+// filename stem Put gives every envelope and the only shape of key the
+// snapshot store and the fabric accept: defense against a key ever
+// reaching the filesystem as a path.
 func isHexHash(s string) bool {
 	if len(s) != 64 {
 		return false
@@ -234,20 +236,28 @@ func (c *Cache) Put(key [32]byte, spec JobSpec, res *core.Result) error {
 	if err != nil {
 		return fmt.Errorf("service: encode cache entry: %w", err)
 	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
+	return writeFileAtomic(c.path(key), "put-*.tmp", raw)
+}
+
+// writeFileAtomic writes data to path through a temp file in the same
+// directory (named from pattern) and a rename, so a crash or a full
+// disk leaves the old file or none — never a torn one.
+func writeFileAtomic(path, pattern string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), c.path(key))
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 func (c *Cache) insertLocked(key [32]byte, res *core.Result) {
@@ -315,18 +325,5 @@ func (c *Cache) Close() error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(c.dir, "index-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(c.dir, "index.json"))
+	return writeFileAtomic(filepath.Join(c.dir, "index.json"), "index-*.tmp", raw)
 }

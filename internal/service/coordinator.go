@@ -358,7 +358,7 @@ func (c *coordinator) postJob(ctx context.Context, owner string, spec JobSpec) (
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return view, resp.StatusCode, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil && resp.StatusCode < 400 {
+	if err := json.NewDecoder(peerBody(resp)).Decode(&view); err != nil && resp.StatusCode < 400 {
 		return remoteView{}, 0, fmt.Errorf("decode worker response: %w", err)
 	}
 	return view, resp.StatusCode, nil
@@ -376,7 +376,7 @@ func (c *coordinator) pollJob(ctx context.Context, owner, id string) (remoteView
 	defer resp.Body.Close()
 	var view remoteView
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		if err := json.NewDecoder(peerBody(resp)).Decode(&view); err != nil {
 			return remoteView{}, 0, fmt.Errorf("decode worker poll: %w", err)
 		}
 	} else {

@@ -15,7 +15,6 @@ package service
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -90,7 +89,7 @@ func (s *Server) handleFabricProbe(w http.ResponseWriter, r *http.Request) {
 // peer, so one node's warm-up pays for the whole fleet's forks.
 func (s *Server) handleFabricSnap(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !isHexHash(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad snapshot key %q", key))
 		return
 	}
@@ -130,8 +129,12 @@ func (s *Server) fabricMembership(w http.ResponseWriter, r *http.Request, admit 
 		return
 	}
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad fabric announcement"))
+	status, _ := decodeBody(w, r, &req)
+	if status == http.StatusOK && req.URL == "" {
+		status = http.StatusBadRequest
+	}
+	if status != http.StatusOK {
+		writeError(w, status, fmt.Errorf("service: bad fabric announcement"))
 		return
 	}
 	peers, known := c.upsert(req, admit)
@@ -163,7 +166,7 @@ func (f fedSnapshots) LoadSnapshot(ctx context.Context, key string) ([]byte, boo
 		}
 	}
 	wk := f.s.workerRef()
-	if wk == nil || !validKey(key) {
+	if wk == nil || !isHexHash(key) {
 		return nil, false
 	}
 	for _, peer := range wk.peerList() {

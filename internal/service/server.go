@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -465,11 +466,30 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBodyBytes bounds a POST body. Job specs and fabric
+// announcements are a few hundred bytes of JSON; anything near the
+// bound is hostile or broken and is answered 413 without being held.
+const maxRequestBodyBytes = 1 << 20
+
+// decodeBody decodes a bounded JSON request body into v. On failure it
+// returns the status to answer with: 413 past the bound, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	case err != nil:
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	arrived := time.Now()
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad job spec: %w", err))
+	if status, err := decodeBody(w, r, &spec); err != nil {
+		writeError(w, status, fmt.Errorf("service: bad job spec: %w", err))
 		return
 	}
 	rj, err := spec.Resolve(s.opts.DefaultSize)

@@ -333,6 +333,33 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 }
 
+// TestServiceOversizedBody checks that a POST body past the bound is
+// answered 413 — whether the excess is one huge value or padding — and
+// that the daemon then takes a valid submission as if nothing happened.
+func TestServiceOversizedBody(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for name, body := range map[string]string{
+		"huge value": `{"app":"` + strings.Repeat("a", maxRequestBodyBytes) + `"}`,
+		"padding":    strings.Repeat(" ", maxRequestBodyBytes+1) + `{"app":"swim","arch":"SMT2"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", name, resp.StatusCode)
+		}
+	}
+	status, j, _ := submit(t, ts, JobSpec{App: "swim", Arch: "SMT2"})
+	if status != http.StatusAccepted {
+		t.Fatalf("valid submission after 413s: status %d, want 202", status)
+	}
+	if got := waitJob(t, ts, j.ID); got.Status != StateDone {
+		t.Fatalf("valid submission after 413s did not complete: %+v", got)
+	}
+}
+
 // TestServiceHealthAndMetricsEndpoints smoke-checks /healthz and the
 // metrics listing/serving path with sampling enabled.
 func TestServiceHealthAndMetricsEndpoints(t *testing.T) {

@@ -20,26 +20,12 @@ type snapshotStore struct {
 	dir string
 }
 
-// validKey bounds accepted keys to the hex digests the harness emits —
-// defense against a key ever reaching the filesystem as a path.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for _, r := range key {
-		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 func (s snapshotStore) path(key string) string {
 	return filepath.Join(s.dir, "snap-"+key+".bin")
 }
 
 func (s snapshotStore) LoadSnapshot(key string) ([]byte, bool) {
-	if !validKey(key) {
+	if !isHexHash(key) {
 		return nil, false
 	}
 	data, err := os.ReadFile(s.path(key))
@@ -53,24 +39,8 @@ func (s snapshotStore) LoadSnapshot(key string) ([]byte, bool) {
 // result cache's crash discipline: a torn write leaves the old entry
 // or none, and core.Restore rejects anything truncated regardless.
 func (s snapshotStore) SaveSnapshot(key string, data []byte) {
-	if !validKey(key) {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, "snap-*.tmp")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if isHexHash(key) {
+		_ = writeFileAtomic(s.path(key), "snap-*.tmp", data) // best-effort by contract
 	}
 }
 

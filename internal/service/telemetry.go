@@ -360,7 +360,7 @@ func fetchTraceSpans(ctx context.Context, baseURL, id string) ([]telemetry.Span,
 		return nil, false
 	}
 	var view traceSpansView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+	if err := json.NewDecoder(peerBody(resp)).Decode(&view); err != nil {
 		return nil, false
 	}
 	return view.Spans, true

@@ -21,6 +21,18 @@ import (
 // hung peer must cost bounded time before the scratch fallback.
 const probeTimeout = 5 * time.Second
 
+// maxPeerBodyBytes bounds how much of one peer response is read: a
+// lying peer can cost a bounded timeout (above), never unbounded
+// memory. The largest honest response is a warmed checkpoint: megabytes
+// today, far below the bound.
+const maxPeerBodyBytes = 256 << 20
+
+// peerBody is the bounded view of a peer's response body; a response
+// cut off at the bound fails to decode and reads as a miss.
+func peerBody(resp *http.Response) io.Reader {
+	return io.LimitReader(resp.Body, maxPeerBodyBytes)
+}
+
 // peerStats counts one peer's probe outcomes as seen from this worker.
 type peerStats struct {
 	Hits   uint64 `json:"hits"`
@@ -122,7 +134,7 @@ func (w *worker) announce() {
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var ack registerResponse
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		if err := json.NewDecoder(peerBody(resp)).Decode(&ack); err != nil {
 			w.noteError(err)
 			return
 		}
@@ -236,7 +248,7 @@ func (w *worker) probeOne(ctx context.Context, peer, hexHash string) (*core.Resu
 		return nil, probeError
 	}
 	var env envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || env.Result == nil || env.Hash != hexHash {
+	if err := json.NewDecoder(peerBody(resp)).Decode(&env); err != nil || env.Result == nil || env.Hash != hexHash {
 		return nil, probeError
 	}
 	return env.Result, probeHit
@@ -284,8 +296,8 @@ func (w *worker) fetchSnapshot(ctx context.Context, peer, key string) ([]byte, b
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, false
 	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil || len(data) == 0 {
+	data, err := io.ReadAll(peerBody(resp))
+	if err != nil || len(data) == 0 || len(data) == maxPeerBodyBytes {
 		return nil, false
 	}
 	return data, true

@@ -195,3 +195,132 @@ func TestFailIsSticky(t *testing.T) {
 		t.Errorf("Fail after truncation replaced the error: %v", r.Err())
 	}
 }
+
+// xferValues holds one field of every kind Xfer transfers.
+type xferValues struct {
+	a    uint8
+	b    uint32
+	c    uint64
+	d    int64
+	e    int
+	f    float64
+	g    bool
+	h    [3]uint64
+	i    [2]float64
+	list []int64
+	m    map[int64]int
+}
+
+// xferAll is the one field list: over a Writer it encodes v, over a
+// Reader it decodes into v.
+func (v *xferValues) xferAll(x *Xfer) {
+	x.U8(&v.a)
+	x.U32(&v.b)
+	x.U64(&v.c)
+	x.I64(&v.d)
+	x.Int(&v.e)
+	x.F64(&v.f)
+	x.Bool(&v.g)
+	x.U64s(v.h[:])
+	Each(v.i[:], x.F64)
+	x.Const(7, "test: capacity")
+	Slice(x, &v.list, 4, "test: list", x.I64)
+	Map(x, v.m, "test: map", x.Int)
+}
+
+// TestXferMatchesWriter pins Xfer to the wire widths of the Writer
+// methods it is named after — one list run in both directions — and its
+// composite helpers to their layouts: a bulk run is its elements, a
+// Const is an Int, a Slice or Map is a count then elements, a Map in
+// ascending key order.
+func TestXferMatchesWriter(t *testing.T) {
+	v := xferValues{0xab, 0x01020304, 1 << 63, -2, -3, 1.5, true, [3]uint64{1, 2, 3}, [2]float64{0.5, -0.25},
+		[]int64{9, 8}, map[int64]int{5: 50, -1: 10, 3: 30}}
+	w := NewWriter()
+	v.xferAll(w.Xfer())
+
+	want := NewWriter()
+	want.U8(v.a)
+	want.U32(v.b)
+	want.U64(v.c)
+	want.I64(v.d)
+	want.Int(v.e)
+	want.F64(v.f)
+	want.Bool(v.g)
+	for _, u := range v.h {
+		want.U64(u)
+	}
+	for _, f := range v.i {
+		want.F64(f)
+	}
+	want.Int(7)
+	want.Int(2)
+	want.I64(9)
+	want.I64(8)
+	want.Int(3)
+	for _, k := range []int64{-1, 3, 5} {
+		want.I64(k)
+		want.Int(v.m[k])
+	}
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Fatalf("Xfer encoding\n got % x\nwant % x", w.Bytes(), want.Bytes())
+	}
+
+	backing := make([]int64, 1, 4)
+	got := xferValues{list: backing, m: map[int64]int{}}
+	r := NewReader(w.Bytes())
+	if got.xferAll(r.Xfer()); r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	back := NewWriter()
+	if got.xferAll(back.Xfer()); !bytes.Equal(back.Bytes(), w.Bytes()) {
+		t.Fatal("decode→encode changed the bytes")
+	}
+	if &got.list[0] != &backing[0] {
+		t.Error("Slice reallocated a backing array that was large enough")
+	}
+}
+
+// TestXferValidation checks what the bounded helpers refuse while
+// decoding, that the first failure sticks, and that encoding ignores
+// Fail.
+func TestXferValidation(t *testing.T) {
+	ints := func(vs ...int) []byte {
+		w := NewWriter()
+		for _, v := range vs {
+			w.Int(v)
+		}
+		return w.Bytes()
+	}
+	for name, tc := range map[string]struct {
+		data      []byte
+		run       func(x *Xfer)
+		truncated bool
+	}{
+		"Const differs":         {ints(8), func(x *Xfer) { x.Const(7, "c") }, false},
+		"Count negative":        {ints(-1, 0, 0), func(x *Xfer) { n := 0; x.Count(&n, 4, "c") }, false},
+		"Count over max":        {ints(2, 0, 0), func(x *Xfer) { n := 0; x.Count(&n, 1, "c") }, false},
+		"Count over bytes left": {ints(9), func(x *Xfer) { n := 0; x.Count(&n, 100, "c") }, true},
+		"Map over bytes left":   {ints(3, 1, 1), func(x *Xfer) { Map(x, map[int64]int{}, "m", x.Int) }, true},
+	} {
+		r := NewReader(tc.data)
+		x := r.Xfer()
+		tc.run(x)
+		if x.Err() == nil || errors.Is(x.Err(), ErrTruncated) != tc.truncated {
+			t.Errorf("%s: err %v (want truncation: %v)", name, x.Err(), tc.truncated)
+		}
+		first := x.Err()
+		x.Fail(errors.New("later"))
+		var n int
+		if x.Int(&n); n != 0 || x.Err() != first {
+			t.Errorf("%s: after the failure read %d, err %v; want 0 and the first error", name, n, x.Err())
+		}
+	}
+	n := 5
+	x := NewWriter().Xfer()
+	x.Count(&n, 1, "c")
+	x.Fail(errors.New("ignored"))
+	if x.Decoding() || x.Err() != nil || n != 5 {
+		t.Errorf("encoding: Decoding %v, err %v, count rewritten to %d", x.Decoding(), x.Err(), n)
+	}
+}
