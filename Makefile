@@ -13,10 +13,10 @@ check:
 # to its definition, which lives in _test.go: the stepped reference
 # loop and the window-scan issue stage (internal/core/oracle_test.go)
 # against Simulator.Run on the full Result (reflect.DeepEqual) across
-# every preset, with the ready lists, waiting tallies and forwarding
-# stores audited every cycle; the sweep MSHR file, the dense tag array
-# and the map directory against the heap, chunk-lazy and open-addressed
-# structures on seeded op streams; the map-and-sort hash against the
+# every preset, with the ready lists, waiting tallies, forwarding
+# stores and every sleeping cluster audited every cycle; the sweep MSHR
+# file, the dense tag array and the map directory against the heap,
+# chunk-lazy and open-addressed structures on seeded op streams; the map-and-sort hash against the
 # streamed program digests; the sequential loop against the concurrent
 # oracle search. Whole-run Results on all presets are pinned separately
 # by the golden corpus (go test ./benchmark, in `make check`). Beside
@@ -27,15 +27,16 @@ check:
 # stale handles read as committed entries, the steady-state loop
 # allocates nothing, no slot leaks or is held twice.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden'
+	go test ./internal/core -run 'TestEventDriven|TestClusterSleep|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestParallel|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden'
 	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential|TestMSHRDifferential'
 	go test ./internal/coherence -run 'TestDirectoryMapTableDifferential'
 	go test ./internal/prog -run 'TestDigest'
 	go test ./internal/service -run TestTelemetryDifferential
 
 # Race-check the concurrent layers: the core parallel execution mode
-# (differential + mid-fast-forward cancellation), COW snapshot forking
-# (children racing each other and the continuing parent), harness
+# (differentials, TestParallelClusterSleep among them, + mid-jump
+# cancellation), COW snapshot forking (children racing each other and
+# the continuing parent), harness
 # (suite cache + singleflight + warm-up sharing + cancellation),
 # service (queue, two-tier cache, backpressure, snapshot persistence,
 # e2e HTTP, cross-node tracing), telemetry (concurrent scrapes against

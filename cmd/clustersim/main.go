@@ -217,6 +217,9 @@ func main() {
 	fmt.Printf("  branch-mispredict=%.2f%% (%d/%d) btb-mispredict=%d/%d rename-stalls=%d window-stalls=%d forwarded-loads=%d\n",
 		100*res.MispredictRate(), res.BranchMispredicts, res.BranchLookups,
 		res.BTBMispredicts, res.BTBLookups, res.RenameStalls, res.WindowFullStalls, res.ForwardedLoads)
+	st := sim.SleepStats()
+	fmt.Printf("simulator:\n  cluster-cycles=%d slept=%d (%.1f%%) machine-jump-cycles=%d sleep-probes=%d failed=%d\n",
+		st.ClusterCycles, st.Slept, 100*float64(st.Slept)/float64(max(st.ClusterCycles, 1)), sim.FastForwarded(), st.Probes, st.ProbesFailed)
 	if len(res.PerThreadCommitted) <= 32 {
 		fmt.Printf("per-thread instructions: %v\n", res.PerThreadCommitted)
 	}

@@ -159,6 +159,7 @@ func (s *Simulator) Assignment() []int {
 // and accept them, and schedule the next boundary. Runs between cycles
 // on the coordinator only — never inside a parallel phase.
 func (s *Simulator) allocEpoch() {
+	s.wakeAll() // a migration below may end any cluster's quiescence
 	a := s.alloc
 	a.epoch++
 
@@ -293,6 +294,11 @@ func (s *Simulator) completeMigrations(now int64) bool {
 // pipeline-refill stall.
 func (s *Simulator) moveThread(t *threadCtx, now int64) {
 	src, dst := t.cluster, t.migrateTo
+	if s.sleep[dst.gid].asleep {
+		// This cycle's commit phase is over. (src is awake: t's window
+		// emptied there this cycle, or at an epoch's wakeAll.)
+		s.wake(dst, now, true)
+	}
 	for i, st := range src.threads {
 		if st == t {
 			src.threads = append(src.threads[:i], src.threads[i+1:]...)
@@ -314,6 +320,7 @@ func (s *Simulator) moveThread(t *threadCtx, now int64) {
 	t.lastWriterInt = [isa.NumIntRegs]ref{}
 	t.lastWriterFP = [isa.NumFPRegs]ref{}
 	t.block = blockMigrate
+	dst.anyBlocked = true
 	t.migrateReady = now + MigrationColdStart
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clustersmt/internal/config"
+	"clustersmt/internal/workloads"
 )
 
 // BenchmarkNewMachine keeps the cost of building one simulator visible
@@ -47,5 +48,35 @@ func BenchmarkSearchStatic(b *testing.B) {
 		if _, _, err := SearchStatic(mk, SearchPrefixCycles, SearchMaxCandidates); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkHighEndFA8 runs two ref-size cells of the 4-chip FA8 machine
+// — 32 single-thread clusters, most of which cannot make progress most
+// of the time (Fig. 6) — and reports host ns per simulated instruction:
+// the cluster-sleep lever without the measurement spine.
+func BenchmarkHighEndFA8(b *testing.B) {
+	m := config.HighEnd(config.FA8)
+	for _, app := range []string{"mgrid", "tomcatv"} {
+		w, err := workloads.ByName(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := w.Build(m.Threads(), m.Chips, workloads.SizeRef)
+		b.Run(app, func(b *testing.B) {
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				s, err := New(m, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r, err := s.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				insts += r.Committed
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
 	}
 }

@@ -136,7 +136,7 @@ type cluster struct {
 	fpUnits   []int64
 
 	// minFree[fuIdx(class)] caches the earliest next-free cycle across
-	// the class's units, so a failed freeUnit probe (and fast-forward's
+	// the class's units, so a failed freeUnit probe (and a sleep probe's
 	// next-event computation) is O(1) instead of a scan.
 	minFree [3]int64
 
@@ -162,6 +162,10 @@ type cluster struct {
 
 	fetchRR  int
 	commitRR int
+	// anyBlocked gates unblock's scan: threadVotes re-derives it at the
+	// end of every slot, and it is set where a thread blocks between
+	// slots (a migration landing) or arrives unseen (construction).
+	anyBlocked bool
 
 	// Per-run counters.
 	slots            stats.Slots
@@ -171,7 +175,7 @@ type cluster struct {
 
 	// pcHighWater is an upper bound on every static PC this cluster's
 	// threads have touched (executed, or peeked by the front end /
-	// fast-forward probes): it tracks the post-Step PC, which dominates
+	// quiescence probes): it tracks the post-Step PC, which dominates
 	// both the executed PC and the PC any subsequent Peek reads. The
 	// fork path compares it against Program.PrefixLen to decide whether
 	// a warm-up checkpoint is still variant-independent (snapshot.go).
@@ -202,6 +206,7 @@ func newCluster(chip, idx int, cfg config.Arch) *cluster {
 		fpUnits:       make([]int64, cfg.FPUnits),
 		bp:            NewBranchPredictor(cfg.PredictorSize()),
 		btb:           NewBTB(cfg.BTBSize()),
+		anyBlocked:    true,
 	}
 	for i := range c.free {
 		c.free[i] = handle(n - i) // popped from the end: slot 1 first
@@ -252,7 +257,7 @@ func fuIdx(class isa.Class) int {
 
 // freeUnit returns the index of an available unit of the class at cycle
 // now, or -1. The cached class minimum rejects the all-busy case — the
-// common outcome under structural hazards and the one fast-forward
+// common outcome under structural hazards and the one quiescence
 // probes — without touching the array.
 func (c *cluster) freeUnit(class isa.Class, now int64) int {
 	if c.minFree[fuIdx(class)] > now {
@@ -292,13 +297,16 @@ func (c *cluster) nextUnitFree(class isa.Class) int64 {
 // commit retires up to IssueWidth completed instructions across the
 // cluster's threads, each thread strictly in order (§3.2: "instructions
 // are committed on a per-thread basis"). It reports whether anything
-// retired (the fast-forward idleness signal).
+// retired (the commit half of the cluster's progress signal).
 func (c *cluster) commit(s *Simulator, now int64) bool {
 	budget := c.cfg.IssueWidth
 	removed := false
 	n := len(c.threads)
-	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(c.commitRR+i)%n]
+	for i, j := 0, c.commitRR%max(n, 1); i < n && budget > 0; i++ {
+		t := c.threads[j]
+		if j++; j == n {
+			j = 0
+		}
 		for budget > 0 && t.frontEvent <= now {
 			h := t.fifo.front()
 			e := &c.pool[h]
@@ -463,8 +471,13 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 // spinners retry acquisition (grant order follows deterministic
 // simulator polling order); barrier waiters check the generation. It
 // reports whether any thread resumed (failed lock polls do not count:
-// they leave the machine frozen and are bulk-replayed by fast-forward).
+// they leave the cluster frozen and are bulk-replayed when it sleeps).
+// The scan is skipped while no thread is blocked, which threadVotes
+// noted at the end of the last cycle's slot.
 func (c *cluster) unblock(s *Simulator, now int64) bool {
+	if !c.anyBlocked {
+		return false
+	}
 	resumed := false
 	for _, t := range c.threads {
 		switch t.block {
@@ -518,7 +531,7 @@ func (c *cluster) fetch(s *Simulator, now int64, votes *stats.Votes) bool {
 		}
 		// Progress means instructions entered the window or the thread's
 		// block state changed; a fruitless stalled pick is not progress
-		// (its counters are bulk-replayed by the fast-forward).
+		// (its counters are bulk-replayed when the cluster wakes).
 		fetchedBefore, blockBefore := t.fetched, t.block
 		budget = c.fetchFrom(s, t, now, budget, votes)
 		if t.fetched != fetchedBefore || t.block != blockBefore {
@@ -571,8 +584,10 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			}
 		case isa.OpUnlock:
 			t.sync.Unlock(in.Imm, t.id)
+			s.releases++
 		case isa.OpBarrier:
-			if !t.barArrived {
+			arrived := t.barArrived
+			if !arrived {
 				t.barTarget = t.sync.Arrive(in.Imm)
 				t.barArrived = true
 			}
@@ -580,6 +595,9 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 				t.block = blockBarrier
 				s.addRunning(c.chip, -1)
 				return 0 // fetch redirect consumes the cycle
+			}
+			if !arrived {
+				s.releases++ // this arrival tripped the barrier
 			}
 			t.barArrived = false
 		}
@@ -735,38 +753,33 @@ func (c *cluster) handleBranch(t *threadCtx, h handle, d interp.DynInstr) bool {
 // can fetch this cycle.
 func (c *cluster) pickFetchThread() *threadCtx {
 	n := len(c.threads)
-	if c.icount {
-		var best *threadCtx
-		bestIdx := 0
-		for i := 0; i < n; i++ {
-			t := c.threads[(c.fetchRR+i)%n]
-			if t.fn.Halted || t.block != blockNone || t.migrateTo != nil {
-				continue
-			}
-			if best == nil || t.inWindow < best.inWindow {
-				best, bestIdx = t, i
-			}
+	var best *threadCtx
+	for i, j := 0, c.fetchRR; i < n; i++ {
+		t := c.threads[j]
+		if j++; j == n {
+			j = 0
 		}
-		if best != nil {
-			c.fetchRR = (c.fetchRR + bestIdx + 1) % n
-		}
-		return best
-	}
-	for i := 0; i < n; i++ {
-		t := c.threads[(c.fetchRR+i)%n]
 		if t.fn.Halted || t.block != blockNone || t.migrateTo != nil {
 			continue
 		}
-		c.fetchRR = (c.fetchRR + i + 1) % n
-		return t
+		if best == nil || t.inWindow < best.inWindow {
+			best, c.fetchRR = t, j
+		}
+		if !c.icount {
+			break
+		}
 	}
-	return nil
+	return best
 }
 
 // threadVotes adds the per-thread front-end hazard votes for this cycle
 // (§4.1: sync, control and fetch classes).
 func (c *cluster) threadVotes(votes *stats.Votes) {
+	c.anyBlocked = false
 	for _, t := range c.threads {
+		if t.block != blockNone {
+			c.anyBlocked = true
+		}
 		switch {
 		case t.done():
 			// Finished threads contribute nothing.

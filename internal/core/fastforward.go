@@ -2,36 +2,39 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"clustersmt/internal/isa"
 	"clustersmt/internal/parallel"
 	"clustersmt/internal/stats"
 )
 
-// This file implements the event-driven quiescence fast-forward. When a
-// step makes no progress anywhere — nothing commits, issues, resumes or
-// fetches on any cluster — the machine is frozen except for the passage
-// of time: every state transition left is pinned to a known future
-// cycle (an issued instruction completing, a dispatched instruction
-// clearing the front-end delay, a functional unit freeing). Run can
-// therefore jump straight to the earliest such cycle, provided the
-// skipped cycles are accounted exactly as cycle-by-cycle stepping would
-// have: same slot votes per cluster per cycle (they are provably
-// constant while quiescent), same per-cycle counter mutations (commit
-// round-robin, lock-conflict polls, fetch-stall counters, running-
-// thread accumulation).
+// This file implements cluster sleep. The paper's clusters share nothing
+// (§3.3), so quiescence is a property of one cluster: when a cycle
+// leaves a cluster without progress and a dry run of its next cycle
+// proves it frozen except for the passage of time — every state
+// transition left is pinned to a known future cycle (an issued
+// instruction completing, a dispatched one clearing the front-end
+// delay, a functional unit freeing) or to another cluster releasing a
+// lock or barrier — the cluster goes to sleep. step() then skips it,
+// adding its constant slot row to the machine-wide tally at its
+// position in the cluster order. When it wakes, the slept cycles are
+// charged to its own counters in bulk, exactly as stepping would have:
+// same slot votes per cycle (provably constant while quiescent), same
+// per-cycle counter mutations. The whole-machine fast-forward is the
+// case in which every cluster is asleep: jump() moves the clock to the
+// earliest wake-up.
 //
 // The contract is bit-identity, not approximation: the differential
-// tests in fastforward_test.go run every preset under this loop and
-// under a test-only stepped runner built on step(), and assert
-// reflect.DeepEqual on the full Result.
+// tests run Simulator.Run against the never-sleeping loop of
+// oracle_test.go and assert reflect.DeepEqual on the full Result.
 
 // noEvent means a cluster is quiescent with no self-scheduled event —
 // it can only be woken by another cluster (e.g. a barrier release).
 const noEvent = int64(math.MaxInt64)
 
-// fetchStall classifies what a quiescent cluster's front end does every
-// skipped cycle, so fastForward can replay its counters in bulk.
+// fetchStall classifies what a sleeping cluster's front end does every
+// slept cycle, so wake can replay its counters in bulk.
 type fetchStall uint8
 
 const (
@@ -40,24 +43,56 @@ const (
 	stallRename                   // every fetchable thread lacks a rename reg
 )
 
-// ffStalledCluster records one cluster whose fetch stage needs per-cycle
-// stall replay across a skip.
-type ffStalledCluster struct {
-	cl   *cluster
-	kind fetchStall
+// clusterSleep is one cluster's sleep state, held in Simulator.sleep at
+// the cluster's gid. None of it is on the snapshot wire: whatever looks
+// at a cluster from outside the cycle loop wakes it first (wakeAll).
+type clusterSleep struct {
+	asleep bool
+	// syncWait marks a sleeper with a thread parked on a lock or a
+	// barrier: the one kind another cluster can wake, by a release that
+	// moves Simulator.releases past epoch.
+	syncWait bool
+	busy     bool // the commit half of this cycle's progress signal
+	stall    fetchStall
+	// Failed probes back off exponentially: some idle states are
+	// persistently non-quiescent (an MSHR-blocked load).
+	failStreak uint8
+	probeAt    int64
+
+	from   int64 // first cycle not yet charged to the cluster's own counters
+	wakeAt int64 // the cluster's earliest self-scheduled event
+	epoch  uint64
+
+	// What every slept cycle records: the hazard votes, their slot row
+	// and its non-zero categories (all the machine tally needs: adding
+	// +0.0 to a non-negative accumulator is exact), the spinners' polls.
+	votes    stats.Votes
+	row      [stats.NumCategories]float64
+	cats     [stats.NumCategories]stats.Category
+	ncat     int
+	spinners []*threadCtx
+}
+
+// addTo adds one slept cycle's row to a tally.
+func (sl *clusterSleep) addTo(t *stats.Slots) {
+	for _, c := range sl.cats[:sl.ncat] {
+		t.Counts[c] += sl.row[c]
+	}
 }
 
 // clusterQuiescent performs a non-mutating replay of what step() would
 // do on cl at cycle now. It returns quiet=false if any stage would make
 // progress or touch per-thread state the bulk path cannot replay. When
-// quiet, it returns the cluster's earliest event cycle, fills votes
-// with the hazard tally every skipped cycle would record, and registers
-// replay work (lock spinners' failed polls, fetch-stall counters) on s.
+// quiet, it returns the cluster's earliest event cycle and has filled
+// the (reset) sl with the hazard tally every slept cycle would record
+// and the replay work: lock spinners' failed polls, the fetch-stall
+// kind, whether a release must wake the cluster.
 //
 // The stages are checked cheapest-first — per-thread scans before the
-// issue-stage drain — so a busy machine pays little for a failed
+// issue-stage drain — so a busy cluster pays little for a failed
 // quiescence probe.
-func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes) (quiet bool, next int64) {
+func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (quiet bool, next int64) {
+	votes := &sl.votes
 	next = noEvent
 	event := func(at int64) {
 		if at < next {
@@ -86,18 +121,20 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 			}
 		case blockLock:
 			// Dry-run the unblock poll: TryLock would succeed (and
-			// mutate) iff the lock is free. A held lock cannot be
-			// released while the whole machine is quiescent — only an
-			// Unlock fetched on some cluster releases it.
+			// mutate) iff the lock is free. Only an Unlock fetched on
+			// another cluster releases a held lock, and fetchFrom
+			// advances s.releases when it does.
 			if t.lockGranted || t.sync.LockOwner(t.fn.Peek().Imm) == parallel.NoOwner {
 				return false, 0
 			}
-			s.ffSpinners = append(s.ffSpinners, t)
+			sl.spinners = append(sl.spinners, t)
+			sl.syncWait = true
 		case blockBarrier:
-			// Same reasoning: no thread can Arrive while quiescent.
+			// Same reasoning, for the Arrive that trips the barrier.
 			if t.sync.Released(t.fn.Peek().Imm, t.barTarget) {
 				return false, 0
 			}
+			sl.syncWait = true
 		case blockMigrate:
 			// Post-migration refill stall: lifts at a known cycle.
 			if now >= t.migrateReady {
@@ -143,14 +180,10 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 			return false, 0
 		}
 	}
-	switch stall {
-	case stallWindow:
-		s.ffStalled = append(s.ffStalled, ffStalledCluster{cl, stallWindow})
-	case stallRename:
+	if sl.stall = stall; stall == stallRename {
 		// The one picked thread votes Other each cycle (§4.1 rename
 		// stalls), exactly as fetchFrom would.
 		votes[stats.Other]++
-		s.ffStalled = append(s.ffStalled, ffStalledCluster{cl, stallRename})
 	}
 
 	// Issue stage: replicate the issue path's vote logic without
@@ -173,8 +206,8 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, votes *stats.Votes)
 // event), waiting entries vote in bulk, and the pending ring's head
 // plus the wheel's earliest event bound every front-end transition,
 // producer completion and in-flight completion — so no wakeup fires
-// strictly inside a skip interval, which is what keeps the per-cycle
-// votes constant while quiescent.
+// strictly inside a sleep, which is what keeps the per-cycle votes
+// constant while quiescent.
 func quiescentIssue(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
 	cl.drainEvents(now)
 	for _, h := range cl.ready {
@@ -204,130 +237,160 @@ func quiescentIssue(cl *cluster, now int64, votes *stats.Votes, event func(int64
 	return true
 }
 
-// fastForward attempts a quiescence skip at the current cycle. It
-// returns true if it advanced s.cycle — either to the machine's next
-// event (with all skipped cycles accounted) or, when no event exists or
-// it lies beyond MaxCycles (deadlock), straight to MaxCycles so Run's
-// safety net fires without grinding through billions of idle steps (the
-// error path discards all accounting).
-func (s *Simulator) fastForward() bool {
+// sleepIdle runs between cycles: every cluster the last cycle left
+// without progress is probed for the cycle about to run and, when it is
+// quiescent with its next event more than one cycle away, put to sleep.
+// Under the per-chip parallel loop clusters sleep only together, for a
+// machine jump (stepParallel wakes whatever is asleep).
+func (s *Simulator) sleepIdle() {
 	now := s.cycle
-	if len(s.ffVotes) < len(s.clusters) {
-		s.ffVotes = make([]stats.Votes, len(s.clusters))
+	if s.par != nil && (len(s.idle) < len(s.clusters) ||
+		slices.ContainsFunc(s.idle, func(gid int32) bool { return now < s.sleep[gid].probeAt })) {
+		return // not every cluster is idle and due for a probe
 	}
-	votes := s.ffVotes[:len(s.clusters)]
-	s.ffSpinners = s.ffSpinners[:0]
-	s.ffStalled = s.ffStalled[:0]
-
-	next := noEvent
-	for i, cl := range s.clusters {
-		votes[i].Reset()
-		quiet, at := s.clusterQuiescent(cl, now, &votes[i])
-		if !quiet {
-			return false
+	for _, gid := range s.idle {
+		sl := &s.sleep[gid]
+		if now < sl.probeAt {
+			continue
 		}
-		if at < next {
-			next = at
-		}
-	}
-
-	// An allocation epoch boundary is an event too: the policy must
-	// observe the machine at exactly the cycle it would under plain
-	// stepping, so skips clamp to it (alloc.nextAt is always > now here —
-	// the run loop fires the epoch before probing quiescence).
-	if s.alloc != nil && s.alloc.nextAt < next {
-		next = s.alloc.nextAt
-	}
-
-	if next >= s.MaxCycles {
-		s.cycle = s.MaxCycles
-		return true
-	}
-	if next <= now {
-		// Defensive: every collected event is strictly in the future,
-		// so this cannot happen; refuse to skip rather than loop.
-		return false
-	}
-
-	n := next - now
-
-	// Hoist the per-cycle slot rows out of the replay: the votes are
-	// constant across the skip, so each cluster's divides happen once.
-	if len(s.ffRows) < len(s.clusters) {
-		s.ffRows = make([][stats.NumCategories]float64, len(s.clusters))
-	}
-	rows := s.ffRows[:len(s.clusters)]
-	for i, cl := range s.clusters {
-		rows[i] = stats.IdleRow(cl.cfg.IssueWidth, &votes[i])
-	}
-
-	if s.obs == nil {
-		s.replaySkip(n, rows, votes)
-	} else {
-		// Metrics frames must land exactly on their boundaries, so the
-		// skip is replayed in segments split at each due sample. Every
-		// segment performs the identical per-cycle accounting in the
-		// identical order a single full-span replay would (the per-cycle
-		// loops are merely partitioned into contiguous runs), so the
-		// results stay bit-identical — only the sampler observes the
-		// boundary states in between.
-		for n > 0 {
-			seg := n
-			if due := s.obs.nextAt - s.cycle; due > 0 && due < seg {
-				seg = due
+		s.sleepStats.Probes++
+		sl.votes.Reset()
+		sl.spinners = sl.spinners[:0]
+		sl.syncWait = false
+		cl := s.clusters[gid]
+		quiet, next := s.clusterQuiescent(cl, now, sl)
+		if !quiet || next <= now+1 {
+			s.sleepStats.ProbesFailed++
+			if sl.failStreak < 6 {
+				sl.failStreak++
 			}
-			s.replaySkip(seg, rows, votes)
-			n -= seg
-			if s.cycle >= s.obs.nextAt {
-				s.sample()
+			sl.probeAt = now + 1<<sl.failStreak
+			if s.par != nil {
+				break
+			}
+			continue
+		}
+		sl.asleep, sl.failStreak = true, 0
+		sl.from, sl.wakeAt, sl.epoch = now, next, s.releases
+		sl.row = stats.CycleRow(cl.cfg.IssueWidth, 0, &sl.votes)
+		sl.ncat = 0
+		for c, v := range sl.row {
+			if v != 0 {
+				sl.cats[sl.ncat] = stats.Category(c)
+				sl.ncat++
 			}
 		}
+		s.nAsleep++
 	}
-	return true
+	s.idle = s.idle[:0]
 }
 
-// replaySkip charges n skipped quiescent cycles of accounting exactly
-// as n step() calls would have, using the precomputed per-cluster slot
-// rows and votes, and advances the clock. The machine-wide tally
-// receives per-cycle interleaved cluster contributions (float addition
-// is not associative, so the interleaving order matters for
-// bit-identity); each cluster's own tally is a contiguous stream and
-// takes the bulk path.
-func (s *Simulator) replaySkip(n int64, rows [][stats.NumCategories]float64, votes []stats.Votes) {
-	for c := int64(0); c < n; c++ {
-		for i := range rows {
-			s.slots.AddRow(&rows[i])
+// wake ends cl's sleep at cycle now, charging the slept cycles
+// [from, now) to its own counters exactly as stepping would have: its
+// tally is a contiguous stream and takes the bulk path, the commit
+// round-robin advanced every cycle, each spinner failed one poll per
+// cycle, and a stalled front end picked one fetchable thread per cycle
+// and bounced off the stall — one fetch group, one stall count, one
+// pick rotation (a stalled cluster has instructions in flight, so the
+// longest latency bounds the replay). commitDone says the cluster is
+// woken from the issue/fetch phase: this cycle's commit phase has
+// passed it, which for a sleeper was one more rotation.
+func (s *Simulator) wake(cl *cluster, now int64, commitDone bool) {
+	sl := &s.sleep[cl.gid]
+	n := now - sl.from
+	cl.slots.RecordIdleCycles(cl.cfg.IssueWidth, n, &sl.votes)
+	cl.commitRR += int(n)
+	if commitDone {
+		cl.commitRR++
+	}
+	for _, t := range sl.spinners {
+		t.sync.LockConflicts += uint64(n)
+	}
+	if sl.stall != stallNone {
+		cl.fetchGroups += uint64(n)
+		if sl.stall == stallWindow {
+			cl.windowFullStalls += uint64(n)
+		} else {
+			cl.renameStalls += uint64(n)
+		}
+		for i := int64(0); i < n; i++ {
+			cl.pickFetchThread()
 		}
 	}
+	s.sleepStats.Slept += n
+	sl.asleep, sl.busy = false, false
+	s.nAsleep--
+}
+
+// wakeAll wakes every sleeper between cycles. Whatever looks at the
+// clusters from outside the cycle loop calls it first: a RunTo pause
+// (and hence Snapshot and Fork), result(), sample(), an allocation
+// epoch.
+func (s *Simulator) wakeAll() {
 	for i, cl := range s.clusters {
-		cl.slots.RecordIdleCycles(cl.cfg.IssueWidth, n, &votes[i])
-		cl.commitRR += int(n) // commit() advances it every cycle
+		if s.sleep[i].asleep {
+			s.wake(cl, s.cycle, false)
+		}
+	}
+}
+
+// jump is the whole-machine fast-forward: with every cluster asleep
+// nothing happens before the earliest wake-up, so the clock moves there
+// at once — clamped to the next allocation epoch and metrics frame,
+// which must see the machine at exactly the cycle they would under
+// stepping. The machine-wide tally still receives every skipped cycle's
+// rows in cluster order; the clusters charge themselves when they wake.
+// With no event before MaxCycles (deadlock) it goes straight there, so
+// Run's safety net fires without grinding through billions of idle
+// cycles (the error path discards all accounting). It reports whether
+// the clock moved: a wake-up due now is step()'s to handle.
+func (s *Simulator) jump() bool {
+	next := noEvent
+	for i := range s.sleep {
+		next = min(next, s.sleep[i].wakeAt)
+	}
+	if s.alloc != nil {
+		next = min(next, s.alloc.nextAt)
+	}
+	if next >= s.MaxCycles {
+		s.cycle = s.MaxCycles
+		for i := range s.sleep {
+			s.sleep[i].from = s.MaxCycles // nothing to charge on a later wake
+		}
+		return true
+	}
+	if s.obs != nil {
+		next = min(next, s.obs.nextAt)
+	}
+	n := next - s.cycle
+	if n <= 0 {
+		return false
+	}
+	for c := int64(0); c < n; c++ {
+		for i := range s.sleep {
+			s.sleep[i].addTo(&s.slots)
+		}
 	}
 	s.slots.AdvanceCycles(n)
 	// running is integer-valued and the accumulator stays far below
-	// 2^53, so the bulk add equals n repeated additions exactly (and a
-	// segmented replay's partial adds sum to the same value).
+	// 2^53, so the bulk add equals n repeated additions exactly.
 	s.runningAccum += float64(n) * float64(s.running)
-	for _, t := range s.ffSpinners {
-		t.sync.LockConflicts += uint64(n) // one failed poll per cycle
-	}
-	for _, fc := range s.ffStalled {
-		// Each skipped cycle the cluster picked one fetchable thread and
-		// bounced off the stall: one fetch group, one stall counter, one
-		// round-robin rotation per cycle. n is bounded by the longest
-		// in-flight latency (a stalled cluster always has in-flight
-		// instructions), so the pick replay loop stays short.
-		fc.cl.fetchGroups += uint64(n)
-		switch fc.kind {
-		case stallWindow:
-			fc.cl.windowFullStalls += uint64(n)
-		case stallRename:
-			fc.cl.renameStalls += uint64(n)
-		}
-		for i := int64(0); i < n; i++ {
-			fc.cl.pickFetchThread()
-		}
-	}
 	s.ffCycles += n
-	s.cycle += n
+	s.cycle = next
+	return true
+}
+
+// SleepStats counts what cluster sleep did in a run, exactly.
+type SleepStats struct {
+	ClusterCycles int64 // clusters × cycles
+	Slept         int64 // cluster-cycles slept through rather than stepped
+	Probes        int64 // quiescence probes
+	ProbesFailed  int64 // probes that found progress, or an event next cycle
+}
+
+// SleepStats returns the run's sleep counters.
+func (s *Simulator) SleepStats() SleepStats {
+	st := s.sleepStats
+	st.ClusterCycles = int64(len(s.clusters)) * s.cycle
+	return st
 }

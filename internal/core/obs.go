@@ -20,15 +20,16 @@ import (
 //     simulator's mutable state.
 //
 //   - Boundary exactness: frames land exactly on multiples of the
-//     interval even when the event-driven fast-forward skips across
-//     several boundaries at once — fastForward segments its replay at
-//     each due boundary (same per-cycle accounting order, so results
-//     stay bit-identical) and samples between segments. Summing the
-//     frames' deltas therefore reproduces the end-of-run totals.
+//     interval even when the whole machine sleeps across several
+//     boundaries: a machine jump (fastforward.go) stops at each due
+//     boundary, and sample wakes every sleeper first, so their bulk
+//     accounting is charged up to the boundary (the same per-cycle
+//     accounting in the same order, merely partitioned, so results
+//     stay bit-identical). Summing the frames' deltas therefore
+//     reproduces the end-of-run totals.
 //
 // With sampling disabled the entire cost is one nil check per cycle in
-// Run plus one per fast-forward skip (benchmarked by
-// BenchmarkObsOverhead).
+// Run plus one per machine jump (benchmarked by BenchmarkObsOverhead).
 
 // DefaultMetricsInterval is the sampling interval OnInterval uses when
 // EnableMetrics was not called first.
@@ -98,11 +99,11 @@ func (s *Simulator) Metrics() *obs.Ring {
 }
 
 // sample emits the frame covering [o.prevCycle, s.cycle). Called by Run
-// when a boundary is reached on the stepped path, by fastForward
-// between replay segments, and once more at run end for the partial
-// tail. Deltas are differences of cumulative counters, so consecutive
-// frames tile the run with no gaps or overlaps.
+// when a step or a machine jump reaches a boundary, and once more at
+// run end for the partial tail. Deltas are differences of cumulative
+// counters, so consecutive frames tile the run with no gaps or overlaps.
 func (s *Simulator) sample() {
+	s.wakeAll() // the per-cluster tallies are read below
 	o := s.obs
 	now := s.cycle
 	f := obs.Frame{

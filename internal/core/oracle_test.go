@@ -11,17 +11,19 @@ import (
 )
 
 // This file holds the definitions the production core is tested
-// against. The binary carries one cycle loop (Simulator.run, with the
-// quiescence fast-forward), one issue stage (cluster.issue, wakeup.go)
-// and one forwarding lookup (cluster.forwardingStore); what each of
-// them must equal lives here, reachable from tests only:
+// against. The binary carries one cycle loop (Simulator.run, in which
+// clusters that cannot make progress sleep), one issue stage
+// (cluster.issue, wakeup.go) and one forwarding lookup
+// (cluster.forwardingStore); what each of them must equal lives here,
+// reachable from tests only:
 //
-//   - refLoop is the plain cycle-by-cycle loop built on step() — the
-//     reference for fast-forward, with the allocation-epoch and sampler
-//     calls in the same places Simulator.run makes them;
-//   - issueScan / stepScan are the §4.1 issue stage as a per-cycle scan
-//     of the whole window, the definition cluster.issue reproduces from
-//     its ready list and waiting tallies;
+//   - refLoop is the plain cycle-by-cycle loop in which every cluster
+//     runs every stage every cycle (stepRef) — the never-sleeping
+//     definition, with the allocation-epoch and sampler calls in the
+//     same places Simulator.run makes them;
+//   - issueScan is the §4.1 issue stage as a per-cycle scan of the
+//     whole window, the definition cluster.issue reproduces from its
+//     ready list and waiting tallies;
 //   - issueAudit checks, at a cycle boundary, that those ready lists
 //     and tallies are exactly what a scan would derive, and that every
 //     load's fetch-bound forwarding store is the one a FIFO scan
@@ -31,12 +33,18 @@ import (
 type refLoop struct {
 	// scan issues through issueScan instead of cluster.issue.
 	scan bool
-	// ff probes quiescence with the production fastForward after every
-	// idle cycle (no back-off) — the fast-forward dry run over a machine
-	// whose issue stage is the scan.
+	// ff probes every cluster with the production clusterQuiescent after
+	// every idle cycle (no back-off) and takes the production machine
+	// jump when all are quiet — the dry run over a machine whose issue
+	// stage is the scan. Nothing sleeps through a stepped cycle.
 	ff bool
 	// audit, when non-nil, checks the issue state before every cycle.
 	audit *issueAudit
+	// sleep, when non-nil, makes this Simulator.run itself — sleepIdle,
+	// then a machine jump or the production step — with every sleeper
+	// audited before every cycle. It is how a test sees inside the
+	// production loop, not a definition of anything.
+	sleep *sleepAudit
 }
 
 // run drives s to completion and returns its Result.
@@ -62,6 +70,7 @@ func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
 	idle := false
 	for !s.done() {
 		if target >= 0 && s.cycle >= target {
+			s.wakeAll()
 			s.resumable = true
 			return nil, nil
 		}
@@ -72,7 +81,7 @@ func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
 		if s.alloc != nil && s.cycle >= s.alloc.nextAt {
 			s.allocEpoch()
 		}
-		if l.ff && idle && s.fastForward() {
+		if l.ff && idle && l.jump(s) {
 			idle = false
 			continue
 		}
@@ -81,16 +90,26 @@ func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
 				return nil, err
 			}
 		}
-		var progressed bool
 		switch {
+		case l.sleep != nil:
+			s.sleepIdle()
+			if err := l.sleep.check(s); err != nil {
+				return nil, err
+			}
+			switch {
+			case s.nAsleep == len(s.clusters) && s.jump():
+			case s.par != nil:
+				s.stepParallel()
+			default:
+				s.step()
+			}
 		case s.par != nil:
-			progressed = s.stepParallel()
-		case l.scan:
-			progressed = stepScan(s)
+			// No sleepIdle call, so stepParallel never meets a sleeper.
+			s.stepParallel()
+			idle = len(s.idle) == len(s.clusters)
 		default:
-			progressed = s.step()
+			idle = !stepRef(s, l.scan)
 		}
-		idle = !progressed
 		if s.obs != nil && s.cycle >= s.obs.nextAt {
 			s.sample()
 		}
@@ -101,9 +120,26 @@ func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
 	return s.result(), nil
 }
 
-// stepScan is Simulator.step with the issue stage replaced by
-// issueScan; everything else is the same calls in the same order.
-func stepScan(s *Simulator) bool {
+// jump tries the whole-machine fast-forward at the current cycle: every
+// cluster is probed, and if all went to sleep the clock jumps. Either
+// way every cluster is awake again when it returns.
+func (l refLoop) jump(s *Simulator) bool {
+	s.idle = s.idle[:0]
+	for i := range s.clusters {
+		s.sleep[i].probeAt = 0
+		s.idle = append(s.idle, int32(i))
+	}
+	s.sleepIdle()
+	jumped := s.nAsleep == len(s.clusters) && s.jump()
+	s.wakeAll()
+	return jumped
+}
+
+// stepRef is one machine cycle by definition: every cluster commits,
+// then every cluster issues (through issueScan when scan is set),
+// unblocks, fetches and accounts its slots. Simulator.step is this plus
+// the handling of sleepers. It reports whether anything made progress.
+func stepRef(s *Simulator, scan bool) bool {
 	now := s.cycle
 	active := false
 	for _, cl := range s.clusters {
@@ -117,7 +153,12 @@ func stepScan(s *Simulator) bool {
 	var votes stats.Votes
 	for _, cl := range s.clusters {
 		votes.Reset()
-		issued := issueScan(cl, s, now, &votes)
+		var issued int
+		if scan {
+			issued = issueScan(cl, s, now, &votes)
+		} else {
+			issued = cl.issue(s, now, &votes)
+		}
 		if issued > 0 {
 			active = true
 		}
@@ -145,7 +186,7 @@ func stepScan(s *Simulator) bool {
 // fixed-capacity wheel and pending ring regardless, so the scan drains
 // them (their contents never influence it) and strikes what it issued
 // from the ready list, which keeps the structures bounded and lets the
-// production fastForward probe a scan-issued machine.
+// production quiescence probe examine a scan-issued machine.
 func issueScan(c *cluster, s *Simulator, now int64, votes *stats.Votes) int {
 	c.drainEvents(now)
 	issued := 0
@@ -196,6 +237,46 @@ func forwardingStoreScan(c *cluster, t *threadCtx, load *entry) *entry {
 	return nil
 }
 
+// sleepAudit checks, before every cycle of the production loop, that
+// every sleeper is where its sleep record says: a dry scan of the
+// cluster at this cycle (the probe that put it to sleep, run again)
+// finds no progress, the same next event, and the votes, fetch-stall
+// kind and lock spinners recorded. The one exception is the sleeper a
+// release has reached since it last looked: its scan may find progress,
+// and step must then wake it this very cycle.
+type sleepAudit struct {
+	sleepers int64 // sleeper-cycles audited
+	released int64 // of them, found unblocked by a release
+	last     int   // sleepers at the latest check
+	scratch  clusterSleep
+}
+
+func (a *sleepAudit) check(s *Simulator) error {
+	now := s.cycle
+	a.last = 0
+	for i, cl := range s.clusters {
+		sl := &s.sleep[i]
+		if !sl.asleep || now >= sl.wakeAt {
+			continue
+		}
+		a.sleepers++
+		a.last++
+		sc := &a.scratch
+		*sc = clusterSleep{spinners: sc.spinners[:0]}
+		quiet, next := s.clusterQuiescent(cl, now, sc)
+		switch {
+		case !quiet && sl.syncWait && sl.epoch != s.releases:
+			a.released++
+		case !quiet:
+			return fmt.Errorf("cycle %d chip %d cluster %d: asleep since %d until %d, but a dry scan makes progress", now, cl.chip, cl.idx, sl.from, sl.wakeAt)
+		case next != sl.wakeAt || sc.votes != sl.votes || sc.stall != sl.stall || sc.syncWait != sl.syncWait || !slices.Equal(sc.spinners, sl.spinners):
+			return fmt.Errorf("cycle %d chip %d cluster %d: asleep with wakeAt %d votes %v stall %d spinners %d, dry scan gives next %d votes %v stall %d spinners %d",
+				now, cl.chip, cl.idx, sl.wakeAt, sl.votes, sl.stall, len(sl.spinners), next, sc.votes, sc.stall, len(sc.spinners))
+		}
+	}
+	return nil
+}
+
 // issueAudit tallies what its checks saw, so a test can tell an audit
 // that passed from one that never met a waiting entry or a forwarding
 // load.
@@ -206,7 +287,7 @@ type issueAudit struct {
 
 // check compares every cluster's issue-stage bookkeeping against a
 // window scan at the current cycle boundary. Draining is idempotent at
-// a fixed cycle (the fast-forward probe relies on it), so the audit
+// a fixed cycle (the quiescence probe relies on it), so the audit
 // leaves the following step unperturbed. After the drain: the eligible
 // dispatched entries whose sources are ready must be the ready list,
 // in seq order; every other eligible one must be flagged waiting with

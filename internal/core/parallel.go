@@ -129,7 +129,7 @@ func (r *parRunner) join(g int64) {
 // worker is the persistent goroutine for one chip (chips 1..n-1; the
 // coordinator runs chip 0 inline). It spins on gen between phases —
 // with escalating politeness, since the coordinator may be inside a
-// long fast-forward replay — and exits on parPhaseExit.
+// long machine jump — and exits on parPhaseExit.
 func (r *parRunner) worker(chip int) {
 	last := int64(0)
 	for {
@@ -271,10 +271,14 @@ func (s *Simulator) anyDirLoad() bool {
 
 // stepParallel advances the machine one cycle using the chip workers.
 // It is the parallel counterpart of step and must leave every counter
-// bit-identical (guarded by TestParallelDifferential).
-func (s *Simulator) stepParallel() bool {
+// bit-identical (guarded by TestParallelDifferential). Every cluster
+// steps: sleepers (a machine jump just landed, or the whole machine did
+// not follow them) are woken first, on the coordinator, so the workers
+// share no sleep state.
+func (s *Simulator) stepParallel() {
 	r := s.par
 	now := s.cycle
+	s.wakeAll()
 
 	// Phase A: parallel commit + event drain.
 	g := r.release(parPhaseA)
@@ -293,7 +297,9 @@ func (s *Simulator) stepParallel() bool {
 	// Drained migrations move between commit and issue, exactly where
 	// the sequential step performs them; the workers are parked, so the
 	// coordinator re-homes threads with no cluster stage in flight.
-	migrated := len(s.migrating) > 0 && s.completeMigrations(now)
+	if len(s.migrating) > 0 {
+		s.completeMigrations(now)
+	}
 
 	// Phase B: parallel when no ready load can reach the directory,
 	// else the coordinator runs the chips in order (same code path,
@@ -317,12 +323,14 @@ func (s *Simulator) stepParallel() bool {
 	// integer shard folds. Float addition is not associative, so the
 	// machine tally must see the per-cluster calls in sequential order;
 	// the integer folds are exact in any order.
-	active := migrated
+	s.idle = s.idle[:0]
 	for _, cl := range s.clusters {
 		gid := cl.gid
 		s.slots.RecordCycle(cl.cfg.IssueWidth, r.issued[gid], &r.votes[gid])
-		if r.activeB[gid] {
-			active = true
+		if sl := &s.sleep[gid]; r.activeA[cl.chip] || r.activeB[gid] {
+			sl.failStreak, sl.probeAt = 0, 0
+		} else {
+			s.idle = append(s.idle, int32(gid))
 		}
 	}
 	for chip := range r.shards {
@@ -331,9 +339,6 @@ func (s *Simulator) stepParallel() bool {
 		s.forwardedLoads += sh.forwarded
 		s.running += int(sh.running)
 		s.finished += int(sh.finished)
-		if r.activeA[chip] {
-			active = true
-		}
 		*sh = chipShard{}
 	}
 	s.msys.FoldShards()
@@ -341,7 +346,6 @@ func (s *Simulator) stepParallel() bool {
 	s.slots.AdvanceCycle()
 	s.runningAccum += float64(s.running)
 	s.cycle++
-	return active
 }
 
 // ---- counter shims (cluster stages run on workers in parallel mode) ----

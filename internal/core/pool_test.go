@@ -165,7 +165,9 @@ func TestBoundedQueues(t *testing.T) {
 // it 2000 cycles allocates nothing — under Simulator.RunTo (ff/wakeup)
 // and under the reference loops that step the same stages one cycle at
 // a time or issue by window scan (oracle_test.go), on a single-chip
-// SMT, a 32-cluster machine and a multiprogrammed mix.
+// SMT, a 32-cluster machine and a multiprogrammed mix. Under RunTo the
+// measured windows must include clusters going to sleep and waking
+// (fmm's lock spinners among them): the sleep state is preallocated.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	app := func(name string, m config.Machine) func() (*Simulator, error) {
 		return func() (*Simulator, error) {
@@ -227,6 +229,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					if err := advance(s, warm, eventIssue, ff); err != nil {
 						t.Fatal(err)
 					}
+					slept := s.SleepStats().Slept
 					for i := 0; i < measurements; i++ {
 						allocs := testing.AllocsPerRun(1, func() {
 							if err := advance(s, s.Cycle()+window, eventIssue, ff); err != nil {
@@ -239,6 +242,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					}
 					if s.Done() {
 						t.Fatal("run finished inside the measured windows")
+					}
+					if ff && eventIssue && s.SleepStats().Slept == slept {
+						t.Error("no cluster slept inside the measured windows")
 					}
 				})
 			}

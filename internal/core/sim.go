@@ -73,16 +73,17 @@ type Simulator struct {
 	// diagnostics and test vacuousness checks.
 	parBCycles int64
 
-	// Fast-forward bookkeeping: per-cluster vote scratch, lock spinners
-	// found by the quiescence scan (their per-poll conflict counts are
-	// bulk-replayed), clusters whose fetch is pinned on a full window
-	// (their per-cycle stall counters and round-robin rotation are
-	// bulk-replayed), and the total number of skipped cycles.
-	ffVotes    []stats.Votes
-	ffRows     [][stats.NumCategories]float64
-	ffSpinners []*threadCtx
-	ffStalled  []ffStalledCluster
+	// Cluster sleep (fastforward.go): each cluster's sleep state at its
+	// gid, the number asleep, the clusters the last cycle left without
+	// progress (the next probes), and the count of Unlocks and barrier
+	// trips — the only events by which one cluster ends another's
+	// quiescence. ffCycles counts the cycles machine jumps covered.
+	sleep      []clusterSleep
+	nAsleep    int
+	idle       []int32
+	releases   uint64
 	ffCycles   int64
+	sleepStats SleepStats
 
 	// alloc is the dynamic allocation-policy state (nil for static
 	// placement — the default — and for the oracle's fixed assignments);
@@ -111,8 +112,8 @@ type Simulator struct {
 	obs *sampler
 }
 
-// FastForwarded returns the number of cycles covered by quiescence
-// skips rather than explicit steps (diagnostics and tests).
+// FastForwarded returns the number of cycles covered by machine jumps,
+// every cluster asleep at once (diagnostics and tests; see SleepStats).
 func (s *Simulator) FastForwarded() int64 { return s.ffCycles }
 
 // SetICountFetch switches every cluster to the ICOUNT fetch policy
@@ -206,10 +207,14 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 
 // numberClusters assigns each cluster its global (chip-major) index —
 // the sequential iteration order, which the parallel mode's turn
-// protocol and store drain reproduce.
+// protocol and store drain reproduce — and preallocates the sleep state
+// indexed by it.
 func (s *Simulator) numberClusters() {
+	s.sleep = make([]clusterSleep, len(s.clusters))
+	s.idle = make([]int32, 0, len(s.clusters))
 	for i, cl := range s.clusters {
 		cl.gid = i
+		s.sleep[i].spinners = make([]*threadCtx, 0, cl.cfg.ThreadsPerCluster)
 	}
 }
 
@@ -226,40 +231,60 @@ func (s *Simulator) done() bool { return s.finished == len(s.threads) }
 // step advances the machine one cycle: commit, then issue (collecting
 // hazard votes), then fetch, in classic reverse-pipeline order so a
 // result produced this cycle is consumed no earlier than the next. It
-// reports whether any cluster made progress (committed, issued,
-// resumed or fetched) — the signal that arms the quiescence check.
-func (s *Simulator) step() bool {
+// leaves in s.idle the clusters that made no progress (committed,
+// issued, resumed or fetched nothing) — sleepIdle's candidates.
+//
+// A sleeper is skipped. It wakes in the commit phase of the cycle its
+// next event is due, so that cycle's commit runs normally; one with a
+// thread parked on a lock or barrier also wakes at its place in the
+// issue/fetch phase once a release has happened since it last looked —
+// this cycle if the releasing cluster comes earlier in the order, the
+// next if later: exactly when an awake cluster's unblock poll would
+// first have seen it. Otherwise its slot row joins the machine-wide
+// tally at its position in the order (float addition is order-bound).
+func (s *Simulator) step() {
 	now := s.cycle
-	active := false
-	for _, cl := range s.clusters {
-		if cl.commit(s, now) {
-			active = true
+	s.idle = s.idle[:0]
+	for i, cl := range s.clusters {
+		sl := &s.sleep[i]
+		if sl.asleep {
+			if now < sl.wakeAt {
+				continue
+			}
+			s.wake(cl, now, false)
 		}
+		sl.busy = cl.commit(s, now)
 	}
-	if len(s.migrating) > 0 && s.completeMigrations(now) {
-		active = true
+	if len(s.migrating) > 0 {
+		s.completeMigrations(now)
 	}
 	var votes stats.Votes
-	for _, cl := range s.clusters {
+	for i, cl := range s.clusters {
+		sl := &s.sleep[i]
+		if sl.asleep {
+			if !sl.syncWait || sl.epoch == s.releases {
+				sl.addTo(&s.slots)
+				continue
+			}
+			s.wake(cl, now, true)
+		}
 		votes.Reset()
 		issued := cl.issue(s, now, &votes)
-		if issued > 0 {
-			active = true
-		}
-		if cl.unblock(s, now) {
-			active = true
-		}
-		if cl.fetch(s, now, &votes) {
-			active = true
-		}
+		resumed := cl.unblock(s, now)
+		fetched := cl.fetch(s, now, &votes)
 		cl.threadVotes(&votes)
-		s.slots.RecordCycle(cl.cfg.IssueWidth, issued, &votes)
-		cl.slots.RecordCycle(cl.cfg.IssueWidth, issued, &votes)
+		row := stats.CycleRow(cl.cfg.IssueWidth, issued, &votes)
+		s.slots.AddRow(&row)
+		cl.slots.AddRow(&row)
+		if sl.busy || issued > 0 || resumed || fetched {
+			sl.failStreak, sl.probeAt = 0, 0
+		} else {
+			s.idle = append(s.idle, int32(i))
+		}
 	}
 	s.slots.AdvanceCycle()
 	s.runningAccum += float64(s.running)
 	s.cycle++
-	return active
 }
 
 // Run simulates to completion and returns the result. It may be called
@@ -305,14 +330,6 @@ func (s *Simulator) run(target int64) (*Result, error) {
 		// when the run aborts (MaxCycles), so partial traces are usable.
 		defer s.tr.flush()
 	}
-	// idle gates the quiescence check: a cycle in which nothing happened
-	// is the only state worth paying the dry-run scan for. Some idle
-	// states are persistently non-quiescent (an MSHR-blocked load, a
-	// rename-starved cluster next to a busy one), so failed probes back
-	// off exponentially rather than re-scanning every cycle.
-	idle := false
-	failStreak := 0
-	probeAt := int64(0)
 	// Interrupt polling is keyed to the cycle count so that a
 	// fast-forward jump crossing the next poll boundary is followed by
 	// a poll on the very next iteration — one jump, not interruptPeriod
@@ -320,10 +337,10 @@ func (s *Simulator) run(target int64) (*Result, error) {
 	nextInterruptPoll := s.cycle + interruptPeriod
 	for !s.done() {
 		if target >= 0 && s.cycle >= target {
-			// Pause between cycles. The loop locals (idle, probe backoff)
-			// restart cold on resume; at worst the resumed loop steps a few
-			// cycles a fast-forward jump would have skipped, which the
-			// fast-forward bit-identity contract makes indistinguishable.
+			// Pause between cycles, with every cluster awake: Snapshot, Fork
+			// and a resumed loop meet no sleeper, and bit-identity makes
+			// the few cycles re-stepped on resume indistinguishable.
+			s.wakeAll()
 			s.resumable = true
 			return nil, nil
 		}
@@ -341,34 +358,18 @@ func (s *Simulator) run(target int64) (*Result, error) {
 		}
 		if s.alloc != nil && s.cycle >= s.alloc.nextAt {
 			// Epoch boundary: runs between cycles on the coordinator (the
-			// workers only ever run inside stepParallel), and the fast-
-			// forward clamps its jumps to nextAt, so the policy observes
-			// the machine at exactly this cycle under every execution mode.
+			// workers only ever run inside stepParallel), and a machine
+			// jump clamps to nextAt, so the policy observes the machine at
+			// exactly this cycle under every execution mode.
 			s.allocEpoch()
 		}
-		if idle && s.cycle >= probeAt {
-			if s.fastForward() {
-				idle = false
-				failStreak = 0
-				continue
-			}
-			if failStreak < 6 {
-				failStreak++
-			}
-			probeAt = s.cycle + 1<<failStreak
-		}
-		var progressed bool
-		if s.par != nil {
-			progressed = s.stepParallel()
-		} else {
-			progressed = s.step()
-		}
-		if progressed {
-			failStreak = 0
-			probeAt = 0
-			idle = false
-		} else {
-			idle = true
+		s.sleepIdle()
+		switch {
+		case s.nAsleep == len(s.clusters) && s.jump():
+		case s.par != nil:
+			s.stepParallel()
+		default:
+			s.step()
 		}
 		if s.obs != nil && s.cycle >= s.obs.nextAt {
 			s.sample()
@@ -382,6 +383,7 @@ func (s *Simulator) run(target int64) (*Result, error) {
 }
 
 func (s *Simulator) result() *Result {
+	s.wakeAll()
 	r := &Result{
 		Machine:        s.Machine,
 		ProgramName:    s.Program.Name,

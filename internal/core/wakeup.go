@@ -18,7 +18,7 @@ import "clustersmt/internal/stats"
 // (§4.1): every eligible unissued entry, oldest first, either issues,
 // or votes for its hazard class — sourcesReady's memory/data verdict
 // for unready sources, tryIssue's for the rest — until IssueWidth
-// entries have issued. The contract is the same as fast-forward's
+// entries have issued. The contract is the same as cluster sleep's
 // (fastforward.go): a Result bit-identical to that definition's, not
 // an approximation. The scan itself lives in oracle_test.go; the
 // differential tests run it against this stage on the full Result, and
@@ -88,7 +88,7 @@ func (w *wheel) push(cycle int64, r ref) bool {
 }
 
 // min returns the earliest pending event cycle, or noEvent when the
-// wheel is empty (the fast-forward next-event bound).
+// wheel is empty (a sleeper's next-event bound).
 func (w *wheel) min() int64 {
 	if len(w.ev) == 0 {
 		return noEvent
@@ -128,7 +128,7 @@ func (w *wheel) pop() wheelEvent {
 // drainEvents processes every pending entry past its front-end delay
 // and every wheel event due by cycle now, re-evaluating each woken
 // entry. Draining is idempotent at a fixed cycle — it is exactly what
-// issue does first — so the fast-forward quiescence probe may drain
+// issue does first — so the quiescence probe may drain
 // early without perturbing a subsequent step.
 func (c *cluster) drainEvents(now int64) {
 	for c.pending.len() > 0 {
@@ -160,7 +160,7 @@ func (c *cluster) drainEvents(now int64) {
 		// x's completion: wake its consumer chain. Every consumer
 		// is still dispatched here — it cannot have issued before
 		// x was done, and this walk runs before any issue at the
-		// first cycle that sees x done (fast-forward never skips
+		// first cycle that sees x done (a cluster never sleeps
 		// past wheel.min()) — so the producer links that select
 		// the next-link slot are intact. x itself may have
 		// committed and been swept earlier this very cycle; its slot
@@ -285,7 +285,7 @@ func (c *cluster) dispatchEvent(h handle) {
 }
 
 // wake fires when the entry in slot h issues: its completion becomes a
-// wheel event — the consumer-chain walk, the fast-forward next-event
+// wheel event — the consumer-chain walk, the sleeper's next-event
 // bound, and the commit-progress signal even when nothing reads the
 // result.
 func (c *cluster) wake(h handle) {

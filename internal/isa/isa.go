@@ -197,13 +197,15 @@ var infoTable = [NumOps]Info{
 	OpNop:  {Name: "nop", Class: ClassInt, Latency: 1, Pipel: true},
 }
 
-// InfoFor returns the static description of op. It panics on an
-// out-of-range opcode, which always indicates a builder bug.
-func InfoFor(op Op) Info {
+// InfoFor returns the static description of op: a read-only pointer
+// into the shared table (fetch and the interpreter ask per instruction,
+// and the struct is 48 bytes). It panics on an out-of-range opcode,
+// which always indicates a builder bug.
+func InfoFor(op Op) *Info {
 	if int(op) >= NumOps {
 		panic(fmt.Sprintf("isa: opcode out of range: %d", op))
 	}
-	return infoTable[op]
+	return &infoTable[op]
 }
 
 func (op Op) String() string {
@@ -244,7 +246,7 @@ type Instr struct {
 }
 
 // Info returns the static description of the instruction's opcode.
-func (in Instr) Info() Info { return InfoFor(in.Op) }
+func (in Instr) Info() *Info { return InfoFor(in.Op) }
 
 // String renders the instruction in a compact assembly-like syntax.
 func (in Instr) String() string {

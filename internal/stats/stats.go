@@ -76,68 +76,62 @@ type Slots struct {
 // would silently violate the categories-sum-to-width×cycles invariant
 // (the §4.1 property test), so it panics instead.
 func (s *Slots) RecordCycle(width, issued int, votes *Votes) {
+	row := CycleRow(width, issued, votes)
+	s.AddRow(&row)
+}
+
+// CycleRow computes the per-category additions of one cluster-cycle, so
+// that a caller feeding two tallies (the machine's and the cluster's)
+// divides once. Adding the whole row is bit-identical to adding its
+// non-zero entries: the accumulators are non-negative, and adding +0.0
+// to one is an exact no-op in IEEE 754.
+func CycleRow(width, issued int, votes *Votes) (row [NumCategories]float64) {
 	if issued > width {
 		panic(fmt.Sprintf("stats: issued %d exceeds issue width %d", issued, width))
 	}
-	s.Counts[Useful] += float64(issued)
+	row[Useful] = float64(issued)
 	wasted := float64(width - issued)
 	if wasted <= 0 {
-		return
+		return row
 	}
-	total := votes.Total()
-	if total == 0 {
-		s.Counts[Fetch] += wasted
-		return
-	}
-	for c := Fetch; c < NumCategories; c++ {
-		s.Counts[c] += wasted * votes[c] / total
-	}
-}
-
-// IdleRow precomputes the per-category additions one zero-issue cycle
-// with these votes contributes — exactly the values RecordCycle(width,
-// 0, votes) would add, so folding the row with AddRow is bit-identical
-// to calling RecordCycle (including the zero entries: adding +0.0 to a
-// non-negative accumulator is an exact no-op in IEEE 754).
-func IdleRow(width int, votes *Votes) (row [NumCategories]float64) {
-	wasted := float64(width)
 	total := votes.Total()
 	if total == 0 {
 		row[Fetch] = wasted
 		return row
 	}
 	for c := Fetch; c < NumCategories; c++ {
-		row[c] = wasted * votes[c] / total
+		if votes[c] != 0 { // most categories, most cycles: skip the divide
+			row[c] = wasted * votes[c] / total
+		}
 	}
 	return row
 }
 
-// AddRow folds one precomputed cycle row into the tally. Hot path of
-// the event-driven fast-forward: the machine-wide tally must receive
-// each skipped cycle's per-cluster contributions in the original
-// interleaved order (float addition is not associative), but the
-// divides behind each row only need computing once per skip.
+// AddRow folds one precomputed cycle row into the tally.
 func (s *Slots) AddRow(row *[NumCategories]float64) {
-	for c := Fetch; c < NumCategories; c++ {
+	for c := range row {
 		s.Counts[c] += row[c]
 	}
 }
 
 // RecordIdleCycles accounts n consecutive cluster-cycles in which no
 // instruction issued and the hazard votes were identical — the bulk
-// path behind the event-driven fast-forward (internal/core).
+// path behind cluster sleep (internal/core).
 //
 // It deliberately performs the same repeated floating-point additions
 // that n individual RecordCycle(width, 0, votes) calls would: float
-// addition is not associative, and the fast-forward's contract is that
-// skipped cycles leave counts bit-identical to cycle-by-cycle stepping.
+// addition is not associative, and the contract is that slept cycles
+// leave counts bit-identical to cycle-by-cycle stepping. Categories
+// accumulate independently, so each takes its n additions in one run,
+// and a category the row leaves at +0.0 takes none.
 func (s *Slots) RecordIdleCycles(width int, n int64, votes *Votes) {
-	if n <= 0 {
-		return
-	}
-	row := IdleRow(width, votes)
-	for i := int64(0); i < n; i++ {
-		s.AddRow(&row)
+	for c, v := range CycleRow(width, 0, votes) {
+		if v == 0 {
+			continue
+		}
+		for i := int64(0); i < n; i++ {
+			s.Counts[c] += v
+		}
 	}
 }
 
@@ -146,7 +140,7 @@ func (s *Slots) RecordIdleCycles(width int, n int64, votes *Votes) {
 func (s *Slots) AdvanceCycle() { s.Cycles++ }
 
 // AdvanceCycles notes that n machine cycles elapsed at once (the
-// event-driven fast-forward path).
+// machine-jump path).
 func (s *Slots) AdvanceCycles(n int64) { s.Cycles += n }
 
 // Merge folds other into s (for aggregating parallel sub-runs; cycles
