@@ -1,9 +1,10 @@
 # Tier-1 gate: everything CI requires green, each thing once — build,
-# vet, every test (the differentials of `make diff` among them), then
-# the race check of the concurrent layers.
+# vet, the code-size ratchet, every test (the differentials of `make
+# diff` among them), then the race check of the concurrent layers.
 check:
 	go build ./...
 	go vet ./...
+	$(MAKE) loc-budget
 	go test ./...
 	$(MAKE) race
 
@@ -20,7 +21,9 @@ check:
 # streamed program digests; the sequential loop against the concurrent
 # oracle search. Whole-run Results on all presets are pinned separately
 # by the golden corpus (go test ./benchmark, in `make check`). Beside
-# those: sequential × per-chip parallel execution, observability on ×
+# those: the sequential loop × core.Simulator.Parallel (the per-chip
+# loop, core-internal: no binary or harness option selects it any
+# more, these differentials are what still reaches it), observability on ×
 # off, run-from-checkpoint × run-from-scratch (and the on-disk snapshot
 # fixture), service telemetry on × off, allocation policy static × none
 # (and dynamic-policy determinism), and the entry pool's own gates —
@@ -33,11 +36,12 @@ diff:
 	go test ./internal/prog -run 'TestDigest'
 	go test ./internal/service -run TestTelemetryDifferential
 
-# Race-check the concurrent layers: the core parallel execution mode
-# (differentials, TestParallelClusterSleep among them, + mid-jump
-# cancellation), COW snapshot forking (children racing each other and
-# the continuing parent), harness
-# (suite cache + singleflight + warm-up sharing + cancellation),
+# Race-check the concurrent layers: core.Simulator.Parallel, which only
+# these tests and the spine's one probe still set (differentials,
+# TestParallelClusterSleep among them, + mid-jump cancellation), COW
+# snapshot forking (children racing each other and the continuing
+# parent), harness (suite cache + singleflight + its eviction + warm-up
+# sharing + cancellation),
 # service (queue, two-tier cache, backpressure, snapshot persistence,
 # e2e HTTP, cross-node tracing), telemetry (concurrent scrapes against
 # concurrent observers, span-ring races), prog (one program's digests
@@ -57,7 +61,20 @@ perf-trace:
 	go run ./benchmark -trace 1
 
 # Non-test Go lines outside benchmark/ — ROADMAP's code-size metric.
+LOC = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l
+	@$(LOC)
 
-.PHONY: check diff race perf perf-trace loc
+# The ratchet on that metric: `make check` fails above LOC_BUDGET, so the
+# number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
+# shrinks the tree lowers the budget to its own `make loc`; one that has
+# to grow it raises the budget in the same diff, where review sees it.
+LOC_BUDGET = 18915
+loc-budget:
+	@n=$$($(LOC)); \
+	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
+		echo "make loc = $$n, over LOC_BUDGET = $(LOC_BUDGET)"; exit 1; \
+	fi; \
+	echo "make loc = $$n (budget $(LOC_BUDGET))"
+
+.PHONY: check diff race perf perf-trace loc loc-budget

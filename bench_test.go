@@ -7,21 +7,14 @@
 package clustersmt_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"clustersmt"
 	"clustersmt/internal/config"
 	"clustersmt/internal/harness"
-	"clustersmt/internal/isa"
 	"clustersmt/internal/model"
-	"clustersmt/internal/service"
 	"clustersmt/internal/workloads"
 )
 
@@ -106,11 +99,11 @@ func BenchmarkFig1Model(b *testing.B) {
 	}
 }
 
-func benchFigure(b *testing.B, run func(*harness.Suite) (*harness.Figure, error)) {
+func benchFigure(b *testing.B, n int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		suite := harness.NewSuite(workloads.SizeRef)
-		fig, err := run(suite)
+		fig, err := suite.Figure(context.Background(), n)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,13 +123,13 @@ func benchFigure(b *testing.B, run func(*harness.Suite) (*harness.Figure, error)
 // BenchmarkFig4LowEndFAvsSMT2 regenerates Figure 4 (FA8/FA4/FA2/FA1 vs
 // SMT2, low-end machine, six applications).
 func BenchmarkFig4LowEndFAvsSMT2(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure4)
+	benchFigure(b, 4)
 }
 
 // BenchmarkFig5HighEndFAvsSMT2 regenerates Figure 5 (the same
 // comparison on the 4-chip machine).
 func BenchmarkFig5HighEndFAvsSMT2(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure5)
+	benchFigure(b, 5)
 }
 
 // BenchmarkFig6Placement regenerates the Figure 6 measurements (average
@@ -145,7 +138,7 @@ func BenchmarkFig6Placement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		suite := harness.NewSuite(workloads.SizeRef)
 		for _, highEnd := range []bool{false, true} {
-			pts, err := suite.Placement(highEnd)
+			pts, err := suite.Placement(context.Background(), highEnd)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -159,13 +152,13 @@ func BenchmarkFig6Placement(b *testing.B) {
 // BenchmarkFig7LowEndSMTs regenerates Figure 7 (SMT8/SMT4/SMT2/SMT1,
 // low-end machine).
 func BenchmarkFig7LowEndSMTs(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure7)
+	benchFigure(b, 7)
 }
 
 // BenchmarkFig8HighEndSMTs regenerates Figure 8 (the same on the 4-chip
 // machine).
 func BenchmarkFig8HighEndSMTs(b *testing.B) {
-	benchFigure(b, (*harness.Suite).Figure8)
+	benchFigure(b, 8)
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed
@@ -194,68 +187,6 @@ func BenchmarkPerApplication(b *testing.B) {
 				}
 				b.ReportMetric(res.IPC, "IPC")
 			}
-		})
-	}
-}
-
-// buildFPStream is the parallel execution mode's motivating workload:
-// every one of the 32 contexts grinds twelve independent FP multiply
-// chains with no memory traffic at all, so each chip's clusters issue
-// at full width every cycle and no load can ever reach the directory —
-// the per-cycle chip phases run concurrently for essentially the whole
-// run, and the per-cycle work dwarfs the two rendezvous the coordinator
-// pays per cycle.
-func buildFPStream(iters int64) *clustersmt.Program {
-	b := clustersmt.NewProgram("fpstream")
-	b.GlobalWords("nthreads", []uint64{32})
-	for k := 1; k <= 12; k++ {
-		b.Fli(isa.Reg(k), 1.0+float64(k)/16)
-	}
-	b.Fli(15, 1.0001)
-	b.Li(9, 0)
-	b.Li(10, iters)
-	b.CountedLoop(9, 10, func() {
-		for k := 1; k <= 12; k++ {
-			b.Fmul(isa.Reg(k), isa.Reg(k), 15)
-		}
-	})
-	b.Halt()
-	return b.MustBuild()
-}
-
-func runFPStream(parallel bool) (*clustersmt.Result, error) {
-	sim, err := clustersmt.NewSimulator(clustersmt.HighEnd(clustersmt.SMT2), buildFPStream(3000))
-	if err != nil {
-		return nil, err
-	}
-	sim.Parallel = parallel
-	return sim.Run()
-}
-
-// BenchmarkCoreParallel compares the sequential cycle loop against the
-// per-chip parallel execution mode on the FP-streaming workload
-// (results are bit-identical; see internal/core/parallel_test.go). Only
-// meaningful with GOMAXPROCS >= 4 (one host core per simulated chip);
-// the spine's core.parallel_ratio is the end-to-end reading.
-func BenchmarkCoreParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{
-		{"sequential", false},
-		{"parallel", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := runFPStream(mode.parallel)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
 		})
 	}
 }
@@ -403,187 +334,6 @@ func BenchmarkSweepFork(b *testing.B) {
 				if _, _, err := runForkSweep(specs, mode.warm); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-	}
-}
-
-// fabricSweepSpecs is the 16-point cache-cold sweep grid of the fabric
-// scale-out benchmark. Unlike sweepForkSpecs there is no shared warm-up
-// prefix: every point is an independent simulation, so the only lever
-// is how many of them the fleet runs concurrently.
-func fabricSweepSpecs() []clustersmt.SyntheticSpec {
-	var specs []clustersmt.SyntheticSpec
-	for _, chain := range []int{1, 2, 3, 4} {
-		for _, indep := range []int{1, 2, 3, 4} {
-			specs = append(specs, clustersmt.SyntheticSpec{
-				ChainLen: chain, IndepOps: indep, Iters: 2048,
-			})
-		}
-	}
-	return specs
-}
-
-// startFabricFleet boots an in-process fabric — one coordinator plus n
-// single-slot workers over loopback HTTP — waits until every worker is
-// on the ring, and returns the coordinator's base URL plus a shutdown
-// function. Caches start empty, so a sweep through the returned fleet
-// is cache-cold.
-func startFabricFleet(tb testing.TB, n int) (string, func()) {
-	tb.Helper()
-	shutdown := func(srv *service.Server, ts *httptest.Server) func() {
-		return func() {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			_ = srv.Close(ctx)
-			ts.Close()
-		}
-	}
-	coordSrv, err := service.New(service.Options{
-		DefaultSize:       workloads.SizeTest,
-		QueueCap:          64,
-		Coordinator:       true,
-		HeartbeatInterval: 50 * time.Millisecond,
-		// Only dispatch failures evict: a busy single-CPU host can
-		// starve heartbeat goroutines long enough to flap the ring,
-		// and rebalancing mid-measurement would distort the timing.
-		HeartbeatTimeout: time.Hour,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	coordTS := httptest.NewServer(coordSrv.Handler())
-	closers := []func(){shutdown(coordSrv, coordTS)}
-	for i := 0; i < n; i++ {
-		wSrv, err := service.New(service.Options{
-			DefaultSize:       workloads.SizeTest,
-			Workers:           1,
-			QueueCap:          64,
-			HeartbeatInterval: 50 * time.Millisecond,
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		wTS := httptest.NewServer(wSrv.Handler())
-		closers = append(closers, shutdown(wSrv, wTS))
-		if err := wSrv.JoinFabric(coordTS.URL, wTS.URL); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var health struct {
-			Fabric struct {
-				Peers []struct {
-					URL string `json:"url"`
-				} `json:"peers"`
-			} `json:"fabric"`
-		}
-		resp, err := http.Get(coordTS.URL + "/healthz")
-		if err == nil {
-			err = json.NewDecoder(resp.Body).Decode(&health)
-			resp.Body.Close()
-		}
-		if err == nil && len(health.Fabric.Peers) == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			tb.Fatalf("fleet of %d never fully registered", n)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return coordTS.URL, func() {
-		for i := len(closers) - 1; i >= 0; i-- { // workers first, coordinator last
-			closers[i]()
-		}
-	}
-}
-
-// runFabricSweep boots a fresh n-worker fleet, submits the sweep to
-// the coordinator, and long-polls every job to completion, returning
-// the submit-to-drain wall time and each point's result document as
-// the coordinator serialized it (the cross-fleet bit-identity witness).
-func runFabricSweep(tb testing.TB, n int, specs []clustersmt.SyntheticSpec) (time.Duration, map[string]json.RawMessage) {
-	tb.Helper()
-	base, stop := startFabricFleet(tb, n)
-	defer stop()
-
-	type submitted struct{ app, id string }
-	jobs := make([]submitted, 0, len(specs))
-	start := time.Now()
-	for _, spec := range specs {
-		app := clustersmt.Synthetic(spec).Name
-		body, _ := json.Marshal(service.JobSpec{App: app, Arch: clustersmt.SMT2.Name, Size: "test"})
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			tb.Fatalf("submit %s: status %d", app, resp.StatusCode)
-		}
-		var view struct {
-			ID string `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		jobs = append(jobs, submitted{app, view.ID})
-	}
-	results := make(map[string]json.RawMessage, len(jobs))
-	for _, j := range jobs {
-		results[j.app] = fabricAwaitJob(tb, base, j.id)
-	}
-	return time.Since(start), results
-}
-
-// fabricAwaitJob long-polls one job to a terminal state and returns its
-// result document.
-func fabricAwaitJob(tb testing.TB, base, id string) json.RawMessage {
-	tb.Helper()
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait=5s")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var view struct {
-			Status string          `json:"status"`
-			Error  string          `json:"error"`
-			Result json.RawMessage `json:"result"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		switch view.Status {
-		case service.StateDone:
-			return view.Result
-		case service.StateFailed:
-			tb.Fatalf("job %s failed: %s", id, view.Error)
-		}
-	}
-	tb.Fatalf("job %s never finished", id)
-	return nil
-}
-
-// BenchmarkFabricScaleOut runs the 16-point cache-cold sweep through a
-// coordinator fronting 1 vs 3 single-slot workers (an in-process fleet
-// over loopback HTTP; both legs dispatch every job through the ring, so
-// the comparison isolates fleet width from protocol overhead). Every op
-// boots a fresh fleet, so no result is ever served from a cache. The
-// ratio is pure scale-out and needs real host parallelism to show up.
-func BenchmarkFabricScaleOut(b *testing.B) {
-	specs := fabricSweepSpecs()
-	for _, n := range []int{1, 3} {
-		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runFabricSweep(b, n, specs)
 			}
 			b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "points/s")
 		})

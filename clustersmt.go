@@ -56,7 +56,7 @@ type Result = core.Result
 
 // Simulator is one configured simulation instance. Most callers should
 // use Simulate / SimulateProgram; the explicit form exposes pre-run
-// knobs (MaxCycles, Interrupt, Parallel, SetICountFetch) and post-run
+// knobs (MaxCycles, Interrupt, SetICountFetch) and post-run
 // inspection (Mem, MemSystem, FastForwarded, SleepStats).
 type Simulator = core.Simulator
 

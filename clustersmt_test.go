@@ -1,6 +1,7 @@
 package clustersmt_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestFacadeSlotBreakdownSums(t *testing.T) {
 
 func TestFacadeSuite(t *testing.T) {
 	s := clustersmt.NewSuite(clustersmt.SizeTest)
-	fig, err := s.Figure7()
+	fig, err := s.Figure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

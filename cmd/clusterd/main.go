@@ -15,8 +15,7 @@
 // Identical submissions are content-addressed (SHA-256 of the resolved
 // machine + workload spec) and served from cache in microseconds; with
 // -cache-dir the cache survives restarts. Graceful shutdown (SIGINT/
-// SIGTERM) stops admission, drains running jobs, and persists the
-// cache index.
+// SIGTERM) stops admission and drains running jobs.
 //
 // Several daemons form a fabric: one runs with -coordinator and the
 // rest join it with -join. The coordinator routes each job to the
@@ -28,12 +27,11 @@
 //
 // Usage:
 //
-//	clusterd [-addr :8421] [-size ref] [-workers N] [-parallel] [-queue N]
+//	clusterd [-addr :8421] [-size ref] [-workers N] [-queue N]
 //	         [-alloc icount] [-alloc-epoch N] [-list-policies]
 //	         [-cache-dir DIR] [-cache-entries N] [-max-cycles N]
 //	         [-warmup-cycles N] [-metrics-interval N] [-port-file PATH]
-//	         [-drain-timeout 30s] [-telemetry=false] [-span-ring N]
-//	         [-node-name NAME] [-pprof]
+//	         [-drain-timeout 30s] [-telemetry=false] [-node-name NAME] [-pprof]
 //	         [-coordinator | -join URL [-advertise URL]]
 //	         [-heartbeat 5s] [-heartbeat-timeout 15s]
 package main
@@ -77,7 +75,6 @@ func main() {
 	addr := flag.String("addr", ":8421", "listen address (host:port; port 0 picks a free port)")
 	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
 	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
-	parallel := flag.Bool("parallel", false, "run each simulation's chips on separate goroutines (bit-identical results)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
 	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
@@ -91,7 +88,6 @@ func main() {
 	portFile := flag.String("port-file", "", "write the bound port to this file once listening")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain running jobs at shutdown")
 	telemetry := flag.Bool("telemetry", true, "serve OpenMetrics at /metrics and job traces at /v1/trace/{id}")
-	spanRing := flag.Int("span-ring", 0, "retained trace spans (0 = default)")
 	nodeName := flag.String("node-name", "", "node identity on trace timelines (default: by fabric role)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof and expvar at /debug/vars")
 	coordinator := flag.Bool("coordinator", false, "run as the fabric coordinator: accept worker registrations and route jobs by content hash")
@@ -132,7 +128,6 @@ func main() {
 	svc, err := service.New(service.Options{
 		DefaultSize:     size,
 		Workers:         *workers,
-		Parallel:        *parallel,
 		QueueCap:        *queueCap,
 		CacheEntries:    *cacheEntries,
 		CacheDir:        *cacheDir,
@@ -144,7 +139,6 @@ func main() {
 		MetricsRingCap:  *metricsRing,
 
 		DisableTelemetry: !*telemetry,
-		SpanRingCap:      *spanRing,
 		NodeName:         *nodeName,
 
 		Coordinator:       *coordinator,
@@ -208,7 +202,7 @@ func main() {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		log.Printf("shutting down: draining jobs (up to %s) and persisting cache index", *drainTimeout)
+		log.Printf("shutting down: draining jobs (up to %s)", *drainTimeout)
 	case err := <-serveErr:
 		log.Fatal(err)
 	}

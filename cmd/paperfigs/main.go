@@ -47,7 +47,6 @@ func main() {
 	metricsInterval := flag.Int64("metrics-interval", clustersmt.DefaultMetricsInterval, "cycles per metrics frame")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval for the alloc figure's dynamic policies (0 = figure default)")
-	parallelSims := flag.Bool("parallel", false, "run each alloc-figure simulation's chips on separate goroutines (bit-identical results)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	showVersion := flag.Bool("version", false, "print build information and exit")
@@ -160,19 +159,11 @@ func main() {
 	if sel("fig1") {
 		fmt.Fprintln(out, fig1())
 	}
-	for _, f := range []struct {
-		key string
-		fn  func(context.Context) (*harness.Figure, error)
-	}{
-		{"fig4", suite.Figure4Context},
-		{"fig5", suite.Figure5Context},
-		{"fig7", suite.Figure7Context},
-		{"fig8", suite.Figure8Context},
-	} {
-		if !sel(f.key) {
+	for _, n := range []int{4, 5, 7, 8} {
+		if !sel(fmt.Sprintf("fig%d", n)) {
 			continue
 		}
-		fig, err := f.fn(ctx)
+		fig, err := suite.Figure(ctx, n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -190,7 +181,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if sel("alloc") {
-		fig, err := harness.AllocationFigure(ctx, size, *allocEpoch, *parallelSims)
+		fig, err := harness.AllocationFigure(ctx, size, *allocEpoch)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -198,7 +189,7 @@ func main() {
 	}
 	if sel("conclusion") {
 		for _, highEnd := range []bool{false, true} {
-			c, err := suite.ConclusionContext(ctx, highEnd)
+			c, err := suite.Conclusion(ctx, highEnd)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -214,7 +205,7 @@ func main() {
 	}
 	if sel("model") {
 		for _, highEnd := range []bool{false, true} {
-			v, err := suite.ValidateModelContext(ctx, highEnd)
+			v, err := suite.ValidateModel(ctx, highEnd)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -223,7 +214,7 @@ func main() {
 	}
 	if sel("fig6") {
 		for _, highEnd := range []bool{false, true} {
-			pts, err := suite.PlacementContext(ctx, highEnd)
+			pts, err := suite.Placement(ctx, highEnd)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -591,12 +591,6 @@ func (s *System) ChipSnapshot(chip int, now int64) MemSnapshot {
 	}
 }
 
-// CanAcceptLoad reports whether chip could start a new load miss at
-// cycle now (issue gating for the pipeline's memory-hazard accounting).
-func (s *System) CanAcceptLoad(now int64, chip int) bool {
-	return s.Chips[chip].MSHR.Free(now) > 0
-}
-
 func mustAlloc(m *memsys.MSHRFile, now, line, ready int64) {
 	if !m.TryAlloc(now, line, ready) {
 		panic("coherence: MSHR allocation failed after availability check")

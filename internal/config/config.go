@@ -190,26 +190,6 @@ type MemConfig struct {
 	NetOccupancy int
 }
 
-// MinCrossChipLatency returns the smallest number of cycles any
-// cross-chip interaction can take under this configuration: the
-// quickest cross-chip path is a remote-memory fetch, which pays one
-// network port occupancy at each end plus the Table 3 remote-memory
-// round trip. It is the conservative-lookahead horizon a parallel
-// simulation could advance chips independently for if cross-chip
-// effects propagated with their modeled delay. The timing model
-// resolves directory transactions instantly in simulator order (see
-// internal/coherence), so the sound horizon the parallel execution
-// mode actually uses collapses to one cycle (DESIGN.md §8); this
-// derivation is the hook for a future delayed-transaction
-// interconnect.
-func (m MemConfig) MinCrossChipLatency() int {
-	min := m.RemoteMemLat
-	if m.RemoteL2Lat < min {
-		min = m.RemoteL2Lat
-	}
-	return 2*m.NetOccupancy + min
-}
-
 // DefaultMem returns Table 3 verbatim (plus documented knobs).
 func DefaultMem() MemConfig {
 	return MemConfig{

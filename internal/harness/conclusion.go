@@ -117,12 +117,7 @@ func AdjustClock(fig *Figure) *Conclusion {
 // Conclusion runs the full Table 2 set on the low-end machine and
 // returns the cycle-time-adjusted comparison across all seven
 // architectures — the paper's bottom line in one table.
-func (s *Suite) Conclusion(highEnd bool) (*Conclusion, error) {
-	return s.ConclusionContext(context.Background(), highEnd)
-}
-
-// ConclusionContext is Conclusion with caller cancellation.
-func (s *Suite) ConclusionContext(ctx context.Context, highEnd bool) (*Conclusion, error) {
+func (s *Suite) Conclusion(ctx context.Context, highEnd bool) (*Conclusion, error) {
 	apps := workloads.All()
 	archs := []config.Arch{config.FA8, config.FA4, config.FA2, config.FA1,
 		config.SMT4, config.SMT2, config.SMT1}

@@ -3,11 +3,9 @@
 // the Figure 6 placements, and renders the Figure 4/5/7/8 execution-
 // time breakdowns as text.
 //
-// Individual simulations are strictly deterministic; by default each
-// runs on a single goroutine and the harness runs independent
-// simulations concurrently across host cores. Suite.Parallel instead
-// spreads each simulation's chips across goroutines (core.Simulator.
-// Parallel), which pays off when one big high-end run dominates.
+// Individual simulations are strictly deterministic; each runs on a
+// single goroutine and the harness runs independent simulations
+// concurrently across host cores.
 package harness
 
 import (
@@ -63,15 +61,33 @@ type runKey struct {
 // flight is a cancel-aware singleflight memo, the one mechanism behind
 // the result cache and the warmed-parent cache. The first caller of do
 // for a key owns the computation; later callers wait for it. A finished
-// call stays for good and answers every later caller — errors are
-// cached like values, so a failing configuration is simulated once, not
-// once per figure that includes it. A canceled owner takes its slot
-// with it, so a cancellation can never poison the memo: the waiters it
-// releases are still live and retry, one of them becoming the new owner.
+// call answers every later caller — errors are cached like values, so a
+// failing configuration is simulated once, not once per figure that
+// includes it — until more than max calls have finished since, when the
+// one that finished longest ago is forgotten and its key computes again
+// on next use; a call still running is never forgotten. A canceled
+// owner takes its slot with it, so a cancellation can never poison the
+// memo: the waiters it releases are still live and retry, one of them
+// becoming the new owner.
 type flight[K comparable, V any] struct {
-	mu    sync.Mutex
-	cache map[K]*call[V]
+	mu       sync.Mutex
+	cache    map[K]*call[V]
+	finished []K // keys of finished calls, oldest first
+	max      int // bound on len(finished)
+	// forgot, when set, is told each key whose slot is dropped (shed
+	// from a full memo, or canceled). It runs under mu, so ahead of any
+	// new owner of that key, and may touch what mu guards.
+	forgot func(K)
 }
+
+// Memo bounds: what a long-lived daemon may retain under a stream of
+// distinct jobs. A figure run (at most 200 distinct cells) never
+// reaches either. Warmed parents are whole paused simulators, hence the
+// smaller bound.
+const (
+	maxResults     = 4096
+	maxWarmParents = 64
+)
 
 // call is one key's slot, registered before the computation starts;
 // done is closed once val and err are set.
@@ -96,11 +112,7 @@ func (f *flight[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, er
 			f.cache[k] = c
 			f.mu.Unlock()
 			c.val, c.err = fn()
-			if canceled(c.err) {
-				f.mu.Lock()
-				delete(f.cache, k)
-				f.mu.Unlock()
-			}
+			f.settle(k, canceled(c.err))
 			close(c.done)
 			return c.val, c.err
 		}
@@ -122,6 +134,30 @@ func (f *flight[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, er
 	}
 }
 
+// settle files k's finished call: a canceled one is dropped, any other
+// joins the finished queue, which then sheds its oldest keys down to
+// max.
+func (f *flight[K, V]) settle(k K, drop bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if drop {
+		f.forget(k)
+		return
+	}
+	f.finished = append(f.finished, k)
+	for len(f.finished) > f.max {
+		f.forget(f.finished[0])
+		f.finished = f.finished[1:]
+	}
+}
+
+func (f *flight[K, V]) forget(k K) {
+	delete(f.cache, k)
+	if f.forgot != nil {
+		f.forgot(k)
+	}
+}
+
 // Suite runs and caches simulations at a fixed input size.
 type Suite struct {
 	Size workloads.Size
@@ -135,11 +171,6 @@ type Suite struct {
 	// config.DefaultAllocEpoch). Set before the first Run.
 	AllocPolicy string
 	AllocEpoch  int64
-	// Parallel runs each simulation's chips on separate goroutines
-	// (core.Simulator.Parallel). Results stay bit-identical to the
-	// sequential loop; the win is wall clock on multi-chip machines
-	// when a few big runs dominate the suite. Set before the first Run.
-	Parallel bool
 
 	// MetricsInterval > 0 enables interval metrics on every simulation
 	// (one obs.Frame per MetricsInterval cycles, retained in a ring of
@@ -198,6 +229,9 @@ type Suite struct {
 
 	flight[runKey, *core.Result] // the result cache: mu and cache
 	sem                          chan struct{}
+	// rings holds each memoized run's retained frames, under the result
+	// cache's mu: a ring goes when its memo entry goes.
+	rings map[runKey]runRing
 
 	warm         flight[warmKey, *warmParent]
 	warmForks    atomic.Int64
@@ -206,18 +240,27 @@ type Suite struct {
 
 	allocMigrations atomic.Int64
 	allocEpochs     atomic.Int64
+}
 
-	obsMu sync.Mutex
-	rings map[string]*obs.Ring // "app@machine" -> retained frames
+// runRing is one simulated run's retained frames under the name the
+// metrics accessors list it by ("app@machine").
+type runRing struct {
+	name string
+	ring *obs.Ring
 }
 
 // NewSuite returns a Suite at the given input size, running up to
 // GOMAXPROCS simulations concurrently.
 func NewSuite(size workloads.Size) *Suite {
-	return &Suite{
-		Size: size,
-		sem:  make(chan struct{}, runtime.GOMAXPROCS(0)),
+	s := &Suite{
+		Size:  size,
+		sem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
+		rings: make(map[runKey]runRing),
 	}
+	s.max = maxResults
+	s.forgot = func(k runKey) { delete(s.rings, k) }
+	s.warm.max = maxWarmParents
+	return s
 }
 
 // SetParallelism bounds the number of simulations the suite runs
@@ -275,17 +318,23 @@ func canceled(err error) bool {
 // requests; waiters that were sharing the canceled run retry and one of
 // them becomes the new owner. Real simulation errors are still cached
 // like results (a failing configuration simulates once, not once per
-// figure that includes it).
+// figure that includes it). Every error names the run, once.
 func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
 	m := s.machine(arch, highEnd)
 	k := key(app.Name, arch, m.Chips, m.Alloc.Normalize())
+	named := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err) }
 	res, err := s.do(ctx, k, func() (*core.Result, error) {
-		return s.runShared(ctx, app, arch, highEnd, m)
+		res, err := s.runShared(ctx, k, app, arch, highEnd, m)
+		if err != nil {
+			// Named here so the memo holds, and every later caller gets,
+			// the one error value.
+			return nil, named(err)
+		}
+		return res, nil
 	})
 	if err != nil && err == ctx.Err() {
-		// This caller gave up waiting on another's run: name the run,
-		// as every error the owner returns already does.
-		err = fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
+		// This caller gave up waiting on another's run.
+		err = named(err)
 	}
 	return res, err
 }
@@ -294,38 +343,53 @@ func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch con
 // the Remote hook first claim on the run — ahead of the semaphore, so
 // remote-served runs never hold a local simulation slot — and falls
 // back to the local path when the hook declines.
-func (s *Suite) runShared(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (*core.Result, error) {
+func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (*core.Result, error) {
 	if s.Remote != nil {
-		res, handled, err := s.Remote(ctx, app.Name, arch, highEnd)
-		if handled {
-			if err != nil {
-				return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
-			}
-			return res, nil
+		if res, handled, err := s.Remote(ctx, app.Name, arch, highEnd); handled {
+			return res, err
 		}
 	}
-	return s.runOwned(ctx, app, m)
+	return s.runOwned(ctx, k, app, m)
 }
 
 // runOwned acquires a semaphore slot and simulates; it is the owner
 // half of RunContext's singleflight.
-func (s *Suite) runOwned(ctx context.Context, app workloads.Workload, m config.Machine) (*core.Result, error) {
+func (s *Suite) runOwned(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (*core.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, ctx.Err())
+		return nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
-	return s.simulate(ctx, app, m)
+	return s.simulate(ctx, k, app, m)
+}
+
+// arm applies the suite's per-run settings to a simulator about to run:
+// the cycle bound, the caller's cancellation and, with sampling on, the
+// frame ring it returns (nil otherwise). A forked child (fresh=false)
+// already carries the warmed parent's sampler — warm-up frames
+// included, so its ring matches a scratch run's — and re-enabling would
+// reset the sampling phase mid-run.
+func (s *Suite) arm(ctx context.Context, sim *core.Simulator, fresh bool) *obs.Ring {
+	if s.MaxCycles > 0 {
+		sim.MaxCycles = s.MaxCycles
+	}
+	sim.Interrupt = ctx.Done()
+	switch {
+	case s.MetricsInterval <= 0 && s.OnFrame == nil:
+		return nil
+	case fresh:
+		return sim.EnableMetrics(s.MetricsInterval, s.MetricsRingCap)
+	}
+	return sim.Metrics()
 }
 
 // simulate performs one uncached simulation, starting from a shared
 // warmed checkpoint when warm-up sharing is enabled and applicable
 // (see warmup.go) and from cycle zero otherwise.
-func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.Machine) (*core.Result, error) {
+func (s *Suite) simulate(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (*core.Result, error) {
 	p := app.Build(m.Threads(), m.Chips, s.Size)
 	var sim *core.Simulator
-	var warmed bool
 	var err error
 	pol := m.Alloc.Normalize().Policy
 	if pol == "" {
@@ -333,48 +397,29 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 		// machine hashes under the seed placement; a non-static policy
 		// changes placement (and thus warm-up) itself, so those runs
 		// always start cold.
-		sim, warmed, err = s.warmStart(ctx, m, p)
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
+		if sim, err = s.warmStart(ctx, m, p); err != nil {
+			return nil, err
 		}
 	}
-	if sim == nil {
-		sim, err = core.New(m, p)
-		if err != nil {
-			return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
+	warmed := sim != nil
+	if !warmed {
+		if sim, err = core.New(m, p); err != nil {
+			return nil, err
 		}
 		if pol == "oracle" {
 			if err := s.oracleAssign(ctx, sim, m, p); err != nil {
-				return nil, fmt.Errorf("harness: %s on %s: oracle search: %w", app.Name, m.Name, err)
+				return nil, fmt.Errorf("oracle search: %w", err)
 			}
 		}
 	}
-	if s.MaxCycles > 0 {
-		sim.MaxCycles = s.MaxCycles
-	}
-	sim.Parallel = s.Parallel
-	sim.Interrupt = ctx.Done()
-	if s.MetricsInterval > 0 || s.OnFrame != nil {
-		// A forked child already carries the warmed parent's sampler —
-		// warm-up frames included, so its ring matches a scratch run's.
-		// Re-enabling would reset the sampling phase mid-run; only
-		// attach the per-run heartbeat and retain the ring.
-		ring := sim.Metrics()
-		if !warmed {
-			ring = sim.EnableMetrics(s.MetricsInterval, s.MetricsRingCap)
+	if ring := s.arm(ctx, sim, !warmed); ring != nil {
+		if s.OnFrame != nil {
+			appName, machine := app.Name, m.Name
+			sim.OnInterval(func(f obs.Frame) { s.OnFrame(appName, machine, f) })
 		}
-		if ring != nil {
-			if s.OnFrame != nil {
-				appName, machine := app.Name, m.Name
-				sim.OnInterval(func(f obs.Frame) { s.OnFrame(appName, machine, f) })
-			}
-			s.obsMu.Lock()
-			if s.rings == nil {
-				s.rings = make(map[string]*obs.Ring)
-			}
-			s.rings[app.Name+"@"+m.Name] = ring
-			s.obsMu.Unlock()
-		}
+		s.mu.Lock()
+		s.rings[k] = runRing{app.Name + "@" + m.Name, ring}
+		s.mu.Unlock()
 	}
 	s.sims.Add(1)
 	t0 := time.Now()
@@ -387,9 +432,9 @@ func (s *Suite) simulate(ctx context.Context, app workloads.Workload, m config.M
 			// Surface the caller's cancellation (errors.Is-compatible
 			// with context.Canceled / DeadlineExceeded) rather than the
 			// core-internal interrupt.
-			return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, ctx.Err())
+			return nil, ctx.Err()
 		}
-		return nil, fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err)
+		return nil, err
 	}
 	s.allocMigrations.Add(int64(r.AllocMigrations))
 	s.allocEpochs.Add(int64(r.AllocEpochs))
@@ -441,18 +486,23 @@ func (s *Suite) AllocEpochs() int64 { return s.allocEpochs.Load() }
 // runs simulate once: FA8 and SMT8 share one physical configuration
 // and hence one ring.
 func (s *Suite) Metrics(run string) *obs.Ring {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
-	return s.rings[run]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range s.rings {
+		if r.name == run {
+			return r.ring
+		}
+	}
+	return nil
 }
 
 // MetricsRuns lists the runs with retained metrics, sorted.
 func (s *Suite) MetricsRuns() []string {
-	s.obsMu.Lock()
-	defer s.obsMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	runs := make([]string, 0, len(s.rings))
-	for k := range s.rings {
-		runs = append(runs, k)
+	for _, r := range s.rings {
+		runs = append(runs, r.name)
 	}
 	sort.Strings(runs)
 	return runs
@@ -476,14 +526,9 @@ func (s *Suite) WriteMetricsJSON(w io.Writer, run string) error {
 	return ring.WriteJSON(w)
 }
 
-// RunMatrix runs every (app × arch) pair concurrently and returns the
-// results indexed [app][arch.Name].
-func (s *Suite) RunMatrix(apps []workloads.Workload, archs []config.Arch, highEnd bool) (map[string]map[string]*core.Result, error) {
-	return s.RunMatrixContext(context.Background(), apps, archs, highEnd)
-}
-
-// RunMatrixContext is RunMatrix with caller cancellation: once ctx is
-// done, in-flight simulations abort promptly and the matrix returns the
+// RunMatrixContext runs every (app × arch) pair concurrently and
+// returns the results indexed [app][arch.Name]. Once ctx is done,
+// in-flight simulations abort promptly and the matrix returns the
 // cancellation error. It is safe for concurrent callers — overlapping
 // matrices share cached runs through the singleflight.
 func (s *Suite) RunMatrixContext(ctx context.Context, apps []workloads.Workload, archs []config.Arch, highEnd bool) (map[string]map[string]*core.Result, error) {
@@ -638,74 +683,34 @@ func buildFigure(title string, apps []workloads.Workload, archs []config.Arch,
 	return f
 }
 
-// Figure4 reproduces Figure 4: FA processors vs the clustered SMT2 on
-// the low-end machine.
-func (s *Suite) Figure4() (*Figure, error) { return s.Figure4Context(context.Background()) }
+// paperFigures is the paper's four execution-time charts by figure
+// number: Figures 4/5 compare the FA processors with the clustered SMT2,
+// Figures 7/8 the clustered with the centralized SMTs, each pair on the
+// low-end and then the high-end machine.
+var paperFigures = map[int]struct {
+	title   string
+	archs   []config.Arch
+	highEnd bool
+}{
+	4: {"Figure 4: FA vs clustered SMT, low-end machine", FAFigureArchs, false},
+	5: {"Figure 5: FA vs clustered SMT, high-end machine", FAFigureArchs, true},
+	7: {"Figure 7: clustered vs centralized SMT, low-end machine", SMTFigureArchs, false},
+	8: {"Figure 8: clustered vs centralized SMT, high-end machine", SMTFigureArchs, true},
+}
 
-// Figure4Context is Figure4 with caller cancellation.
-func (s *Suite) Figure4Context(ctx context.Context) (*Figure, error) {
+// Figure reproduces paper figure n (4, 5, 7 or 8) over the six
+// applications, each bar normalized to the figure's first architecture.
+func (s *Suite) Figure(ctx context.Context, n int) (*Figure, error) {
+	f, ok := paperFigures[n]
+	if !ok {
+		return nil, fmt.Errorf("harness: no figure %d (want 4, 5, 7 or 8)", n)
+	}
 	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, FAFigureArchs, false)
+	res, err := s.RunMatrixContext(ctx, apps, f.archs, f.highEnd)
 	if err != nil {
 		return nil, err
 	}
-	return buildFigure("Figure 4: FA vs clustered SMT, low-end machine", apps, FAFigureArchs, res), nil
-}
-
-// Figure5 reproduces Figure 5: the same comparison on the 4-chip
-// high-end machine.
-func (s *Suite) Figure5() (*Figure, error) { return s.Figure5Context(context.Background()) }
-
-// Figure5Context is Figure5 with caller cancellation.
-func (s *Suite) Figure5Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, FAFigureArchs, true)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 5: FA vs clustered SMT, high-end machine", apps, FAFigureArchs, res), nil
-}
-
-// Figure7 reproduces Figure 7: clustered vs centralized SMTs, low-end.
-func (s *Suite) Figure7() (*Figure, error) { return s.Figure7Context(context.Background()) }
-
-// Figure7Context is Figure7 with caller cancellation.
-func (s *Suite) Figure7Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, SMTFigureArchs, false)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 7: clustered vs centralized SMT, low-end machine", apps, SMTFigureArchs, res), nil
-}
-
-// Figure8 reproduces Figure 8: clustered vs centralized SMTs, high-end.
-func (s *Suite) Figure8() (*Figure, error) { return s.Figure8Context(context.Background()) }
-
-// Figure8Context is Figure8 with caller cancellation.
-func (s *Suite) Figure8Context(ctx context.Context) (*Figure, error) {
-	apps := workloads.All()
-	res, err := s.RunMatrixContext(ctx, apps, SMTFigureArchs, true)
-	if err != nil {
-		return nil, err
-	}
-	return buildFigure("Figure 8: clustered vs centralized SMT, high-end machine", apps, SMTFigureArchs, res), nil
-}
-
-// FigureByNumber resolves a paper figure (4, 5, 7 or 8) to its
-// generator — the serving subsystem's figure endpoint dispatch.
-func (s *Suite) FigureByNumber(ctx context.Context, n int) (*Figure, error) {
-	switch n {
-	case 4:
-		return s.Figure4Context(ctx)
-	case 5:
-		return s.Figure5Context(ctx)
-	case 7:
-		return s.Figure7Context(ctx)
-	case 8:
-		return s.Figure8Context(ctx)
-	}
-	return nil, fmt.Errorf("harness: no figure %d (want 4, 5, 7 or 8)", n)
+	return buildFigure(f.title, apps, f.archs, res), nil
 }
 
 // Placement measures each application's Figure 6 point: thread
@@ -713,12 +718,7 @@ func (s *Suite) FigureByNumber(ctx context.Context, n int) (*Figure, error) {
 // enabling the most thread parallelism) and per-thread ILP as the
 // useful IPC per running thread on FA1 (the architecture enabling the
 // most ILP).
-func (s *Suite) Placement(highEnd bool) (map[string]model.Point, error) {
-	return s.PlacementContext(context.Background(), highEnd)
-}
-
-// PlacementContext is Placement with caller cancellation.
-func (s *Suite) PlacementContext(ctx context.Context, highEnd bool) (map[string]model.Point, error) {
+func (s *Suite) Placement(ctx context.Context, highEnd bool) (map[string]model.Point, error) {
 	apps := workloads.All()
 	res, err := s.RunMatrixContext(ctx, apps, []config.Arch{config.FA8, config.FA1}, highEnd)
 	if err != nil {

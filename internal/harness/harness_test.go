@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/json"
 	"io"
@@ -43,7 +44,7 @@ func TestSuiteCachesRuns(t *testing.T) {
 
 func TestFigureAccessors(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure4()
+	fig, err := s.Figure(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestFigureGetPanicsOnUnknown(t *testing.T) {
 
 func TestPlacementShape(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	pts, err := s.Placement(false)
+	pts, err := s.Placement(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func refSuite(t *testing.T) *Suite {
 // for tomcatv and mgrid — and that the clustered SMT2 takes the fewest
 // cycles for every application.
 func TestPaperFigure4SweetSpots(t *testing.T) {
-	fig, err := refSuite(t).Figure4()
+	fig, err := refSuite(t).Figure(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPaperFigure4SweetSpots(t *testing.T) {
 // headline: on average SMT2 takes noticeably fewer cycles than the best
 // per-application FA processor (the paper measures 13%; we accept 5-25%).
 func TestPaperFigure4SMT2Advantage(t *testing.T) {
-	fig, err := refSuite(t).Figure4()
+	fig, err := refSuite(t).Figure(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestPaperFigure4SMT2Advantage(t *testing.T) {
 // parallel applications keep FA8, and SMT2 again has the lowest
 // execution time everywhere.
 func TestPaperFigure5HighEnd(t *testing.T) {
-	fig, err := refSuite(t).Figure5()
+	fig, err := refSuite(t).Figure(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestPaperFigure5HighEnd(t *testing.T) {
 // the originals, which exposes SMT1's narrower Table 2 FU mix; see
 // EXPERIMENTS.md).
 func TestPaperFigure7Clustering(t *testing.T) {
-	fig, err := refSuite(t).Figure7()
+	fig, err := refSuite(t).Figure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPaperFigure7Clustering(t *testing.T) {
 // (most threads, least ILP); every application inside SMT2's optimal
 // region except possibly tomcatv.
 func TestPaperFigure6Placements(t *testing.T) {
-	pts, err := refSuite(t).Placement(false)
+	pts, err := refSuite(t).Placement(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +256,11 @@ func TestPaperFigure6Placements(t *testing.T) {
 // left and down relative to the low-end points (§5.1.1).
 func TestPaperFigure6HighEndShift(t *testing.T) {
 	s := refSuite(t)
-	low, err := s.Placement(false)
+	low, err := s.Placement(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := s.Placement(true)
+	high, err := s.Placement(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestPaperFigure6HighEndShift(t *testing.T) {
 // for the mid-parallelism applications, both FA8 (too narrow) and FA1
 // (too few threads) are worse than the interior sweet spot.
 func TestPaperUShape(t *testing.T) {
-	fig, err := refSuite(t).Figure4()
+	fig, err := refSuite(t).Figure(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestPaperUShape(t *testing.T) {
 func TestPaperConclusionCycleTime(t *testing.T) {
 	s := refSuite(t)
 	for _, highEnd := range []bool{false, true} {
-		c, err := s.Conclusion(highEnd)
+		c, err := s.Conclusion(context.Background(), highEnd)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +355,7 @@ func TestAdjustClockAlgebra(t *testing.T) {
 
 func TestRenderBars(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure4()
+	fig, err := s.Figure(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +397,7 @@ func TestStackedBarExactWidth(t *testing.T) {
 // require at least 4 of 6 — the model ignores cache effects and serial
 // sections by design).
 func TestPaperModelConsistency(t *testing.T) {
-	v, err := refSuite(t).ValidateModel(false)
+	v, err := refSuite(t).ValidateModel(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +411,7 @@ func TestPaperModelConsistency(t *testing.T) {
 
 func TestFigureCSV(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure7()
+	fig, err := s.Figure(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestFigureCSV(t *testing.T) {
 func TestConcurrentSuiteDeterminism(t *testing.T) {
 	run := func() map[string]int64 {
 		s := NewSuite(workloads.SizeTest)
-		fig, err := s.Figure4()
+		fig, err := s.Figure(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +461,7 @@ func TestConcurrentSuiteDeterminism(t *testing.T) {
 // near the front.
 func TestExtendedEvaluationExtras(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
-	res, err := s.RunMatrix(workloads.Extras(), FAFigureArchs, false)
+	res, err := s.RunMatrixContext(context.Background(), workloads.Extras(), FAFigureArchs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +501,7 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 	archs := []config.Arch{config.SMT2, config.FA4}
 
 	plain := NewSuite(workloads.SizeTest)
-	ref, err := plain.RunMatrix(apps, archs, false)
+	ref, err := plain.RunMatrixContext(context.Background(), apps, archs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 		beats[app+"@"+machine]++
 		mu.Unlock()
 	}
-	got, err := s.RunMatrix(apps, archs, false)
+	got, err := s.RunMatrixContext(context.Background(), apps, archs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,5 +565,51 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 	}
 	if err := s.WriteMetricsCSV(io.Discard, "nope"); err == nil {
 		t.Error("export of unknown run did not fail")
+	}
+}
+
+// TestFigureTable pins what Figure(ctx, n) builds for each paper figure
+// — title, baseline, machine and architecture columns — against the
+// literals of the per-figure functions it replaced, and the error for a
+// number the paper has no chart for.
+func TestFigureTable(t *testing.T) {
+	fa := []string{"FA8", "FA4", "FA2", "FA1", "SMT2"}
+	smt := []string{"SMT8", "SMT4", "SMT2", "SMT1"}
+	s := NewSuite(workloads.SizeTest)
+	for _, tc := range []struct {
+		n       int
+		title   string
+		archs   []string
+		highEnd bool
+	}{
+		{4, "Figure 4: FA vs clustered SMT, low-end machine", fa, false},
+		{5, "Figure 5: FA vs clustered SMT, high-end machine", fa, true},
+		{7, "Figure 7: clustered vs centralized SMT, low-end machine", smt, false},
+		{8, "Figure 8: clustered vs centralized SMT, high-end machine", smt, true},
+	} {
+		fig, err := s.Figure(context.Background(), tc.n)
+		if err != nil {
+			t.Fatalf("figure %d: %v", tc.n, err)
+		}
+		if fig.Title != tc.title || fig.Baseline != tc.archs[0] || !reflect.DeepEqual(fig.Archs, tc.archs) {
+			t.Errorf("figure %d: title %q baseline %s archs %v, want %q %s %v",
+				tc.n, fig.Title, fig.Baseline, fig.Archs, tc.title, tc.archs[0], tc.archs)
+		}
+		if len(fig.Apps) != 6 || len(fig.Rows) != 6*len(tc.archs) {
+			t.Errorf("figure %d: %d apps, %d rows", tc.n, len(fig.Apps), len(fig.Rows))
+		}
+		// The machine shows in the cycle counts: the cell is the one a
+		// direct run on that machine produces.
+		w, _ := workloads.ByName("swim")
+		direct, err := s.Run(w, config.SMT2, tc.highEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fig.Get("swim", "SMT2").Cycles; got != direct.Cycles {
+			t.Errorf("figure %d: swim/SMT2 = %d cycles, want %d (highEnd=%v)", tc.n, got, direct.Cycles, tc.highEnd)
+		}
+	}
+	if _, err := s.Figure(context.Background(), 6); err == nil || err.Error() != "harness: no figure 6 (want 4, 5, 7 or 8)" {
+		t.Errorf("figure 6: err = %v", err)
 	}
 }

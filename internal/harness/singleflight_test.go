@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -62,5 +63,54 @@ func TestSuiteCachesErrors(t *testing.T) {
 	_, err2 := s.Run(w, config.FA8, false)
 	if err2 != err1 {
 		t.Fatalf("error not cached: %v vs %v", err1, err2)
+	}
+}
+
+// TestMemoBounded: a suite's memos hold a bounded number of finished
+// runs — what keeps a daemon's memory flat under a stream of distinct
+// jobs. Past the bound the run that finished longest ago is forgotten
+// together with its frame ring, and asking for it again simulates it
+// again, to the same result.
+func TestMemoBounded(t *testing.T) {
+	const bound, extra = 4, 3
+	s := NewSuite(workloads.SizeTest)
+	s.max = bound
+	s.MetricsInterval = 1000
+	cell := func(i int) workloads.Workload {
+		return workloads.Synthetic(workloads.SyntheticSpec{ChainLen: 1 + i, Iters: 64})
+	}
+	var first *core.Result
+	for i := 0; i < bound+extra; i++ {
+		r, err := s.Run(cell(i), config.SMT2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = r
+		}
+		if n := len(s.cache); n > bound {
+			t.Fatalf("after %d runs the memo holds %d entries, bound %d", i+1, n, bound)
+		}
+	}
+	if n := len(s.MetricsRuns()); n != bound {
+		t.Fatalf("%d frame rings retained, want %d (a ring goes with its memo entry)", n, bound)
+	}
+	if s.Metrics(cell(0).Name+"@low-end/SMT2") != nil || s.Metrics(cell(bound+extra-1).Name+"@low-end/SMT2") == nil {
+		t.Fatal("the oldest run's ring should be gone and the newest run's retained")
+	}
+	// The newest run is still memoized; the oldest computes again.
+	before := s.Simulations()
+	if _, err := s.Run(cell(bound+extra-1), config.SMT2, false); err != nil || s.Simulations() != before {
+		t.Fatalf("newest cell re-simulated (err %v)", err)
+	}
+	again, err := s.Run(cell(0), config.SMT2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Simulations() != before+1 {
+		t.Fatalf("evicted cell was served without simulating: %d simulations, want %d", s.Simulations(), before+1)
+	}
+	if again == first || !reflect.DeepEqual(again, first) {
+		t.Fatal("re-running an evicted cell must produce a new, equal Result")
 	}
 }

@@ -49,25 +49,25 @@ type warmParent struct {
 }
 
 // warmStart returns a simulator for p on m already advanced to
-// WarmupCycles via a shared warmed parent, or (nil, false, nil) when
-// the scratch path must be used: warm-up sharing disabled, the program
+// WarmupCycles via a shared warmed parent, or (nil, nil) when the
+// scratch path must be used: warm-up sharing disabled, the program
 // declares no prefix, or the warm-up left the prefix before the
 // checkpoint cycle. Results are bit-identical either way — a fork of a
 // prefix-valid checkpoint replays exactly the cycles a scratch run
 // would execute — so every failure mode here falls back silently.
-func (s *Suite) warmStart(ctx context.Context, m config.Machine, p *prog.Program) (*core.Simulator, bool, error) {
+func (s *Suite) warmStart(ctx context.Context, m config.Machine, p *prog.Program) (*core.Simulator, error) {
 	w := s.WarmupCycles
 	if w <= 0 || p.PrefixLen == 0 {
-		return nil, false, nil
+		return nil, nil
 	}
 	if s.MaxCycles > 0 && w >= s.MaxCycles {
 		// The checkpoint cycle is past the run bound; warming up would
 		// abort before pausing.
-		return nil, false, nil
+		return nil, nil
 	}
 	pk, ok := p.PrefixKey()
 	if !ok {
-		return nil, false, nil
+		return nil, nil
 	}
 	k := warmKey{machine: m.Hash(), prefix: pk}
 
@@ -79,10 +79,10 @@ func (s *Suite) warmStart(ctx context.Context, m config.Machine, p *prog.Program
 		return &warmParent{sim: sim}, nil
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if wp.sim == nil {
-		return nil, false, nil
+		return nil, nil
 	}
 	wp.mu.Lock()
 	child, err := wp.sim.ForkProgram(p)
@@ -90,10 +90,10 @@ func (s *Suite) warmStart(ctx context.Context, m config.Machine, p *prog.Program
 	if err != nil {
 		// Should not happen for a key-matched parent; treated as a
 		// soft miss rather than a run failure.
-		return nil, false, nil
+		return nil, nil
 	}
 	s.warmForks.Add(1)
-	return child, true, nil
+	return child, nil
 }
 
 // warmParent builds (or restores) the warmed parent for key k: a
@@ -117,18 +117,11 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 	if err != nil {
 		return nil
 	}
-	if s.MaxCycles > 0 {
-		sim.MaxCycles = s.MaxCycles
-	}
-	sim.Parallel = s.Parallel
-	if s.MetricsInterval > 0 || s.OnFrame != nil {
-		// Children inherit the sampler through the fork, frames
-		// included, so their rings match a scratch run's byte for byte.
-		// The heartbeat callback is per-child and registered after the
-		// fork; the shared warm-up phase itself emits no heartbeat.
-		sim.EnableMetrics(s.MetricsInterval, s.MetricsRingCap)
-	}
-	sim.Interrupt = ctx.Done()
+	// Children inherit the sampler through the fork, frames included, so
+	// their rings match a scratch run's byte for byte. The heartbeat
+	// callback is per-child and registered after the fork; the shared
+	// warm-up phase itself emits no heartbeat.
+	s.arm(ctx, sim, true)
 	if err := sim.RunTo(w); err != nil {
 		return nil
 	}

@@ -187,14 +187,6 @@ func (m *Memory) Pages() int {
 	return len(m.pages)
 }
 
-// SharedPages reports how many pages are currently copy-on-write shared
-// with another Memory (diagnostics and tests).
-func (m *Memory) SharedPages() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.cow)
-}
-
 // View is a per-goroutine handle on a shared Memory: it carries its own
 // last-touched-page cache, so concurrent threads never contend except
 // on the first touch of a freshly allocated page. Obtain one with

@@ -54,10 +54,3 @@ func (t *Thread) XferSnap(x *snap.Xfer) {
 	}
 	t.PC = pc
 }
-
-// Rebind points the thread at a different Memory (a copy-on-write fork
-// of the one it was created on), giving it a fresh private view.
-func (t *Thread) Rebind(mem *Memory) {
-	t.Mem = mem
-	t.view = mem.NewView()
-}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,101 +17,85 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// TestCacheReconcileStaleIndex is the crash-recovery contract for the
-// disk tier: the index is rewritten only on graceful Close, so a crash
-// leaves it stale — entries for files that are gone (dangling) and
-// files the index never heard of (orphans). A restarted cache must
-// reconcile both directions and keep promoting disk hits.
-func TestCacheReconcileStaleIndex(t *testing.T) {
+// TestCacheReopenIgnoresStaleIndex is the restart contract for the disk
+// tier: the envelope files are the whole store. A cache opened over a
+// directory holding a valid envelope, a torn one, a foreign file and an
+// index.json left by an older daemon serves the valid key from disk,
+// misses the torn one until the next Put rewrites it, and neither
+// trusts nor touches anything else in the directory.
+func TestCacheReopenIgnoresStaleIndex(t *testing.T) {
 	dir := t.TempDir()
 	res := func(cycles int64) *core.Result {
 		return &core.Result{ProgramName: "swim", Machine: config.LowEnd(config.SMT2), Cycles: cycles}
 	}
-	k1, k2, k3 := [32]byte{1}, [32]byte{2}, [32]byte{3}
+	valid, torn, indexedOnly := [32]byte{1}, [32]byte{2}, [32]byte{3}
+	envelopePath := func(k [32]byte) string { return filepath.Join(dir, fmt.Sprintf("%x.json", k)) }
 
-	// Cache A: two entries persisted, index written on Close.
 	a, err := NewCache(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put(k1, JobSpec{App: "swim"}, res(100)); err != nil {
+	if err := a.Put(valid, JobSpec{App: "swim"}, res(100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Put(k2, JobSpec{App: "swim"}, res(200)); err != nil {
+	if err := os.WriteFile(envelopePath(torn), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
+	// The leftover index vouches for a key with no envelope, in the
+	// older daemon's format; the foreign file is not JSON at all.
+	bystanders := map[string][]byte{
+		"index.json":  []byte(fmt.Sprintf(`[{"hash":"%x","app":"swim","machine":"low-end/SMT2","cycles":300}]`, indexedOnly)),
+		"put-123.tmp": []byte("junk"),
 	}
-
-	// Simulate the crash window: k2's envelope vanishes out-of-band
-	// (index now dangles), and k3 is Put by a cache that never gets to
-	// Close (orphan envelope the index never saw). A stray temp file
-	// and a corrupt hex-named envelope must both be ignored.
-	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("%x.json", k2))); err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCache(0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(k3, JobSpec{App: "swim"}, res(300)); err != nil {
-		t.Fatal(err)
-	}
-	// No b.Close(): the crash.
-	if err := os.WriteFile(filepath.Join(dir, "put-123.tmp"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := [32]byte{4}
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%x.json", corrupt)), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
+	for name, data := range bystanders {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Restart: the index must list exactly k1 (survivor) and k3
-	// (adopted orphan) — not k2 (dangling), not the corrupt file.
 	c, err := NewCache(0, dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen over a stale index: %v", err)
 	}
-	idx := c.Index()
-	if len(idx) != 2 {
-		t.Fatalf("reconciled index has %d entries, want 2: %+v", len(idx), idx)
+	// Disk hits promote: first Get is a disk hit, second memory.
+	if r, tier, ok := c.Get(valid); !ok || tier != TierDisk || r.Cycles != 100 {
+		t.Fatalf("valid envelope not served from disk: ok=%v tier=%q", ok, tier)
 	}
-	want := map[string]int64{
-		fmt.Sprintf("%x", k1): 100,
-		fmt.Sprintf("%x", k3): 300,
-	}
-	for _, e := range idx {
-		cycles, ok := want[e.Hash]
-		if !ok {
-			t.Fatalf("unexpected index entry %+v", e)
-		}
-		if e.Cycles != cycles || e.App != "swim" {
-			t.Fatalf("adopted entry wrong: %+v (want cycles %d)", e, cycles)
-		}
-	}
-
-	// Disk hits still promote: first Get is a disk hit, second memory.
-	if r, tier, ok := c.Get(k3); !ok || tier != TierDisk || r.Cycles != 300 {
-		t.Fatalf("orphan entry not served from disk: ok=%v tier=%q", ok, tier)
-	}
-	if _, tier, ok := c.Get(k3); !ok || tier != TierMemory {
+	if _, tier, ok := c.Get(valid); !ok || tier != TierMemory {
 		t.Fatalf("disk hit not promoted to memory: ok=%v tier=%q", ok, tier)
 	}
-	// The dangling and corrupt entries are plain misses.
-	if _, _, ok := c.Get(k2); ok {
-		t.Fatal("dangling entry served a result")
+	if _, _, ok := c.Get(indexedOnly); ok {
+		t.Fatal("a key only the stale index lists served a result")
 	}
-	if _, _, ok := c.Get(corrupt); ok {
-		t.Fatal("corrupt envelope served a result")
+	if _, _, ok := c.Get(torn); ok {
+		t.Fatal("torn envelope served a result")
+	}
+	if err := c.Put(torn, JobSpec{App: "swim"}, res(200)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, tier, ok := d.Get(torn); !ok || tier != TierDisk || r.Cycles != 200 {
+		t.Fatalf("Put did not rewrite the torn envelope: ok=%v tier=%q", ok, tier)
+	}
+	if st := d.Stats(); st.Entries != 1 {
+		t.Fatalf("reopened cache holds %d entries before any other lookup, want 1 (nothing is preloaded)", st.Entries)
+	}
+	for name, data := range bystanders {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%s changed or vanished (err %v)", name, err)
+		}
 	}
 }
 
 // TestServiceDiskCacheRecoversFromCrash is the server-level restart
-// test: server A completes a job and dies without the graceful Close
-// (no index rewrite), its index is additionally corrupted on disk, and
-// server B on the same directory must still list the entry and serve
-// the same spec instantly from the disk tier with identical bytes.
+// test: server A completes a job and dies without the graceful Close,
+// an older daemon's index.json sits corrupt in the directory, and
+// server B on the same directory must still serve the same spec
+// instantly from the disk tier with identical bytes.
 func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{App: "tomcatv", Arch: "FA4"}
@@ -129,8 +114,8 @@ func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 		t.Fatalf("job on A failed: %+v", first)
 	}
 	tsA.Close()
-	// Crash: no srvA.Close(ctx), so index.json was never written for
-	// this entry; make it actively wrong rather than merely missing.
+	// Crash: no srvA.Close(ctx). A leftover index is actively wrong
+	// rather than merely missing.
 	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`[{"hash":"feed`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +134,6 @@ func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 	defer tsB.Close()
 	defer srvB.Close(context.Background())
 
-	if idx := srvB.cache.Index(); len(idx) != 1 || idx[0].Hash != first.Hash {
-		t.Fatalf("index after crash restart: %+v (want 1 entry, hash %s)", idx, first.Hash)
-	}
 	status, second, _ := submit(t, tsB, spec)
 	if status != http.StatusOK {
 		t.Fatalf("resubmission on B: status %d, want 200 (instant)", status)
@@ -161,5 +143,56 @@ func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 	}
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Fatal("crash-recovered result differs from the original JSON")
+	}
+}
+
+// TestServiceCacheKeyCoversAllocPolicy: the server's allocation policy
+// is part of every job's content hash, so a daemon restarted under
+// another -alloc over the same cache directory simulates the job itself
+// instead of serving the first policy's cycles, while a restart under
+// the same policy still hits — under the very key an unconfigured
+// daemon has always used, static normalizing to nothing.
+func TestServiceCacheKeyCoversAllocPolicy(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{App: "ocean", Arch: "SMT2"}
+	run := func(opts Options) (wireJob, uint64) {
+		t.Helper()
+		opts.CacheDir = dir
+		_, ts := newTestServer(t, opts)
+		status, j, _ := submit(t, ts, spec)
+		if status == http.StatusAccepted {
+			j = waitJob(t, ts, j.ID)
+		}
+		if j.Status != StateDone {
+			t.Fatalf("job under %+v: status %d, %+v", opts, status, j)
+		}
+		var res core.Result
+		if err := json.Unmarshal(j.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		return j, res.AllocEpochs
+	}
+
+	static, staticEpochs := run(Options{})
+	if static.CacheHit || staticEpochs != 0 {
+		t.Fatalf("first static run: cache_hit=%v alloc epochs=%d, want a fresh run with none", static.CacheHit, staticEpochs)
+	}
+	rj, err := spec.Resolve(workloads.SizeTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if static.Hash != rj.HashHex() {
+		t.Fatalf("static job keyed %s, want the policy-free key %s", static.Hash, rj.HashHex())
+	}
+	icount, icountEpochs := run(Options{AllocPolicy: "icount", AllocEpoch: 2000})
+	if icount.CacheHit || icount.Hash == static.Hash {
+		t.Fatalf("icount daemon over a static cache dir: cache_hit=%v hash=%s (static %s)", icount.CacheHit, icount.Hash, static.Hash)
+	}
+	if icountEpochs == 0 {
+		t.Fatal("icount run evaluated no allocation epochs: it was not simulated under icount")
+	}
+	again, _ := run(Options{AllocPolicy: "static"})
+	if !again.CacheHit || again.CacheTier != TierDisk || !bytes.Equal(again.Result, static.Result) {
+		t.Fatalf("static daemon over its own cache dir: %+v, want the first run's bytes from disk", again)
 	}
 }

@@ -1,5 +1,5 @@
-// Fabric: the scale-out layer turning independent clusterd daemons
-// into one fleet. A coordinator (coordinator.go) owns membership and
+// Fabric: the routing and fail-over layer turning independent clusterd
+// daemons into one fleet. A coordinator (coordinator.go) owns membership and
 // routes jobs by consistent hash over the content-addressed spec hash
 // (config.Ring); workers (worker.go) register over HTTP and heartbeat
 // periodically. This file holds what both roles share: the wire

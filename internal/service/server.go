@@ -31,10 +31,6 @@ type Options struct {
 	DefaultSize workloads.Size
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// Parallel runs each simulation's chips on separate goroutines
-	// (core.Simulator.Parallel); results stay bit-identical, so cache
-	// keys and cached payloads are unaffected.
-	Parallel bool
 	// QueueCap bounds the admission FIFO (0 = DefaultQueueCap). A full
 	// queue rejects submissions with 429 + Retry-After.
 	QueueCap int
@@ -86,8 +82,6 @@ type Options struct {
 	// NodeName overrides this node's identity on trace timelines
 	// ("" = coordinator / advertise URL / "clusterd" by role).
 	NodeName string
-	// SpanRingCap bounds retained trace spans (0 = telemetry default).
-	SpanRingCap int
 }
 
 // heartbeatInterval resolves the announcement period.
@@ -183,7 +177,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.pool = NewPool(workers, opts.QueueCap, s.runJob)
 	if !opts.DisableTelemetry {
-		s.tel = newSvcTelemetry(s, opts.SpanRingCap)
+		s.tel = newSvcTelemetry(s)
 	}
 	if opts.Coordinator {
 		s.coord = newCoordinator(s, opts.heartbeatTimeout())
@@ -240,7 +234,6 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 	if !ok {
 		st = harness.NewSuite(size)
 		st.MaxCycles = s.opts.MaxCycles
-		st.Parallel = s.opts.Parallel
 		st.AllocPolicy = s.opts.AllocPolicy
 		st.AllocEpoch = s.opts.AllocEpoch
 		st.MetricsInterval = s.opts.MetricsInterval
@@ -281,6 +274,19 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 	return st
 }
 
+// resolve is JobSpec.Resolve for a job this server will run: the
+// machine carries the server's allocation policy, as the suite's does,
+// so results cached under one policy are never served for another (the
+// static policy normalizes to nothing and leaves the key as it was).
+func (s *Server) resolve(spec JobSpec) (*ResolvedJob, error) {
+	rj, err := spec.Resolve(s.opts.DefaultSize)
+	if err != nil {
+		return nil, err
+	}
+	rj.Machine.Alloc = config.AllocConfig{Policy: s.opts.AllocPolicy, Epoch: s.opts.AllocEpoch}
+	return rj, nil
+}
+
 // suiteRemote builds the fabric Remote hook for one suite. The role is
 // resolved at call time (JoinFabric may run after the suite exists):
 // a coordinator dispatches the run to the ring owner of its content
@@ -295,7 +301,7 @@ func (s *Server) suiteRemote(size workloads.Size) harness.RemoteFunc {
 			return nil, false, nil
 		}
 		spec := JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()}
-		rj, err := spec.Resolve(size)
+		rj, err := s.resolve(spec)
 		if err != nil {
 			// Unresolvable names cannot be routed; let the local
 			// harness produce the authoritative error.
@@ -371,8 +377,8 @@ func (s *Server) jobDone(j *Job) {
 }
 
 // Close drains the pool (bounded by ctx — expired deadlines cancel
-// in-flight simulations) and persists the cache index. It is the
-// graceful-shutdown path behind clusterd's signal handler.
+// in-flight simulations). It is the graceful-shutdown path behind
+// clusterd's signal handler.
 func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
@@ -384,7 +390,7 @@ func (s *Server) Close(ctx context.Context) error {
 		c.close()
 	}
 	s.pool.Drain(ctx)
-	return s.cache.Close()
+	return nil
 }
 
 // Handler returns the HTTP API:
@@ -492,7 +498,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("service: bad job spec: %w", err))
 		return
 	}
-	rj, err := spec.Resolve(s.opts.DefaultSize)
+	rj, err := s.resolve(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -646,7 +652,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// Figure matrices run synchronously under the request context:
 	// client disconnect cancels the in-flight simulations (the suite
 	// singleflight hands unfinished runs off to any surviving caller).
-	fig, err := s.suite(size).FigureByNumber(r.Context(), n)
+	fig, err := s.suite(size).Figure(r.Context(), n)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away; nothing to write

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"time"
 
+	"clustersmt/internal/harness"
 	"clustersmt/internal/telemetry"
 )
 
@@ -45,11 +46,11 @@ type svcTelemetry struct {
 // newSvcTelemetry builds the registry for one server. All func-backed
 // families resolve the fabric role at scrape time, so registration
 // order relative to JoinFabric does not matter.
-func newSvcTelemetry(s *Server, spanCap int) *svcTelemetry {
+func newSvcTelemetry(s *Server) *svcTelemetry {
 	r := telemetry.NewRegistry()
 	t := &svcTelemetry{
 		reg:   r,
-		spans: telemetry.NewSpanRing(spanCap),
+		spans: telemetry.NewSpanRing(telemetry.DefaultSpanRingCap),
 
 		queueWait: r.Histogram("clusterd_job_queue_wait_seconds",
 			"Time jobs spend admitted but not yet running.", telemetry.DefaultLatencyBuckets),
@@ -104,9 +105,9 @@ func newSvcTelemetry(s *Server, spanCap int) *svcTelemetry {
 	r.CounterFunc("clusterd_simulations", "Simulations actually executed on this node.",
 		func() float64 { return float64(s.simulations()) })
 	r.CounterFunc("clusterd_alloc_migrations", "Thread migrations performed by dynamic allocation policies.",
-		func() float64 { return float64(s.allocMigrations()) })
+		func() float64 { return float64(s.sumSuites((*harness.Suite).AllocMigrations)) })
 	r.CounterFunc("clusterd_alloc_epochs", "Allocation epoch boundaries evaluated by dynamic policies.",
-		func() float64 { return float64(s.allocEpochs()) })
+		func() float64 { return float64(s.sumSuites((*harness.Suite).AllocEpochs)) })
 
 	r.CollectFunc("clusterd_fabric_events", "Coordinator routing events.",
 		telemetry.TypeCounter, []string{"event"},
@@ -179,39 +180,20 @@ func newSvcTelemetry(s *Server, spanCap int) *svcTelemetry {
 	return t
 }
 
-// simulations sums executed simulations across suites (also feeds
-// /healthz).
-func (s *Server) simulations() int64 {
+// sumSuites adds one of the suites' counters up across input sizes.
+func (s *Server) sumSuites(counter func(*harness.Suite) int64) int64 {
 	s.suiteMu.Lock()
 	defer s.suiteMu.Unlock()
 	var n int64
 	for _, st := range s.suites {
-		n += st.Simulations()
+		n += counter(st)
 	}
 	return n
 }
 
-// allocMigrations sums accepted thread migrations across suites.
-func (s *Server) allocMigrations() int64 {
-	s.suiteMu.Lock()
-	defer s.suiteMu.Unlock()
-	var n int64
-	for _, st := range s.suites {
-		n += st.AllocMigrations()
-	}
-	return n
-}
-
-// allocEpochs sums allocation epoch boundaries across suites.
-func (s *Server) allocEpochs() int64 {
-	s.suiteMu.Lock()
-	defer s.suiteMu.Unlock()
-	var n int64
-	for _, st := range s.suites {
-		n += st.AllocEpochs()
-	}
-	return n
-}
+// simulations is how many simulations this node actually executed
+// (/metrics and /healthz).
+func (s *Server) simulations() int64 { return s.sumSuites((*harness.Suite).Simulations) }
 
 // nodeName is this node's identity on trace timelines, resolved at
 // record time so it reflects the fabric role even when JoinFabric runs

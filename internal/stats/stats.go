@@ -143,17 +143,6 @@ func (s *Slots) AdvanceCycle() { s.Cycles++ }
 // machine-jump path).
 func (s *Slots) AdvanceCycles(n int64) { s.Cycles += n }
 
-// Merge folds other into s (for aggregating parallel sub-runs; cycles
-// take the max since sub-machines run in lockstep).
-func (s *Slots) Merge(other *Slots) {
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	if other.Cycles > s.Cycles {
-		s.Cycles = other.Cycles
-	}
-}
-
 // TotalSlots returns the sum over all categories; it equals
 // width_total × cycles by construction (asserted in tests).
 func (s *Slots) TotalSlots() float64 {
@@ -166,15 +155,9 @@ func (s *Slots) TotalSlots() float64 {
 
 // Fraction returns category c's share of all slots, in [0,1]. It
 // recomputes the total on every call; loops over all categories should
-// use Fractions or FractionOf with a hoisted TotalSlots instead.
+// use Fractions instead.
 func (s *Slots) Fraction(c Category) float64 {
-	return s.FractionOf(c, s.TotalSlots())
-}
-
-// FractionOf returns category c's share of the given total — the
-// cached-total variant of Fraction for render loops that already hold
-// TotalSlots.
-func (s *Slots) FractionOf(c Category, total float64) float64 {
+	total := s.TotalSlots()
 	if total == 0 {
 		return 0
 	}

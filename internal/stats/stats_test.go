@@ -73,22 +73,6 @@ func TestSlotConservation(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Slots
-	var v Votes
-	a.RecordCycle(4, 4, &v)
-	a.Cycles = 10
-	b.RecordCycle(4, 2, &v)
-	b.Cycles = 20
-	a.Merge(&b)
-	if a.Counts[Useful] != 6 {
-		t.Fatalf("merged useful = %v", a.Counts[Useful])
-	}
-	if a.Cycles != 20 {
-		t.Fatalf("merged cycles = %d", a.Cycles)
-	}
-}
-
 func TestFractionAndString(t *testing.T) {
 	var s Slots
 	var v Votes
@@ -118,48 +102,8 @@ func TestVotesTotalExcludesUseful(t *testing.T) {
 	}
 }
 
-// Property: Merge is additive on counts and conservative on totals.
-func TestMergeProperty(t *testing.T) {
-	f := func(a, b []uint8) bool {
-		var sa, sb Slots
-		fill := func(s *Slots, xs []uint8) float64 {
-			total := 0.0
-			for i, x := range xs {
-				var v Votes
-				v[Fetch+Category(i%int(NumCategories-1))] = float64(x%7) + 1
-				s.RecordCycle(8, int(x)%9, &v)
-				s.AdvanceCycle()
-				total += 8
-			}
-			return total
-		}
-		ta := fill(&sa, a)
-		tb := fill(&sb, b)
-		merged := sa
-		merged.Merge(&sb)
-		if mathAbs(merged.TotalSlots()-(ta+tb)) > 1e-6*(ta+tb+1) {
-			return false
-		}
-		wantCycles := sa.Cycles
-		if sb.Cycles > wantCycles {
-			wantCycles = sb.Cycles
-		}
-		return merged.Cycles == wantCycles
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func mathAbs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// TestFractionsMatchFraction: the single-pass Fractions and the
-// cached-total FractionOf must agree exactly with per-call Fraction.
+// TestFractionsMatchFraction: the single-pass Fractions must agree
+// exactly with per-call Fraction.
 func TestFractionsMatchFraction(t *testing.T) {
 	var s Slots
 	v := Votes{0, 3, 1, 0, 2, 5, 0, 1}
@@ -167,20 +111,13 @@ func TestFractionsMatchFraction(t *testing.T) {
 	s.RecordCycle(8, 0, &v)
 	s.RecordCycle(8, 8, &v)
 	fr := s.Fractions()
-	total := s.TotalSlots()
 	for c := Category(0); c < NumCategories; c++ {
 		if fr[c] != s.Fraction(c) {
 			t.Errorf("%v: Fractions=%v Fraction=%v", c, fr[c], s.Fraction(c))
-		}
-		if got := s.FractionOf(c, total); got != s.Fraction(c) {
-			t.Errorf("%v: FractionOf=%v Fraction=%v", c, got, s.Fraction(c))
 		}
 	}
 	var empty Slots
 	if empty.Fractions() != [NumCategories]float64{} {
 		t.Error("empty Fractions should be all zero")
-	}
-	if empty.FractionOf(Useful, 0) != 0 {
-		t.Error("FractionOf with zero total should be 0")
 	}
 }

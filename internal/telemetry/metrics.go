@@ -1,6 +1,7 @@
 // Package telemetry is the service-side observability layer: a
-// dependency-free metrics registry (counters, gauges, log-bucketed
-// latency histograms with quantile estimation) rendered as
+// dependency-free metrics registry (log-bucketed latency histograms
+// with quantile estimation, and counters and gauges read at scrape time
+// from state their owner already keeps) rendered as
 // OpenMetrics/Prometheus text, plus trace-ID propagation helpers and a
 // bounded span ring exported as Chrome trace_event JSON (trace.go).
 //
@@ -57,7 +58,7 @@ func (t MetricType) String() string {
 type CollectorFunc func(emit func(labelValues []string, value float64))
 
 // family is one metric family: a name, help text, a type, and either
-// materialized children (one per label-value combination) or a
+// materialized histograms (one per label-value combination) or a
 // collector consulted at scrape time.
 type family struct {
 	name       string
@@ -67,8 +68,8 @@ type family struct {
 	buckets    []float64 // histogram families only
 
 	mu       sync.Mutex
-	children map[string]any // label-values key -> *Counter | *Gauge | *Histogram
-	collect  CollectorFunc  // non-nil for func-backed families
+	children map[string]*Histogram // label-values key -> histogram
+	collect  CollectorFunc         // non-nil for func-backed families
 }
 
 // Registry holds metric families and renders them as OpenMetrics text.
@@ -125,7 +126,7 @@ func (r *Registry) register(name, help string, typ MetricType, labelNames []stri
 	f := &family{
 		name: name, help: help, typ: typ,
 		labelNames: labelNames, buckets: buckets,
-		children: make(map[string]any), collect: collect,
+		children: make(map[string]*Histogram), collect: collect,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -136,9 +137,9 @@ func (r *Registry) register(name, help string, typ MetricType, labelNames []stri
 	return f
 }
 
-// child returns (creating on first use) the metric for one label-value
-// combination.
-func (f *family) child(labelValues []string, make func() any) any {
+// child returns (creating on first use) the histogram for one
+// label-value combination.
+func (f *family) child(labelValues []string) *Histogram {
 	if len(labelValues) != len(f.labelNames) {
 		panic(fmt.Sprintf("telemetry: %q wants %d label values, got %d",
 			f.name, len(f.labelNames), len(labelValues)))
@@ -148,73 +149,10 @@ func (f *family) child(labelValues []string, make func() any) any {
 	defer f.mu.Unlock()
 	c, ok := f.children[key]
 	if !ok {
-		c = make()
+		c = newHistogram(f.buckets)
 		f.children[key] = c
 	}
 	return c
-}
-
-// ---- counter ----
-
-// Counter is a monotonically increasing event count.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Counter registers (or returns) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, TypeCounter, nil, nil, nil)
-	return f.child(nil, func() any { return &Counter{} }).(*Counter)
-}
-
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// CounterVec registers a counter family with the given label names.
-func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, TypeCounter, labelNames, nil, nil)}
-}
-
-// With returns the counter for one label-value combination.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.child(labelValues, func() any { return &Counter{} }).(*Counter)
-}
-
-// ---- gauge ----
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, TypeGauge, nil, nil, nil)
-	return f.child(nil, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a gauge family with the given label names.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, TypeGauge, labelNames, nil, nil)}
-}
-
-// With returns the gauge for one label-value combination.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.child(labelValues, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // ---- func-backed families ----
@@ -352,8 +290,7 @@ var DefaultLatencyBuckets = ExpBuckets(100e-6, 2, 20)
 
 // Histogram registers an unlabeled histogram.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, TypeHistogram, nil, buckets, nil)
-	return f.child(nil, func() any { return newHistogram(f.buckets) }).(*Histogram)
+	return r.register(name, help, TypeHistogram, nil, buckets, nil).child(nil)
 }
 
 // HistogramVec is a labeled histogram family.
@@ -366,7 +303,7 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames
 
 // With returns the histogram for one label-value combination.
 func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.child(labelValues, func() any { return newHistogram(v.f.buckets) }).(*Histogram)
+	return v.f.child(labelValues)
 }
 
 // ---- exposition ----
@@ -464,8 +401,8 @@ func (f *family) writeCollected(b *strings.Builder) {
 	}
 }
 
-// writeChildren renders a materialized family's children in sorted
-// label order.
+// writeChildren renders a histogram family's children in sorted label
+// order.
 func (f *family) writeChildren(b *strings.Builder) {
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
@@ -473,7 +410,7 @@ func (f *family) writeChildren(b *strings.Builder) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	kids := make([]any, len(keys))
+	kids := make([]*Histogram, len(keys))
 	for i, k := range keys {
 		kids[i] = f.children[k]
 	}
@@ -485,24 +422,18 @@ func (f *family) writeChildren(b *strings.Builder) {
 			values = strings.Split(k, "\xff")
 		}
 		labels := labelString(f.labelNames, values, "")
-		switch c := kids[i].(type) {
-		case *Counter:
-			fmt.Fprintf(b, "%s_total%s %d\n", f.name, labels, c.Value())
-		case *Gauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labels, fmtFloat(c.Value()))
-		case *Histogram:
-			counts := c.snapshot()
-			var cum uint64
-			for bi, bound := range c.bounds {
-				cum += counts[bi]
-				fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-					labelString(f.labelNames, values, fmtFloat(bound)), cum)
-			}
-			cum += counts[len(c.bounds)]
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, values, "+Inf"), cum)
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labels, fmtFloat(c.Sum()))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labels, cum)
+		c := kids[i]
+		counts := c.snapshot()
+		var cum uint64
+		for bi, bound := range c.bounds {
+			cum += counts[bi]
+			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
+				labelString(f.labelNames, values, fmtFloat(bound)), cum)
 		}
+		cum += counts[len(c.bounds)]
+		fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, values, "+Inf"), cum)
+		fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labels, fmtFloat(c.Sum()))
+		fmt.Fprintf(b, "%s_count%s %d\n", f.name, labels, cum)
 	}
 }
 

@@ -1,26 +1,30 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // goldenRegistry builds one registry exercising every family kind:
-// plain and labeled counters, plain and func-backed gauges, a
-// collector-backed labeled family, and a histogram spanning its finite
-// buckets plus +Inf.
+// func-backed counters and gauges, collector-backed labeled families of
+// both types, a histogram spanning its finite buckets plus +Inf, and a
+// labeled histogram family.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
-	r.Counter("jobs_done", "Jobs completed.").Add(3)
-	cv := r.CounterVec("cache_hits", "Cache hits by tier.", "tier")
-	cv.With("memory").Add(5)
-	cv.With("disk").Inc()
-	r.Gauge("queue_depth", "Jobs waiting.").Set(2)
+	r.CounterFunc("jobs_done", "Jobs completed.", func() float64 { return 3 })
+	r.CollectFunc("cache_hits", "Cache hits by tier.", TypeCounter, []string{"tier"},
+		func(emit func([]string, float64)) {
+			emit([]string{"memory"}, 5)
+			emit([]string{"disk"}, 1)
+		})
+	r.GaugeFunc("queue_depth", "Jobs waiting.", func() float64 { return 2 })
 	r.GaugeFunc("uptime_seconds", "Seconds since start.", func() float64 { return 1.5 })
 	r.CollectFunc("member_up", "Fleet member liveness.", TypeGauge, []string{"member"},
 		func(emit func([]string, float64)) {
@@ -31,6 +35,10 @@ func goldenRegistry() *Registry {
 	for _, v := range []float64{0.05, 0.5, 0.5, 20} {
 		h.Observe(v)
 	}
+	hv := r.HistogramVec("simulate_seconds", "Simulation time by policy.", []float64{1, 2}, "policy")
+	hv.With("static").Observe(0.5)
+	hv.With("icount").Observe(1.5)
+	hv.With("icount").Observe(3)
 	return r
 }
 
@@ -73,8 +81,8 @@ func TestOpenMetricsShape(t *testing.T) {
 			typ++
 		}
 	}
-	if help != 6 || typ != 6 {
-		t.Errorf("got %d HELP / %d TYPE lines, want 6 / 6", help, typ)
+	if help != 7 || typ != 7 {
+		t.Errorf("got %d HELP / %d TYPE lines, want 7 / 7", help, typ)
 	}
 }
 
@@ -89,19 +97,20 @@ func TestRegistryPanics(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	r.Counter("ok", "fine")
-	mustPanic("duplicate", func() { r.Counter("ok", "again") })
-	mustPanic("invalid name", func() { r.Counter("bad-name", "hyphen") })
-	mustPanic("counter _total suffix", func() { r.Counter("c_total", "suffix") })
-	mustPanic("digit first", func() { r.Counter("9lives", "digit") })
-	mustPanic("le label", func() { r.CounterVec("c2", "h", "le") })
+	zero := func() float64 { return 0 }
+	r.CounterFunc("ok", "fine", zero)
+	mustPanic("duplicate", func() { r.GaugeFunc("ok", "again", zero) })
+	mustPanic("invalid name", func() { r.CounterFunc("bad-name", "hyphen", zero) })
+	mustPanic("counter _total suffix", func() { r.CounterFunc("c_total", "suffix", zero) })
+	mustPanic("digit first", func() { r.CounterFunc("9lives", "digit", zero) })
+	mustPanic("le label", func() { r.HistogramVec("c2", "h", []float64{1}, "le") })
 	mustPanic("empty buckets", func() { r.Histogram("h1", "h", nil) })
 	mustPanic("unsorted buckets", func() { r.Histogram("h2", "h", []float64{2, 1}) })
 	mustPanic("collect histogram", func() {
 		r.CollectFunc("h3", "h", TypeHistogram, nil, func(func([]string, float64)) {})
 	})
 	mustPanic("label arity", func() {
-		r.CounterVec("c3", "h", "a", "b").With("only-one")
+		r.HistogramVec("c3", "h", []float64{1}, "a", "b").With("only-one")
 	})
 }
 
@@ -219,12 +228,13 @@ func TestExpBuckets(t *testing.T) {
 // assertion; the final scrape sanity-checks totals.
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ops", "ops")
-	cv := r.CounterVec("ops_by", "ops by kind", "kind")
-	g := r.Gauge("depth", "depth")
+	var ops, depth atomic.Int64
+	r.CounterFunc("ops", "ops", func() float64 { return float64(ops.Load()) })
+	r.GaugeFunc("depth", "depth", func() float64 { return float64(depth.Load()) })
+	r.CollectFunc("ops_by", "ops by kind", TypeCounter, []string{"kind"},
+		func(emit func([]string, float64)) { emit([]string{"all"}, float64(ops.Load())) })
 	h := r.Histogram("lat", "latency", DefaultLatencyBuckets)
 	hv := r.HistogramVec("lat_by", "latency by kind", []float64{1, 2}, "kind")
-	r.GaugeFunc("f", "func gauge", func() float64 { return g.Value() })
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
@@ -234,9 +244,8 @@ func TestConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			kind := string(rune('a' + w%3))
 			for i := 0; i < iters; i++ {
-				c.Inc()
-				cv.With(kind).Inc()
-				g.Set(float64(i))
+				ops.Add(1)
+				depth.Store(int64(i))
 				h.Observe(float64(i) * 1e-4)
 				hv.With(kind).Observe(float64(i % 3))
 			}
@@ -260,8 +269,12 @@ func TestConcurrentScrape(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*iters {
-		t.Errorf("ops = %d, want %d", got, workers*iters)
+	var b strings.Builder
+	if err := r.WriteOpenMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("ops_total %d\n", workers*iters); !strings.Contains(b.String(), want) {
+		t.Errorf("final scrape lacks %q", want)
 	}
 	if got := h.Count(); got != workers*iters {
 		t.Errorf("lat count = %d, want %d", got, workers*iters)
