@@ -9,8 +9,7 @@
 // be unit-tested without a simulator, and the determinism contract is
 // easy to audit — Rebalance is a pure function of the snapshot, which
 // the core builds between cycles from committed state only (never from
-// mid-cycle or per-goroutine state, so the per-chip parallel loop and
-// the sequential loop feed a policy byte-identical inputs).
+// mid-cycle state).
 package alloc
 
 import (

@@ -11,9 +11,7 @@ import (
 // Fork returns a clone of the memory system: cache tag arrays are
 // shared copy-on-write (memsys.Cache.Fork); the directory table,
 // network ports, TLBs, MSHRs and bank state are bounded-size and copied
-// eagerly. Stat shards are dropped — the parallel runtime re-creates
-// them at the next Run and they are always folded (zero) between
-// cycles.
+// eagerly.
 func (s *System) Fork() *System {
 	cp := *s
 	cp.Chips = make([]*memsys.Chip, len(s.Chips))
@@ -22,7 +20,6 @@ func (s *System) Fork() *System {
 	}
 	cp.Dir = s.Dir.Clone()
 	cp.Net = s.Net.Clone()
-	cp.shards = nil
 	return &cp
 }
 
@@ -99,9 +96,8 @@ func (st *Stats) XferSnap(x *snap.Xfer) {
 }
 
 // XferSnap transfers every chip hierarchy, the directory, the network
-// and the folded machine-wide stats; decoding overlays a freshly built
-// system of the same configuration. Stat shards must be folded (they
-// always are between cycles).
+// and the machine-wide stats; decoding overlays a freshly built system
+// of the same configuration.
 func (s *System) XferSnap(x *snap.Xfer) {
 	for _, c := range s.Chips {
 		c.XferSnap(x)

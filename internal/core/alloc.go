@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -24,10 +25,8 @@ import (
 //
 // Determinism contract: every policy decision is a pure function of a
 // snapshot built from committed per-epoch state in fixed (thread id /
-// global cluster) order, taken between cycles. The per-chip parallel
-// loop and the sequential loop therefore feed a policy byte-identical
-// inputs at byte-identical cycles, and the whole run stays
-// deterministic under both (guarded by TestAllocParallelDeterminism).
+// global cluster) order, taken between cycles, so a dynamic-policy run
+// is deterministic (guarded by TestAllocDeterminism).
 
 // MigrationColdStart is the fixed front-end penalty a migrated thread
 // pays before fetching on its new cluster: the pipeline-refill cost of
@@ -156,8 +155,7 @@ func (s *Simulator) Assignment() []int {
 
 // allocEpoch runs one epoch boundary: build the committed feedback
 // snapshot in fixed order, let the policy propose migrations, validate
-// and accept them, and schedule the next boundary. Runs between cycles
-// on the coordinator only — never inside a parallel phase.
+// and accept them, and schedule the next boundary. Runs between cycles.
 func (s *Simulator) allocEpoch() {
 	s.wakeAll() // a migration below may end any cluster's quiescence
 	a := s.alloc
@@ -262,7 +260,7 @@ func (s *Simulator) applyMigration(mg alloc.Migration) bool {
 // completeMigrations moves every drained marked thread to its
 // destination cluster. It runs between the commit and issue stages of
 // a cycle — after the drain can finish, before the new cluster could
-// act — at the same point in both the sequential and parallel loops.
+// act.
 // A thread that halts while draining cancels its move.
 func (s *Simulator) completeMigrations(now int64) bool {
 	moved := false
@@ -357,6 +355,8 @@ const (
 // when candidates fail the error returned is that of the lowest index —
 // workers stop pulling once any candidate has failed, but every lower
 // index was pulled before the failing one and runs to its own verdict.
+// A candidate whose simulation panics fails with the panic value and
+// stack as its error, like any other failure.
 func SearchStatic(mk func() (*Simulator, error), prefixCycles int64, maxCandidates int) (best, worst []int, err error) {
 	probe, err := mk()
 	if err != nil {
@@ -365,18 +365,20 @@ func SearchStatic(mk func() (*Simulator, error), prefixCycles int64, maxCandidat
 	cands := enumerateAssignments(len(probe.threads), probe.clusterInfos(), maxCandidates)
 	scores := make([]uint64, len(cands))
 	errs := make([]error, len(cands))
-	score := func(i int) (uint64, error) {
+	score := func(i int) (_ uint64, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v\n\n%s", p, debug.Stack())
+			}
+		}()
 		var sim *Simulator
 		if i == 0 {
 			// Candidate 0 runs on the probe. Only this call touches the
 			// variable, and clearing it makes the probe garbage once
 			// scored, like every other candidate's simulator.
 			sim, probe = probe, nil
-		} else {
-			var err error
-			if sim, err = mk(); err != nil {
-				return 0, err
-			}
+		} else if sim, err = mk(); err != nil {
+			return 0, err
 		}
 		if err := sim.SetAssignment(cands[i]); err != nil {
 			return 0, err

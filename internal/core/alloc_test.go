@@ -40,21 +40,19 @@ func buildImbalanced(threads int, iters int64) *prog.Program {
 }
 
 // runAlloc runs one machine over build with the given cycle loop
-// (ff=false: the stepped reference loop) and execution loop.
-func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, par bool) *Result {
+// (ff=false: the stepped reference loop).
+func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff bool) *Result {
 	t.Helper()
 	s, err := New(m, build())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Parallel = par
 	return runSim(t, s, true, ff)
 }
 
 // TestAllocDifferential is the seed bit-identity gate for the default
-// policy: on every Table 2 preset, low- and high-end, under every
-// combination of {stepped, fast-forward} cycle loop × {sequential,
-// per-chip parallel} execution loop, a machine configured with
+// policy: on every Table 2 preset, low- and high-end, under both the
+// stepped and the fast-forward cycle loop, a machine configured with
 // Alloc.Policy="static" must produce a Result that is bit-identical
 // (reflect.DeepEqual) to the same machine with no Alloc at all. It is
 // the proof that bolting the allocation subsystem on changed nothing
@@ -62,13 +60,11 @@ func runAlloc(t *testing.T, m config.Machine, build func() *prog.Program, ff, pa
 // epochs and zero migrations.
 func TestAllocDifferential(t *testing.T) {
 	combos := []struct {
-		name    string
-		ff, par bool
+		name string
+		ff   bool
 	}{
-		{"stepped/seq", false, false},
-		{"ff/seq", true, false},
-		{"stepped/par", false, true},
-		{"ff/par", true, true},
+		{"stepped", false},
+		{"ff", true},
 	}
 	for _, arch := range config.AllArchs {
 		for _, highEnd := range []bool{false, true} {
@@ -88,8 +84,8 @@ func TestAllocDifferential(t *testing.T) {
 					t.Fatalf("explicit static policy changed the machine hash")
 				}
 				for _, c := range combos {
-					seed := runAlloc(t, m, build, c.ff, c.par)
-					static := runAlloc(t, ms, build, c.ff, c.par)
+					seed := runAlloc(t, m, build, c.ff)
+					static := runAlloc(t, ms, build, c.ff)
 					if static.AllocEpochs != 0 || static.AllocMigrations != 0 {
 						t.Fatalf("%s: static ran epochs=%d migrations=%d, want 0/0",
 							c.name, static.AllocEpochs, static.AllocMigrations)
@@ -123,8 +119,8 @@ func TestAllocDeterminism(t *testing.T) {
 				build := func() *prog.Program {
 					return buildImbalanced(m.Threads(), 2000)
 				}
-				a := runAlloc(t, m, build, true, false)
-				b := runAlloc(t, m, build, true, false)
+				a := runAlloc(t, m, build, true)
+				b := runAlloc(t, m, build, true)
 				if a.AllocMigrations == 0 {
 					t.Fatalf("no migrations; the determinism check is vacuous")
 				}
@@ -133,30 +129,6 @@ func TestAllocDeterminism(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestAllocParallelDeterminism pins the headline contract from the
-// design note: the per-chip parallel loop and the sequential loop feed
-// a policy byte-identical snapshots at byte-identical cycles, so a
-// dynamic-policy run is bit-identical under both execution loops.
-func TestAllocParallelDeterminism(t *testing.T) {
-	for _, pol := range []string{"icount", "symbiosis"} {
-		t.Run(pol, func(t *testing.T) {
-			m := config.HighEnd(config.SMT2)
-			m.Alloc = config.AllocConfig{Policy: pol, Epoch: 500}
-			build := func() *prog.Program {
-				return buildImbalanced(m.Threads(), 2000)
-			}
-			seq := runAlloc(t, m, build, true, false)
-			par := runAlloc(t, m, build, true, true)
-			if seq.AllocMigrations == 0 {
-				t.Fatalf("no migrations; the determinism check is vacuous")
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("parallel loop diverged from sequential\nseq: %+v\npar: %+v", seq, par)
-			}
-		})
 	}
 }
 
@@ -287,10 +259,10 @@ func TestAllocInvalidProposalsRejected(t *testing.T) {
 	build := func() *prog.Program {
 		return buildImbalanced(m.Threads(), 2000)
 	}
-	ref := runAlloc(t, m, build, false, false)
+	ref := runAlloc(t, m, build, false)
 	mc := m
 	mc.Alloc = config.AllocConfig{Policy: "chaos-test", Epoch: 500}
-	got := runAlloc(t, mc, build, false, false)
+	got := runAlloc(t, mc, build, false)
 	if got.AllocEpochs == 0 {
 		t.Fatalf("chaos policy never consulted; the rejection check is vacuous")
 	}

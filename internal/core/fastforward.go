@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"clustersmt/internal/isa"
 	"clustersmt/internal/parallel"
@@ -240,14 +239,8 @@ func quiescentIssue(cl *cluster, now int64, votes *stats.Votes, event func(int64
 // sleepIdle runs between cycles: every cluster the last cycle left
 // without progress is probed for the cycle about to run and, when it is
 // quiescent with its next event more than one cycle away, put to sleep.
-// Under the per-chip parallel loop clusters sleep only together, for a
-// machine jump (stepParallel wakes whatever is asleep).
 func (s *Simulator) sleepIdle() {
 	now := s.cycle
-	if s.par != nil && (len(s.idle) < len(s.clusters) ||
-		slices.ContainsFunc(s.idle, func(gid int32) bool { return now < s.sleep[gid].probeAt })) {
-		return // not every cluster is idle and due for a probe
-	}
 	for _, gid := range s.idle {
 		sl := &s.sleep[gid]
 		if now < sl.probeAt {
@@ -265,9 +258,6 @@ func (s *Simulator) sleepIdle() {
 				sl.failStreak++
 			}
 			sl.probeAt = now + 1<<sl.failStreak
-			if s.par != nil {
-				break
-			}
 			continue
 		}
 		sl.asleep, sl.failStreak = true, 0

@@ -95,43 +95,3 @@ func TestInterruptBoundedDuringFastForward(t *testing.T) {
 			c1, e1, err1, c2, e2, err2)
 	}
 }
-
-// TestInterruptBoundedDuringFastForwardParallel runs the same bounded-
-// latency check under the parallel execution mode, which shares Run's
-// poll: cancelling a parallel run must also stop promptly and park the
-// chip workers cleanly (the -race CI leg would flag a leaked worker
-// touching freed state).
-func TestInterruptBoundedDuringFastForwardParallel(t *testing.T) {
-	m := config.HighEnd(config.FA1)
-	const closeAfter = 30_000
-
-	s, err := New(m, buildCancelChase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Parallel = true
-	intr := make(chan struct{})
-	s.Interrupt = intr
-	s.EnableMetrics(25, 0)
-	var closeCycle int64
-	closed := false
-	s.OnInterval(func(f obs.Frame) {
-		if !closed && f.End >= closeAfter {
-			closed = true
-			closeCycle = f.End
-			close(intr)
-		}
-	})
-	_, err = s.Run()
-	if !closed {
-		t.Fatal("run finished before the interrupt point; kernel too short for the test")
-	}
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
-	}
-	const slack = 512
-	if lat := s.cycle - closeCycle; lat < 0 || lat > interruptPeriod+slack {
-		t.Errorf("parallel interrupt latency %d cycles (closed at %d, stopped at %d), want <= %d",
-			lat, closeCycle, s.cycle, int64(interruptPeriod+slack))
-	}
-}

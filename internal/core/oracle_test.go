@@ -58,12 +58,6 @@ func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
 		return nil, fmt.Errorf("core: simulator already run")
 	}
 	s.resumable = false
-	if s.Parallel {
-		if err := s.startParallel(); err != nil {
-			return nil, err
-		}
-		defer s.stopParallel()
-	}
 	if s.tr != nil {
 		defer s.tr.flush()
 	}
@@ -96,17 +90,9 @@ func (l refLoop) runTo(s *Simulator, target int64) (*Result, error) {
 			if err := l.sleep.check(s); err != nil {
 				return nil, err
 			}
-			switch {
-			case s.nAsleep == len(s.clusters) && s.jump():
-			case s.par != nil:
-				s.stepParallel()
-			default:
+			if s.nAsleep < len(s.clusters) || !s.jump() {
 				s.step()
 			}
-		case s.par != nil:
-			// No sleepIdle call, so stepParallel never meets a sleeper.
-			s.stepParallel()
-			idle = len(s.idle) == len(s.clusters)
 		default:
 			idle = !stepRef(s, l.scan)
 		}

@@ -103,7 +103,9 @@ func TestSearchStaticMatchesSequential(t *testing.T) {
 // assignments, candidate 3 at once and candidate 1 only late in its
 // prefix, so with four workers the higher index fails first in time —
 // and requires the reported error to be candidate 1's on every one of
-// 50 searches, however the workers interleave.
+// 50 searches, however the workers interleave. Then candidate 2 panics
+// instead: the search must return that as candidate 2's error, not
+// crash, and leave no worker behind.
 func TestSearchStaticFirstError(t *testing.T) {
 	m := config.LowEnd(config.SMT2)
 	jobs := searchMix(m.Threads() / 2)
@@ -146,6 +148,42 @@ func TestSearchStaticFirstError(t *testing.T) {
 			t.Fatalf("run %d: error %q is not the lowest failing candidate's (%s)", run, err, want)
 		}
 	}
+
+	// A candidate that panics fails like any other, and the search
+	// still waits for every worker.
+	before := runtime.NumGoroutine()
+	panicky := func() (*Simulator, error) {
+		s, err := NewMulti(m, jobs)
+		if err != nil {
+			return nil, err
+		}
+		s.EnableMetrics(64, 1)
+		s.OnInterval(func(obs.Frame) {
+			if fmt.Sprint(s.Assignment()) == fmt.Sprint(cands[2]) {
+				panic("candidate 2 misbehaves")
+			}
+		})
+		return s, nil
+	}
+	_, _, err = SearchStatic(panicky, 6_000, 8)
+	if want := fmt.Sprintf("candidate 2 %v: panic: candidate 2 misbehaves", cands[2]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("panicking candidate: got %v, want an error containing %q", err, want)
+	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails unless the goroutine count returns to before. A
+// worker's deferred wg.Done releases a search a moment before the
+// goroutine itself is gone, so the stragglers get time to exit.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before the search, %d after", before, after)
+	}
 }
 
 // TestSearchStaticCancel: with the Interrupt channel already closed the
@@ -174,15 +212,7 @@ func TestSearchStaticCancel(t *testing.T) {
 	if best != nil || worst != nil {
 		t.Fatalf("cancelled search returned assignments %v / %v", best, worst)
 	}
-	// A worker's deferred wg.Done releases the search a moment before
-	// the goroutine itself is gone, so give the stragglers time to exit.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() != before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after != before {
-		t.Fatalf("%d goroutines before the search, %d after", before, after)
-	}
+	waitGoroutines(t, before)
 }
 
 // TestEnumerateAssignmentsGolden pins the canonical enumeration order

@@ -27,10 +27,8 @@ var ErrInterrupted = errors.New("run interrupted")
 // advances, while the poll stays off the hot path.
 const interruptPeriod = 1024
 
-// Simulator executes one program on one machine, cycle by cycle. It is
-// strictly deterministic; with Parallel set, chips step concurrently in
-// a lockstep that reproduces the sequential results bit-identically
-// (parallel.go).
+// Simulator executes one program on one machine, cycle by cycle, on the
+// calling goroutine. It is strictly deterministic.
 type Simulator struct {
 	Machine config.Machine
 	Program *prog.Program
@@ -57,21 +55,10 @@ type Simulator struct {
 	// finished counts drained threads; done() is finished == len(threads).
 	finished int
 
-	// Parallel runs one goroutine per chip in per-cycle lockstep
-	// (parallel.go). Results are bit-identical to the sequential loop
-	// (guarded by TestParallelDifferential), which remains the reference
-	// implementation. Requires no instruction tracing. Must be set
-	// before Run.
+	// Deprecated: Parallel is ignored; the per-chip loop was removed
+	// (ROADMAP item 2). The field remains only because
+	// benchmark/w_figs.go assigns it; ROADMAP item 3(a) deletes both.
 	Parallel bool
-
-	// par is the live parallel runner, non-nil only inside a Parallel
-	// Run; cluster stages consult it to route counters to per-chip
-	// shards and sync operations through the turn protocol.
-	par *parRunner
-	// parBCycles counts cycles whose issue/fetch phase ran concurrently
-	// on the chip workers (vs the sequential directory fallback) —
-	// diagnostics and test vacuousness checks.
-	parBCycles int64
 
 	// Cluster sleep (fastforward.go): each cluster's sleep state at its
 	// gid, the number asleep, the clusters the last cycle left without
@@ -206,8 +193,7 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 }
 
 // numberClusters assigns each cluster its global (chip-major) index —
-// the sequential iteration order, which the parallel mode's turn
-// protocol and store drain reproduce — and preallocates the sleep state
+// the cycle loop's iteration order — and preallocates the sleep state
 // indexed by it.
 func (s *Simulator) numberClusters() {
 	s.sleep = make([]clusterSleep, len(s.clusters))
@@ -319,12 +305,6 @@ func (s *Simulator) run(target int64) (*Result, error) {
 		return nil, fmt.Errorf("core: simulator already run")
 	}
 	s.resumable = false
-	if s.Parallel {
-		if err := s.startParallel(); err != nil {
-			return nil, err
-		}
-		defer s.stopParallel()
-	}
 	if s.tr != nil {
 		// The trace writer is buffered; flush whatever was traced even
 		// when the run aborts (MaxCycles), so partial traces are usable.
@@ -357,18 +337,13 @@ func (s *Simulator) run(target int64) (*Result, error) {
 			}
 		}
 		if s.alloc != nil && s.cycle >= s.alloc.nextAt {
-			// Epoch boundary: runs between cycles on the coordinator (the
-			// workers only ever run inside stepParallel), and a machine
-			// jump clamps to nextAt, so the policy observes the machine at
-			// exactly this cycle under every execution mode.
+			// Epoch boundary: runs between cycles, and a machine jump
+			// clamps to nextAt, so the policy observes the machine at
+			// exactly this cycle whether or not the loop jumped.
 			s.allocEpoch()
 		}
 		s.sleepIdle()
-		switch {
-		case s.nAsleep == len(s.clusters) && s.jump():
-		case s.par != nil:
-			s.stepParallel()
-		default:
+		if s.nAsleep < len(s.clusters) || !s.jump() {
 			s.step()
 		}
 		if s.obs != nil && s.cycle >= s.obs.nextAt {

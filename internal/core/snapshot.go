@@ -29,14 +29,12 @@ import (
 // Running a restored or forked simulator to completion produces a
 // Result (and off-Result memory/coherence counters, and obs frames)
 // reflect.DeepEqual to running the original from scratch — guarded by
-// TestCheckpointDifferential across every preset × machine ×
-// sequential/parallel.
+// TestCheckpointDifferential across every preset × machine.
 //
 // Encoding invariants:
 //
 //   - Snapshots are taken between cycles (a fresh simulator, one paused
-//     by RunTo, or a completed one). Mid-cycle state (parallel runner,
-//     undrained store queues) is refused with ErrSnapshotUnsupported.
+//     by RunTo, or a completed one).
 //   - Window entries are written as their cluster's pool, slot by slot
 //     in handle order, followed by the free stack. A handle is a slot
 //     index, so it already is its own serialized id: every structure
@@ -65,10 +63,9 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 4 drops the
-// two implementation-selector bools version 3 carried in the core
-// section.
-const SnapshotVersion = 4
+// simply never looked up and the warm-up re-runs. Version 5 drops the
+// per-chip loop's cycle counter version 4 carried in the core section.
+const SnapshotVersion = 5
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
@@ -128,24 +125,14 @@ func (s *Simulator) PrefixValid() bool {
 // snapshotSupported reports why this simulator cannot be checkpointed
 // or forked, or nil. The excluded configurations are all explicitly
 // out of scope: multiprogrammed runs (per-job memories and sync
-// controllers), instruction tracing (the trace writer is an open
-// file), and a run currently inside the parallel runner (between runs
-// par is nil; the Parallel flag itself is a host execution choice and
-// is not state).
+// controllers) and instruction tracing (the trace writer is an open
+// file).
 func (s *Simulator) snapshotSupported() error {
 	if len(s.mems) > 1 {
 		return fmt.Errorf("%w: multiprogrammed simulators", ErrSnapshotUnsupported)
 	}
 	if s.tr != nil {
 		return fmt.Errorf("%w: instruction tracing active", ErrSnapshotUnsupported)
-	}
-	if s.par != nil {
-		return fmt.Errorf("%w: mid-run parallel state", ErrSnapshotUnsupported)
-	}
-	for _, c := range s.clusters {
-		if len(c.storeQ) != 0 {
-			return fmt.Errorf("%w: undrained store queue (mid-cycle state)", ErrSnapshotUnsupported)
-		}
 	}
 	if len(s.migrating) != 0 {
 		// A draining migration resolves within the longest in-flight
@@ -432,7 +419,6 @@ func (s *Simulator) xferCore(x *xfer) error {
 	xi(x, &s.running)
 	xi(x, &s.finished)
 	xi(x, &s.ffCycles)
-	xi(x, &s.parBCycles)
 	x.slots(&s.slots)
 	s.syncs[0].XferSnap(&x.Xfer)
 	if s.finished < 0 || s.finished > len(s.threads) || s.running < 0 || s.running > len(s.threads) {

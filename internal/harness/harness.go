@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -68,7 +69,9 @@ type runKey struct {
 // on next use; a call still running is never forgotten. A canceled
 // owner takes its slot with it, so a cancellation can never poison the
 // memo: the waiters it releases are still live and retry, one of them
-// becoming the new owner.
+// becoming the new owner. A panicking computation is a failure like any
+// other: its key settles with a panicError, so it takes down neither the
+// process nor its waiters, and is not re-run while memoized.
 type flight[K comparable, V any] struct {
 	mu       sync.Mutex
 	cache    map[K]*call[V]
@@ -111,7 +114,7 @@ func (f *flight[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, er
 			c = &call[V]{done: make(chan struct{})}
 			f.cache[k] = c
 			f.mu.Unlock()
-			c.val, c.err = fn()
+			c.val, c.err = recovered(fn)
 			f.settle(k, canceled(c.err))
 			close(c.done)
 			return c.val, c.err
@@ -132,6 +135,25 @@ func (f *flight[K, V]) do(ctx context.Context, k K, fn func() (V, error)) (V, er
 		// done); this caller is still live, so retry — it may become
 		// the new owner.
 	}
+}
+
+// panicError is a computation's panic as flight.do returns it: the
+// panic value and the owner goroutine's stack where it was recovered.
+type panicError struct {
+	val   any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v\n\n%s", e.val, e.stack) }
+
+// recovered calls fn, turning a panic into a *panicError.
+func recovered[V any](fn func() (V, error)) (v V, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &panicError{p, debug.Stack()}
+		}
+	}()
+	return fn()
 }
 
 // settle files k's finished call: a canceled one is dropped, any other
@@ -332,8 +354,9 @@ func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch con
 		}
 		return res, nil
 	})
-	if err != nil && err == ctx.Err() {
-		// This caller gave up waiting on another's run.
+	if _, panicked := err.(*panicError); panicked || (err != nil && err == ctx.Err()) {
+		// The run panicked past the naming above, or this caller gave up
+		// waiting on another's run.
 		err = named(err)
 	}
 	return res, err

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"clustersmt/internal/config"
 	"clustersmt/internal/core"
@@ -47,7 +50,10 @@ func TestSingleflightSharesConcurrentRuns(t *testing.T) {
 // TestSuiteCachesErrors forces a failing configuration (a MaxCycles too
 // small to finish anything) and checks the failure is simulated once:
 // the second call must return the identical cached error instance
-// instead of re-running the doomed simulation.
+// instead of re-running the doomed simulation. A panicking run is such a
+// failure too: its owner, and a caller waiting on it meanwhile, get an
+// error naming the panic instead of a crashed process, and the memo
+// answers the next call without simulating again.
 func TestSuiteCachesErrors(t *testing.T) {
 	s := NewSuite(workloads.SizeTest)
 	s.MaxCycles = 10 // nothing finishes in 10 cycles
@@ -64,6 +70,49 @@ func TestSuiteCachesErrors(t *testing.T) {
 	if err2 != err1 {
 		t.Fatalf("error not cached: %v vs %v", err1, err2)
 	}
+
+	p := NewSuite(workloads.SizeTest)
+	entered, release := make(chan struct{}), make(chan struct{})
+	p.OnSimulate = func(context.Context, string, string, bool, time.Duration, error) {
+		close(entered)
+		<-release
+		panic("simulation hook misbehaves")
+	}
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	run := func(ctx context.Context, i int) {
+		defer wg.Done()
+		_, errs[i] = p.RunContext(ctx, w, config.SMT2, false)
+	}
+	wg.Add(2)
+	go run(context.Background(), 0)
+	<-entered
+	waiter := &doneWatch{Context: context.Background(), called: make(chan struct{})}
+	go run(waiter, 1)
+	<-waiter.called // the second caller is waiting on the owner's run
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "panic: simulation hook misbehaves") {
+			t.Fatalf("caller %d: got %v, want the run's panic as an error", i, err)
+		}
+	}
+	if _, err := p.Run(w, config.SMT2, false); err == nil || p.Simulations() != 1 {
+		t.Fatalf("panicked run not answered from the memo: err %v, %d simulations", err, p.Simulations())
+	}
+}
+
+// doneWatch is a context that reports when a caller first asks for its
+// Done channel — for a singleflight waiter, the moment it starts waiting.
+type doneWatch struct {
+	context.Context
+	once   sync.Once
+	called chan struct{}
+}
+
+func (c *doneWatch) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.called) })
+	return c.Context.Done()
 }
 
 // TestMemoBounded: a suite's memos hold a bounded number of finished

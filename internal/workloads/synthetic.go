@@ -102,12 +102,23 @@ func syntheticName(spec SyntheticSpec) string {
 	return name + ")"
 }
 
+// maxSynthFootprintKB bounds the footprint ParseSynthetic accepts: 16
+// MiB, 16× Table 3's L2 and 8× the largest footprint any caller uses.
+const maxSynthFootprintKB = 16 << 10
+
 // ParseSynthetic inverts syntheticName: it resolves a canonical
 // "synth(p…,c…,i…,m…,f…,n…,s…,t…[,w…])" name back to its workload, so
 // the serving subsystem can accept sweep-grid jobs by name. Only
 // canonical names round-trip (the parsed spec must render back to
 // exactly the input), which keeps one name per spec and the service's
 // content-addressed hashes unambiguous.
+//
+// A name can arrive from the network (a clusterd job spec), so the spec
+// is also bounded: no field may be negative, ParCap is at most 8 (it
+// counts contexts per 8), and FootprintKB at most maxSynthFootprintKB —
+// Build materialises the data array word by word, so an unbounded
+// footprint would exhaust memory before any simulation started.
+// Synthetic itself takes any spec.
 func ParseSynthetic(name string) (Workload, error) {
 	body, ok := strings.CutPrefix(name, "synth(")
 	if ok {
@@ -135,7 +146,16 @@ func ParseSynthetic(name string) (Workload, error) {
 		if err != nil {
 			return Workload{}, fmt.Errorf("workloads: %q: field %q: %v", name, f, err)
 		}
+		if n < 0 {
+			return Workload{}, fmt.Errorf("workloads: %q: field %q is negative", name, f)
+		}
 		v[i] = n
+	}
+	if v[0] > 8 {
+		return Workload{}, fmt.Errorf("workloads: %q: ParCap %d exceeds 8", name, v[0])
+	}
+	if v[4] > maxSynthFootprintKB {
+		return Workload{}, fmt.Errorf("workloads: %q: footprint %d KB exceeds %d KB", name, v[4], maxSynthFootprintKB)
 	}
 	spec := SyntheticSpec{
 		ParCap: int(v[0]), ChainLen: int(v[1]), IndepOps: int(v[2]),

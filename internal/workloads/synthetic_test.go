@@ -2,7 +2,11 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unicode"
 
 	"clustersmt/internal/config"
 	"clustersmt/internal/core"
@@ -112,7 +116,8 @@ func TestSyntheticFootprintRaisesMemory(t *testing.T) {
 // TestParseSynthetic pins the name grammar: every canonical name (with
 // and without the warm-up suffix) round-trips through ParseSynthetic
 // and ByName, and anything non-canonical — wrong key, extra field,
-// defaulted-field mismatch — is rejected, keeping one name per spec.
+// defaulted-field mismatch — or out of range is rejected, keeping one
+// name per spec and the daemon's program builds bounded.
 func TestParseSynthetic(t *testing.T) {
 	for _, spec := range []SyntheticSpec{
 		{},
@@ -133,21 +138,69 @@ func TestParseSynthetic(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{
-		"",
-		"swim",
-		"synth()",
-		"synth(p0,c0,i0)",
-		"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w0)", // w0 is elided in canonical names
-		"synth(p0,c0,i0,m0,f16,n4096,s0,t2)",    // MemOps defaults to 1, so m0 never renders
-		"synth(p0,c0,i0,m1,f16,n4096,s0,t2,x5)", // wrong key
-		"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w1,w2)", // too many fields
-		"synth(p0,c0,i0,m1,f16,nABC,s0,t2)",
-	} {
+	for _, bad := range badSynthNames {
 		if _, err := ParseSynthetic(bad); err == nil {
-			t.Errorf("ParseSynthetic(%q) accepted a non-canonical name", bad)
+			t.Errorf("ParseSynthetic(%q) accepted a non-canonical or out-of-range name", bad)
 		}
 	}
+}
+
+// badSynthNames are names ParseSynthetic must refuse.
+var badSynthNames = []string{
+	"",
+	"swim",
+	"synth()",
+	"synth(p0,c0,i0)",
+	"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w0)", // w0 is elided in canonical names
+	"synth(p0,c0,i0,m0,f16,n4096,s0,t2)",    // MemOps defaults to 1, so m0 never renders
+	"synth(p0,c0,i0,m1,f16,n4096,s0,t2,x5)", // wrong key
+	"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w1,w2)", // too many fields
+	"synth(p0,c0,i0,m1,f16,nABC,s0,t2)",
+	"synth(p0,c0,i0,m1,f1073741824,n4096,s0,t2)", // a 1 TiB data image
+	"synth(p0,c0,i0,m1,f16385,n4096,s0,t2)",      // one KB over the bound
+	"synth(p9,c0,i0,m1,f16,n4096,s0,t2)",         // ParCap counts contexts per 8
+	"synth(p-1,c0,i0,m1,f16,n4096,s0,t2)",
+	"synth(p0,c-1,i0,m1,f16,n4096,s0,t2)",
+	"synth(p0,c0,i-3,m1,f16,n4096,s0,t2)",
+	"synth(p0,c0,i0,m1,f16,n4096,s-5,t2)",
+	"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w-1)",
+}
+
+// FuzzParseSynthetic holds ParseSynthetic, the path from a job spec to
+// a program build, to its contract on any input: it never panics, and a
+// name it accepts is the Name of the workload it returns, whose spec is
+// in range. Seeds: the names the measurement spine's sweep and serving
+// workloads generate, the round-trip specs above and the reject table.
+func FuzzParseSynthetic(f *testing.F) {
+	for _, kb := range []int{16, 64, 512, 2048} {
+		f.Add(Synthetic(SyntheticSpec{ChainLen: 4, IndepOps: 2, MemOps: 2, FootprintKB: kb, Iters: 192, WarmupIters: 12000}).Name)
+		f.Add(Synthetic(SyntheticSpec{ParCap: 4, ChainLen: 8, IndepOps: 6, MemOps: 3, FootprintKB: kb, Iters: 256, SerialIters: 32, Steps: 2}).Name)
+	}
+	f.Add(Synthetic(SyntheticSpec{}).Name)
+	for _, bad := range badSynthNames {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		w, err := ParseSynthetic(name)
+		if err != nil {
+			return
+		}
+		if w.Name != name {
+			t.Fatalf("ParseSynthetic(%q) returned workload %q", name, w.Name)
+		}
+		// The spec's fields are the name's numbers, in order.
+		var v []int64
+		for _, f := range strings.FieldsFunc(name, func(r rune) bool { return r != '-' && !unicode.IsDigit(r) }) {
+			n, err := strconv.ParseInt(f, 10, 64)
+			if err != nil {
+				t.Fatalf("accepted %q has a malformed field %q", name, f)
+			}
+			v = append(v, n)
+		}
+		if len(v) < 8 || slices.Min(v) < 0 || v[0] > 8 || v[4] > maxSynthFootprintKB {
+			t.Fatalf("accepted %q with an out-of-range spec %v", name, v)
+		}
+	})
 }
 
 var buildSink *prog.Program
