@@ -63,9 +63,11 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 5 drops the
-// per-chip loop's cycle counter version 4 carried in the core section.
-const SnapshotVersion = 5
+// simply never looked up and the warm-up re-runs. Version 6 names the
+// program by its v2 digests (prog's run-length image stream); version 5
+// dropped the per-chip loop's cycle counter version 4 carried in the
+// core section.
+const SnapshotVersion = 6
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54

@@ -8,7 +8,7 @@ import (
 
 // fingerprintVersion is folded into every program hash so the hash
 // changes if the encoding below ever does.
-const fingerprintVersion = "clustersmt.Program/v1"
+const fingerprintVersion = "clustersmt.Program/v2"
 
 // Fingerprint returns a hash over everything about the program that can
 // influence execution: the full code image, the entry PC, the data
@@ -59,10 +59,25 @@ func (w *digestWriter) u64(v uint64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
 }
 
+// u64s encodes vals back to back, a buffer-full at a time.
+func (w *digestWriter) u64s(vals []uint64) {
+	for len(vals) > 0 {
+		w.room(8)
+		free := w.buf[len(w.buf):cap(w.buf)]
+		n := min(len(vals), len(free)/8)
+		for k, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(free[8*k:], v)
+		}
+		w.buf = w.buf[:len(w.buf)+8*n]
+		vals = vals[n:]
+	}
+}
+
 // hashCode digests the first n code slots and the rest of the program's
-// execution-relevant state. The initial image streams out in address
-// order straight from its backing array. It freezes Init: the digest is
-// about to be remembered, so the image may no longer change.
+// execution-relevant state. The initial image streams out straight from
+// its backing array, one maximal run at a time: the run's address, its
+// word count, then its words. It freezes Init: the digest is about to
+// be remembered, so the image may no longer change.
 func (p *Program) hashCode(n int) [32]byte {
 	p.Init.freeze(p.Name)
 	w := digestWriter{h: sha256.New(), buf: make([]byte, 0, 16<<10)}
@@ -78,11 +93,9 @@ func (p *Program) hashCode(n int) [32]byte {
 	w.u64(uint64(p.DataEnd))
 	w.u64(uint64(p.Init.Len()))
 	p.Init.Runs(func(addr int64, vals []uint64) {
-		for _, v := range vals {
-			w.u64(uint64(addr))
-			w.u64(v)
-			addr += WordSize
-		}
+		w.u64(uint64(addr))
+		w.u64(uint64(len(vals)))
+		w.u64s(vals)
 	})
 	w.h.Write(w.buf)
 	var out [32]byte

@@ -20,7 +20,8 @@ const imageAlign = 64
 // and walked sequentially by the loader and the fingerprint.
 //
 // The zero Image is empty and ready for use. An Image is not safe for
-// concurrent Set; concurrent readers are fine once writing has stopped.
+// concurrent Set or SetRun; concurrent readers are fine once writing has
+// stopped.
 type Image struct {
 	base  int64    // word index (addr / WordSize) of words[0]; multiple of imageAlign
 	words []uint64 // len is a multiple of imageAlign
@@ -60,6 +61,41 @@ func (im *Image) Set(addr int64, v uint64) {
 	}
 }
 
+// SetRun is Set for consecutive words: it makes the len(vals) words
+// starting at byte address addr present with vals' values. It grows the
+// backing array at most once, copies the values in bulk and marks them
+// present a bitmap word at a time. It panics where Set would, even for
+// an empty run.
+func (im *Image) SetRun(addr int64, vals []uint64) {
+	if name := im.frozen.Load(); name != nil {
+		panic(fmt.Sprintf("prog: %s: Init.SetRun(%#x) after the program was fingerprinted", *name, addr))
+	}
+	if addr < 0 || addr%WordSize != 0 {
+		panic(fmt.Sprintf("prog: Image.SetRun: bad word address %#x", addr))
+	}
+	if len(vals) == 0 {
+		return
+	}
+	i := addr/WordSize - im.base
+	end := i + int64(len(vals))
+	if i < 0 || end > int64(len(im.words)) {
+		// As Set: at least as much again as there is, so that ascending
+		// runs cost O(n) copying overall.
+		im.span(addr, addr+WordSize*max(int64(len(vals)), 1+int64(len(im.words))))
+		i = addr/WordSize - im.base
+		end = i + int64(len(vals))
+	}
+	copy(im.words[i:end], vals)
+	for i < end {
+		w := i / 64
+		top := min(end, (w+1)*64)
+		mask := ^uint64(0) >> (64 - (top - i)) << (i % 64)
+		im.n += bits.OnesCount64(mask &^ im.set[w])
+		im.set[w] |= mask
+		i = top
+	}
+}
+
 // Get returns the word at addr and whether it is present.
 func (im *Image) Get(addr int64) (v uint64, ok bool) {
 	i := addr/WordSize - im.base
@@ -70,15 +106,6 @@ func (im *Image) Get(addr int64) (v uint64, ok bool) {
 		return 0, false
 	}
 	return im.words[i], true
-}
-
-// All calls f for every present word in ascending address order.
-func (im *Image) All(f func(addr int64, v uint64)) {
-	im.Runs(func(addr int64, vals []uint64) {
-		for k, v := range vals {
-			f(addr+int64(k)*WordSize, v)
-		}
-	})
 }
 
 // Runs calls f once for every maximal run of consecutive present words,
@@ -134,19 +161,19 @@ func (im *Image) span(lo, hi int64) {
 	im.base, im.words, im.set = first, words, set
 }
 
-// cloneInto makes the empty image dst an independent, writable copy of
-// im whose backing array also covers byte addresses [lo, hi), so that
-// filling that range afterwards never reallocates. Only present words
-// are written: the stretches nobody set stay untouched (and, in a fresh
-// allocation, unbacked) zero pages.
-func (im *Image) cloneInto(dst *Image, lo, hi int64) {
+// moveTo hands im's contents to the empty image dst with the backing
+// array grown to cover byte addresses [lo, hi), so that filling that
+// range afterwards never reallocates, and leaves im empty. Nothing is
+// copied but the bits of any growth.
+func (im *Image) moveTo(dst *Image, lo, hi int64) {
 	if hi > lo {
-		dst.span(lo, hi)
+		im.span(lo, hi)
 	}
-	im.All(dst.Set)
+	dst.base, dst.words, dst.set, dst.n = im.base, im.words, im.set, im.n
+	im.base, im.words, im.set, im.n = 0, nil, nil, 0
 }
 
-// freeze makes every later Set panic, naming program name. The first
+// freeze makes every later Set or SetRun panic, naming program name. The first
 // freeze wins; an image is only ever owned by one program.
 func (im *Image) freeze(name string) {
 	im.frozen.CompareAndSwap(nil, &name)

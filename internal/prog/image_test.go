@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"clustersmt/internal/isa"
 )
 
 type imageWord struct {
@@ -12,15 +14,20 @@ type imageWord struct {
 	v    uint64
 }
 
+// allWords lists every present word in ascending address order.
 func allWords(im *Image) []imageWord {
 	var out []imageWord
-	im.All(func(addr int64, v uint64) { out = append(out, imageWord{addr, v}) })
+	im.Runs(func(addr int64, vals []uint64) {
+		for k, v := range vals {
+			out = append(out, imageWord{addr + int64(k)*WordSize, v})
+		}
+	})
 	return out
 }
 
 // TestImageSetGetAll covers presence (an explicit zero is present, an
 // untouched word is not), overwrites, out-of-order Sets growing the
-// array in both directions, and All's ascending order across a gap.
+// array in both directions, and ascending order across a gap.
 func TestImageSetGetAll(t *testing.T) {
 	var im Image
 	if im.Len() != 0 || len(allWords(&im)) != 0 {
@@ -38,7 +45,7 @@ func TestImageSetGetAll(t *testing.T) {
 	im.Set(DataBase+8, 8) // overwrite: still one word
 	want := []imageWord{{lo, 3}, {DataBase, 0}, {DataBase + 8, 8}, {hi, 9}}
 	if got := allWords(&im); !reflect.DeepEqual(got, want) {
-		t.Fatalf("All = %v, want %v", got, want)
+		t.Fatalf("words = %v, want %v", got, want)
 	}
 	if im.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", im.Len(), len(want))
@@ -73,18 +80,18 @@ func TestImageMatchesMap(t *testing.T) {
 			t.Fatalf("trial %d: Len = %d, want %d", trial, im.Len(), len(ref))
 		}
 		prev := int64(-1)
-		im.All(func(a int64, v uint64) {
-			if a <= prev {
-				t.Fatalf("trial %d: All not ascending: %#x after %#x", trial, a, prev)
+		for _, w := range allWords(&im) {
+			if w.addr <= prev {
+				t.Fatalf("trial %d: words not ascending: %#x after %#x", trial, w.addr, prev)
 			}
-			prev = a
-			if rv, ok := ref[a]; !ok || rv != v {
-				t.Fatalf("trial %d: word %#x = %d, reference %d (present %v)", trial, a, v, rv, ok)
+			prev = w.addr
+			if rv, ok := ref[w.addr]; !ok || rv != w.v {
+				t.Fatalf("trial %d: word %#x = %d, reference %d (present %v)", trial, w.addr, w.v, rv, ok)
 			}
-			delete(ref, a)
-		})
+			delete(ref, w.addr)
+		}
 		if len(ref) != 0 {
-			t.Fatalf("trial %d: All missed %d words", trial, len(ref))
+			t.Fatalf("trial %d: Runs missed %d words", trial, len(ref))
 		}
 	}
 }
@@ -120,30 +127,150 @@ func TestImageRuns(t *testing.T) {
 	}
 }
 
-// TestBuildCopiesImage checks that Build hands the program its own
-// image covering the whole data segment: the builder stays usable, the
-// two do not alias, and filling a global afterwards does not regrow.
-func TestBuildCopiesImage(t *testing.T) {
-	b := NewBuilder("t")
+// TestImageSetRunMatchesSet is the differential for the bulk setter:
+// two images receive the same seeded writes, one word at a time through
+// Set and as runs through SetRun — runs with unaligned heads and tails
+// across bitmap words, overwrites of present words, growth below and
+// above the span, empty runs — and must agree on every word and presence
+// bit, Len, Runs and both digests. SetRun must also panic where Set does.
+func TestImageSetRunMatchesSet(t *testing.T) {
+	halt := []isa.Instr{{Op: isa.OpHalt}}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		ref := &Program{Name: "set", Code: halt, PrefixLen: 1}
+		got := &Program{Name: "setrun", Code: halt, PrefixLen: 1}
+		write := func(addr int64, vals []uint64) {
+			for k, v := range vals {
+				ref.Init.Set(addr+int64(k)*WordSize, v)
+			}
+			got.Init.SetRun(addr, vals)
+		}
+		run := func(n int) []uint64 {
+			vals := make([]uint64, n)
+			for k := range vals {
+				vals[k] = rng.Uint64() % 3 // zeros are common
+			}
+			return vals
+		}
+		// Seed both images with the same scattered words.
+		for i, n := 0, rng.Intn(50); i < n; i++ {
+			a := DataBase + rng.Int63n(2000)*WordSize
+			v := rng.Uint64()
+			ref.Init.Set(a, v)
+			got.Init.Set(a, v)
+		}
+		write(DataBase+3*WordSize, run(130))    // unaligned head and tail, three bitmap words
+		write(DataBase+64*WordSize, run(64))    // exactly one bitmap word, over present words
+		write(DataBase+100*WordSize, run(0))    // empty
+		write(DataBase-200*WordSize, run(5))    // grows below
+		write(DataBase+9000*WordSize, run(70))  // grows above
+		write(DataBase+8990*WordSize, run(200)) // overlaps and extends the top
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			write(DataBase+(rng.Int63n(12000)-500)*WordSize, run(rng.Intn(300)))
+		}
+
+		if got.Init.Len() != ref.Init.Len() {
+			t.Fatalf("trial %d: Len %d, Set gives %d", trial, got.Init.Len(), ref.Init.Len())
+		}
+		lo := min(ref.Init.base, got.Init.base) - imageAlign
+		hi := max(ref.Init.base+int64(len(ref.Init.words)), got.Init.base+int64(len(got.Init.words))) + imageAlign
+		for w := lo; w < hi; w++ {
+			rv, rok := ref.Init.Get(w * WordSize)
+			gv, gok := got.Init.Get(w * WordSize)
+			if rv != gv || rok != gok {
+				t.Fatalf("trial %d: word %#x = %d (present %v), Set gives %d (present %v)", trial, w*WordSize, gv, gok, rv, rok)
+			}
+		}
+		if r, g := allWords(&ref.Init), allWords(&got.Init); !reflect.DeepEqual(r, g) {
+			t.Fatalf("trial %d: Runs differ: %d words vs %d", trial, len(g), len(r))
+		}
+		refKey, _ := ref.PrefixKey()
+		gotKey, _ := got.PrefixKey()
+		// The names differ and are not hashed, so the digests must not.
+		if ref.Fingerprint() != got.Fingerprint() || refKey != gotKey {
+			t.Fatalf("trial %d: digests differ", trial)
+		}
+	}
+
+	// SetRun refuses what Set refuses — a bad word address, even for an
+	// empty run, and any write to a frozen image — and a refused call
+	// changes nothing.
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Errorf("%s: recovered %q, want a panic containing %q", what, msg, want)
+			}
+		}()
+		f()
+	}
+	var im Image
+	for _, a := range []int64{-8, DataBase + 4} {
+		mustPanic("Set", "bad word address", func() { im.Set(a, 1) })
+		mustPanic("SetRun", "bad word address", func() { im.SetRun(a, []uint64{1}) })
+		mustPanic("empty SetRun", "bad word address", func() { im.SetRun(a, nil) })
+	}
+	if im.Len() != 0 || len(im.words) != 0 {
+		t.Fatal("a refused SetRun changed the image")
+	}
+
+	p := &Program{Name: "frozen-setrun", Code: halt}
+	p.Init.SetRun(DataBase, []uint64{1, 2, 3})
+	p.Fingerprint()
+	mustPanic("frozen Set", "frozen-setrun", func() { p.Init.Set(DataBase, 7) })
+	mustPanic("frozen", "frozen-setrun", func() { p.Init.SetRun(DataBase, []uint64{7, 7}) })
+	mustPanic("frozen empty run", "frozen-setrun", func() { p.Init.SetRun(DataBase, nil) })
+	if v, _ := p.Init.Get(DataBase); v != 1 || p.Init.Len() != 3 {
+		t.Fatalf("refused SetRun changed the image: word %d, Len %d", v, p.Init.Len())
+	}
+}
+
+// TestBuildHandsOverImage checks that Build moves the builder's image
+// into the program instead of copying it, spanning the whole data
+// segment: the program's array is the builder's, filling a declared
+// global never regrows it, and the spent builder refuses a second Build.
+func TestBuildHandsOverImage(t *testing.T) {
+	b := NewBuilder("handover")
 	k := b.GlobalWords("k", []uint64{1, 2})
 	arr := b.Global("arr", 1000)
-	b.Fli(1, 2.5)
+	b.Fli(1, 2.5) // the constant lands past arr, so the builder's array covers it
 	b.Halt()
-	p1 := b.MustBuild()
-	backing := &p1.Init.words[0]
-	for i := int64(0); i < 1000; i++ {
-		p1.Init.Set(arr+i*WordSize, uint64(i))
+	builders := &b.init.words[0]
+	p := b.MustBuild()
+	if &p.Init.words[0] != builders {
+		t.Fatal("Build copied the image instead of handing it over")
 	}
-	if backing != &p1.Init.words[0] {
+	if b.init.Len() != 0 || b.init.words != nil {
+		t.Error("the builder still holds the image it handed over")
+	}
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "handover") {
+		t.Errorf("second Build: %v, want an error naming the builder", err)
+	}
+	vals := make([]uint64, 1000)
+	for i := range vals {
+		vals[i] = uint64(i)
+	}
+	p.Init.SetRun(arr, vals[:500])
+	for i := int64(500); i < 1000; i++ {
+		p.Init.Set(arr+i*WordSize, vals[i])
+	}
+	if &p.Init.words[0] != builders {
 		t.Error("filling a declared global reallocated the image")
 	}
-	p1.Init.Set(k, 99)
-	p2 := b.MustBuild()
-	if v, _ := p2.Init.Get(k); v != 1 {
-		t.Errorf("second Build sees the first program's Set: k = %d", v)
+	if v, _ := p.Init.Get(k + WordSize); v != 2 || p.Init.Len() != 1003 {
+		t.Errorf("k[1] = %d, Len = %d; want 2 and 1003", v, p.Init.Len())
 	}
-	if p2.Init.Len() != 3 || p1.Init.Len() != 1003 {
-		t.Errorf("Len = %d and %d, want 3 and 1003", p2.Init.Len(), p1.Init.Len())
+
+	// A builder that set no word yet: Build allocates the span once.
+	b = NewBuilder("empty")
+	arr = b.Global("arr", 500)
+	b.Halt()
+	p = b.MustBuild()
+	backing := &p.Init.words[0]
+	p.Init.SetRun(arr, vals[:500])
+	if &p.Init.words[0] != backing || p.Init.Len() != 500 {
+		t.Error("filling the only global reallocated the image")
 	}
 }
 

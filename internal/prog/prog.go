@@ -52,8 +52,9 @@ type Program struct {
 	DataEnd int64             // first byte past the data segment
 	Symbols map[string]Symbol // global objects by name
 
-	// Init is the initial memory image (word address -> bits). Workloads
-	// fill it with Init.Set after Build; the first Fingerprint or
+	// Init is the initial memory image (word address -> bits), the
+	// builder's own, already spanning the data segment. Workloads fill it
+	// with Init.Set or Init.SetRun after Build; the first Fingerprint or
 	// PrefixKey call freezes it, because both digests cover the image
 	// and are computed only once — a Set after that panics naming the
 	// program rather than leave a remembered digest describing an image
@@ -122,6 +123,7 @@ type Builder struct {
 	prefix  int              // PrefixLen of the built program (0 = none)
 	seq     int              // unique-label counter (see Seq)
 	errs    []error
+	built   bool // Build has handed init to a program
 }
 
 // Seq returns a fresh per-builder sequence number for generated label
@@ -190,19 +192,17 @@ func (b *Builder) MustAddr(name string) int64 {
 // GlobalFloats reserves a global array and fills it with the given
 // float64 values.
 func (b *Builder) GlobalFloats(name string, vals []float64) int64 {
-	addr := b.Global(name, int64(len(vals)))
+	words := make([]uint64, len(vals))
 	for i, v := range vals {
-		b.init.Set(addr+int64(i)*WordSize, math.Float64bits(v))
+		words[i] = math.Float64bits(v)
 	}
-	return addr
+	return b.GlobalWords(name, words)
 }
 
 // GlobalWords reserves a global array initialized with the given words.
 func (b *Builder) GlobalWords(name string, vals []uint64) int64 {
 	addr := b.Global(name, int64(len(vals)))
-	for i, v := range vals {
-		b.init.Set(addr+int64(i)*WordSize, v)
-	}
+	b.init.SetRun(addr, vals)
 	return addr
 }
 
@@ -490,8 +490,13 @@ func (b *Builder) IfThread0(body func()) {
 }
 
 // Build resolves labels, patches branch displacements, validates every
-// instruction and returns the immutable Program.
+// instruction and returns the immutable Program. It moves the builder's
+// initial image into the program rather than copying it, so a builder
+// builds once: a second Build returns an error.
 func (b *Builder) Build() (*Program, error) {
+	if b.built {
+		return nil, fmt.Errorf("prog: %s: builder already built; its image belongs to that program", b.name)
+	}
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
@@ -525,9 +530,10 @@ func (b *Builder) Build() (*Program, error) {
 		Symbols:   syms,
 		PrefixLen: b.prefix,
 	}
-	// One copy, sized to the whole data segment: the builder stays
-	// reusable, and a workload filling its globals never regrows it.
-	b.init.cloneInto(&p.Init, DataBase, b.next)
+	// The builder's own array, grown to the whole data segment if it is
+	// not already, so a workload filling its globals never regrows it.
+	b.init.moveTo(&p.Init, DataBase, b.next)
+	b.built = true
 	return p, nil
 }
 

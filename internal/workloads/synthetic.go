@@ -106,6 +106,11 @@ func syntheticName(spec SyntheticSpec) string {
 // MiB, 16× Table 3's L2 and 8× the largest footprint any caller uses.
 const maxSynthFootprintKB = 16 << 10
 
+// maxSynthBodyOps bounds ChainLen, IndepOps and MemOps in
+// ParseSynthetic: each emits code once per unit, and no caller uses
+// more than 10.
+const maxSynthBodyOps = 64
+
 // ParseSynthetic inverts syntheticName: it resolves a canonical
 // "synth(p…,c…,i…,m…,f…,n…,s…,t…[,w…])" name back to its workload, so
 // the serving subsystem can accept sweep-grid jobs by name. Only
@@ -115,10 +120,11 @@ const maxSynthFootprintKB = 16 << 10
 //
 // A name can arrive from the network (a clusterd job spec), so the spec
 // is also bounded: no field may be negative, ParCap is at most 8 (it
-// counts contexts per 8), and FootprintKB at most maxSynthFootprintKB —
-// Build materialises the data array word by word, so an unbounded
-// footprint would exhaust memory before any simulation started.
-// Synthetic itself takes any spec.
+// counts contexts per 8), ChainLen, IndepOps and MemOps at most
+// maxSynthBodyOps, and FootprintKB at most maxSynthFootprintKB — Build
+// materialises the data array and emits the loop body's code per unit,
+// so an unbounded knob would exhaust memory before any simulation
+// started. Synthetic itself takes any spec.
 func ParseSynthetic(name string) (Workload, error) {
 	body, ok := strings.CutPrefix(name, "synth(")
 	if ok {
@@ -153,6 +159,11 @@ func ParseSynthetic(name string) (Workload, error) {
 	}
 	if v[0] > 8 {
 		return Workload{}, fmt.Errorf("workloads: %q: ParCap %d exceeds 8", name, v[0])
+	}
+	for i, knob := range []string{"ChainLen", "IndepOps", "MemOps"} {
+		if v[1+i] > maxSynthBodyOps {
+			return Workload{}, fmt.Errorf("workloads: %q: %s %d exceeds %d", name, knob, v[1+i], maxSynthBodyOps)
+		}
 	}
 	if v[4] > maxSynthFootprintKB {
 		return Workload{}, fmt.Errorf("workloads: %q: footprint %d KB exceeds %d KB", name, v[4], maxSynthFootprintKB)
@@ -277,8 +288,13 @@ func buildSynthetic(spec SyntheticSpec, threads, chips int, size Size) *prog.Pro
 	b.Halt()
 
 	p := b.MustBuild()
-	for i := int64(0); i < words; i++ {
-		p.Init.Set(data+i*prog.WordSize, floatBits(0.25+0.001*float64(i%97)))
+	// The data pattern repeats every 97 words: fill it a period at a time.
+	var period [97]uint64
+	for i := range period {
+		period[i] = floatBits(0.25 + 0.001*float64(i))
+	}
+	for i := int64(0); i < words; i += int64(len(period)) {
+		p.Init.SetRun(data+i*prog.WordSize, period[:min(words-i, int64(len(period)))])
 	}
 	return p
 }

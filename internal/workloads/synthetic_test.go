@@ -123,6 +123,7 @@ func TestParseSynthetic(t *testing.T) {
 		{},
 		{ParCap: 2, ChainLen: 4, IndepOps: 1, MemOps: 3, FootprintKB: 64, Iters: 1024, SerialIters: 32, Steps: 3},
 		{ChainLen: 2, IndepOps: 2, Iters: 256, WarmupIters: 1500},
+		{ChainLen: maxSynthBodyOps, IndepOps: maxSynthBodyOps, MemOps: maxSynthBodyOps},
 	} {
 		name := Synthetic(spec).Name
 		w, err := ParseSynthetic(name)
@@ -156,9 +157,14 @@ var badSynthNames = []string{
 	"synth(p0,c0,i0,m1,f16,n4096,s0,t2,x5)", // wrong key
 	"synth(p0,c0,i0,m1,f16,n4096,s0,t2,w1,w2)", // too many fields
 	"synth(p0,c0,i0,m1,f16,nABC,s0,t2)",
-	"synth(p0,c0,i0,m1,f1073741824,n4096,s0,t2)", // a 1 TiB data image
-	"synth(p0,c0,i0,m1,f16385,n4096,s0,t2)",      // one KB over the bound
-	"synth(p9,c0,i0,m1,f16,n4096,s0,t2)",         // ParCap counts contexts per 8
+	"synth(p0,c0,i0,m1,f1073741824,n4096,s0,t2)",  // a 1 TiB data image
+	"synth(p0,c0,i0,m1,f16385,n4096,s0,t2)",       // one KB over the bound
+	"synth(p9,c0,i0,m1,f16,n4096,s0,t2)",          // ParCap counts contexts per 8
+	"synth(p0,c1000000000,i0,m1,f16,n4096,s0,t2)", // a multi-GB code slice
+	"synth(p0,c65,i0,m1,f16,n4096,s0,t2)",         // one op over the body bound
+	"synth(p0,c0,i65,m1,f16,n4096,s0,t2)",
+	"synth(p0,c0,i0,m65,f16,n4096,s0,t2)",
+	"synth(p0,c0,i0,m1000000000,f16,n4096,s0,t2)",
 	"synth(p-1,c0,i0,m1,f16,n4096,s0,t2)",
 	"synth(p0,c-1,i0,m1,f16,n4096,s0,t2)",
 	"synth(p0,c0,i-3,m1,f16,n4096,s0,t2)",
@@ -170,13 +176,16 @@ var badSynthNames = []string{
 // a program build, to its contract on any input: it never panics, and a
 // name it accepts is the Name of the workload it returns, whose spec is
 // in range. Seeds: the names the measurement spine's sweep and serving
-// workloads generate, the round-trip specs above and the reject table.
+// workloads generate, the body knobs at their bound and the reject
+// table.
 func FuzzParseSynthetic(f *testing.F) {
 	for _, kb := range []int{16, 64, 512, 2048} {
 		f.Add(Synthetic(SyntheticSpec{ChainLen: 4, IndepOps: 2, MemOps: 2, FootprintKB: kb, Iters: 192, WarmupIters: 12000}).Name)
 		f.Add(Synthetic(SyntheticSpec{ParCap: 4, ChainLen: 8, IndepOps: 6, MemOps: 3, FootprintKB: kb, Iters: 256, SerialIters: 32, Steps: 2}).Name)
 	}
 	f.Add(Synthetic(SyntheticSpec{}).Name)
+	// The body knobs at their bound, which must be accepted.
+	f.Add(Synthetic(SyntheticSpec{ChainLen: maxSynthBodyOps, IndepOps: maxSynthBodyOps, MemOps: maxSynthBodyOps}).Name)
 	for _, bad := range badSynthNames {
 		f.Add(bad)
 	}
@@ -197,7 +206,7 @@ func FuzzParseSynthetic(f *testing.F) {
 			}
 			v = append(v, n)
 		}
-		if len(v) < 8 || slices.Min(v) < 0 || v[0] > 8 || v[4] > maxSynthFootprintKB {
+		if len(v) < 8 || slices.Min(v) < 0 || v[0] > 8 || slices.Max(v[1:4]) > maxSynthBodyOps || v[4] > maxSynthFootprintKB {
 			t.Fatalf("accepted %q with an out-of-range spec %v", name, v)
 		}
 	})
