@@ -18,8 +18,11 @@ check:
 # stores and every sleeping cluster audited every cycle; the sweep MSHR
 # file, the dense tag array and the map directory against the heap,
 # chunk-lazy and open-addressed structures on seeded op streams; the map-and-sort hash against the
-# streamed program digests, the bulk image setter against one Set per
-# word, and Build's hand-over of its image; the sequential loop against the concurrent
+# streamed program digests (repeated extents included), the bulk image
+# setter against one Set per word, repeated extents against the same
+# words set in bulk (words, Runs and loaded pages), and Build's
+# hand-over of its image; the lazily allocated BTB against an eager one
+# (and across a snapshot); the sequential loop against the concurrent
 # oracle search. Whole-run Results on all presets are pinned separately
 # by the golden corpus (go test ./benchmark, in `make check`). Beside
 # those: observability on × off, run-from-checkpoint × run-from-scratch
@@ -29,7 +32,7 @@ check:
 # the steady-state loop allocates nothing, no slot leaks or is held
 # twice.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestClusterSleep|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden'
+	go test ./internal/core -run 'TestEventDriven|TestClusterSleep|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden|TestBTB'
 	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential|TestMSHRDifferential'
 	go test ./internal/coherence -run 'TestDirectoryMapTableDifferential'
 	go test ./internal/prog -run 'TestDigest|TestImage|TestBuild'
@@ -66,7 +69,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 18443
+LOC_BUDGET = 18657
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -51,9 +51,12 @@ func (p *BranchPredictor) PredictAndUpdate(pc int64, taken bool) (predictedTaken
 
 // BTB is the branch target buffer used for register-indirect jumps
 // (direct targets are encoded in the instruction). Direct-mapped,
-// storing the last seen target per slot.
+// storing the last seen target per slot. Its tables are allocated on the
+// first lookup: most programs never jump indirectly, and an absent
+// table reads as all-invalid.
 type BTB struct {
-	targets []int64
+	entries int
+	targets []int64 // nil until the first lookup, like valid
 	valid   []bool
 
 	Lookups uint64
@@ -65,15 +68,23 @@ func NewBTB(entries int) *BTB {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		panic("core: BTB entries must be a positive power of two")
 	}
-	return &BTB{targets: make([]int64, entries), valid: make([]bool, entries)}
+	return &BTB{entries: entries}
+}
+
+// alloc gives the BTB its tables, all-invalid.
+func (b *BTB) alloc() {
+	b.targets, b.valid = make([]int64, b.entries), make([]bool, b.entries)
 }
 
 // PredictAndUpdate predicts the target of the indirect jump at pc,
 // trains on the actual target, and reports whether the prediction was
 // correct.
 func (b *BTB) PredictAndUpdate(pc, actual int64) (predicted int64, correct bool) {
+	if b.targets == nil {
+		b.alloc()
+	}
 	b.Lookups++
-	idx := int(uint64(pc) & uint64(len(b.targets)-1))
+	idx := int(uint64(pc) & uint64(b.entries-1))
 	predicted = b.targets[idx]
 	correct = b.valid[idx] && predicted == actual
 	b.targets[idx] = actual

@@ -63,11 +63,13 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 6 names the
-// program by its v2 digests (prog's run-length image stream); version 5
-// dropped the per-chip loop's cycle counter version 4 carried in the
-// core section.
-const SnapshotVersion = 6
+// simply never looked up and the warm-up re-runs. Version 7 names the
+// program by digests that stream repeated image extents as their period
+// and writes each cluster's BTB tables only once allocated, behind a
+// presence byte; version 6 named it by the v2 digests (prog's
+// run-length image stream); version 5 dropped the per-chip loop's cycle
+// counter version 4 carried in the core section.
+const SnapshotVersion = 7
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
@@ -607,12 +609,7 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	}
 	xi(x, &c.bp.Lookups)
 	xi(x, &c.bp.Mispred)
-	for i := range c.btb.targets {
-		xi(x, &c.btb.targets[i])
-	}
-	for i := range c.btb.valid {
-		x.Bool(&c.btb.valid[i])
-	}
+	c.xferBTB(x)
 	xi(x, &c.btb.Lookups)
 	xi(x, &c.btb.Mispred)
 	if n := len(c.threads); c.fetchRR < 0 || (n > 0 && c.fetchRR >= n) {
@@ -739,6 +736,33 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	return nil
+}
+
+// xferBTB transfers the BTB's tables: a presence byte and, only when
+// they exist, every target then every valid bit. Decoding accepts a
+// presence byte of 0 or 1 alone and allocates the tables at the
+// machine's own size, never at one from the payload.
+func (c *cluster) xferBTB(x *xfer) {
+	var present uint8
+	if c.btb.targets != nil {
+		present = 1
+	}
+	if x.U8(&present); present > 1 {
+		x.corrupt("BTB presence byte %d", present)
+		return
+	}
+	if present == 0 {
+		return
+	}
+	if x.Decoding() {
+		c.btb.alloc()
+	}
+	for i := range c.btb.targets { // the big tables loop in place, as the predictor's
+		xi(x, &c.btb.targets[i])
+	}
+	for i := range c.btb.valid {
+		x.Bool(&c.btb.valid[i])
+	}
 }
 
 // audit checks the structural invariants every between-cycles cluster

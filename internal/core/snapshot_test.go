@@ -619,10 +619,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 // checkpoints must bump SnapshotVersion and regenerate the fixture
 // (WRITE_GOLDEN=1 go test ./internal/core -run TestSnapshotGolden).
 // It also pins that Restore→Snapshot reproduces the payload byte for
-// byte, and that the retired v5 fixture is refused with the typed
+// byte, and that the retired v6 fixture is refused with the typed
 // version error rather than misread.
 func TestSnapshotGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint_v6.bin")
+	golden := filepath.Join("testdata", "checkpoint_v7.bin")
 	m := config.LowEnd(config.FA4)
 	w := workloads.Synthetic(checkpointSpec())
 	build := func() *prog.Program { return w.Build(m.Threads(), m.Chips, workloads.SizeTest) }
@@ -659,12 +659,12 @@ func TestSnapshotGolden(t *testing.T) {
 	if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, data) {
 		t.Errorf("Restore→Snapshot is not byte-identical to the fixture (err %v, %d vs %d bytes)", err, len(again), len(data))
 	}
-	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v5.bin"))
+	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v6.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Restore(m, build(), old); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("v5 fixture: got %v, want ErrSnapshotVersion", err)
+		t.Errorf("v6 fixture: got %v, want ErrSnapshotVersion", err)
 	}
 	got, err := restored.Run()
 	if err != nil {

@@ -146,6 +146,13 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v\n\n%s", e.val, e.stack) }
 
+// IsPanic reports whether err is, or wraps, a run's recovered panic
+// (its text is "panic: <value>", a blank line, then the stack).
+func IsPanic(err error) bool {
+	var p *panicError
+	return errors.As(err, &p)
+}
+
 // recovered calls fn, turning a panic into a *panicError.
 func recovered[V any](fn func() (V, error)) (v V, err error) {
 	defer func() {

@@ -73,11 +73,19 @@ func (w *digestWriter) u64s(vals []uint64) {
 	}
 }
 
+// repeatFlag marks a repeated extent's word count in the digest stream.
+// No real count reaches bit 63, so a dense run and a repeated extent can
+// never encode to the same bytes.
+const repeatFlag = 1 << 63
+
 // hashCode digests the first n code slots and the rest of the program's
 // execution-relevant state. The initial image streams out straight from
-// its backing array, one maximal run at a time: the run's address, its
-// word count, then its words. It freezes Init: the digest is about to
-// be remembered, so the image may no longer change.
+// its extents in address order: each maximal run of a dense extent as
+// its address, its word count, then its words; each repeated extent as
+// its address, its word count with repeatFlag set, its period's length,
+// then the period's words. An image without repeated extents therefore
+// hashes exactly as in v2. It freezes Init: the digest is about to be
+// remembered, so the image may no longer change.
 func (p *Program) hashCode(n int) [32]byte {
 	p.Init.freeze(p.Name)
 	w := digestWriter{h: sha256.New(), buf: make([]byte, 0, 16<<10)}
@@ -92,10 +100,15 @@ func (p *Program) hashCode(n int) [32]byte {
 	w.u64(uint64(p.Entry))
 	w.u64(uint64(p.DataEnd))
 	w.u64(uint64(p.Init.Len()))
-	p.Init.Runs(func(addr int64, vals []uint64) {
+	p.Init.extents(func(addr int64, vals []uint64) {
 		w.u64(uint64(addr))
 		w.u64(uint64(len(vals)))
 		w.u64s(vals)
+	}, func(addr, count int64, period []uint64) {
+		w.u64(uint64(addr))
+		w.u64(uint64(count) | repeatFlag)
+		w.u64(uint64(len(period)))
+		w.u64s(period)
 	})
 	w.h.Write(w.buf)
 	var out [32]byte

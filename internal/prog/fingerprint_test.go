@@ -14,13 +14,22 @@ import (
 	"clustersmt/internal/workloads"
 )
 
+// oracleRep is a repeated extent as the oracle streams it.
+type oracleRep struct {
+	addr, count int64
+	period      []uint64
+}
+
 // oracleHash is a transcription of the v2 program digest over a map
-// image: collect the keys, sort them, group consecutive words into
-// maximal runs, and write every field to SHA-256 on its own — each run
-// as its address, its word count, then its words. It is the reference
-// the streaming digest must equal byte for byte — on-disk checkpoints
-// and cache keys carry these hashes.
-func oracleHash(p *prog.Program, init map[int64]uint64, n int) [32]byte {
+// image and a list of repeated extents: collect the keys outside the
+// repeated extents, sort them, group consecutive words into maximal
+// runs, and write every field to SHA-256 on its own — each run as its
+// address, its word count, then its words; each repeated extent, in
+// address order among the runs, as its address, its word count with bit
+// 63 set, its period's length, then the period. It is the reference the
+// streaming digest must equal byte for byte — on-disk checkpoints and
+// cache keys carry these hashes.
+func oracleHash(p *prog.Program, init map[int64]uint64, reps []oracleRep, n int) [32]byte {
 	h := sha256.New()
 	var scratch [8]byte
 	w64 := func(v uint64) {
@@ -36,13 +45,39 @@ func oracleHash(p *prog.Program, init map[int64]uint64, n int) [32]byte {
 	}
 	w64(uint64(p.Entry))
 	w64(uint64(p.DataEnd))
+	inRep := func(a int64) bool {
+		for _, r := range reps {
+			if a >= r.addr && a < r.addr+r.count*prog.WordSize {
+				return true
+			}
+		}
+		return false
+	}
 	addrs := make([]int64, 0, len(init))
+	total := uint64(0)
 	for a := range init {
-		addrs = append(addrs, a)
+		if !inRep(a) {
+			addrs = append(addrs, a)
+		}
+	}
+	for _, r := range reps {
+		total += uint64(r.count)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w64(uint64(len(addrs)))
-	for i := 0; i < len(addrs); {
+	w64(uint64(len(addrs)) + total)
+	reps = append([]oracleRep(nil), reps...)
+	sort.Slice(reps, func(i, j int) bool { return reps[i].addr < reps[j].addr })
+	for i := 0; i < len(addrs) || len(reps) > 0; {
+		if len(reps) > 0 && (i == len(addrs) || reps[0].addr < addrs[i]) {
+			w64(uint64(reps[0].addr))
+			w64(uint64(reps[0].count) | 1<<63)
+			w64(uint64(len(reps[0].period)))
+			for _, v := range reps[0].period {
+				w64(v)
+			}
+			reps = reps[1:]
+			continue
+		}
 		j := i + 1
 		for j < len(addrs) && addrs[j] == addrs[j-1]+prog.WordSize {
 			j++
@@ -75,9 +110,24 @@ func imageMap(t testing.TB, p *prog.Program) map[int64]uint64 {
 	return m
 }
 
-func checkDigests(t *testing.T, label string, p *prog.Program, init map[int64]uint64) {
+// synthReps is the repeated extent the synthetic generator declares —
+// its data array, one 97-word period — read back through Get; nil for
+// any other program.
+func synthReps(p *prog.Program, init map[int64]uint64) []oracleRep {
+	s, ok := p.Symbols["data"]
+	if p.Name != "synthetic" || !ok {
+		return nil
+	}
+	period := make([]uint64, min(97, s.Size/prog.WordSize))
+	for k := range period {
+		period[k] = init[s.Addr+int64(k)*prog.WordSize]
+	}
+	return []oracleRep{{s.Addr, s.Size / prog.WordSize, period}}
+}
+
+func checkDigests(t *testing.T, label string, p *prog.Program, init map[int64]uint64, reps []oracleRep) {
 	t.Helper()
-	if got, want := p.Fingerprint(), oracleHash(p, init, len(p.Code)); got != want {
+	if got, want := p.Fingerprint(), oracleHash(p, init, reps, len(p.Code)); got != want {
 		t.Errorf("%s: Fingerprint %x, oracle %x", label, got, want)
 	}
 	key, ok := p.PrefixKey()
@@ -85,7 +135,7 @@ func checkDigests(t *testing.T, label string, p *prog.Program, init map[int64]ui
 		t.Errorf("%s: PrefixKey ok = %v with PrefixLen %d", label, ok, p.PrefixLen)
 	}
 	if ok {
-		if want := oracleHash(p, init, p.PrefixLen); key != want {
+		if want := oracleHash(p, init, reps, p.PrefixLen); key != want {
 			t.Errorf("%s: PrefixKey %x, oracle %x", label, key, want)
 		}
 	}
@@ -107,15 +157,17 @@ func TestDigestIdentityWorkloads(t *testing.T) {
 		for _, threads := range []int{2, 8, 32} {
 			for _, size := range []workloads.Size{workloads.SizeTest, workloads.SizeRef} {
 				p := w.Build(threads, 1, size)
-				checkDigests(t, fmt.Sprintf("%s/%d/%s", w.Name, threads, size), p, imageMap(t, p))
+				init := imageMap(t, p)
+				checkDigests(t, fmt.Sprintf("%s/%d/%s", w.Name, threads, size), p, init, synthReps(p, init))
 			}
 		}
 	}
 }
 
-// TestDigestPinned anchors the digests to values printed when the v2
-// stream was introduced, so a change to the digest and the oracle above
-// together still fails.
+// TestDigestPinned anchors the digests to printed values, so a change to
+// the digest and the oracle above together still fails. The ocean pin
+// dates from the v2 stream and holds every program without a repeated
+// extent; the synth pins date from the data array becoming one.
 func TestDigestPinned(t *testing.T) {
 	synth := workloads.Synthetic(workloads.SyntheticSpec{
 		FootprintKB: 2048, ChainLen: 4, IndepOps: 2, MemOps: 2, WarmupIters: 12000})
@@ -128,11 +180,11 @@ func TestDigestPinned(t *testing.T) {
 		{workloads.Ocean(), 8, workloads.SizeRef,
 			"4f78f5867142b8c888bf26946af534fd4cfae2679d3494af92643bc037c9b90f", ""},
 		{synth, 2, workloads.SizeTest,
-			"b22df93d04a37992366cdd5a9d5e87b34f1599d8a37ec7006365225eb9f6d36d",
-			"8e3c6858382b9fd0ac63c9dbc5fb5189f085cbb125a2980e8fb73505d72dddc6"},
+			"2cf1939ad3d9e2a46ecbdeb923962ccc50feb6e564512e4af355e12ea094721b",
+			"ab8b05e4a2afbb26cb22446e08c35903d376b265085f6029c0e5e7c7b77c11c7"},
 		{synth, 32, workloads.SizeTest,
-			"dcbe5c8d49d434de067ff0385c296f64b6ea1000bbf4db9eb4a8ffde14c7c3f4",
-			"fa8e24db0f0502015d93da16dd38c04c458fb762905ce033280783fd5a209f96"},
+			"8b9d1e1db0066556c8c5c5341f8c730d05101ed431e5b2cb91fc043f43aaddd0",
+			"1d14b4db03eb12087661c9b2ad5bde2775400dea9f28d2e0770a636bf3bb37cf"},
 	} {
 		p := c.w.Build(c.threads, 1, c.size)
 		if got := fmt.Sprintf("%x", p.Fingerprint()); got != c.fp {
@@ -147,16 +199,32 @@ func TestDigestPinned(t *testing.T) {
 
 // TestDigestIdentityProperty builds images the way no workload does —
 // Sets in random order, overwrites, explicit zeros, a hole between two
-// globals, words nobody touches — mirroring every Set into a map for
-// the oracle. A word set to zero is present and hashed; an untouched
-// word is not.
+// globals, words nobody touches, repeated extents right against dense
+// words with periods longer than themselves or cut short — mirroring
+// every Set into a map and every repeated extent into a list for the
+// oracle. A word set to zero is present and hashed; an untouched word
+// is not.
 func TestDigestIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
 		b := prog.NewBuilder(fmt.Sprintf("prop%d", trial))
 		init := map[int64]uint64{}
+		var reps []oracleRep
+		repeat := func(name string) {
+			if rng.Intn(2) == 0 {
+				return
+			}
+			r := oracleRep{count: 1 + rng.Int63n(500), period: make([]uint64, 1+rng.Intn(120))}
+			for k := range r.period {
+				r.period[k] = rng.Uint64() % 3
+			}
+			r.addr = b.GlobalRepeat(name, r.count, r.period)
+			r.period = r.period[:min(int64(len(r.period)), r.count)]
+			reps = append(reps, r)
+		}
 		lowWords := int64(1 + rng.Intn(300))
 		low := b.Global("low", lowWords)
+		repeat("rep-low")                       // adjacent to low's words
 		b.Global("hole", int64(rng.Intn(2000))) // declared, never written
 		consts := make([]uint64, rng.Intn(5))
 		for i := range consts {
@@ -166,6 +234,7 @@ func TestDigestIdentityProperty(t *testing.T) {
 		for i, v := range consts {
 			init[cbase+int64(i)*prog.WordSize] = v
 		}
+		repeat("rep-mid") // between consts and high
 		highWords := int64(1 + rng.Intn(300))
 		high := b.Global("high", highWords)
 		for i, n := 0, 1+rng.Intn(6); i < n; i++ {
@@ -184,7 +253,7 @@ func TestDigestIdentityProperty(t *testing.T) {
 			p.Init.Set(a, v)
 			init[a] = v
 		}
-		checkDigests(t, p.Name, p, init)
+		checkDigests(t, p.Name, p, init, reps)
 	}
 }
 

@@ -172,8 +172,9 @@ func TestImageSetRunMatchesSet(t *testing.T) {
 		if got.Init.Len() != ref.Init.Len() {
 			t.Fatalf("trial %d: Len %d, Set gives %d", trial, got.Init.Len(), ref.Init.Len())
 		}
-		lo := min(ref.Init.base, got.Init.base) - imageAlign
-		hi := max(ref.Init.base+int64(len(ref.Init.words)), got.Init.base+int64(len(got.Init.words))) + imageAlign
+		r, g := &ref.Init.dense[0], &got.Init.dense[0] // no repeated extents: one gap
+		lo := min(r.base, g.base) - imageAlign
+		hi := max(r.base+int64(len(r.words)), g.base+int64(len(g.words))) + imageAlign
 		for w := lo; w < hi; w++ {
 			rv, rok := ref.Init.Get(w * WordSize)
 			gv, gok := got.Init.Get(w * WordSize)
@@ -211,7 +212,7 @@ func TestImageSetRunMatchesSet(t *testing.T) {
 		mustPanic("SetRun", "bad word address", func() { im.SetRun(a, []uint64{1}) })
 		mustPanic("empty SetRun", "bad word address", func() { im.SetRun(a, nil) })
 	}
-	if im.Len() != 0 || len(im.words) != 0 {
+	if im.Len() != 0 || im.dense != nil {
 		t.Fatal("a refused SetRun changed the image")
 	}
 
@@ -236,12 +237,12 @@ func TestBuildHandsOverImage(t *testing.T) {
 	arr := b.Global("arr", 1000)
 	b.Fli(1, 2.5) // the constant lands past arr, so the builder's array covers it
 	b.Halt()
-	builders := &b.init.words[0]
+	builders := &b.init.dense[0].words[0]
 	p := b.MustBuild()
-	if &p.Init.words[0] != builders {
+	if &p.Init.dense[0].words[0] != builders {
 		t.Fatal("Build copied the image instead of handing it over")
 	}
-	if b.init.Len() != 0 || b.init.words != nil {
+	if b.init.Len() != 0 || b.init.dense != nil {
 		t.Error("the builder still holds the image it handed over")
 	}
 	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "handover") {
@@ -255,7 +256,7 @@ func TestBuildHandsOverImage(t *testing.T) {
 	for i := int64(500); i < 1000; i++ {
 		p.Init.Set(arr+i*WordSize, vals[i])
 	}
-	if &p.Init.words[0] != builders {
+	if &p.Init.dense[0].words[0] != builders {
 		t.Error("filling a declared global reallocated the image")
 	}
 	if v, _ := p.Init.Get(k + WordSize); v != 2 || p.Init.Len() != 1003 {
@@ -267,9 +268,9 @@ func TestBuildHandsOverImage(t *testing.T) {
 	arr = b.Global("arr", 500)
 	b.Halt()
 	p = b.MustBuild()
-	backing := &p.Init.words[0]
+	backing := &p.Init.dense[0].words[0]
 	p.Init.SetRun(arr, vals[:500])
-	if &p.Init.words[0] != backing || p.Init.Len() != 500 {
+	if &p.Init.dense[0].words[0] != backing || p.Init.Len() != 500 {
 		t.Error("filling the only global reallocated the image")
 	}
 }
@@ -303,5 +304,125 @@ func TestSetAfterDigestPanics(t *testing.T) {
 			}()
 			p.Init.Set(a, 2)
 		})
+	}
+}
+
+// TestImageRepeatGaps declares repeated extents in ascending order over
+// seeded images — short ones within a single bitmap word included, so
+// the dense arrays on either side reach into one — and keeps setting
+// words in every gap between them, mirroring everything into a
+// reference map. Every word, Len and the words Runs yields must agree.
+// Declaring an extent below a present word or another extent must
+// panic and change nothing.
+func TestImageRepeatGaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		var im Image
+		ref := map[int64]uint64{}
+		var holes [][2]int64 // repeated extents, as word offsets [from, to)
+		inHole := func(w int64) bool {
+			for _, h := range holes {
+				if w >= h[0] && w < h[1] {
+					return true
+				}
+			}
+			return false
+		}
+		top := int64(0) // first word offset above every present word and extent
+		set := func(k int, span int64) {
+			for i := 0; i < k; i++ {
+				w := rng.Int63n(span)
+				if inHole(w) {
+					continue
+				}
+				v := rng.Uint64() % 3
+				im.Set(DataBase+w*WordSize, v)
+				ref[DataBase+w*WordSize] = v
+				top = max(top, w+1)
+			}
+		}
+		refused := func(from int64) {
+			before := im.Len()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("trial %d: repeat at %d below top %d did not panic", trial, from, top)
+				}
+				if im.Len() != before {
+					t.Fatalf("trial %d: refused repeat changed Len", trial)
+				}
+			}()
+			im.repeat(DataBase+from*WordSize, 1, []uint64{1})
+		}
+		set(rng.Intn(300), 1+rng.Int63n(1000))
+		for r := 0; r < 1+rng.Intn(3); r++ {
+			from := top + rng.Int63n(100)
+			n := 1 + rng.Int63n(2000)
+			if rng.Intn(2) == 0 {
+				n = 1 + rng.Int63n(40)
+			}
+			period := make([]uint64, 1+rng.Intn(20))
+			for k := range period {
+				period[k] = rng.Uint64() % 3
+			}
+			if top > 0 {
+				refused(rng.Int63n(top))
+			}
+			im.repeat(DataBase+from*WordSize, n, period)
+			holes = append(holes, [2]int64{from, from + n})
+			for w := from; w < from+n; w++ {
+				ref[DataBase+w*WordSize] = period[(w-from)%int64(len(period))]
+			}
+			top = from + n
+			set(rng.Intn(200), top+1+rng.Int63n(300)) // into every gap so far
+		}
+		if im.Len() != len(ref) {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, im.Len(), len(ref))
+		}
+		for w := int64(-64); w < top+64; w++ {
+			a := DataBase + w*WordSize
+			v, ok := im.Get(a)
+			rv, rok := ref[a]
+			if v != rv || ok != rok {
+				t.Fatalf("trial %d: word %d = %d (present %v), want %d (present %v)", trial, w, v, ok, rv, rok)
+			}
+		}
+		prev, n := int64(-1), 0
+		for _, w := range allWords(&im) {
+			if w.addr <= prev || ref[w.addr] != w.v {
+				t.Fatalf("trial %d: Runs yields %#x = %d after %#x", trial, w.addr, w.v, prev)
+			}
+			prev = w.addr
+			n++
+		}
+		if n != len(ref) {
+			t.Fatalf("trial %d: Runs yields %d words, want %d", trial, n, len(ref))
+		}
+	}
+}
+
+// TestBuildHandsOverRepeat checks that nothing the size of a repeated
+// extent is allocated: Build grows the dense arrays over the data
+// segment on either side of a 1M-word extent, and they stay within a
+// bitmap word of what they must cover.
+func TestBuildHandsOverRepeat(t *testing.T) {
+	b := NewBuilder("big")
+	b.GlobalWords("n", []uint64{4})
+	arr := b.GlobalRepeat("arr", 1<<20, []uint64{1, 2, 3})
+	out := b.Global("out", 64)
+	b.Fli(1, 2.5)
+	b.Halt()
+	p := b.MustBuild()
+	words := 0
+	for _, d := range p.Init.dense {
+		words += len(d.words)
+	}
+	if need := int((arr-DataBase+p.DataEnd-out)/WordSize) + 4*imageAlign; words > need {
+		t.Fatalf("dense arrays hold %d words; the segment outside the extent needs %d", words, need)
+	}
+	if v, ok := p.Init.Get(arr + (1<<20-1)*WordSize); !ok || v != 1 {
+		t.Fatalf("last word of the extent = %d (present %v), want 1", v, ok)
+	}
+	if p.Init.Len() != 1<<20+2 {
+		t.Fatalf("Len = %d, want %d", p.Init.Len(), 1<<20+2)
 	}
 }

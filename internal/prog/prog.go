@@ -8,8 +8,9 @@
 // segment. Absolute addressing of globals uses r0 (hard-wired zero) as
 // the base register with the symbol's address as the displacement.
 //
-// A program's initial memory is an Image: a dense word array over the
-// data segment plus a bitmap of the words actually initialized, kept in
+// A program's initial memory is an Image: dense word arrays over the
+// data segment plus a bitmap of the words actually initialized, and
+// repeated extents that hold one period for a whole array, kept in
 // address order. The loader copies it into memory a page at a time and
 // the program digests (Fingerprint, PrefixKey) stream it as it lies;
 // each digest is computed once per Program and the image is frozen from
@@ -53,9 +54,10 @@ type Program struct {
 	Symbols map[string]Symbol // global objects by name
 
 	// Init is the initial memory image (word address -> bits), the
-	// builder's own, already spanning the data segment. Workloads fill it
-	// with Init.Set or Init.SetRun after Build; the first Fingerprint or
-	// PrefixKey call freezes it, because both digests cover the image
+	// builder's own, its dense arrays already spanning the data segment
+	// outside the repeated extents. Workloads fill it with Init.Set or
+	// Init.SetRun after Build; the first Fingerprint or PrefixKey call
+	// freezes it, because both digests cover the image
 	// and are computed only once — a Set after that panics naming the
 	// program rather than leave a remembered digest describing an image
 	// that no longer exists (a checkpoint could then restore under the
@@ -203,6 +205,19 @@ func (b *Builder) GlobalFloats(name string, vals []float64) int64 {
 func (b *Builder) GlobalWords(name string, vals []uint64) int64 {
 	addr := b.Global(name, int64(len(vals)))
 	b.init.SetRun(addr, vals)
+	return addr
+}
+
+// GlobalRepeat reserves a global array of words words in which word k
+// holds period[k % len(period)], and returns its base address. The array
+// is one repeated extent of the image (see Image): building, handing
+// over and hashing it cost the period, not the footprint. It is fixed
+// once declared — an Init.Set or SetRun into it panics — though the
+// program stores to it at run time like any other global. It panics on
+// an empty array or period.
+func (b *Builder) GlobalRepeat(name string, words int64, period []uint64) int64 {
+	addr := b.Global(name, words)
+	b.init.repeat(addr, words, period)
 	return addr
 }
 
@@ -530,8 +545,9 @@ func (b *Builder) Build() (*Program, error) {
 		Symbols:   syms,
 		PrefixLen: b.prefix,
 	}
-	// The builder's own array, grown to the whole data segment if it is
-	// not already, so a workload filling its globals never regrows it.
+	// The builder's own arrays, grown to the whole data segment outside
+	// the repeated extents if they are not already, so a workload filling
+	// its globals never regrows them.
 	b.init.moveTo(&p.Init, DataBase, b.next)
 	b.built = true
 	return p, nil

@@ -137,6 +137,7 @@ type Server struct {
 	probeServedMisses atomic.Uint64
 	snapServedHits    atomic.Uint64
 	snapServedMisses  atomic.Uint64
+	jobPanics         atomic.Uint64 // jobs failed by a panic in their run
 
 	started time.Time
 	closed  atomic.Bool
@@ -332,8 +333,13 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		return
 	}
 	rj := j.Rj
+	start := time.Now()
 	res, err := s.suite(rj.Size).RunContext(ctx, rj.Workload, rj.Arch, rj.Spec.HighEnd)
 	if err != nil {
+		if harness.IsPanic(err) {
+			s.jobPanics.Add(1)
+			s.span(j.TraceID, "panic", start, map[string]string{"job": j.ID, "panic": panicText(err)})
+		}
 		s.jobDone(j)
 		j.Fail(err)
 		return
@@ -346,6 +352,19 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.span(j.TraceID, "cache-write", wstart, nil)
 	s.jobDone(j)
 	j.Complete(res, "")
+}
+
+// maxPanicStack bounds the stack a panicked job's trace span carries.
+const maxPanicStack = 4 << 10
+
+// panicText is a panicked run's error as its trace span records it: the
+// panic value whole, the stack after it cut to maxPanicStack bytes.
+func panicText(err error) string {
+	msg := err.Error()
+	if i := strings.Index(msg, "\n\n"); i >= 0 && len(msg) > i+2+maxPanicStack {
+		return msg[:i+2+maxPanicStack]
+	}
+	return msg
 }
 
 // maxFinishedJobs bounds how many terminal jobs the table retains. A

@@ -81,6 +81,8 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 		func() float64 { _, rej, _ := s.pool.Counters(); return float64(rej) })
 	r.CounterFunc("clusterd_jobs_completed", "Jobs that reached a terminal state through the pool.",
 		func() float64 { _, _, c := s.pool.Counters(); return float64(c) })
+	r.CounterFunc("clusterd_job_panics", "Jobs failed by a panic in their run (value and stack on the job's trace).",
+		func() float64 { return float64(s.jobPanics.Load()) })
 	r.GaugeFunc("clusterd_queue_depth", "Jobs admitted, not yet picked up by a worker.",
 		func() float64 { return float64(s.pool.Depth()) })
 	r.GaugeFunc("clusterd_queue_running", "Jobs currently executing.",

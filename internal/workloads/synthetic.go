@@ -121,10 +121,10 @@ const maxSynthBodyOps = 64
 // A name can arrive from the network (a clusterd job spec), so the spec
 // is also bounded: no field may be negative, ParCap is at most 8 (it
 // counts contexts per 8), ChainLen, IndepOps and MemOps at most
-// maxSynthBodyOps, and FootprintKB at most maxSynthFootprintKB — Build
-// materialises the data array and emits the loop body's code per unit,
-// so an unbounded knob would exhaust memory before any simulation
-// started. Synthetic itself takes any spec.
+// maxSynthBodyOps, and FootprintKB at most maxSynthFootprintKB — the
+// simulator loads the whole data array into memory and Build emits the
+// loop body's code per unit, so an unbounded knob would exhaust memory.
+// Synthetic itself takes any spec.
 func ParseSynthetic(name string) (Workload, error) {
 	body, ok := strings.CutPrefix(name, "synth(")
 	if ok {
@@ -187,9 +187,15 @@ func buildSynthetic(spec SyntheticSpec, threads, chips int, size Size) *prog.Pro
 	}
 	words := int64(spec.FootprintKB) * 1024 / prog.WordSize
 
+	// The data pattern repeats every 97 words: one repeated extent, so
+	// building and hashing the array cost the period, not the footprint.
+	var period [97]uint64
+	for i := range period {
+		period[i] = floatBits(0.25 + 0.001*float64(i))
+	}
 	b := prog.NewBuilder("synthetic")
 	declareRuntime(b, threads, chips)
-	data := b.Global("data", words)
+	data := b.GlobalRepeat("data", words, period[:])
 	b.Global("out", 64)
 
 	const (
@@ -286,15 +292,5 @@ func buildSynthetic(spec SyntheticSpec, threads, chips int, size Size) *prog.Pro
 		}
 	})
 	b.Halt()
-
-	p := b.MustBuild()
-	// The data pattern repeats every 97 words: fill it a period at a time.
-	var period [97]uint64
-	for i := range period {
-		period[i] = floatBits(0.25 + 0.001*float64(i))
-	}
-	for i := int64(0); i < words; i += int64(len(period)) {
-		p.Init.SetRun(data+i*prog.WordSize, period[:min(words-i, int64(len(period)))])
-	}
-	return p
+	return b.MustBuild()
 }

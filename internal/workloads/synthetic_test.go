@@ -215,8 +215,8 @@ func FuzzParseSynthetic(f *testing.F) {
 var buildSink *prog.Program
 
 // BenchmarkBuildSynthetic is the cost of assembling one sweep point and
-// filling its data image, at a footprint inside the modelled L1 and at
-// one that spills the L2.
+// its data image, at a footprint inside the modelled L1 and at one that
+// spills the L2.
 func BenchmarkBuildSynthetic(b *testing.B) {
 	for _, kb := range []int{16, 2048} {
 		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
