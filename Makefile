@@ -44,10 +44,10 @@ diff:
 # shared frozen program, scored at once); harness (suite cache +
 # singleflight + its eviction + warm-up sharing + cancellation),
 # service (queue, two-tier cache, backpressure, snapshot persistence,
-# e2e HTTP, cross-node tracing), telemetry (concurrent scrapes against
-# concurrent observers, span-ring races), prog (one program's digests
-# asked for by many goroutines at once) and memsys (forked caches
-# sharing chunks).
+# e2e HTTP, figures through the cache, tracing), telemetry (concurrent
+# scrapes against concurrent observers, span-ring races), prog (one
+# program's digests asked for by many goroutines at once) and memsys
+# (forked caches sharing chunks).
 race:
 	go test -race ./internal/core -run 'TestInterrupt|TestSnapshotRoundTripRace|TestSearchStatic'
 	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/... ./internal/memsys/...
@@ -69,7 +69,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 18657
+LOC_BUDGET = 17308
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

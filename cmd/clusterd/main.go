@@ -6,34 +6,27 @@
 //	GET  /v1/jobs/{id}       status/result (?wait=10s long-polls)
 //	GET  /v1/figures/{4578}  paper-figure matrices (?size=, ?format=text)
 //	GET  /v1/metrics/{run}   interval metrics for a simulated run (CSV/JSON)
-//	GET  /v1/trace/{id}      one job's fleet-wide span timeline (Chrome trace JSON)
-//	GET  /metrics            OpenMetrics scrape (latencies, queue, cache, fleet)
+//	GET  /v1/trace/{id}      one job's span timeline (Chrome trace JSON)
+//	GET  /metrics            OpenMetrics scrape (latencies, queue, cache)
 //	GET  /healthz            liveness + queue/cache statistics
 //	GET  /debug/pprof/...    profiling endpoints (with -pprof)
 //	GET  /debug/vars         expvar JSON (with -pprof)
 //
 // Identical submissions are content-addressed (SHA-256 of the resolved
-// machine + workload spec) and served from cache in microseconds; with
-// -cache-dir the cache survives restarts. Graceful shutdown (SIGINT/
-// SIGTERM) stops admission and drains running jobs.
-//
-// Several daemons form a fabric: one runs with -coordinator and the
-// rest join it with -join. The coordinator routes each job to the
-// worker owning its content hash on a consistent-hash ring, workers
-// answer each other's cache probes and ship warmed checkpoints, and a
-// worker that stops heartbeating is evicted — its jobs requeue and its
-// keys rebalance. Every fabric failure degrades to local simulation;
-// results are bit-identical with or without the fleet.
+// machine + workload spec) and served from cache in microseconds. A
+// figure cell is keyed like the job for the same run, so figures and
+// jobs share cache entries; with -cache-dir the cache survives
+// restarts, and a restarted daemon serves both from disk. Graceful
+// shutdown (SIGINT/SIGTERM) stops admission and drains running jobs.
 //
 // Usage:
 //
 //	clusterd [-addr :8421] [-size ref] [-workers N] [-queue N]
 //	         [-alloc icount] [-alloc-epoch N] [-list-policies]
 //	         [-cache-dir DIR] [-cache-entries N] [-max-cycles N]
-//	         [-warmup-cycles N] [-metrics-interval N] [-port-file PATH]
-//	         [-drain-timeout 30s] [-telemetry=false] [-node-name NAME] [-pprof]
-//	         [-coordinator | -join URL [-advertise URL]]
-//	         [-heartbeat 5s] [-heartbeat-timeout 15s]
+//	         [-warmup-cycles N] [-metrics-interval N] [-metrics-ring N]
+//	         [-port-file PATH]
+//	         [-drain-timeout 30s] [-telemetry=false] [-pprof] [-version]
 package main
 
 import (
@@ -43,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -59,18 +51,23 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so idle or trickling clients cannot pin connections
-// (and their goroutines) open forever. Bodies are bounded by size in
-// the service; long-poll responses are unaffected.
-const readHeaderTimeout = 10 * time.Second
+// Connection timeouts, so idle or trickling clients cannot pin
+// connections (and their goroutines) open forever. readHeaderTimeout
+// bounds the request headers and readTimeout the whole request, body
+// included (bodies are also capped at 1 MiB in the service);
+// idleTimeout closes a keep-alive connection no request arrives on. The
+// handler's run after the request is read is not bounded by any of
+// them. There is no WriteTimeout: ?wait= long-polls and synchronous
+// figure requests write their answer late, by design.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("clusterd: ")
-	// Service-internal logging is structured (log/slog with trace IDs
-	// where available); plain log calls in this file keep the prefix.
-	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	addr := flag.String("addr", ":8421", "listen address (host:port; port 0 picks a free port)")
 	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
@@ -88,13 +85,7 @@ func main() {
 	portFile := flag.String("port-file", "", "write the bound port to this file once listening")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain running jobs at shutdown")
 	telemetry := flag.Bool("telemetry", true, "serve OpenMetrics at /metrics and job traces at /v1/trace/{id}")
-	nodeName := flag.String("node-name", "", "node identity on trace timelines (default: by fabric role)")
 	pprofFlag := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof and expvar at /debug/vars")
-	coordinator := flag.Bool("coordinator", false, "run as the fabric coordinator: accept worker registrations and route jobs by content hash")
-	joinURL := flag.String("join", "", "join the fabric coordinated at this URL (worker mode)")
-	advertiseURL := flag.String("advertise", "", "base URL peers reach this worker at (default: http://127.0.0.1:<bound port>)")
-	heartbeat := flag.Duration("heartbeat", service.DefaultHeartbeatInterval, "worker heartbeat interval")
-	heartbeatTimeout := flag.Duration("heartbeat-timeout", 0, "evict workers whose last heartbeat is older than this (0 = 3 intervals)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *showVersion {
@@ -111,9 +102,6 @@ func main() {
 	// the first job.
 	if _, err := alloc.New(*allocPolicy); err != nil {
 		log.Fatal(err)
-	}
-	if *coordinator && *joinURL != "" {
-		log.Fatal("-coordinator and -join are mutually exclusive")
 	}
 
 	size := workloads.SizeRef
@@ -139,11 +127,6 @@ func main() {
 		MetricsRingCap:  *metricsRing,
 
 		DisableTelemetry: !*telemetry,
-		NodeName:         *nodeName,
-
-		Coordinator:       *coordinator,
-		HeartbeatInterval: *heartbeat,
-		HeartbeatTimeout:  *heartbeatTimeout,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -153,19 +136,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	port := ln.Addr().(*net.TCPAddr).Port
 	if *portFile != "" {
+		port := ln.Addr().(*net.TCPAddr).Port
 		if err := os.WriteFile(*portFile, []byte(fmt.Sprintf("%d\n", port)), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
-	role := "single"
-	if *coordinator {
-		role = "coordinator"
-	} else if *joinURL != "" {
-		role = "worker"
-	}
-	log.Printf("listening on %s (default size %s, queue %d, role %s)", ln.Addr(), size, *queueCap, role)
+	log.Printf("listening on %s (default size %s, queue %d)", ln.Addr(), size, *queueCap)
 
 	handler := svc.Handler()
 	if *pprofFlag {
@@ -183,20 +160,14 @@ func main() {
 		handler = outer
 		log.Printf("pprof enabled at /debug/pprof (expvar at /debug/vars)")
 	}
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	if *joinURL != "" {
-		adv := *advertiseURL
-		if adv == "" {
-			adv = fmt.Sprintf("http://127.0.0.1:%d", port)
-		}
-		if err := svc.JoinFabric(*joinURL, adv); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("joining fabric at %s as %s", *joinURL, adv)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -36,15 +36,14 @@ var FAFigureArchs = []config.Arch{config.FA8, config.FA4, config.FA2, config.FA1
 // SMTFigureArchs is the architecture set of Figures 7 and 8.
 var SMTFigureArchs = []config.Arch{config.SMT8, config.SMT4, config.SMT2, config.SMT1}
 
-// RemoteFunc is the Suite.Remote hook signature: given the run's
-// identity in wire-expressible form (canonical app name, Table 2
-// architecture, machine class — the suite supplies its own input
-// size), it may produce the run's outcome from somewhere else (a peer
-// cache, a fleet dispatch). handled=false means "no remote answer,
-// simulate locally"; handled=true with a non-nil err is a definitive
-// remote failure (including ctx cancellation, which must be returned
-// errors.Is-compatible with ctx.Err()).
-type RemoteFunc func(ctx context.Context, app string, arch config.Arch, highEnd bool) (res *core.Result, handled bool, err error)
+// StoreFunc is the Suite.Store hook signature: given the run's identity
+// in wire-expressible form (canonical app name, Table 2 architecture,
+// machine class — the suite supplies its own input size) and simulate,
+// the suite's own scratch or warm-start run of it, the hook returns the
+// run's outcome. It may answer from a result store without calling
+// simulate, or call simulate and keep what it returns. A cancellation
+// must be returned errors.Is-compatible with ctx.Err().
+type StoreFunc func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error)
 
 type runKey struct {
 	app      string
@@ -216,19 +215,20 @@ type Suite struct {
 	// simulation's critical path).
 	OnFrame func(app, machine string, f obs.Frame)
 
-	// Remote, when non-nil, is consulted by the singleflight owner of
-	// each uncached run before it simulates anything — the scale-out
-	// fabric's hook. Returning handled=true makes (res, err) the run's
-	// outcome, cached exactly like a local simulation's (so a fleet
-	// dispatch or peer-cache hit is still deduplicated across
-	// overlapping figures, and a remote cancellation follows the
-	// cancel-retry path). Returning handled=false falls back to the
-	// local scratch/warm-start path — the hook must degrade, never
-	// fail, on fabric trouble. Because the hook runs on the owner side
-	// of the singleflight, a burst of identical requests costs one
-	// remote lookup, and remote-served runs never occupy a local
-	// simulation slot. Set before the first Run.
-	Remote RemoteFunc
+	// Store, when non-nil, stands between the singleflight owner of each
+	// uncached run and its simulation: the one place a run may be
+	// answered without simulating, and the one place every simulated
+	// result passes through on its way out (the serving subsystem backs
+	// it with its two-tier result cache, so figure cells and jobs share
+	// entries and a restarted daemon serves figures from disk). What the
+	// hook returns is the run's outcome, memoized exactly like a local
+	// simulation's (so a stored answer is still deduplicated across
+	// overlapping figures, and a cancellation follows the cancel-retry
+	// path). Because the hook runs on the owner side of the
+	// singleflight, a burst of identical requests costs one lookup, and
+	// it runs ahead of the semaphore, so a stored answer never occupies
+	// a simulation slot. Set before the first Run.
+	Store StoreFunc
 
 	// WarmupCycles > 0 enables checkpoint-based warm-up sharing: for
 	// workloads whose programs declare a shared prefix
@@ -249,8 +249,8 @@ type Suite struct {
 
 	// OnSimulate, when set, is called after every simulation this suite
 	// actually executes (singleflight owners only — cache hits, shares
-	// and remote-served runs never fire it) with the run's identity,
-	// wall-clock duration, and outcome. ctx is the owning caller's
+	// and runs the Store hook answers never fire it) with the run's
+	// identity, wall-clock duration, and outcome. ctx is the owning caller's
 	// context — the serving layer reads its trace ID to attribute the
 	// simulate span. Must be safe for concurrent use and read-only with
 	// respect to results. Set before the first Run.
@@ -369,17 +369,15 @@ func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch con
 	return res, err
 }
 
-// runShared is the owner half of RunContext's singleflight: it gives
-// the Remote hook first claim on the run — ahead of the semaphore, so
-// remote-served runs never hold a local simulation slot — and falls
-// back to the local path when the hook declines.
+// runShared is the owner half of RunContext's singleflight: it hands
+// the run to the Store hook, when there is one — ahead of the
+// semaphore, so a stored answer never holds a simulation slot — with
+// the local path as the simulation the hook may call.
 func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (*core.Result, error) {
-	if s.Remote != nil {
-		if res, handled, err := s.Remote(ctx, app.Name, arch, highEnd); handled {
-			return res, err
-		}
+	if s.Store == nil {
+		return s.runOwned(ctx, k, app, m)
 	}
-	return s.runOwned(ctx, k, app, m)
+	return s.Store(ctx, app.Name, arch, highEnd, func() (*core.Result, error) { return s.runOwned(ctx, k, app, m) })
 }
 
 // runOwned acquires a semaphore slot and simulates; it is the owner
@@ -497,9 +495,9 @@ func (s *Suite) oracleAssign(ctx context.Context, sim *core.Simulator, m config.
 
 // Simulations returns how many simulations this suite actually ran on
 // this host (scratch runs and forked-child runs both count; cache
-// hits, singleflight shares, and remote-served runs do not). It is the
-// counter the fabric's federated-cache tests and /healthz use to prove
-// "zero simulations ran" on a fully cached resubmission.
+// hits, singleflight shares, and runs the Store hook answers do not).
+// It is the counter the service's restart tests and /healthz use to
+// prove "zero simulations ran" on a fully cached request.
 func (s *Suite) Simulations() int64 { return s.sims.Load() }
 
 // AllocMigrations returns the total number of thread migrations the

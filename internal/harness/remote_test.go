@@ -12,11 +12,11 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// TestRemoteHookServesAndCaches pins the Remote hook contract: a
-// handled lookup becomes the run's cached outcome (one hook call per
-// physical config, even across aliased archs and concurrent callers),
-// a declined lookup falls back to local simulation, and a handled
-// error is cached like a local failure.
+// TestRemoteHookServesAndCaches pins the Store hook contract: an answer
+// given without simulating becomes the run's cached outcome (one hook
+// call per physical config, even across aliased archs and concurrent
+// callers), a hook that calls simulate gets the local run and sees its
+// result, and an error the hook returns is cached like a local failure.
 func TestRemoteHookServesAndCaches(t *testing.T) {
 	ocean, err := workloads.ByName("ocean")
 	if err != nil {
@@ -32,12 +32,12 @@ func TestRemoteHookServesAndCaches(t *testing.T) {
 	var calls atomic.Int64
 	canned := &core.Result{Cycles: 12345}
 	s := NewSuite(workloads.SizeTest)
-	s.Remote = func(ctx context.Context, app string, arch config.Arch, highEnd bool) (*core.Result, bool, error) {
+	s.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error) {
 		calls.Add(1)
 		if app != ocean.Name || highEnd {
 			t.Errorf("hook saw (%s, highEnd=%v), want (%s, false)", app, highEnd, ocean.Name)
 		}
-		return canned, true, nil
+		return canned, nil
 	}
 
 	const n = 8
@@ -61,44 +61,51 @@ func TestRemoteHookServesAndCaches(t *testing.T) {
 	}
 	wg.Wait()
 	if got := calls.Load(); got != 1 {
-		t.Fatalf("remote hook called %d times for one physical config, want 1 (singleflight + aliasing)", got)
+		t.Fatalf("store hook called %d times for one physical config, want 1 (singleflight + aliasing)", got)
 	}
 	for i, r := range results {
 		if r != canned {
-			t.Fatalf("caller %d got %+v, want the remote-served result", i, r)
+			t.Fatalf("caller %d got %+v, want the stored result", i, r)
 		}
 	}
 	if s.Simulations() != 0 {
-		t.Fatalf("%d local simulations ran despite the remote serving everything", s.Simulations())
+		t.Fatalf("%d local simulations ran despite the store answering everything", s.Simulations())
 	}
 
-	// Declined hook → local fallback, bit-identical to a plain run.
-	declined := NewSuite(workloads.SizeTest)
-	declined.Remote = func(ctx context.Context, app string, arch config.Arch, highEnd bool) (*core.Result, bool, error) {
-		return nil, false, nil
+	// A hook that simulates gets the local run, bit-identical to a plain
+	// run, and sees the result it returns.
+	var kept *core.Result
+	through := NewSuite(workloads.SizeTest)
+	through.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error) {
+		res, err := simulate()
+		kept = res
+		return res, err
 	}
-	local, err := declined.Run(ocean, config.SMT2, false)
+	local, err := through.Run(ocean, config.SMT2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if local.Cycles != ref.Cycles || local.IPC != ref.IPC {
-		t.Fatalf("declined-hook fallback differs from a plain run: %d cycles vs %d", local.Cycles, ref.Cycles)
+		t.Fatalf("simulated-through-the-hook run differs from a plain run: %d cycles vs %d", local.Cycles, ref.Cycles)
 	}
-	if declined.Simulations() != 1 {
-		t.Fatalf("fallback ran %d simulations, want 1", declined.Simulations())
+	if kept != local {
+		t.Fatal("the hook did not see the result the suite returned")
+	}
+	if through.Simulations() != 1 {
+		t.Fatalf("fallback ran %d simulations, want 1", through.Simulations())
 	}
 
-	// Handled error → cached failure: second call must not re-invoke.
+	// Hook error → cached failure: second call must not re-invoke.
 	var failCalls atomic.Int64
 	failing := NewSuite(workloads.SizeTest)
-	remoteErr := errors.New("fleet exploded")
-	failing.Remote = func(ctx context.Context, app string, arch config.Arch, highEnd bool) (*core.Result, bool, error) {
+	storeErr := errors.New("store exploded")
+	failing.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error) {
 		failCalls.Add(1)
-		return nil, true, remoteErr
+		return nil, storeErr
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := failing.Run(ocean, config.SMT2, false); !errors.Is(err, remoteErr) {
-			t.Fatalf("call %d: error %v, want wrapped remote error", i, err)
+		if _, err := failing.Run(ocean, config.SMT2, false); !errors.Is(err, storeErr) {
+			t.Fatalf("call %d: error %v, want wrapped store error", i, err)
 		}
 	}
 	if failCalls.Load() != 1 {
@@ -115,19 +122,19 @@ func TestRemoteHookCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSuite(workloads.SizeTest)
-	handle := false
-	s.Remote = func(ctx context.Context, app string, arch config.Arch, highEnd bool) (*core.Result, bool, error) {
-		if handle {
-			return nil, false, nil // second pass: simulate locally
+	simulateNow := false
+	s.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error) {
+		if simulateNow {
+			return simulate() // second pass: simulate locally
 		}
-		return nil, true, ctx.Err()
+		return nil, ctx.Err()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.RunContext(ctx, ocean, config.SMT2, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled dispatch returned %v, want context.Canceled", err)
+		t.Fatalf("canceled lookup returned %v, want context.Canceled", err)
 	}
-	handle = true
+	simulateNow = true
 	if _, err := s.Run(ocean, config.SMT2, false); err != nil {
 		t.Fatalf("post-cancel retry failed: %v (cancellation must not be cached)", err)
 	}

@@ -18,13 +18,15 @@ const (
 )
 
 // Cache is the two-tier content-addressed result store. Tier 1 is an
-// in-memory LRU keyed by the job's spec hash; it sits *over* the
-// harness singleflight (which deduplicates concurrent identical runs
-// within one process lifetime) and serves completed results without
-// touching a Suite. Tier 2, enabled by a non-empty directory, persists
+// in-memory LRU keyed by the job's spec hash. Jobs look it up before
+// touching a Suite; below the harness singleflight (which deduplicates
+// concurrent identical runs within one process lifetime) the suites'
+// Store hook looks figure cells up in it and writes every result they
+// simulate to it. Tier 2, enabled by a non-empty directory, persists
 // one JSON envelope per result keyed by the hex hash, so identical
-// submissions are served across daemon restarts; disk hits are promoted
-// into the LRU. The envelope files are the whole store: a lookup reads
+// submissions and figure cells are served across daemon restarts; disk
+// hits are promoted into the LRU. The envelope files are the whole
+// store: a lookup reads
 // exactly its own key's file, so nothing is scanned at start-up and
 // nothing else in the directory is ever opened.
 type Cache struct {
@@ -74,8 +76,8 @@ func NewCache(capEntries int, dir string) (*Cache, error) {
 
 // isHexHash reports whether s is a 64-char lowercase hex string — the
 // filename stem Put gives every envelope and the only shape of key the
-// snapshot store and the fabric accept: defense against a key ever
-// reaching the filesystem as a path.
+// snapshot store accepts: defense against a key ever reaching the
+// filesystem as a path.
 func isHexHash(s string) bool {
 	if len(s) != 64 {
 		return false

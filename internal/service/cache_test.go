@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -194,5 +195,116 @@ func TestServiceCacheKeyCoversAllocPolicy(t *testing.T) {
 	again, _ := run(Options{AllocPolicy: "static"})
 	if !again.CacheHit || again.CacheTier != TierDisk || !bytes.Equal(again.Result, static.Result) {
 		t.Fatalf("static daemon over its own cache dir: %+v, want the first run's bytes from disk", again)
+	}
+}
+
+// getBody fetches url and returns its body, failing on any status but
+// 200.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestFigureSurvivesRestart: figure cells and jobs share the result
+// cache. A figure requested after a job reuses that job's result; a
+// daemon restarted over the same directory answers the figure from disk
+// with zero simulations, byte for byte as JSON and as text; and a job
+// for one of its cells is then a cache hit.
+func TestFigureSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	const fig5 = "/v1/figures/5?size=test"
+	cell := JobSpec{App: "ocean", Arch: "FA4", HighEnd: true}
+
+	srvA, tsA := newTestServer(t, Options{CacheDir: dir})
+	status, j, _ := submit(t, tsA, cell)
+	if status != http.StatusAccepted {
+		t.Fatalf("cell job on A: status %d", status)
+	}
+	if j = waitJob(t, tsA, j.ID); j.Status != StateDone {
+		t.Fatalf("cell job on A failed: %+v", j)
+	}
+	jsonA := getBody(t, tsA.URL+fig5)
+	textA := getBody(t, tsA.URL+fig5+"&format=text")
+	// Fig. 5 is 6 apps x 5 archs; the job already ran one of its cells.
+	if n := srvA.simulations(); n != 30 {
+		t.Fatalf("job then figure on A ran %d simulations, want 30 (the job's cell reused)", n)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 30 {
+		t.Fatalf("cache dir holds %d files after the figure, want 30 envelopes", len(entries))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	tsA.Close()
+	if err := srvA.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srvB, tsB := newTestServer(t, Options{CacheDir: dir})
+	if got := getBody(t, tsB.URL+fig5); !bytes.Equal(got, jsonA) {
+		t.Fatal("figure JSON after a restart differs from the first daemon's")
+	}
+	if got := getBody(t, tsB.URL+fig5+"&format=text"); !bytes.Equal(got, textA) {
+		t.Fatalf("figure text after a restart differs:\n%s\nvs\n%s", got, textA)
+	}
+	var health struct {
+		Simulations int64 `json:"simulations"`
+	}
+	if err := json.Unmarshal(getBody(t, tsB.URL+"/healthz"), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Simulations != 0 {
+		t.Fatalf("restarted daemon ran %d simulations for a figure on disk, want 0", health.Simulations)
+	}
+	other := JobSpec{App: "swim", Arch: "SMT2", HighEnd: true}
+	status, hit, _ := submit(t, tsB, other)
+	if status != http.StatusOK || !hit.CacheHit {
+		t.Fatalf("job for a figure cell after the restart: status %d, %+v; want an inline cache hit", status, hit)
+	}
+	if n := srvB.simulations(); n != 0 {
+		t.Fatalf("restarted daemon ran %d simulations, want 0", n)
+	}
+}
+
+// TestColdJobWritesOnce pins the cost of a cold job now that the Store
+// hook writes results: one simulation, one cache write, one entry, and
+// the two counted misses it has always cost (the submission's lookup and
+// the queue's re-check) — the hook does not look the job up again.
+func TestColdJobWritesOnce(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Options{CacheDir: dir})
+	_, j, _ := submit(t, ts, JobSpec{App: "swim", Arch: "SMT4"})
+	if j = waitJob(t, ts, j.ID); j.Status != StateDone || j.CacheHit {
+		t.Fatalf("cold job: %+v", j)
+	}
+	st := srv.cache.Stats()
+	if st.Misses != 2 || st.Hits != 0 || st.DiskHits != 0 || st.Entries != 1 {
+		t.Fatalf("cache after one cold job: %+v, want 2 misses, no hits, 1 entry", st)
+	}
+	body, _ := scrapeMetrics(t, ts)
+	if v := metricValue(t, body, "clusterd_cache_write_seconds_count"); v != 1 {
+		t.Fatalf("cache writes = %v, want 1", v)
+	}
+	if n := srv.simulations(); n != 1 {
+		t.Fatalf("%d simulations, want 1", n)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("cache dir holds %d files (err %v), want 1 envelope", len(entries), err)
 	}
 }

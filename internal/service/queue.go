@@ -25,7 +25,7 @@ type Job struct {
 	ID   string
 	Rj   *ResolvedJob
 	Hash [32]byte
-	// TraceID follows the job across nodes: set once at submission
+	// TraceID names the job's spans: set once at submission
 	// (before the job is visible to any worker), read-only after.
 	TraceID string
 

@@ -60,49 +60,18 @@ type Options struct {
 	MetricsInterval int64
 	// MetricsRingCap bounds retained frames per run (0 = obs default).
 	MetricsRingCap int
-	// Coordinator runs this daemon as the fabric front end: workers
-	// register over /fabric/register, jobs and figure cells route to
-	// the consistent-hash owner of their content hash, and Workers
-	// defaults to QueueCap (dispatch is IO-bound — a dispatching job
-	// holds an HTTP long-poll, not a CPU).
-	Coordinator bool
-	// HeartbeatInterval paces worker announcements (0 = default 5s);
-	// HeartbeatTimeout is how stale a worker's last heartbeat may be
-	// before the coordinator evicts it (0 = 3 intervals).
-	HeartbeatInterval time.Duration
-	HeartbeatTimeout  time.Duration
-	// Version overrides the build version exchanged (and checked) at
-	// registration ("" = the binary's build info).
-	Version string
 	// DisableTelemetry turns off the metrics registry and span ring:
 	// /metrics and /v1/trace return 404 and every record call is a
 	// no-op. Simulation results are bit-identical either way
 	// (TestTelemetryDifferential).
 	DisableTelemetry bool
-	// NodeName overrides this node's identity on trace timelines
-	// ("" = coordinator / advertise URL / "clusterd" by role).
-	NodeName string
-}
-
-// heartbeatInterval resolves the announcement period.
-func (o Options) heartbeatInterval() time.Duration {
-	if o.HeartbeatInterval > 0 {
-		return o.HeartbeatInterval
-	}
-	return DefaultHeartbeatInterval
-}
-
-// heartbeatTimeout resolves the eviction bound.
-func (o Options) heartbeatTimeout() time.Duration {
-	if o.HeartbeatTimeout > 0 {
-		return o.HeartbeatTimeout
-	}
-	return 3 * o.heartbeatInterval()
 }
 
 // Server is the serving subsystem: job queue + worker pool + two-tier
 // result cache + figure/metrics endpoints over a pair of harness
-// suites (one per input size).
+// suites (one per input size). The cache backs both: every result a
+// suite simulates, for a job or a figure cell, is written to it once,
+// and every figure cell is looked up in it first.
 type Server struct {
 	opts  Options
 	cache *Cache
@@ -120,24 +89,13 @@ type Server struct {
 	finished []string
 	seq      atomic.Uint64
 
-	// Fabric role state: at most one of coord/worker is non-nil. coord
-	// is fixed at New; worker is installed by JoinFabric after the
-	// listener is bound (the advertise URL needs the port).
-	fabMu  sync.Mutex
-	coord  *coordinator
-	worker *worker
-
 	version string
 
 	// tel is the telemetry state (registry + span ring); nil when
 	// Options.DisableTelemetry — every record path nil-guards.
 	tel *svcTelemetry
 
-	probeServedHits   atomic.Uint64
-	probeServedMisses atomic.Uint64
-	snapServedHits    atomic.Uint64
-	snapServedMisses  atomic.Uint64
-	jobPanics         atomic.Uint64 // jobs failed by a panic in their run
+	jobPanics atomic.Uint64 // jobs failed by a panic in their run
 
 	started time.Time
 	closed  atomic.Bool
@@ -153,75 +111,20 @@ func New(opts Options) (*Server, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if opts.Coordinator {
-			// A coordinator's "workers" mostly wait on worker HTTP
-			// long-polls; sizing them to the queue lets the whole
-			// admitted backlog dispatch concurrently. Local-fallback
-			// simulations (empty fleet) stay CPU-bounded regardless by
-			// the suite's own GOMAXPROCS semaphore.
-			workers = opts.QueueCap
-			if workers <= 0 {
-				workers = DefaultQueueCap
-			}
-		}
 	}
 	s := &Server{
 		opts:    opts,
 		cache:   cache,
 		suites:  make(map[workloads.Size]*harness.Suite),
 		jobs:    make(map[string]*Job),
-		version: opts.Version,
+		version: version.String(),
 		started: time.Now(),
-	}
-	if s.version == "" {
-		s.version = version.String()
 	}
 	s.pool = NewPool(workers, opts.QueueCap, s.runJob)
 	if !opts.DisableTelemetry {
 		s.tel = newSvcTelemetry(s)
 	}
-	if opts.Coordinator {
-		s.coord = newCoordinator(s, opts.heartbeatTimeout())
-	}
 	return s, nil
-}
-
-// coordinator returns the coordinator role state (nil outside
-// coordinator mode).
-func (s *Server) coordinator() *coordinator {
-	s.fabMu.Lock()
-	defer s.fabMu.Unlock()
-	return s.coord
-}
-
-// workerRef returns the worker role state (nil until JoinFabric).
-func (s *Server) workerRef() *worker {
-	s.fabMu.Lock()
-	defer s.fabMu.Unlock()
-	return s.worker
-}
-
-// JoinFabric registers this server with a coordinator and starts the
-// heartbeat loop. advertiseURL is the base URL peers and the
-// coordinator reach this server at — it must resolve to the listener
-// serving Handler(). Call after the listener is bound; Close stops the
-// heartbeats.
-func (s *Server) JoinFabric(coordinatorURL, advertiseURL string) error {
-	if coordinatorURL == "" || advertiseURL == "" {
-		return fmt.Errorf("service: JoinFabric needs both coordinator and advertise URLs")
-	}
-	s.fabMu.Lock()
-	defer s.fabMu.Unlock()
-	if s.coord != nil {
-		return fmt.Errorf("service: a coordinator cannot join another fabric")
-	}
-	if s.worker != nil {
-		return fmt.Errorf("service: already joined %s", s.worker.coord)
-	}
-	w := newWorker(s, strings.TrimRight(coordinatorURL, "/"), strings.TrimRight(advertiseURL, "/"), s.opts.heartbeatInterval())
-	s.worker = w
-	go w.loop()
-	return nil
 }
 
 // suite returns (creating on first use) the harness suite for size.
@@ -240,17 +143,13 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 		st.MetricsInterval = s.opts.MetricsInterval
 		st.MetricsRingCap = s.opts.MetricsRingCap
 		st.WarmupCycles = s.opts.WarmupCycles
-		if s.opts.WarmupCycles > 0 {
-			// The federated store layers local persistence (when
-			// CacheDir is set) under on-demand fetches from fabric
-			// peers; with neither it is an always-miss no-op.
-			st.Snapshots = fedSnapshots{s: s}
+		if s.opts.WarmupCycles > 0 && s.opts.CacheDir != "" {
+			st.Snapshots = snapshotStore{s: s}
 		}
-		st.Remote = s.suiteRemote(size)
+		st.Store = s.suiteStore(size)
 		if s.tel != nil {
 			// Hook fires on singleflight owners only, so the histogram
-			// measures true local simulation time — never dispatch or
-			// probe round trips.
+			// measures true simulation time — never a cache lookup.
 			// The histogram's policy label is the normalized policy name,
 			// so the seed placement reads "static" whether configured
 			// explicitly or by default.
@@ -288,44 +187,60 @@ func (s *Server) resolve(spec JobSpec) (*ResolvedJob, error) {
 	return rj, nil
 }
 
-// suiteRemote builds the fabric Remote hook for one suite. The role is
-// resolved at call time (JoinFabric may run after the suite exists):
-// a coordinator dispatches the run to the ring owner of its content
-// hash; a worker probes its peers for an already-computed result; a
-// single node declines so the harness simulates locally. The hook runs
-// on the singleflight owner ahead of the semaphore, so dispatches and
-// probes cost no local CPU slots.
-func (s *Server) suiteRemote(size workloads.Size) harness.RemoteFunc {
-	return func(ctx context.Context, app string, arch config.Arch, highEnd bool) (*core.Result, bool, error) {
-		c, wk := s.coordinator(), s.workerRef()
-		if c == nil && wk == nil {
-			return nil, false, nil
+// jobKey is the context key under which runJob hands its job to the
+// suite's Store hook. The job has just looked its hash up in the cache,
+// so the hook does not look again.
+type jobKey struct{}
+
+// suiteStore builds the Store hook for one suite: the one place results
+// enter the cache. A run for a job is keyed by the job's hash; any
+// other (a figure cell) is resolved to the spec a job for it would
+// carry, so it shares that job's entry, and is looked up first. On a
+// miss the hook simulates and writes the result to both tiers once,
+// observing the write on the owning job's trace.
+func (s *Server) suiteStore(size workloads.Size) harness.StoreFunc {
+	return func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error) {
+		var key [32]byte
+		var spec JobSpec
+		if j, ok := ctx.Value(jobKey{}).(*Job); ok {
+			key, spec = j.Hash, j.Rj.Spec
+		} else {
+			rj, err := s.resolve(JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()})
+			if err != nil {
+				// A name jobs cannot spell has no key; let the harness
+				// produce the authoritative error.
+				return simulate()
+			}
+			key, spec = rj.Hash(), rj.Spec
+			if res, _, ok := s.cache.Get(key); ok {
+				return res, nil
+			}
 		}
-		spec := JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()}
-		rj, err := s.resolve(spec)
+		res, err := simulate()
 		if err != nil {
-			// Unresolvable names cannot be routed; let the local
-			// harness produce the authoritative error.
-			return nil, false, nil
+			return nil, err
 		}
-		if c != nil {
-			return c.dispatch(ctx, rj.Spec, rj.Hash())
-		}
-		return wk.probePeers(ctx, rj.Spec, rj)
+		// A failed disk write degrades this entry to memory-only; the
+		// result itself is still good.
+		start := time.Now()
+		_ = s.cache.Put(key, spec, res)
+		observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(start))
+		s.span(telemetry.TraceIDFrom(ctx), "cache-write", start, nil)
+		return res, nil
 	}
 }
 
 // runJob executes one admitted job: cache check (a concurrent earlier
 // submission may have completed while this one sat in the queue), then
-// a context-aware suite run, then cache fill. Queue wait, cache-write
-// and end-to-end latency are observed here; the trace ID rides the
-// context into the suite so dispatch/probe/simulate spans attribute to
+// a context-aware suite run, whose Store hook fills the cache. Queue
+// wait and end-to-end latency are observed here; the trace ID rides the
+// context into the suite so simulate and cache-write spans attribute to
 // this job.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	wait := time.Since(j.submittedAt())
 	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.queueWait }), wait)
 	s.span(j.TraceID, "queue", j.submittedAt(), map[string]string{"job": j.ID})
-	ctx = telemetry.WithTraceID(ctx, j.TraceID)
+	ctx = context.WithValue(telemetry.WithTraceID(ctx, j.TraceID), jobKey{}, j)
 
 	if res, tier, ok := s.cache.Get(j.Hash); ok {
 		s.jobDone(j)
@@ -344,12 +259,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.Fail(err)
 		return
 	}
-	// A failed disk write degrades this entry to memory-only; the
-	// result itself is still good, so the job completes regardless.
-	wstart := time.Now()
-	_ = s.cache.Put(j.Hash, rj.Spec, res)
-	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(wstart))
-	s.span(j.TraceID, "cache-write", wstart, nil)
 	s.jobDone(j)
 	j.Complete(res, "")
 }
@@ -402,12 +311,6 @@ func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	if wk := s.workerRef(); wk != nil {
-		wk.close() // stop heartbeating before draining, so eviction is prompt
-	}
-	if c := s.coordinator(); c != nil {
-		c.close()
-	}
 	s.pool.Drain(ctx)
 	return nil
 }
@@ -420,14 +323,9 @@ func (s *Server) Close(ctx context.Context) error {
 //	GET  /v1/figures/{n}     paper figure 4/5/7/8 (?size=, ?format=text)
 //	GET  /v1/metrics         list runs with retained interval metrics
 //	GET  /v1/metrics/{run}   one run's frames (?format=csv|json)
-//	GET  /v1/trace/{id}      one job's fleet-wide span timeline
-//	                         (?scope=local, ?format=spans)
+//	GET  /v1/trace/{id}      one job's span timeline (?format=spans)
 //	GET  /metrics            OpenMetrics scrape (404 when disabled)
-//	GET  /healthz            liveness + queue/cache/fabric stats
-//	GET  /fabric/probe/{h}   peer cache probe: cached result for spec hash h
-//	GET  /fabric/snap/{k}    peer checkpoint ship: warmed snapshot k
-//	POST /fabric/register    (coordinator) worker registration
-//	POST /fabric/heartbeat   (coordinator) worker heartbeat + load report
+//	GET  /healthz            liveness + queue/cache stats
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -439,14 +337,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
 	mux.HandleFunc("GET /metrics", s.handleMetricsScrape)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	// Fabric peer endpoints are served by every role: any node may be
-	// probed for a cached result or a warmed checkpoint.
-	mux.HandleFunc("GET /fabric/probe/{hash}", s.handleFabricProbe)
-	mux.HandleFunc("GET /fabric/snap/{key}", s.handleFabricSnap)
-	if s.coord != nil {
-		mux.HandleFunc("POST /fabric/register", s.handleFabricRegister)
-		mux.HandleFunc("POST /fabric/heartbeat", s.handleFabricHeartbeat)
-	}
 	return mux
 }
 
@@ -491,9 +381,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// maxRequestBodyBytes bounds a POST body. Job specs and fabric
-// announcements are a few hundred bytes of JSON; anything near the
-// bound is hostile or broken and is answered 413 without being held.
+// maxRequestBodyBytes bounds a POST body. Job specs are a few hundred
+// bytes of JSON; anything near the bound is hostile or broken and is
+// answered 413 without being held.
 const maxRequestBodyBytes = 1 << 20
 
 // decodeBody decodes a bounded JSON request body into v. On failure it
@@ -557,18 +447,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // partly filled worker wave is still a full wave of waiting) and
 // guards a zero worker count: NewPool clamps workers to one, but a
 // 429 path must never be able to panic on arithmetic.
-//
-// In coordinator mode the divisor is the fleet's registered capacity
-// (sum of member worker counts) when any workers are registered — the
-// backlog drains at the fleet's rate, not the local pool's. An empty
-// fleet falls back to the local estimate, same floor and cap.
 func (s *Server) retryAfter() int {
 	w := s.pool.Workers()
-	if c := s.coordinator(); c != nil {
-		if fw := c.fleetWorkers(); fw > 0 {
-			w = fw
-		}
-	}
 	if w < 1 {
 		w = 1
 	}
@@ -624,9 +504,13 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad wait %q: %w", waitStr, err))
 			return
 		}
+		// Stopped on return: under go 1.22 timer rules an unstopped
+		// timer outlives a long-poll that ends early until it fires.
+		timer := time.NewTimer(d)
+		defer timer.Stop()
 		select {
 		case <-j.Done():
-		case <-time.After(d):
+		case <-timer.C:
 		case <-r.Context().Done():
 			return
 		}
@@ -734,20 +618,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		warmRestores += r
 	}
 	s.suiteMu.Unlock()
-	fab := map[string]any{"role": "single"}
-	if c := s.coordinator(); c != nil {
-		fab = c.health()
-	} else if wk := s.workerRef(); wk != nil {
-		fab = wk.health()
-	}
-	fab["probe_served"] = map[string]uint64{
-		"hits":   s.probeServedHits.Load(),
-		"misses": s.probeServedMisses.Load(),
-	}
-	fab["snap_served"] = map[string]uint64{
-		"hits":   s.snapServedHits.Load(),
-		"misses": s.snapServedMisses.Load(),
-	}
 	warm := map[string]any{
 		"enabled":  s.opts.WarmupCycles > 0,
 		"cycles":   s.opts.WarmupCycles,
@@ -755,13 +625,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"restores": warmRestores,
 	}
 	if s.opts.WarmupCycles > 0 && s.opts.CacheDir != "" {
-		warm["persisted"] = snapshotStore{dir: s.opts.CacheDir}.Snapshots()
+		warm["persisted"] = snapshotStore{s: s}.Snapshots()
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"runtime":     s.runtimeInfo(),
 		"simulations": s.simulations(),
-		"fabric":      fab,
 		"queue": map[string]any{
 			"depth":     s.pool.Depth(),
 			"capacity":  s.pool.Cap(),

@@ -88,6 +88,17 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) wireJob {
 	return wireJob{}
 }
 
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestServiceCachedResubmissionBitIdentical is the acceptance test's
 // first half: resubmitting an identical job spec is served from the
 // cache, marked as a hit, and the result JSON is bit-identical to the

@@ -1,12 +1,11 @@
 // Service-side telemetry wiring: one telemetry.Registry per Server
 // exposing the whole job path as OpenMetrics at GET /metrics, one
-// bounded span ring per node behind GET /v1/trace/{id}, and the
-// fan-out that merges a trace's spans from every fabric node into one
-// Chrome trace_event timeline.
+// bounded span ring behind GET /v1/trace/{id}, rendered as a Chrome
+// trace_event timeline.
 //
 // Metric families mirror state the server already maintains wherever
-// possible (func-backed collectors over the pool, cache, coordinator
-// and worker counters) so a scrape reads live values with no double
+// possible (func-backed collectors over the pool, cache and suite
+// counters) so a scrape reads live values with no double
 // bookkeeping; only the latency histograms are new state. Everything
 // here is read-only with respect to results — TestTelemetryDifferential
 // pins that simulation output is bit-identical with telemetry on or
@@ -14,8 +13,6 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -38,14 +35,10 @@ type svcTelemetry struct {
 	e2e        *telemetry.Histogram
 	simulate   *telemetry.HistogramVec
 	cacheWrite *telemetry.Histogram
-	dispatch   *telemetry.Histogram
 	snapFetch  *telemetry.Histogram
-	peerProbe  *telemetry.HistogramVec
 }
 
-// newSvcTelemetry builds the registry for one server. All func-backed
-// families resolve the fabric role at scrape time, so registration
-// order relative to JoinFabric does not matter.
+// newSvcTelemetry builds the registry for one server.
 func newSvcTelemetry(s *Server) *svcTelemetry {
 	r := telemetry.NewRegistry()
 	t := &svcTelemetry{
@@ -61,12 +54,8 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 			telemetry.DefaultLatencyBuckets, "policy"),
 		cacheWrite: r.Histogram("clusterd_cache_write_seconds",
 			"Time to fill the result cache after a fresh simulation.", telemetry.DefaultLatencyBuckets),
-		dispatch: r.Histogram("clusterd_dispatch_seconds",
-			"Coordinator dispatch attempts, submit to verdict.", telemetry.DefaultLatencyBuckets),
 		snapFetch: r.Histogram("clusterd_snapshot_fetch_seconds",
-			"Warmed-checkpoint loads through the federated store.", telemetry.DefaultLatencyBuckets),
-		peerProbe: r.HistogramVec("clusterd_peer_probe_seconds",
-			"Per-peer cache probe latency.", telemetry.DefaultLatencyBuckets, "peer"),
+			"Warmed-checkpoint loads from the cache directory.", telemetry.DefaultLatencyBuckets),
 	}
 
 	r.CollectFunc("clusterd_build_info", "Build version as a label; value is always 1.",
@@ -111,70 +100,6 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 	r.CounterFunc("clusterd_alloc_epochs", "Allocation epoch boundaries evaluated by dynamic policies.",
 		func() float64 { return float64(s.sumSuites((*harness.Suite).AllocEpochs)) })
 
-	r.CollectFunc("clusterd_fabric_events", "Coordinator routing events.",
-		telemetry.TypeCounter, []string{"event"},
-		func(emit func([]string, float64)) {
-			c := s.coordinator()
-			if c == nil {
-				return
-			}
-			emit([]string{"dispatched"}, float64(c.dispatched.Load()))
-			emit([]string{"requeued"}, float64(c.requeued.Load()))
-			emit([]string{"evicted"}, float64(c.evicted.Load()))
-			emit([]string{"throttled"}, float64(c.throttled.Load()))
-			emit([]string{"local_fallback"}, float64(c.fallbacks.Load()))
-		})
-	r.CollectFunc("clusterd_fabric_served", "Peer probe/snapshot requests served by this node.",
-		telemetry.TypeCounter, []string{"channel", "outcome"},
-		func(emit func([]string, float64)) {
-			emit([]string{"probe", "hit"}, float64(s.probeServedHits.Load()))
-			emit([]string{"probe", "miss"}, float64(s.probeServedMisses.Load()))
-			emit([]string{"snap", "hit"}, float64(s.snapServedHits.Load()))
-			emit([]string{"snap", "miss"}, float64(s.snapServedMisses.Load()))
-		})
-	r.CollectFunc("clusterd_peer_probes", "Cache probes issued by this worker, by peer and outcome.",
-		telemetry.TypeCounter, []string{"peer", "outcome"},
-		func(emit func([]string, float64)) {
-			wk := s.workerRef()
-			if wk == nil {
-				return
-			}
-			wk.mu.Lock()
-			defer wk.mu.Unlock()
-			for peer, st := range wk.stats {
-				emit([]string{peer, "hit"}, float64(st.Hits))
-				emit([]string{peer, "miss"}, float64(st.Misses))
-				emit([]string{peer, "error"}, float64(st.Errors))
-			}
-		})
-
-	// Fleet gauges: the coordinator's /metrics carries one sample per
-	// registered member, so a single scrape sees the whole fleet's load.
-	fleetGauge := func(name, help string, value func(*member) float64) {
-		r.CollectFunc(name, help, telemetry.TypeGauge, []string{"member"},
-			func(emit func([]string, float64)) {
-				c := s.coordinator()
-				if c == nil {
-					return
-				}
-				c.mu.Lock()
-				defer c.mu.Unlock()
-				for url, m := range c.members {
-					emit([]string{url}, value(m))
-				}
-			})
-	}
-	fleetGauge("clusterd_fleet_member_up", "1 for every currently registered member.",
-		func(*member) float64 { return 1 })
-	fleetGauge("clusterd_fleet_member_workers", "Registered worker-pool size per member.",
-		func(m *member) float64 { return float64(m.Workers) })
-	fleetGauge("clusterd_fleet_member_queue_depth", "Last reported queue depth per member.",
-		func(m *member) float64 { return float64(m.Depth) })
-	fleetGauge("clusterd_fleet_member_running", "Last reported running jobs per member.",
-		func(m *member) float64 { return float64(m.Running) })
-	fleetGauge("clusterd_fleet_member_heartbeat_age_seconds", "Seconds since each member's last heartbeat.",
-		func(m *member) float64 { return time.Since(m.lastBeat).Seconds() })
-
 	r.GaugeFunc("clusterd_trace_spans", "Spans retained in the trace ring.",
 		func() float64 { return float64(t.spans.Len()) })
 	r.CounterFunc("clusterd_trace_spans_dropped", "Spans overwritten by ring wraparound.",
@@ -197,24 +122,11 @@ func (s *Server) sumSuites(counter func(*harness.Suite) int64) int64 {
 // (/metrics and /healthz).
 func (s *Server) simulations() int64 { return s.sumSuites((*harness.Suite).Simulations) }
 
-// nodeName is this node's identity on trace timelines, resolved at
-// record time so it reflects the fabric role even when JoinFabric runs
-// after New.
-func (s *Server) nodeName() string {
-	if s.opts.NodeName != "" {
-		return s.opts.NodeName
-	}
-	if s.coordinator() != nil {
-		return "coordinator"
-	}
-	if wk := s.workerRef(); wk != nil {
-		return wk.self
-	}
-	return "clusterd"
-}
+// spanNode is the process name every span carries on a trace timeline.
+const spanNode = "clusterd"
 
-// span records one completed span on this node's ring. Safe (and a
-// no-op) with telemetry disabled or without a trace ID.
+// span records one completed span on the ring. Safe (and a no-op) with
+// telemetry disabled or without a trace ID.
 func (s *Server) span(traceID, name string, start time.Time, attrs map[string]string) {
 	if s.tel == nil || traceID == "" {
 		return
@@ -222,7 +134,7 @@ func (s *Server) span(traceID, name string, start time.Time, attrs map[string]st
 	s.tel.spans.Record(telemetry.Span{
 		TraceID: traceID,
 		Name:    name,
-		Node:    s.nodeName(),
+		Node:    spanNode,
 		StartUS: start.UnixMicro(),
 		DurUS:   time.Since(start).Microseconds(),
 		Attrs:   attrs,
@@ -246,8 +158,8 @@ func (s *Server) hist(pick func(*svcTelemetry) *telemetry.Histogram) *telemetry.
 }
 
 // traceIDForRequest resolves the trace ID for a submission: a valid
-// client-supplied X-Trace-Id is honored (cross-node dispatches arrive
-// this way), anything else gets a fresh ID.
+// client-supplied X-Trace-Id is honored, anything else gets a fresh
+// ID.
 func traceIDForRequest(r *http.Request) string {
 	if id := r.Header.Get(telemetry.TraceIDHeader); telemetry.ValidTraceID(id) {
 		return id
@@ -263,18 +175,17 @@ func (s *Server) handleMetricsScrape(w http.ResponseWriter, r *http.Request) {
 	s.tel.reg.Handler().ServeHTTP(w, r)
 }
 
-// traceSpansView is the wire form of one node's spans for a trace —
-// what ?format=spans returns and what the fan-out consumes.
+// traceSpansView is the wire form of a trace's spans — what
+// ?format=spans returns.
 type traceSpansView struct {
 	TraceID string           `json:"trace_id"`
 	Spans   []telemetry.Span `json:"spans"`
 }
 
-// handleTrace serves GET /v1/trace/{id}: this node's spans for the
-// trace, merged (unless ?scope=local) with every reachable fabric
-// node's, rendered as Chrome trace_event JSON (or raw spans with
-// ?format=spans). Fan-out failures are skipped — a partial timeline
-// beats none, same degraded-never-wrong rule as the fabric itself.
+// handleTrace serves GET /v1/trace/{id}: the spans retained for the
+// trace, rendered as Chrome trace_event JSON (or raw spans with
+// ?format=spans). ?scope=local is accepted and ignored: every span is
+// local.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.tel == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: telemetry disabled"))
@@ -286,13 +197,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spans := s.tel.spans.ByTrace(id)
-	if r.URL.Query().Get("scope") != "local" {
-		for _, peer := range s.traceFanout() {
-			if remote, ok := fetchTraceSpans(r.Context(), peer, id); ok {
-				spans = append(spans, remote...)
-			}
-		}
-	}
 	if len(spans) == 0 {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no spans retained for trace %s", id))
 		return
@@ -304,50 +208,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = telemetry.WriteChromeTrace(w, spans)
-}
-
-// traceFanout lists the other nodes that may hold spans for a trace
-// this node saw: a coordinator asks every member; a worker asks its
-// peers and the coordinator; a single node asks nobody.
-func (s *Server) traceFanout() []string {
-	if c := s.coordinator(); c != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		urls := make([]string, 0, len(c.members))
-		for url := range c.members {
-			urls = append(urls, url)
-		}
-		sort.Strings(urls)
-		return urls
-	}
-	if wk := s.workerRef(); wk != nil {
-		return append(wk.peerList(), wk.coord)
-	}
-	return nil
-}
-
-// fetchTraceSpans pulls one remote node's local spans for a trace.
-func fetchTraceSpans(ctx context.Context, baseURL, id string) ([]telemetry.Span, bool) {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		baseURL+"/v1/trace/"+id+"?scope=local&format=spans", nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := fabricHTTP.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	var view traceSpansView
-	if err := json.NewDecoder(peerBody(resp)).Decode(&view); err != nil {
-		return nil, false
-	}
-	return view.Spans, true
 }
 
 // runtimeInfo is the /healthz "runtime" block: build identity and host

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -158,6 +159,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsFamilies pins the exported family set: after one job, the
+// sorted # TYPE names of /metrics are exactly this list, so adding,
+// renaming or dropping a family shows up here.
+func TestMetricsFamilies(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	_, j, _ := submit(t, ts, JobSpec{App: "swim", Arch: "SMT4"})
+	if j = waitJob(t, ts, j.ID); j.Status != StateDone {
+		t.Fatalf("job did not complete: %+v", j)
+	}
+	body, _ := scrapeMetrics(t, ts)
+	var got []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			got = append(got, strings.Fields(line)[2])
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"clusterd_alloc_epochs",
+		"clusterd_alloc_migrations",
+		"clusterd_build_info",
+		"clusterd_cache_entries",
+		"clusterd_cache_hits",
+		"clusterd_cache_misses",
+		"clusterd_cache_write_seconds",
+		"clusterd_job_e2e_seconds",
+		"clusterd_job_panics",
+		"clusterd_job_queue_wait_seconds",
+		"clusterd_jobs_accepted",
+		"clusterd_jobs_completed",
+		"clusterd_jobs_rejected",
+		"clusterd_queue_capacity",
+		"clusterd_queue_depth",
+		"clusterd_queue_running",
+		"clusterd_queue_workers",
+		"clusterd_simulate_seconds",
+		"clusterd_simulations",
+		"clusterd_snapshot_fetch_seconds",
+		"clusterd_trace_spans",
+		"clusterd_trace_spans_dropped",
+		"clusterd_uptime_seconds",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("metric families:\n got %d %v\nwant %d %v", len(got), got, len(want), want)
+	}
+}
+
 // TestMetricsDisabled: with telemetry off, the observability endpoints
 // 404 but the service API is untouched.
 func TestMetricsDisabled(t *testing.T) {
@@ -280,7 +328,7 @@ func spanNames(spans []telemetry.Span) map[string]int {
 // through submit, queue, simulate and cache-write, and the trace
 // endpoint serves both the raw span view and a valid Chrome trace.
 func TestTraceSingleNode(t *testing.T) {
-	_, ts := newTestServer(t, Options{NodeName: "solo"})
+	_, ts := newTestServer(t, Options{})
 
 	const traceID = "svc-trace-test_0001"
 	body, _ := json.Marshal(JobSpec{App: "tomcatv", Arch: "SMT2"})
@@ -317,8 +365,8 @@ func TestTraceSingleNode(t *testing.T) {
 		}
 	}
 	for _, s := range doc.Spans {
-		if s.Node != "solo" {
-			t.Errorf("span %s on node %q, want solo (NodeName override)", s.Name, s.Node)
+		if s.Node != spanNode {
+			t.Errorf("span %s on node %q, want %q", s.Name, s.Node, spanNode)
 		}
 		if s.TraceID != traceID {
 			t.Errorf("span %s carries trace %q", s.Name, s.TraceID)
@@ -350,7 +398,7 @@ func TestTraceSingleNode(t *testing.T) {
 		}
 	}
 	if meta != 1 {
-		t.Errorf("%d process_name records, want 1 (single node)", meta)
+		t.Errorf("%d process_name records, want 1 (one process)", meta)
 	}
 	if complete != len(doc.Spans) {
 		t.Errorf("%d complete events, want %d", complete, len(doc.Spans))
@@ -362,111 +410,5 @@ func TestTraceSingleNode(t *testing.T) {
 	}
 	if _, status := getTraceSpans(t, ts.URL, "never-submitted"); status != http.StatusNotFound {
 		t.Errorf("unknown trace ID: status %d, want 404", status)
-	}
-}
-
-// TestTraceCrossNodeFabric is the fleet-tracing acceptance test: a job
-// submitted to the coordinator and simulated on a worker yields ONE
-// trace timeline — queried at the coordinator, which fans out to its
-// members — whose spans cover submit→dispatch on the coordinator and
-// submit→queue→simulate on the worker. The coordinator's fleet gauges
-// report the worker while it's at it.
-func TestTraceCrossNodeFabric(t *testing.T) {
-	coord := newFabricNode(t, Options{Coordinator: true})
-	wk := newFabricWorker(t, coord, Options{Workers: 1})
-	waitFor(t, "worker registered", func() bool {
-		return coord.srv.coordinator().memberCount() == 1
-	})
-
-	status, j, hdr := submit(t, coord.ts, JobSpec{App: "mgrid", Arch: "SMT2", Size: "test"})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: status %d, want 202", status)
-	}
-	traceID := hdr.Get(telemetry.TraceIDHeader)
-	if !telemetry.ValidTraceID(traceID) {
-		t.Fatalf("submit returned unusable trace ID %q", traceID)
-	}
-	if j = waitJob(t, coord.ts, j.ID); j.Status != StateDone {
-		t.Fatalf("job did not complete: %+v", j)
-	}
-	if simCount(coord) != 0 || simCount(wk) != 1 {
-		t.Fatalf("simulations coord=%d worker=%d, want 0/1 (coordinator routes, worker simulates)",
-			simCount(coord), simCount(wk))
-	}
-
-	// The dispatch span lands just after the job turns done; poll the
-	// merged timeline until both nodes' spans are visible.
-	var doc traceSpansDoc
-	perNode := func() map[string]map[string]int {
-		byNode := make(map[string]map[string]int)
-		for _, s := range doc.Spans {
-			if byNode[s.Node] == nil {
-				byNode[s.Node] = make(map[string]int)
-			}
-			byNode[s.Node][s.Name]++
-		}
-		return byNode
-	}
-	waitFor(t, "cross-node trace spans", func() bool {
-		var st int
-		if doc, st = getTraceSpans(t, coord.ts.URL, traceID); st != http.StatusOK {
-			return false
-		}
-		n := perNode()
-		return n["coordinator"]["dispatch"] > 0 && n[wk.URL()]["simulate"] > 0
-	})
-	byNode := perNode()
-	for _, want := range []string{"submit", "dispatch"} {
-		if byNode["coordinator"][want] == 0 {
-			t.Errorf("coordinator timeline is missing a %q span (have %v)", want, byNode["coordinator"])
-		}
-	}
-	for _, want := range []string{"submit", "queue", "simulate"} {
-		if byNode[wk.URL()][want] == 0 {
-			t.Errorf("worker timeline is missing a %q span (have %v)", want, byNode[wk.URL()])
-		}
-	}
-	for _, s := range doc.Spans {
-		if s.TraceID != traceID {
-			t.Errorf("span %s on %s carries trace %q, want %q", s.Name, s.Node, s.TraceID, traceID)
-		}
-	}
-
-	// The Chrome render of the merged timeline shows both processes.
-	resp, err := http.Get(coord.ts.URL + "/v1/trace/" + traceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chrome, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(chrome, &events); err != nil {
-		t.Fatalf("chrome trace is not a JSON array: %v", err)
-	}
-	procs := make(map[string]bool)
-	for _, ev := range events {
-		if ev["ph"] == "M" {
-			if args, ok := ev["args"].(map[string]any); ok {
-				procs[args["name"].(string)] = true
-			}
-		}
-	}
-	if !procs["coordinator"] || !procs[wk.URL()] {
-		t.Errorf("chrome trace processes = %v, want coordinator and %s", procs, wk.URL())
-	}
-
-	// Coordinator fleet gauges cover the registered worker.
-	body, _ := scrapeMetrics(t, coord.ts)
-	if v := metricValue(t, body, `clusterd_fleet_member_up{member="`+wk.URL()+`"}`); v != 1 {
-		t.Errorf("fleet_member_up for %s = %v, want 1", wk.URL(), v)
-	}
-	if v := metricValue(t, body, `clusterd_fleet_member_workers{member="`+wk.URL()+`"}`); v != 1 {
-		t.Errorf("fleet_member_workers for %s = %v, want 1", wk.URL(), v)
-	}
-	if v := metricValue(t, body, `clusterd_fabric_events_total{event="dispatched"}`); v != 1 {
-		t.Errorf(`fabric_events_total{event="dispatched"} = %v, want 1`, v)
 	}
 }

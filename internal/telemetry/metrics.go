@@ -7,7 +7,7 @@
 //
 // It complements internal/obs, which observes the *simulated* machine
 // (cycle-domain interval frames); this package observes the *serving*
-// system around it (wall-clock latencies, queue depths, fleet health).
+// system around it (wall-clock latencies, queue depths, cache health).
 // Like obs, it is strictly read-only with respect to results: nothing
 // here reaches the simulator, and the service differential test pins
 // that simulation output is bit-identical with telemetry on or off.
@@ -52,7 +52,7 @@ func (t MetricType) String() string {
 }
 
 // CollectorFunc emits samples at scrape time — the hook func-backed
-// families use to read live state (pool depths, fleet membership)
+// families use to read live state (pool depths, cache counters)
 // without double bookkeeping. labelValues must match the family's
 // label names in length and order.
 type CollectorFunc func(emit func(labelValues []string, value float64))
@@ -172,8 +172,9 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 }
 
 // CollectFunc registers a family whose full sample set (including its
-// label values) is produced at scrape time — the shape dynamic label
-// sets need: per-member fleet gauges, per-peer probe counters. typ must
+// label values) is produced at scrape time — the shape label sets
+// need when they are read, not declared: per-tier cache hits, the build
+// version. typ must
 // be TypeCounter or TypeGauge.
 func (r *Registry) CollectFunc(name, help string, typ MetricType, labelNames []string, fn CollectorFunc) {
 	if typ == TypeHistogram {

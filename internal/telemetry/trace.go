@@ -14,10 +14,9 @@ import (
 	"time"
 )
 
-// Trace IDs follow one job across nodes: generated at submission (or
-// accepted from an X-Trace-Id header), carried in the request context,
-// propagated on every fabric HTTP hop, and stamped on every span. They
-// are opaque tokens — no structure, no ordering.
+// Trace IDs follow one job: generated at submission (or accepted from
+// an X-Trace-Id header), carried in the request context and stamped on
+// every span. They are opaque tokens — no structure, no ordering.
 
 // TraceIDHeader is the HTTP header trace IDs ride in.
 const TraceIDHeader = "X-Trace-Id"
@@ -68,9 +67,7 @@ func TraceIDFrom(ctx context.Context) string {
 
 // Span is one completed, named interval of a traced job on one node.
 // Times are wall-clock unix microseconds — the unit Chrome trace_event
-// uses natively — so spans recorded on different nodes merge onto one
-// timeline without conversion (fleet nodes share a clock domain in the
-// deployments this targets; skew shows up as offset, never as error).
+// uses natively — so they render onto a timeline without conversion.
 type Span struct {
 	TraceID string            `json:"trace_id"`
 	Name    string            `json:"name"`

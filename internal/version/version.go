@@ -1,14 +1,11 @@
-// Package version carries the build identity every binary and fabric
-// node reports. Release builds stamp it via
+// Package version carries the build identity every binary reports
+// (-version) and clusterd exports (/healthz, clusterd_build_info).
+// Release builds stamp it via
 //
 //	go build -ldflags "-X clustersmt/internal/version.Version=v1.2.3"
 //
 // and unstamped builds fall back to "dev" plus whatever VCS metadata
-// the toolchain embedded. The fabric exchanges String() at worker
-// registration so fleet deployments can assert coordinator and workers
-// run the same build — a mismatch is logged on both ends rather than
-// rejected (results are content-addressed and versioned, so a skewed
-// fleet degrades to cache misses, never to wrong bytes).
+// the toolchain embedded.
 package version
 
 import (
