@@ -28,6 +28,7 @@
 package clustersmt
 
 import (
+	"errors"
 	"fmt"
 
 	"clustersmt/internal/config"
@@ -143,7 +144,9 @@ func Synthetic(spec SyntheticSpec) Workload { return workloads.Synthetic(spec) }
 func WorkloadByName(name string) (Workload, error) { return workloads.ByName(name) }
 
 // Simulate runs workload app on machine m at the given input size and
-// returns the result. app may be a name ("swim") or a Workload.
+// returns the result. app may be a name ("swim") or a Workload. Like
+// SimulateProgram and SimulateMultiprogram, it refuses the "oracle"
+// allocation policy, which needs a Suite's offline search.
 func Simulate[A string | Workload](m Machine, app A, size Size) (*Result, error) {
 	var w Workload
 	switch v := any(app).(type) {
@@ -156,8 +159,18 @@ func Simulate[A string | Workload](m Machine, app A, size Size) (*Result, error)
 	case Workload:
 		w = v
 	}
-	p := w.Build(m.Threads(), m.Chips, size)
-	sim, err := core.New(m, p)
+	return run(m, func() (*core.Simulator, error) { return core.New(m, w.Build(m.Threads(), m.Chips, size)) })
+}
+
+// run builds m's simulator with mk and runs it. It refuses the oracle
+// policy, whose assignment comes from an offline search that a single
+// run does not do: without it the run would silently be the static one.
+func run(m Machine, mk func() (*core.Simulator, error)) (*Result, error) {
+	if m.Alloc.Policy == "oracle" {
+		return nil, errors.New(`clustersmt: the "oracle" policy needs its offline search: ` +
+			`use a Suite (harness.Suite) with AllocPolicy "oracle", or clustersim -alloc oracle`)
+	}
+	sim, err := mk()
 	if err != nil {
 		return nil, fmt.Errorf("clustersmt: %w", err)
 	}
@@ -179,11 +192,7 @@ func NewProgram(name string) *ProgramBuilder { return prog.NewBuilder(name) }
 // SimulateProgram runs an assembled program on machine m with one
 // software thread per hardware context.
 func SimulateProgram(m Machine, p *Program) (*Result, error) {
-	sim, err := core.New(m, p)
-	if err != nil {
-		return nil, fmt.Errorf("clustersmt: %w", err)
-	}
-	return sim.Run()
+	return run(m, func() (*core.Simulator, error) { return core.New(m, p) })
 }
 
 // SimulateMultiprogram runs independent sequential jobs, one per
@@ -191,11 +200,7 @@ func SimulateProgram(m Machine, p *Program) (*Result, error) {
 // multiprogrammed configuration of the SMT studies the paper builds on.
 // Programs should be built for a single thread.
 func SimulateMultiprogram(m Machine, jobs []*Program) (*Result, error) {
-	sim, err := core.NewMulti(m, jobs)
-	if err != nil {
-		return nil, fmt.Errorf("clustersmt: %w", err)
-	}
-	return sim.Run()
+	return run(m, func() (*core.Simulator, error) { return core.NewMulti(m, jobs) })
 }
 
 // RunFunctional executes p on the functional reference machine (no

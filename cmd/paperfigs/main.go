@@ -27,7 +27,6 @@ import (
 
 	"clustersmt"
 	"clustersmt/internal/config"
-	"clustersmt/internal/harness"
 	"clustersmt/internal/isa"
 	"clustersmt/internal/model"
 	"clustersmt/internal/version"
@@ -181,7 +180,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if sel("alloc") {
-		fig, err := harness.AllocationFigure(ctx, size, *allocEpoch)
+		fig, err := suite.AllocationFigure(ctx, *allocEpoch)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,12 +23,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"runtime"
 	"strings"
-	"sync"
 
 	"clustersmt"
 	"clustersmt/internal/alloc"
@@ -80,58 +80,35 @@ func main() {
 	caps := []int{1, 2, 4, 0} // 0 = all 8 contexts
 	chains := []int{0, 2, 4, 8}
 
-	// Launch the whole grid up front; the suite's semaphore bounds the
-	// real concurrency and its singleflight deduplicates any cell/arch
-	// pairs that resolve to the same physical run (e.g. FA8 and SMT8
-	// both in -archs).
-	type point struct {
-		chain, parCap int
-		arch          string
-	}
-	cycles := make(map[point]int64)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	// The suite's semaphore bounds the real concurrency of the grid and
+	// its singleflight deduplicates any cell/arch pairs that resolve to
+	// the same physical run (e.g. FA8 and SMT8 both in -archs).
+	var grid []clustersmt.Workload
 	for _, ch := range chains {
 		for _, cp := range caps {
-			spec := clustersmt.SyntheticSpec{
+			grid = append(grid, clustersmt.Synthetic(clustersmt.SyntheticSpec{
 				ParCap:      cp,
 				ChainLen:    ch,
 				IndepOps:    6 - min(6, ch),
 				Iters:       2048,
 				WarmupIters: *warmupIters,
-			}
-			w := clustersmt.Synthetic(spec)
-			for _, a := range archs {
-				wg.Add(1)
-				go func(ch, cp int, a clustersmt.Arch) {
-					defer wg.Done()
-					res, err := suite.Run(w, a, false)
-					if err != nil {
-						log.Fatal(err)
-					}
-					mu.Lock()
-					cycles[point{ch, cp, a.Name}] = res.Cycles
-					mu.Unlock()
-				}(ch, cp, a)
-			}
+			}))
 		}
 	}
-	wg.Wait()
+	res, err := suite.RunMatrixContext(context.Background(), grid, archs, false)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Winners resolve deterministically after the fact: fewest cycles,
 	// -archs order breaking ties (the old sequential behavior).
-	type cell struct{ chain, parCap int }
-	winners := make(map[cell]string)
-	for _, ch := range chains {
-		for _, cp := range caps {
-			best, bestCycles := "", int64(0)
-			for _, a := range archs {
-				c := cycles[point{ch, cp, a.Name}]
-				if best == "" || c < bestCycles {
-					best, bestCycles = a.Name, c
-				}
+	winners := make([]string, len(grid)) // chain-major, like grid
+	for i, w := range grid {
+		bestCycles := int64(0)
+		for _, a := range archs {
+			if c := res[w.Name][a.Name].Cycles; winners[i] == "" || c < bestCycles {
+				winners[i], bestCycles = a.Name, c
 			}
-			winners[cell{ch, cp}] = best
 		}
 	}
 
@@ -145,11 +122,11 @@ func main() {
 		fmt.Printf("%10s", label)
 	}
 	fmt.Println()
-	for _, ch := range chains {
+	for i, ch := range chains {
 		label := fmt.Sprintf("chain=%d (ILP~%s)", ch, ilpLabel(ch))
 		fmt.Printf("%-18s", label)
-		for _, cp := range caps {
-			fmt.Printf("%10s", winners[cell{ch, cp}])
+		for _, w := range winners[i*len(caps) : (i+1)*len(caps)] {
+			fmt.Printf("%10s", w)
 		}
 		fmt.Println()
 	}

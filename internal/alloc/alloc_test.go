@@ -213,24 +213,6 @@ func TestSymbiosisRebalance(t *testing.T) {
 	}
 }
 
-func TestOraclePlace(t *testing.T) {
-	infos := grid(1, 2, 4)
-	fixed := []int{1, 1, 0, 0}
-	o := &Oracle{Assignment: fixed}
-	got := o.Place(4, infos)
-	if !reflect.DeepEqual(got, fixed) {
-		t.Fatalf("Place = %v, want the fixed assignment %v", got, fixed)
-	}
-	got[0] = 0 // callers own the returned slice
-	if o.Assignment[0] != 1 {
-		t.Fatal("Place aliased the oracle's stored assignment")
-	}
-	// Wrong arity degrades to the seed placement.
-	if got := o.Place(8, infos); !reflect.DeepEqual(got, StaticPlace(8, infos)) {
-		t.Fatalf("arity mismatch: got %v, want seed placement", got)
-	}
-}
-
 // TestRebalanceDeterminism pins the contract the core's run
 // determinism depends on: equal snapshots yield equal proposals.
 func TestRebalanceDeterminism(t *testing.T) {

@@ -20,8 +20,8 @@ func init() {
 		func() Allocator { return ICount{} })
 	Register("symbiosis", "separate cache-antagonistic threads across chips using L1/L2 miss and MSHR-occupancy deltas",
 		func() Allocator { return Symbiosis{} })
-	Register("oracle", "best static assignment found by exhaustively profiling a short prefix (upper bound; no migrations)",
-		func() Allocator { return &Oracle{} })
+	Register("oracle", "best of the first 64 canonical static assignments, each profiled over a short prefix (exhaustive only where there are at most 64; no migrations)",
+		func() Allocator { return Oracle{} })
 }
 
 // Static is today's behavior: the seed placement, no migrations.
@@ -34,24 +34,13 @@ func (Static) Place(threads int, clusters []ClusterInfo) []int {
 func (Static) Rebalance(*Snapshot) []Migration { return nil }
 func (Static) Dynamic() bool                   { return false }
 
-// Oracle replays a fixed assignment found offline (core.SearchStatic
-// profiles every canonical static assignment over a prefix and keeps
-// the best). With no Assignment it degrades to the seed placement.
-type Oracle struct {
-	Assignment []int
-}
+// Oracle is Static under its own name. The oracle's assignment is
+// found offline (core.SearchStatic) and installed with
+// core.Simulator.SetAssignment before the run, so the policy itself
+// seeds and never migrates.
+type Oracle struct{ Static }
 
-func (*Oracle) Name() string { return "oracle" }
-func (o *Oracle) Place(threads int, clusters []ClusterInfo) []int {
-	if len(o.Assignment) == threads {
-		out := make([]int, threads)
-		copy(out, o.Assignment)
-		return out
-	}
-	return StaticPlace(threads, clusters)
-}
-func (*Oracle) Rebalance(*Snapshot) []Migration { return nil }
-func (*Oracle) Dynamic() bool                   { return false }
+func (Oracle) Name() string { return "oracle" }
 
 // pickVictim chooses which thread to move off cluster src: the live,
 // unblocked thread with the least epoch progress (it has the least

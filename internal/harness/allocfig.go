@@ -3,13 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 
 	"clustersmt/internal/config"
 	"clustersmt/internal/core"
-	"clustersmt/internal/prog"
 	"clustersmt/internal/workloads"
 )
 
@@ -34,7 +32,6 @@ type AllocCell struct {
 	Policy     string
 	Cycles     int64
 	Migrations uint64 // accepted thread migrations (dynamic policies)
-	Epochs     uint64 // epoch boundaries evaluated
 }
 
 // AllocRow is one machine's line: the same multiprogrammed mix run
@@ -52,22 +49,6 @@ type AllocFigure struct {
 	Title    string
 	Policies []string
 	Rows     []AllocRow
-}
-
-// Get returns the cell for (machine, policy); it panics on unknown
-// names (the figure is built internally with fixed sets).
-func (f *AllocFigure) Get(machine, policy string) AllocCell {
-	for _, r := range f.Rows {
-		if r.Machine != machine {
-			continue
-		}
-		for _, c := range r.Cells {
-			if c.Policy == policy {
-				return c
-			}
-		}
-	}
-	panic(fmt.Sprintf("harness: allocation figure has no cell (%s, %s)", machine, policy))
 }
 
 // Render formats the figure: one line per machine, cycles to
@@ -110,30 +91,28 @@ var allocMix = []func() workloads.Workload{
 	workloads.Ocean, workloads.Fmm, workloads.Swim, workloads.Tomcatv,
 }
 
-// allocMixJobs builds the mix for a machine with the given number of
+// allocMixJobs is the mix for a machine with the given number of
 // hardware contexts: half the contexts get a job (minimum two, capped
 // at the context count), leaving slack capacity for migration.
-func allocMixJobs(contexts int, size workloads.Size) []*prog.Program {
-	n := contexts / 2
-	if n < 2 {
-		n = 2
+func allocMixJobs(contexts int, size workloads.Size) mix {
+	x := mix{jobs: make([]workloads.Workload, min(max(contexts/2, 2), contexts)), size: size}
+	names := make([]string, len(x.jobs))
+	for i := range x.jobs {
+		x.jobs[i] = allocMix[i%len(allocMix)]()
+		names[i] = x.jobs[i].Name
 	}
-	if n > contexts {
-		n = contexts
-	}
-	jobs := make([]*prog.Program, n)
-	for i := range jobs {
-		jobs[i] = allocMix[i%len(allocMix)]().Build(1, 1, size)
-	}
-	return jobs
+	x.name = strings.Join(names, "+")
+	return x
 }
 
 // AllocationFigure measures the dynamic allocation policies against
-// the static bounds on a multiprogrammed mix, across all seven Table 2
-// presets on both the low-end and high-end machines. epoch <= 0 uses
-// allocFigEpoch. The whole figure is deterministic: rendering it twice
-// produces byte-identical output.
-func AllocationFigure(ctx context.Context, size workloads.Size, epoch int64) (*AllocFigure, error) {
+// the static bounds on a multiprogrammed mix at the suite's input size,
+// across all seven Table 2 presets on both the low-end and high-end
+// machines. epoch <= 0 uses allocFigEpoch. Every search and run goes
+// through the suite's memo, so a second render runs nothing. The whole
+// figure is deterministic: rendering it twice produces byte-identical
+// output.
+func (s *Suite) AllocationFigure(ctx context.Context, epoch int64) (*AllocFigure, error) {
 	if epoch <= 0 {
 		epoch = allocFigEpoch
 	}
@@ -146,84 +125,46 @@ func AllocationFigure(ctx context.Context, size workloads.Size, epoch int64) (*A
 	for _, arch := range config.AllArchs {
 		machines = append(machines, config.LowEnd(arch), config.HighEnd(arch))
 	}
-	// Rows are independent simulations; run them concurrently and
-	// assemble in fixed machine order, so the rendered figure is
-	// byte-identical regardless of scheduling.
-	rows := make([]*AllocRow, len(machines))
-	errs := make([]error, len(machines))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, m := range machines {
-		wg.Add(1)
-		go func(i int, m config.Machine) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			rows[i], errs[i] = allocRow(ctx, m, size, epoch)
-		}(i, m)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		f.Rows = append(f.Rows, *rows[i])
+	// Rows are assembled in fixed machine order, so the rendered figure
+	// is byte-identical regardless of scheduling.
+	f.Rows = make([]AllocRow, len(machines))
+	if err := each(len(machines), func(i int) (err error) {
+		f.Rows[i], err = s.allocRow(ctx, machines[i], epoch)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
 // allocRow measures one machine: search the static assignment space
 // once for the best/worst bounds, then run the mix under each policy
-// column.
-func allocRow(ctx context.Context, m config.Machine, size workloads.Size, epoch int64) (*AllocRow, error) {
-	jobs := allocMixJobs(m.Threads(), size)
-	mk := func() (*core.Simulator, error) {
-		sim, err := core.NewMulti(m, jobs)
-		if err != nil {
-			return nil, err
-		}
-		sim.Interrupt = ctx.Done()
-		return sim, nil
-	}
-	best, worst, err := core.SearchStatic(mk, core.SearchPrefixCycles, core.SearchMaxCandidates)
+// column. Columns that resolve to one run (worst and oracle when the
+// search finds one assignment for both) share it through the memo.
+func (s *Suite) allocRow(ctx context.Context, m config.Machine, epoch int64) (AllocRow, error) {
+	x := allocMixJobs(m.Threads(), s.Size)
+	progs := sync.OnceValue(x.progs) // one build, read-only to every candidate
+	best, worst, err := s.search(ctx, x.key(m, nil), func() (*core.Simulator, error) { return core.NewMulti(m, progs()) })
 	if err != nil {
-		return nil, fmt.Errorf("harness: alloc figure %s: search: %w", m.Name, err)
+		return AllocRow{}, fmt.Errorf("harness: alloc figure %s: search: %w", m.Name, err)
 	}
-	row := &AllocRow{Machine: m.Name, Jobs: len(jobs)}
+	row := AllocRow{Machine: m.Name, Jobs: len(x.jobs)}
 	for _, pol := range AllocPolicies {
-		pm := m
-		var start []int
+		pm, start := m, worst
 		switch pol {
 		case "static":
-			// Seed placement, no allocator — the reference column.
+			start = nil // seed placement, no allocator: the reference column
 		case "worst":
-			start = worst
 		case "oracle":
 			start = best
 		default:
 			pm.Alloc = config.AllocConfig{Policy: pol, Epoch: epoch}
-			start = worst
 		}
-		sim, err := core.NewMulti(pm, jobs)
+		r, err := s.runMulti(ctx, pm, x, start)
 		if err != nil {
-			return nil, fmt.Errorf("harness: alloc figure %s/%s: %w", m.Name, pol, err)
+			return AllocRow{}, err
 		}
-		if start != nil {
-			if err := sim.SetAssignment(start); err != nil {
-				return nil, fmt.Errorf("harness: alloc figure %s/%s: %w", m.Name, pol, err)
-			}
-		}
-		sim.Interrupt = ctx.Done()
-		r, err := sim.Run()
-		if err != nil {
-			return nil, fmt.Errorf("harness: alloc figure %s/%s: %w", m.Name, pol, err)
-		}
-		row.Cells = append(row.Cells, AllocCell{
-			Policy:     pol,
-			Cycles:     r.Cycles,
-			Migrations: r.AllocMigrations,
-			Epochs:     r.AllocEpochs,
-		})
+		row.Cells = append(row.Cells, AllocCell{Policy: pol, Cycles: r.Cycles, Migrations: r.AllocMigrations})
 	}
 	return row, nil
 }

@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +180,22 @@ func TestRunMatrixConcurrentCallers(t *testing.T) {
 	for _, app := range []string{"swim", "vpenta"} {
 		if raw[0][app]["FA8"] != raw[0][app]["SMT8"] {
 			t.Fatalf("%s: FA8 and SMT8 did not share a cached run", app)
+		}
+	}
+}
+
+// TestRunMatrixLowestIndexError pins which error a matrix reports
+// when several cells fail: the first failing cell's in app-major order,
+// however the cells happen to finish. Under a 100-cycle bound every
+// cell fails; a fresh suite per repetition re-runs them all.
+func TestRunMatrixLowestIndexError(t *testing.T) {
+	apps, archs := workloads.All(), FAFigureArchs
+	want := fmt.Sprintf("harness: %s on %s: ", apps[0].Name, config.LowEnd(archs[0]).Name)
+	for range 20 {
+		s := NewSuite(workloads.SizeTest)
+		s.MaxCycles = 100
+		if _, err := s.RunMatrixContext(context.Background(), apps, archs, false); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("matrix error %v; want the one of %s", err, want)
 		}
 	}
 }

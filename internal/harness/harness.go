@@ -9,6 +9,7 @@
 package harness
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -46,7 +47,11 @@ var SMTFigureArchs = []config.Arch{config.SMT8, config.SMT4, config.SMT2, config
 type StoreFunc func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error)
 
 type runKey struct {
+	// app is the workload, or a multiprogrammed mix's job names in
+	// order; start is "" for a single-program run, and a mix's installed
+	// start assignment ("seed" for the seed placement) otherwise.
 	app      string
+	start    string
 	clusters int
 	issue    int
 	tpc      int
@@ -215,14 +220,16 @@ type Suite struct {
 	// simulation's critical path).
 	OnFrame func(app, machine string, f obs.Frame)
 
-	// Store, when non-nil, stands between the singleflight owner of each
-	// uncached run and its simulation: the one place a run may be
-	// answered without simulating, and the one place every simulated
-	// result passes through on its way out (the serving subsystem backs
-	// it with its two-tier result cache, so figure cells and jobs share
-	// entries and a restarted daemon serves figures from disk). What the
-	// hook returns is the run's outcome, memoized exactly like a local
-	// simulation's (so a stored answer is still deduplicated across
+	// Store, when non-nil, stands between the singleflight owner of
+	// each uncached single-program run and its simulation: the one place
+	// a run may be answered without simulating, and the one place every
+	// single-program run's result passes through on its way out (the
+	// serving subsystem backs it with its two-tier result cache, so
+	// figure cells and jobs share entries and a restarted daemon serves
+	// figures from disk). Multiprogrammed runs (the allocation figure)
+	// skip it: its (app, arch, highEnd) signature cannot name a mix. What
+	// the hook returns is the run's outcome, memoized exactly like a
+	// local simulation's (so a stored answer is still deduplicated across
 	// overlapping figures, and a cancellation follows the cancel-retry
 	// path). Because the hook runs on the owner side of the
 	// singleflight, a burst of identical requests costs one lookup, and
@@ -258,6 +265,9 @@ type Suite struct {
 
 	flight[runKey, *core.Result] // the result cache: mu and cache
 	sem                          chan struct{}
+	// searched memoizes static-assignment searches by the key of the
+	// run searched, the seed placement under the static policy.
+	searched flight[runKey, [2][]int]
 	// rings holds each memoized run's retained frames, under the result
 	// cache's mu: a ring goes when its memo entry goes.
 	rings map[runKey]runRing
@@ -288,6 +298,7 @@ func NewSuite(size workloads.Size) *Suite {
 	}
 	s.max = maxResults
 	s.forgot = func(k runKey) { delete(s.rings, k) }
+	s.searched.max = maxResults
 	s.warm.max = maxWarmParents
 	return s
 }
@@ -351,9 +362,28 @@ func canceled(err error) bool {
 func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
 	m := s.machine(arch, highEnd)
 	k := key(app.Name, arch, m.Chips, m.Alloc.Normalize())
-	named := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", app.Name, m.Name, err) }
+	return s.memo(ctx, k, app.Name, m.Name, func() (*core.Result, error) { return s.runShared(ctx, k, app, arch, highEnd, m) })
+}
+
+// runShared is the owner side of RunContext's singleflight: it hands
+// the run to the Store hook, when there is one — ahead of the
+// semaphore, so a stored answer never holds a simulation slot — with
+// the local path as the simulation the hook may call. (A function of
+// its own, so that a memo hit does not move m to the heap.)
+func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (*core.Result, error) {
+	if s.Store == nil {
+		return s.runOwned(ctx, k, app, m)
+	}
+	return s.Store(ctx, app.Name, arch, highEnd, func() (*core.Result, error) { return s.runOwned(ctx, k, app, m) })
+}
+
+// memo is the one route of every run: fn is the owner side of k's
+// singleflight in the result memo, and every error names the run (app
+// on machine), once.
+func (s *Suite) memo(ctx context.Context, k runKey, app, machine string, fn func() (*core.Result, error)) (*core.Result, error) {
+	named := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", app, machine, err) }
 	res, err := s.do(ctx, k, func() (*core.Result, error) {
-		res, err := s.runShared(ctx, k, app, arch, highEnd, m)
+		res, err := fn()
 		if err != nil {
 			// Named here so the memo holds, and every later caller gets,
 			// the one error value.
@@ -369,91 +399,166 @@ func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch con
 	return res, err
 }
 
-// runShared is the owner half of RunContext's singleflight: it hands
-// the run to the Store hook, when there is one — ahead of the
-// semaphore, so a stored answer never holds a simulation slot — with
-// the local path as the simulation the hook may call.
-func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (*core.Result, error) {
-	if s.Store == nil {
-		return s.runOwned(ctx, k, app, m)
+// runOwned simulates a single-program run, the local path of
+// runShared. Under the oracle policy it first searches the same run's
+// static assignments (Suite.search) and installs the best.
+func (s *Suite) runOwned(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (*core.Result, error) {
+	p := sync.OnceValue(func() *prog.Program { return app.Build(m.Threads(), m.Chips, s.Size) })
+	var start []int
+	if k.policy == "oracle" {
+		sm := m
+		sm.Alloc = config.AllocConfig{}
+		best, _, err := s.search(ctx, key(app.Name, m.Arch, m.Chips, sm.Alloc), func() (*core.Simulator, error) { return core.New(sm, p()) })
+		if err != nil {
+			return nil, fmt.Errorf("oracle search: %w", err)
+		}
+		start = best
 	}
-	return s.Store(ctx, app.Name, arch, highEnd, func() (*core.Result, error) { return s.runOwned(ctx, k, app, m) })
+	return s.simulate(ctx, k, app.Name, m.Name, m.Chips > 1, start, func() (*core.Simulator, error) {
+		if k.policy == "" {
+			// Warmed checkpoints are shared across runs with identical
+			// machine hashes under the seed placement; a non-static
+			// policy changes placement (and thus warm-up) itself, so
+			// those runs always start cold.
+			if sim, err := s.warmStart(ctx, m, p()); sim != nil || err != nil {
+				return sim, err
+			}
+		}
+		return core.New(m, p())
+	})
 }
 
-// runOwned acquires a semaphore slot and simulates; it is the owner
-// half of RunContext's singleflight.
-func (s *Suite) runOwned(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (*core.Result, error) {
+// mix is a multiprogrammed workload: single-thread jobs, in order, at
+// one input size, named by their names joined by "+".
+type mix struct {
+	name string
+	jobs []workloads.Workload
+	size workloads.Size
+}
+
+// progs builds the mix's programs. Every run and search builds its own
+// on its simulation slot (a 16-job ref-size mix builds in under a
+// millisecond), so the rows of a figure waiting for a slot hold none.
+func (x mix) progs() []*prog.Program {
+	progs := make([]*prog.Program, len(x.jobs))
+	for i, w := range x.jobs {
+		progs[i] = w.Build(1, 1, x.size)
+	}
+	return progs
+}
+
+// key is the memo key of x on m from the start assignment, written
+// "0-2-1-3", or "seed" for nil, the seed placement.
+func (x mix) key(m config.Machine, start []int) runKey {
+	k := key(x.name, m.Arch, m.Chips, m.Alloc.Normalize())
+	k.start = cmp.Or(strings.Trim(strings.ReplaceAll(fmt.Sprint(start), " ", "-"), "[]"), "seed")
+	return k
+}
+
+// runMulti runs the mix x on m, from start when it is not nil, through
+// the machinery of RunContext: the result memo and its singleflight, a
+// semaphore slot, the suite's per-run settings and frames, OnSimulate,
+// cancellation and panic recovery. It skips Store. The run is named
+// "jobs@machine/policy-e<epoch>/start", one name per key.
+func (s *Suite) runMulti(ctx context.Context, m config.Machine, x mix, start []int) (*core.Result, error) {
+	k := x.key(m, start)
+	machine := fmt.Sprintf("%s/%s-e%d/%s", m.Name, cmp.Or(k.policy, "static"), k.epoch, k.start)
+	return s.memo(ctx, k, x.name, machine, func() (*core.Result, error) {
+		return s.simulate(ctx, k, x.name, machine, m.Chips > 1, start, func() (*core.Simulator, error) {
+			return core.NewMulti(m, x.progs())
+		})
+	})
+}
+
+// search returns the best and worst static assignments of the run k
+// names, by core.SearchStatic at its standard budget over simulators
+// mk builds, memoized like a run: the oracle policy and the allocation
+// figure search each (workload, machine) once. A search holds one
+// simulation slot while SearchStatic's own workers score its
+// candidates, so searches are bounded like runs.
+func (s *Suite) search(ctx context.Context, k runKey, mk func() (*core.Simulator, error)) (best, worst []int, err error) {
+	v, err := s.searched.do(ctx, k, func() ([2][]int, error) {
+		if err := s.acquire(ctx); err != nil {
+			return [2][]int{}, err
+		}
+		defer s.release()
+		best, worst, err := core.SearchStatic(func() (*core.Simulator, error) {
+			sim, err := mk()
+			if err == nil {
+				sim.Interrupt = ctx.Done()
+			}
+			return sim, err
+		}, core.SearchPrefixCycles, core.SearchMaxCandidates)
+		if err != nil && ctx.Err() != nil {
+			return [2][]int{}, ctx.Err()
+		}
+		return [2][]int{best, worst}, err
+	})
+	return v[0], v[1], err
+}
+
+// acquire takes one of the suite's simulation slots, or fails with
+// ctx's error; release gives it back.
+func (s *Suite) acquire(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
-	defer func() { <-s.sem }()
-	return s.simulate(ctx, k, app, m)
 }
+
+func (s *Suite) release() { <-s.sem }
 
 // arm applies the suite's per-run settings to a simulator about to run:
 // the cycle bound, the caller's cancellation and, with sampling on, the
-// frame ring it returns (nil otherwise). A forked child (fresh=false)
-// already carries the warmed parent's sampler — warm-up frames
-// included, so its ring matches a scratch run's — and re-enabling would
-// reset the sampling phase mid-run.
-func (s *Suite) arm(ctx context.Context, sim *core.Simulator, fresh bool) *obs.Ring {
+// frame ring it returns (nil otherwise). A forked child already carries
+// the warmed parent's sampler — warm-up frames included, so its ring
+// matches a scratch run's — and re-enabling would reset the sampling
+// phase mid-run.
+func (s *Suite) arm(ctx context.Context, sim *core.Simulator) *obs.Ring {
 	if s.MaxCycles > 0 {
 		sim.MaxCycles = s.MaxCycles
 	}
 	sim.Interrupt = ctx.Done()
-	switch {
-	case s.MetricsInterval <= 0 && s.OnFrame == nil:
+	if s.MetricsInterval <= 0 && s.OnFrame == nil {
 		return nil
-	case fresh:
-		return sim.EnableMetrics(s.MetricsInterval, s.MetricsRingCap)
 	}
-	return sim.Metrics()
+	if ring := sim.Metrics(); ring != nil {
+		return ring
+	}
+	return sim.EnableMetrics(s.MetricsInterval, s.MetricsRingCap)
 }
 
-// simulate performs one uncached simulation, starting from a shared
-// warmed checkpoint when warm-up sharing is enabled and applicable
-// (see warmup.go) and from cycle zero otherwise.
-func (s *Suite) simulate(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (*core.Result, error) {
-	p := app.Build(m.Threads(), m.Chips, s.Size)
-	var sim *core.Simulator
-	var err error
-	pol := m.Alloc.Normalize().Policy
-	if pol == "" {
-		// Warmed checkpoints are shared across runs with identical
-		// machine hashes under the seed placement; a non-static policy
-		// changes placement (and thus warm-up) itself, so those runs
-		// always start cold.
-		if sim, err = s.warmStart(ctx, m, p); err != nil {
-			return nil, err
-		}
+// simulate performs one uncached simulation on a semaphore slot: build
+// makes the simulator, start (when not nil) is installed on it, and
+// simulate arms it, retains its frames as "app@machine", runs it and
+// reports it to OnSimulate.
+func (s *Suite) simulate(ctx context.Context, k runKey, app, machine string, highEnd bool, start []int, build func() (*core.Simulator, error)) (*core.Result, error) {
+	if err := s.acquire(ctx); err != nil {
+		return nil, err
 	}
-	warmed := sim != nil
-	if !warmed {
-		if sim, err = core.New(m, p); err != nil {
-			return nil, err
-		}
-		if pol == "oracle" {
-			if err := s.oracleAssign(ctx, sim, m, p); err != nil {
-				return nil, fmt.Errorf("oracle search: %w", err)
-			}
-		}
+	defer s.release()
+	sim, err := build()
+	if err == nil && start != nil {
+		err = sim.SetAssignment(start)
 	}
-	if ring := s.arm(ctx, sim, !warmed); ring != nil {
+	if err != nil {
+		return nil, err
+	}
+	if ring := s.arm(ctx, sim); ring != nil {
 		if s.OnFrame != nil {
-			appName, machine := app.Name, m.Name
-			sim.OnInterval(func(f obs.Frame) { s.OnFrame(appName, machine, f) })
+			sim.OnInterval(func(f obs.Frame) { s.OnFrame(app, machine, f) })
 		}
 		s.mu.Lock()
-		s.rings[k] = runRing{app.Name + "@" + m.Name, ring}
+		s.rings[k] = runRing{app + "@" + machine, ring}
 		s.mu.Unlock()
 	}
 	s.sims.Add(1)
 	t0 := time.Now()
 	r, err := sim.Run()
 	if s.OnSimulate != nil {
-		s.OnSimulate(ctx, app.Name, m.Name, m.Chips > 1, time.Since(t0), err)
+		s.OnSimulate(ctx, app, machine, highEnd, time.Since(t0), err)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrInterrupted) && ctx.Err() != nil {
@@ -467,30 +572,6 @@ func (s *Suite) simulate(ctx context.Context, k runKey, app workloads.Workload, 
 	s.allocMigrations.Add(int64(r.AllocMigrations))
 	s.allocEpochs.Add(int64(r.AllocEpochs))
 	return r, nil
-}
-
-// oracleAssign replaces sim's seed placement with the best static
-// assignment found by profiling every canonical assignment of the same
-// workload for a short prefix under the static policy
-// (core.SearchStatic, at its standard budget). The throwaway search
-// simulators run sim's own program p — built once, shared read-only —
-// concurrently, and all abort with ctx.
-func (s *Suite) oracleAssign(ctx context.Context, sim *core.Simulator, m config.Machine, p *prog.Program) error {
-	sm := m
-	sm.Alloc = config.AllocConfig{}
-	mk := func() (*core.Simulator, error) {
-		probe, err := core.New(sm, p)
-		if err != nil {
-			return nil, err
-		}
-		probe.Interrupt = ctx.Done()
-		return probe, nil
-	}
-	best, _, err := core.SearchStatic(mk, core.SearchPrefixCycles, core.SearchMaxCandidates)
-	if err != nil {
-		return err
-	}
-	return sim.SetAssignment(best)
 }
 
 // Simulations returns how many simulations this suite actually ran on
@@ -557,47 +638,50 @@ func (s *Suite) WriteMetricsJSON(w io.Writer, run string) error {
 // RunMatrixContext runs every (app × arch) pair concurrently and
 // returns the results indexed [app][arch.Name]. Once ctx is done,
 // in-flight simulations abort promptly and the matrix returns the
-// cancellation error. It is safe for concurrent callers — overlapping
-// matrices share cached runs through the singleflight.
+// cancellation error. When cells fail, the error is the first failing
+// cell's in app-major order, whatever the schedule. It is safe for
+// concurrent callers — overlapping matrices share cached runs through
+// the singleflight.
 func (s *Suite) RunMatrixContext(ctx context.Context, apps []workloads.Workload, archs []config.Arch, highEnd bool) (map[string]map[string]*core.Result, error) {
-	type item struct {
-		app  workloads.Workload
-		arch config.Arch
+	res := make([]*core.Result, len(apps)*len(archs))
+	err := each(len(res), func(i int) (err error) {
+		res[i], err = s.RunContext(ctx, apps[i/len(archs)], archs[i%len(archs)], highEnd)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	var items []item
+	out := make(map[string]map[string]*core.Result, len(apps))
 	for _, a := range apps {
-		for _, ar := range archs {
-			items = append(items, item{a, ar})
-		}
+		out[a.Name] = make(map[string]*core.Result, len(archs))
 	}
-	out := make(map[string]map[string]*core.Result)
-	for _, a := range apps {
-		out[a.Name] = make(map[string]*core.Result)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for _, it := range items {
-		wg.Add(1)
-		go func(it item) {
-			defer wg.Done()
-			r, err := s.RunContext(ctx, it.app, it.arch, highEnd)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			out[it.app.Name][it.arch.Name] = r
-		}(it)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for i, r := range res {
+		out[apps[i/len(archs)].Name][archs[i%len(archs)].Name] = r
 	}
 	return out, nil
+}
+
+// each calls fn(0) … fn(n-1) concurrently and waits for them all. Of
+// the calls that fail it returns the lowest index's error, so the error
+// a caller sees depends on its inputs, not on the schedule (the rule
+// core.SearchStatic follows for its candidates).
+func each(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Row is one bar of a figure: an (app, arch) cell.

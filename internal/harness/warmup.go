@@ -121,7 +121,7 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 	// their rings match a scratch run's byte for byte. The heartbeat
 	// callback is per-child and registered after the fork; the shared
 	// warm-up phase itself emits no heartbeat.
-	s.arm(ctx, sim, true)
+	s.arm(ctx, sim)
 	if err := sim.RunTo(w); err != nil {
 		return nil
 	}
