@@ -24,8 +24,7 @@
 //	clusterd [-addr :8421] [-size ref] [-workers N] [-queue N]
 //	         [-alloc icount] [-alloc-epoch N] [-list-policies]
 //	         [-cache-dir DIR] [-cache-entries N] [-max-cycles N]
-//	         [-warmup-cycles N] [-metrics-interval N] [-metrics-ring N]
-//	         [-port-file PATH]
+//	         [-warmup-cycles N] [-metrics-interval N] [-port-file PATH]
 //	         [-drain-timeout 30s] [-telemetry=false] [-pprof] [-version]
 package main
 
@@ -41,7 +40,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -81,7 +79,6 @@ func main() {
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off; persisted under -cache-dir)")
 	metricsInterval := flag.Int64("metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
-	metricsRing := flag.Int("metrics-ring", 0, "retained metrics frames per run (0 = default)")
 	portFile := flag.String("port-file", "", "write the bound port to this file once listening")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain running jobs at shutdown")
 	telemetry := flag.Bool("telemetry", true, "serve OpenMetrics at /metrics and job traces at /v1/trace/{id}")
@@ -104,13 +101,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	size := workloads.SizeRef
-	switch strings.ToLower(*sizeName) {
-	case "ref":
-	case "test":
-		size = workloads.SizeTest
-	default:
-		log.Fatalf("unknown size %q (want test or ref)", *sizeName)
+	size, err := workloads.ParseSize(*sizeName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	svc, err := service.New(service.Options{
@@ -124,7 +117,6 @@ func main() {
 		AllocPolicy:     *allocPolicy,
 		AllocEpoch:      *allocEpoch,
 		MetricsInterval: *metricsInterval,
-		MetricsRingCap:  *metricsRing,
 
 		DisableTelemetry: !*telemetry,
 	})

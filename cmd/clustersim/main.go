@@ -8,8 +8,12 @@
 //	clustersim [-arch SMT2] [-app ocean] [-highend] [-size ref] [-v]
 //	           [-alloc icount] [-alloc-epoch 10000] [-list-policies]
 //	           [-json] [-metrics out.csv] [-metrics-interval 10000]
-//	           [-trace t.json] [-trace-format chrome]
-//	           [-cpuprofile cpu.out] [-memprofile mem.out]
+//	           [-trace t.json] [-cpuprofile cpu.out] [-memprofile mem.out]
+//
+// The -metrics and -trace files take their format from the path: one
+// ending in .json gets JSON frames or a Chrome trace_event trace
+// (chrome://tracing, Perfetto), any other path CSV frames or the text
+// pipeline trace.
 package main
 
 import (
@@ -28,6 +32,7 @@ import (
 	"clustersmt/internal/core"
 	"clustersmt/internal/obs"
 	"clustersmt/internal/version"
+	"clustersmt/internal/workloads"
 )
 
 func main() {
@@ -43,14 +48,11 @@ func main() {
 	sizeName := flag.String("size", "ref", "input size: test or ref")
 	verbose := flag.Bool("v", false, "print extended statistics")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON instead of the text report (same encoding clusterd serves)")
-	tracePath := flag.String("trace", "", "write a pipeline trace to this file")
-	traceFormat := flag.String("trace-format", "text", "trace format: text or chrome (trace_event JSON for chrome://tracing)")
+	tracePath := flag.String("trace", "", "write a pipeline trace to this file (Chrome trace_event JSON if it ends in .json, else text)")
 	traceFrom := flag.Int64("trace-from", 0, "first cycle to trace")
 	traceTo := flag.Int64("trace-to", 0, "last cycle to trace (0 = to the end)")
-	metricsPath := flag.String("metrics", "", "write interval metrics to this file")
+	metricsPath := flag.String("metrics", "", "write interval metrics to this file (JSON if it ends in .json, else CSV)")
 	metricsInterval := flag.Int64("metrics-interval", core.DefaultMetricsInterval, "cycles per metrics frame")
-	metricsFormat := flag.String("metrics-format", "", "metrics format: csv or json (default: by file extension, csv otherwise)")
-	metricsRing := flag.Int("metrics-ring", 0, "retain at most this many frames (0 = default ring size; oldest dropped)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	showVersion := flag.Bool("version", false, "print build information and exit")
@@ -100,13 +102,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	size := clustersmt.SizeRef
-	switch strings.ToLower(*sizeName) {
-	case "ref":
-	case "test":
-		size = clustersmt.SizeTest
-	default:
-		log.Fatalf("unknown size %q (want test or ref)", *sizeName)
+	size, err := workloads.ParseSize(*sizeName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	m := clustersmt.LowEnd(arch)
 	if *highEnd {
@@ -146,25 +144,22 @@ func main() {
 		}
 		defer f.Close()
 		// The simulator buffers and flushes the trace writer itself.
-		switch *traceFormat {
-		case "text":
-			sim.TraceTo(f, *traceFrom, *traceTo)
-		case "chrome":
+		if isJSON(*tracePath) {
 			sim.TraceChromeTo(f, *traceFrom, *traceTo)
-		default:
-			log.Fatalf("unknown trace format %q (want text or chrome)", *traceFormat)
+		} else {
+			sim.TraceTo(f, *traceFrom, *traceTo)
 		}
 	}
 	var ring *obs.Ring
 	if *metricsPath != "" {
-		ring = sim.EnableMetrics(*metricsInterval, *metricsRing)
+		ring = sim.EnableMetrics(*metricsInterval, 0)
 	}
 	res, err := sim.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	if ring != nil {
-		if err := writeMetrics(*metricsPath, *metricsFormat, ring); err != nil {
+		if err := writeMetrics(*metricsPath, ring); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -221,30 +216,21 @@ func main() {
 	if len(res.PerThreadCommitted) <= 32 {
 		fmt.Printf("per-thread instructions: %v\n", res.PerThreadCommitted)
 	}
-	_ = os.Stdout
 }
 
-// writeMetrics exports the frame ring to path. The format is csv or
-// json, defaulting by file extension (csv unless the path ends in
-// .json).
-func writeMetrics(path, format string, ring *obs.Ring) error {
-	if format == "" {
-		format = "csv"
-		if strings.HasSuffix(strings.ToLower(path), ".json") {
-			format = "json"
-		}
-	}
+// isJSON reports whether an output path names a JSON file.
+func isJSON(path string) bool { return strings.HasSuffix(strings.ToLower(path), ".json") }
+
+// writeMetrics exports the frame ring to path: JSON if isJSON(path),
+// CSV otherwise.
+func writeMetrics(path string, ring *obs.Ring) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "csv":
-		return ring.WriteCSV(f)
-	case "json":
+	if isJSON(path) {
 		return ring.WriteJSON(f)
-	default:
-		return fmt.Errorf("unknown metrics format %q (want csv or json)", format)
 	}
+	return ring.WriteCSV(f)
 }

@@ -80,9 +80,9 @@ func main() {
 		}()
 	}
 
-	size := clustersmt.SizeRef
-	if strings.ToLower(*sizeName) == "test" {
-		size = clustersmt.SizeTest
+	size, err := workloads.ParseSize(*sizeName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	want := map[string]bool{}
 	if *only != "" {
@@ -139,7 +139,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := suite.WriteMetricsCSV(f, run); err != nil {
+			if err := suite.Metrics(run).WriteCSV(f); err != nil {
 				f.Close()
 				log.Fatal(err)
 			}

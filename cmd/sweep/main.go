@@ -34,6 +34,7 @@ import (
 	"clustersmt/internal/alloc"
 	"clustersmt/internal/harness"
 	"clustersmt/internal/version"
+	"clustersmt/internal/workloads"
 )
 
 func main() {
@@ -62,9 +63,9 @@ func main() {
 		}
 		archs = append(archs, a)
 	}
-	size := clustersmt.SizeTest
-	if strings.ToLower(*sizeName) == "ref" {
-		size = clustersmt.SizeRef
+	size, err := workloads.ParseSize(*sizeName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	if _, err := alloc.New(*allocPolicy); err != nil {

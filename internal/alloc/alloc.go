@@ -51,7 +51,7 @@ type ClusterSample struct {
 
 	L1Hits, L1Misses uint64 // chip L1 deltas for the epoch
 	L2Hits, L2Misses uint64 // chip L2 deltas for the epoch
-	MSHROccupancy    uint64 // chip MSHR occupancy integral delta
+	MSHROccupancy    uint64 // chip MSHR occupancy at the boundary (a gauge, not a delta)
 }
 
 // Snapshot is the committed epoch-boundary state a policy decides

@@ -139,7 +139,7 @@ func (Symbiosis) Dynamic() bool { return true }
 
 // pressure is the chip-level antagonism score: L2 misses are the
 // expensive events, L1 misses the early signal, and the MSHR
-// occupancy integral captures how saturated the miss machinery ran.
+// occupancy at the boundary shows how saturated the miss machinery is.
 func pressure(c ClusterSample) uint64 {
 	return c.L1Misses + 8*c.L2Misses + c.MSHROccupancy
 }

@@ -468,14 +468,50 @@ func (s *System) fetch(chip int, line int64, now int64, exclusive bool) (int64, 
 
 // MemSnapshot is a read-only view of the memory system at one cycle:
 // cumulative access counters summed over chips plus point-in-time
-// occupancy gauges. It exists for the observability sampler, so taking
-// one must never mutate timing state (MSHR occupancy uses the
+// occupancy gauges. The observability sampler and the allocation epoch
+// take one at every boundary and keep the Sub of consecutive ones, so
+// taking one must never mutate timing state (MSHR occupancy uses the
 // non-retiring probe; the directory count reads the live population).
 type MemSnapshot struct {
-	Loads, Stores, LoadRetries         uint64
-	L1Hits, L1Misses, L2Hits, L2Misses uint64
-	MSHROccupancy                      int // outstanding fills at the snapshot cycle
-	DirLines                           int // directory-tracked lines
+	Loads       uint64 `json:"loads"`
+	Stores      uint64 `json:"stores"`
+	LoadRetries uint64 `json:"load_retries"`
+
+	L1Hits   uint64 `json:"l1_hits"`
+	L1Misses uint64 `json:"l1_misses"`
+	L2Hits   uint64 `json:"l2_hits"`
+	L2Misses uint64 `json:"l2_misses"`
+
+	// MSHROccupancy counts outstanding fills at the snapshot cycle;
+	// DirLines counts directory-tracked lines.
+	MSHROccupancy int `json:"mshr_occupancy"`
+	DirLines      int `json:"dir_lines"`
+}
+
+// Sub returns the counter deltas from prev to m. The gauges keep m's
+// values: an occupancy is a level at one cycle, not a count.
+func (m MemSnapshot) Sub(prev MemSnapshot) MemSnapshot {
+	m.Loads -= prev.Loads
+	m.Stores -= prev.Stores
+	m.LoadRetries -= prev.LoadRetries
+	m.L1Hits -= prev.L1Hits
+	m.L1Misses -= prev.L1Misses
+	m.L2Hits -= prev.L2Hits
+	m.L2Misses -= prev.L2Misses
+	return m
+}
+
+// L1MissRate returns L1 misses per L1 access, in [0,1].
+func (m *MemSnapshot) L1MissRate() float64 { return rate(m.L1Misses, m.L1Hits) }
+
+// L2MissRate returns L2 misses per L2 access, in [0,1].
+func (m *MemSnapshot) L2MissRate() float64 { return rate(m.L2Misses, m.L2Hits) }
+
+func rate(misses, hits uint64) float64 {
+	if misses+hits == 0 {
+		return 0
+	}
+	return float64(misses) / float64(misses+hits)
 }
 
 // Snapshot captures the machine-wide memory counters at cycle now.

@@ -376,3 +376,23 @@ func TestDirectoryTableGrowth(t *testing.T) {
 		t.Fatalf("lines after re-adds = %d", d.Lines())
 	}
 }
+
+func TestMissRates(t *testing.T) {
+	m := MemSnapshot{L1Hits: 90, L1Misses: 10}
+	if got := m.L1MissRate(); got != 0.1 {
+		t.Errorf("L1MissRate = %v, want 0.1", got)
+	}
+	if got := m.L2MissRate(); got != 0 {
+		t.Errorf("L2MissRate with no accesses = %v, want 0", got)
+	}
+}
+
+// TestMemSnapshotSub: Sub subtracts every counter and keeps the later
+// snapshot's gauges.
+func TestMemSnapshotSub(t *testing.T) {
+	prev := MemSnapshot{1, 2, 3, 4, 5, 6, 7, 50, 60}
+	cur := MemSnapshot{11, 22, 33, 44, 55, 66, 77, 8, 9}
+	if got, want := cur.Sub(prev), (MemSnapshot{10, 20, 30, 40, 50, 60, 70, 8, 9}); got != want {
+		t.Errorf("Sub = %+v, want %+v", got, want)
+	}
+}

@@ -168,7 +168,7 @@ func (s *Simulator) allocEpoch() {
 	}
 	snap.Clusters = make([]alloc.ClusterSample, len(s.clusters))
 	for i, cl := range s.clusters {
-		cur, prev := chipMem[cl.chip], a.prevChipMem[cl.chip]
+		d := chipMem[cl.chip].Sub(a.prevChipMem[cl.chip])
 		snap.Clusters[i] = alloc.ClusterSample{
 			ClusterInfo: alloc.ClusterInfo{
 				GID:      cl.gid,
@@ -176,13 +176,13 @@ func (s *Simulator) allocEpoch() {
 				Index:    cl.idx,
 				Capacity: cl.cfg.ThreadsPerCluster,
 			},
-			L1Hits:   cur.L1Hits - prev.L1Hits,
-			L1Misses: cur.L1Misses - prev.L1Misses,
-			L2Hits:   cur.L2Hits - prev.L2Hits,
-			L2Misses: cur.L2Misses - prev.L2Misses,
-			// Occupancy is instantaneous (not a counter): the boundary
-			// value itself is the saturation signal.
-			MSHROccupancy: uint64(cur.MSHROccupancy),
+			L1Hits:   d.L1Hits,
+			L1Misses: d.L1Misses,
+			L2Hits:   d.L2Hits,
+			L2Misses: d.L2Misses,
+			// Occupancy is a gauge (Sub keeps the boundary value):
+			// the saturation signal itself.
+			MSHROccupancy: uint64(d.MSHROccupancy),
 		}
 	}
 	a.prevChipMem = chipMem

@@ -73,21 +73,17 @@ func (s *Simulator) EnableMetrics(interval int64, ringCap int) *obs.Ring {
 	return s.obs.ring
 }
 
-// OnInterval registers fn to receive every completed frame, in order,
-// as the run progresses — the harness heartbeat hook, also usable by
-// tests to assert mid-run invariants. Multiple registrations chain.
-// If EnableMetrics was not called, it is enabled at
+// OnInterval sets fn to receive every completed frame, in order, as
+// the run progresses — the harness heartbeat hook, also usable by tests
+// to assert mid-run invariants. A later call replaces fn. If
+// EnableMetrics was not called, it is enabled at
 // DefaultMetricsInterval. Must be called before Run. fn runs on the
 // simulation goroutine and must not mutate the simulator.
 func (s *Simulator) OnInterval(fn func(obs.Frame)) {
 	if s.obs == nil {
 		s.EnableMetrics(DefaultMetricsInterval, 0)
 	}
-	if prev := s.obs.onFrame; prev != nil {
-		s.obs.onFrame = func(f obs.Frame) { prev(f); fn(f) }
-	} else {
-		s.obs.onFrame = fn
-	}
+	s.obs.onFrame = fn
 }
 
 // Metrics returns the frame ring, or nil when metrics are disabled.
@@ -131,17 +127,7 @@ func (s *Simulator) sample() {
 		o.prevCluster[i] = cl.slots.Counts
 	}
 	snap := s.msys.Snapshot(now)
-	f.Mem = obs.MemFrame{
-		Loads:         snap.Loads - o.prevMem.Loads,
-		Stores:        snap.Stores - o.prevMem.Stores,
-		LoadRetries:   snap.LoadRetries - o.prevMem.LoadRetries,
-		L1Hits:        snap.L1Hits - o.prevMem.L1Hits,
-		L1Misses:      snap.L1Misses - o.prevMem.L1Misses,
-		L2Hits:        snap.L2Hits - o.prevMem.L2Hits,
-		L2Misses:      snap.L2Misses - o.prevMem.L2Misses,
-		MSHROccupancy: snap.MSHROccupancy,
-		DirLines:      snap.DirLines,
-	}
+	f.Mem = snap.Sub(o.prevMem)
 
 	o.prevCycle = now
 	o.prevCommitted = s.committed

@@ -220,9 +220,9 @@ func TestObsFrameConservationFastForwardDominated(t *testing.T) {
 	checkConservation(t, r, frames, interval)
 }
 
-// TestOnIntervalChains checks that multiple OnInterval registrations
-// all fire, in registration order, and that OnInterval alone enables
-// sampling at the default interval.
+// TestOnIntervalChains checks that OnInterval alone enables sampling at
+// the default interval, and that its callback sees every frame the ring
+// retains.
 func TestOnIntervalChains(t *testing.T) {
 	w, err := workloads.ByName("fmm")
 	if err != nil {
@@ -233,25 +233,19 @@ func TestOnIntervalChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var order []int
-	s.OnInterval(func(obs.Frame) { order = append(order, 1) })
-	s.OnInterval(func(obs.Frame) { order = append(order, 2) })
-	if s.Metrics() == nil {
-		t.Fatal("OnInterval did not enable metrics")
+	seen := 0
+	s.OnInterval(func(obs.Frame) { seen++ })
+	if s.Metrics() == nil || s.obs.interval != DefaultMetricsInterval {
+		t.Fatal("OnInterval did not enable metrics at the default interval")
 	}
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) < 2 || len(order)%2 != 0 {
-		t.Fatalf("callbacks fired %d times total", len(order))
+	if seen == 0 {
+		t.Fatal("callback never fired")
 	}
-	for i := 0; i < len(order); i += 2 {
-		if order[i] != 1 || order[i+1] != 2 {
-			t.Fatalf("callbacks out of order at frame %d: %v", i/2, order[i:i+2])
-		}
-	}
-	if got := s.Metrics().Len(); got != len(order)/2 {
-		t.Errorf("ring retains %d frames, callbacks saw %d", got, len(order)/2)
+	if got := s.Metrics().Len(); got != seen {
+		t.Errorf("ring retains %d frames, callback saw %d", got, seen)
 	}
 }
 

@@ -463,7 +463,7 @@ func (s *Simulator) xferCore(x *xfer) error {
 			xi(x, &a.lastMigrated[i])
 		}
 		for i := range a.prevChipMem {
-			(*obs.MemFrame)(&a.prevChipMem[i]).XferSnap(&x.Xfer)
+			a.prevChipMem[i].XferSnap(&x.Xfer)
 		}
 		if x.Err() == nil && a.interval <= 0 {
 			return fmt.Errorf("%w: allocator epoch interval %d", ErrSnapshotCorrupt, a.interval)
@@ -556,7 +556,7 @@ func (s *Simulator) xferSampler(x *xfer) {
 	for i := range o.prevCluster {
 		snap.Each(o.prevCluster[i][:], x.F64)
 	}
-	(*obs.MemFrame)(&o.prevMem).XferSnap(&x.Xfer)
+	o.prevMem.XferSnap(&x.Xfer)
 	var ringCap int
 	if !x.Decoding() {
 		ringCap = o.ring.Cap()
@@ -572,7 +572,7 @@ func (s *Simulator) xferSampler(x *xfer) {
 		o.ring = obs.NewRing(ringCap)
 		s.obs = o
 	}
-	o.ring.XferSnap(&x.Xfer)
+	o.ring.XferSnap(&x.Xfer, len(s.clusters))
 }
 
 // ---- cluster section ----

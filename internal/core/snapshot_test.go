@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -545,7 +546,9 @@ func TestSnapshotLeafViolations(t *testing.T) {
 	}
 	chip0 := s.msys.Chips[0]
 	l1 := len(data) - size(s.msys)
-	ring := l1 - size(s.mem) - size(s.obs.ring)
+	w := snap.NewWriter()
+	s.obs.ring.XferSnap(w.Xfer(), len(s.clusters))
+	ring := l1 - size(s.mem) - w.Len()
 	mshr := l1 + size(chip0) - 8 - size(chip0.MSHR) // a chip ends: MSHR file, one counter
 	dir := len(data) - size(&s.msys.Stats) - size(s.msys.Net) - size(s.msys.Dir)
 	// A directory slot is line (8 bytes), sharers (4), owner (1), state
@@ -574,6 +577,21 @@ func TestSnapshotLeafViolations(t *testing.T) {
 		if _, err := Restore(m, p, bad); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Errorf("%s: got %v, want ErrSnapshotCorrupt", name, err)
 		}
+	}
+
+	// A well-formed payload whose oldest frame lists one cluster more
+	// than the machine has: the ring's accounting (24 bytes) and the
+	// frame's scalars and slots (128) precede the count, and a cluster
+	// entry is chip, cluster and slots (80).
+	at := ring + 24 + 128
+	if n := binary.LittleEndian.Uint64(data[at:]); n != uint64(len(s.clusters)) {
+		t.Fatalf("oldest frame lists %d clusters at byte %d, want %d", n, at, len(s.clusters))
+	}
+	bad := slices.Concat(data[:at+8], make([]byte, 80), data[at+8:])
+	binary.LittleEndian.PutUint64(bad[at:], uint64(len(s.clusters)+1))
+	if _, err := Restore(m, p, bad); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Errorf("frame with %d clusters on a %d-cluster machine: got %v, want ErrSnapshotCorrupt",
+			len(s.clusters)+1, len(s.clusters), err)
 	}
 }
 

@@ -99,7 +99,7 @@ func TestAllocFigureRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteMetricsCSV(f, name); err != nil {
+		if err := s.Metrics(name).WriteCSV(f); err != nil {
 			t.Error(err)
 		}
 		f.Close()

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -207,11 +206,10 @@ type Suite struct {
 
 	// MetricsInterval > 0 enables interval metrics on every simulation
 	// (one obs.Frame per MetricsInterval cycles, retained in a ring of
-	// MetricsRingCap frames — obs.DefaultRingCap when 0). Sampling is
-	// read-only: results, including cache hits shared across figures,
-	// are bit-identical with metrics on or off.
+	// obs.DefaultRingCap frames). Sampling is read-only: results,
+	// including cache hits shared across figures, are bit-identical with
+	// metrics on or off.
 	MetricsInterval int64
-	MetricsRingCap  int
 	// OnFrame, when set, receives every frame of every simulation as
 	// the run progresses — the progress heartbeat. Setting it without
 	// MetricsInterval samples at core.DefaultMetricsInterval. It is
@@ -527,7 +525,7 @@ func (s *Suite) arm(ctx context.Context, sim *core.Simulator) *obs.Ring {
 	if ring := sim.Metrics(); ring != nil {
 		return ring
 	}
-	return sim.EnableMetrics(s.MetricsInterval, s.MetricsRingCap)
+	return sim.EnableMetrics(s.MetricsInterval, 0)
 }
 
 // simulate performs one uncached simulation on a semaphore slot: build
@@ -615,24 +613,6 @@ func (s *Suite) MetricsRuns() []string {
 	}
 	sort.Strings(runs)
 	return runs
-}
-
-// WriteMetricsCSV exports one run's frames ("app@machine") as CSV.
-func (s *Suite) WriteMetricsCSV(w io.Writer, run string) error {
-	ring := s.Metrics(run)
-	if ring == nil {
-		return fmt.Errorf("harness: no metrics retained for %q", run)
-	}
-	return ring.WriteCSV(w)
-}
-
-// WriteMetricsJSON exports one run's frames ("app@machine") as JSON.
-func (s *Suite) WriteMetricsJSON(w io.Writer, run string) error {
-	ring := s.Metrics(run)
-	if ring == nil {
-		return fmt.Errorf("harness: no metrics retained for %q", run)
-	}
-	return ring.WriteJSON(w)
 }
 
 // RunMatrixContext runs every (app × arch) pair concurrently and

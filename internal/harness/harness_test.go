@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -540,7 +539,7 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 			t.Errorf("%s: heartbeat saw %d frames, ring pushed %d", run, beats[run], ring.Pushed())
 		}
 		var csvBuf, jsonBuf bytes.Buffer
-		if err := s.WriteMetricsCSV(&csvBuf, run); err != nil {
+		if err := ring.WriteCSV(&csvBuf); err != nil {
 			t.Fatal(err)
 		}
 		rd := csv.NewReader(&csvBuf)
@@ -550,7 +549,7 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 		} else if len(recs) != ring.Len()+1 {
 			t.Errorf("%s: CSV has %d records, want header+%d", run, len(recs), ring.Len())
 		}
-		if err := s.WriteMetricsJSON(&jsonBuf, run); err != nil {
+		if err := ring.WriteJSON(&jsonBuf); err != nil {
 			t.Fatal(err)
 		}
 		var doc struct {
@@ -562,9 +561,6 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 	}
 	if s.Metrics("nope@low-end/SMT2") != nil {
 		t.Error("unknown run returned a ring")
-	}
-	if err := s.WriteMetricsCSV(io.Discard, "nope"); err == nil {
-		t.Error("export of unknown run did not fail")
 	}
 }
 

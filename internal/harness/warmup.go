@@ -17,8 +17,8 @@ import (
 // concurrent simulation goroutines. Load misses and failed saves are
 // soft: the suite falls back to running the warm-up itself, so a store
 // may drop writes (disk full, eviction) without affecting results.
-// Load receives the warming run's context — federated stores use it
-// for cancellation and to attribute the fetch to the run's trace.
+// Load receives the warming run's context; the service's store reads
+// its trace ID to attribute the fetch to the run's trace.
 type SnapshotStore interface {
 	LoadSnapshot(ctx context.Context, key string) ([]byte, bool)
 	SaveSnapshot(key string, data []byte)
@@ -145,14 +145,15 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 // checkpoint cycle, snapshot format version, and the suite's metrics
 // configuration (the sampler state is part of the snapshot, and a
 // restored parent must carry the same sampler a fresh warm-up under
-// this suite would).
+// this suite would). The trailing 0 is the default ring capacity the
+// key once named, kept so stores written before keep their keys.
 func (s *Suite) snapshotKey(k warmKey, w int64) string {
 	h := sha256.New()
 	h.Write(k.machine[:])
 	h.Write(k.prefix[:])
 	metricsOn := s.MetricsInterval > 0 || s.OnFrame != nil
-	fmt.Fprintf(h, "|w=%d|snapv=%d|obs=%t,%d,%d",
-		w, core.SnapshotVersion, metricsOn, s.MetricsInterval, s.MetricsRingCap)
+	fmt.Fprintf(h, "|w=%d|snapv=%d|obs=%t,%d,0",
+		w, core.SnapshotVersion, metricsOn, s.MetricsInterval)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

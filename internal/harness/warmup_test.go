@@ -244,7 +244,6 @@ func TestWarmupFrameConservation(t *testing.T) {
 	heartbeat := make(map[string][]obs.Frame)
 	warm := NewSuite(workloads.SizeTest)
 	warm.MetricsInterval = 256
-	warm.MetricsRingCap = 4096
 	warm.WarmupCycles = warmupTestCycles
 	warm.OnFrame = func(app, machine string, f obs.Frame) {
 		mu.Lock()

@@ -1,6 +1,7 @@
 // Package obs defines the simulator's observability primitives: the
 // interval-metrics Frame (one fixed-width window of the run), the
-// bounded Ring that retains recent frames, and the CSV/JSON exporters
+// bounded Buffer that retains recent elements (the Ring of frames here,
+// the span store in internal/telemetry), and the CSV/JSON exporters
 // behind `clustersim -metrics` and the harness.
 //
 // The package is deliberately passive — it holds and formats data the
@@ -16,13 +17,14 @@ import (
 	"io"
 	"strings"
 
+	"clustersmt/internal/coherence"
 	"clustersmt/internal/stats"
 )
 
-// DefaultRingCap is the frame retention bound used when callers pass a
-// non-positive capacity. At the default 10k-cycle interval it covers
-// ~41M cycles — longer than any paper-figure run — before the ring
-// starts dropping its oldest frames.
+// DefaultRingCap is the retention bound NewBuffer uses when callers
+// pass a non-positive capacity. For frames at the default 10k-cycle
+// interval it covers ~41M cycles — longer than any paper-figure run —
+// before the ring starts dropping its oldest frames.
 const DefaultRingCap = 4096
 
 // Frame is one sampling interval's view of the machine: deltas of every
@@ -57,7 +59,9 @@ type Frame struct {
 	// Clusters breaks the slot delta down per cluster.
 	Clusters []ClusterSlots `json:"clusters,omitempty"`
 
-	Mem MemFrame `json:"mem"`
+	// Mem is the memory system's counter deltas over the window, with
+	// its gauges (MSHR occupancy, directory lines) at End.
+	Mem coherence.MemSnapshot `json:"mem"`
 }
 
 // ClusterSlots is one cluster's share of a frame's slot delta.
@@ -65,37 +69,6 @@ type ClusterSlots struct {
 	Chip    int                          `json:"chip"`
 	Cluster int                          `json:"cluster"`
 	Slots   [stats.NumCategories]float64 `json:"slots"`
-}
-
-// MemFrame is the memory-system slice of a frame: access-count deltas
-// over the window plus end-of-window occupancy gauges.
-type MemFrame struct {
-	Loads       uint64 `json:"loads"`
-	Stores      uint64 `json:"stores"`
-	LoadRetries uint64 `json:"load_retries"`
-
-	L1Hits   uint64 `json:"l1_hits"`
-	L1Misses uint64 `json:"l1_misses"`
-	L2Hits   uint64 `json:"l2_hits"`
-	L2Misses uint64 `json:"l2_misses"`
-
-	// MSHROccupancy counts outstanding fills across all chips at the
-	// frame's end cycle; DirLines counts directory-tracked lines.
-	MSHROccupancy int `json:"mshr_occupancy"`
-	DirLines      int `json:"dir_lines"`
-}
-
-// L1MissRate returns the window's L1 misses per L1 access, in [0,1].
-func (m *MemFrame) L1MissRate() float64 { return rate(m.L1Misses, m.L1Hits) }
-
-// L2MissRate returns the window's L2 misses per L2 access, in [0,1].
-func (m *MemFrame) L2MissRate() float64 { return rate(m.L2Misses, m.L2Hits) }
-
-func rate(misses, hits uint64) float64 {
-	if misses+hits == 0 {
-		return 0
-	}
-	return float64(misses) / float64(misses+hits)
 }
 
 // String renders the frame as a one-line heartbeat (the harness
@@ -138,55 +111,66 @@ func (f *Frame) CSVRecord() string {
 	return b.String()
 }
 
-// Ring retains the most recent frames of a run in a fixed-capacity
-// circular buffer. Pushing past capacity overwrites the oldest frame;
-// Dropped reports how many were lost. The zero Ring is not usable —
-// construct with NewRing.
-type Ring struct {
-	frames []Frame
-	start  int // index of the oldest retained frame
-	count  int // retained frames
-	pushed int // frames ever pushed
+// Buffer retains the most recent elements pushed into it in a
+// fixed-capacity circular buffer. Pushing past capacity overwrites the
+// oldest element; Dropped reports how many were lost. The zero Buffer
+// is not usable — construct with NewBuffer.
+type Buffer[T any] struct {
+	elems  []T
+	start  int // index of the oldest retained element
+	count  int // retained elements
+	pushed int // elements ever pushed
 }
 
-// NewRing returns a ring retaining up to capacity frames
+// NewBuffer returns a buffer retaining up to capacity elements
 // (DefaultRingCap when capacity <= 0).
-func NewRing(capacity int) *Ring {
+func NewBuffer[T any](capacity int) Buffer[T] {
 	if capacity <= 0 {
 		capacity = DefaultRingCap
 	}
-	return &Ring{frames: make([]Frame, capacity)}
+	return Buffer[T]{elems: make([]T, capacity)}
 }
 
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.frames) }
+// Cap returns the buffer's capacity.
+func (b *Buffer[T]) Cap() int { return len(b.elems) }
 
-// Len returns the number of retained frames.
-func (r *Ring) Len() int { return r.count }
+// Len returns the number of retained elements.
+func (b *Buffer[T]) Len() int { return b.count }
 
-// Pushed returns the number of frames ever pushed.
-func (r *Ring) Pushed() int { return r.pushed }
+// Pushed returns the number of elements ever pushed.
+func (b *Buffer[T]) Pushed() int { return b.pushed }
 
-// Dropped returns the number of frames overwritten by later pushes.
-func (r *Ring) Dropped() int { return r.pushed - r.count }
+// Dropped returns the number of elements overwritten by later pushes.
+func (b *Buffer[T]) Dropped() int { return b.pushed - b.count }
 
-// Push appends a frame, overwriting the oldest once full.
-func (r *Ring) Push(f Frame) {
-	if r.count < len(r.frames) {
-		r.frames[(r.start+r.count)%len(r.frames)] = f
-		r.count++
+// Push appends an element, overwriting the oldest once full.
+func (b *Buffer[T]) Push(v T) {
+	if b.count < len(b.elems) {
+		b.elems[(b.start+b.count)%len(b.elems)] = v
+		b.count++
 	} else {
-		r.frames[r.start] = f
-		r.start = (r.start + 1) % len(r.frames)
+		b.elems[b.start] = v
+		b.start = (b.start + 1) % len(b.elems)
 	}
-	r.pushed++
+	b.pushed++
 }
+
+// At returns the i-th oldest retained element, 0 <= i < Len.
+func (b *Buffer[T]) At(i int) T { return b.elems[(b.start+i)%len(b.elems)] }
+
+// Ring retains the most recent frames of a run. The zero Ring is not
+// usable — construct with NewRing.
+type Ring struct{ Buffer[Frame] }
+
+// NewRing returns a ring retaining up to capacity frames
+// (DefaultRingCap when capacity <= 0).
+func NewRing(capacity int) *Ring { return &Ring{NewBuffer[Frame](capacity)} }
 
 // Frames returns the retained frames, oldest first (a copy).
 func (r *Ring) Frames() []Frame {
-	out := make([]Frame, r.count)
-	for i := 0; i < r.count; i++ {
-		out[i] = r.frames[(r.start+i)%len(r.frames)]
+	out := make([]Frame, r.Len())
+	for i := range out {
+		out[i] = r.At(i)
 	}
 	return out
 }
@@ -204,8 +188,8 @@ func (r *Ring) WriteCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, CSVHeader()+"\n"); err != nil {
 		return err
 	}
-	for i := 0; i < r.count; i++ {
-		f := &r.frames[(r.start+i)%len(r.frames)]
+	for i := 0; i < r.Len(); i++ {
+		f := r.At(i)
 		if _, err := io.WriteString(w, f.CSVRecord()+"\n"); err != nil {
 			return err
 		}

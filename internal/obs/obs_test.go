@@ -130,13 +130,3 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Errorf("oldest retained frame = %+v, want index 3", doc.Frames[0])
 	}
 }
-
-func TestMissRates(t *testing.T) {
-	m := MemFrame{L1Hits: 90, L1Misses: 10}
-	if got := m.L1MissRate(); got != 0.1 {
-		t.Errorf("L1MissRate = %v, want 0.1", got)
-	}
-	if got := m.L2MissRate(); got != 0 {
-		t.Errorf("L2MissRate with no accesses = %v, want 0", got)
-	}
-}

@@ -92,6 +92,73 @@ func TestCacheReopenIgnoresStaleIndex(t *testing.T) {
 	}
 }
 
+// blockPath puts a non-empty directory where a write would rename its
+// temp file to, so the rename fails even for root.
+func blockPath(t *testing.T, path string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// noTemps fails if a temp file matching pattern is left in dir.
+func noTemps(t *testing.T, dir, pattern string) {
+	t.Helper()
+	if left, _ := filepath.Glob(filepath.Join(dir, pattern)); len(left) != 0 {
+		t.Errorf("failed write left %v", left)
+	}
+}
+
+// TestCachePutFailure: a disk write that fails reports its error and
+// leaves no temp file behind; the memory tier still answers, and a
+// cache reopened over the directory misses rather than serving a torn
+// entry.
+func TestCachePutFailure(t *testing.T) {
+	dir := t.TempDir()
+	key := [32]byte{7}
+	blockPath(t, filepath.Join(dir, fmt.Sprintf("%x.json", key)))
+	c, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &core.Result{ProgramName: "swim", Machine: config.LowEnd(config.SMT2), Cycles: 100}
+	if err := c.Put(key, JobSpec{App: "swim"}, res); err == nil {
+		t.Fatal("Put over a blocked envelope path returned nil")
+	}
+	noTemps(t, dir, "put-*.tmp")
+	if r, tier, ok := c.Get(key); !ok || tier != TierMemory || r.Cycles != 100 {
+		t.Fatalf("memory tier after a failed disk write: ok=%v tier=%q", ok, tier)
+	}
+	d, err := NewCache(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := d.Get(key); ok {
+		t.Fatal("reopened cache served an entry whose write failed")
+	}
+}
+
+// TestSnapshotSaveFailure: a checkpoint write that fails is swallowed
+// (best-effort by contract), leaves no temp file and is not counted.
+func TestSnapshotSaveFailure(t *testing.T) {
+	dir := t.TempDir()
+	st := snapshotStore{s: &Server{opts: Options{CacheDir: dir}}}
+	saved, blocked := fmt.Sprintf("%064x", 1), fmt.Sprintf("%064x", 2)
+	st.SaveSnapshot(saved, []byte("checkpoint"))
+	if st.Snapshots() != 1 {
+		t.Fatalf("Snapshots() = %d after one save, want 1", st.Snapshots())
+	}
+	blockPath(t, st.path(blocked))
+	st.SaveSnapshot(blocked, []byte("checkpoint"))
+	noTemps(t, dir, "snap-*.tmp")
+	if st.Snapshots() != 1 {
+		t.Errorf("Snapshots() = %d after a failed save, want 1", st.Snapshots())
+	}
+	if _, ok := st.LoadSnapshot(context.Background(), blocked); ok {
+		t.Error("a failed save loads")
+	}
+}
+
 // TestServiceDiskCacheRecoversFromCrash is the server-level restart
 // test: server A completes a job and dies without the graceful Close,
 // an older daemon's index.json sits corrupt in the directory, and

@@ -55,14 +55,10 @@ func (s JobSpec) Resolve(defaultSize workloads.Size) (*ResolvedJob, error) {
 		return nil, err
 	}
 	size := defaultSize
-	switch strings.ToLower(s.Size) {
-	case "":
-	case "test":
-		size = workloads.SizeTest
-	case "ref":
-		size = workloads.SizeRef
-	default:
-		return nil, fmt.Errorf("service: unknown size %q (want test or ref)", s.Size)
+	if s.Size != "" {
+		if size, err = workloads.ParseSize(s.Size); err != nil {
+			return nil, err
+		}
 	}
 	m := config.LowEnd(a)
 	if s.HighEnd {

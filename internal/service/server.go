@@ -58,8 +58,6 @@ type Options struct {
 	// MetricsInterval > 0 samples interval metrics on every simulation,
 	// served by GET /v1/metrics/{run}.
 	MetricsInterval int64
-	// MetricsRingCap bounds retained frames per run (0 = obs default).
-	MetricsRingCap int
 	// DisableTelemetry turns off the metrics registry and span ring:
 	// /metrics and /v1/trace return 404 and every record call is a
 	// no-op. Simulation results are bit-identical either way
@@ -141,7 +139,6 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 		st.AllocPolicy = s.opts.AllocPolicy
 		st.AllocEpoch = s.opts.AllocEpoch
 		st.MetricsInterval = s.opts.MetricsInterval
-		st.MetricsRingCap = s.opts.MetricsRingCap
 		st.WarmupCycles = s.opts.WarmupCycles
 		if s.opts.WarmupCycles > 0 && s.opts.CacheDir != "" {
 			st.Snapshots = snapshotStore{s: s}
@@ -150,16 +147,9 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 		if s.tel != nil {
 			// Hook fires on singleflight owners only, so the histogram
 			// measures true simulation time — never a cache lookup.
-			// The histogram's policy label is the normalized policy name,
-			// so the seed placement reads "static" whether configured
-			// explicitly or by default.
-			policy := config.AllocConfig{Policy: s.opts.AllocPolicy}.Normalize().Policy
-			if policy == "" {
-				policy = "static"
-			}
 			st.OnSimulate = func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error) {
-				observe(s.tel.simulate.With(policy), d)
-				attrs := map[string]string{"app": app, "machine": machine, "policy": policy}
+				observe(s.tel.simulate, d)
+				attrs := map[string]string{"app": app, "machine": machine, "policy": s.tel.policy}
 				if err != nil {
 					attrs["error"] = err.Error()
 				}
@@ -530,15 +520,10 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 
 // sizeParam resolves the ?size= query (default: server default).
 func (s *Server) sizeParam(r *http.Request) (workloads.Size, error) {
-	switch r.URL.Query().Get("size") {
-	case "":
-		return s.opts.DefaultSize, nil
-	case "test":
-		return workloads.SizeTest, nil
-	case "ref":
-		return workloads.SizeRef, nil
+	if name := r.URL.Query().Get("size"); name != "" {
+		return workloads.ParseSize(name)
 	}
-	return 0, fmt.Errorf("service: unknown size %q (want test or ref)", r.URL.Query().Get("size"))
+	return s.opts.DefaultSize, nil
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -594,18 +579,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	run := r.PathValue("run")
-	suite := s.suite(size)
-	if suite.Metrics(run) == nil {
+	ring := s.suite(size).Metrics(run)
+	if ring == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no metrics retained for %q (is -metrics-interval set?)", run))
 		return
 	}
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
-		_ = suite.WriteMetricsJSON(w, run)
+		_ = ring.WriteJSON(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/csv")
-	_ = suite.WriteMetricsCSV(w, run)
+	_ = ring.WriteCSV(w)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"time"
 
+	"clustersmt/internal/config"
 	"clustersmt/internal/harness"
 	"clustersmt/internal/telemetry"
 )
@@ -30,10 +31,14 @@ import (
 type svcTelemetry struct {
 	reg   *telemetry.Registry
 	spans *telemetry.SpanRing
+	// policy is the normalized allocation policy name, so the seed
+	// placement reads "static" whether configured explicitly or by
+	// default: the simulate histogram's label and span attribute.
+	policy string
 
 	queueWait  *telemetry.Histogram
 	e2e        *telemetry.Histogram
-	simulate   *telemetry.HistogramVec
+	simulate   *telemetry.Histogram
 	cacheWrite *telemetry.Histogram
 	snapFetch  *telemetry.Histogram
 }
@@ -41,17 +46,22 @@ type svcTelemetry struct {
 // newSvcTelemetry builds the registry for one server.
 func newSvcTelemetry(s *Server) *svcTelemetry {
 	r := telemetry.NewRegistry()
+	policy := config.AllocConfig{Policy: s.opts.AllocPolicy}.Normalize().Policy
+	if policy == "" {
+		policy = "static"
+	}
 	t := &svcTelemetry{
-		reg:   r,
-		spans: telemetry.NewSpanRing(telemetry.DefaultSpanRingCap),
+		reg:    r,
+		spans:  telemetry.NewSpanRing(0),
+		policy: policy,
 
 		queueWait: r.Histogram("clusterd_job_queue_wait_seconds",
 			"Time jobs spend admitted but not yet running.", telemetry.DefaultLatencyBuckets),
 		e2e: r.Histogram("clusterd_job_e2e_seconds",
 			"End-to-end job latency, submission to terminal state.", telemetry.DefaultLatencyBuckets),
-		simulate: r.HistogramVec("clusterd_simulate_seconds",
+		simulate: r.Histogram("clusterd_simulate_seconds",
 			"Wall time of local simulations (singleflight owners only), by allocation policy.",
-			telemetry.DefaultLatencyBuckets, "policy"),
+			telemetry.DefaultLatencyBuckets, "policy", policy),
 		cacheWrite: r.Histogram("clusterd_cache_write_seconds",
 			"Time to fill the result cache after a fresh simulation.", telemetry.DefaultLatencyBuckets),
 		snapFetch: r.Histogram("clusterd_snapshot_fetch_seconds",
@@ -122,8 +132,8 @@ func (s *Server) sumSuites(counter func(*harness.Suite) int64) int64 {
 // (/metrics and /healthz).
 func (s *Server) simulations() int64 { return s.sumSuites((*harness.Suite).Simulations) }
 
-// spanNode is the process name every span carries on a trace timeline.
-const spanNode = "clusterd"
+// spanProcess names the one process a trace timeline shows.
+const spanProcess = "clusterd"
 
 // span records one completed span on the ring. Safe (and a no-op) with
 // telemetry disabled or without a trace ID.
@@ -134,7 +144,6 @@ func (s *Server) span(traceID, name string, start time.Time, attrs map[string]st
 	s.tel.spans.Record(telemetry.Span{
 		TraceID: traceID,
 		Name:    name,
-		Node:    spanNode,
 		StartUS: start.UnixMicro(),
 		DurUS:   time.Since(start).Microseconds(),
 		Attrs:   attrs,
@@ -207,7 +216,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = telemetry.WriteChromeTrace(w, spans)
+	_ = telemetry.WriteChromeTrace(w, spanProcess, spans)
 }
 
 // runtimeInfo is the /healthz "runtime" block: build identity and host

@@ -80,6 +80,12 @@ func busySystem() *coherence.System {
 	return s
 }
 
+// ringSection is a ring as a section, its frames listing at most two
+// clusters.
+type ringSection struct{ *obs.Ring }
+
+func (r ringSection) XferSnap(x *snap.Xfer) { r.Ring.XferSnap(x, 2) }
+
 func busyRing() *obs.Ring {
 	r := obs.NewRing(4)
 	for i := 0; i < 6; i++ { // wraps: start != 0, two frames dropped
@@ -142,7 +148,7 @@ func TestSectionsRoundTripAndTruncate(t *testing.T) {
 	checkSection(t, "interp.Thread", th, func() section { return interp.NewThread(0, p, interp.NewMemory()) })
 
 	ring := busyRing()
-	checkSection(t, "obs.Ring", ring, func() section { return obs.NewRing(4) })
+	checkSection(t, "obs.Ring", ringSection{ring}, func() section { return ringSection{obs.NewRing(4)} })
 	frames := ring.Frames()
-	checkSection(t, "obs.MemFrame", &frames[len(frames)-1].Mem, func() section { return new(obs.MemFrame) })
+	checkSection(t, "coherence.MemSnapshot", &frames[len(frames)-1].Mem, func() section { return new(coherence.MemSnapshot) })
 }

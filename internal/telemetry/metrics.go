@@ -58,18 +58,17 @@ func (t MetricType) String() string {
 type CollectorFunc func(emit func(labelValues []string, value float64))
 
 // family is one metric family: a name, help text, a type, and either
-// materialized histograms (one per label-value combination) or a
-// collector consulted at scrape time.
+// one histogram with constant label values or a collector consulted at
+// scrape time.
 type family struct {
 	name       string
 	help       string
 	typ        MetricType
 	labelNames []string
-	buckets    []float64 // histogram families only
 
-	mu       sync.Mutex
-	children map[string]*Histogram // label-values key -> histogram
-	collect  CollectorFunc         // non-nil for func-backed families
+	labelValues []string      // a histogram's constant label values
+	hist        *Histogram    // non-nil for histogram families
+	collect     CollectorFunc // non-nil for func-backed families
 }
 
 // Registry holds metric families and renders them as OpenMetrics text.
@@ -99,60 +98,36 @@ func validName(s string) bool {
 	return true
 }
 
-// register creates a family, panicking on duplicate or invalid names —
+// register adds a family, panicking on duplicate or invalid names —
 // both are programming errors caught by the first scrape test.
-func (r *Registry) register(name, help string, typ MetricType, labelNames []string, buckets []float64, collect CollectorFunc) *family {
-	if !validName(name) {
-		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
+func (r *Registry) register(f *family) {
+	if !validName(f.name) {
+		panic(fmt.Sprintf("telemetry: invalid metric name %q", f.name))
 	}
-	if typ == TypeCounter && strings.HasSuffix(name, "_total") {
+	if f.typ == TypeCounter && strings.HasSuffix(f.name, "_total") {
 		// The exposition appends _total to counter samples; a family
 		// registered with the suffix would render name_total_total.
-		panic(fmt.Sprintf("telemetry: counter %q must not end in _total", name))
+		panic(fmt.Sprintf("telemetry: counter %q must not end in _total", f.name))
 	}
-	for _, l := range labelNames {
+	for _, l := range f.labelNames {
 		if !validName(l) || l == "le" {
-			panic(fmt.Sprintf("telemetry: invalid label name %q on %q", l, name))
+			panic(fmt.Sprintf("telemetry: invalid label name %q on %q", l, f.name))
 		}
 	}
-	if typ == TypeHistogram {
-		if len(buckets) == 0 {
-			panic(fmt.Sprintf("telemetry: histogram %q needs buckets", name))
+	if f.hist != nil {
+		if len(f.hist.bounds) == 0 {
+			panic(fmt.Sprintf("telemetry: histogram %q needs buckets", f.name))
 		}
-		if !sort.Float64sAreSorted(buckets) {
-			panic(fmt.Sprintf("telemetry: histogram %q buckets not sorted", name))
+		if !sort.Float64sAreSorted(f.hist.bounds) {
+			panic(fmt.Sprintf("telemetry: histogram %q buckets not sorted", f.name))
 		}
-	}
-	f := &family{
-		name: name, help: help, typ: typ,
-		labelNames: labelNames, buckets: buckets,
-		children: make(map[string]*Histogram), collect: collect,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.families[name]; dup {
-		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
+	if _, dup := r.families[f.name]; dup {
+		panic(fmt.Sprintf("telemetry: duplicate metric %q", f.name))
 	}
-	r.families[name] = f
-	return f
-}
-
-// child returns (creating on first use) the histogram for one
-// label-value combination.
-func (f *family) child(labelValues []string) *Histogram {
-	if len(labelValues) != len(f.labelNames) {
-		panic(fmt.Sprintf("telemetry: %q wants %d label values, got %d",
-			f.name, len(f.labelNames), len(labelValues)))
-	}
-	key := strings.Join(labelValues, "\xff")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c, ok := f.children[key]
-	if !ok {
-		c = newHistogram(f.buckets)
-		f.children[key] = c
-	}
-	return c
+	r.families[f.name] = f
 }
 
 // ---- func-backed families ----
@@ -161,14 +136,12 @@ func (f *family) child(labelValues []string) *Histogram {
 // for mirroring counters the service already maintains (pool accepted/
 // rejected totals) without double bookkeeping. fn must be monotonic.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, TypeCounter, nil, nil,
-		func(emit func([]string, float64)) { emit(nil, fn()) })
+	r.CollectFunc(name, help, TypeCounter, nil, func(emit func([]string, float64)) { emit(nil, fn()) })
 }
 
 // GaugeFunc registers a gauge read at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, TypeGauge, nil, nil,
-		func(emit func([]string, float64)) { emit(nil, fn()) })
+	r.CollectFunc(name, help, TypeGauge, nil, func(emit func([]string, float64)) { emit(nil, fn()) })
 }
 
 // CollectFunc registers a family whose full sample set (including its
@@ -180,7 +153,7 @@ func (r *Registry) CollectFunc(name, help string, typ MetricType, labelNames []s
 	if typ == TypeHistogram {
 		panic("telemetry: CollectFunc does not support histograms")
 	}
-	r.register(name, help, typ, labelNames, nil, fn)
+	r.register(&family{name: name, help: help, typ: typ, labelNames: labelNames, collect: fn})
 }
 
 // ---- histogram ----
@@ -289,22 +262,20 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // (minutes land in +Inf) on one scale.
 var DefaultLatencyBuckets = ExpBuckets(100e-6, 2, 20)
 
-// Histogram registers an unlabeled histogram.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, TypeHistogram, nil, buckets, nil).child(nil)
-}
-
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
-// HistogramVec registers a histogram family with the given label names.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	return &HistogramVec{r.register(name, help, TypeHistogram, labelNames, buckets, nil)}
-}
-
-// With returns the histogram for one label-value combination.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.f.child(labelValues)
+// Histogram registers a histogram. labels are constant name/value
+// pairs every sample carries (policy="static" for a daemon's one
+// allocation policy).
+func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
+	if len(labels)%2 != 0 {
+		panic(fmt.Sprintf("telemetry: %q wants label name/value pairs, got %d strings", name, len(labels)))
+	}
+	f := &family{name: name, help: help, typ: TypeHistogram, hist: newHistogram(buckets)}
+	for i := 0; i < len(labels); i += 2 {
+		f.labelNames = append(f.labelNames, labels[i])
+		f.labelValues = append(f.labelValues, labels[i+1])
+	}
+	r.register(f)
+	return f.hist
 }
 
 // ---- exposition ----
@@ -371,7 +342,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 			f.writeCollected(&b)
 			continue
 		}
-		f.writeChildren(&b)
+		f.writeHistogram(&b)
 	}
 	b.WriteString("# EOF\n")
 	_, err := io.WriteString(w, b.String())
@@ -402,40 +373,22 @@ func (f *family) writeCollected(b *strings.Builder) {
 	}
 }
 
-// writeChildren renders a histogram family's children in sorted label
-// order.
-func (f *family) writeChildren(b *strings.Builder) {
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.children))
-	for k := range f.children {
-		keys = append(keys, k)
+// writeHistogram renders a histogram family's cumulative buckets, sum
+// and count.
+func (f *family) writeHistogram(b *strings.Builder) {
+	h := f.hist
+	counts := h.snapshot()
+	var cum uint64
+	for bi, bound := range h.bounds {
+		cum += counts[bi]
+		fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
+			labelString(f.labelNames, f.labelValues, fmtFloat(bound)), cum)
 	}
-	sort.Strings(keys)
-	kids := make([]*Histogram, len(keys))
-	for i, k := range keys {
-		kids[i] = f.children[k]
-	}
-	f.mu.Unlock()
-
-	for i, k := range keys {
-		var values []string
-		if k != "" || len(f.labelNames) > 0 {
-			values = strings.Split(k, "\xff")
-		}
-		labels := labelString(f.labelNames, values, "")
-		c := kids[i]
-		counts := c.snapshot()
-		var cum uint64
-		for bi, bound := range c.bounds {
-			cum += counts[bi]
-			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name,
-				labelString(f.labelNames, values, fmtFloat(bound)), cum)
-		}
-		cum += counts[len(c.bounds)]
-		fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, values, "+Inf"), cum)
-		fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labels, fmtFloat(c.Sum()))
-		fmt.Fprintf(b, "%s_count%s %d\n", f.name, labels, cum)
-	}
+	cum += counts[len(h.bounds)]
+	fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, f.labelValues, "+Inf"), cum)
+	labels := labelString(f.labelNames, f.labelValues, "")
+	fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labels, fmtFloat(h.Sum()))
+	fmt.Fprintf(b, "%s_count%s %d\n", f.name, labels, cum)
 }
 
 // ContentType is the exposition Content-Type served by Handler.

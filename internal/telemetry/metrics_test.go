@@ -15,7 +15,7 @@ import (
 // goldenRegistry builds one registry exercising every family kind:
 // func-backed counters and gauges, collector-backed labeled families of
 // both types, a histogram spanning its finite buckets plus +Inf, and a
-// labeled histogram family.
+// histogram carrying a constant label.
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.CounterFunc("jobs_done", "Jobs completed.", func() float64 { return 3 })
@@ -35,10 +35,7 @@ func goldenRegistry() *Registry {
 	for _, v := range []float64{0.05, 0.5, 0.5, 20} {
 		h.Observe(v)
 	}
-	hv := r.HistogramVec("simulate_seconds", "Simulation time by policy.", []float64{1, 2}, "policy")
-	hv.With("static").Observe(0.5)
-	hv.With("icount").Observe(1.5)
-	hv.With("icount").Observe(3)
+	r.Histogram("simulate_seconds", "Simulation time by policy.", []float64{1, 2}, "policy", "static").Observe(0.5)
 	return r
 }
 
@@ -103,15 +100,13 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("invalid name", func() { r.CounterFunc("bad-name", "hyphen", zero) })
 	mustPanic("counter _total suffix", func() { r.CounterFunc("c_total", "suffix", zero) })
 	mustPanic("digit first", func() { r.CounterFunc("9lives", "digit", zero) })
-	mustPanic("le label", func() { r.HistogramVec("c2", "h", []float64{1}, "le") })
+	mustPanic("le label", func() { r.Histogram("c2", "h", []float64{1}, "le", "1") })
 	mustPanic("empty buckets", func() { r.Histogram("h1", "h", nil) })
 	mustPanic("unsorted buckets", func() { r.Histogram("h2", "h", []float64{2, 1}) })
 	mustPanic("collect histogram", func() {
 		r.CollectFunc("h3", "h", TypeHistogram, nil, func(func([]string, float64)) {})
 	})
-	mustPanic("label arity", func() {
-		r.HistogramVec("c3", "h", []float64{1}, "a", "b").With("only-one")
-	})
+	mustPanic("label arity", func() { r.Histogram("c3", "h", []float64{1}, "only-one") })
 }
 
 // TestHistogramQuantilePinned pins exact interpolation results on a
@@ -234,22 +229,21 @@ func TestConcurrentScrape(t *testing.T) {
 	r.CollectFunc("ops_by", "ops by kind", TypeCounter, []string{"kind"},
 		func(emit func([]string, float64)) { emit([]string{"all"}, float64(ops.Load())) })
 	h := r.Histogram("lat", "latency", DefaultLatencyBuckets)
-	hv := r.HistogramVec("lat_by", "latency by kind", []float64{1, 2}, "kind")
+	hl := r.Histogram("lat_by", "latency by kind", []float64{1, 2}, "kind", "all")
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			kind := string(rune('a' + w%3))
 			for i := 0; i < iters; i++ {
 				ops.Add(1)
 				depth.Store(int64(i))
 				h.Observe(float64(i) * 1e-4)
-				hv.With(kind).Observe(float64(i % 3))
+				hl.Observe(float64(i % 3))
 			}
-		}(w)
+		}()
 	}
 	for s := 0; s < 4; s++ {
 		wg.Add(1)

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"clustersmt/internal/obs"
 )
 
 // Trace IDs follow one job: generated at submission (or accepted from
@@ -65,41 +67,31 @@ func TraceIDFrom(ctx context.Context) string {
 	return id
 }
 
-// Span is one completed, named interval of a traced job on one node.
-// Times are wall-clock unix microseconds — the unit Chrome trace_event
-// uses natively — so they render onto a timeline without conversion.
+// Span is one completed, named interval of a traced job. Times are
+// wall-clock unix microseconds — the unit Chrome trace_event uses
+// natively — so they render onto a timeline without conversion.
 type Span struct {
 	TraceID string            `json:"trace_id"`
 	Name    string            `json:"name"`
-	Node    string            `json:"node"`
 	StartUS int64             `json:"start_us"`
 	DurUS   int64             `json:"dur_us"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// DefaultSpanRingCap bounds retained spans when callers pass 0: at the
-// ~7 spans a traced job records, it covers the last ~580 jobs.
-const DefaultSpanRingCap = 4096
-
 // SpanRing retains the most recent spans in a fixed-capacity circular
-// buffer, queryable by trace ID. It is the per-node span store behind
+// buffer, queryable by trace ID. It is the span store behind
 // GET /v1/trace/{id} — bounded by construction, so tracing every job is
 // safe at any request rate.
 type SpanRing struct {
-	mu     sync.Mutex
-	spans  []Span
-	start  int
-	count  int
-	pushed int
+	mu  sync.Mutex
+	buf obs.Buffer[Span]
 }
 
 // NewSpanRing returns a ring retaining up to capacity spans
-// (DefaultSpanRingCap when capacity <= 0).
+// (obs.DefaultRingCap, 4096, when capacity <= 0: at the ~7 spans a
+// traced job records, the last ~580 jobs).
 func NewSpanRing(capacity int) *SpanRing {
-	if capacity <= 0 {
-		capacity = DefaultSpanRingCap
-	}
-	return &SpanRing{spans: make([]Span, capacity)}
+	return &SpanRing{buf: obs.NewBuffer[Span](capacity)}
 }
 
 // Record appends one completed span, overwriting the oldest once full.
@@ -110,14 +102,7 @@ func (r *SpanRing) Record(s Span) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.count < len(r.spans) {
-		r.spans[(r.start+r.count)%len(r.spans)] = s
-		r.count++
-	} else {
-		r.spans[r.start] = s
-		r.start = (r.start + 1) % len(r.spans)
-	}
-	r.pushed++
+	r.buf.Push(s)
 }
 
 // ByTrace returns the retained spans for one trace ID, oldest first.
@@ -125,9 +110,8 @@ func (r *SpanRing) ByTrace(id string) []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Span
-	for i := 0; i < r.count; i++ {
-		s := r.spans[(r.start+i)%len(r.spans)]
-		if s.TraceID == id {
+	for i := 0; i < r.buf.Len(); i++ {
+		if s := r.buf.At(i); s.TraceID == id {
 			out = append(out, s)
 		}
 	}
@@ -138,36 +122,24 @@ func (r *SpanRing) ByTrace(id string) []Span {
 func (r *SpanRing) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.count
+	return r.buf.Len()
 }
 
 // Dropped returns how many spans were overwritten by later records.
 func (r *SpanRing) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.pushed - r.count
+	return r.buf.Dropped()
 }
 
 // WriteChromeTrace renders spans as a Chrome trace_event JSON array —
-// the same format the simulator's -trace-format chrome sink emits
+// the same format the simulator's Chrome trace sink emits
 // (internal/core/trace.go), so service-level job timelines and
 // simulator-internal pipeline traces open in the same viewer
-// (chrome://tracing, Perfetto). One node is one process (with a
-// process_name metadata record); spans are complete events (ph "X")
-// with ts/dur in microseconds.
-func WriteChromeTrace(w io.Writer, spans []Span) error {
-	nodes := make(map[string]int)
-	var order []string
-	for _, s := range spans {
-		if _, ok := nodes[s.Node]; !ok {
-			nodes[s.Node] = 0
-			order = append(order, s.Node)
-		}
-	}
-	sort.Strings(order)
-	for i, n := range order {
-		nodes[n] = i + 1
-	}
+// (chrome://tracing, Perfetto). The spans are one process, pid 1, named
+// by a process_name metadata record; spans are complete events (ph "X")
+// with ts/dur in microseconds, in start order.
+func WriteChromeTrace(w io.Writer, process string, spans []Span) error {
 	sorted := make([]Span, len(spans))
 	copy(sorted, spans)
 	sort.Slice(sorted, func(i, j int) bool {
@@ -178,21 +150,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 	})
 
 	var b strings.Builder
-	b.WriteString("[")
-	first := true
-	sep := func() {
-		if first {
-			b.WriteString("\n")
-			first = false
-		} else {
-			b.WriteString(",\n")
-		}
-	}
-	for _, n := range order {
-		sep()
-		fmt.Fprintf(&b, `{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}}`,
-			nodes[n], strconv.Quote(n))
-	}
+	fmt.Fprintf(&b, "[\n"+`{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":%s}}`, strconv.Quote(process))
 	for _, s := range sorted {
 		args := map[string]string{"trace_id": s.TraceID}
 		for k, v := range s.Attrs {
@@ -206,9 +164,8 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		if dur < 1 {
 			dur = 1 // zero-width spans vanish in the viewer
 		}
-		sep()
-		fmt.Fprintf(&b, `{"name":%s,"cat":"service","ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":1,"args":%s}`,
-			strconv.Quote(s.Name), s.StartUS, dur, nodes[s.Node], rawArgs)
+		fmt.Fprintf(&b, ",\n"+`{"name":%s,"cat":"service","ph":"X","ts":%d,"dur":%d,"pid":1,"tid":1,"args":%s}`,
+			strconv.Quote(s.Name), s.StartUS, dur, rawArgs)
 	}
 	b.WriteString("\n]\n")
 	_, err := io.WriteString(w, b.String())

@@ -93,16 +93,16 @@ func TestSpanRingConcurrent(t *testing.T) {
 }
 
 // TestWriteChromeTrace checks the export is valid JSON in Chrome
-// trace_event array form: one process_name metadata record per node,
-// ph "X" complete events in start order, and trace_id in args.
+// trace_event array form: one process_name metadata record, ph "X"
+// complete events in start order on its pid, and trace_id in args.
 func TestWriteChromeTrace(t *testing.T) {
 	spans := []Span{
-		{TraceID: "t1", Name: "simulate", Node: "worker-1", StartUS: 200, DurUS: 50},
-		{TraceID: "t1", Name: "submit", Node: "coordinator", StartUS: 100, DurUS: 0,
+		{TraceID: "t1", Name: "simulate", StartUS: 200, DurUS: 50},
+		{TraceID: "t1", Name: "submit", StartUS: 100, DurUS: 0,
 			Attrs: map[string]string{"job": "j-1"}},
 	}
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, spans); err != nil {
+	if err := WriteChromeTrace(&b, "clusterd", spans); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -120,15 +120,8 @@ func TestWriteChromeTrace(t *testing.T) {
 			t.Errorf("unexpected ph %v", e["ph"])
 		}
 	}
-	if len(meta) != 2 {
-		t.Fatalf("got %d process_name records, want 2", len(meta))
-	}
-	names := map[string]bool{}
-	for _, m := range meta {
-		names[m["args"].(map[string]any)["name"].(string)] = true
-	}
-	if !names["coordinator"] || !names["worker-1"] {
-		t.Fatalf("process names = %v", names)
+	if len(meta) != 1 || meta[0]["args"].(map[string]any)["name"] != "clusterd" {
+		t.Fatalf("process_name records = %v, want one naming clusterd", meta)
 	}
 	if len(complete) != 2 {
 		t.Fatalf("got %d complete events, want 2", len(complete))
@@ -144,8 +137,9 @@ func TestWriteChromeTrace(t *testing.T) {
 	if args["trace_id"] != "t1" || args["job"] != "j-1" {
 		t.Fatalf("args = %v", args)
 	}
-	// Distinct nodes map to distinct pids.
-	if complete[0]["pid"] == complete[1]["pid"] {
-		t.Error("spans on different nodes share a pid")
+	for _, e := range complete {
+		if e["pid"] != meta[0]["pid"] {
+			t.Errorf("span %v on pid %v, process is pid %v", e["name"], e["pid"], meta[0]["pid"])
+		}
 	}
 }

@@ -42,6 +42,18 @@ func (s Size) String() string {
 	return "ref"
 }
 
+// ParseSize returns the size a name spells ("test" or "ref", in any
+// case), or an error naming both.
+func ParseSize(name string) (Size, error) {
+	switch strings.ToLower(name) {
+	case "test":
+		return SizeTest, nil
+	case "ref":
+		return SizeRef, nil
+	}
+	return 0, fmt.Errorf("workloads: unknown size %q (want test or ref)", name)
+}
+
 // Workload is one application.
 type Workload struct {
 	Name        string

@@ -310,3 +310,23 @@ func TestChunkMatchesWorkersAt(t *testing.T) {
 		}
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Size
+		ok   bool
+	}{
+		{"test", SizeTest, true}, {"TEST", SizeTest, true}, {"Test", SizeTest, true},
+		{"ref", SizeRef, true}, {"REF", SizeRef, true}, {"rEf", SizeRef, true},
+		{"", 0, false}, {"tset", 0, false}, {"reference", 0, false}, {" test", 0, false},
+	} {
+		got, err := ParseSize(tc.name)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "test or ref")) {
+			t.Errorf("ParseSize(%q) = %v, %v; want an error naming both sizes", tc.name, got, err)
+		}
+	}
+}
