@@ -69,7 +69,7 @@ func main() {
 
 	addr := flag.String("addr", ":8421", "listen address (host:port; port 0 picks a free port)")
 	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
-	workers := flag.Int("workers", 0, "concurrent simulation workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent simulations, for jobs and figures alike (0 = GOMAXPROCS; an oracle search holds one while scoring candidates on up to GOMAXPROCS goroutines)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
 	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	paperfigs [-size ref] [-only fig4,fig7] [-o report.md]
-//	          [-progress] [-metrics metricsdir] [-warmup-cycles N]
+//	          [-progress] [-metrics metricsdir]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
@@ -44,7 +44,6 @@ func main() {
 	progress := flag.Bool("progress", false, "print a per-run heartbeat to stderr every metrics interval")
 	metricsDir := flag.String("metrics", "", "export each run's interval metrics as CSV into this directory")
 	metricsInterval := flag.Int64("metrics-interval", clustersmt.DefaultMetricsInterval, "cycles per metrics frame")
-	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval for the alloc figure's dynamic policies (0 = figure default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -109,12 +108,8 @@ func main() {
 	defer stop()
 
 	// One suite serves every figure: the run cache shares results across
-	// matrices (FA8/SMT8 alias, Figure 6 reuses Figure 4/5 cells), and
-	// with -warmup-cycles any prefix-declaring workloads also share one
-	// warmed checkpoint per machine across all the figures that include
-	// them.
+	// matrices (FA8/SMT8 alias, Figure 6 reuses Figure 4/5 cells).
 	suite := clustersmt.NewSuite(size)
-	suite.WarmupCycles = *warmupCycles
 	if *metricsDir != "" || *progress {
 		suite.MetricsInterval = *metricsInterval
 	}

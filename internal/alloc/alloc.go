@@ -88,9 +88,13 @@ type Allocator interface {
 	Dynamic() bool
 }
 
-// StaticPlace is the seed placement every policy falls back to: thread
-// tid lands on chip tid%chips, cluster (tid/chips)%clustersPerChip —
-// round-robin across chips first, then across a chip's clusters.
+// StaticPlace is the seed placement every policy falls back to, and
+// the one the core uses by default: thread tid lands on chip tid%chips,
+// cluster (tid/chips)%clustersPerChip — round-robin across chips first,
+// then across a chip's clusters (standard SPMD placement), so
+// consecutive thread ids land on different chips and clusters and a
+// partially parallel application spreads its active threads over the
+// whole machine.
 func StaticPlace(threads int, clusters []ClusterInfo) []int {
 	chips := 0
 	perChip := 0

@@ -53,19 +53,19 @@ type allocState struct {
 }
 
 // initAlloc resolves the machine's allocation policy for n threads. It
-// returns the initial assignment (nil means the seed placement loop
-// runs unchanged — the bit-identity guarantee for the default
-// configuration) and arms the epoch state for dynamic policies.
+// returns the initial assignment — for the default configuration the
+// seed placement, alloc.StaticPlace — and arms the epoch state for
+// dynamic policies.
 func (s *Simulator) initAlloc(n int) ([]int, error) {
 	a := s.Machine.Alloc.Normalize()
+	infos := s.clusterInfos()
 	if a.Policy == "" {
-		return nil, nil
+		return alloc.StaticPlace(n, infos), nil
 	}
 	pol, err := alloc.New(a.Policy)
 	if err != nil {
 		return nil, err
 	}
-	infos := s.clusterInfos()
 	assign := pol.Place(n, infos)
 	if err := validAssignment(n, infos, assign); err != nil {
 		return nil, fmt.Errorf("core: policy %q initial placement: %w", pol.Name(), err)
@@ -131,15 +131,7 @@ func (s *Simulator) SetAssignment(assign []int) error {
 	if err := validAssignment(len(s.threads), s.clusterInfos(), assign); err != nil {
 		return fmt.Errorf("core: SetAssignment: %w", err)
 	}
-	for _, cl := range s.clusters {
-		cl.threads = cl.threads[:0]
-	}
-	for tid, t := range s.threads {
-		cl := s.clusters[assign[tid]]
-		t.cluster = cl
-		t.chip = cl.chip
-		cl.threads = append(cl.threads, t)
-	}
+	s.place(assign)
 	return nil
 }
 
@@ -167,19 +159,14 @@ func (s *Simulator) allocEpoch() {
 		chipMem[chip] = s.msys.ChipSnapshot(chip, s.cycle)
 	}
 	snap.Clusters = make([]alloc.ClusterSample, len(s.clusters))
-	for i, cl := range s.clusters {
-		d := chipMem[cl.chip].Sub(a.prevChipMem[cl.chip])
+	for i, info := range s.clusterInfos() {
+		d := chipMem[info.Chip].Sub(a.prevChipMem[info.Chip])
 		snap.Clusters[i] = alloc.ClusterSample{
-			ClusterInfo: alloc.ClusterInfo{
-				GID:      cl.gid,
-				Chip:     cl.chip,
-				Index:    cl.idx,
-				Capacity: cl.cfg.ThreadsPerCluster,
-			},
-			L1Hits:   d.L1Hits,
-			L1Misses: d.L1Misses,
-			L2Hits:   d.L2Hits,
-			L2Misses: d.L2Misses,
+			ClusterInfo: info,
+			L1Hits:      d.L1Hits,
+			L1Misses:    d.L1Misses,
+			L2Hits:      d.L2Hits,
+			L2Misses:    d.L2Misses,
 			// Occupancy is a gauge (Sub keeps the boundary value):
 			// the saturation signal itself.
 			MSHROccupancy: uint64(d.MSHROccupancy),

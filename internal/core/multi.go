@@ -37,56 +37,19 @@ func NewMulti(m config.Machine, progs []*prog.Program) (*Simulator, error) {
 	if len(progs) > m.Threads() {
 		return nil, fmt.Errorf("core: %d programs exceed %d hardware contexts", len(progs), m.Threads())
 	}
-	s := &Simulator{
-		Machine:   m,
-		Program:   progs[0],
-		msys:      coherence.NewSystem(m.Chips, m.Mem),
-		MaxCycles: DefaultMaxCycles,
-	}
-	s.chips = make([][]*cluster, m.Chips)
-	for chip := 0; chip < m.Chips; chip++ {
-		s.chips[chip] = make([]*cluster, m.Arch.Clusters)
-		for ci := 0; ci < m.Arch.Clusters; ci++ {
-			cl := newCluster(chip, ci, m.Arch)
-			s.chips[chip][ci] = cl
-			s.clusters = append(s.clusters, cl)
-		}
-	}
-	s.numberClusters()
-	assign, err := s.initAlloc(len(progs))
+	var mems []*interp.Memory
+	var syncs []*parallel.Sync
+	s, err := newMachine(m, progs[0], coherence.NewSystem(m.Chips, m.Mem), len(progs), func(i int) *threadCtx {
+		mem := interp.NewMemory()
+		mem.LoadImage(progs[i])
+		sync := parallel.NewSync(1)
+		mems, syncs = append(mems, mem), append(syncs, sync)
+		return &threadCtx{fn: interp.NewThread(0, progs[i], mem), sync: sync, memBase: int64(i) * asidStride}
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range progs {
-		mem := interp.NewMemory()
-		mem.LoadImage(p)
-		s.mems = append(s.mems, mem)
-
-		var cl *cluster
-		if assign != nil {
-			cl = s.clusters[assign[i]]
-		} else {
-			chip := i % m.Chips
-			local := i / m.Chips
-			ci := local % m.Arch.Clusters
-			cl = s.chips[chip][ci]
-		}
-		t := &threadCtx{
-			id:         i,
-			chip:       cl.chip,
-			cluster:    cl,
-			fn:         interp.NewThread(0, p, mem),
-			sync:       parallel.NewSync(1),
-			memBase:    int64(i) * asidStride,
-			frontEvent: noEvent,
-			fifo:       newRing(m.Arch.WindowEntries),
-		}
-		cl.threads = append(cl.threads, t)
-		s.threads = append(s.threads, t)
-		s.syncs = append(s.syncs, t.sync)
-	}
-	s.mem = s.mems[0]
-	s.running = len(s.threads)
+	s.mem, s.mems, s.syncs = mems[0], mems, syncs
 	return s, nil
 }
 

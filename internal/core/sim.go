@@ -128,22 +128,37 @@ func New(m config.Machine, p *prog.Program) (*Simulator, error) {
 
 // newShell builds the complete machine structure — clusters, threads,
 // sync controller — around the given memory front end and timing memory
-// system, WITHOUT loading the program image. New loads the image into a
+// system, WITHOUT loading the program image: m.Threads() threads of p
+// over one memory and one sync controller. New loads the image into a
 // fresh memory; the fork and restore paths (snapshot.go) instead attach
 // a copy-on-write or decoded memory that already carries the warmed
 // store state, which LoadImage would clobber.
 func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coherence.System) (*Simulator, error) {
+	sync := parallel.NewSync(m.Threads())
+	s, err := newMachine(m, p, msys, m.Threads(), func(tid int) *threadCtx {
+		return &threadCtx{fn: interp.NewThread(tid, p, mem), sync: sync}
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.mem, s.mems, s.syncs = mem, []*interp.Memory{mem}, []*parallel.Sync{sync}
+	return s, nil
+}
+
+// newMachine builds machine m's chips and clusters around the timing
+// memory system msys, creates n hardware threads through thread (which
+// supplies each one's functional thread, sync controller and address
+// base) and homes them where the allocation policy places them
+// (initAlloc; the default is the seed placement, alloc.StaticPlace).
+// Clusters are numbered chip-major — the cycle loop's iteration order —
+// with their sleep state preallocated by that number.
+func newMachine(m config.Machine, p *prog.Program, msys *coherence.System, n int, thread func(tid int) *threadCtx) (*Simulator, error) {
 	s := &Simulator{
 		Machine:   m,
 		Program:   p,
-		mem:       mem,
 		msys:      msys,
 		MaxCycles: DefaultMaxCycles,
 	}
-	s.mems = []*interp.Memory{s.mem}
-	sync := parallel.NewSync(m.Threads())
-	s.syncs = []*parallel.Sync{sync}
-
 	s.chips = make([][]*cluster, m.Chips)
 	for chip := 0; chip < m.Chips; chip++ {
 		s.chips[chip] = make([]*cluster, m.Arch.Clusters)
@@ -153,54 +168,37 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 			s.clusters = append(s.clusters, cl)
 		}
 	}
-	s.numberClusters()
-
-	// Initial placement: the allocation policy decides (alloc.go); with
-	// the default static policy, assign is nil and the seed loop below
-	// runs byte-for-byte unchanged. Threads are placed round-robin
-	// across chips and then round-robin across the clusters within a
-	// chip (standard SPMD placement), so consecutive thread ids land on
-	// different chips/clusters and partially-parallel applications
-	// spread their active threads over the whole machine.
-	assign, err := s.initAlloc(m.Threads())
-	if err != nil {
-		return nil, err
-	}
-	for tid := 0; tid < m.Threads(); tid++ {
-		var cl *cluster
-		if assign != nil {
-			cl = s.clusters[assign[tid]]
-		} else {
-			chip := tid % m.Chips
-			local := tid / m.Chips
-			ci := local % m.Arch.Clusters
-			cl = s.chips[chip][ci]
-		}
-		t := &threadCtx{
-			id:         tid,
-			chip:       cl.chip,
-			cluster:    cl,
-			fn:         interp.NewThread(tid, p, s.mem),
-			sync:       sync,
-			frontEvent: noEvent,
-			fifo:       newRing(m.Arch.WindowEntries),
-		}
-		cl.threads = append(cl.threads, t)
-		s.threads = append(s.threads, t)
-	}
-	s.running = len(s.threads)
-	return s, nil
-}
-
-// numberClusters assigns each cluster its global (chip-major) index —
-// the cycle loop's iteration order — and preallocates the sleep state
-// indexed by it.
-func (s *Simulator) numberClusters() {
 	s.sleep = make([]clusterSleep, len(s.clusters))
 	s.idle = make([]int32, 0, len(s.clusters))
 	for i, cl := range s.clusters {
 		cl.gid = i
 		s.sleep[i].spinners = make([]*threadCtx, 0, cl.cfg.ThreadsPerCluster)
+	}
+	assign, err := s.initAlloc(n)
+	if err != nil {
+		return nil, err
+	}
+	s.threads = make([]*threadCtx, n)
+	for tid := range s.threads {
+		t := thread(tid)
+		t.id, t.frontEvent, t.fifo = tid, noEvent, newRing(m.Arch.WindowEntries)
+		s.threads[tid] = t
+	}
+	s.place(assign)
+	s.running = n
+	return s, nil
+}
+
+// place homes each thread tid on cluster assign[tid]; every cluster
+// lists its threads in thread-id order.
+func (s *Simulator) place(assign []int) {
+	for _, cl := range s.clusters {
+		cl.threads = cl.threads[:0]
+	}
+	for tid, t := range s.threads {
+		cl := s.clusters[assign[tid]]
+		t.cluster, t.chip = cl, cl.chip
+		cl.threads = append(cl.threads, t)
 	}
 }
 

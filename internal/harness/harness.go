@@ -694,25 +694,18 @@ func (f *Figure) Get(app, arch string) Row {
 }
 
 // Best returns the architecture with the fewest cycles for app.
-func (f *Figure) Best(app string) string {
-	best, bestCycles := "", int64(0)
-	for _, r := range f.Rows {
-		if r.App != app {
-			continue
-		}
-		if best == "" || r.Cycles < bestCycles {
-			best, bestCycles = r.Arch, r.Cycles
-		}
-	}
-	return best
-}
+func (f *Figure) Best(app string) string { return f.best(app, "") }
 
 // BestFA returns the best fixed-assignment architecture for app
 // (excludes SMT rows).
-func (f *Figure) BestFA(app string) string {
+func (f *Figure) BestFA(app string) string { return f.best(app, "FA") }
+
+// best returns the architecture named with prefix that has the fewest
+// cycles for app (the first such row on ties).
+func (f *Figure) best(app, prefix string) string {
 	best, bestCycles := "", int64(0)
 	for _, r := range f.Rows {
-		if r.App != app || !strings.HasPrefix(r.Arch, "FA") {
+		if r.App != app || !strings.HasPrefix(r.Arch, prefix) {
 			continue
 		}
 		if best == "" || r.Cycles < bestCycles {

@@ -24,6 +24,8 @@ type FunctionalResult struct {
 	Threads []*interp.Thread
 	Sync    *Sync
 	Steps   uint64 // total dynamic instructions executed
+	// Ops counts the executed instructions per opcode (they sum to Steps).
+	Ops [isa.NumOps]uint64
 }
 
 // ReadFloat returns the float64 stored at the named global plus a word
@@ -63,6 +65,7 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 	barTarget := make([]uint64, nthreads)
 
 	var steps uint64
+	var ops [isa.NumOps]uint64
 	for {
 		progress := false
 		alive := false
@@ -72,21 +75,19 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 			}
 			alive = true
 
+			in := t.Peek()
 			switch blocked[tid] {
 			case blockedLock:
-				in := t.Peek()
 				if !sync.TryLock(in.Imm, tid) {
 					continue
 				}
 				blocked[tid] = notBlocked
 			case blockedBarrier:
-				in := t.Peek()
 				if !sync.Released(in.Imm, barTarget[tid]) {
 					continue
 				}
 				blocked[tid] = notBlocked
 			default:
-				in := t.Peek()
 				switch in.Op {
 				case isa.OpLock:
 					if !sync.TryLock(in.Imm, tid) {
@@ -106,6 +107,7 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 				}
 			}
 
+			ops[in.Op]++
 			t.Step()
 			steps++
 			progress = true
@@ -124,7 +126,7 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 	if sync.HeldLocks() != 0 {
 		return nil, fmt.Errorf("parallel: run finished with %d locks still held", sync.HeldLocks())
 	}
-	return &FunctionalResult{Mem: mem, Threads: threads, Sync: sync, Steps: steps}, nil
+	return &FunctionalResult{Mem: mem, Threads: threads, Sync: sync, Steps: steps, Ops: ops}, nil
 }
 
 func countAlive(ts []*interp.Thread) int {

@@ -222,6 +222,14 @@ func TestRunFunctionalLockedIncrements(t *testing.T) {
 		if res.Sync.LockAcquires != uint64(k*threads) {
 			t.Errorf("threads=%d: acquires = %d", threads, res.Sync.LockAcquires)
 		}
+		// Ops counts every executed instruction once, by opcode.
+		var sum uint64
+		for _, n := range res.Ops {
+			sum += n
+		}
+		if sum != res.Steps || res.Ops[isa.OpLock] != uint64(k*threads) {
+			t.Errorf("threads=%d: ops sum %d (steps %d), locks %d", threads, sum, res.Steps, res.Ops[isa.OpLock])
+		}
 	}
 }
 

@@ -467,22 +467,13 @@ func (b *Builder) Halt() { b.emit(isa.Instr{Op: isa.OpHalt}) }
 
 // --- structured helpers ---
 
-// CountedLoop emits `for ; idx < bound; idx++ { body }`, with idx and
-// bound live registers. The loop test is at the bottom (one conditional
-// branch per iteration); a top guard skips empty loops.
-func (b *Builder) CountedLoop(idx, bound isa.Reg, body func()) {
-	n := b.Seq()
-	top := fmt.Sprintf(".L%d_top", n)
-	done := fmt.Sprintf(".L%d_done", n)
-	b.Bge(idx, bound, done)
-	b.Label(top)
-	body()
-	b.Addi(idx, idx, 1)
-	b.Blt(idx, bound, top)
-	b.Label(done)
-}
+// CountedLoop emits `for ; idx < bound; idx++ { body }`: SteppedLoop
+// with step 1.
+func (b *Builder) CountedLoop(idx, bound isa.Reg, body func()) { b.SteppedLoop(idx, bound, 1, body) }
 
-// SteppedLoop is CountedLoop with a stride other than 1.
+// SteppedLoop emits `for ; idx < bound; idx += step { body }`, with idx
+// and bound live registers. The loop test is at the bottom (one
+// conditional branch per iteration); a top guard skips empty loops.
 func (b *Builder) SteppedLoop(idx, bound isa.Reg, step int64, body func()) {
 	n := b.Seq()
 	top := fmt.Sprintf(".L%d_top", n)

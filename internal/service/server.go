@@ -29,7 +29,11 @@ type Options struct {
 	// DefaultSize is the input size used when a job or figure request
 	// does not name one.
 	DefaultSize workloads.Size
-	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
+	// Workers bounds concurrent simulations (0 = GOMAXPROCS): every
+	// simulation the daemon runs, for jobs and figures alike, holds one
+	// of these slots. An oracle search holds one slot while
+	// core.SearchStatic scores its candidates on up to GOMAXPROCS
+	// goroutines.
 	Workers int
 	// QueueCap bounds the admission FIFO (0 = DefaultQueueCap). A full
 	// queue rejects submissions with 429 + Retry-After.
@@ -156,9 +160,10 @@ func (s *Server) suite(size workloads.Size) *harness.Suite {
 				s.span(telemetry.TraceIDFrom(ctx), "simulate", time.Now().Add(-d), attrs)
 			}
 		}
-		// The pool already bounds admission; let the suite run whatever
-		// the workers hand it (figure endpoints share the same suite and
-		// add their own demand, still bounded by GOMAXPROCS inside).
+		// Workers bounds every simulation the daemon runs: jobs arrive
+		// one per pool worker, but a figure request fans its cells out
+		// inside the suite, so the suite's own slots carry the bound.
+		st.SetParallelism(s.pool.Workers())
 		s.suites[size] = st
 	}
 	return st

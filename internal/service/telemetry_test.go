@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"clustersmt/internal/telemetry"
 )
@@ -48,6 +50,23 @@ func metricValue(t *testing.T, exposition, prefix string) float64 {
 	}
 	t.Fatalf("no sample %q in exposition", prefix)
 	return 0
+}
+
+// TestWorkersBoundFigureCells: Options.Workers bounds every simulation
+// the daemon runs, figure cells included, not only queued jobs. With one
+// worker the cells of a figure run one at a time, so the simulate time
+// they add up to cannot exceed the request's wall clock; with the
+// suite left at GOMAXPROCS slots they overlap and it does.
+func TestWorkersBoundFigureCells(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, ts := newTestServer(t, Options{Workers: 1})
+	t0 := time.Now()
+	getBody(t, ts.URL+"/v1/figures/4?size=test")
+	wall := time.Since(t0).Seconds()
+	body, _ := scrapeMetrics(t, ts)
+	if sum := metricValue(t, body, `clusterd_simulate_seconds_sum{policy="static"}`); sum > wall {
+		t.Fatalf("one worker: figure cells simulated for %.3fs within %.3fs of wall clock", sum, wall)
+	}
 }
 
 // TestMetricsEndpoint is the scrape contract: after one simulated job

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"clustersmt/internal/interp"
 	"clustersmt/internal/isa"
 	"clustersmt/internal/parallel"
 	"clustersmt/internal/prog"
@@ -38,82 +37,34 @@ func (m Mix) String() string {
 		m.pct(m.Stores), m.pct(m.Branches), m.pct(m.Syncs))
 }
 
-// MeasureMix functionally executes p with the given thread count and
-// tallies the dynamic instruction mix (a counting variant of
-// parallel.RunFunctional's round-robin scheduler).
+// MeasureMix functionally executes p with the given thread count
+// (parallel.RunFunctional, with its step bound, deadlock and held-lock
+// checks) and folds the executed opcodes into the dynamic instruction
+// mix.
 func MeasureMix(p *prog.Program, threads int) (Mix, error) {
-	var m Mix
-	mem := interp.NewMemory()
-	mem.LoadImage(p)
-	sync := parallel.NewSync(threads)
-	threadsCtx := make([]*interp.Thread, threads)
-	for i := range threadsCtx {
-		threadsCtx[i] = interp.NewThread(i, p, mem)
+	r, err := parallel.RunFunctional(p, threads, 0)
+	if err != nil {
+		return Mix{}, err
 	}
-	blocked := make([]int, threads) // 0 none, 1 lock, 2 barrier
-	barTarget := make([]uint64, threads)
-	for {
-		progress, alive := false, false
-		for tid, t := range threadsCtx {
-			if t.Halted {
-				continue
-			}
-			alive = true
-			in := t.Peek()
-			switch blocked[tid] {
-			case 1:
-				if !sync.TryLock(in.Imm, tid) {
-					continue
-				}
-				blocked[tid] = 0
-			case 2:
-				if !sync.Released(in.Imm, barTarget[tid]) {
-					continue
-				}
-				blocked[tid] = 0
-			default:
-				switch in.Op {
-				case isa.OpLock:
-					if !sync.TryLock(in.Imm, tid) {
-						blocked[tid] = 1
-						continue
-					}
-				case isa.OpUnlock:
-					sync.Unlock(in.Imm, tid)
-				case isa.OpBarrier:
-					barTarget[tid] = sync.Arrive(in.Imm)
-					if !sync.Released(in.Imm, barTarget[tid]) {
-						blocked[tid] = 2
-						continue
-					}
-				}
-			}
-			inf := in.Info()
-			m.Total++
-			switch {
-			case inf.Sync:
-				m.Syncs++
-			case inf.Branch:
-				m.Branches++
-			case inf.Class == isa.ClassLoad:
-				m.Loads++
-			case inf.Class == isa.ClassStore:
-				m.Stores++
-			case inf.Class == isa.ClassFP:
-				m.FPOps++
-			case inf.Class == isa.ClassInt:
-				m.IntOps++
-			default:
-				m.Other++
-			}
-			t.Step()
-			progress = true
-		}
-		if !alive {
-			break
-		}
-		if !progress {
-			return Mix{}, fmt.Errorf("workloads: mix measurement deadlocked")
+	var m Mix
+	for op, n := range r.Ops {
+		inf := isa.InfoFor(isa.Op(op))
+		m.Total += n
+		switch {
+		case inf.Sync:
+			m.Syncs += n
+		case inf.Branch:
+			m.Branches += n
+		case inf.Class == isa.ClassLoad:
+			m.Loads += n
+		case inf.Class == isa.ClassStore:
+			m.Stores += n
+		case inf.Class == isa.ClassFP:
+			m.FPOps += n
+		case inf.Class == isa.ClassInt:
+			m.IntOps += n
+		default:
+			m.Other += n
 		}
 	}
 	return m, nil

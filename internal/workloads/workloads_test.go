@@ -7,6 +7,7 @@ import (
 	"clustersmt/internal/config"
 	"clustersmt/internal/core"
 	"clustersmt/internal/parallel"
+	"clustersmt/internal/prog"
 )
 
 func TestAllHasSixApps(t *testing.T) {
@@ -240,6 +241,18 @@ func TestMeasureMix(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Fatal("empty string")
+	}
+}
+
+// TestMeasureMixHeldLock: the mix profiler runs on RunFunctional and
+// so inherits its checks — a kernel that halts holding a lock is an
+// error, not a mix.
+func TestMeasureMixHeldLock(t *testing.T) {
+	b := prog.NewBuilder("holdlock")
+	b.Lock(1)
+	b.Halt()
+	if m, err := MeasureMix(b.MustBuild(), 1); err == nil {
+		t.Fatalf("held lock not reported; got mix %s", m)
 	}
 }
 
