@@ -5,7 +5,7 @@
 //	POST /v1/jobs            submit {"app","arch","high_end","size"} → 202 (429 when full)
 //	GET  /v1/jobs/{id}       status/result (?wait=10s long-polls)
 //	GET  /v1/figures/{4578}  paper-figure matrices (?size=, ?format=text)
-//	GET  /v1/metrics/{run}   interval metrics for a simulated run (CSV/JSON)
+//	GET  /v1/metrics/{run}   interval metrics for a finished run (CSV/JSON)
 //	GET  /v1/trace/{id}      one job's span timeline (Chrome trace JSON)
 //	GET  /metrics            OpenMetrics scrape (latencies, queue, cache)
 //	GET  /healthz            liveness + queue/cache statistics

@@ -637,8 +637,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 // checkpoints must bump SnapshotVersion and regenerate the fixture
 // (WRITE_GOLDEN=1 go test ./internal/core -run TestSnapshotGolden).
 // It also pins that Restore→Snapshot reproduces the payload byte for
-// byte, and that the retired v6 fixture is refused with the typed
-// version error rather than misread.
+// byte, and that the fixture under the version word before or after
+// this build's is refused with the typed version error rather than
+// misread.
 func TestSnapshotGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "checkpoint_v7.bin")
 	m := config.LowEnd(config.FA4)
@@ -677,12 +678,13 @@ func TestSnapshotGolden(t *testing.T) {
 	if again, err := restored.Snapshot(); err != nil || !bytes.Equal(again, data) {
 		t.Errorf("Restore→Snapshot is not byte-identical to the fixture (err %v, %d vs %d bytes)", err, len(again), len(data))
 	}
-	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v6.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(m, build(), old); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("v6 fixture: got %v, want ErrSnapshotVersion", err)
+	for _, v := range []uint32{SnapshotVersion - 1, SnapshotVersion + 1} {
+		w := snap.NewWriter()
+		w.U32(snapMagic)
+		w.U32(v)
+		if _, err := Restore(m, build(), append(w.Bytes(), data[8:]...)); !errors.Is(err, ErrSnapshotVersion) {
+			t.Errorf("version %d: got %v, want ErrSnapshotVersion", v, err)
+		}
 	}
 	got, err := restored.Run()
 	if err != nil {

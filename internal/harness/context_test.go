@@ -72,7 +72,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	// a failure), so the next identical request would re-run. Checked
 	// directly rather than by re-running the full ref-size simulation.
 	s.mu.Lock()
-	_, stillCached := s.cache[key(w.Name, config.SMT1, 1, config.AllocConfig{})]
+	_, stillCached := s.cache[key(w.Name, s.Size, config.SMT1, 1, config.AllocConfig{})]
 	s.mu.Unlock()
 	if stillCached {
 		t.Fatal("canceled run left a poisoned cache entry")

@@ -38,12 +38,12 @@ var SMTFigureArchs = []config.Arch{config.SMT8, config.SMT4, config.SMT2, config
 
 // StoreFunc is the Suite.Store hook signature: given the run's identity
 // in wire-expressible form (canonical app name, Table 2 architecture,
-// machine class — the suite supplies its own input size) and simulate,
-// the suite's own scratch or warm-start run of it, the hook returns the
-// run's outcome. It may answer from a result store without calling
-// simulate, or call simulate and keep what it returns. A cancellation
-// must be returned errors.Is-compatible with ctx.Err().
-type StoreFunc func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error)
+// machine class, input size) and simulate, the suite's own scratch or
+// warm-start run of it, the hook returns the run's outcome. It may
+// answer from a result store without calling simulate, or call simulate
+// and keep what it returns. A cancellation must be returned
+// errors.Is-compatible with ctx.Err().
+type StoreFunc func(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error)
 
 type runKey struct {
 	// app is the workload, or a multiprogrammed mix's job names in
@@ -51,6 +51,7 @@ type runKey struct {
 	// start assignment ("seed" for the seed placement) otherwise.
 	app      string
 	start    string
+	size     workloads.Size
 	clusters int
 	issue    int
 	tpc      int
@@ -80,14 +81,11 @@ type flight[K comparable, V any] struct {
 	cache    map[K]*call[V]
 	finished []K // keys of finished calls, oldest first
 	max      int // bound on len(finished)
-	// forgot, when set, is told each key whose slot is dropped (shed
-	// from a full memo, or canceled). It runs under mu, so ahead of any
-	// new owner of that key, and may touch what mu guards.
-	forgot func(K)
 }
 
 // Memo bounds: what a long-lived daemon may retain under a stream of
-// distinct jobs. A figure run (at most 200 distinct cells) never
+// distinct jobs, whatever input sizes they ask for (the sizes share one
+// memo, Suite.At). A figure run (at most 200 distinct cells) never
 // reaches either. Warmed parents are whole paused simulators, hence the
 // smaller bound.
 const (
@@ -173,24 +171,19 @@ func (f *flight[K, V]) settle(k K, drop bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if drop {
-		f.forget(k)
+		delete(f.cache, k)
 		return
 	}
 	f.finished = append(f.finished, k)
 	for len(f.finished) > f.max {
-		f.forget(f.finished[0])
+		delete(f.cache, f.finished[0])
 		f.finished = f.finished[1:]
 	}
 }
 
-func (f *flight[K, V]) forget(k K) {
-	delete(f.cache, k)
-	if f.forgot != nil {
-		f.forgot(k)
-	}
-}
-
-// Suite runs and caches simulations at a fixed input size.
+// Suite runs and caches simulations at a fixed input size. The suites
+// At returns for other sizes share its memos, simulation slots and
+// counters.
 type Suite struct {
 	Size workloads.Size
 	// MaxCycles bounds each simulation (0 = core default).
@@ -261,15 +254,19 @@ type Suite struct {
 	// respect to results. Set before the first Run.
 	OnSimulate func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error)
 
-	flight[runKey, *core.Result] // the result cache: mu and cache
-	sem                          chan struct{}
+	*state
+}
+
+// state is what a suite shares with the suites At returns: the memos,
+// the simulation slots and the counters. Every key carries its input
+// size, so sizes share the bounds without sharing entries.
+type state struct {
+	flight[runKey, outcome] // the result memo: mu and cache
+	sem                     chan struct{}
 	// searched memoizes static-assignment searches by the key of the
 	// run searched, the seed placement under the static policy.
 	searched flight[runKey, [2][]int]
-	// rings holds each memoized run's retained frames, under the result
-	// cache's mu: a ring goes when its memo entry goes.
-	rings map[runKey]runRing
-
+	// warm needs no size: a prefix key covers the whole initial image.
 	warm         flight[warmKey, *warmParent]
 	warmForks    atomic.Int64
 	warmRestores atomic.Int64
@@ -279,32 +276,43 @@ type Suite struct {
 	allocEpochs     atomic.Int64
 }
 
-// runRing is one simulated run's retained frames under the name the
-// metrics accessors list it by ("app@machine").
-type runRing struct {
-	name string
-	ring *obs.Ring
+// outcome is one run as the result memo holds it: the result (nil for
+// a failed run), the name the metrics accessors list the run by
+// ("app@machine"), and its retained frames (nil with sampling off, or
+// when the Store hook answered without simulating).
+type outcome struct {
+	res    *core.Result
+	name   string
+	frames *obs.Ring
 }
 
 // NewSuite returns a Suite at the given input size, running up to
 // GOMAXPROCS simulations concurrently.
 func NewSuite(size workloads.Size) *Suite {
-	s := &Suite{
-		Size:  size,
-		sem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
-		rings: make(map[runKey]runRing),
-	}
+	s := &Suite{Size: size, state: &state{sem: make(chan struct{}, runtime.GOMAXPROCS(0))}}
 	s.max = maxResults
-	s.forgot = func(k runKey) { delete(s.rings, k) }
 	s.searched.max = maxResults
 	s.warm.max = maxWarmParents
 	return s
 }
 
+// At returns the suite at the given input size: s itself at s.Size, and
+// otherwise a suite with s's settings as they are now that shares s's
+// memos, simulation slots (SetParallelism bounds both) and counters.
+func (s *Suite) At(size workloads.Size) *Suite {
+	if size == s.Size {
+		return s
+	}
+	t := *s
+	t.Size = size
+	return &t
+}
+
 // SetParallelism bounds the number of simulations the suite runs
-// concurrently (cmd/sweep's -parallel flag). It must be called before
-// the first Run; changing the bound under in-flight runs would leak or
-// deadlock semaphore slots, so it panics once anything is cached.
+// concurrently, at every size (cmd/sweep's -parallel flag). It must be
+// called before the first Run; changing the bound under in-flight runs
+// would leak or deadlock semaphore slots, so it panics once anything is
+// cached.
 func (s *Suite) SetParallelism(n int) {
 	if n < 1 {
 		n = 1
@@ -317,8 +325,8 @@ func (s *Suite) SetParallelism(n int) {
 	s.sem = make(chan struct{}, n)
 }
 
-func key(app string, arch config.Arch, chips int, a config.AllocConfig) runKey {
-	return runKey{app: app, clusters: arch.Clusters, issue: arch.IssueWidth,
+func key(app string, size workloads.Size, arch config.Arch, chips int, a config.AllocConfig) runKey {
+	return runKey{app: app, size: size, clusters: arch.Clusters, issue: arch.IssueWidth,
 		tpc: arch.ThreadsPerCluster, chips: chips, policy: a.Policy, epoch: a.Epoch}
 }
 
@@ -359,60 +367,68 @@ func canceled(err error) bool {
 // figure that includes it). Every error names the run, once.
 func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
 	m := s.machine(arch, highEnd)
-	k := key(app.Name, arch, m.Chips, m.Alloc.Normalize())
-	return s.memo(ctx, k, app.Name, m.Name, func() (*core.Result, error) { return s.runShared(ctx, k, app, arch, highEnd, m) })
+	k := key(app.Name, s.Size, arch, m.Chips, m.Alloc.Normalize())
+	return s.memo(ctx, k, app.Name, m.Name, func() (outcome, error) { return s.runShared(ctx, k, app, arch, highEnd, m) })
 }
 
 // runShared is the owner side of RunContext's singleflight: it hands
 // the run to the Store hook, when there is one — ahead of the
 // semaphore, so a stored answer never holds a simulation slot — with
 // the local path as the simulation the hook may call. (A function of
-// its own, so that a memo hit does not move m to the heap.)
-func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (*core.Result, error) {
+// its own, so that a memo hit does not move m to the heap.) A result
+// the hook answers without simulating comes without frames.
+func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (outcome, error) {
 	if s.Store == nil {
 		return s.runOwned(ctx, k, app, m)
 	}
-	return s.Store(ctx, app.Name, arch, highEnd, func() (*core.Result, error) { return s.runOwned(ctx, k, app, m) })
+	var o outcome
+	res, err := s.Store(ctx, app.Name, arch, highEnd, s.Size, func() (*core.Result, error) {
+		var err error
+		o, err = s.runOwned(ctx, k, app, m)
+		return o.res, err
+	})
+	o.res = res
+	return o, err
 }
 
 // memo is the one route of every run: fn is the owner side of k's
 // singleflight in the result memo, and every error names the run (app
 // on machine), once.
-func (s *Suite) memo(ctx context.Context, k runKey, app, machine string, fn func() (*core.Result, error)) (*core.Result, error) {
+func (s *Suite) memo(ctx context.Context, k runKey, app, machine string, fn func() (outcome, error)) (*core.Result, error) {
 	named := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", app, machine, err) }
-	res, err := s.do(ctx, k, func() (*core.Result, error) {
-		res, err := fn()
+	o, err := s.do(ctx, k, func() (outcome, error) {
+		o, err := fn()
 		if err != nil {
 			// Named here so the memo holds, and every later caller gets,
-			// the one error value.
-			return nil, named(err)
+			// the one error value. A failed run keeps its frames.
+			return outcome{name: o.name, frames: o.frames}, named(err)
 		}
-		return res, nil
+		return o, nil
 	})
 	if _, panicked := err.(*panicError); panicked || (err != nil && err == ctx.Err()) {
 		// The run panicked past the naming above, or this caller gave up
 		// waiting on another's run.
 		err = named(err)
 	}
-	return res, err
+	return o.res, err
 }
 
 // runOwned simulates a single-program run, the local path of
 // runShared. Under the oracle policy it first searches the same run's
 // static assignments (Suite.search) and installs the best.
-func (s *Suite) runOwned(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (*core.Result, error) {
+func (s *Suite) runOwned(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (outcome, error) {
 	p := sync.OnceValue(func() *prog.Program { return app.Build(m.Threads(), m.Chips, s.Size) })
 	var start []int
 	if k.policy == "oracle" {
 		sm := m
 		sm.Alloc = config.AllocConfig{}
-		best, _, err := s.search(ctx, key(app.Name, m.Arch, m.Chips, sm.Alloc), func() (*core.Simulator, error) { return core.New(sm, p()) })
+		best, _, err := s.search(ctx, key(app.Name, s.Size, m.Arch, m.Chips, sm.Alloc), func() (*core.Simulator, error) { return core.New(sm, p()) })
 		if err != nil {
-			return nil, fmt.Errorf("oracle search: %w", err)
+			return outcome{}, fmt.Errorf("oracle search: %w", err)
 		}
 		start = best
 	}
-	return s.simulate(ctx, k, app.Name, m.Name, m.Chips > 1, start, func() (*core.Simulator, error) {
+	return s.simulate(ctx, app.Name, m.Name, m.Chips > 1, start, func() (*core.Simulator, error) {
 		if k.policy == "" {
 			// Warmed checkpoints are shared across runs with identical
 			// machine hashes under the seed placement; a non-static
@@ -448,7 +464,7 @@ func (x mix) progs() []*prog.Program {
 // key is the memo key of x on m from the start assignment, written
 // "0-2-1-3", or "seed" for nil, the seed placement.
 func (x mix) key(m config.Machine, start []int) runKey {
-	k := key(x.name, m.Arch, m.Chips, m.Alloc.Normalize())
+	k := key(x.name, x.size, m.Arch, m.Chips, m.Alloc.Normalize())
 	k.start = cmp.Or(strings.Trim(strings.ReplaceAll(fmt.Sprint(start), " ", "-"), "[]"), "seed")
 	return k
 }
@@ -461,8 +477,8 @@ func (x mix) key(m config.Machine, start []int) runKey {
 func (s *Suite) runMulti(ctx context.Context, m config.Machine, x mix, start []int) (*core.Result, error) {
 	k := x.key(m, start)
 	machine := fmt.Sprintf("%s/%s-e%d/%s", m.Name, cmp.Or(k.policy, "static"), k.epoch, k.start)
-	return s.memo(ctx, k, x.name, machine, func() (*core.Result, error) {
-		return s.simulate(ctx, k, x.name, machine, m.Chips > 1, start, func() (*core.Simulator, error) {
+	return s.memo(ctx, k, x.name, machine, func() (outcome, error) {
+		return s.simulate(ctx, x.name, machine, m.Chips > 1, start, func() (*core.Simulator, error) {
 			return core.NewMulti(m, x.progs())
 		})
 	})
@@ -530,11 +546,11 @@ func (s *Suite) arm(ctx context.Context, sim *core.Simulator) *obs.Ring {
 
 // simulate performs one uncached simulation on a semaphore slot: build
 // makes the simulator, start (when not nil) is installed on it, and
-// simulate arms it, retains its frames as "app@machine", runs it and
-// reports it to OnSimulate.
-func (s *Suite) simulate(ctx context.Context, k runKey, app, machine string, highEnd bool, start []int, build func() (*core.Simulator, error)) (*core.Result, error) {
+// simulate arms it, runs it, reports it to OnSimulate and returns it
+// with its frames as "app@machine" — a run that fails too.
+func (s *Suite) simulate(ctx context.Context, app, machine string, highEnd bool, start []int, build func() (*core.Simulator, error)) (outcome, error) {
 	if err := s.acquire(ctx); err != nil {
-		return nil, err
+		return outcome{}, err
 	}
 	defer s.release()
 	sim, err := build()
@@ -542,15 +558,11 @@ func (s *Suite) simulate(ctx context.Context, k runKey, app, machine string, hig
 		err = sim.SetAssignment(start)
 	}
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
-	if ring := s.arm(ctx, sim); ring != nil {
-		if s.OnFrame != nil {
-			sim.OnInterval(func(f obs.Frame) { s.OnFrame(app, machine, f) })
-		}
-		s.mu.Lock()
-		s.rings[k] = runRing{app + "@" + machine, ring}
-		s.mu.Unlock()
+	o := outcome{name: app + "@" + machine, frames: s.arm(ctx, sim)}
+	if o.frames != nil && s.OnFrame != nil {
+		sim.OnInterval(func(f obs.Frame) { s.OnFrame(app, machine, f) })
 	}
 	s.sims.Add(1)
 	t0 := time.Now()
@@ -563,56 +575,68 @@ func (s *Suite) simulate(ctx context.Context, k runKey, app, machine string, hig
 			// Surface the caller's cancellation (errors.Is-compatible
 			// with context.Canceled / DeadlineExceeded) rather than the
 			// core-internal interrupt.
-			return nil, ctx.Err()
+			return o, ctx.Err()
 		}
-		return nil, err
+		return o, err
 	}
 	s.allocMigrations.Add(int64(r.AllocMigrations))
 	s.allocEpochs.Add(int64(r.AllocEpochs))
-	return r, nil
+	o.res = r
+	return o, nil
 }
 
 // Simulations returns how many simulations this suite actually ran on
-// this host (scratch runs and forked-child runs both count; cache
-// hits, singleflight shares, and runs the Store hook answers do not).
+// this host, at every size (scratch runs and forked-child runs both
+// count; cache hits, singleflight shares, and runs the Store hook
+// answers do not).
 // It is the counter the service's restart tests and /healthz use to
 // prove "zero simulations ran" on a fully cached request.
 func (s *Suite) Simulations() int64 { return s.sims.Load() }
 
 // AllocMigrations returns the total number of thread migrations the
 // allocation subsystem performed across every simulation this suite
-// ran locally (always zero under the static policy).
+// ran locally, at every size (always zero under the static policy).
 func (s *Suite) AllocMigrations() int64 { return s.allocMigrations.Load() }
 
 // AllocEpochs returns the total number of allocation epoch boundaries
-// evaluated across every simulation this suite ran locally.
+// evaluated across every simulation this suite ran locally, at every
+// size.
 func (s *Suite) AllocEpochs() int64 { return s.allocEpochs.Load() }
 
-// Metrics returns the retained frame ring for the given simulated run
-// ("app@machine", as listed by MetricsRuns), or nil. Note that cached
-// runs simulate once: FA8 and SMT8 share one physical configuration
-// and hence one ring.
-func (s *Suite) Metrics(run string) *obs.Ring {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.rings {
-		if r.name == run {
-			return r.ring
+// Metrics returns the retained frame ring of the given finished run at
+// the suite's size ("app@machine", as listed by MetricsRuns), or nil.
+// A run in flight has none yet: its frames are published with its
+// result, and go when its memo entry goes. Note that cached runs
+// simulate once: FA8 and SMT8 share one physical configuration and
+// hence one ring.
+func (s *Suite) Metrics(run string) (ring *obs.Ring) {
+	s.eachFramed(func(o outcome) {
+		if o.name == run {
+			ring = o.frames
 		}
-	}
-	return nil
+	})
+	return ring
 }
 
-// MetricsRuns lists the runs with retained metrics, sorted.
+// MetricsRuns lists the finished runs at the suite's size with
+// retained metrics, sorted (empty, not nil, when there are none).
 func (s *Suite) MetricsRuns() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	runs := make([]string, 0, len(s.rings))
-	for _, r := range s.rings {
-		runs = append(runs, r.name)
-	}
+	runs := []string{}
+	s.eachFramed(func(o outcome) { runs = append(runs, o.name) })
 	sort.Strings(runs)
 	return runs
+}
+
+// eachFramed calls fn, under the memo's lock, on every finished run at
+// the suite's size that retained frames.
+func (s *Suite) eachFramed(fn func(outcome)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, k := range s.finished {
+		if o := s.cache[k].val; k.size == s.Size && o.frames != nil {
+			fn(o)
+		}
+	}
 }
 
 // RunMatrixContext runs every (app × arch) pair concurrently and

@@ -564,6 +564,51 @@ func TestSuiteMetricsAndHeartbeat(t *testing.T) {
 	}
 }
 
+// TestFramesPublishedWithResult: a run's frames are published with its
+// result, not before. A frame callback that lists the retained runs
+// while the run is in flight finds none (the listing never reads a
+// ring still being written), and once the run is done it is listed,
+// under "app@machine" at its own size only.
+func TestFramesPublishedWithResult(t *testing.T) {
+	w, err := workloads.ByName("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSuite(workloads.SizeTest)
+	s.MetricsInterval = 500
+	var inFlight []string
+	var once sync.Once
+	s.OnFrame = func(app, machine string, f obs.Frame) {
+		once.Do(func() { inFlight = s.MetricsRuns() })
+	}
+	if _, err := s.Run(w, config.SMT2, false); err != nil {
+		t.Fatal(err)
+	}
+	if inFlight == nil {
+		t.Fatal("no frame reached OnFrame")
+	}
+	if len(inFlight) != 0 {
+		t.Fatalf("in-flight run listed: %v", inFlight)
+	}
+	const run = "ocean@low-end/SMT2"
+	if got := s.MetricsRuns(); !reflect.DeepEqual(got, []string{run}) || s.Metrics(run) == nil {
+		t.Fatalf("finished run not listed with its frames: %v", got)
+	}
+	if ref := s.At(workloads.SizeRef); len(ref.MetricsRuns()) != 0 || ref.Metrics(run) != nil {
+		t.Fatalf("test-size run listed at ref size: %v", ref.MetricsRuns())
+	}
+	// A run that fails keeps the frames it took, for diagnosis.
+	failing := NewSuite(workloads.SizeTest)
+	failing.MetricsInterval = 100
+	failing.MaxCycles = 1000
+	if _, err := failing.Run(w, config.SMT2, false); err == nil {
+		t.Fatal("run past MaxCycles did not fail")
+	}
+	if ring := failing.Metrics(run); ring == nil || ring.Len() == 0 {
+		t.Fatalf("failed run lost its frames: listed %v", failing.MetricsRuns())
+	}
+}
+
 // TestFigureTable pins what Figure(ctx, n) builds for each paper figure
 // — title, baseline, machine and architecture columns — against the
 // literals of the per-figure functions it replaced, and the error for a

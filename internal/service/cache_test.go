@@ -305,7 +305,7 @@ func TestFigureSurvivesRestart(t *testing.T) {
 	jsonA := getBody(t, tsA.URL+fig5)
 	textA := getBody(t, tsA.URL+fig5+"&format=text")
 	// Fig. 5 is 6 apps x 5 archs; the job already ran one of its cells.
-	if n := srvA.simulations(); n != 30 {
+	if n := srvA.suite.Simulations(); n != 30 {
 		t.Fatalf("job then figure on A ran %d simulations, want 30 (the job's cell reused)", n)
 	}
 	entries, err := os.ReadDir(dir)
@@ -343,7 +343,7 @@ func TestFigureSurvivesRestart(t *testing.T) {
 	if status != http.StatusOK || !hit.CacheHit {
 		t.Fatalf("job for a figure cell after the restart: status %d, %+v; want an inline cache hit", status, hit)
 	}
-	if n := srvB.simulations(); n != 0 {
+	if n := srvB.suite.Simulations(); n != 0 {
 		t.Fatalf("restarted daemon ran %d simulations, want 0", n)
 	}
 }
@@ -367,7 +367,7 @@ func TestColdJobWritesOnce(t *testing.T) {
 	if v := metricValue(t, body, "clusterd_cache_write_seconds_count"); v != 1 {
 		t.Fatalf("cache writes = %v, want 1", v)
 	}
-	if n := srv.simulations(); n != 1 {
+	if n := srv.suite.Simulations(); n != 1 {
 		t.Fatalf("%d simulations, want 1", n)
 	}
 	entries, err := os.ReadDir(dir)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"clustersmt/internal/telemetry"
-	"clustersmt/internal/workloads"
 )
 
 // TestJobPanicCounted: a simulation that panics fails its job, not the
@@ -24,7 +23,7 @@ func TestJobPanicCounted(t *testing.T) {
 	if n := scrape(); n != 0 {
 		t.Fatalf("clusterd_job_panics_total = %v before any job, want 0", n)
 	}
-	srv.suite(workloads.SizeTest).OnSimulate = func(context.Context, string, string, bool, time.Duration, error) {
+	srv.suite.OnSimulate = func(context.Context, string, string, bool, time.Duration, error) {
 		panic("simulation misbehaves")
 	}
 	status, j, hdr := submit(t, ts, JobSpec{App: "vpenta", Arch: "SMT2"})
@@ -54,8 +53,8 @@ func TestJobPanicCounted(t *testing.T) {
 	}
 
 	// A run that fails without panicking leaves the counter alone.
-	srv.suite(workloads.SizeTest).OnSimulate = nil
-	srv.suite(workloads.SizeTest).MaxCycles = 10
+	srv.suite.OnSimulate = nil
+	srv.suite.MaxCycles = 10
 	if _, j, _ = submit(t, ts, JobSpec{App: "swim", Arch: "SMT2"}); waitJob(t, ts, j.ID).Status != StateFailed {
 		t.Fatal("a run past MaxCycles did not fail")
 	}

@@ -30,10 +30,10 @@ type Options struct {
 	// does not name one.
 	DefaultSize workloads.Size
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS): every
-	// simulation the daemon runs, for jobs and figures alike, holds one
-	// of these slots. An oracle search holds one slot while
-	// core.SearchStatic scores its candidates on up to GOMAXPROCS
-	// goroutines.
+	// simulation the daemon runs, for jobs and figures alike and at
+	// every input size, holds one of these slots. An oracle search holds
+	// one slot while core.SearchStatic scores its candidates on up to
+	// GOMAXPROCS goroutines.
 	Workers int
 	// QueueCap bounds the admission FIFO (0 = DefaultQueueCap). A full
 	// queue rejects submissions with 429 + Retry-After.
@@ -70,17 +70,16 @@ type Options struct {
 }
 
 // Server is the serving subsystem: job queue + worker pool + two-tier
-// result cache + figure/metrics endpoints over a pair of harness
-// suites (one per input size). The cache backs both: every result a
-// suite simulates, for a job or a figure cell, is written to it once,
-// and every figure cell is looked up in it first.
+// result cache + figure/metrics endpoints over one harness suite, whose
+// memo, simulation slots and counters serve every input size
+// (harness.Suite.At). The cache backs it: every result the suite
+// simulates, for a job or a figure cell, is written to it once, and
+// every figure cell is looked up in it first.
 type Server struct {
 	opts  Options
 	cache *Cache
 	pool  *Pool
-
-	suiteMu sync.Mutex
-	suites  map[workloads.Size]*harness.Suite
+	suite *harness.Suite
 
 	// The job table: every queued or running job, plus the most recent
 	// maxFinishedJobs terminal ones (finished, oldest first). order
@@ -117,7 +116,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:    opts,
 		cache:   cache,
-		suites:  make(map[workloads.Size]*harness.Suite),
 		jobs:    make(map[string]*Job),
 		version: version.String(),
 		started: time.Now(),
@@ -126,47 +124,38 @@ func New(opts Options) (*Server, error) {
 	if !opts.DisableTelemetry {
 		s.tel = newSvcTelemetry(s)
 	}
-	return s, nil
-}
-
-// suite returns (creating on first use) the harness suite for size.
-// Each suite carries its own singleflight cache, so identical
-// simulations already in flight are shared even before the result
-// lands in the service cache.
-func (s *Server) suite(size workloads.Size) *harness.Suite {
-	s.suiteMu.Lock()
-	defer s.suiteMu.Unlock()
-	st, ok := s.suites[size]
-	if !ok {
-		st = harness.NewSuite(size)
-		st.MaxCycles = s.opts.MaxCycles
-		st.AllocPolicy = s.opts.AllocPolicy
-		st.AllocEpoch = s.opts.AllocEpoch
-		st.MetricsInterval = s.opts.MetricsInterval
-		st.WarmupCycles = s.opts.WarmupCycles
-		if s.opts.WarmupCycles > 0 && s.opts.CacheDir != "" {
-			st.Snapshots = snapshotStore{s: s}
-		}
-		st.Store = s.suiteStore(size)
-		if s.tel != nil {
-			// Hook fires on singleflight owners only, so the histogram
-			// measures true simulation time — never a cache lookup.
-			st.OnSimulate = func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error) {
-				observe(s.tel.simulate, d)
-				attrs := map[string]string{"app": app, "machine": machine, "policy": s.tel.policy}
-				if err != nil {
-					attrs["error"] = err.Error()
-				}
-				s.span(telemetry.TraceIDFrom(ctx), "simulate", time.Now().Add(-d), attrs)
-			}
-		}
-		// Workers bounds every simulation the daemon runs: jobs arrive
-		// one per pool worker, but a figure request fans its cells out
-		// inside the suite, so the suite's own slots carry the bound.
-		st.SetParallelism(s.pool.Workers())
-		s.suites[size] = st
+	// The daemon's one suite: its singleflight memo shares identical
+	// simulations already in flight even before the result lands in the
+	// service cache, at every size (harness.Suite.At).
+	st := harness.NewSuite(opts.DefaultSize)
+	st.MaxCycles = opts.MaxCycles
+	st.AllocPolicy = opts.AllocPolicy
+	st.AllocEpoch = opts.AllocEpoch
+	st.MetricsInterval = opts.MetricsInterval
+	st.WarmupCycles = opts.WarmupCycles
+	if opts.WarmupCycles > 0 && opts.CacheDir != "" {
+		st.Snapshots = snapshotStore{s: s}
 	}
-	return st
+	st.Store = s.store
+	if s.tel != nil {
+		// Hook fires on singleflight owners only, so the histogram
+		// measures true simulation time — never a cache lookup.
+		st.OnSimulate = func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error) {
+			observe(s.tel.simulate, d)
+			attrs := map[string]string{"app": app, "machine": machine, "policy": s.tel.policy}
+			if err != nil {
+				attrs["error"] = err.Error()
+			}
+			s.span(telemetry.TraceIDFrom(ctx), "simulate", time.Now().Add(-d), attrs)
+		}
+	}
+	// Workers bounds every simulation the daemon runs: jobs arrive one
+	// per pool worker, but a figure request fans its cells out inside
+	// the suite, so the suite's own slots, shared by every size, carry
+	// the bound.
+	st.SetParallelism(s.pool.Workers())
+	s.suite = st
+	return s, nil
 }
 
 // resolve is JobSpec.Resolve for a job this server will run: the
@@ -187,42 +176,40 @@ func (s *Server) resolve(spec JobSpec) (*ResolvedJob, error) {
 // so the hook does not look again.
 type jobKey struct{}
 
-// suiteStore builds the Store hook for one suite: the one place results
-// enter the cache. A run for a job is keyed by the job's hash; any
-// other (a figure cell) is resolved to the spec a job for it would
-// carry, so it shares that job's entry, and is looked up first. On a
-// miss the hook simulates and writes the result to both tiers once,
-// observing the write on the owning job's trace.
-func (s *Server) suiteStore(size workloads.Size) harness.StoreFunc {
-	return func(ctx context.Context, app string, arch config.Arch, highEnd bool, simulate func() (*core.Result, error)) (*core.Result, error) {
-		var key [32]byte
-		var spec JobSpec
-		if j, ok := ctx.Value(jobKey{}).(*Job); ok {
-			key, spec = j.Hash, j.Rj.Spec
-		} else {
-			rj, err := s.resolve(JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()})
-			if err != nil {
-				// A name jobs cannot spell has no key; let the harness
-				// produce the authoritative error.
-				return simulate()
-			}
-			key, spec = rj.Hash(), rj.Spec
-			if res, _, ok := s.cache.Get(key); ok {
-				return res, nil
-			}
-		}
-		res, err := simulate()
+// store is the suite's Store hook: the one place results enter the
+// cache. A run for a job is keyed by the job's hash; any other (a
+// figure cell) is resolved to the spec a job for it would carry, so it
+// shares that job's entry, and is looked up first. On a miss the hook
+// simulates and writes the result to both tiers once, observing the
+// write on the owning job's trace.
+func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
+	var key [32]byte
+	var spec JobSpec
+	if j, ok := ctx.Value(jobKey{}).(*Job); ok {
+		key, spec = j.Hash, j.Rj.Spec
+	} else {
+		rj, err := s.resolve(JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()})
 		if err != nil {
-			return nil, err
+			// A name jobs cannot spell has no key; let the harness
+			// produce the authoritative error.
+			return simulate()
 		}
-		// A failed disk write degrades this entry to memory-only; the
-		// result itself is still good.
-		start := time.Now()
-		_ = s.cache.Put(key, spec, res)
-		observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(start))
-		s.span(telemetry.TraceIDFrom(ctx), "cache-write", start, nil)
-		return res, nil
+		key, spec = rj.Hash(), rj.Spec
+		if res, _, ok := s.cache.Get(key); ok {
+			return res, nil
+		}
 	}
+	res, err := simulate()
+	if err != nil {
+		return nil, err
+	}
+	// A failed disk write degrades this entry to memory-only; the
+	// result itself is still good.
+	start := time.Now()
+	_ = s.cache.Put(key, spec, res)
+	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(start))
+	s.span(telemetry.TraceIDFrom(ctx), "cache-write", start, nil)
+	return res, nil
 }
 
 // runJob executes one admitted job: cache check (a concurrent earlier
@@ -244,7 +231,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 	rj := j.Rj
 	start := time.Now()
-	res, err := s.suite(rj.Size).RunContext(ctx, rj.Workload, rj.Arch, rj.Spec.HighEnd)
+	res, err := s.suite.At(rj.Size).RunContext(ctx, rj.Workload, rj.Arch, rj.Spec.HighEnd)
 	if err != nil {
 		if harness.IsPanic(err) {
 			s.jobPanics.Add(1)
@@ -316,7 +303,7 @@ func (s *Server) Close(ctx context.Context) error {
 //	GET  /v1/jobs            list jobs
 //	GET  /v1/jobs/{id}       job status/result (?wait=10s long-polls)
 //	GET  /v1/figures/{n}     paper figure 4/5/7/8 (?size=, ?format=text)
-//	GET  /v1/metrics         list runs with retained interval metrics
+//	GET  /v1/metrics         list finished runs with retained interval metrics
 //	GET  /v1/metrics/{run}   one run's frames (?format=csv|json)
 //	GET  /v1/trace/{id}      one job's span timeline (?format=spans)
 //	GET  /metrics            OpenMetrics scrape (404 when disabled)
@@ -384,7 +371,9 @@ const maxRequestBodyBytes = 1 << 20
 // decodeBody decodes a bounded JSON request body into v. On failure it
 // returns the status to answer with: 413 past the bound, 400 otherwise.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooBig):
@@ -545,7 +534,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// Figure matrices run synchronously under the request context:
 	// client disconnect cancels the in-flight simulations (the suite
 	// singleflight hands unfinished runs off to any surviving caller).
-	fig, err := s.suite(size).Figure(r.Context(), n)
+	fig, err := s.suite.At(size).Figure(r.Context(), n)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away; nothing to write
@@ -573,7 +562,7 @@ func (s *Server) handleListMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"metrics_enabled": s.opts.MetricsInterval > 0,
-		"runs":            s.suite(size).MetricsRuns(),
+		"runs":            s.suite.At(size).MetricsRuns(),
 	})
 }
 
@@ -584,7 +573,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	run := r.PathValue("run")
-	ring := s.suite(size).Metrics(run)
+	ring := s.suite.At(size).Metrics(run)
 	if ring == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no metrics retained for %q (is -metrics-interval set?)", run))
 		return
@@ -600,14 +589,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	accepted, rejected, completed := s.pool.Counters()
-	var warmForks, warmRestores int64
-	s.suiteMu.Lock()
-	for _, st := range s.suites {
-		f, r := st.WarmForks()
-		warmForks += f
-		warmRestores += r
-	}
-	s.suiteMu.Unlock()
+	warmForks, warmRestores := s.suite.WarmForks()
 	warm := map[string]any{
 		"enabled":  s.opts.WarmupCycles > 0,
 		"cycles":   s.opts.WarmupCycles,
@@ -620,7 +602,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"runtime":     s.runtimeInfo(),
-		"simulations": s.simulations(),
+		"simulations": s.suite.Simulations(),
 		"queue": map[string]any{
 			"depth":     s.pool.Depth(),
 			"capacity":  s.pool.Cap(),

@@ -345,6 +345,26 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 }
 
+// TestServiceUnknownField: a job field the spec does not have is a 400
+// naming it, not a job run on a machine other than the one asked for
+// ("highend" is not "high_end", and would have run low-end).
+func TestServiceUnknownField(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"app":"mgrid","arch":"SMT2","highend":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `"highend"`) {
+		t.Fatalf("misspelled field: status %d, error %q (%v); want 400 naming \"highend\"", resp.StatusCode, body.Error, err)
+	}
+}
+
 // TestServiceOversizedBody checks that a POST body past the bound is
 // answered 413 — whether the excess is one huge value or padding — and
 // that the daemon then takes a valid submission as if nothing happened.

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"clustersmt/internal/config"
-	"clustersmt/internal/harness"
 	"clustersmt/internal/telemetry"
 )
 
@@ -104,11 +103,11 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 		func() float64 { return float64(s.cache.Stats().Entries) })
 
 	r.CounterFunc("clusterd_simulations", "Simulations actually executed on this node.",
-		func() float64 { return float64(s.simulations()) })
+		func() float64 { return float64(s.suite.Simulations()) })
 	r.CounterFunc("clusterd_alloc_migrations", "Thread migrations performed by dynamic allocation policies.",
-		func() float64 { return float64(s.sumSuites((*harness.Suite).AllocMigrations)) })
+		func() float64 { return float64(s.suite.AllocMigrations()) })
 	r.CounterFunc("clusterd_alloc_epochs", "Allocation epoch boundaries evaluated by dynamic policies.",
-		func() float64 { return float64(s.sumSuites((*harness.Suite).AllocEpochs)) })
+		func() float64 { return float64(s.suite.AllocEpochs()) })
 
 	r.GaugeFunc("clusterd_trace_spans", "Spans retained in the trace ring.",
 		func() float64 { return float64(t.spans.Len()) })
@@ -116,21 +115,6 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 		func() float64 { return float64(t.spans.Dropped()) })
 	return t
 }
-
-// sumSuites adds one of the suites' counters up across input sizes.
-func (s *Server) sumSuites(counter func(*harness.Suite) int64) int64 {
-	s.suiteMu.Lock()
-	defer s.suiteMu.Unlock()
-	var n int64
-	for _, st := range s.suites {
-		n += counter(st)
-	}
-	return n
-}
-
-// simulations is how many simulations this node actually executed
-// (/metrics and /healthz).
-func (s *Server) simulations() int64 { return s.sumSuites((*harness.Suite).Simulations) }
 
 // spanProcess names the one process a trace timeline shows.
 const spanProcess = "clusterd"

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -66,6 +67,41 @@ func TestWorkersBoundFigureCells(t *testing.T) {
 	body, _ := scrapeMetrics(t, ts)
 	if sum := metricValue(t, body, `clusterd_simulate_seconds_sum{policy="static"}`); sum > wall {
 		t.Fatalf("one worker: figure cells simulated for %.3fs within %.3fs of wall clock", sum, wall)
+	}
+}
+
+// TestWorkersBoundAcrossSizes: the Workers bound holds across input
+// sizes, which share one suite's simulation slots. With one worker, a
+// test-size and a ref-size Figure 4 requested together still simulate
+// one cell at a time, so their summed simulate time cannot exceed the
+// wall clock of the pair.
+func TestWorkersBoundAcrossSizes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, ts := newTestServer(t, Options{Workers: 1})
+	t0 := time.Now()
+	errs := make(chan error, 2)
+	for _, size := range []string{"test", "ref"} {
+		go func() {
+			resp, err := http.Get(ts.URL + "/v1/figures/4?size=" + size)
+			if err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("figure 4 at %s size: status %d", size, resp.StatusCode)
+				}
+			}
+			errs <- err
+		}()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	wall := time.Since(t0).Seconds()
+	body, _ := scrapeMetrics(t, ts)
+	if sum := metricValue(t, body, `clusterd_simulate_seconds_sum{policy="static"}`); sum > wall {
+		t.Fatalf("one worker: two sizes' figure cells simulated for %.3fs within %.3fs of wall clock", sum, wall)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 			t.Fatalf("%s: warmed daemon's result differs from the warm-up-free daemon's", app)
 		}
 	}
-	if forks, restores := srvA.suite(workloads.SizeTest).WarmForks(); forks != int64(len(variants)) || restores != 0 {
+	if forks, restores := srvA.suite.WarmForks(); forks != int64(len(variants)) || restores != 0 {
 		t.Fatalf("daemon A: %d forks / %d restores, want %d / 0", forks, restores, len(variants))
 	}
 
@@ -132,7 +132,7 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 	if done.Status != StateDone {
 		t.Fatalf("job %s on B failed: %+v", fresh, done)
 	}
-	if forks, restores := srvB.suite(workloads.SizeTest).WarmForks(); forks != 1 || restores != 1 {
+	if forks, restores := srvB.suite.WarmForks(); forks != 1 || restores != 1 {
 		t.Fatalf("daemon B: %d forks / %d restores, want 1 / 1 (restore from disk, no warm re-run)", forks, restores)
 	}
 
