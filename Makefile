@@ -20,8 +20,9 @@ check:
 # chunk-lazy and open-addressed structures on seeded op streams; the map-and-sort hash against the
 # streamed program digests (repeated extents included), the bulk image
 # setter against one Set per word, repeated extents against the same
-# words set in bulk (words, Runs and loaded pages), and Build's
-# hand-over of its image; the lazily allocated BTB against an eager one
+# words set in bulk (words, Runs and loaded pages), Set, SetRun and
+# repeated extents interleaved against a map (FuzzImage's seeds), Build's
+# hand-over of its image, and its decoded slots against isa.InfoFor; the lazily allocated BTB against an eager one
 # (and across a snapshot); the sequential loop against the concurrent
 # oracle search. Whole-run Results on all presets are pinned separately
 # by the golden corpus (go test ./benchmark, in `make check`). Beside
@@ -39,7 +40,7 @@ diff:
 	go test ./internal/core -run 'TestEventDriven|TestClusterSleep|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden|TestBTB'
 	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential|TestMSHRDifferential'
 	go test ./internal/coherence -run 'TestDirectoryMapTableDifferential'
-	go test ./internal/prog -run 'TestDigest|TestImage|TestBuild'
+	go test ./internal/prog -run 'TestDigest|TestImage|TestBuild|TestDecoded|FuzzImage'
 	go test ./internal/service -run 'TestTelemetryDifferential|TestWorkersBoundFigureCells|TestWorkersBoundAcrossSizes'
 	go test ./internal/harness -run 'TestAllocFigureRows|TestRunMatrixLowestIndexError|TestFramesPublishedWithResult'
 
@@ -74,7 +75,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 17067
+LOC_BUDGET = 17150
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -51,32 +51,43 @@ func BenchmarkSearchStatic(b *testing.B) {
 	}
 }
 
-// BenchmarkHighEndFA8 runs two ref-size cells of the 4-chip FA8 machine
-// — 32 single-thread clusters, most of which cannot make progress most
-// of the time (Fig. 6) — and reports host ns per simulated instruction:
-// the cluster-sleep lever without the measurement spine.
-func BenchmarkHighEndFA8(b *testing.B) {
-	m := config.HighEnd(config.FA8)
-	for _, app := range []string{"mgrid", "tomcatv"} {
-		w, err := workloads.ByName(app)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := w.Build(m.Threads(), m.Chips, workloads.SizeRef)
-		b.Run(app, func(b *testing.B) {
-			var insts uint64
-			for i := 0; i < b.N; i++ {
-				s, err := New(m, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts += r.Committed
+// BenchmarkCycleLoop runs ref-size cells through New and Run and
+// reports host ns per simulated instruction — the cycle loop's A/B
+// instrument without the measurement spine. The high-end/FA8 leg is 32
+// single-thread clusters, most of which cannot make progress most of
+// the time (Fig. 6): the cluster-sleep lever. The low-end/SMT2 leg is
+// four two-thread clusters that rarely sleep: fetch, issue and commit
+// on every cycle.
+func BenchmarkCycleLoop(b *testing.B) {
+	for _, leg := range []struct {
+		m    config.Machine
+		apps []string
+	}{
+		{config.HighEnd(config.FA8), []string{"mgrid", "tomcatv"}},
+		{config.LowEnd(config.SMT2), []string{"ocean", "swim"}},
+	} {
+		m := leg.m
+		for _, app := range leg.apps {
+			w, err := workloads.ByName(app)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
-		})
+			p := w.Build(m.Threads(), m.Chips, workloads.SizeRef)
+			b.Run(m.Name+"/"+app, func(b *testing.B) {
+				var insts uint64
+				for i := 0; i < b.N; i++ {
+					s, err := New(m, p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					r, err := s.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					insts += r.Committed
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+			})
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"clustersmt/internal/interp"
 	"clustersmt/internal/isa"
 	"clustersmt/internal/parallel"
+	"clustersmt/internal/prog"
 	"clustersmt/internal/stats"
 )
 
@@ -167,9 +168,9 @@ type cluster struct {
 	windowFullStalls uint64
 
 	// pcHighWater is an upper bound on every static PC this cluster's
-	// threads have touched (executed, or peeked by the front end /
-	// quiescence probes): it tracks the post-Step PC, which dominates
-	// both the executed PC and the PC any subsequent Peek reads. The
+	// threads have touched (executed, or read by the front end /
+	// quiescence probes): it tracks the post-Exec PC, which dominates
+	// both the executed PC and the PC any subsequent Next reads. The
 	// fork path compares it against Program.PrefixLen to decide whether
 	// a warm-up checkpoint is still variant-independent (snapshot.go).
 	pcHighWater int64
@@ -475,7 +476,7 @@ func (c *cluster) unblock(s *Simulator, now int64) bool {
 				resumed = true
 			}
 		case blockLock:
-			if !t.lockGranted && t.sync.TryLock(t.fn.Peek().Imm, t.id) {
+			if !t.lockGranted && t.sync.TryLock(t.fn.Next().Instr.Imm, t.id) {
 				t.lockGranted = true
 			}
 			if t.lockGranted {
@@ -484,7 +485,7 @@ func (c *cluster) unblock(s *Simulator, now int64) bool {
 				resumed = true
 			}
 		case blockBarrier:
-			if t.sync.Released(t.fn.Peek().Imm, t.barTarget) {
+			if t.sync.Released(t.fn.Next().Instr.Imm, t.barTarget) {
 				t.block = blockNone
 				s.running++
 				resumed = true
@@ -545,8 +546,13 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			c.windowFullStalls++
 			break
 		}
-		in := t.fn.Peek()
-		inf := in.Info()
+		sl := t.fn.Next()
+		if sl == nil {
+			s.fault = fmt.Errorf("core: %s: thread %d: PC %d outside program %s (%d instructions)",
+				s.Machine.Name, t.id, t.fn.PC, t.fn.Prog.Name, len(t.fn.Prog.Code))
+			return 0
+		}
+		in, f := &sl.Instr, sl.Flags
 
 		// Synchronization is resolved at the front end; the paper's
 		// spin-wait slots surface as the thread voting "sync" while
@@ -581,60 +587,44 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		}
 
 		// Rename: one register from the matching pool per destination.
-		needInt := inf.WritesRD && in.RD != isa.RegZero
-		needFP := inf.WritesFD
+		needInt, needFP := f&prog.WritesRD != 0, f&prog.WritesFD != 0
 		if (needInt && c.renameIntFree == 0) || (needFP && c.renameFPFree == 0) {
 			c.renameStalls++
 			votes[stats.Other]++
 			return 0
 		}
 
-		d := t.fn.Step()
-		if pc := t.fn.PC; pc > c.pcHighWater {
-			// Post-Step PC: the next instruction this thread can touch.
-			// Recording it (rather than d.PC) also covers front-end Peeks
-			// that never reach Step — a thread's current PC is always some
-			// earlier Step's post-PC, or the entry point.
-			c.pcHighWater = pc
-		}
-		fc := inf.Class
-		if fc == isa.ClassNone {
-			// Sync and halt pseudo-ops borrow an integer unit slot.
-			fc = isa.ClassInt
-		}
-		occ := int64(1)
-		if !inf.Pipel {
-			occ = int64(inf.Latency)
-		}
+		// Execute straight into a cleared window entry, then copy in the
+		// decoded instruction's static facts.
 		h := c.allocEntry()
 		e := &c.pool[h]
-		*e = entry{
-			d:          d,
-			tid:        int32(t.id),
-			seq:        c.seq,
-			fetchedAt:  now,
-			eligibleAt: now + config.FrontEndDelay,
-			fuCl:       fc,
-			lat:        int64(inf.Latency),
-			occ:        occ,
-			isLoad:     inf.Class == isa.ClassLoad,
-			isStore:    inf.Class == isa.ClassStore,
-			isBranch:   inf.Branch,
+		*e = entry{}
+		t.fn.Exec(&e.d)
+		if pc := t.fn.PC; pc > c.pcHighWater {
+			// Post-Exec PC: the next instruction this thread can touch.
+			// Recording it (rather than e.d.PC) also covers front-end
+			// reads of a slot that never reach Exec — a thread's current
+			// PC is always some earlier Exec's post-PC, or the entry point.
+			c.pcHighWater = pc
 		}
+		e.tid, e.seq = int32(t.id), c.seq
+		e.fetchedAt, e.eligibleAt = now, now+config.FrontEndDelay
+		e.fuCl, e.lat, e.occ = sl.Class, int64(sl.Lat), int64(sl.Occ)
+		e.isLoad, e.isStore, e.isBranch = f&prog.IsLoad != 0, f&prog.IsStore != 0, f&prog.IsBranch != 0
 		c.seq++
 
 		// Wire register dependences to in-flight producers.
 		np := 0
-		if inf.ReadsRS1 && in.RS1 != isa.RegZero {
+		if f&prog.ReadsRS1 != 0 {
 			np = e.addProducer(t.lastWriterInt[in.RS1], np)
 		}
-		if inf.ReadsRS2 && in.RS2 != isa.RegZero {
+		if f&prog.ReadsRS2 != 0 {
 			np = e.addProducer(t.lastWriterInt[in.RS2], np)
 		}
-		if inf.ReadsFS1 {
+		if f&prog.ReadsFS1 != 0 {
 			np = e.addProducer(t.lastWriterFP[in.FS1], np)
 		}
-		if inf.ReadsFS2 {
+		if f&prog.ReadsFS2 != 0 {
 			np = e.addProducer(t.lastWriterFP[in.FS2], np)
 		}
 		if needInt {
@@ -674,14 +664,14 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		s.traceEvent(now, c, "F", e)
 		c.dispatchEvent(h)
 
-		if inf.Branch {
-			if c.handleBranch(t, h, d) {
+		if e.isBranch {
+			if c.handleBranch(t, h, f) {
 				// The redirect point: no wrong-path instructions were
 				// fetched, so the squash marks where fetch stops.
 				s.traceEvent(now, c, "S", e)
 				return 0 // mispredicted: fetch blocked until resolve
 			}
-			if d.Taken {
+			if e.d.Taken {
 				// The taken branch ends this thread's group; leftover
 				// slots may go to the next thread.
 				return budget - (n + 1)
@@ -700,16 +690,16 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 // handleBranch trains the predictors and, on a misprediction, blocks
 // the thread's fetch until the branch resolves. It returns true when
 // fetch must stop because of a misprediction.
-func (c *cluster) handleBranch(t *threadCtx, h handle, d interp.DynInstr) bool {
+func (c *cluster) handleBranch(t *threadCtx, h handle, f prog.Flag) bool {
 	e := &c.pool[h]
 	switch {
-	case d.Instr.Info().CondBr:
-		_, correct := c.bp.PredictAndUpdate(d.PC, d.Taken)
+	case f&prog.IsCondBr != 0:
+		_, correct := c.bp.PredictAndUpdate(e.d.PC, e.d.Taken)
 		if !correct {
 			e.mispredicted = true
 		}
-	case d.Instr.Op == isa.OpJr:
-		_, correct := c.btb.PredictAndUpdate(d.PC, d.Target)
+	case f&prog.IsJr != 0:
+		_, correct := c.btb.PredictAndUpdate(e.d.PC, e.d.Target)
 		if !correct {
 			e.mispredicted = true
 		}

@@ -289,6 +289,53 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
+// TestWildJumpIsAnError: a thread that jumps outside its program ends
+// the run — Run and RunTo alike — with an error naming the machine, the
+// thread and the PC, and the sleep probe reads nothing at that PC.
+func TestWildJumpIsAnError(t *testing.T) {
+	b := prog.NewBuilder("wild")
+	b.Li(5, 100000)
+	b.Jr(5)
+	b.Halt()
+	p := b.MustBuild()
+	m := config.LowEnd(config.SMT2)
+	check := func(how string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: the wild jump went unreported", how)
+		}
+		for _, want := range []string{m.Name + ": thread ", ": PC 100000 outside program wild"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", how, err, want)
+			}
+		}
+	}
+	sim, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sim.Run()
+	check("Run", err)
+
+	sim, _ = New(m, p)
+	check("RunTo", sim.RunTo(1_000_000))
+	wild := 0
+	for i, cl := range sim.clusters {
+		quiet, _ := sim.clusterQuiescent(cl, sim.cycle, &sim.sleep[i])
+		for _, th := range cl.threads {
+			if th.block == blockNone && !th.fn.Halted && th.fn.Next() == nil {
+				wild++
+				if quiet {
+					t.Errorf("cluster %d probed quiescent with thread %d at PC %d", i, th.id, th.fn.PC)
+				}
+			}
+		}
+	}
+	if wild == 0 {
+		t.Error("no runnable thread left at the wild PC to probe")
+	}
+}
+
 func TestResultStringNonEmpty(t *testing.T) {
 	res := runOn(t, config.LowEnd(config.FA1), buildVectorSum(16, 1))
 	if res.String() == "" {

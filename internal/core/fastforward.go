@@ -3,8 +3,8 @@ package core
 import (
 	"math"
 
-	"clustersmt/internal/isa"
 	"clustersmt/internal/parallel"
+	"clustersmt/internal/prog"
 	"clustersmt/internal/stats"
 )
 
@@ -123,14 +123,14 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 			// mutate) iff the lock is free. Only an Unlock fetched on
 			// another cluster releases a held lock, and fetchFrom
 			// advances s.releases when it does.
-			if t.lockGranted || t.sync.LockOwner(t.fn.Peek().Imm) == parallel.NoOwner {
+			if t.lockGranted || t.sync.LockOwner(t.fn.Next().Instr.Imm) == parallel.NoOwner {
 				return false, 0
 			}
 			sl.spinners = append(sl.spinners, t)
 			sl.syncWait = true
 		case blockBarrier:
 			// Same reasoning, for the Arrive that trips the barrier.
-			if t.sync.Released(t.fn.Peek().Imm, t.barTarget) {
+			if t.sync.Released(t.fn.Next().Instr.Imm, t.barTarget) {
 				return false, 0
 			}
 			sl.syncWait = true
@@ -163,15 +163,13 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 			// With window room the pick reaches the thread's next
 			// instruction. Sync ops mutate or transition; an
 			// instruction that clears the rename check would dispatch.
-			// Only an every-fetchable-thread rename stall is frozen.
-			in := t.fn.Peek()
-			switch in.Op {
-			case isa.OpLock, isa.OpUnlock, isa.OpBarrier:
+			// Only an every-fetchable-thread rename stall is frozen. A
+			// PC outside the program is progress too: fetch reports it.
+			d := t.fn.Next()
+			if d == nil || d.Flags&prog.IsSync != 0 {
 				return false, 0
 			}
-			inf := in.Info()
-			needInt := inf.WritesRD && in.RD != isa.RegZero
-			needFP := inf.WritesFD
+			needInt, needFP := d.Flags&prog.WritesRD != 0, d.Flags&prog.WritesFD != 0
 			if (needInt && cl.renameIntFree == 0) || (needFP && cl.renameFPFree == 0) {
 				stall = stallRename
 				continue

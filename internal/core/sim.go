@@ -82,6 +82,10 @@ type Simulator struct {
 	// MaxCycles aborts the run when exceeded (safety net).
 	MaxCycles int64
 
+	// fault is set by fetch when a thread's PC leaves its program (a
+	// wild jump); the run loop ends the run with it after that cycle.
+	fault error
+
 	// resumable marks a simulator that may legally (re-)enter the run
 	// loop at a non-zero cycle: one paused by RunTo, or one produced by
 	// Restore/Fork. A completed run clears it, restoring the original
@@ -343,6 +347,9 @@ func (s *Simulator) run(target int64) (*Result, error) {
 		s.sleepIdle()
 		if s.nAsleep < len(s.clusters) || !s.jump() {
 			s.step()
+		}
+		if s.fault != nil {
+			return nil, s.fault
 		}
 		if s.obs != nil && s.cycle >= s.obs.nextAt {
 			s.sample()

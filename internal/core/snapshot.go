@@ -40,9 +40,9 @@ import (
 //     index, so it already is its own serialized id: every structure
 //     that names an entry (window, fifos, refs, wheel, store table) is
 //     written as the handles it holds, and decoding needs no id map and
-//     no fix-up pass. Static instruction words are NOT serialized:
-//     entry.d.Instr is re-derived from Program.Code[d.PC], which is
-//     what lets a prefix checkpoint restore under a different
+//     no fix-up pass. Static instruction words are NOT serialized: an
+//     entry's instruction is its program's decoded slot at d.PC, which
+//     is what lets a prefix checkpoint restore under a different
 //     same-prefix program variant.
 //   - Nothing is normalized except ring head offsets (fifo and pending
 //     restart at position 0, which no reader can observe): the free
@@ -664,8 +664,6 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 			x.corrupt("entry thread id %d", e.tid)
 		case e.state > stateCompleted || e.fuCl > isa.ClassFP || e.memClass >= coherence.NumAccessClasses || e.queued > qReady:
 			x.corrupt("entry enums: state %d, unit class %d, access class %d, queue state %d", e.state, e.fuCl, e.memClass, e.queued)
-		default:
-			e.d.Instr = p.Code[e.d.PC]
 		}
 	}
 	x.handles(&c.free, "free stack")

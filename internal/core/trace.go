@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"clustersmt/internal/coherence"
+	"clustersmt/internal/isa"
 )
 
 // Tracing records pipeline and memory events for a cycle window through
@@ -42,7 +43,7 @@ func (t *tracer) flush() { t.sink.flush() }
 
 // traceSink renders trace events to some format.
 type traceSink interface {
-	event(now int64, cl *cluster, kind string, e *entry)
+	event(now int64, cl *cluster, kind string, e *entry, in isa.Instr)
 	memSpan(start, end int64, cl *cluster, e *entry, cls coherence.AccessClass)
 	dirEvent(now int64, cl *cluster, e *entry, kind string, n uint64)
 	flush()
@@ -76,7 +77,7 @@ func (s *Simulator) traceEvent(now int64, cl *cluster, kind string, e *entry) {
 	if s.tr == nil || !s.tr.covers(now) {
 		return
 	}
-	s.tr.sink.event(now, cl, kind, e)
+	s.tr.sink.event(now, cl, kind, e, s.threads[e.tid].fn.Prog.Code[e.d.PC])
 }
 
 // traceMem emits a memory span for a load satisfied beyond the L1,
@@ -127,9 +128,9 @@ type textSink struct {
 	w *bufio.Writer
 }
 
-func (ts *textSink) event(now int64, cl *cluster, kind string, e *entry) {
+func (ts *textSink) event(now int64, cl *cluster, kind string, e *entry, in isa.Instr) {
 	fmt.Fprintf(ts.w, "c%-7d chip%d.cl%d %s t%-2d pc=%-5d %s\n",
-		now, cl.chip, cl.idx, kind, e.tid, e.d.PC, e.d.Instr.String())
+		now, cl.chip, cl.idx, kind, e.tid, e.d.PC, in.String())
 }
 
 func (ts *textSink) memSpan(start, end int64, cl *cluster, e *entry, cls coherence.AccessClass) {
@@ -206,7 +207,7 @@ var chromeKindName = map[string]string{
 	"S": "squash",
 }
 
-func (cs *chromeSink) event(now int64, cl *cluster, kind string, e *entry) {
+func (cs *chromeSink) event(now int64, cl *cluster, kind string, e *entry, in isa.Instr) {
 	cs.meta(cl, int(e.tid))
 	name := chromeKindName[kind]
 	if name == "" {
@@ -214,7 +215,7 @@ func (cs *chromeSink) event(now int64, cl *cluster, kind string, e *entry) {
 	}
 	cs.sep()
 	fmt.Fprintf(cs.w, `{"name":%s,"cat":"pipeline","ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{"pc":%d,"instr":%s}}`,
-		strconv.Quote(name), now, cs.pid(cl), e.tid, e.d.PC, strconv.Quote(e.d.Instr.String()))
+		strconv.Quote(name), now, cs.pid(cl), e.tid, e.d.PC, strconv.Quote(in.String()))
 }
 
 func (cs *chromeSink) memSpan(start, end int64, cl *cluster, e *entry, cls coherence.AccessClass) {

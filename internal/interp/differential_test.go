@@ -229,8 +229,9 @@ func TestInterpDifferential(t *testing.T) {
 		mem := NewMemory()
 		mem.LoadImage(p)
 		th := NewThread(0, p, mem)
+		var d DynInstr
 		for !th.Halted {
-			th.Step()
+			th.Exec(&d)
 		}
 
 		// Mini evaluator run (replays the generated body directly).
@@ -268,8 +269,8 @@ func TestInterpDifferential(t *testing.T) {
 // final scratch memory must match the interpreter exactly.
 func TestTimingDifferential(t *testing.T) {
 	// Implemented in core's tests via TimingMatchesFunctional for the
-	// kernels; here we only double-check that Peek/Step agree on
-	// instruction counts for random programs.
+	// kernels; here we only double-check that Exec retires exactly the
+	// generated instructions of random programs.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		p, body := genProgram(rng, 40)
@@ -277,8 +278,9 @@ func TestTimingDifferential(t *testing.T) {
 		mem.LoadImage(p)
 		th := NewThread(0, p, mem)
 		steps := 0
+		var d DynInstr
 		for !th.Halted {
-			th.Step()
+			th.Exec(&d)
 			steps++
 		}
 		// body + Li prologue + halt

@@ -23,8 +23,9 @@ func buildAndRun(t *testing.T, build func(b *prog.Builder)) (*Thread, *Memory) {
 	mem := NewMemory()
 	mem.LoadImage(p)
 	th := NewThread(0, p, mem)
+	var d DynInstr
 	for !th.Halted {
-		th.Step()
+		th.Exec(&d)
 		if th.Retired > 1_000_000 {
 			t.Fatal("runaway program")
 		}
@@ -219,12 +220,13 @@ func TestDynInstrBranchEvents(t *testing.T) {
 	mem := NewMemory()
 	th := NewThread(0, p, mem)
 
-	th.Step() // li
-	d := th.Step()
-	if d.Taken || !d.IsBranch() {
+	var d DynInstr
+	th.Exec(&d) // li
+	th.Exec(&d)
+	if d.Taken || d.PC != 1 || p.Decoded[d.PC].Flags&prog.IsCondBr == 0 {
 		t.Fatalf("beq event wrong: %+v", d)
 	}
-	d = th.Step()
+	th.Exec(&d)
 	if !d.Taken {
 		t.Fatalf("bne should be taken: %+v", d)
 	}
@@ -249,18 +251,48 @@ func TestThreadStacksDisjoint(t *testing.T) {
 	}
 }
 
-func TestPeekOnHaltedPanics(t *testing.T) {
+// TestExecOnHaltedPanics: a halted thread executes nothing more, even
+// when its halt is not the program's last instruction (Next still finds
+// a slot there).
+func TestExecOnHaltedPanics(t *testing.T) {
 	b := prog.NewBuilder("t")
+	b.Halt()
+	b.Nop()
 	b.Halt()
 	p := b.MustBuild()
 	th := NewThread(0, p, NewMemory())
-	th.Step()
+	var d DynInstr
+	th.Exec(&d)
+	if !th.Halted || th.Next() == nil {
+		t.Fatalf("halted=%v next=%v, want a halted thread with a slot at PC %d", th.Halted, th.Next(), th.PC)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic")
 		}
 	}()
-	th.Peek()
+	th.Exec(&d)
+}
+
+// TestNextOutsideProgram: a wild jump leaves Next nothing to return, on
+// either side of the program.
+func TestNextOutsideProgram(t *testing.T) {
+	b := prog.NewBuilder("t")
+	b.Li(5, 100000)
+	b.Jr(5)
+	b.Halt()
+	p := b.MustBuild()
+	th := NewThread(0, p, NewMemory())
+	var d DynInstr
+	th.Exec(&d)
+	th.Exec(&d)
+	if d.Target != 100000 || th.Next() != nil {
+		t.Fatalf("after jr: target %d, next %v; want 100000 and nil", d.Target, th.Next())
+	}
+	th.PC = -1
+	if th.Next() != nil {
+		t.Fatal("Next at PC -1 returned a slot")
+	}
 }
 
 func TestSwapInstr(t *testing.T) {

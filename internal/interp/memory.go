@@ -3,6 +3,10 @@
 // image and yields the dynamic-instruction events that the timing back
 // end consumes. It plays the role MINT played for the paper's
 // simulator: the back end never recomputes values, it only times them.
+// Instructions are decoded once, when the program is built
+// (prog.Program.Decoded); Thread.Next reads the slot at a thread's PC
+// and Thread.Exec executes it, once per dynamic instruction, into a
+// record the caller owns — at fetch, the timing core's window entry.
 package interp
 
 import (

@@ -10,22 +10,18 @@ import (
 
 // DynInstr is one dynamic instruction: the functional outcome of
 // executing a static instruction in a thread. The timing back end
-// consumes these at fetch time.
+// consumes these at fetch time; the static instruction is the program's
+// decoded slot at PC.
 type DynInstr struct {
-	Seq    uint64    // per-thread dynamic sequence number, from 0
-	PC     int64     // static PC executed
-	Instr  isa.Instr // the static instruction
-	Addr   int64     // effective address (memory ops only)
-	Taken  bool      // branch outcome (control ops only)
-	Target int64     // PC actually executed next
+	Seq    uint64 // per-thread dynamic sequence number, from 0
+	PC     int64  // static PC executed
+	Addr   int64  // effective address (memory ops only)
+	Taken  bool   // branch outcome (control ops only)
+	Target int64  // PC actually executed next
 }
 
-// IsBranch reports whether the dynamic instruction is any control
-// transfer.
-func (d DynInstr) IsBranch() bool { return d.Instr.Info().Branch }
-
 // Thread is one functional execution context: architectural registers,
-// a PC, and a reference to the shared memory. Step advances it by one
+// a PC, and a reference to the shared memory. Exec advances it by one
 // instruction.
 type Thread struct {
 	ID      int
@@ -37,6 +33,8 @@ type Thread struct {
 	Halted  bool
 	Retired uint64 // dynamic instructions executed
 
+	code []prog.Decoded // Prog.Decoded
+
 	// view is the thread's private handle on Mem, so threads on
 	// different goroutines (parallel timing mode) never share the
 	// Memory's own page cache.
@@ -47,7 +45,7 @@ type Thread struct {
 // conventional registers (TID, SP) initialized. Each thread gets a
 // private stack region above the data segment; stacks are 64 KiB.
 func NewThread(id int, p *prog.Program, mem *Memory) *Thread {
-	t := &Thread{ID: id, Prog: p, Mem: mem, PC: p.Entry, view: mem.NewView()}
+	t := &Thread{ID: id, Prog: p, Mem: mem, PC: p.Entry, code: p.Decoded, view: mem.NewView()}
 	t.Int[isa.RegTID] = uint64(id)
 	const stackSize = 64 * 1024
 	base := ((p.DataEnd + pageBytes - 1) / pageBytes) * pageBytes
@@ -55,16 +53,14 @@ func NewThread(id int, p *prog.Program, mem *Memory) *Thread {
 	return t
 }
 
-// Peek returns the next static instruction without executing it.
-// Calling Peek on a halted thread panics.
-func (t *Thread) Peek() isa.Instr {
-	if t.Halted {
-		panic(fmt.Sprintf("interp: Peek on halted thread %d", t.ID))
+// Next returns the decoded instruction at PC — the one Exec executes
+// next — or nil when PC lies outside the program: a wild jump, which
+// the caller reports as the program's error rather than execute.
+func (t *Thread) Next() *prog.Decoded {
+	if uint64(t.PC) >= uint64(len(t.code)) {
+		return nil
 	}
-	if t.PC < 0 || t.PC >= int64(len(t.Prog.Code)) {
-		panic(fmt.Sprintf("interp: thread %d: PC %d out of range", t.ID, t.PC))
-	}
-	return t.Prog.Code[t.PC]
+	return &t.code[t.PC]
 }
 
 func (t *Thread) readInt(r isa.Reg) int64 { return int64(t.Int[r]) }
@@ -75,15 +71,20 @@ func (t *Thread) writeInt(r isa.Reg, v int64) {
 	}
 }
 
-// Step executes exactly one instruction and returns its dynamic event.
-// Synchronization ops (lock/unlock/barrier) execute as control no-ops:
-// the caller (timing front end or functional scheduler) is responsible
-// for blocking the thread until the sync controller grants the
-// operation, and must only call Step once it is granted.
-func (t *Thread) Step() DynInstr {
-	in := t.Peek()
-	inf := in.Info()
-	d := DynInstr{Seq: t.Retired, PC: t.PC, Instr: in}
+// Exec executes the instruction at PC, which Next has shown to be in
+// the program, and writes its dynamic event into d: one call per
+// dynamic instruction, into the caller's own record (the timing front
+// end passes its window slot's). Synchronization ops (lock/unlock/
+// barrier) execute as control no-ops: the caller (timing front end or
+// functional scheduler) is responsible for blocking the thread until
+// the sync controller grants the operation, and must only call Exec
+// once it is granted. Exec on a halted thread panics.
+func (t *Thread) Exec(d *DynInstr) {
+	if t.Halted {
+		panic(fmt.Sprintf("interp: Exec on halted thread %d", t.ID))
+	}
+	in := &t.code[t.PC].Instr
+	*d = DynInstr{Seq: t.Retired, PC: t.PC}
 	next := t.PC + 1
 
 	switch in.Op {
@@ -191,19 +192,16 @@ func (t *Thread) Step() DynInstr {
 		panic(fmt.Sprintf("interp: unimplemented opcode %v", in.Op))
 	}
 
-	if inf.Branch {
-		if d.Taken {
-			if in.Op == isa.OpJr {
-				next = t.readInt(in.RS1)
-			} else {
-				next = t.PC + in.Imm
-			}
+	if d.Taken {
+		if in.Op == isa.OpJr {
+			next = t.readInt(in.RS1)
+		} else {
+			next = t.PC + in.Imm
 		}
 	}
 	d.Target = next
 	t.PC = next
 	t.Retired++
-	return d
 }
 
 func boolToInt(b bool) int64 {

@@ -198,8 +198,9 @@ var infoTable = [NumOps]Info{
 }
 
 // InfoFor returns the static description of op: a read-only pointer
-// into the shared table (fetch and the interpreter ask per instruction,
-// and the struct is 48 bytes). It panics on an out-of-range opcode,
+// into the shared table (the struct is 48 bytes). Per-instruction
+// paths do not ask it: prog.Builder.Build decodes each static
+// instruction once (prog.Decoded). It panics on an out-of-range opcode,
 // which always indicates a builder bug.
 func InfoFor(op Op) *Info {
 	if int(op) >= NumOps {

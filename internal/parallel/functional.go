@@ -44,7 +44,8 @@ func (r *FunctionalResult) ReadWord(p *prog.Program, symbol string, word int64) 
 // RunFunctional executes p with nthreads interleaved round-robin, one
 // instruction per turn, honoring locks and barriers, until every thread
 // halts. maxSteps bounds total dynamic instructions (0 means a generous
-// default); exceeding it or deadlocking returns an error.
+// default); exceeding it, deadlocking or a thread jumping outside the
+// program returns an error.
 //
 // This is the reference semantics for every kernel: the timing
 // simulator must leave memory in exactly the same state (we assert this
@@ -66,6 +67,7 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 
 	var steps uint64
 	var ops [isa.NumOps]uint64
+	var d interp.DynInstr
 	for {
 		progress := false
 		alive := false
@@ -75,7 +77,11 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 			}
 			alive = true
 
-			in := t.Peek()
+			sl := t.Next()
+			if sl == nil {
+				return nil, fmt.Errorf("parallel: %s: thread %d: PC %d outside the program (%d instructions)", p.Name, tid, t.PC, len(p.Code))
+			}
+			in := &sl.Instr
 			switch blocked[tid] {
 			case blockedLock:
 				if !sync.TryLock(in.Imm, tid) {
@@ -108,7 +114,7 @@ func RunFunctional(p *prog.Program, nthreads int, maxSteps uint64) (*FunctionalR
 			}
 
 			ops[in.Op]++
-			t.Step()
+			t.Exec(&d)
 			steps++
 			progress = true
 			if steps > maxSteps {

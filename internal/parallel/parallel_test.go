@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -264,5 +265,18 @@ func TestRunFunctionalStepBudget(t *testing.T) {
 	p := b.MustBuild()
 	if _, err := RunFunctional(p, 1, 1000); err == nil {
 		t.Fatal("livelock not detected")
+	}
+}
+
+// TestRunFunctionalWildJump: a thread that jumps outside the program is
+// an error naming it and its PC, not a panic.
+func TestRunFunctionalWildJump(t *testing.T) {
+	b := prog.NewBuilder("wild")
+	b.Li(5, 100000)
+	b.Jr(5)
+	b.Halt()
+	_, err := RunFunctional(b.MustBuild(), 2, 0)
+	if err == nil || !strings.Contains(err.Error(), "thread 0: PC 100000") {
+		t.Fatalf("err = %v, want thread 0's PC 100000 named", err)
 	}
 }

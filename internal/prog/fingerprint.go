@@ -27,7 +27,7 @@ func (p *Program) Fingerprint() [32]byte {
 // the first PrefixLen code slots plus the entry PC, data bound and full
 // initial memory image. Two programs with equal PrefixKeys execute
 // identically for as long as no PC at or beyond the prefix has been
-// fetched or peeked (the simulator tracks that bound as its PC high
+// fetched or read (the simulator tracks that bound as its PC high
 // water mark). ok is false when no prefix was declared. Like
 // Fingerprint, the key is computed once per Program.
 func (p *Program) PrefixKey() (key [32]byte, ok bool) {

@@ -47,8 +47,12 @@ type Symbol struct {
 // it remembers its digests, so a copy made after the first hash would
 // carry them on without the guard that keeps them true.
 type Program struct {
-	Name    string
-	Code    []isa.Instr
+	Name string
+	Code []isa.Instr
+	// Decoded is Code decoded, slot for slot (Build derives it): what
+	// the interpreter executes and fetch reads, one slot per dynamic
+	// instruction. The digests hash Code, not this derivation of it.
+	Decoded []Decoded
 	Entry   int64             // PC of the first instruction each thread executes
 	DataEnd int64             // first byte past the data segment
 	Symbols map[string]Symbol // global objects by name
@@ -73,8 +77,8 @@ type Program struct {
 	// any program with an equal PrefixKey. Zero means no prefix declared.
 	PrefixLen int
 
-	// Fingerprint and PrefixKey, each computed on first use. Code, Entry,
-	// DataEnd and PrefixLen must not change after Build; Init cannot
+	// Fingerprint and PrefixKey, each computed on first use. Code,
+	// Decoded, Entry, DataEnd and PrefixLen must not change after Build; Init cannot
 	// once either digest exists.
 	fpOnce, pkOnce sync.Once
 	fp, pk         [32]byte
@@ -524,6 +528,10 @@ func (b *Builder) Build() (*Program, error) {
 	if len(code) == 0 || code[len(code)-1].Op != isa.OpHalt {
 		return nil, fmt.Errorf("prog: %s: program must end with halt", b.name)
 	}
+	dec := make([]Decoded, len(code))
+	for pc, in := range code {
+		dec[pc] = decode(in)
+	}
 	syms := make(map[string]Symbol, len(b.symbols))
 	for k, v := range b.symbols {
 		syms[k] = v
@@ -531,6 +539,7 @@ func (b *Builder) Build() (*Program, error) {
 	p := &Program{
 		Name:      b.name,
 		Code:      code,
+		Decoded:   dec,
 		Entry:     0,
 		DataEnd:   b.next,
 		Symbols:   syms,

@@ -143,7 +143,7 @@ func TestSectionsRoundTripAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	th := interp.NewThread(0, p, mem)
-	th.Step()
+	th.Exec(new(interp.DynInstr))
 	th.FP[2] = -1.5
 	checkSection(t, "interp.Thread", th, func() section { return interp.NewThread(0, p, interp.NewMemory()) })
 
