@@ -12,8 +12,8 @@ check:
 # `go test ./...` runs. The binary carries one implementation per layer —
 # one cycle loop, one issue stage, one memory path — and each is held
 # to its definition, which lives in _test.go: the stepped reference
-# loop and the window-scan issue stage (internal/core/oracle_test.go)
-# against Simulator.Run on the full Result (reflect.DeepEqual) across
+# loop and the window-scan issue stage (internal/core/oracle_test.go;
+# the window is the threads' fifos merged by seq) against Simulator.Run on the full Result (reflect.DeepEqual) across
 # every preset, with the ready lists, waiting tallies, forwarding
 # stores and every sleeping cluster audited every cycle; the sweep MSHR
 # file, the dense tag array and the map directory against the heap,
@@ -31,13 +31,14 @@ check:
 # allocation policy static × none (and dynamic-policy determinism), and
 # the entry pool's own gates — stale handles read as committed entries,
 # the steady-state loop allocates nothing, no slot leaks or is held
-# twice; the daemon's worker bound holding for figure cells as for jobs,
+# twice, the pool is exactly the window and every queue keeps its
+# capacity, a damaged pool in a checkpoint is refused; the daemon's worker bound holding for figure cells as for jobs,
 # and across input sizes. And the harness's one route: the allocation
 # figure's cheap rows pinned through the suite memo (a second pass runs
 # nothing), a failing matrix reporting its lowest cell's error, and a
 # run's frames published with its result, never while it runs.
 diff:
-	go test ./internal/core -run 'TestEventDriven|TestClusterSleep|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden|TestBTB'
+	go test ./internal/core -run 'TestEventDriven|TestClusterSleep|TestWakeup|TestStoreForwardingMap|TestMemPath|TestObs|TestMetricsRingDrops|TestCheckpointDifferential|TestSnapshotGolden|TestProgramAcceptance|TestAlloc|TestStaleHandleSlotReuse|TestSteadyStateZeroAllocs|TestEntryPoolConservation|TestBoundedQueues|TestSnapshotCorruptPool|TestSearchStaticMatchesSequential|TestEnumerateAssignmentsGolden|TestBTB'
 	go test ./internal/memsys -run 'TestCacheChunkedMatchesDense|TestCacheForkSharesUntouchedChunks|TestCacheDecodeZeroChunks|TestCacheSingleWalkDifferential|TestMSHRDifferential'
 	go test ./internal/coherence -run 'TestDirectoryMapTableDifferential'
 	go test ./internal/prog -run 'TestDigest|TestImage|TestBuild|TestDecoded|FuzzImage'
@@ -75,7 +76,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 17150
+LOC_BUDGET = 17056
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -187,7 +187,7 @@ func (s *Simulator) allocEpoch() {
 			ID:        t.id,
 			Cluster:   g,
 			Committed: d,
-			InWindow:  t.inWindow,
+			InWindow:  t.fifo.len(),
 			// A mid-drain thread reads as blocked so no policy tries to
 			// move it twice.
 			Blocked:      t.block != blockNone || t.migrateTo != nil,
@@ -198,7 +198,7 @@ func (s *Simulator) allocEpoch() {
 		if !t.done() {
 			cs.Threads++
 		}
-		cs.InFlight += t.inWindow
+		cs.InFlight += t.fifo.len()
 		cs.Committed += d
 	}
 
@@ -257,7 +257,7 @@ func (s *Simulator) completeMigrations(now int64) bool {
 		case t.done():
 			t.migrateTo.migrateIn--
 			t.migrateTo = nil
-		case t.inWindow == 0:
+		case t.fifo.len() == 0:
 			s.moveThread(t, now)
 			moved = true
 		default:

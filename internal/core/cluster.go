@@ -46,7 +46,7 @@ type threadCtx struct {
 	// migrateTo, when non-nil, marks the thread as draining for a
 	// migration to that cluster: fetch skips it, its in-flight window
 	// empties through normal commit, and the move happens between
-	// cycles once inWindow reaches zero (core/alloc.go). migrateReady
+	// cycles once its fifo is empty (core/alloc.go). migrateReady
 	// is the cycle the post-move blockMigrate refill stall lifts.
 	migrateTo    *cluster
 	migrateReady int64
@@ -59,8 +59,8 @@ type threadCtx struct {
 	// fifo is the thread's uncommitted instructions in program order, for
 	// in-order commit: a WindowEntries-deep ring (every cluster of a
 	// machine has the same Arch, so it travels with a migrating thread).
-	fifo     ring
-	inWindow int
+	// Its length is the thread's in-flight count.
+	fifo ring
 
 	// frontEvent caches the cycle the fifo front can first commit:
 	// its completeAt once issued, noEvent while it is still dispatched
@@ -75,7 +75,7 @@ type threadCtx struct {
 }
 
 // done reports whether the thread has halted and drained.
-func (t *threadCtx) done() bool { return t.fn.Halted && t.inWindow == 0 }
+func (t *threadCtx) done() bool { return t.fn.Halted && t.fifo.len() == 0 }
 
 // fifoPop retires the fifo front and re-derives frontEvent from the
 // entry behind it.
@@ -104,19 +104,14 @@ type cluster struct {
 	// here; capacity checks charge them so an epoch can never oversubscribe
 	// a cluster's hardware contexts.
 	migrateIn int
-	// pool holds every window entry of the cluster, allocated once and
-	// indexed by handle; free is the stack of unoccupied slots. Live
-	// entries never exceed WindowEntries and committed ones linger at
-	// most a quarter window before the sweep returns their slots (see
-	// commit), so WindowEntries + WindowEntries/4 slots always suffice:
-	// exhaustion is a bug and panics (overflow).
+	// pool holds the cluster's window: WindowEntries entries allocated
+	// once and indexed by handle. free is the stack of unoccupied slots;
+	// fetch pops one and commit pushes it back, so every slot is either
+	// free or in exactly one thread's fifo, and the window is full when
+	// free is empty.
 	pool []entry
 	free []handle
-
-	window  []handle // reorder buffer: dispatch -> commit, in seq order
-	iqCount int      // instruction-queue occupancy: dispatch -> issue
-	zombies int      // committed entries not yet swept out of window
-	seq     uint64
+	seq  uint64
 
 	// stores is the store-forwarding table (storetable.go).
 	stores storeTable
@@ -164,7 +159,6 @@ type cluster struct {
 	// Per-run counters.
 	slots            stats.Slots
 	renameStalls     uint64
-	fetchGroups      uint64
 	windowFullStalls uint64
 
 	// pcHighWater is an upper bound on every static PC this cluster's
@@ -176,19 +170,14 @@ type cluster struct {
 	pcHighWater int64
 }
 
-// poolSlots is the entry-pool capacity for a window of the given size:
-// the live bound plus the zombie bound (commit's sweep threshold).
-func poolSlots(windowEntries int) int { return windowEntries + windowEntries/4 }
-
 func newCluster(chip, idx int, cfg config.Arch) *cluster {
-	n := poolSlots(cfg.WindowEntries)
+	n := cfg.WindowEntries
 	c := &cluster{
 		chip:          chip,
 		idx:           idx,
 		cfg:           cfg,
 		pool:          make([]entry, n+1), // slot 0 is the "no entry" handle
 		free:          make([]handle, n),
-		window:        make([]handle, 0, n),
 		stores:        newStoreTable(n),
 		pending:       newRing(cfg.WindowEntries),
 		wheel:         newWheel(n + 2*cfg.WindowEntries),
@@ -306,12 +295,13 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 			e := &c.pool[h]
 			t.fifoPop()
 			if e.isStore {
+				var pre dirCounters
 				if s.tr != nil {
-					pre := s.dirCounters()
-					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
+					pre = s.dirCounters()
+				}
+				s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
+				if s.tr != nil {
 					s.traceDirDelta(now, c, e, pre)
-				} else {
-					s.msys.Store(now, c.chip, e.d.Addr+t.memBase)
 				}
 			}
 			if e.usesIntRename {
@@ -320,13 +310,16 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 			if e.usesFPRename {
 				c.renameFPFree++
 			}
+			// The slot is free from here, but keeps its contents until
+			// fetch reuses it: commit runs before issue, so this cycle's
+			// wheel event for a producer that completes and commits now
+			// still walks its consumer list (drainEvents).
 			e.committed = true
-			c.zombies++
+			c.free = append(c.free, h)
 			if e.isStore {
 				c.stores.retire(e.tid, e.d.Addr, h)
 			}
-			t.inWindow--
-			if t.fn.Halted && t.inWindow == 0 {
+			if t.done() {
 				// The thread just drained after its halt: it leaves the
 				// running-thread count (it cannot be sync-blocked here —
 				// blocked threads never fetch, so they never halt).
@@ -341,39 +334,6 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 		}
 	}
 	c.commitRR++
-
-	// Compact lazily: committed entries are invisible to every window
-	// walk already (their state is not dispatched), so sweeping them out
-	// each cycle buys nothing. They only pad the slice, which the
-	// capacity checks correct for via c.zombies. Sweep once a
-	// quarter-window of zombies accumulates (or the window is all
-	// zombies, so the sweep is free), skipping the still-uncommitted
-	// prefix in place. The sweep is where pool slots are recycled: a
-	// zombie keeps its slot — and so stays inspectable through every
-	// handle — until it leaves the window. Zombies therefore never
-	// exceed the threshold between cycles, which with the fetch stage's
-	// live bound caps the window (and the pool) at poolSlots. A freed
-	// slot keeps its contents until fetch reuses it, so this cycle's
-	// wheel event for a just-swept producer still finds its consumers.
-	if threshold := c.cfg.WindowEntries / 4; c.zombies > 0 &&
-		(c.zombies > threshold || c.zombies == len(c.window)) {
-		w := c.window
-		i := 0
-		for i < len(w) && !c.pool[w[i]].committed {
-			i++
-		}
-		j := i
-		for ; i < len(w); i++ {
-			if h := w[i]; c.pool[h].committed {
-				c.free = append(c.free, h)
-			} else {
-				w[j] = h
-				j++
-			}
-		}
-		c.window = w[:j]
-		c.zombies = 0
-	}
 	return removed
 }
 
@@ -403,7 +363,6 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 				votes[stats.Data]++
 				return false
 			}
-			e.forwarded = true
 			completeAt = now + e.lat
 			s.forwardedLoads++
 		} else {
@@ -417,7 +376,6 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 				votes[stats.Memory]++
 				return false
 			}
-			e.memClass = cls
 			// Table 1 charges loads 2 cycles on an L1 hit: address
 			// generation plus the 1-cycle L1 round trip returned by
 			// the memory system.
@@ -446,7 +404,6 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 	if t := s.threads[e.tid]; t.fifo.front() == h {
 		t.frontEvent = completeAt
 	}
-	c.iqCount--
 	s.traceEvent(now, c, "I", e)
 	c.wake(h)
 	return true
@@ -532,19 +489,16 @@ func (c *cluster) fetch(s *Simulator, now int64, votes *stats.Votes) bool {
 // fetchFrom pulls up to budget instructions from t, returning the
 // unused budget.
 func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, votes *stats.Votes) int {
-	c.fetchGroups++
-
-	width := budget
-	for n := 0; n < width; n++ {
+	for n := 0; n < budget; n++ {
 		if t.fn.Halted {
-			break
+			return 0
 		}
-		// Table 2 sizes the instruction queue and the reorder buffer
-		// separately (equal sizes): issued instructions leave the
-		// queue, so long-latency loads in flight do not clog it.
-		if len(c.window)-c.zombies >= c.cfg.WindowEntries || c.iqCount >= c.cfg.WindowEntries {
+		// One window serves as instruction queue and reorder buffer
+		// (Table 2 sizes them equally): an entry holds its slot from
+		// fetch to commit, and a full window ends the cycle's fetching.
+		if len(c.free) == 0 {
 			c.windowFullStalls++
-			break
+			return 0
 		}
 		sl := t.fn.Next()
 		if sl == nil {
@@ -608,9 +562,9 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			c.pcHighWater = pc
 		}
 		e.tid, e.seq = int32(t.id), c.seq
-		e.fetchedAt, e.eligibleAt = now, now+config.FrontEndDelay
+		e.eligibleAt = now + config.FrontEndDelay
 		e.fuCl, e.lat, e.occ = sl.Class, int64(sl.Lat), int64(sl.Occ)
-		e.isLoad, e.isStore, e.isBranch = f&prog.IsLoad != 0, f&prog.IsStore != 0, f&prog.IsBranch != 0
+		e.isLoad, e.isStore = f&prog.IsLoad != 0, f&prog.IsStore != 0
 		c.seq++
 
 		// Wire register dependences to in-flight producers.
@@ -651,20 +605,14 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			}
 		}
 
-		if len(c.window) == cap(c.window) {
-			c.overflow("window")
-		}
-		c.window = append(c.window, h)
-		c.iqCount++
 		if !t.fifo.push(h) {
 			c.overflow("thread fifo")
 		}
-		t.inWindow++
 		t.fetched++
 		s.traceEvent(now, c, "F", e)
 		c.dispatchEvent(h)
 
-		if e.isBranch {
+		if f&prog.IsBranch != 0 {
 			if c.handleBranch(t, h, f) {
 				// The redirect point: no wrong-path instructions were
 				// fetched, so the squash marks where fetch stops.
@@ -678,13 +626,7 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			}
 		}
 	}
-	fetched := width
-	if len(c.window)-c.zombies >= c.cfg.WindowEntries || c.iqCount >= c.cfg.WindowEntries || t.fn.Halted {
-		// Window-full and halt paths may have consumed fewer slots,
-		// but a full window ends the cycle's fetching entirely.
-		return 0
-	}
-	return budget - fetched
+	return 0
 }
 
 // handleBranch trains the predictors and, on a misprediction, blocks
@@ -692,22 +634,17 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 // fetch must stop because of a misprediction.
 func (c *cluster) handleBranch(t *threadCtx, h handle, f prog.Flag) bool {
 	e := &c.pool[h]
+	correct := true
 	switch {
 	case f&prog.IsCondBr != 0:
-		_, correct := c.bp.PredictAndUpdate(e.d.PC, e.d.Taken)
-		if !correct {
-			e.mispredicted = true
-		}
+		_, correct = c.bp.PredictAndUpdate(e.d.PC, e.d.Taken)
 	case f&prog.IsJr != 0:
-		_, correct := c.btb.PredictAndUpdate(e.d.PC, e.d.Target)
-		if !correct {
-			e.mispredicted = true
-		}
+		_, correct = c.btb.PredictAndUpdate(e.d.PC, e.d.Target)
 	default:
 		// Direct jumps (jump/jal) have statically known targets: no
 		// misprediction, just a fetch break handled by the caller.
 	}
-	if e.mispredicted {
+	if !correct {
 		t.block = blockBranch
 		t.pendingBranch = c.refOf(h)
 		return true
@@ -730,7 +667,7 @@ func (c *cluster) pickFetchThread() *threadCtx {
 		if t.fn.Halted || t.block != blockNone || t.migrateTo != nil {
 			continue
 		}
-		if best == nil || t.inWindow < best.inWindow {
+		if best == nil || t.fifo.len() < best.fifo.len() {
 			best, c.fetchRR = t, j
 		}
 		if !c.icount {
@@ -759,7 +696,7 @@ func (c *cluster) threadVotes(votes *stats.Votes) {
 			// Migration refill is charged as an "other" pipeline stall —
 			// it is neither synchronization nor a control hazard.
 			votes[stats.Other]++
-		case t.inWindow == 0:
+		case t.fifo.len() == 0:
 			votes[stats.Fetch]++
 		}
 	}

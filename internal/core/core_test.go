@@ -509,8 +509,8 @@ func TestRenamePoolConservation(t *testing.T) {
 				t.Errorf("%s: rename pool leak: int %d/%d fp %d/%d",
 					arch.Name, cl.renameIntFree, arch.RenameInt, cl.renameFPFree, arch.RenameFP)
 			}
-			if len(cl.window) != 0 || cl.iqCount != 0 {
-				t.Errorf("%s: window not drained: %d entries, iq %d", arch.Name, len(cl.window), cl.iqCount)
+			if len(cl.free) != arch.WindowEntries {
+				t.Errorf("%s: window not drained: %d of %d slots free", arch.Name, len(cl.free), arch.WindowEntries)
 			}
 		}
 	}

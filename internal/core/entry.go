@@ -1,7 +1,6 @@
 package core
 
 import (
-	"clustersmt/internal/coherence"
 	"clustersmt/internal/interp"
 	"clustersmt/internal/isa"
 )
@@ -11,25 +10,25 @@ type entryState uint8
 
 const (
 	stateDispatched entryState = iota // in the window, waiting to issue
-	stateIssued                       // executing on a functional unit
-	stateCompleted                    // result available, awaiting commit
+	stateIssued                       // on a functional unit; done from completeAt
 )
 
 // handle names a window entry: a slot index into its cluster's entry
 // pool (cluster.pool). Zero means "no entry"; slot 0 is never handed
 // out. The structures that hold an entry only while it is in flight —
-// window, fifo, pending, ready, the consumer lists, the store table —
-// store bare handles.
+// the thread fifos, pending, ready, the consumer lists, the store
+// table — store bare handles.
 type handle uint32
 
 // ref is a handle that may outlive the entry it was bound to: a
 // register producer, a forwarding candidate, a last-writer slot, a
 // wakeup-wheel event. Pool slots are recycled, so a ref carries the
 // cluster-unique seq of the entry it meant. The stale-handle rule: when
-// the slot's occupant has a different seq the original entry committed
-// long ago, and every reader treats the ref exactly as it treats a
-// committed entry — done, not a forwarding source, nothing to wake
-// (cluster.resolve returns nil). The zero ref is "none".
+// the slot's occupant has a different seq the original entry has
+// committed and fetch has reused its slot, and every reader treats the
+// ref exactly as it treats a committed entry — done, not a forwarding
+// source, nothing to wake (cluster.resolve returns nil). The zero ref
+// is "none".
 type ref struct {
 	seq uint64
 	h   handle
@@ -37,7 +36,9 @@ type ref struct {
 
 // entry is one instruction in a cluster's unified instruction window /
 // reorder buffer (the two structures are the same size in every Table 2
-// configuration, so they are modeled as one). It holds no Go pointers,
+// configuration, so they are modeled as one). A slot is taken at fetch
+// and goes back on the free stack the cycle its instruction commits,
+// so the pool is exactly WindowEntries slots. It holds no Go pointers,
 // so the pool is one noscan allocation the collector never walks and
 // the fetch path fills in with plain stores.
 type entry struct {
@@ -46,8 +47,7 @@ type entry struct {
 	seq uint64 // cluster-wide age for oldest-first issue
 
 	state      entryState
-	fetchedAt  int64
-	eligibleAt int64 // fetchedAt + FrontEndDelay (decode/rename depth)
+	eligibleAt int64 // fetch cycle + FrontEndDelay (decode/rename depth)
 	completeAt int64 // valid once issued
 
 	// Producers of this entry's register sources that were in flight at
@@ -64,13 +64,9 @@ type entry struct {
 	occ  int64
 
 	isLoad, isStore bool
-	isBranch        bool
-	mispredicted    bool
 	usesIntRename   bool
 	usesFPRename    bool
-	memClass        coherence.AccessClass // loads only, set at issue
-	forwarded       bool                  // load satisfied by an older in-window store
-	committed       bool                  // retired; awaiting window compaction
+	committed       bool // retired; the slot is free until fetch reuses it
 
 	// Issue-stage bookkeeping (wakeup.go).
 	// queued tracks the entry's issue-stage classification; waitMem
@@ -105,13 +101,7 @@ func (e *entry) addProducer(p ref, np int) int {
 
 // done reports whether the entry's result is available at cycle now.
 func (e *entry) done(now int64) bool {
-	switch e.state {
-	case stateCompleted:
-		return true
-	case stateIssued:
-		return e.completeAt <= now
-	}
-	return false
+	return e.state == stateIssued && e.completeAt <= now
 }
 
 // resolve returns the entry r was bound to, or nil when r is empty or

@@ -38,7 +38,7 @@ type fetchStall uint8
 
 const (
 	stallNone   fetchStall = iota // no fetchable thread at all
-	stallWindow                   // pick bounces off a full window/queue
+	stallWindow                   // pick bounces off a full window
 	stallRename                   // every fetchable thread lacks a rename reg
 )
 
@@ -108,7 +108,7 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 	}
 
 	// Fetch stage: blocked threads may resume; runnable threads fetch.
-	winFull := len(cl.window)-cl.zombies >= cl.cfg.WindowEntries || cl.iqCount >= cl.cfg.WindowEntries
+	winFull := len(cl.free) == 0
 	stall := stallNone
 	for _, t := range cl.threads {
 		switch t.block {
@@ -145,7 +145,7 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 				// Draining for a migration: fetch skips it; its in-flight
 				// completions are window events. Once drained the move
 				// itself (between cycles) is progress.
-				if t.inWindow == 0 {
+				if t.fifo.len() == 0 {
 					return false, 0
 				}
 				continue
@@ -278,11 +278,11 @@ func (s *Simulator) sleepIdle() {
 // tally is a contiguous stream and takes the bulk path, the commit
 // round-robin advanced every cycle, each spinner failed one poll per
 // cycle, and a stalled front end picked one fetchable thread per cycle
-// and bounced off the stall — one fetch group, one stall count, one
-// pick rotation (a stalled cluster has instructions in flight, so the
-// longest latency bounds the replay). commitDone says the cluster is
-// woken from the issue/fetch phase: this cycle's commit phase has
-// passed it, which for a sleeper was one more rotation.
+// and bounced off the stall — one stall count, one pick rotation (a
+// stalled cluster has instructions in flight, so the longest latency
+// bounds the replay). commitDone says the cluster is woken from the
+// issue/fetch phase: this cycle's commit phase has passed it, which for
+// a sleeper was one more rotation.
 func (s *Simulator) wake(cl *cluster, now int64, commitDone bool) {
 	sl := &s.sleep[cl.gid]
 	n := now - sl.from
@@ -295,7 +295,6 @@ func (s *Simulator) wake(cl *cluster, now int64, commitDone bool) {
 		t.sync.LockConflicts += uint64(n)
 	}
 	if sl.stall != stallNone {
-		cl.fetchGroups += uint64(n)
 		if sl.stall == stallWindow {
 			cl.windowFullStalls += uint64(n)
 		} else {

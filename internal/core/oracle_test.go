@@ -176,13 +176,13 @@ func stepRef(s *Simulator, scan bool) bool {
 func issueScan(c *cluster, s *Simulator, now int64, votes *stats.Votes) int {
 	c.drainEvents(now)
 	issued := 0
-	for _, h := range c.window {
+	eachInFlight(c, func(h handle) bool {
 		if issued >= c.cfg.IssueWidth {
-			break
+			return false
 		}
 		e := &c.pool[h]
 		if e.state != stateDispatched || now < e.eligibleAt {
-			continue
+			return true
 		}
 		ready, memWait := c.sourcesReady(e, now)
 		if !ready {
@@ -191,13 +191,14 @@ func issueScan(c *cluster, s *Simulator, now int64, votes *stats.Votes) int {
 			} else {
 				votes[stats.Data]++
 			}
-			continue
+			return true
 		}
 		if c.tryIssue(s, h, now, votes) {
 			e.queued = qNone
 			issued++
 		}
-	}
+		return true
+	})
 	kept := c.ready[:0]
 	for _, h := range c.ready {
 		if c.pool[h].state == stateDispatched {
@@ -206,6 +207,39 @@ func issueScan(c *cluster, s *Simulator, now int64, votes *stats.Votes) int {
 	}
 	c.ready = kept
 	return issued
+}
+
+// eachInFlight calls f on every in-flight entry of c in seq order, the
+// order the window holds them in, until f returns false. The in-flight
+// entries are exactly the threads' fifos, each in program (hence seq)
+// order, so the walk merges them by seq. It allocates nothing for up to
+// eight threads a cluster, so the scan can run under
+// TestSteadyStateZeroAllocs.
+func eachInFlight(c *cluster, f func(h handle) bool) {
+	var buf [8]int
+	pos := buf[:]
+	if len(c.threads) > len(buf) {
+		pos = make([]int, len(c.threads))
+	}
+	for {
+		next, seq := -1, uint64(0)
+		for i, t := range c.threads {
+			if pos[i] == t.fifo.len() {
+				continue
+			}
+			if e := &c.pool[t.fifo.at(pos[i])]; next < 0 || e.seq < seq {
+				next, seq = i, e.seq
+			}
+		}
+		if next < 0 {
+			return
+		}
+		h := c.threads[next].fifo.at(pos[next])
+		pos[next]++
+		if !f(h) {
+			return
+		}
+	}
 }
 
 // forwardingStoreScan is the definition behind cluster.forwardingStore:
@@ -290,40 +324,46 @@ func (a *issueAudit) check(s *Simulator) error {
 		}
 		ready := a.scratch[:0]
 		mem, data := 0, 0
-		for _, h := range c.window {
+		var err error
+		eachInFlight(c, func(h handle) bool {
 			e := &c.pool[h]
-			if e.isLoad && !e.committed {
+			if e.isLoad {
 				want := forwardingStoreScan(c, s.threads[e.tid], e)
 				if got := c.forwardingStore(e); got != want {
-					return fail("load seq %d: forwarding table %v, FIFO scan %v", e.seq, got, want)
+					err = fail("load seq %d: forwarding table %v, FIFO scan %v", e.seq, got, want)
+					return false
 				}
 				if want != nil {
 					a.forwarding++
 				}
 			}
 			if e.state != stateDispatched {
-				continue
+				return true
 			}
 			if now < e.eligibleAt {
 				if e.queued != qNone {
-					return fail("seq %d classified %d inside the front-end delay", e.seq, e.queued)
+					err = fail("seq %d classified %d inside the front-end delay", e.seq, e.queued)
 				}
-				continue
+				return err == nil
 			}
 			ok, memWait := c.sourcesReady(e, now)
 			switch {
 			case ok:
 				ready = append(ready, h)
 				if e.queued != qReady {
-					return fail("seq %d has ready sources but queued=%d", e.seq, e.queued)
+					err = fail("seq %d has ready sources but queued=%d", e.seq, e.queued)
 				}
 			case e.queued != qWaiting || e.waitMem != memWait:
-				return fail("seq %d waits (memory=%v) but queued=%d waitMem=%v", e.seq, memWait, e.queued, e.waitMem)
+				err = fail("seq %d waits (memory=%v) but queued=%d waitMem=%v", e.seq, memWait, e.queued, e.waitMem)
 			case memWait:
 				mem++
 			default:
 				data++
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 		a.scratch = ready
 		if !slices.Equal(ready, c.ready) {

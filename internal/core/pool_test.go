@@ -11,7 +11,7 @@ import (
 )
 
 // tinyWindow is a one-cluster, one-thread machine with the smallest
-// Table 2 window (16 entries, hence a 20-slot pool): every reference
+// Table 2 window (16 entries, hence a 16-slot pool): every reference
 // more than a couple of dozen instructions old outlives its slot.
 func tinyWindow() config.Machine {
 	return config.LowEnd(config.Arch{Name: "W16", Clusters: 1, IssueWidth: 2, ThreadsPerCluster: 1,
@@ -22,7 +22,7 @@ func tinyWindow() config.Machine {
 // reuse: r1 and f1 are written once before the loop and read forever
 // (their last-writer refs go stale within an iteration); each iteration
 // stores to a, then hangs a load from a behind an unpipelined divide —
-// the store commits, is swept and its slot refilled while the load,
+// the store commits, its slot is freed and refilled while the load,
 // which bound it as forwarding candidate at fetch, still waits to
 // issue; the divide's own consumers sit on its list across the churn.
 func buildSlotReuse(iters int64) *prog.Program {
@@ -70,18 +70,16 @@ func TestStaleHandleSlotReuse(t *testing.T) {
 	var staleProducer, staleFwdWaiting, staleWriter int
 	for !s.done() {
 		s.step()
-		for _, h := range cl.window {
+		eachInFlight(cl, func(h handle) bool {
 			e := &cl.pool[h]
-			if e.committed {
-				continue
-			}
 			if stale(e.producers[0]) || stale(e.producers[1]) {
 				staleProducer++
 			}
 			if e.isLoad && e.state == stateDispatched && stale(e.fwdStore) {
 				staleFwdWaiting++
 			}
-		}
+			return true
+		})
 		for _, r := range s.threads[0].lastWriterInt {
 			if stale(r) {
 				staleWriter++
@@ -128,7 +126,7 @@ func buildFPStream(threads int, iters int64) *prog.Program {
 func queueCaps(s *Simulator) []int {
 	var caps []int
 	for _, cl := range s.clusters {
-		caps = append(caps, len(cl.pool), cap(cl.free), cap(cl.window), cap(cl.ready),
+		caps = append(caps, len(cl.pool), cap(cl.free), cap(cl.ready),
 			len(cl.pending.buf), cap(cl.wheel.ev), len(cl.stores.slots))
 	}
 	for _, th := range s.threads {
@@ -141,12 +139,18 @@ func queueCaps(s *Simulator) []int {
 // pointer-based queues had (pending reset only when fully drained, fifo
 // compacted only past 128 pops): after 200 k cycles of a front end that
 // never stalls, every container still has its construction-time
-// capacity.
+// capacity. The pool itself is the window: WindowEntries usable slots,
+// beside the reserved slot 0.
 func TestBoundedQueues(t *testing.T) {
 	m := config.LowEnd(config.SMT2)
 	s, err := New(m, buildFPStream(m.Threads(), 1<<20))
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, cl := range s.clusters {
+		if got := len(cl.pool) - 1; got != m.Arch.WindowEntries {
+			t.Errorf("chip %d cluster %d: %d usable pool slots, want the window's %d", cl.chip, cl.idx, got, m.Arch.WindowEntries)
+		}
 	}
 	before := queueCaps(s)
 	if err := s.RunTo(200_000); err != nil {
@@ -265,11 +269,11 @@ func auditPools(t *testing.T, s *Simulator) {
 // TestEntryPoolConservation is the pool's leak check: on every preset
 // and both machines, under the production issue stage and the window
 // scan it is defined by, the run pauses every 5 k
-// cycles and each cluster must pass audit — every slot free or in the
-// window exactly once, every handle any structure holds naming a live
-// entry of the right kind, the occupancy counters agreeing with the
-// window. At completion every slot must be back on the free stack and
-// the window, wheel, queues and store table empty.
+// cycles and each cluster must pass audit — every slot free or in one
+// thread's fifo exactly once, every handle any structure holds naming
+// an in-flight entry of the right kind, the waiting tallies agreeing
+// with the fifos. At completion every slot must be back on the free
+// stack and the fifos, wheel, queues and store table empty.
 func TestEntryPoolConservation(t *testing.T) {
 	w := workloads.Ocean()
 	for _, arch := range config.AllArchs {
@@ -296,10 +300,14 @@ func TestEntryPoolConservation(t *testing.T) {
 						t.Fatalf("only %d audits; lengthen the workload", audits)
 					}
 					for _, cl := range s.clusters {
-						if len(cl.free) != len(cl.pool)-1 || len(cl.window) != 0 || len(cl.wheel.ev) != 0 ||
+						inFlight := 0
+						for _, th := range cl.threads {
+							inFlight += th.fifo.len()
+						}
+						if len(cl.free) != len(cl.pool)-1 || inFlight != 0 || len(cl.wheel.ev) != 0 ||
 							cl.pending.len() != 0 || len(cl.ready) != 0 || cl.stores.live != 0 {
-							t.Errorf("chip %d cluster %d not drained at completion: %d of %d slots free, window %d, wheel %d, pending %d, ready %d, stores %d",
-								cl.chip, cl.idx, len(cl.free), len(cl.pool)-1, len(cl.window), len(cl.wheel.ev), cl.pending.len(), len(cl.ready), cl.stores.live)
+							t.Errorf("chip %d cluster %d not drained at completion: %d of %d slots free, fifos %d, wheel %d, pending %d, ready %d, stores %d",
+								cl.chip, cl.idx, len(cl.free), len(cl.pool)-1, inFlight, len(cl.wheel.ev), cl.pending.len(), len(cl.ready), cl.stores.live)
 						}
 					}
 				})

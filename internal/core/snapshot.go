@@ -38,7 +38,7 @@ import (
 //   - Window entries are written as their cluster's pool, slot by slot
 //     in handle order, followed by the free stack. A handle is a slot
 //     index, so it already is its own serialized id: every structure
-//     that names an entry (window, fifos, refs, wheel, store table) is
+//     that names an entry (fifos, refs, wheel, store table) is
 //     written as the handles it holds, and decoding needs no id map and
 //     no fix-up pass. Static instruction words are NOT serialized: an
 //     entry's instruction is its program's decoded slot at d.PC, which
@@ -63,13 +63,17 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 7 names the
-// program by digests that stream repeated image extents as their period
-// and writes each cluster's BTB tables only once allocated, behind a
+// simply never looked up and the warm-up re-runs. Version 8 frees a
+// window entry's slot at commit, so a cluster no longer writes a window
+// list, its queue, zombie and fetch-group counters, a thread's
+// in-window count, or an entry's fetch cycle, branch, misprediction,
+// forwarding and access-class fields. Version 7 names the program by
+// digests that stream repeated image extents as their period and
+// writes each cluster's BTB tables only once allocated, behind a
 // presence byte; version 6 named it by the v2 digests (prog's
 // run-length image stream); version 5 dropped the per-chip loop's cycle
 // counter version 4 carried in the core section.
-const SnapshotVersion = 7
+const SnapshotVersion = 8
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
@@ -585,8 +589,6 @@ func (s *Simulator) xferSampler(x *xfer) {
 func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	// Scalars and fixed-size structures first.
 	xi(x, &c.seq)
-	xi(x, &c.iqCount)
-	xi(x, &c.zombies)
 	xi(x, &c.renameIntFree)
 	xi(x, &c.renameFPFree)
 	for _, us := range [][]int64{c.intUnits, c.ldstUnits, c.fpUnits, c.minFree[:]} {
@@ -601,7 +603,6 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	xi(x, &c.commitRR)
 	x.slots(&c.slots)
 	xi(x, &c.renameStalls)
-	xi(x, &c.fetchGroups)
 	xi(x, &c.windowFullStalls)
 	xi(x, &c.pcHighWater)
 	for i := range c.bp.counters { // the big tables loop in place: Each costs a closure call an element
@@ -618,7 +619,7 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 
 	// The entry pool, slot by slot in handle order (free slots included:
 	// their stale contents are what a ref to them reads), then the free
-	// stack and the window (in order; committed zombies included).
+	// stack. The in-flight slots are the threads' fifos, written below.
 	for i := 1; i < len(c.pool); i++ {
 		e := &c.pool[i]
 		xi(x, &e.d.Seq)
@@ -629,7 +630,6 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		xi(x, &e.tid)
 		xi(x, &e.seq)
 		xi(x, &e.state)
-		xi(x, &e.fetchedAt)
 		xi(x, &e.eligibleAt)
 		xi(x, &e.completeAt)
 		xi(x, &e.fuCl)
@@ -637,13 +637,9 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		xi(x, &e.occ)
 		x.Bool(&e.isLoad)
 		x.Bool(&e.isStore)
-		x.Bool(&e.isBranch)
-		x.Bool(&e.mispredicted)
 		x.Bool(&e.usesIntRename)
 		x.Bool(&e.usesFPRename)
-		x.Bool(&e.forwarded)
 		x.Bool(&e.committed)
-		xi(x, &e.memClass)
 		xi(x, &e.queued)
 		x.Bool(&e.waitMem)
 		x.ref(&e.producers[0])
@@ -662,12 +658,11 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 			x.corrupt("entry PC %d outside program", e.d.PC)
 		case e.tid < 0 || int(e.tid) >= nthreads:
 			x.corrupt("entry thread id %d", e.tid)
-		case e.state > stateCompleted || e.fuCl > isa.ClassFP || e.memClass >= coherence.NumAccessClasses || e.queued > qReady:
-			x.corrupt("entry enums: state %d, unit class %d, access class %d, queue state %d", e.state, e.fuCl, e.memClass, e.queued)
+		case e.state > stateIssued || e.fuCl > isa.ClassFP || e.queued > qReady:
+			x.corrupt("entry enums: state %d, unit class %d, queue state %d", e.state, e.fuCl, e.queued)
 		}
 	}
 	x.handles(&c.free, "free stack")
-	x.handles(&c.window, "window")
 
 	// Per-thread front-end state.
 	for _, t := range c.threads {
@@ -678,7 +673,6 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		xi(x, &t.frontEvent)
 		xi(x, &t.fetched)
 		xi(x, &t.committed)
-		xi(x, &t.inWindow)
 		if t.block > blockMigrate {
 			x.corrupt("thread block state %d", t.block)
 		}
@@ -767,15 +761,14 @@ func (c *cluster) xferBTB(x *xfer) {
 // state satisfies, returning the first violation. It is what stands
 // between a crafted checkpoint and a runtime panic — the fixed-capacity
 // structures cannot overflow from a state that passes — and the entry
-// pool's leak check (TestEntryPoolConservation runs it mid-run): every
-// slot is on the free stack or in the window, never both or twice;
-// every structure names only in-window entries of the right kind; the
-// occupancy counters agree with what the window holds.
+// pool's leak check (TestEntryPoolConservation runs it mid-run): the
+// free stack and the threads' fifos partition the pool, no slot held
+// twice; every structure names only in-flight entries of the right
+// kind; the waiting tallies agree with what the fifos hold.
 func (c *cluster) audit() error {
 	n := len(c.pool) - 1
 	const (
 		isFree uint8 = 1 << iota
-		inWindow
 		inFifo
 		inQueue // pending ring or ready list
 	)
@@ -797,48 +790,32 @@ func (c *cluster) audit() error {
 			return err
 		}
 	}
-	if len(c.free)+len(c.window) != n {
-		return bad("%d free + %d in window != %d slots", len(c.free), len(c.window), n)
-	}
-	zombies, unissued, waitMem, waitData := 0, 0, 0, 0
-	for _, h := range c.window {
-		if err := claim(h, 0, inWindow, "window"); err != nil {
-			return err
-		}
-		switch e := &c.pool[h]; {
-		case e.committed:
-			zombies++
-		case e.state == stateDispatched:
-			unissued++
-			if e.queued == qWaiting && e.waitMem {
-				waitMem++
-			} else if e.queued == qWaiting {
-				waitData++
-			}
-		}
-	}
-	if zombies != c.zombies || zombies > c.cfg.WindowEntries/4 || unissued != c.iqCount ||
-		waitMem != c.waitMemN || waitData != c.waitDataN {
-		return bad("window holds %d zombies, %d unissued, %d+%d waiting; counters say %d, %d, %d+%d", zombies, unissued, waitMem, waitData, c.zombies, c.iqCount, c.waitMemN, c.waitDataN)
-	}
-	inFlight := 0
+	inFlight, waitMem, waitData := 0, 0, 0
 	for _, t := range c.threads {
-		if t.fifo.len() != t.inWindow {
-			return bad("thread %d fifo holds %d, inWindow %d", t.id, t.fifo.len(), t.inWindow)
-		}
 		for i := 0; i < t.fifo.len(); i++ {
 			h := t.fifo.at(i)
-			if err := claim(h, inWindow, inFifo, "thread fifo"); err != nil {
+			if err := claim(h, 0, inFifo, "thread fifo"); err != nil {
 				return err
 			}
-			if e := &c.pool[h]; e.committed || int(e.tid) != t.id {
-				return bad("thread %d fifo holds slot %d (thread %d, committed %v)", t.id, h, e.tid, e.committed)
+			e := &c.pool[h]
+			if e.committed || int(e.tid) != t.id || e.seq >= c.seq || (i > 0 && e.seq <= c.pool[t.fifo.at(i-1)].seq) {
+				return bad("thread %d fifo holds slot %d (thread %d, seq %d, committed %v) out of order", t.id, h, e.tid, e.seq, e.committed)
+			}
+			if e.state == stateDispatched && e.queued == qWaiting {
+				if e.waitMem {
+					waitMem++
+				} else {
+					waitData++
+				}
 			}
 		}
 		inFlight += t.fifo.len()
 	}
-	if inFlight != len(c.window)-zombies {
-		return bad("fifos hold %d entries, window %d live", inFlight, len(c.window)-zombies)
+	if len(c.free)+inFlight != n {
+		return bad("%d free + %d in flight != %d slots", len(c.free), inFlight, n)
+	}
+	if waitMem != c.waitMemN || waitData != c.waitDataN {
+		return bad("fifos hold %d+%d waiting; counters say %d+%d", waitMem, waitData, c.waitMemN, c.waitDataN)
 	}
 	for i := 0; i < c.pending.len()+len(c.ready); i++ {
 		h, want, what := handle(0), qNone, "pending ring"
@@ -847,7 +824,7 @@ func (c *cluster) audit() error {
 		} else {
 			h, want, what = c.ready[i-c.pending.len()], qReady, "ready list"
 		}
-		if err := claim(h, inWindow, inQueue, what); err != nil {
+		if err := claim(h, inFifo, inQueue, what); err != nil {
 			return err
 		}
 		if e := &c.pool[h]; e.state != stateDispatched || e.queued != want {
@@ -856,19 +833,22 @@ func (c *cluster) audit() error {
 	}
 	// Consumer lists hang off in-flight producers and hold dispatched
 	// consumers whose producer slot names the list's owner.
-	for _, xh := range c.window {
-		xr := c.refOf(xh)
-		steps := 0
-		for cur := c.pool[xh].firstCons; cur != 0; steps++ {
-			ce := &c.pool[cur]
-			k := 1
-			if ce.producers[0] == xr {
-				k = 0
+	for _, t := range c.threads {
+		for i := 0; i < t.fifo.len(); i++ {
+			xh := t.fifo.at(i)
+			xr := c.refOf(xh)
+			steps := 0
+			for cur := c.pool[xh].firstCons; cur != 0; steps++ {
+				ce := &c.pool[cur]
+				k := 1
+				if ce.producers[0] == xr {
+					k = 0
+				}
+				if steps == n || mark[cur]&inFifo == 0 || ce.state != stateDispatched || ce.producers[k] != xr {
+					return bad("consumer list of slot %d reaches slot %d", xh, cur)
+				}
+				cur = ce.consNext[k]
 			}
-			if steps == n || mark[xh]&inFifo == 0 || mark[cur]&inFifo == 0 || ce.state != stateDispatched || ce.producers[k] != xr {
-				return bad("consumer list of slot %d reaches slot %d", xh, cur)
-			}
-			cur = ce.consNext[k]
 		}
 	}
 	// Wheel events are drained by the cycle their entry completes, which

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -465,16 +466,23 @@ func TestFailedForkLeavesParentIntact(t *testing.T) {
 
 // damagedPoolSnapshots returns checkpoints of the fixture run whose
 // entry-pool bookkeeping was damaged just before encoding (Snapshot
-// does not audit; Restore must): a handle past the pool, one slot in
-// the window twice, one slot on the free stack twice (the array form of
-// a free-list cycle), and a live slot also on the free stack.
+// does not audit; Restore must): a handle past the pool in a thread
+// fifo, one slot in a thread fifo twice, one slot on the free stack
+// twice (the array form of a free-list cycle), and an in-flight slot
+// also on the free stack. The run is taken early, while the first
+// cluster with two free and two in-flight slots exists to damage.
 func damagedPoolSnapshots(tb testing.TB) map[string][]byte {
 	tb.Helper()
+	// fifo returns the i-th slot of the cluster's (one) thread fifo.
+	fifo := func(cl *cluster, i int) *handle {
+		f := &cl.threads[0].fifo
+		return &f.buf[(f.head+i)%len(f.buf)]
+	}
 	damage := map[string]func(cl *cluster){
-		"out-of-range handle":     func(cl *cluster) { cl.window[0] = handle(len(cl.pool)) },
-		"duplicate slot":          func(cl *cluster) { cl.window[1] = cl.window[0] },
+		"out-of-range handle":     func(cl *cluster) { *fifo(cl, 0) = handle(len(cl.pool)) },
+		"duplicate slot":          func(cl *cluster) { *fifo(cl, 1) = *fifo(cl, 0) },
 		"free-list cycle":         func(cl *cluster) { cl.free[0] = cl.free[len(cl.free)-1] },
-		"live slot on free stack": func(cl *cluster) { cl.free[0] = cl.window[0] },
+		"live slot on free stack": func(cl *cluster) { cl.free[0] = *fifo(cl, 0) },
 	}
 	m := config.LowEnd(config.FA4)
 	w := workloads.Synthetic(checkpointSpec())
@@ -484,12 +492,18 @@ func damagedPoolSnapshots(tb testing.TB) map[string][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if err := s.RunTo(400); err != nil {
+		if err := s.RunTo(30); err != nil {
 			tb.Fatal(err)
 		}
-		cl := s.clusters[0]
-		if len(cl.window) < 2 || len(cl.free) < 2 {
-			tb.Fatalf("fixture cluster too empty to damage: window %d, free %d", len(cl.window), len(cl.free))
+		var cl *cluster
+		for _, c := range s.clusters {
+			if len(c.free) >= 2 && c.threads[0].fifo.len() >= 2 {
+				cl = c
+				break
+			}
+		}
+		if cl == nil {
+			tb.Fatal("no fixture cluster has two free and two in-flight slots to damage")
 		}
 		hurt(cl)
 		if out[name], err = s.Snapshot(); err != nil {
@@ -634,14 +648,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 // written by an earlier build — and runs it to completion, comparing
 // against a from-scratch run of the same program. This is the format-
 // compatibility tripwire: any encoding change that invalidates old
-// checkpoints must bump SnapshotVersion and regenerate the fixture
-// (WRITE_GOLDEN=1 go test ./internal/core -run TestSnapshotGolden).
+// checkpoints must bump SnapshotVersion and regenerate the fixture,
+// whose name follows the version (WRITE_GOLDEN=1 go test
+// ./internal/core -run TestSnapshotGolden writes it); a fixture for any
+// other version left in testdata fails the test.
 // It also pins that Restore→Snapshot reproduces the payload byte for
 // byte, and that the fixture under the version word before or after
 // this build's is refused with the typed version error rather than
 // misread.
 func TestSnapshotGolden(t *testing.T) {
-	golden := filepath.Join("testdata", "checkpoint_v7.bin")
+	golden := filepath.Join("testdata", fmt.Sprintf("checkpoint_v%d.bin", SnapshotVersion))
 	m := config.LowEnd(config.FA4)
 	w := workloads.Synthetic(checkpointSpec())
 	build := func() *prog.Program { return w.Build(m.Threads(), m.Chips, workloads.SizeTest) }
@@ -667,6 +683,15 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Logf("wrote %s (%d bytes)", golden, len(data))
 	}
 
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "checkpoint_v*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtures {
+		if f != golden {
+			t.Errorf("stale fixture %s beside %s: delete it", f, golden)
+		}
+	}
 	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("missing golden fixture (regenerate with WRITE_GOLDEN=1): %v", err)

@@ -163,9 +163,9 @@ func (c *cluster) drainEvents(now int64) {
 		// first cycle that sees x done (a cluster never sleeps
 		// past wheel.min()) — so the producer links that select
 		// the next-link slot are intact. x itself may have
-		// committed and been swept earlier this very cycle; its slot
-		// is not reused before this cycle's fetch, so the list head
-		// is intact too.
+		// committed earlier this very cycle, freeing its slot; the
+		// slot is not reused before this cycle's fetch, so the list
+		// head is intact too.
 		cur := x.firstCons
 		x.firstCons = 0 // chains are walked exactly once
 		for cur != 0 {
