@@ -48,7 +48,9 @@ diff:
 # Race-check the concurrent layers: core's mid-run cancellation, COW
 # snapshot forking (children racing each other and the continuing
 # parent) and the oracle search's workers (candidates built from one
-# shared frozen program, scored at once); harness (suite cache +
+# shared frozen program, scored at once); interp's copy-on-write pages
+# (a forked parent and child writing their shared pages at once, with
+# no lock in Memory); harness (suite cache +
 # singleflight + its eviction + warm-up sharing + cancellation),
 # service (queue, two-tier cache, backpressure, snapshot persistence,
 # e2e HTTP, figures through the cache, tracing), telemetry (concurrent
@@ -57,7 +59,7 @@ diff:
 # (forked caches sharing chunks).
 race:
 	go test -race ./internal/core -run 'TestInterrupt|TestSnapshotRoundTripRace|TestSearchStatic'
-	go test -race ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/... ./internal/memsys/...
+	go test -race ./internal/interp/... ./internal/harness/... ./internal/service/... ./internal/telemetry/... ./internal/prog/... ./internal/memsys/...
 
 # The measurement spine (benchmark/README.md): every workload's
 # end-to-end metrics, and the per-layer numbers from a traced run.
@@ -76,7 +78,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 17056
+LOC_BUDGET = 16928
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -1,8 +1,9 @@
 // Package alloc is the pluggable thread-to-cluster allocation
-// subsystem: the core consults an Allocator once at thread start
-// (Place) and, for dynamic policies, at every epoch boundary
-// (Rebalance) with a committed per-epoch feedback snapshot sampled
-// from the same counters the obs subsystem exposes.
+// subsystem. Every thread starts at the seed placement (StaticPlace)
+// whatever the policy; a policy is one Rebalance function, which the
+// core consults at every epoch boundary with a committed per-epoch
+// feedback snapshot sampled from the same counters the obs subsystem
+// exposes. A nil Rebalance never migrates.
 //
 // The package is deliberately dependency-free (no core, no config):
 // policies see only the plain sampled numbers in Snapshot, so they can
@@ -32,7 +33,6 @@ type ThreadSample struct {
 	ID        int
 	Cluster   int    // current cluster GID
 	Committed uint64 // instructions committed during the epoch
-	InWindow  int    // in-flight instructions at the epoch boundary
 	Blocked   bool   // blocked on a lock/barrier/migration at the boundary
 	Finished  bool   // halted and drained — never migrate these
 	// SinceMigrate counts epochs since the thread last migrated
@@ -45,19 +45,17 @@ type ThreadSample struct {
 // so clusters on one chip repeat the same values.
 type ClusterSample struct {
 	ClusterInfo
-	Threads   int    // live (unfinished) threads currently assigned
-	InFlight  int    // in-window instructions summed over its threads
-	Committed uint64 // instructions its threads committed during the epoch
+	Threads  int // live (unfinished) threads currently assigned
+	InFlight int // in-window instructions summed over its threads
 
-	L1Hits, L1Misses uint64 // chip L1 deltas for the epoch
-	L2Hits, L2Misses uint64 // chip L2 deltas for the epoch
-	MSHROccupancy    uint64 // chip MSHR occupancy at the boundary (a gauge, not a delta)
+	L1Misses      uint64 // chip L1 miss delta for the epoch
+	L2Misses      uint64 // chip L2 miss delta for the epoch
+	MSHROccupancy uint64 // chip MSHR occupancy at the boundary (a gauge, not a delta)
 }
 
 // Snapshot is the committed epoch-boundary state a policy decides
 // from. It is rebuilt every epoch; policies must not retain it.
 type Snapshot struct {
-	Cycle    int64  // boundary cycle
 	Epoch    uint64 // 1-based epoch index
 	Threads  []ThreadSample
 	Clusters []ClusterSample
@@ -72,24 +70,13 @@ type Migration struct {
 	To     int
 }
 
-// Allocator is one thread-to-cluster allocation policy.
-type Allocator interface {
-	// Name is the registry name ("static", "icount", ...).
-	Name() string
-	// Place returns the initial cluster GID for each of threads
-	// threads. The result must assign every thread to exactly one
-	// cluster without exceeding any cluster's Capacity.
-	Place(threads int, clusters []ClusterInfo) []int
-	// Rebalance proposes migrations from one committed epoch snapshot.
-	// Deterministic: equal snapshots must yield equal proposals.
-	Rebalance(s *Snapshot) []Migration
-	// Dynamic reports whether Rebalance can ever propose a migration.
-	// Non-dynamic policies cost nothing at run time (no epoch state).
-	Dynamic() bool
-}
+// Rebalance is one thread-to-cluster allocation policy: it proposes
+// migrations from one committed epoch snapshot. Deterministic: equal
+// snapshots must yield equal proposals.
+type Rebalance func(s *Snapshot) []Migration
 
-// StaticPlace is the seed placement every policy falls back to, and
-// the one the core uses by default: thread tid lands on chip tid%chips,
+// StaticPlace is the seed placement every thread starts from under
+// every policy: thread tid lands on chip tid%chips,
 // cluster (tid/chips)%clustersPerChip — round-robin across chips first,
 // then across a chip's clusters (standard SPMD placement), so
 // consecutive thread ids land on different chips and clusters and a
@@ -126,44 +113,39 @@ type Info struct {
 }
 
 type entry struct {
-	desc string
-	mk   func() Allocator
+	desc      string
+	rebalance Rebalance
 }
 
 var registry = map[string]entry{}
 
-// Register adds a policy factory under name. It panics on duplicates —
-// registration happens in package init blocks, so a collision is a
-// programming error.
-func Register(name, desc string, mk func() Allocator) {
+// Register adds a policy under name; a nil r is a policy that never
+// migrates. It panics on duplicates — registration happens in package
+// init blocks, so a collision is a programming error.
+func Register(name, desc string, r Rebalance) {
 	if _, ok := registry[name]; ok {
 		panic(fmt.Sprintf("alloc: policy %q registered twice", name))
 	}
-	registry[name] = entry{desc: desc, mk: mk}
+	registry[name] = entry{desc: desc, rebalance: r}
 }
 
-// New resolves a policy by name; "" means "static". Unknown names fail
-// fast with the full registered list, so a typoed -alloc flag surfaces
-// every valid choice.
-func New(name string) (Allocator, error) {
+// New resolves a policy by name; "" means "static". The result is nil
+// for a policy that never migrates. Unknown names fail fast with the
+// full registered list, so a typoed -alloc flag surfaces every valid
+// choice.
+func New(name string) (Rebalance, error) {
 	if name == "" {
 		name = "static"
 	}
 	e, ok := registry[name]
 	if !ok {
-		return nil, fmt.Errorf("alloc: unknown policy %q (known: %s)", name, strings.Join(Names(), ", "))
+		known := make([]string, 0, len(registry))
+		for _, p := range List() {
+			known = append(known, p.Name)
+		}
+		return nil, fmt.Errorf("alloc: unknown policy %q (known: %s)", name, strings.Join(known, ", "))
 	}
-	return e.mk(), nil
-}
-
-// Names lists the registered policies, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return e.rebalance, nil
 }
 
 // List returns the registered policies with their one-line

@@ -50,35 +50,31 @@ func TestStaticPlace(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	a, err := New("")
-	if err != nil || a.Name() != "static" {
-		t.Fatalf(`New("") = %v, %v; want the static policy`, a, err)
+	for _, name := range []string{"", "static", "oracle"} {
+		if r, err := New(name); err != nil || r != nil {
+			t.Fatalf("New(%q) = non-nil %t, %v; want a nil Rebalance (never migrates)", name, r != nil, err)
+		}
 	}
-	for _, name := range []string{"static", "icount", "symbiosis", "oracle"} {
-		a, err := New(name)
+	for _, name := range []string{"icount", "symbiosis"} {
+		r, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Name() != name {
-			t.Fatalf("New(%q).Name() = %q", name, a.Name())
+		if r == nil {
+			t.Fatalf("New(%q) returned a nil Rebalance", name)
 		}
-		if a.Dynamic() && a.Rebalance(&Snapshot{}) != nil {
+		if r(&Snapshot{}) != nil {
 			t.Fatalf("%s proposed migrations from an empty snapshot", name)
 		}
 	}
-	_, err = New("nosuch")
+	_, err := New("nosuch")
 	if err == nil {
 		t.Fatal("unknown policy resolved")
 	}
-	for _, name := range Names() {
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("unknown-policy error %q omits registered policy %q", err, name)
-		}
-	}
-	if len(List()) != len(Names()) {
-		t.Fatalf("List and Names disagree: %d vs %d", len(List()), len(Names()))
-	}
 	for _, info := range List() {
+		if !strings.Contains(err.Error(), info.Name) {
+			t.Fatalf("unknown-policy error %q omits registered policy %q", err, info.Name)
+		}
 		if info.Desc == "" {
 			t.Fatalf("policy %q has no description", info.Name)
 		}
@@ -111,7 +107,7 @@ func snap2(live0, live1, inflight0, inflight1 int) *Snapshot {
 func TestICountRebalance(t *testing.T) {
 	// Gross imbalance: move the least-committed (lowest-ID) thread to
 	// the empty cluster.
-	got := ICount{}.Rebalance(snap2(4, 0, 40, 0))
+	got := ICount(snap2(4, 0, 40, 0))
 	want := []Migration{{Thread: 0, To: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("imbalanced: got %v, want %v", got, want)
@@ -119,19 +115,19 @@ func TestICountRebalance(t *testing.T) {
 
 	// Convergence guard: a 3/2 split must not move (it would only swap
 	// which cluster is ahead).
-	if got := (ICount{}).Rebalance(snap2(3, 2, 30, 20)); got != nil {
+	if got := ICount(snap2(3, 2, 30, 20)); got != nil {
 		t.Fatalf("3/2 split migrated: %v", got)
 	}
 
 	// The in-flight signal must agree with the live-count signal.
-	if got := (ICount{}).Rebalance(snap2(4, 1, 5, 50)); got != nil {
+	if got := ICount(snap2(4, 1, 5, 50)); got != nil {
 		t.Fatalf("in-flight disagreement migrated: %v", got)
 	}
 
 	// Single cluster: nothing to do.
 	s := snap2(4, 0, 40, 0)
 	s.Clusters = s.Clusters[:1]
-	if got := (ICount{}).Rebalance(s); got != nil {
+	if got := ICount(s); got != nil {
 		t.Fatalf("single cluster migrated: %v", got)
 	}
 
@@ -140,7 +136,7 @@ func TestICountRebalance(t *testing.T) {
 	s = snap2(4, 0, 40, 0)
 	s.Threads[0].SinceMigrate = 0
 	s.Threads[1].SinceMigrate = 1
-	got = ICount{}.Rebalance(s)
+	got = ICount(s)
 	want = []Migration{{Thread: 2, To: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("hysteresis: got %v, want %v", got, want)
@@ -156,7 +152,7 @@ func TestICountRebalance(t *testing.T) {
 			s.Threads[i].Finished = true
 		}
 	}
-	if got := (ICount{}).Rebalance(s); got != nil {
+	if got := ICount(s); got != nil {
 		t.Fatalf("pinned source migrated: %v", got)
 	}
 }
@@ -185,7 +181,7 @@ func snapChips(live0, live1 int, l2miss0, l2miss1 uint64) *Snapshot {
 func TestSymbiosisRebalance(t *testing.T) {
 	// Cache antagonism: the pressured chip sheds its least-committed
 	// thread to the quiet chip.
-	got := Symbiosis{}.Rebalance(snapChips(4, 0, 900, 0))
+	got := Symbiosis(snapChips(4, 0, 900, 0))
 	want := []Migration{{Thread: 0, To: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("antagonistic chips: got %v, want %v", got, want)
@@ -194,21 +190,21 @@ func TestSymbiosisRebalance(t *testing.T) {
 	// Pressure inverted relative to load: the count guard (hot must
 	// hold two more live threads than cold) blocks the cross-chip move,
 	// and the icount fallback moves off the crowded chip instead.
-	got = Symbiosis{}.Rebalance(snapChips(4, 1, 0, 900))
+	got = Symbiosis(snapChips(4, 1, 0, 900))
 	want = []Migration{{Thread: 0, To: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("inverted pressure: got %v, want %v", got, want)
 	}
 
 	// Flat pressure falls back to plain live-count balancing.
-	got = Symbiosis{}.Rebalance(snapChips(4, 0, 0, 0))
+	got = Symbiosis(snapChips(4, 0, 0, 0))
 	want = []Migration{{Thread: 0, To: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("flat pressure: got %v, want %v", got, want)
 	}
 
 	// Balanced machine: nothing to do even under pressure.
-	if got := (Symbiosis{}).Rebalance(snapChips(2, 2, 900, 0)); got != nil {
+	if got := Symbiosis(snapChips(2, 2, 900, 0)); got != nil {
 		t.Fatalf("balanced chips migrated: %v", got)
 	}
 }
@@ -217,13 +213,13 @@ func TestSymbiosisRebalance(t *testing.T) {
 // determinism depends on: equal snapshots yield equal proposals.
 func TestRebalanceDeterminism(t *testing.T) {
 	for _, name := range []string{"icount", "symbiosis"} {
-		a, err := New(name)
+		r, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first := a.Rebalance(snapChips(4, 0, 900, 0))
+		first := r(snapChips(4, 0, 900, 0))
 		for i := 0; i < 8; i++ {
-			if got := a.Rebalance(snapChips(4, 0, 900, 0)); !reflect.DeepEqual(first, got) {
+			if got := r(snapChips(4, 0, 900, 0)); !reflect.DeepEqual(first, got) {
 				t.Fatalf("%s: proposal changed between identical snapshots: %v vs %v", name, first, got)
 			}
 		}

@@ -1,6 +1,6 @@
 package alloc
 
-// The built-in policies. All of them share the same safety shape:
+// The built-in policies. The two that migrate share one safety shape:
 // at most one migration per epoch (the core drains the thread's
 // window and charges a cold start, so batching moves would stack
 // penalties faster than feedback can judge them), a two-epoch
@@ -14,33 +14,14 @@ package alloc
 const hysteresisEpochs = 2
 
 func init() {
-	Register("static", "seed placement, never migrates (the paper's configuration; bit-identical to no allocator)",
-		func() Allocator { return Static{} })
-	Register("icount", "rebalance toward clusters with the fewest in-flight instructions (ICOUNT-style feedback)",
-		func() Allocator { return ICount{} })
-	Register("symbiosis", "separate cache-antagonistic threads across chips using L1/L2 miss and MSHR-occupancy deltas",
-		func() Allocator { return Symbiosis{} })
-	Register("oracle", "best of the first 64 canonical static assignments, each profiled over a short prefix (exhaustive only where there are at most 64; no migrations)",
-		func() Allocator { return Oracle{} })
+	Register("static", "seed placement, never migrates (the paper's configuration; bit-identical to no allocator)", nil)
+	Register("icount", "rebalance toward clusters with the fewest in-flight instructions (ICOUNT-style feedback)", ICount)
+	Register("symbiosis", "separate cache-antagonistic threads across chips using L1/L2 miss and MSHR-occupancy deltas", Symbiosis)
+	// The oracle's assignment is found offline (core.SearchStatic) and
+	// installed with core.Simulator.SetAssignment before the run, so
+	// the policy itself never migrates.
+	Register("oracle", "best of the first 64 canonical static assignments, each profiled over a short prefix (exhaustive only where there are at most 64; no migrations)", nil)
 }
-
-// Static is today's behavior: the seed placement, no migrations.
-type Static struct{}
-
-func (Static) Name() string { return "static" }
-func (Static) Place(threads int, clusters []ClusterInfo) []int {
-	return StaticPlace(threads, clusters)
-}
-func (Static) Rebalance(*Snapshot) []Migration { return nil }
-func (Static) Dynamic() bool                   { return false }
-
-// Oracle is Static under its own name. The oracle's assignment is
-// found offline (core.SearchStatic) and installed with
-// core.Simulator.SetAssignment before the run, so the policy itself
-// seeds and never migrates.
-type Oracle struct{ Static }
-
-func (Oracle) Name() string { return "oracle" }
 
 // pickVictim chooses which thread to move off cluster src: the live,
 // unblocked thread with the least epoch progress (it has the least
@@ -66,15 +47,7 @@ func pickVictim(s *Snapshot, src int) int {
 // ICount rebalances toward the cluster with the fewest in-flight
 // instructions, the classic ICOUNT signal lifted from fetch policy to
 // placement.
-type ICount struct{}
-
-func (ICount) Name() string { return "icount" }
-func (ICount) Place(threads int, clusters []ClusterInfo) []int {
-	return StaticPlace(threads, clusters)
-}
-func (ICount) Dynamic() bool { return true }
-
-func (ICount) Rebalance(s *Snapshot) []Migration {
+func ICount(s *Snapshot) []Migration {
 	if len(s.Clusters) < 2 {
 		return nil
 	}
@@ -121,6 +94,13 @@ func less(a, b ClusterSample) bool {
 	return a.GID < b.GID
 }
 
+// pressure is the chip-level antagonism score: L2 misses are the
+// expensive events, L1 misses the early signal, and the MSHR
+// occupancy at the boundary shows how saturated the miss machinery is.
+func pressure(c ClusterSample) uint64 {
+	return c.L1Misses + 8*c.L2Misses + c.MSHROccupancy
+}
+
 // Symbiosis groups cache-antagonistic threads apart: it scores each
 // chip's memory pressure from the epoch's L1/L2 miss and MSHR-
 // occupancy deltas and moves one thread from the most-pressured chip
@@ -129,22 +109,7 @@ func less(a, b ClusterSample) bool {
 // single-chip machine (or when pressure is flat) it falls back to
 // ICOUNT-style live-count balancing so gross imbalance never survives
 // just because the memory system is quiet.
-type Symbiosis struct{}
-
-func (Symbiosis) Name() string { return "symbiosis" }
-func (Symbiosis) Place(threads int, clusters []ClusterInfo) []int {
-	return StaticPlace(threads, clusters)
-}
-func (Symbiosis) Dynamic() bool { return true }
-
-// pressure is the chip-level antagonism score: L2 misses are the
-// expensive events, L1 misses the early signal, and the MSHR
-// occupancy at the boundary shows how saturated the miss machinery is.
-func pressure(c ClusterSample) uint64 {
-	return c.L1Misses + 8*c.L2Misses + c.MSHROccupancy
-}
-
-func (Symbiosis) Rebalance(s *Snapshot) []Migration {
+func Symbiosis(s *Snapshot) []Migration {
 	if len(s.Clusters) < 2 {
 		return nil
 	}
@@ -188,7 +153,7 @@ func (Symbiosis) Rebalance(s *Snapshot) []Migration {
 		}
 	}
 	// Fallback: plain live-count balancing (chip-agnostic).
-	return ICount{}.Rebalance(s)
+	return ICount(s)
 }
 
 // crossChipMove picks the busiest source cluster on the hot chip and

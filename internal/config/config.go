@@ -235,8 +235,9 @@ const DefaultAllocEpoch = 10000
 // (internal/alloc) and, for dynamic policies, the epoch length in
 // cycles between Rebalance consultations.
 type AllocConfig struct {
-	// Policy names a registered allocator ("" and "static" both mean
-	// the seed placement with no runtime allocator).
+	// Policy names a registered allocation policy. Threads start at
+	// the seed placement under every policy; "", "static" and "oracle"
+	// never migrate them.
 	Policy string
 	// Epoch is the rebalance interval in cycles (dynamic policies
 	// only; <= 0 resolves to DefaultAllocEpoch).

@@ -13,8 +13,9 @@ import (
 )
 
 // This file wires the pluggable allocation subsystem (internal/alloc)
-// into the simulator: initial placement through Allocator.Place, and —
-// for dynamic policies — an epoch loop that samples committed feedback
+// into the simulator: every thread starts at the seed placement
+// (alloc.StaticPlace), and — for a policy with a Rebalance function —
+// an epoch loop samples committed feedback
 // between cycles, lets the policy propose migrations, and models each
 // accepted move honestly: the thread's in-flight window drains through
 // normal commit (fetch skips it), the move happens between cycles, and
@@ -34,12 +35,12 @@ import (
 // cold-start the per-chip cache model produces for cross-chip moves.
 const MigrationColdStart = 50
 
-// allocState is the runtime state of a dynamic allocation policy.
+// allocState is the runtime state of a migrating allocation policy.
 type allocState struct {
-	pol      alloc.Allocator
-	interval int64 // cycles per epoch
-	nextAt   int64 // next boundary cycle
-	epoch    uint64
+	rebalance alloc.Rebalance
+	interval  int64 // cycles per epoch
+	nextAt    int64 // next boundary cycle
+	epoch     uint64
 	// migrations counts accepted (not merely proposed) migrations.
 	migrations uint64
 
@@ -53,30 +54,22 @@ type allocState struct {
 }
 
 // initAlloc resolves the machine's allocation policy for n threads. It
-// returns the initial assignment — for the default configuration the
-// seed placement, alloc.StaticPlace — and arms the epoch state for
-// dynamic policies.
+// returns the initial assignment — the seed placement,
+// alloc.StaticPlace, under every policy — and arms the epoch state for
+// a policy that migrates.
 func (s *Simulator) initAlloc(n int) ([]int, error) {
 	a := s.Machine.Alloc.Normalize()
-	infos := s.clusterInfos()
-	if a.Policy == "" {
-		return alloc.StaticPlace(n, infos), nil
-	}
-	pol, err := alloc.New(a.Policy)
+	r, err := alloc.New(a.Policy)
 	if err != nil {
 		return nil, err
 	}
-	assign := pol.Place(n, infos)
-	if err := validAssignment(n, infos, assign); err != nil {
-		return nil, fmt.Errorf("core: policy %q initial placement: %w", pol.Name(), err)
-	}
-	if pol.Dynamic() {
+	if r != nil {
 		last := make([]int64, n)
 		for i := range last {
 			last[i] = -1
 		}
 		s.alloc = &allocState{
-			pol:                 pol,
+			rebalance:           r,
 			interval:            a.Epoch,
 			nextAt:              a.Epoch,
 			prevThreadCommitted: make([]uint64, n),
@@ -84,7 +77,7 @@ func (s *Simulator) initAlloc(n int) ([]int, error) {
 			lastMigrated:        last,
 		}
 	}
-	return assign, nil
+	return alloc.StaticPlace(n, s.clusterInfos()), nil
 }
 
 // clusterInfos describes the machine's clusters for the alloc package.
@@ -153,7 +146,7 @@ func (s *Simulator) allocEpoch() {
 	a := s.alloc
 	a.epoch++
 
-	snap := alloc.Snapshot{Cycle: s.cycle, Epoch: a.epoch}
+	snap := alloc.Snapshot{Epoch: a.epoch}
 	chipMem := make([]coherence.MemSnapshot, len(s.chips))
 	for chip := range s.chips {
 		chipMem[chip] = s.msys.ChipSnapshot(chip, s.cycle)
@@ -163,9 +156,7 @@ func (s *Simulator) allocEpoch() {
 		d := chipMem[info.Chip].Sub(a.prevChipMem[info.Chip])
 		snap.Clusters[i] = alloc.ClusterSample{
 			ClusterInfo: info,
-			L1Hits:      d.L1Hits,
 			L1Misses:    d.L1Misses,
-			L2Hits:      d.L2Hits,
 			L2Misses:    d.L2Misses,
 			// Occupancy is a gauge (Sub keeps the boundary value):
 			// the saturation signal itself.
@@ -187,7 +178,6 @@ func (s *Simulator) allocEpoch() {
 			ID:        t.id,
 			Cluster:   g,
 			Committed: d,
-			InWindow:  t.fifo.len(),
 			// A mid-drain thread reads as blocked so no policy tries to
 			// move it twice.
 			Blocked:      t.block != blockNone || t.migrateTo != nil,
@@ -199,10 +189,9 @@ func (s *Simulator) allocEpoch() {
 			cs.Threads++
 		}
 		cs.InFlight += t.fifo.len()
-		cs.Committed += d
 	}
 
-	for _, mg := range a.pol.Rebalance(&snap) {
+	for _, mg := range a.rebalance(&snap) {
 		s.applyMigration(mg)
 	}
 	a.nextAt = s.cycle + a.interval

@@ -152,8 +152,8 @@ func newShell(m config.Machine, p *prog.Program, mem *interp.Memory, msys *coher
 // newMachine builds machine m's chips and clusters around the timing
 // memory system msys, creates n hardware threads through thread (which
 // supplies each one's functional thread, sync controller and address
-// base) and homes them where the allocation policy places them
-// (initAlloc; the default is the seed placement, alloc.StaticPlace).
+// base) and homes them at the seed placement, alloc.StaticPlace, under
+// every allocation policy (initAlloc).
 // Clusters are numbered chip-major — the cycle loop's iteration order —
 // with their sleep state preallocated by that number.
 func newMachine(m config.Machine, p *prog.Program, msys *coherence.System, n int, thread func(tid int) *threadCtx) (*Simulator, error) {

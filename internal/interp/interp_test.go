@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,92 @@ func TestMemoryPropertyLastWriteWins(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemoryForkCopyOnWrite pins the copy-on-write contract of Fork:
+// each side's writes after a fork stay its own; a view that cached a
+// page notices when another view privatizes it or the memory is forked
+// (the gen rule); and a forked parent and child may write their shared
+// pages on two goroutines at once (run under -race by make race).
+func TestMemoryForkCopyOnWrite(t *testing.T) {
+	const pages = 8
+	addr := func(pg, w int64) int64 { return pg*pageBytes + w*prog.WordSize }
+	parent := NewMemory()
+	for pg := int64(0); pg < pages; pg++ {
+		parent.Store(addr(pg, 0), uint64(100+pg))
+	}
+
+	// Writes after a fork stay on the side that made them.
+	child := parent.Fork()
+	child.Store(addr(0, 0), 1)
+	parent.Store(addr(1, 0), 2)
+	for _, c := range []struct {
+		m    *Memory
+		name string
+		a    int64
+		want uint64
+	}{
+		{parent, "parent", addr(0, 0), 100}, {parent, "parent", addr(1, 0), 2},
+		{child, "child", addr(0, 0), 1}, {child, "child", addr(1, 0), 101},
+	} {
+		if got := c.m.Load(c.a); got != c.want {
+			t.Fatalf("%s: word %#x = %d, want %d", c.name, c.a, got, c.want)
+		}
+	}
+
+	// A read-cached shared page goes stale when another view of the
+	// same memory privatizes it; gen makes the reader look again.
+	reader, writer := child.NewView(), child.NewView()
+	if got := reader.Load(addr(2, 0)); got != 102 {
+		t.Fatalf("reader: %d, want 102", got)
+	}
+	writer.Store(addr(2, 0), 3)
+	if got := reader.Load(addr(2, 0)); got != 3 {
+		t.Fatalf("reader missed another view's write after privatization: %d, want 3", got)
+	}
+	if got := parent.Load(addr(2, 0)); got != 102 {
+		t.Fatalf("child's write reached the parent: %d, want 102", got)
+	}
+
+	// A page cached for writing is shared again after a fork; the next
+	// write through that view must privatize it, not reach the child.
+	// (The first store privatizes page 3, which the first fork shared,
+	// and so bumps gen; the second caches the private frame.)
+	wv := parent.NewView()
+	wv.Store(addr(3, 0), 4)
+	wv.Store(addr(3, 1), 4)
+	second := parent.Fork()
+	wv.Store(addr(3, 0), 5)
+	if got := second.Load(addr(3, 0)); got != 4 {
+		t.Fatalf("a write cached before the fork reached the child: %d, want 4", got)
+	}
+
+	// Parent and child write every shared page on two goroutines.
+	third := parent.Fork()
+	var wg sync.WaitGroup
+	for i, m := range []*Memory{parent, third} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := m.NewView()
+			for pg := int64(0); pg < pages; pg++ {
+				for w := int64(0); w < 4; w++ {
+					v.Store(addr(pg, w), uint64(1000*(i+1))+uint64(pg))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, m := range []*Memory{parent, third} {
+		for pg := int64(0); pg < pages; pg++ {
+			if got, want := m.Load(addr(pg, 3)), uint64(1000*(i+1))+uint64(pg); got != want {
+				t.Fatalf("memory %d page %d: %d, want %d", i, pg, got, want)
+			}
+		}
+	}
+	if got := second.Load(addr(3, 0)); got != 4 {
+		t.Fatalf("concurrent writes reached a sibling fork: %d, want 4", got)
 	}
 }
 

@@ -16,10 +16,6 @@ import (
 // stable byte stream. Decoding installs the pages into m, which must be
 // freshly created (existing pages are not cleared).
 func (m *Memory) XferSnap(x *snap.Xfer) {
-	if !x.Decoding() {
-		m.mu.RLock()
-		defer m.mu.RUnlock()
-	}
 	snap.Map(x, m.pages, "interp: memory pages", func(pg **[pageWords]uint64) {
 		if x.Decoding() {
 			*pg = new([pageWords]uint64)

@@ -35,9 +35,7 @@ type Thread struct {
 
 	code []prog.Decoded // Prog.Decoded
 
-	// view is the thread's private handle on Mem, so threads on
-	// different goroutines (parallel timing mode) never share the
-	// Memory's own page cache.
+	// view is the thread's private handle on Mem: its own page cache.
 	view View
 }
 

@@ -2,20 +2,23 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"clustersmt/internal/core"
 	"clustersmt/internal/telemetry"
 )
 
 // snapshotStore persists warmed checkpoints (harness.SnapshotStore)
 // as content-addressed files in the service cache directory, alongside
-// the result envelopes. Filenames are "snap-<hex64>.bin", so the
-// result cache — which only reads 64-hex ".json" envelopes — never
-// confuses the two populations, and a snapshot written by one daemon
-// run seeds every later one's warm-ups.
+// the result envelopes. Filenames are "snap-v<SnapshotVersion>-<hex64>.bin",
+// so the result cache — which only reads 64-hex ".json" envelopes —
+// never confuses the two populations, a snapshot written by one daemon
+// run seeds every later one's warm-ups, and another format's files
+// are not counted.
 //
 // Both methods are best-effort by contract: a miss or failed write
 // just means the suite re-runs the warm-up, so I/O errors are
@@ -24,8 +27,11 @@ type snapshotStore struct {
 	s *Server
 }
 
+// snapPrefix starts the names of the checkpoints this build can read.
+var snapPrefix = fmt.Sprintf("snap-v%d-", core.SnapshotVersion)
+
 func (st snapshotStore) path(key string) string {
-	return filepath.Join(st.s.opts.CacheDir, "snap-"+key+".bin")
+	return filepath.Join(st.s.opts.CacheDir, snapPrefix+key+".bin")
 }
 
 // LoadSnapshot reads one checkpoint. A load that finds one is recorded
@@ -55,7 +61,7 @@ func (st snapshotStore) SaveSnapshot(key string, data []byte) {
 }
 
 // Snapshots returns the number of persisted warm-up checkpoints in the
-// store directory (for /healthz).
+// store directory that this build can read (for /healthz).
 func (st snapshotStore) Snapshots() int {
 	entries, err := os.ReadDir(st.s.opts.CacheDir)
 	if err != nil {
@@ -64,7 +70,7 @@ func (st snapshotStore) Snapshots() int {
 	n := 0
 	for _, de := range entries {
 		name := de.Name()
-		if !de.IsDir() && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".bin") {
+		if !de.IsDir() && strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, ".bin") {
 			n++
 		}
 	}

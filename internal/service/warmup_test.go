@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -25,8 +27,9 @@ func warmupSpecName(chain, indep int) string {
 // TestServiceWarmupForksAndPersists drives the daemon's warm-up path
 // end to end: jobs submitted by canonical synth(...) name fork from one
 // warmed parent, results stay bit-identical to a warm-up-free daemon,
-// the checkpoint is persisted under the cache directory, and a
-// restarted daemon restores it instead of re-running the warm-up.
+// the checkpoint is persisted under the cache directory (and counted by
+// /healthz, unlike one an older build left there), and a restarted
+// daemon restores it instead of re-running the warm-up.
 func TestServiceWarmupForksAndPersists(t *testing.T) {
 	dir := t.TempDir()
 	variants := []string{
@@ -46,6 +49,14 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 			t.Fatalf("reference job %s failed: %+v", app, done)
 		}
 		ref[app] = done.Result
+	}
+
+	// A checkpoint as an older build named it ("snap-<key>.bin", no
+	// format version): this build cannot read it, so /healthz must not
+	// count it.
+	old := filepath.Join(dir, fmt.Sprintf("snap-%064x.bin", 1))
+	if err := os.WriteFile(old, []byte("older checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	srvA, err := New(Options{DefaultSize: workloads.SizeTest, CacheDir: dir, WarmupCycles: 1000})
@@ -97,7 +108,7 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 	}
 	snaps := 0
 	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), "snap-") && strings.HasSuffix(de.Name(), ".bin") {
+		if strings.HasPrefix(de.Name(), snapPrefix) && strings.HasSuffix(de.Name(), ".bin") {
 			snaps++
 		}
 	}
