@@ -52,7 +52,7 @@ diff:
 # (a forked parent and child writing their shared pages at once, with
 # no lock in Memory); harness (suite cache +
 # singleflight + its eviction + warm-up sharing + cancellation),
-# service (queue, two-tier cache, backpressure, snapshot persistence,
+# service (queue, two-tier cache, backpressure, in-process warm-up forks,
 # e2e HTTP, figures through the cache, tracing), telemetry (concurrent
 # scrapes against concurrent observers, span-ring races), prog (one
 # program's digests asked for by many goroutines at once) and memsys
@@ -78,7 +78,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 16928
+LOC_BUDGET = 16830
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -71,13 +71,13 @@ func main() {
 	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
 	workers := flag.Int("workers", 0, "concurrent simulations, for jobs and figures alike (0 = GOMAXPROCS; an oracle search holds one while scoring candidates on up to GOMAXPROCS goroutines)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies)")
+	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
 	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
-	cacheDir := flag.String("cache-dir", "", "persist results under this directory (survives restarts)")
+	cacheDir := flag.String("cache-dir", "", "persist results under this directory as <sha256>.json files (survives restarts)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
-	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off; persisted under -cache-dir)")
+	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off; held in memory only, never written under -cache-dir)")
 	metricsInterval := flag.Int64("metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	portFile := flag.String("port-file", "", "write the bound port to this file once listening")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain running jobs at shutdown")

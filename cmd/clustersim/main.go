@@ -42,7 +42,7 @@ func main() {
 	archName := flag.String("arch", "SMT2", "architecture: FA8, FA4, FA2, FA1, SMT8, SMT4, SMT2, SMT1")
 	appName := flag.String("app", "ocean", "application: swim, tomcatv, mgrid, vpenta, fmm, ocean (paper) or radix, lu (extras)")
 	highEnd := flag.Bool("highend", false, "simulate the 4-chip high-end machine instead of the 1-chip low-end")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy (default static; see -list-policies)")
+	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy (default static; see -list-policies; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
 	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
 	sizeName := flag.String("size", "ref", "input size: test or ref")

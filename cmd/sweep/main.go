@@ -46,7 +46,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max simultaneous simulations")
 	warmupIters := flag.Int64("warmup-iters", 0, "prepend a shared warm-up prefix of N serial iterations to every grid cell")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "checkpoint the warm-up at this cycle and fork grid cells from it (0 = off)")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every grid cell (default static)")
+	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every grid cell (default static; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()

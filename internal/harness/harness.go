@@ -239,9 +239,9 @@ type Suite struct {
 	// prefix, and parents whose warm-up ends before this cycle, fall
 	// back to scratch silently. Set before the first Run.
 	WarmupCycles int64
-	// Snapshots, when non-nil, persists warmed parent checkpoints so
-	// later processes restore them instead of re-running the warm-up
-	// (the serving subsystem backs this with its cache directory). Only
+	// Snapshots, when non-nil, keeps warmed parent checkpoints so a
+	// later suite restores them instead of re-running the warm-up (the
+	// sweep-fork benchmark backs it with an in-memory store). Only
 	// consulted when WarmupCycles > 0. Set before the first Run.
 	Snapshots SnapshotStore
 

@@ -106,16 +106,20 @@ func TestPlacementShape(t *testing.T) {
 
 // --- Paper-claims tests (the reproduction's acceptance criteria) ---
 //
-// These run the reference-size experiments, so they take a few seconds;
-// skipped under -short.
+// These run the reference-size experiments on one shared suite, so the
+// first to ask for a cell pays for it; skipped under -short.
 
 func refSuite(t *testing.T) *Suite {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("reference-size experiment; skipped with -short")
 	}
-	return NewSuite(workloads.SizeRef)
+	return sharedRefSuite()
 }
+
+// sharedRefSuite is the one ref-size suite of the package's paper
+// tests: they only read it, so its memo simulates each cell once.
+var sharedRefSuite = sync.OnceValue(func() *Suite { return NewSuite(workloads.SizeRef) })
 
 // TestPaperFigure4SweetSpots asserts the low-end FA sweet spots the
 // paper reports: FA8 for vpenta and ocean, FA4 for swim and fmm, FA2

@@ -11,14 +11,14 @@ import (
 	"clustersmt/internal/prog"
 )
 
-// SnapshotStore persists warmed checkpoints across process lifetimes.
-// Keys are lowercase hex SHA-256 strings (filesystem-safe); values are
-// opaque core.Snapshot payloads. Both methods may be called from
-// concurrent simulation goroutines. Load misses and failed saves are
-// soft: the suite falls back to running the warm-up itself, so a store
-// may drop writes (disk full, eviction) without affecting results.
-// Load receives the warming run's context; the service's store reads
-// its trace ID to attribute the fetch to the run's trace.
+// SnapshotStore holds warmed checkpoints beyond one suite's memo: the
+// sweep-fork benchmark backs it with an in-memory map, so a later suite
+// restores a parent instead of re-running its warm-up. Keys are
+// lowercase hex SHA-256 strings; values are opaque core.Snapshot
+// payloads. Both methods may be called from concurrent simulation
+// goroutines. Load misses and failed saves are soft: the suite falls
+// back to running the warm-up itself, so a store may drop writes
+// without affecting results. Load receives the warming run's context.
 type SnapshotStore interface {
 	LoadSnapshot(ctx context.Context, key string) ([]byte, bool)
 	SaveSnapshot(key string, data []byte)
@@ -140,27 +140,26 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 	return sim
 }
 
-// snapshotKey derives the persistent-store key for a warmed parent. It
+// snapshotKey derives the SnapshotStore key for a warmed parent. It
 // covers everything that shapes the checkpoint bytes: machine, prefix,
 // checkpoint cycle, snapshot format version, and the suite's metrics
 // configuration (the sampler state is part of the snapshot, and a
 // restored parent must carry the same sampler a fresh warm-up under
-// this suite would). The trailing 0 is the default ring capacity the
-// key once named, kept so stores written before keep their keys.
+// this suite would).
 func (s *Suite) snapshotKey(k warmKey, w int64) string {
 	h := sha256.New()
 	h.Write(k.machine[:])
 	h.Write(k.prefix[:])
 	metricsOn := s.MetricsInterval > 0 || s.OnFrame != nil
-	fmt.Fprintf(h, "|w=%d|snapv=%d|obs=%t,%d,0",
+	fmt.Fprintf(h, "|w=%d|snapv=%d|obs=%t,%d",
 		w, core.SnapshotVersion, metricsOn, s.MetricsInterval)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // WarmForks returns how many simulations were started by forking a
-// warmed parent instead of from scratch, and how many parents were
-// restored from the SnapshotStore rather than warmed by running —
-// observability for tests and the /healthz endpoint.
+// warmed parent instead of from scratch (the /healthz warm-up count),
+// and how many parents were restored from the SnapshotStore rather
+// than warmed by running.
 func (s *Suite) WarmForks() (forks, restores int64) {
 	return s.warmForks.Load(), s.warmRestores.Load()
 }

@@ -74,22 +74,6 @@ func NewCache(capEntries int, dir string) (*Cache, error) {
 	}, nil
 }
 
-// isHexHash reports whether s is a 64-char lowercase hex string — the
-// filename stem Put gives every envelope and the only shape of key the
-// snapshot store accepts: defense against a key ever reaching the
-// filesystem as a path.
-func isHexHash(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for _, r := range s {
-		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Get returns the cached result for key and the tier that served it.
 func (c *Cache) Get(key [32]byte) (res *core.Result, tier string, ok bool) {
 	c.mu.Lock()
@@ -146,14 +130,14 @@ func (c *Cache) Put(key [32]byte, spec JobSpec, res *core.Result) error {
 	if err != nil {
 		return fmt.Errorf("service: encode cache entry: %w", err)
 	}
-	return writeFileAtomic(c.path(key), "put-*.tmp", raw)
+	return writeFileAtomic(c.path(key), raw)
 }
 
 // writeFileAtomic writes data to path through a temp file in the same
-// directory (named from pattern) and a rename, so a crash or a full
-// disk leaves the old file or none — never a torn one.
-func writeFileAtomic(path, pattern string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+// directory and a rename, so a crash or a full disk leaves the old file
+// or none — never a torn one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
 	if err != nil {
 		return err
 	}

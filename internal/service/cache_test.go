@@ -138,27 +138,6 @@ func TestCachePutFailure(t *testing.T) {
 	}
 }
 
-// TestSnapshotSaveFailure: a checkpoint write that fails is swallowed
-// (best-effort by contract), leaves no temp file and is not counted.
-func TestSnapshotSaveFailure(t *testing.T) {
-	dir := t.TempDir()
-	st := snapshotStore{s: &Server{opts: Options{CacheDir: dir}}}
-	saved, blocked := fmt.Sprintf("%064x", 1), fmt.Sprintf("%064x", 2)
-	st.SaveSnapshot(saved, []byte("checkpoint"))
-	if st.Snapshots() != 1 {
-		t.Fatalf("Snapshots() = %d after one save, want 1", st.Snapshots())
-	}
-	blockPath(t, st.path(blocked))
-	st.SaveSnapshot(blocked, []byte("checkpoint"))
-	noTemps(t, dir, "snap-*.tmp")
-	if st.Snapshots() != 1 {
-		t.Errorf("Snapshots() = %d after a failed save, want 1", st.Snapshots())
-	}
-	if _, ok := st.LoadSnapshot(context.Background(), blocked); ok {
-		t.Error("a failed save loads")
-	}
-}
-
 // TestServiceDiskCacheRecoversFromCrash is the server-level restart
 // test: server A completes a job and dies without the graceful Close,
 // an older daemon's index.json sits corrupt in the directory, and

@@ -36,8 +36,6 @@ type Job struct {
 	cacheHit  bool
 	cacheTier string
 	submitted time.Time
-	started   time.Time
-	finished  time.Time
 
 	// pool is the pool whose worker is running the job, nil before pickup
 	// and for jobs completed inline from the cache. Its counters are
@@ -73,7 +71,6 @@ func (j *Job) submittedAt() time.Time {
 func (j *Job) start(p *Pool) {
 	j.mu.Lock()
 	j.state = StateRunning
-	j.started = time.Now()
 	j.pool = p
 	j.mu.Unlock()
 }
@@ -94,7 +91,6 @@ func (j *Job) finish(state string, res *core.Result, tier, errMsg string) {
 	j.cacheHit = tier != ""
 	j.cacheTier = tier
 	j.errMsg = errMsg
-	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)
 }

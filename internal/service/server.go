@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"slices"
@@ -47,9 +48,10 @@ type Options struct {
 	// WarmupCycles > 0 enables checkpoint-based warm-up sharing
 	// (harness.Suite.WarmupCycles): workloads declaring a shared
 	// prefix are forked from one warmed parent per (machine, prefix)
-	// instead of simulated from cycle zero. With CacheDir set, warmed
-	// checkpoints are persisted next to the result envelopes and
-	// restored across daemon restarts.
+	// instead of simulated from cycle zero. Warmed parents live in
+	// process only: CacheDir holds result envelopes, so a restarted
+	// daemon serves every earlier result from disk and re-warms once
+	// per (machine, prefix) for new variants.
 	WarmupCycles int64
 	// AllocPolicy selects the thread-to-cluster allocation policy for
 	// every simulation this server runs ("" or "static" = the seed
@@ -133,9 +135,6 @@ func New(opts Options) (*Server, error) {
 	st.AllocEpoch = opts.AllocEpoch
 	st.MetricsInterval = opts.MetricsInterval
 	st.WarmupCycles = opts.WarmupCycles
-	if opts.WarmupCycles > 0 && opts.CacheDir != "" {
-		st.Snapshots = snapshotStore{s: s}
-	}
 	st.Store = s.store
 	if s.tel != nil {
 		// Hook fires on singleflight owners only, so the histogram
@@ -368,13 +367,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // answered 413 without being held.
 const maxRequestBodyBytes = 1 << 20
 
-// decodeBody decodes a bounded JSON request body into v. On failure it
-// returns the status to answer with: 413 past the bound, 400 otherwise.
+// decodeBody decodes a bounded JSON request body, one object and
+// nothing but whitespace after it, into v. On failure it returns the
+// status to answer with: 413 past the bound, 400 otherwise.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	var tooBig *http.MaxBytesError
+	if err == nil {
+		// Decode stops after the first value; a second one or stray
+		// bytes would otherwise be dropped unread.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, &tooBig) {
+			err = errors.New("data after the JSON object")
+		}
+	}
 	switch {
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge, err
@@ -589,16 +598,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	accepted, rejected, completed := s.pool.Counters()
-	warmForks, warmRestores := s.suite.WarmForks()
-	warm := map[string]any{
-		"enabled":  s.opts.WarmupCycles > 0,
-		"cycles":   s.opts.WarmupCycles,
-		"forks":    warmForks,
-		"restores": warmRestores,
-	}
-	if s.opts.WarmupCycles > 0 && s.opts.CacheDir != "" {
-		warm["persisted"] = snapshotStore{s: s}.Snapshots()
-	}
+	warmForks, _ := s.suite.WarmForks()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"runtime":     s.runtimeInfo(),
@@ -612,7 +612,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"rejected":  rejected,
 			"completed": completed,
 		},
-		"cache":  s.cache.Stats(),
-		"warmup": warm,
+		"cache": s.cache.Stats(),
+		"warmup": map[string]any{
+			"enabled": s.opts.WarmupCycles > 0,
+			"cycles":  s.opts.WarmupCycles,
+			"forks":   warmForks,
+		},
 	})
 }

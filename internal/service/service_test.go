@@ -365,14 +365,44 @@ func TestServiceUnknownField(t *testing.T) {
 	}
 }
 
+// TestServiceTrailingData: a body is one JSON object. A second value or
+// stray bytes after it are a 400, not a job run on the first object
+// alone; trailing whitespace is fine.
+func TestServiceTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"app":"ocean","arch":"SMT2"}{"app":"fmm"}`,
+		`{"app":"ocean","arch":"SMT2"} xyz`,
+		`{"app":"ocean","arch":"SMT2"}}`,
+	} {
+		if status := post(body); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, status)
+		}
+	}
+	if status := post("{\"app\":\"ocean\",\"arch\":\"SMT2\"}\n \t\n"); status != http.StatusAccepted {
+		t.Errorf("trailing whitespace: status %d, want 202", status)
+	}
+}
+
 // TestServiceOversizedBody checks that a POST body past the bound is
-// answered 413 — whether the excess is one huge value or padding — and
-// that the daemon then takes a valid submission as if nothing happened.
+// answered 413 — whether the excess is one huge value, padding before
+// the object or whitespace after it — and that the daemon then takes a
+// valid submission as if nothing happened.
 func TestServiceOversizedBody(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for name, body := range map[string]string{
 		"huge value": `{"app":"` + strings.Repeat("a", maxRequestBodyBytes) + `"}`,
 		"padding":    strings.Repeat(" ", maxRequestBodyBytes+1) + `{"app":"swim","arch":"SMT2"}`,
+		"trailing":   `{"app":"swim","arch":"SMT2"}` + strings.Repeat(" ", maxRequestBodyBytes),
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -39,7 +39,6 @@ type svcTelemetry struct {
 	e2e        *telemetry.Histogram
 	simulate   *telemetry.Histogram
 	cacheWrite *telemetry.Histogram
-	snapFetch  *telemetry.Histogram
 }
 
 // newSvcTelemetry builds the registry for one server.
@@ -63,8 +62,6 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 			telemetry.DefaultLatencyBuckets, "policy", policy),
 		cacheWrite: r.Histogram("clusterd_cache_write_seconds",
 			"Time to fill the result cache after a fresh simulation.", telemetry.DefaultLatencyBuckets),
-		snapFetch: r.Histogram("clusterd_snapshot_fetch_seconds",
-			"Warmed-checkpoint loads from the cache directory.", telemetry.DefaultLatencyBuckets),
 	}
 
 	r.CollectFunc("clusterd_build_info", "Build version as a label; value is always 1.",

@@ -251,7 +251,6 @@ func TestMetricsFamilies(t *testing.T) {
 		"clusterd_queue_workers",
 		"clusterd_simulate_seconds",
 		"clusterd_simulations",
-		"clusterd_snapshot_fetch_seconds",
 		"clusterd_trace_spans",
 		"clusterd_trace_spans_dropped",
 		"clusterd_uptime_seconds",

@@ -9,7 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
+	"regexp"
 	"testing"
 	"time"
 
@@ -24,13 +24,18 @@ func warmupSpecName(chain, indep int) string {
 	}).Name
 }
 
-// TestServiceWarmupForksAndPersists drives the daemon's warm-up path
-// end to end: jobs submitted by canonical synth(...) name fork from one
-// warmed parent, results stay bit-identical to a warm-up-free daemon,
-// the checkpoint is persisted under the cache directory (and counted by
-// /healthz, unlike one an older build left there), and a restarted
-// daemon restores it instead of re-running the warm-up.
-func TestServiceWarmupForksAndPersists(t *testing.T) {
+// envelopeName is the one file name the result cache writes.
+var envelopeName = regexp.MustCompile(`^[0-9a-f]{64}\.json$`)
+
+// TestServiceWarmupForksInProcess drives the daemon's warm-up path end
+// to end: jobs submitted by canonical synth(...) name fork from one
+// warmed parent held in process, results stay bit-identical to a
+// warm-up-free daemon, and the cache directory receives result
+// envelopes only — a checkpoint file already there (as an older build
+// wrote them) is neither read nor touched. A restarted daemon serves
+// the first one's results from disk and re-warms once for a new
+// variant.
+func TestServiceWarmupForksInProcess(t *testing.T) {
 	dir := t.TempDir()
 	variants := []string{
 		warmupSpecName(0, 4), warmupSpecName(4, 0), warmupSpecName(2, 2),
@@ -38,8 +43,8 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 
 	// Reference results from a daemon with warm-up sharing off.
 	_, tsRef := newTestServer(t, Options{})
-	ref := make(map[string]json.RawMessage)
-	for _, app := range variants {
+	scratch := func(app string) json.RawMessage {
+		t.Helper()
 		status, j, _ := submit(t, tsRef, JobSpec{App: app, Arch: "SMT2"})
 		if status != http.StatusAccepted {
 			t.Fatalf("reference submit %s: status %d", app, status)
@@ -48,14 +53,12 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 		if done.Status != StateDone {
 			t.Fatalf("reference job %s failed: %+v", app, done)
 		}
-		ref[app] = done.Result
+		return done.Result
 	}
 
-	// A checkpoint as an older build named it ("snap-<key>.bin", no
-	// format version): this build cannot read it, so /healthz must not
-	// count it.
-	old := filepath.Join(dir, fmt.Sprintf("snap-%064x.bin", 1))
-	if err := os.WriteFile(old, []byte("older checkpoint"), 0o644); err != nil {
+	planted := filepath.Join(dir, fmt.Sprintf("snap-v8-%064x.bin", 1))
+	plantedData := []byte("checkpoint written by an older build")
+	if err := os.WriteFile(planted, plantedData, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,7 +76,7 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 		if done.Status != StateDone {
 			t.Fatalf("job %s failed: %+v", app, done)
 		}
-		if !bytes.Equal(ref[app], done.Result) {
+		if !bytes.Equal(scratch(app), done.Result) {
 			t.Fatalf("%s: warmed daemon's result differs from the warm-up-free daemon's", app)
 		}
 	}
@@ -81,39 +84,22 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 		t.Fatalf("daemon A: %d forks / %d restores, want %d / 0", forks, restores, len(variants))
 	}
 
-	// /healthz surfaces the warm-up counters and the persisted count.
+	// /healthz's warm-up block is the setting and the fork count.
 	resp, err := http.Get(tsA.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var health struct {
-		Warmup struct {
-			Enabled   bool  `json:"enabled"`
-			Forks     int64 `json:"forks"`
-			Persisted int   `json:"persisted"`
-		} `json:"warmup"`
+		Warmup map[string]any `json:"warmup"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&health)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !health.Warmup.Enabled || health.Warmup.Forks != int64(len(variants)) || health.Warmup.Persisted != 1 {
-		t.Fatalf("healthz warmup block wrong: %+v", health.Warmup)
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snaps := 0
-	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), snapPrefix) && strings.HasSuffix(de.Name(), ".bin") {
-			snaps++
-		}
-	}
-	if snaps != 1 {
-		t.Fatalf("%d persisted snapshots, want 1 (one warmed parent)", snaps)
+	if len(health.Warmup) != 3 || health.Warmup["enabled"] != true ||
+		health.Warmup["cycles"] != float64(1000) || health.Warmup["forks"] != float64(len(variants)) {
+		t.Fatalf("healthz warmup block %v, want exactly enabled, cycles and forks", health.Warmup)
 	}
 
 	tsA.Close()
@@ -122,10 +108,10 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 	if err := srvA.Close(ctx); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
+	envelopesOnly(t, dir, planted, len(variants))
 
-	// Daemon B inherits the directory: a NEW variant (not in the result
-	// cache) restores the persisted parent and forks, skipping the
-	// warm-up run entirely.
+	// Daemon B inherits the directory: A's results come back from disk,
+	// and a NEW variant re-runs the warm-up once and forks from it.
 	srvB, err := New(Options{DefaultSize: workloads.SizeTest, CacheDir: dir, WarmupCycles: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +120,12 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 	defer tsB.Close()
 	defer srvB.Close(context.Background())
 
+	for _, name := range variants {
+		status, hit, _ := submit(t, tsB, JobSpec{App: name, Arch: "SMT2"})
+		if status != http.StatusOK || !hit.CacheHit || hit.CacheTier != TierDisk {
+			t.Fatalf("%s on B: status %d, %+v; want an inline disk hit", name, status, hit)
+		}
+	}
 	fresh := warmupSpecName(6, 0)
 	status, j, _ := submit(t, tsB, JobSpec{App: fresh, Arch: "SMT2"})
 	if status != http.StatusAccepted {
@@ -143,26 +135,40 @@ func TestServiceWarmupForksAndPersists(t *testing.T) {
 	if done.Status != StateDone {
 		t.Fatalf("job %s on B failed: %+v", fresh, done)
 	}
-	if forks, restores := srvB.suite.WarmForks(); forks != 1 || restores != 1 {
-		t.Fatalf("daemon B: %d forks / %d restores, want 1 / 1 (restore from disk, no warm re-run)", forks, restores)
+	if forks, restores := srvB.suite.WarmForks(); forks != 1 || restores != 0 {
+		t.Fatalf("daemon B: %d forks / %d restores, want 1 / 0 (one fresh warm-up)", forks, restores)
 	}
+	if sims := srvB.suite.Simulations(); sims != 1 {
+		t.Fatalf("daemon B ran %d simulations, want 1 (the new variant)", sims)
+	}
+	if !bytes.Equal(scratch(fresh), done.Result) {
+		t.Fatalf("%s: forked result differs from scratch", fresh)
+	}
+	envelopesOnly(t, dir, planted, len(variants)+1)
+	if got, err := os.ReadFile(planted); err != nil || !bytes.Equal(got, plantedData) {
+		t.Fatalf("planted checkpoint changed: %q, %v", got, err)
+	}
+}
 
-	statusRef, jRef, _ := submit(t, tsRef, JobSpec{App: fresh, Arch: "SMT2"})
-	if statusRef != http.StatusAccepted {
-		t.Fatalf("reference submit %s: status %d", fresh, statusRef)
+// envelopesOnly fails unless dir holds exactly want result envelopes
+// beside the planted file.
+func envelopesOnly(t *testing.T, dir, planted string, want int) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	doneRef := waitJob(t, tsRef, jRef.ID)
-	if !bytes.Equal(doneRef.Result, done.Result) {
-		t.Fatalf("%s: restored-fork result differs from scratch", fresh)
-	}
-
-	// The snapshot file shares the directory with the result envelopes
-	// without being taken for one: A's three results are all still
-	// served from disk by B.
-	for _, name := range variants {
-		status, hit, _ := submit(t, tsB, JobSpec{App: name, Arch: "SMT2"})
-		if status != http.StatusOK || !hit.CacheHit || hit.CacheTier != TierDisk {
-			t.Fatalf("%s on B: status %d, %+v; want an inline disk hit", name, status, hit)
+	n := 0
+	for _, de := range entries {
+		switch {
+		case de.Name() == filepath.Base(planted):
+		case envelopeName.MatchString(de.Name()) && !de.IsDir():
+			n++
+		default:
+			t.Errorf("cache dir holds %s, not a result envelope", de.Name())
 		}
+	}
+	if n != want {
+		t.Fatalf("%d result envelopes, want %d", n, want)
 	}
 }
