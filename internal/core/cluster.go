@@ -131,7 +131,8 @@ type cluster struct {
 
 	// Issue-stage state (wakeup.go): the front-end pending ring
 	// (entries not yet past the decode/rename delay, in fetch and hence
-	// eligibleAt order), the wakeup wheel, the seq-sorted ready list,
+	// eligibleAt order), the wakeup wheel (one event per waiting entry
+	// with a known next transition), the seq-sorted ready list,
 	// and the waiting entries' hazard tallies maintained incrementally.
 	// All fixed-capacity.
 	pending   ring
@@ -180,7 +181,7 @@ func newCluster(chip, idx int, cfg config.Arch) *cluster {
 		free:          make([]handle, n),
 		stores:        newStoreTable(n),
 		pending:       newRing(cfg.WindowEntries),
-		wheel:         newWheel(n + 2*cfg.WindowEntries),
+		wheel:         newWheel(n),
 		ready:         make([]handle, 0, cfg.WindowEntries),
 		renameIntFree: cfg.RenameInt,
 		renameFPFree:  cfg.RenameFP,
@@ -311,9 +312,8 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 				c.renameFPFree++
 			}
 			// The slot is free from here, but keeps its contents until
-			// fetch reuses it: commit runs before issue, so this cycle's
-			// wheel event for a producer that completes and commits now
-			// still walks its consumer list (drainEvents).
+			// fetch reuses it, so a ref to it still reads a committed,
+			// done entry (entry.go, the stale-handle rule).
 			e.committed = true
 			c.free = append(c.free, h)
 			if e.isStore {
@@ -363,7 +363,7 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 				votes[stats.Data]++
 				return false
 			}
-			completeAt = now + e.lat
+			completeAt = now + int64(e.lat)
 			s.forwardedLoads++
 		} else {
 			var pre dirCounters
@@ -388,16 +388,12 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 	case e.isStore:
 		// Address generation only; the access itself happens at
 		// commit and never blocks the pipeline.
-		completeAt = now + e.lat
+		completeAt = now + int64(e.lat)
 	default:
-		lat := e.lat
-		if lat <= 0 {
-			lat = 1
-		}
-		completeAt = now + lat
+		completeAt = now + int64(max(e.lat, 1))
 	}
 
-	c.busyUnit(class, unit, now+e.occ)
+	c.busyUnit(class, unit, now+int64(e.occ))
 
 	e.state = stateIssued
 	e.completeAt = completeAt
@@ -405,7 +401,7 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 		t.frontEvent = completeAt
 	}
 	s.traceEvent(now, c, "I", e)
-	c.wake(h)
+	c.wakeConsumers(h, now)
 	return true
 }
 
@@ -563,7 +559,7 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 		}
 		e.tid, e.seq = int32(t.id), c.seq
 		e.eligibleAt = now + config.FrontEndDelay
-		e.fuCl, e.lat, e.occ = sl.Class, int64(sl.Lat), int64(sl.Occ)
+		e.fuCl, e.lat, e.occ = sl.Class, sl.Lat, sl.Occ
 		e.isLoad, e.isStore = f&prog.IsLoad != 0, f&prog.IsStore != 0
 		c.seq++
 

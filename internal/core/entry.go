@@ -16,18 +16,18 @@ const (
 // handle names a window entry: a slot index into its cluster's entry
 // pool (cluster.pool). Zero means "no entry"; slot 0 is never handed
 // out. The structures that hold an entry only while it is in flight —
-// the thread fifos, pending, ready, the consumer lists, the store
-// table — store bare handles.
+// the thread fifos, pending, ready, the wakeup wheel, the consumer
+// lists, the store table — store bare handles.
 type handle uint32
 
 // ref is a handle that may outlive the entry it was bound to: a
 // register producer, a forwarding candidate, a last-writer slot, a
-// wakeup-wheel event. Pool slots are recycled, so a ref carries the
+// pending branch. Pool slots are recycled, so a ref carries the
 // cluster-unique seq of the entry it meant. The stale-handle rule: when
 // the slot's occupant has a different seq the original entry has
 // committed and fetch has reused its slot, and every reader treats the
 // ref exactly as it treats a committed entry — done, not a forwarding
-// source, nothing to wake (cluster.resolve returns nil). The zero ref
+// source, nothing to wait on (cluster.resolve returns nil). The zero ref
 // is "none".
 type ref struct {
 	seq uint64
@@ -43,49 +43,60 @@ type ref struct {
 // the fetch path fills in with plain stores.
 type entry struct {
 	d   interp.DynInstr
-	tid int32  // owning thread: index into Simulator.threads (== threadCtx.id)
 	seq uint64 // cluster-wide age for oldest-first issue
 
-	state      entryState
 	eligibleAt int64 // fetch cycle + FrontEndDelay (decode/rename depth)
 	completeAt int64 // valid once issued
+
+	// The issue stage's view of the producers (wakeup.go): readyAt and
+	// memUntil are the latest completion cycle of the issued producers,
+	// all of them and loads only. nwait and nwaitLd (below) count the
+	// producers not yet issued, likewise.
+	readyAt  int64
+	memUntil int64
 
 	// Producers of this entry's register sources that were in flight at
 	// dispatch. Zero refs were architecturally ready.
 	producers [2]ref
 
-	// Issue-stage facts cached off isa.Info at fetch, so the (possibly
-	// many) issue retries never re-index the opcode table: the
-	// functional-unit class (ClassNone pseudo-ops borrow an integer
+	// fwdStore is the youngest older same-thread, same-address store at
+	// fetch time (the store table's answer, bound at dispatch). Loads
+	// only; zero when no such store was in flight.
+	fwdStore ref
+
+	tid int32 // owning thread: index into Simulator.threads (== threadCtx.id)
+
+	// firstCons heads this entry's intrusive consumer list — dependents
+	// registered while it was an unissued producer, walked when it
+	// issues; consNext[k] continues the list this entry joined through
+	// its producer slot k (an entry sits on at most two consumer lists,
+	// one per source). List members are dispatched, hence live, so the
+	// links are bare handles.
+	firstCons handle
+	consNext  [2]handle
+
+	state entryState
+
+	// Issue-stage facts cached off the decoded slot at fetch, so the
+	// (possibly many) issue retries never re-index the opcode table:
+	// the functional-unit class (ClassNone pseudo-ops borrow an integer
 	// slot), the raw Table 1 latency, and the unit occupancy once issued
 	// (1 when pipelined, the full latency otherwise).
 	fuCl isa.Class
-	lat  int64
-	occ  int64
+	lat  uint8
+	occ  uint8
 
 	isLoad, isStore bool
 	usesIntRename   bool
 	usesFPRename    bool
 	committed       bool // retired; the slot is free until fetch reuses it
 
-	// Issue-stage bookkeeping (wakeup.go).
 	// queued tracks the entry's issue-stage classification; waitMem
 	// caches the memory-vs-data hazard class while queued == qWaiting.
-	// firstCons heads this entry's intrusive consumer list — dependents
-	// registered while it was an unissued producer, woken at its
-	// completion; consNext[k] continues the list this entry joined
-	// through its producer slot k (an entry sits on at most two consumer
-	// lists, one per source). List members are dispatched, hence live,
-	// so the links are bare handles.
-	queued    uint8
-	waitMem   bool
-	firstCons handle
-	consNext  [2]handle
-
-	// fwdStore is the youngest older same-thread, same-address store at
-	// fetch time (the store table's answer, bound at dispatch). Loads
-	// only; zero when no such store was in flight.
-	fwdStore ref
+	queued  uint8
+	waitMem bool
+	nwait   uint8
+	nwaitLd uint8
 }
 
 // addProducer wires p as a register producer of e, returning the
@@ -141,24 +152,6 @@ func (c *cluster) forwardingStore(e *entry) *entry {
 		return st
 	}
 	return nil
-}
-
-// sourcesReady reports whether every producer has its result by now;
-// when false, memWait tells whether the blocking producer is a load
-// (memory hazard) rather than a compute op (data hazard).
-func (c *cluster) sourcesReady(e *entry, now int64) (ready, memWait bool) {
-	ready = true
-	for _, r := range e.producers {
-		p := c.resolve(r)
-		if p == nil || p.done(now) {
-			continue
-		}
-		ready = false
-		if p.isLoad {
-			memWait = true
-		}
-	}
-	return ready, memWait
 }
 
 // ring is a fixed-capacity FIFO of handles, allocated once and never

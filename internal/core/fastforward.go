@@ -100,11 +100,12 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 	}
 
 	// Commit stage: any thread with a completed instruction at its
-	// in-order commit point retires it.
+	// in-order commit point retires it; an issued front bounds the skip.
 	for _, t := range cl.threads {
 		if t.frontEvent <= now {
 			return false, 0
 		}
+		event(t.frontEvent)
 	}
 
 	// Fetch stage: blocked threads may resume; runnable threads fetch.
@@ -113,10 +114,14 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 	for _, t := range cl.threads {
 		switch t.block {
 		case blockBranch:
-			// Resolution is the branch's completion; the branch entry is
-			// in flight, so its wheel event below bounds the skip.
+			// Resolution is the branch's completion, which bounds the
+			// skip once the branch has issued (its issue is an issue-stage
+			// event).
 			if cl.refDone(t.pendingBranch, now) {
 				return false, 0
+			}
+			if br := cl.resolve(t.pendingBranch); br.state == stateIssued {
+				event(br.completeAt)
 			}
 		case blockLock:
 			// Dry-run the unblock poll: TryLock would succeed (and
@@ -197,14 +202,16 @@ func (s *Simulator) clusterQuiescent(cl *cluster, now int64, sl *clusterSleep) (
 // quiescentIssue dry-runs the issue stage (cluster.issue). The event
 // drain is idempotent at a fixed cycle, so running it here leaves a
 // subsequent step (on probe failure) unperturbed. After the drain, the
-// ready list and waiting tallies are exactly what a window scan with
-// sourcesReady would derive: ready entries are checked individually
-// (their FU / pending-store verdicts can change without a wheel
-// event), waiting entries vote in bulk, and the pending ring's head
-// plus the wheel's earliest event bound every front-end transition,
-// producer completion and in-flight completion — so no wakeup fires
-// strictly inside a sleep, which is what keeps the per-cycle votes
-// constant while quiescent.
+// ready list and waiting tallies are exactly what a window scan would
+// derive: ready entries are checked individually (their FU /
+// pending-store verdicts can change without a wheel event, so a busy
+// unit's freeing and a forwarding store's completion bound the skip),
+// waiting entries vote in bulk, and the pending ring's head plus the
+// wheel's earliest event bound every front-end transition and every
+// waiting entry's next class change — so no transition falls strictly
+// inside a sleep, which is what keeps the per-cycle votes constant
+// while quiescent. The other completions that matter — the fifo
+// fronts' and a mispredicted branch's — bound it in clusterQuiescent.
 func quiescentIssue(cl *cluster, now int64, votes *stats.Votes, event func(int64)) bool {
 	cl.drainEvents(now)
 	for _, h := range cl.ready {
@@ -217,9 +224,12 @@ func quiescentIssue(cl *cluster, now int64, votes *stats.Votes, event func(int64
 		}
 		if e.isLoad {
 			if st := cl.forwardingStore(e); st != nil && !st.done(now) {
-				// The store's completion is a wheel event (wake pushes a
-				// self event at every issue).
+				// The store's completion bounds the skip once it has
+				// issued (its issue is an issue-stage event).
 				votes[stats.Data]++
+				if st.state == stateIssued {
+					event(st.completeAt)
+				}
 				continue
 			}
 		}

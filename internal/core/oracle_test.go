@@ -242,6 +242,48 @@ func eachInFlight(c *cluster, f func(h handle) bool) {
 	}
 }
 
+// sourcesReady reports whether every producer has its result by now;
+// when false, memWait tells whether a blocking producer is a load
+// (memory hazard) rather than a compute op (data hazard). It is the
+// §4.1 verdict the issue stage's producer counters stand for.
+func (c *cluster) sourcesReady(e *entry, now int64) (ready, memWait bool) {
+	ready = true
+	for _, r := range e.producers {
+		p := c.resolve(r)
+		if p == nil || p.done(now) {
+			continue
+		}
+		ready = false
+		if p.isLoad {
+			memWait = true
+		}
+	}
+	return ready, memWait
+}
+
+// producerCounts re-derives the issue stage's counters for e from its
+// producers: the unissued ones (all, and loads), and the latest
+// completion of the issued ones (all, and loads). A producer whose slot
+// has been reused cannot be read back; it completed before it
+// committed, so callers compare the completions clamped to the current
+// cycle.
+func (c *cluster) producerCounts(e *entry) (want entry) {
+	for k, r := range e.producers {
+		p := c.resolve(r)
+		switch {
+		case p == nil || (k == 1 && e.producers[0] == r):
+		case p.state == stateDispatched:
+			want.nwait++
+			if p.isLoad {
+				want.nwaitLd++
+			}
+		default:
+			want.fold(p)
+		}
+	}
+	return want
+}
+
 // forwardingStoreScan is the definition behind cluster.forwardingStore:
 // the youngest older same-address store still in the thread's fifo.
 func forwardingStoreScan(c *cluster, t *threadCtx, load *entry) *entry {
@@ -303,6 +345,7 @@ func (a *sleepAudit) check(s *Simulator) error {
 type issueAudit struct {
 	ready, waiting, forwarding int
 	scratch                    []handle
+	due                        []int64 // per slot: its earliest wheel event
 }
 
 // check compares every cluster's issue-stage bookkeeping against a
@@ -313,8 +356,11 @@ type issueAudit struct {
 // in seq order; every other eligible one must be flagged waiting with
 // the hazard class sourcesReady gives it now, and the two tallies must
 // count exactly those; entries still in decode/rename must be
-// unclassified; and every uncommitted load's table-bound forwarding
-// store must be the FIFO scan's.
+// unclassified; every dispatched entry's producer counters must be
+// what its producers give (producerCounts), and a waiting one must
+// have a wheel event due no later than its next class change; and
+// every uncommitted load's table-bound forwarding store must be the
+// FIFO scan's.
 func (a *issueAudit) check(s *Simulator) error {
 	now := s.cycle
 	for _, c := range s.clusters {
@@ -324,6 +370,13 @@ func (a *issueAudit) check(s *Simulator) error {
 		}
 		ready := a.scratch[:0]
 		mem, data := 0, 0
+		a.due = slices.Grow(a.due[:0], len(c.pool))[:len(c.pool)]
+		for i := range a.due {
+			a.due[i] = noEvent
+		}
+		for _, ev := range c.wheel.ev {
+			a.due[ev.h] = min(a.due[ev.h], ev.cycle)
+		}
 		var err error
 		eachInFlight(c, func(h handle) bool {
 			e := &c.pool[h]
@@ -340,6 +393,13 @@ func (a *issueAudit) check(s *Simulator) error {
 			if e.state != stateDispatched {
 				return true
 			}
+			want := c.producerCounts(e)
+			if e.nwait != want.nwait || e.nwaitLd != want.nwaitLd ||
+				max(e.readyAt, now) != max(want.readyAt, now) || max(e.memUntil, now) != max(want.memUntil, now) {
+				err = fail("seq %d counts %d/%d producers unissued, readyAt %d memUntil %d; its producers give %d/%d, %d, %d",
+					e.seq, e.nwait, e.nwaitLd, e.readyAt, e.memUntil, want.nwait, want.nwaitLd, want.readyAt, want.memUntil)
+				return false
+			}
 			if now < e.eligibleAt {
 				if e.queued != qNone {
 					err = fail("seq %d classified %d inside the front-end delay", e.seq, e.queued)
@@ -355,6 +415,8 @@ func (a *issueAudit) check(s *Simulator) error {
 				}
 			case e.queued != qWaiting || e.waitMem != memWait:
 				err = fail("seq %d waits (memory=%v) but queued=%d waitMem=%v", e.seq, memWait, e.queued, e.waitMem)
+			case a.due[h] > want.nextEvent(now):
+				err = fail("seq %d next changes class at cycle %d, but its wheel event is due at %d", e.seq, want.nextEvent(now), a.due[h])
 			case memWait:
 				mem++
 			default:

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"clustersmt/internal/config"
 	"clustersmt/internal/isa"
@@ -140,8 +141,12 @@ func queueCaps(s *Simulator) []int {
 // compacted only past 128 pops): after 200 k cycles of a front end that
 // never stalls, every container still has its construction-time
 // capacity. The pool itself is the window: WindowEntries usable slots,
-// beside the reserved slot 0.
+// beside the reserved slot 0, of entries no larger than 160 bytes, so
+// a field added to the entry has to find room in its padding.
 func TestBoundedQueues(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 160 {
+		t.Errorf("entry is %d bytes, over its 160", n)
+	}
 	m := config.LowEnd(config.SMT2)
 	s, err := New(m, buildFPStream(m.Threads(), 1<<20))
 	if err != nil {

@@ -282,3 +282,69 @@ func TestClusterSleepPause(t *testing.T) {
 		t.Errorf("only %d of 40 pauses came upon sleeping clusters; the sweep is close to vacuous", pausedAsleep)
 	}
 }
+
+// TestSleepBoundWithoutCompletionEvent covers the sleep bounds that no
+// wheel event carries: a completion is on the wheel only when a
+// waiting consumer changes class at it, so each kernel here parks one
+// single-thread cluster where its earliest event is a completion
+// nothing waits on through a register — (a) the fifo front's, with
+// nothing after it, (b) a mispredicted branch's, and (c) that of the
+// store a ready load forwards from. Sleeping must equal stepping, and
+// the cluster must sleep. Table 1 gives branches and stores one cycle,
+// and a one-cycle completion never outlasts a probe (the issue cycle
+// is progress), so (b) and (c) give that one slot eight cycles; a cold
+// miss at the fifo front keeps commit, and with it the front's bound,
+// later still.
+func TestSleepBoundWithoutCompletionEvent(t *testing.T) {
+	kernel := func(body func(b *prog.Builder, x, a int64), slow isa.Op) func() *prog.Program {
+		return func() *prog.Program {
+			b := prog.NewBuilder("sleepbound")
+			x, a := b.Global("x", 64), b.Global("a", 1)
+			b.Li(1, 7)
+			b.Ld(3, isa.RegZero, x) // cold miss, never read: the fifo front
+			body(b, x, a)
+			b.Halt()
+			p := b.MustBuild()
+			for i := range p.Decoded {
+				if p.Decoded[i].Instr.Op == slow {
+					p.Decoded[i].Lat = 8
+				}
+			}
+			return p
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() *prog.Program
+	}{
+		{"front", kernel(func(*prog.Builder, int64, int64) {}, isa.OpNop)}, // nothing slowed
+		{"branch", kernel(func(b *prog.Builder, _, _ int64) {
+			b.Beq(isa.RegZero, isa.RegZero, "on") // taken, predicted not taken
+			b.Label("on")
+		}, isa.OpBeq)},
+		{"forward", kernel(func(b *prog.Builder, _, a int64) {
+			b.St(1, isa.RegZero, a)
+			b.Ld(2, isa.RegZero, a) // ready at once, held by the store
+		}, isa.OpSt)},
+	}
+	m := config.LowEnd(config.FA1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stepped, _ := runMode(t, m, tc.build, true, false)
+			s, err := New(m, tc.build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stepped, got) {
+				t.Errorf("sleeping run differs from the stepped one:\n  stepped: %v\n  got:     %v", stepped, got)
+			}
+			if s.SleepStats().Slept == 0 {
+				t.Error("the cluster never slept; the case is vacuous")
+			}
+		})
+	}
+}

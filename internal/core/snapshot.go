@@ -63,7 +63,11 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 8 frees a
+// simply never looked up and the warm-up re-runs. Version 9 wakes
+// consumers when their producers issue: an entry carries its unissued
+// producer counts and latest producer completions, and a wheel event
+// names a waiting entry by bare handle, one per entry (no completion
+// events). Version 8 frees a
 // window entry's slot at commit, so a cluster no longer writes a window
 // list, its queue, zombie and fetch-group counters, a thread's
 // in-window count, or an entry's fetch cycle, branch, misprediction,
@@ -73,7 +77,7 @@ import (
 // presence byte; version 6 named it by the v2 digests (prog's
 // run-length image stream); version 5 dropped the per-chip loop's cycle
 // counter version 4 carried in the core section.
-const SnapshotVersion = 8
+const SnapshotVersion = 9
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
@@ -642,6 +646,10 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 		x.Bool(&e.committed)
 		xi(x, &e.queued)
 		x.Bool(&e.waitMem)
+		xi(x, &e.nwait)
+		xi(x, &e.nwaitLd)
+		xi(x, &e.readyAt)
+		xi(x, &e.memUntil)
 		x.ref(&e.producers[0])
 		x.ref(&e.producers[1])
 		x.ref(&e.fwdStore)
@@ -719,7 +727,7 @@ func (c *cluster) xferSnap(x *xfer, p *prog.Program, nthreads int) error {
 	x.handles(&c.ready, "ready list")
 	snap.Slice(&x.Xfer, &c.wheel.ev, cap(c.wheel.ev), "wakeup wheel", func(ev *wheelEvent) {
 		xi(x, &ev.cycle)
-		x.ref(&ev.r)
+		x.handle(&ev.h)
 	})
 	if !x.Decoding() || x.Err() != nil {
 		return x.Err()
@@ -851,17 +859,18 @@ func (c *cluster) audit() error {
 			}
 		}
 	}
-	// Wheel events are drained by the cycle their entry completes, which
-	// is before it can commit: between cycles each names an in-flight
-	// entry — at most one event per source while it waits, one for its
-	// own completion once issued.
-	events := make([]uint8, n+1)
+	// A wheel event names a waiting entry, one at most each, at its
+	// next transition: the cycle its last load completes, with no load
+	// left unissued, or its ready cycle, with every producer issued.
+	events := make([]bool, n+1)
 	for i, ev := range c.wheel.ev {
-		e := c.resolve(ev.r)
-		if e == nil || mark[ev.r.h]&inFifo == 0 || events[ev.r.h] >= 2 || (i > 0 && c.wheel.ev[(i-1)/2].cycle > ev.cycle) {
-			return bad("wheel event %d (cycle %d, slot %d seq %d)", i, ev.cycle, ev.r.h, ev.r.seq)
+		h, e := ev.h, &c.pool[ev.h]
+		if h == 0 || mark[h]&inFifo == 0 || events[h] || (i > 0 && c.wheel.ev[(i-1)/2].cycle > ev.cycle) ||
+			e.state != stateDispatched || e.queued != qWaiting ||
+			!(e.nwaitLd == 0 && ev.cycle == e.memUntil || e.nwait == 0 && ev.cycle == e.readyAt) {
+			return bad("wheel event %d (cycle %d, slot %d)", i, ev.cycle, h)
 		}
-		events[ev.r.h]++
+		events[h] = true
 	}
 	live := 0
 	for i, sl := range c.stores.slots {

@@ -3,10 +3,16 @@ package core
 import "clustersmt/internal/stats"
 
 // This file implements the issue stage. It is dependence-driven: when
-// an entry issues it pushes a wakeup onto each in-flight consumer — the
-// inverse of the entry.producers links — scheduled at its completeAt; a
-// per-cluster wakeup wheel re-evaluates woken entries and moves those
-// whose last producer resolved into a seq-ordered ready list, so issue
+// an entry issues, its completion cycle is known (a load's too: the
+// memory system answers at issue), so it walks its consumer list — the
+// inverse of the entry.producers links — and each consumer folds that
+// cycle into its own counters: how many producers have not issued
+// (nwait, and nwaitLd for loads) and when the issued ones complete
+// (readyAt, and memUntil for loads). Those four fields alone classify a
+// consumer at any cycle, so a waiting entry's next transition — its
+// memory→data flip or its ready cycle — is a known cycle, and the
+// per-cluster wakeup wheel holds one event per waiting entry, at that
+// cycle. Ready entries move into a seq-ordered ready list, so issue
 // pops oldest-first from ready entries only instead of polling all
 // WindowEntries every cycle. Entries still inside the decode/rename
 // delay sit in a plain FIFO ring (eligibleAt is monotone in fetch
@@ -16,27 +22,19 @@ import "clustersmt/internal/stats"
 //
 // The stage is defined by the per-cycle window scan it stands for
 // (§4.1): every eligible unissued entry, oldest first, either issues,
-// or votes for its hazard class — sourcesReady's memory/data verdict
-// for unready sources, tryIssue's for the rest — until IssueWidth
+// or votes for its hazard class — the memory/data verdict of its
+// unready producers, tryIssue's for the rest — until IssueWidth
 // entries have issued. The contract is the same as cluster sleep's
 // (fastforward.go): a Result bit-identical to that definition's, not
 // an approximation. The scan itself lives in oracle_test.go; the
 // differential tests run it against this stage on the full Result, and
-// audit every cycle that the ready list and the waiting tallies equal
-// what a scan would derive.
+// audit every cycle that the ready list, the waiting tallies and each
+// waiting entry's counters and wheel event equal what a scan derives.
 //
-// Events are at-least-once: an entry with two in-flight producers gets
-// a wakeup from each, and the pending pop races producer completions.
-// evaluate is therefore idempotent — guarded on state, eligibility and
-// current queue membership — and stale events (for entries that issued
-// or committed since being scheduled) fall through the state guard.
-// Pool slots are recycled, so every wheel event is a seq-checked ref:
-// an event whose slot now holds a younger instruction resolves to nil
-// and is dropped, exactly as an event for a committed entry with an
-// already-walked consumer list falls through (entry.go, the
-// stale-handle rule). Everything here is a fixed-capacity array of
-// handles sized at construction — no maps, no pointers, nothing for the
-// collector to barrier or mark.
+// An event is due no later than its entry can become ready, so it
+// always names a waiting entry, by bare handle. Everything here is a
+// fixed-capacity array of handles sized at construction — no maps, no
+// pointers, nothing for the collector to barrier or mark.
 
 // entry.queued states: membership in the cluster's issue bookkeeping.
 const (
@@ -45,29 +43,27 @@ const (
 	qReady                // sources resolved; an issue candidate
 )
 
-// wheelEvent schedules the entry behind r for re-evaluation at cycle.
+// wheelEvent schedules the waiting entry in slot h for re-evaluation
+// at cycle.
 type wheelEvent struct {
 	cycle int64
-	r     ref
+	h     handle
 }
 
 // wheel is the wakeup wheel: a fixed-capacity binary min-heap of events
 // keyed by cycle. Same-cycle events pop in no particular order, which
-// is invisible: draining an event only reclassifies the entries it
-// names from state that no other same-cycle event changes (evaluate
-// reads producers' done-ness and writes its own entry's queue
-// membership; ready insertion is by seq), so same-cycle drains commute.
-// Capacity is one self event per pool slot (wake) plus one per source
-// of each unissued entry (dispatchEvent).
+// is invisible: draining an event only reclassifies the entry it names
+// from that entry's own counters (ready insertion is by seq), so
+// same-cycle drains commute. Capacity is one event per pool slot.
 type wheel struct {
 	ev []wheelEvent
 }
 
 func newWheel(capacity int) wheel { return wheel{ev: make([]wheelEvent, 0, capacity)} }
 
-// push schedules r for re-evaluation at the given cycle, reporting
+// push schedules slot x for re-evaluation at the given cycle, reporting
 // false when the wheel is full.
-func (w *wheel) push(cycle int64, r ref) bool {
+func (w *wheel) push(cycle int64, x handle) bool {
 	h := w.ev
 	i := len(h)
 	if i == cap(h) {
@@ -82,7 +78,7 @@ func (w *wheel) push(cycle int64, r ref) bool {
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = wheelEvent{cycle: cycle, r: r}
+	h[i] = wheelEvent{cycle: cycle, h: x}
 	w.ev = h
 	return true
 }
@@ -126,10 +122,10 @@ func (w *wheel) pop() wheelEvent {
 }
 
 // drainEvents processes every pending entry past its front-end delay
-// and every wheel event due by cycle now, re-evaluating each woken
+// and every wheel event due by cycle now, re-evaluating each named
 // entry. Draining is idempotent at a fixed cycle — it is exactly what
-// issue does first — so the quiescence probe may drain
-// early without perturbing a subsequent step.
+// issue does first — so the quiescence probe may drain early without
+// perturbing a subsequent step.
 func (c *cluster) drainEvents(now int64) {
 	for c.pending.len() > 0 {
 		h := c.pending.front()
@@ -140,61 +136,32 @@ func (c *cluster) drainEvents(now int64) {
 		c.evaluate(h, now)
 	}
 	for c.wheel.min() <= now {
-		ev := c.wheel.pop()
-		x := c.resolve(ev.r)
-		if x == nil {
-			continue // slot recycled: a long-committed entry's leftover event
-		}
-		if x.state == stateDispatched {
-			// A wakeup scheduled for x itself (dispatchEvent saw an
-			// already-issued producer).
-			c.evaluate(ev.r.h, now)
-			continue
-		}
-		if !x.done(now) {
-			// Stale wakeup for an entry that issued since it was
-			// scheduled; its own completion event (wake) will walk
-			// the consumers.
-			continue
-		}
-		// x's completion: wake its consumer chain. Every consumer
-		// is still dispatched here — it cannot have issued before
-		// x was done, and this walk runs before any issue at the
-		// first cycle that sees x done (a cluster never sleeps
-		// past wheel.min()) — so the producer links that select
-		// the next-link slot are intact. x itself may have
-		// committed earlier this very cycle, freeing its slot; the
-		// slot is not reused before this cycle's fetch, so the list
-		// head is intact too.
-		cur := x.firstCons
-		x.firstCons = 0 // chains are walked exactly once
-		for cur != 0 {
-			ce := &c.pool[cur]
-			next := ce.consNext[1]
-			if ce.producers[0] == ev.r {
-				next = ce.consNext[0]
-			}
-			c.evaluate(cur, now)
-			cur = next
-		}
+		c.evaluate(c.wheel.pop().h, now)
 	}
 }
 
-// evaluate reclassifies a dispatched entry at cycle now: into ready
-// when every producer has resolved, otherwise into (or within) the
-// waiting state with its memory-vs-data hazard class kept current —
-// the sourcesReady verdict a per-cycle scan would re-derive, computed
-// only when an event can have changed it. Waiting entries exist only
-// as the aggregate waitMemN/waitDataN tallies plus per-entry flags (no
-// list to maintain per transition).
-// Producers never become un-done, so ready is terminal until issue.
+// nextEvent returns the first cycle after now at which a waiting e
+// changes class — its last load's completion once no load is unissued,
+// else its ready cycle once no producer is — or noEvent when only a
+// producer issuing can change it.
+func (e *entry) nextEvent(now int64) int64 {
+	switch {
+	case e.nwaitLd == 0 && e.memUntil > now:
+		return e.memUntil
+	case e.nwait == 0:
+		return e.readyAt
+	}
+	return noEvent
+}
+
+// evaluate classifies a dispatched, eligible, unready entry at cycle
+// now from its producer counters: ready, or waiting — on memory while a
+// load producer is unissued or incomplete — with one wheel event at its
+// next transition. Waiting entries exist only as the waitMemN/waitDataN
+// tallies plus per-entry flags. Ready is terminal until issue.
 func (c *cluster) evaluate(h handle, now int64) {
 	e := &c.pool[h]
-	if e.state != stateDispatched || now < e.eligibleAt || e.queued == qReady {
-		return
-	}
-	ready, memWait := c.sourcesReady(e, now)
-	if ready {
+	if e.nwait == 0 && e.readyAt <= now {
 		if e.queued == qWaiting {
 			if e.waitMem {
 				c.waitMemN--
@@ -206,7 +173,9 @@ func (c *cluster) evaluate(h handle, now int64) {
 		c.insertReady(h, e.seq)
 		return
 	}
-	if e.queued == qNone {
+	memWait := e.nwaitLd > 0 || e.memUntil > now
+	switch {
+	case e.queued == qNone:
 		e.queued = qWaiting
 		e.waitMem = memWait
 		if memWait {
@@ -214,20 +183,14 @@ func (c *cluster) evaluate(h handle, now int64) {
 		} else {
 			c.waitDataN++
 		}
-		return
+	case e.waitMem != memWait:
+		// The last load producer completed: memory → data.
+		c.waitMemN--
+		c.waitDataN++
+		e.waitMem = false
 	}
-	// Still waiting, but a completed load producer may have flipped the
-	// hazard class from memory to data (or a remaining load the other
-	// way); keep the incremental tallies exact.
-	if e.waitMem != memWait {
-		if memWait {
-			c.waitDataN--
-			c.waitMemN++
-		} else {
-			c.waitMemN--
-			c.waitDataN++
-		}
-		e.waitMem = memWait
+	if at := e.nextEvent(now); at != noEvent {
+		c.wheelPush(at, h)
 	}
 }
 
@@ -254,46 +217,74 @@ func (c *cluster) insertReady(h handle, seq uint64) {
 }
 
 // dispatchEvent registers a freshly fetched entry with the wakeup
-// machinery: it subscribes to each in-flight producer — dispatched
-// producers link it onto their intrusive consumer list (walked when
-// their completion event pops), already-issued ones get a wheel wakeup
-// at their completion — and queues the entry on the pending ring,
-// whose pop at eligibleAt is the first cycle the issue stage may look
-// at it.
+// machinery — dispatched producers link it onto their consumer list
+// and count as unissued, issued ones fold their completion into its
+// counters — and queues it on the pending ring, whose pop at eligibleAt
+// is the first cycle the issue stage may look at it.
 func (c *cluster) dispatchEvent(h handle) {
 	e := &c.pool[h]
 	for k, r := range e.producers {
 		p := c.resolve(r)
 		if p == nil || (k == 1 && e.producers[0] == r) {
-			// Stale producers committed long ago. Slot 1 duplicating
-			// slot 0 (both sources read the same in-flight result) must
-			// link only once.
+			// Stale producers committed long ago; a producer read by
+			// both sources counts once.
 			continue
 		}
 		if p.state == stateDispatched {
 			e.consNext[k] = p.firstCons
 			p.firstCons = h
-		} else if p.completeAt > e.eligibleAt {
-			c.wheelPush(p.completeAt, c.refOf(h))
+			e.nwait++
+			if p.isLoad {
+				e.nwaitLd++
+			}
+		} else {
+			e.fold(p)
 		}
-		// Producers already done by eligibleAt are covered by the
-		// pending pop below.
 	}
 	if !c.pending.push(h) {
 		c.overflow("pending ring")
 	}
 }
 
-// wake fires when the entry in slot h issues: its completion becomes a
-// wheel event — the consumer-chain walk, the sleeper's next-event
-// bound, and the commit-progress signal even when nothing reads the
-// result.
-func (c *cluster) wake(h handle) {
-	c.wheelPush(c.pool[h].completeAt, c.refOf(h))
+// fold records issued producer p's completion in e's counters.
+func (e *entry) fold(p *entry) {
+	e.readyAt = max(e.readyAt, p.completeAt)
+	if p.isLoad {
+		e.memUntil = max(e.memUntil, p.completeAt)
+	}
 }
 
-func (c *cluster) wheelPush(cycle int64, r ref) {
-	if !c.wheel.push(cycle, r) {
+// wakeConsumers runs when the entry in slot h issues, its completeAt
+// just set: each consumer counts one unissued producer fewer and folds
+// the completion in. None changes class this cycle (the completion is
+// in the future), but a waiting one may gain a next transition, and so
+// its wheel event; one it had already stays put. Consumers still in
+// the front-end delay wait for their pending pop.
+func (c *cluster) wakeConsumers(h handle, now int64) {
+	x := &c.pool[h]
+	xr := c.refOf(h)
+	for cur := x.firstCons; cur != 0; {
+		ce := &c.pool[cur]
+		next := ce.consNext[1]
+		if ce.producers[0] == xr {
+			next = ce.consNext[0]
+		}
+		before := ce.nextEvent(now)
+		ce.nwait--
+		if x.isLoad {
+			ce.nwaitLd--
+		}
+		ce.fold(x)
+		if at := ce.nextEvent(now); ce.queued == qWaiting && at != before {
+			c.wheelPush(at, cur)
+		}
+		cur = next
+	}
+	x.firstCons = 0
+}
+
+func (c *cluster) wheelPush(cycle int64, h handle) {
+	if !c.wheel.push(cycle, h) {
 		c.overflow("wakeup wheel")
 	}
 }
