@@ -74,7 +74,7 @@ func main() {
 	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
 	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
 	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
-	cacheDir := flag.String("cache-dir", "", "persist results under this directory as <sha256>.json files (survives restarts)")
+	cacheDir := flag.String("cache-dir", "", "persist results in this directory's append-only results.log (survives restarts; one daemon per directory)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off; held in memory only, never written under -cache-dir)")

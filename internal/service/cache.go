@@ -2,11 +2,15 @@ package service
 
 import (
 	"container/list"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"clustersmt/internal/core"
 )
@@ -22,21 +26,30 @@ const (
 // touching a Suite; below the harness singleflight (which deduplicates
 // concurrent identical runs within one process lifetime) the suites'
 // Store hook looks figure cells up in it and writes every result they
-// simulate to it. Tier 2, enabled by a non-empty directory, persists
-// one JSON envelope per result keyed by the hex hash, so identical
-// submissions and figure cells are served across daemon restarts; disk
-// hits are promoted into the LRU. The envelope files are the whole
-// store: a lookup reads
-// exactly its own key's file, so nothing is scanned at start-up and
+// simulate to it. Tier 2, enabled by a non-empty directory, is one
+// append-only log, <dir>/results.log: every Put appends one record
+// holding the result's JSON envelope, and an in-memory index maps each
+// key to its latest record, so identical submissions and figure cells
+// are served across daemon restarts. A disk lookup is one index probe
+// and one read, a key the index lacks never touches the file system,
+// and disk hits are promoted into the LRU. Opening the cache rebuilds
+// the index from the record headers alone; no result is decoded and
 // nothing else in the directory is ever opened.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
 	ll    *list.List // front = most recently used
 	items map[[32]byte]*list.Element
-	dir   string // "" = memory-only
+	index map[[32]byte]extent // key -> its latest record in the log
 
-	hits, diskHits, misses uint64
+	// wmu serialises appends. end is the log's size, always the end of
+	// its last whole record.
+	wmu     sync.Mutex
+	log     *os.File // nil = memory-only
+	end     int64
+	writeAt func(b []byte, off int64) (int, error) // log.WriteAt; tests make it fail
+
+	hits, diskHits, misses, diskErrors uint64
 }
 
 type cacheEntry struct {
@@ -44,11 +57,34 @@ type cacheEntry struct {
 	res *core.Result
 }
 
-// envelope is the on-disk per-entry format.
+// envelope is a log record's payload.
 type envelope struct {
 	Hash   string       `json:"hash"`
 	Spec   JobSpec      `json:"spec"`
 	Result *core.Result `json:"result"`
+}
+
+// A log record is a headerSize-byte header, then the payload: the
+// compact JSON envelope. The header is the key, the payload length
+// (uint32) and the CRC-32C of key, length and payload (uint32), both
+// little-endian.
+const (
+	logName    = "results.log"
+	headerSize = 32 + 4 + 4
+)
+
+// extent locates a record in the log: its offset and payload length.
+type extent struct {
+	off int64
+	n   uint32
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// recordCRC is the checksum a whole record's header carries.
+func recordCRC(rec []byte) uint32 {
+	crc := crc32.Update(0, castagnoli, rec[:36])
+	return crc32.Update(crc, castagnoli, rec[headerSize:])
 }
 
 // DefaultCacheEntries bounds the in-memory LRU when the caller passes 0.
@@ -56,102 +92,184 @@ const DefaultCacheEntries = 256
 
 // NewCache returns a cache holding up to capEntries results in memory
 // (0 = DefaultCacheEntries) and, when dir is non-empty, persisting
-// every stored result under it (the directory is created if needed).
+// every stored result to dir's log (the directory is created if
+// needed). It refuses a directory whose log another process holds.
 func NewCache(capEntries int, dir string) (*Cache, error) {
 	if capEntries <= 0 {
 		capEntries = DefaultCacheEntries
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: cache dir: %w", err)
-		}
-	}
-	return &Cache{
+	c := &Cache{
 		cap:   capEntries,
 		ll:    list.New(),
 		items: make(map[[32]byte]*list.Element),
-		dir:   dir,
-	}, nil
+	}
+	if dir == "" {
+		return c, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: cache dir: %w", err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("service: cache log: %w", err)
+	}
+	// A POSIX lock belongs to the process: it refuses a second daemon,
+	// not a second Cache in this one, and goes when this process exits
+	// or closes the log.
+	lk := syscall.Flock_t{Type: syscall.F_WRLCK, Whence: io.SeekStart}
+	if err := syscall.FcntlFlock(f.Fd(), syscall.F_SETLK, &lk); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("service: cache dir %s is in use by another process: %w", dir, err)
+	}
+	if c.index, c.end, err = scanLog(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("service: cache log: %w", err)
+	}
+	c.log, c.writeAt = f, f.WriteAt
+	return c, nil
+}
+
+// scanLog indexes every record from its header alone, reading no
+// payload, and truncates a torn tail — a header or a payload cut short
+// — back to the last whole record. A record whose checksum fails is
+// indexed like any other: Get verifies every record it reads and drops
+// one that fails, so it reads as a miss until a Put appends a good one.
+func scanLog(f *os.File) (map[[32]byte]extent, int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	size := st.Size()
+	index := make(map[[32]byte]extent)
+	var h [headerSize]byte
+	var off int64
+	for off+headerSize <= size {
+		if _, err := f.ReadAt(h[:], off); err != nil {
+			return nil, 0, err
+		}
+		n := binary.LittleEndian.Uint32(h[32:36])
+		if off+headerSize+int64(n) > size {
+			break
+		}
+		index[[32]byte(h[:32])] = extent{off, n}
+		off += headerSize + int64(n)
+	}
+	if off < size {
+		if err := f.Truncate(off); err != nil {
+			return nil, 0, err
+		}
+	}
+	return index, off, nil
+}
+
+// Close closes the log, releasing the directory to another process.
+// The memory tier still answers; later disk reads miss and later
+// writes fail.
+func (c *Cache) Close() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.Close()
 }
 
 // Get returns the cached result for key and the tier that served it.
-func (c *Cache) Get(key [32]byte) (res *core.Result, tier string, ok bool) {
+func (c *Cache) Get(key [32]byte) (*core.Result, string, bool) {
 	c.mu.Lock()
 	if el, hit := c.items[key]; hit {
 		c.ll.MoveToFront(el)
 		c.hits++
-		res = el.Value.(*cacheEntry).res
+		res := el.Value.(*cacheEntry).res
 		c.mu.Unlock()
 		return res, TierMemory, true
 	}
-	c.mu.Unlock()
-
-	if c.dir == "" {
-		c.miss()
+	ext, onDisk := c.index[key]
+	if !onDisk {
+		c.misses++
+		c.mu.Unlock()
 		return nil, "", false
 	}
-	raw, err := os.ReadFile(c.path(key))
-	if err != nil {
-		c.miss()
+	c.mu.Unlock()
+
+	res, corrupt := c.read(key, ext)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if res == nil {
+		if corrupt && c.index[key] == ext {
+			delete(c.index, key)
+		}
+		c.misses++
 		return nil, "", false
+	}
+	c.diskHits++
+	c.insertLocked(key, res)
+	return res, TierDisk, true
+}
+
+// read reads key's record at ext, verifies it and decodes its result.
+// A record that fails verification — another key's, or one whose
+// checksum or envelope is bad — is corrupt; a failed read is not (the
+// log may have been closed).
+func (c *Cache) read(key [32]byte, ext extent) (res *core.Result, corrupt bool) {
+	rec := make([]byte, headerSize+int(ext.n))
+	if _, err := c.log.ReadAt(rec, ext.off); err != nil {
+		return nil, false
 	}
 	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil || env.Result == nil {
-		// A truncated or corrupt entry is treated as a miss; the next
-		// Put rewrites it atomically.
-		c.miss()
-		return nil, "", false
+	if [32]byte(rec[:32]) != key || binary.LittleEndian.Uint32(rec[36:40]) != recordCRC(rec) ||
+		json.Unmarshal(rec[headerSize:], &env) != nil {
+		return nil, true
 	}
-	c.mu.Lock()
-	c.diskHits++
-	c.insertLocked(key, env.Result)
-	c.mu.Unlock()
-	return env.Result, TierDisk, true
+	return env.Result, false
 }
 
-func (c *Cache) miss() {
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-}
-
-// Put stores a result under key in both tiers. The disk write is
-// atomic (temp file + rename), so a crash mid-write leaves either the
-// old entry or none — never a torn one.
+// Put stores a result under key in both tiers. A failed disk write is
+// returned and counted in Stats.DiskErrors; the memory tier keeps the
+// result either way.
 func (c *Cache) Put(key [32]byte, spec JobSpec, res *core.Result) error {
 	c.mu.Lock()
 	c.insertLocked(key, res)
 	c.mu.Unlock()
 
-	if c.dir == "" {
+	if c.log == nil {
 		return nil
 	}
-	raw, err := json.Marshal(envelope{Hash: fmt.Sprintf("%x", key), Spec: spec, Result: res})
+	err := c.append(key, envelope{Hash: fmt.Sprintf("%x", key), Spec: spec, Result: res})
+	if err != nil {
+		c.mu.Lock()
+		c.diskErrors++
+		c.mu.Unlock()
+	}
+	return err
+}
+
+// append writes key's record to the log's end in one write and indexes
+// it. A failed or short write truncates the log back to that end, so a
+// crash or a full disk leaves the earlier records and none of this one.
+func (c *Cache) append(key [32]byte, env envelope) error {
+	payload, err := json.Marshal(env)
 	if err != nil {
 		return fmt.Errorf("service: encode cache entry: %w", err)
 	}
-	return writeFileAtomic(c.path(key), raw)
-}
+	rec := make([]byte, headerSize, headerSize+len(payload))
+	copy(rec, key[:])
+	binary.LittleEndian.PutUint32(rec[32:36], uint32(len(payload)))
+	rec = append(rec, payload...)
+	binary.LittleEndian.PutUint32(rec[36:40], recordCRC(rec))
 
-// writeFileAtomic writes data to path through a temp file in the same
-// directory and a rename, so a crash or a full disk leaves the old file
-// or none — never a torn one.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "put-*.tmp")
-	if err != nil {
-		return err
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if _, err := c.writeAt(rec, c.end); err != nil {
+		// Should the truncate fail too, the torn bytes lie past end:
+		// the next append overwrites them, and what it leaves the next
+		// open trims or reads as a record that fails its checksum.
+		_ = c.log.Truncate(c.end)
+		return fmt.Errorf("service: cache log append: %w", err)
 	}
-	_, err = tmp.Write(data)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	c.mu.Lock()
+	c.index[key] = extent{c.end, uint32(len(payload))}
+	c.mu.Unlock()
+	c.end += int64(len(rec))
+	return nil
 }
 
 func (c *Cache) insertLocked(key [32]byte, res *core.Result) {
@@ -168,18 +286,17 @@ func (c *Cache) insertLocked(key [32]byte, res *core.Result) {
 	}
 }
 
-func (c *Cache) path(key [32]byte) string {
-	return filepath.Join(c.dir, fmt.Sprintf("%x.json", key))
-}
-
-// Stats is a point-in-time cache summary for /healthz.
+// Stats is a point-in-time cache summary for /healthz. DiskErrors
+// counts results the disk tier failed to persist (a full disk, a
+// closed log): each stays in memory only.
 type Stats struct {
-	Entries  int    `json:"entries"`
-	Capacity int    `json:"capacity"`
-	Hits     uint64 `json:"hits"`
-	DiskHits uint64 `json:"disk_hits"`
-	Misses   uint64 `json:"misses"`
-	Disk     bool   `json:"disk"`
+	Entries    int    `json:"entries"`
+	Capacity   int    `json:"capacity"`
+	Hits       uint64 `json:"hits"`
+	DiskHits   uint64 `json:"disk_hits"`
+	Misses     uint64 `json:"misses"`
+	DiskErrors uint64 `json:"disk_errors"`
+	Disk       bool   `json:"disk"`
 }
 
 // Stats returns the current counters.
@@ -187,11 +304,12 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Entries:  c.ll.Len(),
-		Capacity: c.cap,
-		Hits:     c.hits,
-		DiskHits: c.diskHits,
-		Misses:   c.misses,
-		Disk:     c.dir != "",
+		Entries:    c.ll.Len(),
+		Capacity:   c.cap,
+		Hits:       c.hits,
+		DiskHits:   c.diskHits,
+		Misses:     c.misses,
+		DiskErrors: c.diskErrors,
+		Disk:       c.log != nil,
 	}
 }

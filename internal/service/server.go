@@ -41,7 +41,9 @@ type Options struct {
 	QueueCap int
 	// CacheEntries bounds the in-memory result LRU (0 = default).
 	CacheEntries int
-	// CacheDir, when non-empty, enables the persistent result store.
+	// CacheDir, when non-empty, enables the persistent result store:
+	// one append-only log, <CacheDir>/results.log, that one daemon at a
+	// time may hold.
 	CacheDir string
 	// MaxCycles bounds each simulation (0 = core default).
 	MaxCycles int64
@@ -49,9 +51,9 @@ type Options struct {
 	// (harness.Suite.WarmupCycles): workloads declaring a shared
 	// prefix are forked from one warmed parent per (machine, prefix)
 	// instead of simulated from cycle zero. Warmed parents live in
-	// process only: CacheDir holds result envelopes, so a restarted
-	// daemon serves every earlier result from disk and re-warms once
-	// per (machine, prefix) for new variants.
+	// process only: CacheDir's log holds results, so a restarted daemon
+	// serves every earlier result from disk and re-warms once per
+	// (machine, prefix) for new variants.
 	WarmupCycles int64
 	// AllocPolicy selects the thread-to-cluster allocation policy for
 	// every simulation this server runs ("" or "static" = the seed
@@ -202,8 +204,8 @@ func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEn
 	if err != nil {
 		return nil, err
 	}
-	// A failed disk write degrades this entry to memory-only; the
-	// result itself is still good.
+	// A failed disk write degrades this entry to memory-only, counted
+	// in the cache's disk_errors; the result itself is still good.
 	start := time.Now()
 	_ = s.cache.Put(key, spec, res)
 	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(start))
@@ -286,14 +288,14 @@ func (s *Server) jobDone(j *Job) {
 }
 
 // Close drains the pool (bounded by ctx — expired deadlines cancel
-// in-flight simulations). It is the graceful-shutdown path behind
-// clusterd's signal handler.
+// in-flight simulations), then closes the cache's log. It is the
+// graceful-shutdown path behind clusterd's signal handler.
 func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.pool.Drain(ctx)
-	return nil
+	return s.cache.Close()
 }
 
 // Handler returns the HTTP API:

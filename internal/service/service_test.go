@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -264,7 +262,7 @@ func TestServiceConcurrentIdenticalSubmissions(t *testing.T) {
 }
 
 // TestServiceDiskCacheSurvivesRestart runs a job under server A with a
-// disk store, shuts A down gracefully (persisting the index), then
+// disk store, shuts A down gracefully (closing its log), then
 // boots server B on the same directory: the same spec must be served
 // instantly from the disk tier with identical result bytes.
 func TestServiceDiskCacheSurvivesRestart(t *testing.T) {
@@ -298,8 +296,8 @@ func TestServiceDiskCacheSurvivesRestart(t *testing.T) {
 	tsB := httptest.NewServer(srvB.Handler())
 	defer tsB.Close()
 	defer srvB.Close(context.Background())
-	if _, err := os.Stat(filepath.Join(dir, first.Hash+".json")); err != nil {
-		t.Fatalf("no envelope persisted under the job's hash: %v", err)
+	if recs := logOnly(t, dir, 1); fmt.Sprintf("%x", recs[0].key) != first.Hash {
+		t.Fatalf("the one record is keyed %x, want the job's hash %s", recs[0].key, first.Hash)
 	}
 
 	status, second, _ := submit(t, tsB, spec)
