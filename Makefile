@@ -54,7 +54,9 @@ diff:
 # shared frozen program, scored at once); interp's copy-on-write pages
 # (a forked parent and child writing their shared pages at once, with
 # no lock in Memory); harness (suite cache +
-# singleflight + its eviction + warm-up sharing + cancellation),
+# singleflight + its eviction + warm-up sharing + cancellation, and the
+# allocation figure's searches — TestAllocFigureRows — whose candidates
+# share one built mix),
 # service (queue, two-tier cache — TestCacheLogRace's appends racing
 # Gets that promote records from the log — backpressure, in-process warm-up forks,
 # e2e HTTP, figures through the cache, tracing), telemetry (concurrent
@@ -82,7 +84,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 16949
+LOC_BUDGET = 16779
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

@@ -28,7 +28,6 @@
 package clustersmt
 
 import (
-	"errors"
 	"fmt"
 
 	"clustersmt/internal/config"
@@ -145,8 +144,10 @@ func WorkloadByName(name string) (Workload, error) { return workloads.ByName(nam
 
 // Simulate runs workload app on machine m at the given input size and
 // returns the result. app may be a name ("swim") or a Workload. Like
-// SimulateProgram and SimulateMultiprogram, it refuses the "oracle"
-// allocation policy, which needs a Suite's offline search.
+// SimulateProgram and SimulateMultiprogram, it runs m.Alloc's policy
+// (static, icount or symbiosis) and refuses any other name — the
+// allocation figure's "oracle" column is a searched start assignment,
+// not a policy.
 func Simulate[A string | Workload](m Machine, app A, size Size) (*Result, error) {
 	var w Workload
 	switch v := any(app).(type) {
@@ -159,17 +160,11 @@ func Simulate[A string | Workload](m Machine, app A, size Size) (*Result, error)
 	case Workload:
 		w = v
 	}
-	return run(m, func() (*core.Simulator, error) { return core.New(m, w.Build(m.Threads(), m.Chips, size)) })
+	return run(func() (*core.Simulator, error) { return core.New(m, w.Build(m.Threads(), m.Chips, size)) })
 }
 
-// run builds m's simulator with mk and runs it. It refuses the oracle
-// policy, whose assignment comes from an offline search that a single
-// run does not do: without it the run would silently be the static one.
-func run(m Machine, mk func() (*core.Simulator, error)) (*Result, error) {
-	if m.Alloc.Policy == "oracle" {
-		return nil, errors.New(`clustersmt: the "oracle" policy needs its offline search: ` +
-			`use a Suite (harness.Suite) with AllocPolicy "oracle", or clustersim -alloc oracle`)
-	}
+// run builds a simulator with mk and runs it.
+func run(mk func() (*core.Simulator, error)) (*Result, error) {
 	sim, err := mk()
 	if err != nil {
 		return nil, fmt.Errorf("clustersmt: %w", err)
@@ -192,7 +187,7 @@ func NewProgram(name string) *ProgramBuilder { return prog.NewBuilder(name) }
 // SimulateProgram runs an assembled program on machine m with one
 // software thread per hardware context.
 func SimulateProgram(m Machine, p *Program) (*Result, error) {
-	return run(m, func() (*core.Simulator, error) { return core.New(m, p) })
+	return run(func() (*core.Simulator, error) { return core.New(m, p) })
 }
 
 // SimulateMultiprogram runs independent sequential jobs, one per
@@ -200,7 +195,7 @@ func SimulateProgram(m Machine, p *Program) (*Result, error) {
 // multiprogrammed configuration of the SMT studies the paper builds on.
 // Programs should be built for a single thread.
 func SimulateMultiprogram(m Machine, jobs []*Program) (*Result, error) {
-	return run(m, func() (*core.Simulator, error) { return core.NewMulti(m, jobs) })
+	return run(func() (*core.Simulator, error) { return core.NewMulti(m, jobs) })
 }
 
 // RunFunctional executes p on the functional reference machine (no

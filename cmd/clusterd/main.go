@@ -22,7 +22,6 @@
 // Usage:
 //
 //	clusterd [-addr :8421] [-size ref] [-workers N] [-queue N]
-//	         [-alloc icount] [-alloc-epoch N] [-list-policies]
 //	         [-cache-dir DIR] [-cache-entries N] [-max-cycles N]
 //	         [-warmup-cycles N] [-metrics-interval N] [-port-file PATH]
 //	         [-drain-timeout 30s] [-telemetry=false] [-pprof] [-version]
@@ -43,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"clustersmt/internal/alloc"
 	"clustersmt/internal/service"
 	"clustersmt/internal/version"
 	"clustersmt/internal/workloads"
@@ -69,11 +67,8 @@ func main() {
 
 	addr := flag.String("addr", ":8421", "listen address (host:port; port 0 picks a free port)")
 	sizeName := flag.String("size", "ref", "default input size for jobs and figures: test or ref")
-	workers := flag.Int("workers", 0, "concurrent simulations, for jobs and figures alike (0 = GOMAXPROCS; an oracle search holds one while scoring candidates on up to GOMAXPROCS goroutines)")
+	workers := flag.Int("workers", 0, "concurrent simulations, for jobs and figures alike (0 = GOMAXPROCS)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every simulation (default static; see -list-policies; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
-	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
 	cacheDir := flag.String("cache-dir", "", "persist results in this directory's append-only results.log (survives restarts; one daemon per directory)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
@@ -89,17 +84,6 @@ func main() {
 		fmt.Println(version.String())
 		return
 	}
-	if *listPolicies {
-		for _, p := range alloc.List() {
-			fmt.Printf("%-10s %s\n", p.Name, p.Desc)
-		}
-		return
-	}
-	// A typoed -alloc fails at startup with the registered list, not on
-	// the first job.
-	if _, err := alloc.New(*allocPolicy); err != nil {
-		log.Fatal(err)
-	}
 
 	size, err := workloads.ParseSize(*sizeName)
 	if err != nil {
@@ -114,8 +98,6 @@ func main() {
 		CacheDir:        *cacheDir,
 		MaxCycles:       *maxCycles,
 		WarmupCycles:    *warmupCycles,
-		AllocPolicy:     *allocPolicy,
-		AllocEpoch:      *allocEpoch,
 		MetricsInterval: *metricsInterval,
 
 		DisableTelemetry: !*telemetry,

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	clustersim [-arch SMT2] [-app ocean] [-highend] [-size ref] [-v]
-//	           [-alloc icount] [-alloc-epoch 10000] [-list-policies]
 //	           [-json] [-metrics out.csv] [-metrics-interval 10000]
 //	           [-trace t.json] [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -14,6 +13,11 @@
 // ending in .json gets JSON frames or a Chrome trace_event trace
 // (chrome://tracing, Perfetto), any other path CSV frames or the text
 // pipeline trace.
+//
+// Every run is at the seed placement: with one thread per hardware
+// context it fills every cluster, so there is no allocation policy to
+// choose (paperfigs -only alloc measures the policies on
+// multiprogrammed mixes).
 package main
 
 import (
@@ -27,8 +31,6 @@ import (
 	"strings"
 
 	"clustersmt"
-	"clustersmt/internal/alloc"
-	"clustersmt/internal/config"
 	"clustersmt/internal/core"
 	"clustersmt/internal/obs"
 	"clustersmt/internal/version"
@@ -42,9 +44,6 @@ func main() {
 	archName := flag.String("arch", "SMT2", "architecture: FA8, FA4, FA2, FA1, SMT8, SMT4, SMT2, SMT1")
 	appName := flag.String("app", "ocean", "application: swim, tomcatv, mgrid, vpenta, fmm, ocean (paper) or radix, lu (extras)")
 	highEnd := flag.Bool("highend", false, "simulate the 4-chip high-end machine instead of the 1-chip low-end")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy (default static; see -list-policies; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
-	listPolicies := flag.Bool("list-policies", false, "list the registered allocation policies and exit")
 	sizeName := flag.String("size", "ref", "input size: test or ref")
 	verbose := flag.Bool("v", false, "print extended statistics")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON instead of the text report (same encoding clusterd serves)")
@@ -60,17 +59,6 @@ func main() {
 	if *showVersion {
 		fmt.Println(version.String())
 		return
-	}
-	if *listPolicies {
-		for _, p := range alloc.List() {
-			fmt.Printf("%-10s %s\n", p.Name, p.Desc)
-		}
-		return
-	}
-	// Fail a typoed -alloc before any simulation work; the error lists
-	// every registered policy.
-	if _, err := alloc.New(*allocPolicy); err != nil {
-		log.Fatal(err)
 	}
 
 	if *cpuProfile != "" {
@@ -110,7 +98,6 @@ func main() {
 	if *highEnd {
 		m = clustersmt.HighEnd(arch)
 	}
-	m.Alloc = config.AllocConfig{Policy: *allocPolicy, Epoch: *allocEpoch}
 
 	w, err := clustersmt.WorkloadByName(*appName)
 	if err != nil {
@@ -120,22 +107,6 @@ func main() {
 	sim, err := core.New(m, prg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *allocPolicy == "oracle" {
-		// The oracle is an offline search, not a runtime policy: profile
-		// every canonical static assignment over a short prefix and
-		// install the winner before the measured run. The search
-		// simulators share the one frozen program.
-		sm := m
-		sm.Alloc = config.AllocConfig{}
-		mk := func() (*core.Simulator, error) { return core.New(sm, prg) }
-		best, _, err := core.SearchStatic(mk, core.SearchPrefixCycles, core.SearchMaxCandidates)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sim.SetAssignment(best); err != nil {
-			log.Fatal(err)
-		}
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -202,10 +173,6 @@ func main() {
 	fmt.Println("synchronization:")
 	fmt.Printf("  lock-acquires=%d lock-conflicts=%d barrier-episodes=%d\n",
 		res.LockAcquires, res.LockConflicts, res.BarrierWaits)
-	if res.AllocEpochs > 0 {
-		fmt.Println("allocation:")
-		fmt.Printf("  policy=%s epochs=%d migrations=%d\n", *allocPolicy, res.AllocEpochs, res.AllocMigrations)
-	}
 	fmt.Println("front end:")
 	fmt.Printf("  branch-mispredict=%.2f%% (%d/%d) btb-mispredict=%d/%d rename-stalls=%d window-stalls=%d forwarded-loads=%d\n",
 		100*res.MispredictRate(), res.BranchMispredicts, res.BranchLookups,

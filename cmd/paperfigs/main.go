@@ -44,7 +44,6 @@ func main() {
 	progress := flag.Bool("progress", false, "print a per-run heartbeat to stderr every metrics interval")
 	metricsDir := flag.String("metrics", "", "export each run's interval metrics as CSV into this directory")
 	metricsInterval := flag.Int64("metrics-interval", clustersmt.DefaultMetricsInterval, "cycles per metrics frame")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval for the alloc figure's dynamic policies (0 = figure default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	showVersion := flag.Bool("version", false, "print build information and exit")
@@ -175,7 +174,7 @@ func main() {
 		fmt.Fprintln(out)
 	}
 	if sel("alloc") {
-		fig, err := suite.AllocationFigure(ctx, *allocEpoch)
+		fig, err := suite.AllocationFigure(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -19,7 +19,9 @@
 //
 //	sweep [-archs FA8,FA4,FA2,FA1,SMT2] [-size test] [-parallel N]
 //	      [-warmup-iters N] [-warmup-cycles N]
-//	      [-alloc icount] [-alloc-epoch N]
+//
+// Every cell runs at the seed placement: a grid point has one thread
+// per hardware context, so no allocation policy could move one.
 package main
 
 import (
@@ -31,7 +33,6 @@ import (
 	"strings"
 
 	"clustersmt"
-	"clustersmt/internal/alloc"
 	"clustersmt/internal/harness"
 	"clustersmt/internal/version"
 	"clustersmt/internal/workloads"
@@ -46,8 +47,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max simultaneous simulations")
 	warmupIters := flag.Int64("warmup-iters", 0, "prepend a shared warm-up prefix of N serial iterations to every grid cell")
 	warmupCycles := flag.Int64("warmup-cycles", 0, "checkpoint the warm-up at this cycle and fork grid cells from it (0 = off)")
-	allocPolicy := flag.String("alloc", "", "thread-to-cluster allocation policy for every grid cell (default static; on a single program icount and symbiosis cannot migrate until a thread finishes: the seed placement fills every cluster)")
-	allocEpoch := flag.Int64("alloc-epoch", 0, "rebalance interval in cycles for dynamic allocation policies (0 = default)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *showVersion {
@@ -68,14 +67,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if _, err := alloc.New(*allocPolicy); err != nil {
-		log.Fatal(err)
-	}
 	suite := harness.NewSuite(size)
 	suite.SetParallelism(*parallel)
 	suite.WarmupCycles = *warmupCycles
-	suite.AllocPolicy = *allocPolicy
-	suite.AllocEpoch = *allocEpoch
 
 	// Plane axes: ParCap (threads) × ChainLen (inverse ILP).
 	caps := []int{1, 2, 4, 0} // 0 = all 8 contexts

@@ -106,55 +106,34 @@ func StaticPlace(threads int, clusters []ClusterInfo) []int {
 	return out
 }
 
-// Info is one registry row for -list-policies.
-type Info struct {
-	Name string
-	Desc string
-}
-
-type entry struct {
-	desc      string
-	rebalance Rebalance
-}
-
-var registry = map[string]entry{}
+var registry = map[string]Rebalance{}
 
 // Register adds a policy under name; a nil r is a policy that never
 // migrates. It panics on duplicates — registration happens in package
 // init blocks, so a collision is a programming error.
-func Register(name, desc string, r Rebalance) {
+func Register(name string, r Rebalance) {
 	if _, ok := registry[name]; ok {
 		panic(fmt.Sprintf("alloc: policy %q registered twice", name))
 	}
-	registry[name] = entry{desc: desc, rebalance: r}
+	registry[name] = r
 }
 
 // New resolves a policy by name; "" means "static". The result is nil
 // for a policy that never migrates. Unknown names fail fast with the
-// full registered list, so a typoed -alloc flag surfaces every valid
-// choice.
+// sorted registered list, so a typoed Machine.Alloc.Policy surfaces
+// every valid choice.
 func New(name string) (Rebalance, error) {
 	if name == "" {
 		name = "static"
 	}
-	e, ok := registry[name]
+	r, ok := registry[name]
 	if !ok {
 		known := make([]string, 0, len(registry))
-		for _, p := range List() {
-			known = append(known, p.Name)
+		for n := range registry {
+			known = append(known, n)
 		}
+		sort.Strings(known)
 		return nil, fmt.Errorf("alloc: unknown policy %q (known: %s)", name, strings.Join(known, ", "))
 	}
-	return e.rebalance, nil
-}
-
-// List returns the registered policies with their one-line
-// descriptions, sorted by name — the -list-policies payload.
-func List() []Info {
-	out := make([]Info, 0, len(registry))
-	for n, e := range registry {
-		out = append(out, Info{Name: n, Desc: e.desc})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return r, nil
 }

@@ -14,13 +14,9 @@ package alloc
 const hysteresisEpochs = 2
 
 func init() {
-	Register("static", "seed placement, never migrates (the paper's configuration; bit-identical to no allocator)", nil)
-	Register("icount", "rebalance toward clusters with the fewest in-flight instructions (ICOUNT-style feedback)", ICount)
-	Register("symbiosis", "separate cache-antagonistic threads across chips using L1/L2 miss and MSHR-occupancy deltas", Symbiosis)
-	// The oracle's assignment is found offline (core.SearchStatic) and
-	// installed with core.Simulator.SetAssignment before the run, so
-	// the policy itself never migrates.
-	Register("oracle", "best of the first 64 canonical static assignments, each profiled over a short prefix (exhaustive only where there are at most 64; no migrations)", nil)
+	Register("static", nil) // the seed placement, never migrates: the paper's configuration
+	Register("icount", ICount)
+	Register("symbiosis", Symbiosis)
 }
 
 // pickVictim chooses which thread to move off cluster src: the live,

@@ -73,8 +73,8 @@ func (m Machine) AppendCanonical(b *strings.Builder) {
 	// Allocation policy: the normalized static form emits nothing, so
 	// every pre-allocation encoding (and hence every persisted cache
 	// entry and snapshot machine hash) stays byte-identical; dynamic
-	// policies append their identity so the service cache never
-	// conflates two policies' results.
+	// policies append their identity so two policies' machines never
+	// share a hash (core.Restore refuses a checkpoint of another's).
 	if a := m.Alloc.Normalize(); a.Policy != "" {
 		fmt.Fprintf(b, "alloc.policy=%s\n", a.Policy)
 		fmt.Fprintf(b, "alloc.epoch=%d\n", a.Epoch)

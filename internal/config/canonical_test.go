@@ -2,6 +2,7 @@ package config
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -75,6 +76,21 @@ func TestCanonicalDistinguishesConfigs(t *testing.T) {
 	pred := LowEnd(SMT2)
 	pred.Arch.PredictorEntries = 4096
 	add("low-end/SMT2+pred4k", pred)
+
+	// A dynamic allocation policy, and its epoch, are part of the
+	// machine (core.Restore refuses a checkpoint of another policy's
+	// machine), while an explicit "static" is the seed placement and
+	// keeps the policy-free key.
+	for _, a := range []AllocConfig{{Policy: "icount"}, {Policy: "symbiosis"}, {Policy: "icount", Epoch: 2000}} {
+		m := LowEnd(SMT2)
+		m.Alloc = a
+		add(fmt.Sprintf("low-end/SMT2+%s@%d", a.Policy, a.Epoch), m)
+	}
+	static := LowEnd(SMT2)
+	static.Alloc = AllocConfig{Policy: "static", Epoch: 2000}
+	if static.Hash() != LowEnd(SMT2).Hash() {
+		t.Fatal("an explicit static policy moved the machine's hash")
+	}
 }
 
 // TestCanonicalValidates confirms Canonical rejects broken machines.

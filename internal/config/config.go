@@ -233,11 +233,15 @@ const DefaultAllocEpoch = 10000
 
 // AllocConfig selects the thread-to-cluster allocation policy
 // (internal/alloc) and, for dynamic policies, the epoch length in
-// cycles between Rebalance consultations.
+// cycles between Rebalance consultations. The allocation figure's
+// dynamic columns set it (harness.Suite.AllocationFigure); no paper
+// run does, because with one thread per context the seed placement
+// fills every cluster and leaves a policy nothing to move.
 type AllocConfig struct {
-	// Policy names a registered allocation policy. Threads start at
-	// the seed placement under every policy; "", "static" and "oracle"
-	// never migrate them.
+	// Policy names a registered allocation policy: "static" (or "")
+	// never migrates, "icount" and "symbiosis" rebalance. Threads start
+	// at the seed placement under every policy. Any other name, the
+	// figure's "oracle" column among them, is refused by core.New.
 	Policy string
 	// Epoch is the rebalance interval in cycles (dynamic policies
 	// only; <= 0 resolves to DefaultAllocEpoch).

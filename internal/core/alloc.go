@@ -114,9 +114,9 @@ func validAssignment(n int, infos []alloc.ClusterInfo, assign []int) error {
 }
 
 // SetAssignment re-places the threads of a fresh (never stepped)
-// simulator according to assign — the oracle policy's entry point: the
-// harness searches for the best static assignment offline
-// (SearchStatic) and installs it here before Run.
+// simulator according to assign — how the allocation figure starts its
+// worst, oracle and dynamic columns: the harness searches the static
+// assignments offline (SearchStatic) and installs one here before Run.
 func (s *Simulator) SetAssignment(assign []int) error {
 	if s.cycle != 0 || s.committed != 0 {
 		return fmt.Errorf("core: SetAssignment requires a fresh simulator")
@@ -300,11 +300,10 @@ func (s *Simulator) moveThread(t *threadCtx, now int64) {
 
 // ---- oracle search ----
 
-// The oracle-search budget every caller of SearchStatic uses (the
-// harness's oracle policy, the allocation figure, clustersim -alloc
-// oracle): each candidate static assignment is profiled for
-// SearchPrefixCycles, and the canonical enumeration is capped at
-// SearchMaxCandidates. The cap keeps the high-end machines, whose
+// The oracle-search budget of the allocation figure's rows
+// (harness.Suite.AllocationFigure): each candidate static assignment is
+// profiled for SearchPrefixCycles, and the canonical enumeration is
+// capped at SearchMaxCandidates. The cap keeps the high-end machines, whose
 // assignment spaces are huge, bounded; enumeration order is
 // deterministic, so the cap never introduces run-to-run variance.
 const (

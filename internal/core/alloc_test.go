@@ -230,8 +230,8 @@ func checkPolicy(s *alloc.Snapshot) []alloc.Migration {
 }
 
 func init() {
-	alloc.Register("chaos-test", "test-only: proposes only invalid migrations", chaosPolicy)
-	alloc.Register("invcheck-test", "test-only: icount plus epoch-snapshot invariant auditing", checkPolicy)
+	alloc.Register("chaos-test", chaosPolicy)    // proposes only invalid migrations
+	alloc.Register("invcheck-test", checkPolicy) // icount plus epoch-snapshot invariant auditing
 }
 
 // TestAllocInvalidProposalsRejected runs the chaos policy — nothing it

@@ -73,7 +73,7 @@ type Simulator struct {
 	sleepStats SleepStats
 
 	// alloc is the dynamic allocation-policy state (nil for static
-	// placement — the default — and for the oracle's fixed assignments);
+	// placement — the default — and for installed fixed assignments);
 	// migrating lists threads marked for migration and still draining
 	// their in-flight window. See alloc.go.
 	alloc     *allocState
@@ -456,7 +456,7 @@ type Result struct {
 
 	// AllocMigrations counts accepted thread migrations and AllocEpochs
 	// the allocation-policy epoch boundaries evaluated; both stay zero
-	// for static placement and the oracle's fixed assignments.
+	// for static placement and installed fixed assignments.
 	AllocMigrations uint64
 	AllocEpochs     uint64
 }

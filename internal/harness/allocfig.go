@@ -11,11 +11,11 @@ import (
 	"clustersmt/internal/workloads"
 )
 
-// allocFigEpoch is the rebalance interval the allocation figure uses
-// when the caller does not pick one. The figure's multiprogrammed
-// mixes finish in a few hundred thousand cycles at test size, so the
-// default is much shorter than config.DefaultAllocEpoch — the dynamic
-// policies get enough epoch boundaries to react within the run.
+// allocFigEpoch is the rebalance interval of the allocation figure's
+// dynamic columns. The figure's multiprogrammed mixes finish in a few
+// hundred thousand cycles at test size, so it is much shorter than
+// config.DefaultAllocEpoch — the dynamic policies get enough epoch
+// boundaries to react within the run.
 const allocFigEpoch = 2000
 
 // AllocPolicies are the allocation figure's columns, in render order:
@@ -108,17 +108,14 @@ func allocMixJobs(contexts int, size workloads.Size) mix {
 // AllocationFigure measures the dynamic allocation policies against
 // the static bounds on a multiprogrammed mix at the suite's input size,
 // across all seven Table 2 presets on both the low-end and high-end
-// machines. epoch <= 0 uses allocFigEpoch. Every search and run goes
-// through the suite's memo, so a second render runs nothing. The whole
-// figure is deterministic: rendering it twice produces byte-identical
-// output.
-func (s *Suite) AllocationFigure(ctx context.Context, epoch int64) (*AllocFigure, error) {
-	if epoch <= 0 {
-		epoch = allocFigEpoch
-	}
+// machines, with epochs of allocFigEpoch cycles. Every search and run
+// goes through the suite's memo, so a second render runs nothing. The
+// whole figure is deterministic: rendering it twice produces
+// byte-identical output.
+func (s *Suite) AllocationFigure(ctx context.Context) (*AllocFigure, error) {
 	f := &AllocFigure{
 		Title: fmt.Sprintf("Dynamic allocation: multiprogrammed mix, cycles to completion "+
-			"(dynamic policies start from the worst static assignment; epoch=%d)", epoch),
+			"(dynamic policies start from the worst static assignment; epoch=%d)", allocFigEpoch),
 		Policies: AllocPolicies,
 	}
 	var machines []config.Machine
@@ -129,7 +126,7 @@ func (s *Suite) AllocationFigure(ctx context.Context, epoch int64) (*AllocFigure
 	// is byte-identical regardless of scheduling.
 	f.Rows = make([]AllocRow, len(machines))
 	if err := each(len(machines), func(i int) (err error) {
-		f.Rows[i], err = s.allocRow(ctx, machines[i], epoch)
+		f.Rows[i], err = s.allocRow(ctx, machines[i])
 		return err
 	}); err != nil {
 		return nil, err
@@ -141,7 +138,7 @@ func (s *Suite) AllocationFigure(ctx context.Context, epoch int64) (*AllocFigure
 // once for the best/worst bounds, then run the mix under each policy
 // column. Columns that resolve to one run (worst and oracle when the
 // search finds one assignment for both) share it through the memo.
-func (s *Suite) allocRow(ctx context.Context, m config.Machine, epoch int64) (AllocRow, error) {
+func (s *Suite) allocRow(ctx context.Context, m config.Machine) (AllocRow, error) {
 	x := allocMixJobs(m.Threads(), s.Size)
 	progs := sync.OnceValue(x.progs) // one build, read-only to every candidate
 	best, worst, err := s.search(ctx, x.key(m, nil), func() (*core.Simulator, error) { return core.NewMulti(m, progs()) })
@@ -158,7 +155,7 @@ func (s *Suite) allocRow(ctx context.Context, m config.Machine, epoch int64) (Al
 		case "oracle":
 			start = best
 		default:
-			pm.Alloc = config.AllocConfig{Policy: pol, Epoch: epoch}
+			pm.Alloc = config.AllocConfig{Policy: pol, Epoch: allocFigEpoch}
 		}
 		r, err := s.runMulti(ctx, pm, x, start)
 		if err != nil {

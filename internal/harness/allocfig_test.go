@@ -50,7 +50,7 @@ func TestAllocFigureRows(t *testing.T) {
 		t.Helper()
 		got := make([]AllocRow, len(rows))
 		if err := each(len(rows), func(i int) (err error) {
-			got[i], err = s.allocRow(ctx, rows[i].m, allocFigEpoch)
+			got[i], err = s.allocRow(ctx, rows[i].m)
 			return err
 		}); err != nil {
 			t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"clustersmt/internal/config"
-	"clustersmt/internal/core"
 	"clustersmt/internal/workloads"
 )
 
@@ -72,7 +71,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	// a failure), so the next identical request would re-run. Checked
 	// directly rather than by re-running the full ref-size simulation.
 	s.mu.Lock()
-	_, stillCached := s.cache[key(w.Name, s.Size, config.SMT1, 1, config.AllocConfig{})]
+	_, stillCached := s.cache[key(w.Name, s.Size, config.SMT1, 1)]
 	s.mu.Unlock()
 	if stillCached {
 		t.Fatal("canceled run left a poisoned cache entry")
@@ -197,29 +196,5 @@ func TestRunMatrixLowestIndexError(t *testing.T) {
 		if _, err := s.RunMatrixContext(context.Background(), apps, archs, false); err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Fatalf("matrix error %v; want the one of %s", err, want)
 		}
-	}
-}
-
-// TestOraclePolicy runs a cell under the oracle policy, whose offline
-// search builds its throwaway simulators concurrently from the cell's
-// one shared program (the -race leg is what checks that sharing), and
-// requires two fresh suites to agree on the result.
-func TestOraclePolicy(t *testing.T) {
-	w, err := workloads.ByName("ocean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() *core.Result {
-		t.Helper()
-		s := NewSuite(workloads.SizeTest)
-		s.AllocPolicy = "oracle"
-		r, err := s.Run(w, config.SMT2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if a, b := run(), run(); a.Cycles <= 0 || !reflect.DeepEqual(a, b) {
-		t.Fatalf("oracle runs differ or are empty:\n%+v\n%+v", a, b)
 	}
 }

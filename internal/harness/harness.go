@@ -56,9 +56,9 @@ type runKey struct {
 	issue    int
 	tpc      int
 	chips    int
-	// Normalized allocation policy: two policies must never share a
-	// cached result (the canonical machine encoding makes the same
-	// distinction for the persistent service cache).
+	// A mix's normalized allocation policy (a single-program run's is
+	// always the seed placement's, ""): two policies must never share a
+	// cached result.
 	policy string
 	epoch  int64
 }
@@ -189,14 +189,6 @@ type Suite struct {
 	// MaxCycles bounds each simulation (0 = core default).
 	MaxCycles int64
 
-	// AllocPolicy selects the thread-to-cluster allocation policy for
-	// every simulation this suite runs ("" or "static" = the paper's
-	// fixed seed placement; see internal/alloc for the registry).
-	// AllocEpoch is the dynamic policies' epoch length in cycles (0 =
-	// config.DefaultAllocEpoch). Set before the first Run.
-	AllocPolicy string
-	AllocEpoch  int64
-
 	// MetricsInterval > 0 enables interval metrics on every simulation
 	// (one obs.Frame per MetricsInterval cycles, retained in a ring of
 	// obs.DefaultRingCap frames). Sampling is read-only: results,
@@ -271,9 +263,6 @@ type state struct {
 	warmForks    atomic.Int64
 	warmRestores atomic.Int64
 	sims         atomic.Int64
-
-	allocMigrations atomic.Int64
-	allocEpochs     atomic.Int64
 }
 
 // outcome is one run as the result memo holds it: the result (nil for
@@ -325,20 +314,9 @@ func (s *Suite) SetParallelism(n int) {
 	s.sem = make(chan struct{}, n)
 }
 
-func key(app string, size workloads.Size, arch config.Arch, chips int, a config.AllocConfig) runKey {
+func key(app string, size workloads.Size, arch config.Arch, chips int) runKey {
 	return runKey{app: app, size: size, clusters: arch.Clusters, issue: arch.IssueWidth,
-		tpc: arch.ThreadsPerCluster, chips: chips, policy: a.Policy, epoch: a.Epoch}
-}
-
-// machine resolves the suite's machine for one run: the paper preset
-// plus the suite's allocation policy.
-func (s *Suite) machine(arch config.Arch, highEnd bool) config.Machine {
-	m := config.LowEnd(arch)
-	if highEnd {
-		m = config.HighEnd(arch)
-	}
-	m.Alloc = config.AllocConfig{Policy: s.AllocPolicy, Epoch: s.AllocEpoch}
-	return m
+		tpc: arch.ThreadsPerCluster, chips: chips}
 }
 
 // Run simulates app on arch (low-end: 1 chip; high-end: 4 chips),
@@ -366,9 +344,12 @@ func canceled(err error) bool {
 // like results (a failing configuration simulates once, not once per
 // figure that includes it). Every error names the run, once.
 func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
-	m := s.machine(arch, highEnd)
-	k := key(app.Name, s.Size, arch, m.Chips, m.Alloc.Normalize())
-	return s.memo(ctx, k, app.Name, m.Name, func() (outcome, error) { return s.runShared(ctx, k, app, arch, highEnd, m) })
+	m := config.LowEnd(arch)
+	if highEnd {
+		m = config.HighEnd(arch)
+	}
+	k := key(app.Name, s.Size, arch, m.Chips)
+	return s.memo(ctx, k, app.Name, m.Name, func() (outcome, error) { return s.runShared(ctx, app, arch, highEnd, m) })
 }
 
 // runShared is the owner side of RunContext's singleflight: it hands
@@ -377,14 +358,14 @@ func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch con
 // the local path as the simulation the hook may call. (A function of
 // its own, so that a memo hit does not move m to the heap.) A result
 // the hook answers without simulating comes without frames.
-func (s *Suite) runShared(ctx context.Context, k runKey, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (outcome, error) {
+func (s *Suite) runShared(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (outcome, error) {
 	if s.Store == nil {
-		return s.runOwned(ctx, k, app, m)
+		return s.runOwned(ctx, app, m)
 	}
 	var o outcome
 	res, err := s.Store(ctx, app.Name, arch, highEnd, s.Size, func() (*core.Result, error) {
 		var err error
-		o, err = s.runOwned(ctx, k, app, m)
+		o, err = s.runOwned(ctx, app, m)
 		return o.res, err
 	})
 	o.res = res
@@ -414,31 +395,15 @@ func (s *Suite) memo(ctx context.Context, k runKey, app, machine string, fn func
 }
 
 // runOwned simulates a single-program run, the local path of
-// runShared. Under the oracle policy it first searches the same run's
-// static assignments (Suite.search) and installs the best.
-func (s *Suite) runOwned(ctx context.Context, k runKey, app workloads.Workload, m config.Machine) (outcome, error) {
-	p := sync.OnceValue(func() *prog.Program { return app.Build(m.Threads(), m.Chips, s.Size) })
-	var start []int
-	if k.policy == "oracle" {
-		sm := m
-		sm.Alloc = config.AllocConfig{}
-		best, _, err := s.search(ctx, key(app.Name, s.Size, m.Arch, m.Chips, sm.Alloc), func() (*core.Simulator, error) { return core.New(sm, p()) })
-		if err != nil {
-			return outcome{}, fmt.Errorf("oracle search: %w", err)
+// runShared: forked from a warmed parent where the program declares a
+// shared prefix (warmStart), from scratch otherwise.
+func (s *Suite) runOwned(ctx context.Context, app workloads.Workload, m config.Machine) (outcome, error) {
+	return s.simulate(ctx, app.Name, m.Name, m.Chips > 1, nil, func() (*core.Simulator, error) {
+		p := app.Build(m.Threads(), m.Chips, s.Size)
+		if sim, err := s.warmStart(ctx, m, p); sim != nil || err != nil {
+			return sim, err
 		}
-		start = best
-	}
-	return s.simulate(ctx, app.Name, m.Name, m.Chips > 1, start, func() (*core.Simulator, error) {
-		if k.policy == "" {
-			// Warmed checkpoints are shared across runs with identical
-			// machine hashes under the seed placement; a non-static
-			// policy changes placement (and thus warm-up) itself, so
-			// those runs always start cold.
-			if sim, err := s.warmStart(ctx, m, p()); sim != nil || err != nil {
-				return sim, err
-			}
-		}
-		return core.New(m, p())
+		return core.New(m, p)
 	})
 }
 
@@ -464,7 +429,9 @@ func (x mix) progs() []*prog.Program {
 // key is the memo key of x on m from the start assignment, written
 // "0-2-1-3", or "seed" for nil, the seed placement.
 func (x mix) key(m config.Machine, start []int) runKey {
-	k := key(x.name, x.size, m.Arch, m.Chips, m.Alloc.Normalize())
+	k := key(x.name, x.size, m.Arch, m.Chips)
+	a := m.Alloc.Normalize()
+	k.policy, k.epoch = a.Policy, a.Epoch
 	k.start = cmp.Or(strings.Trim(strings.ReplaceAll(fmt.Sprint(start), " ", "-"), "[]"), "seed")
 	return k
 }
@@ -486,10 +453,10 @@ func (s *Suite) runMulti(ctx context.Context, m config.Machine, x mix, start []i
 
 // search returns the best and worst static assignments of the run k
 // names, by core.SearchStatic at its standard budget over simulators
-// mk builds, memoized like a run: the oracle policy and the allocation
-// figure search each (workload, machine) once. A search holds one
-// simulation slot while SearchStatic's own workers score its
-// candidates, so searches are bounded like runs.
+// mk builds, memoized like a run: the allocation figure searches each
+// (mix, machine) once. A search holds one simulation slot while
+// SearchStatic's own workers score its candidates, so searches are
+// bounded like runs.
 func (s *Suite) search(ctx context.Context, k runKey, mk func() (*core.Simulator, error)) (best, worst []int, err error) {
 	v, err := s.searched.do(ctx, k, func() ([2][]int, error) {
 		if err := s.acquire(ctx); err != nil {
@@ -579,8 +546,6 @@ func (s *Suite) simulate(ctx context.Context, app, machine string, highEnd bool,
 		}
 		return o, err
 	}
-	s.allocMigrations.Add(int64(r.AllocMigrations))
-	s.allocEpochs.Add(int64(r.AllocEpochs))
 	o.res = r
 	return o, nil
 }
@@ -592,16 +557,6 @@ func (s *Suite) simulate(ctx context.Context, app, machine string, highEnd bool,
 // It is the counter the service's restart tests and /healthz use to
 // prove "zero simulations ran" on a fully cached request.
 func (s *Suite) Simulations() int64 { return s.sims.Load() }
-
-// AllocMigrations returns the total number of thread migrations the
-// allocation subsystem performed across every simulation this suite
-// ran locally, at every size (always zero under the static policy).
-func (s *Suite) AllocMigrations() int64 { return s.allocMigrations.Load() }
-
-// AllocEpochs returns the total number of allocation epoch boundaries
-// evaluated across every simulation this suite ran locally, at every
-// size.
-func (s *Suite) AllocEpochs() int64 { return s.allocEpochs.Load() }
 
 // Metrics returns the retained frame ring of the given finished run at
 // the suite's size ("app@machine", as listed by MetricsRuns), or nil.

@@ -558,64 +558,6 @@ func TestServiceDiskCacheRecoversFromCrash(t *testing.T) {
 	}
 }
 
-// TestServiceCacheKeyCoversAllocPolicy: the server's allocation policy
-// is part of every job's content hash, so a daemon restarted under
-// another -alloc over the same cache directory simulates the job itself
-// instead of serving the first policy's cycles, while a restart under
-// the same policy still hits — under the very key an unconfigured
-// daemon has always used, static normalizing to nothing.
-func TestServiceCacheKeyCoversAllocPolicy(t *testing.T) {
-	dir := t.TempDir()
-	spec := JobSpec{App: "ocean", Arch: "SMT2"}
-	// Each daemon is closed before the next opens the directory, and
-	// the log grows by one record per simulated job.
-	run := func(opts Options, records int) (wireJob, uint64) {
-		t.Helper()
-		opts.CacheDir = dir
-		srv, ts := newTestServer(t, opts)
-		status, j, _ := submit(t, ts, spec)
-		if status == http.StatusAccepted {
-			j = waitJob(t, ts, j.ID)
-		}
-		if j.Status != StateDone {
-			t.Fatalf("job under %+v: status %d, %+v", opts, status, j)
-		}
-		ts.Close()
-		if err := srv.Close(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		logOnly(t, dir, records)
-		var res core.Result
-		if err := json.Unmarshal(j.Result, &res); err != nil {
-			t.Fatal(err)
-		}
-		return j, res.AllocEpochs
-	}
-
-	static, staticEpochs := run(Options{}, 1)
-	if static.CacheHit || staticEpochs != 0 {
-		t.Fatalf("first static run: cache_hit=%v alloc epochs=%d, want a fresh run with none", static.CacheHit, staticEpochs)
-	}
-	rj, err := spec.Resolve(workloads.SizeTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if static.Hash != rj.HashHex() {
-		t.Fatalf("static job keyed %s, want the policy-free key %s", static.Hash, rj.HashHex())
-	}
-	icount, icountEpochs := run(Options{AllocPolicy: "icount", AllocEpoch: 2000}, 2)
-	if icount.CacheHit || icount.Hash == static.Hash {
-		t.Fatalf("icount daemon over a static cache dir: cache_hit=%v hash=%s (static %s)", icount.CacheHit, icount.Hash, static.Hash)
-	}
-	if icountEpochs == 0 {
-		t.Fatal("icount run evaluated no allocation epochs: it was not simulated under icount")
-	}
-	again, _ := run(Options{AllocPolicy: "static"}, 2)
-	if !again.CacheHit || again.CacheTier != TierDisk || !bytes.Equal(again.Result, static.Result) {
-		t.Fatalf("static daemon over its own cache dir: %+v, want the first run's bytes from disk", again)
-	}
-}
-
 // getBody fetches url and returns its body, failing on any status but
 // 200.
 func getBody(t *testing.T, url string) []byte {

@@ -32,9 +32,7 @@ type Options struct {
 	DefaultSize workloads.Size
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS): every
 	// simulation the daemon runs, for jobs and figures alike and at
-	// every input size, holds one of these slots. An oracle search holds
-	// one slot while core.SearchStatic scores its candidates on up to
-	// GOMAXPROCS goroutines.
+	// every input size, holds one of these slots.
 	Workers int
 	// QueueCap bounds the admission FIFO (0 = DefaultQueueCap). A full
 	// queue rejects submissions with 429 + Retry-After.
@@ -55,14 +53,6 @@ type Options struct {
 	// serves every earlier result from disk and re-warms once per
 	// (machine, prefix) for new variants.
 	WarmupCycles int64
-	// AllocPolicy selects the thread-to-cluster allocation policy for
-	// every simulation this server runs ("" or "static" = the seed
-	// placement; see internal/alloc). It is part of the machine's
-	// canonical encoding, so results cached under one policy are never
-	// served for another. AllocEpoch is the dynamic policies' rebalance
-	// interval in cycles (0 = config.DefaultAllocEpoch).
-	AllocPolicy string
-	AllocEpoch  int64
 	// MetricsInterval > 0 samples interval metrics on every simulation,
 	// served by GET /v1/metrics/{run}.
 	MetricsInterval int64
@@ -133,8 +123,6 @@ func New(opts Options) (*Server, error) {
 	// service cache, at every size (harness.Suite.At).
 	st := harness.NewSuite(opts.DefaultSize)
 	st.MaxCycles = opts.MaxCycles
-	st.AllocPolicy = opts.AllocPolicy
-	st.AllocEpoch = opts.AllocEpoch
 	st.MetricsInterval = opts.MetricsInterval
 	st.WarmupCycles = opts.WarmupCycles
 	st.Store = s.store
@@ -143,7 +131,7 @@ func New(opts Options) (*Server, error) {
 		// measures true simulation time — never a cache lookup.
 		st.OnSimulate = func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error) {
 			observe(s.tel.simulate, d)
-			attrs := map[string]string{"app": app, "machine": machine, "policy": s.tel.policy}
+			attrs := map[string]string{"app": app, "machine": machine}
 			if err != nil {
 				attrs["error"] = err.Error()
 			}
@@ -157,19 +145,6 @@ func New(opts Options) (*Server, error) {
 	st.SetParallelism(s.pool.Workers())
 	s.suite = st
 	return s, nil
-}
-
-// resolve is JobSpec.Resolve for a job this server will run: the
-// machine carries the server's allocation policy, as the suite's does,
-// so results cached under one policy are never served for another (the
-// static policy normalizes to nothing and leaves the key as it was).
-func (s *Server) resolve(spec JobSpec) (*ResolvedJob, error) {
-	rj, err := spec.Resolve(s.opts.DefaultSize)
-	if err != nil {
-		return nil, err
-	}
-	rj.Machine.Alloc = config.AllocConfig{Policy: s.opts.AllocPolicy, Epoch: s.opts.AllocEpoch}
-	return rj, nil
 }
 
 // jobKey is the context key under which runJob hands its job to the
@@ -189,7 +164,7 @@ func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEn
 	if j, ok := ctx.Value(jobKey{}).(*Job); ok {
 		key, spec = j.Hash, j.Rj.Spec
 	} else {
-		rj, err := s.resolve(JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()})
+		rj, err := JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()}.Resolve(s.opts.DefaultSize)
 		if err != nil {
 			// A name jobs cannot spell has no key; let the harness
 			// produce the authoritative error.
@@ -402,7 +377,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, fmt.Errorf("service: bad job spec: %w", err))
 		return
 	}
-	rj, err := s.resolve(spec)
+	rj, err := spec.Resolve(s.opts.DefaultSize)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"clustersmt/internal/config"
 	"clustersmt/internal/telemetry"
 )
 
@@ -30,10 +29,6 @@ import (
 type svcTelemetry struct {
 	reg   *telemetry.Registry
 	spans *telemetry.SpanRing
-	// policy is the normalized allocation policy name, so the seed
-	// placement reads "static" whether configured explicitly or by
-	// default: the simulate histogram's label and span attribute.
-	policy string
 
 	queueWait  *telemetry.Histogram
 	e2e        *telemetry.Histogram
@@ -44,22 +39,19 @@ type svcTelemetry struct {
 // newSvcTelemetry builds the registry for one server.
 func newSvcTelemetry(s *Server) *svcTelemetry {
 	r := telemetry.NewRegistry()
-	policy := config.AllocConfig{Policy: s.opts.AllocPolicy}.Normalize().Policy
-	if policy == "" {
-		policy = "static"
-	}
 	t := &svcTelemetry{
-		reg:    r,
-		spans:  telemetry.NewSpanRing(0),
-		policy: policy,
+		reg:   r,
+		spans: telemetry.NewSpanRing(0),
 
 		queueWait: r.Histogram("clusterd_job_queue_wait_seconds",
 			"Time jobs spend admitted but not yet running.", telemetry.DefaultLatencyBuckets),
 		e2e: r.Histogram("clusterd_job_e2e_seconds",
 			"End-to-end job latency, submission to terminal state.", telemetry.DefaultLatencyBuckets),
+		// Every single-program run is at the seed placement; the label
+		// stays so existing scrapers' selectors (policy="static") match.
 		simulate: r.Histogram("clusterd_simulate_seconds",
-			"Wall time of local simulations (singleflight owners only), by allocation policy.",
-			telemetry.DefaultLatencyBuckets, "policy", policy),
+			"Wall time of local simulations (singleflight owners only).",
+			telemetry.DefaultLatencyBuckets, "policy", "static"),
 		cacheWrite: r.Histogram("clusterd_cache_write_seconds",
 			"Time to fill the result cache after a fresh simulation.", telemetry.DefaultLatencyBuckets),
 	}
@@ -101,10 +93,6 @@ func newSvcTelemetry(s *Server) *svcTelemetry {
 
 	r.CounterFunc("clusterd_simulations", "Simulations actually executed on this node.",
 		func() float64 { return float64(s.suite.Simulations()) })
-	r.CounterFunc("clusterd_alloc_migrations", "Thread migrations performed by dynamic allocation policies.",
-		func() float64 { return float64(s.suite.AllocMigrations()) })
-	r.CounterFunc("clusterd_alloc_epochs", "Allocation epoch boundaries evaluated by dynamic policies.",
-		func() float64 { return float64(s.suite.AllocEpochs()) })
 
 	r.GaugeFunc("clusterd_trace_spans", "Spans retained in the trace ring.",
 		func() float64 { return float64(t.spans.Len()) })

@@ -145,7 +145,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"clusterd_cache_hits", "clusterd_queue_depth",
 		"clusterd_uptime_seconds", "clusterd_build_info",
 		"clusterd_trace_spans",
-		"clusterd_alloc_migrations", "clusterd_alloc_epochs",
 	} {
 		if !strings.Contains(body, "# TYPE "+name+" ") {
 			t.Errorf("missing # TYPE for %s", name)
@@ -166,17 +165,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(t, body, "clusterd_simulations_total"); v != 1 {
 		t.Errorf("simulations_total = %v, want 1", v)
 	}
-	// The simulate histogram is labeled by allocation policy; the
-	// default configuration reads as the normalized "static".
+	// Every single-program run is at the seed placement, and the
+	// simulate histogram keeps the policy="static" label scrapers
+	// select on.
 	if v := metricValue(t, body, `clusterd_simulate_seconds_count{policy="static"}`); v != 1 {
 		t.Errorf(`simulate_seconds_count{policy="static"} = %v, want 1`, v)
-	}
-	// The static placement never migrates and runs no epochs.
-	if v := metricValue(t, body, "clusterd_alloc_migrations_total"); v != 0 {
-		t.Errorf("alloc_migrations_total = %v, want 0 under static", v)
-	}
-	if v := metricValue(t, body, "clusterd_alloc_epochs_total"); v != 0 {
-		t.Errorf("alloc_epochs_total = %v, want 0 under static", v)
 	}
 	if v := metricValue(t, body, "clusterd_job_e2e_seconds_count"); v != 2 {
 		t.Errorf("job_e2e_seconds_count = %v, want 2 (simulated job + cache fast path)", v)
@@ -232,8 +225,6 @@ func TestMetricsFamilies(t *testing.T) {
 	}
 	slices.Sort(got)
 	want := []string{
-		"clusterd_alloc_epochs",
-		"clusterd_alloc_migrations",
 		"clusterd_build_info",
 		"clusterd_cache_entries",
 		"clusterd_cache_hits",

@@ -263,8 +263,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 var DefaultLatencyBuckets = ExpBuckets(100e-6, 2, 20)
 
 // Histogram registers a histogram. labels are constant name/value
-// pairs every sample carries (policy="static" for a daemon's one
-// allocation policy).
+// pairs every sample carries (policy="static" on clusterd's simulate
+// histogram).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: %q wants label name/value pairs, got %d strings", name, len(labels)))
