@@ -13,6 +13,7 @@ import (
 
 	"clustersmt"
 	"clustersmt/internal/config"
+	"clustersmt/internal/core"
 	"clustersmt/internal/harness"
 	"clustersmt/internal/model"
 	"clustersmt/internal/workloads"
@@ -202,7 +203,7 @@ func runObsOverhead(sampled bool) (*clustersmt.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sim, err := clustersmt.NewSimulator(m, w.Build(m.Threads(), m.Chips, clustersmt.SizeRef))
+	sim, err := core.New(m, w.Build(m.Threads(), m.Chips, clustersmt.SizeRef))
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +270,7 @@ func sweepForkSpecs() []clustersmt.SyntheticSpec {
 // benchmark honest if instruction latencies ever change.
 func sweepForkWarmTarget(spec clustersmt.SyntheticSpec) (int64, error) {
 	m := clustersmt.LowEnd(clustersmt.SMT2)
-	sim, err := clustersmt.NewSimulator(m, clustersmt.Synthetic(spec).Build(m.Threads(), m.Chips, clustersmt.SizeTest))
+	sim, err := core.New(m, clustersmt.Synthetic(spec).Build(m.Threads(), m.Chips, clustersmt.SizeTest))
 	if err != nil {
 		return 0, err
 	}

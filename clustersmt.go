@@ -54,35 +54,6 @@ type MemConfig = config.MemConfig
 // instructions, IPC, the issue-slot breakdown and memory statistics.
 type Result = core.Result
 
-// Simulator is one configured simulation instance. Most callers should
-// use Simulate / SimulateProgram; the explicit form exposes pre-run
-// knobs (MaxCycles, Interrupt, SetICountFetch) and post-run
-// inspection (Mem, MemSystem, FastForwarded, SleepStats).
-type Simulator = core.Simulator
-
-// NewSimulator builds a simulator for machine m running program p, one
-// software thread per hardware context, without running it.
-func NewSimulator(m Machine, p *Program) (*Simulator, error) {
-	return core.New(m, p)
-}
-
-// Restore rebuilds a runnable simulator from a Simulator.Snapshot
-// payload, validating it against the machine and program before any
-// state is constructed (see DESIGN.md §9 for the format). Typed
-// failures are the re-exported ErrSnapshot* sentinels.
-func Restore(m Machine, p *Program, data []byte) (*Simulator, error) {
-	return core.Restore(m, p, data)
-}
-
-// Snapshot/Restore error sentinels, re-exported from the core.
-var (
-	ErrSnapshotVersion     = core.ErrSnapshotVersion
-	ErrSnapshotTruncated   = core.ErrSnapshotTruncated
-	ErrSnapshotCorrupt     = core.ErrSnapshotCorrupt
-	ErrSnapshotMismatch    = core.ErrSnapshotMismatch
-	ErrSnapshotUnsupported = core.ErrSnapshotUnsupported
-)
-
 // Workload is one of the paper's six applications.
 type Workload = workloads.Workload
 
@@ -125,11 +96,6 @@ func DefaultMem() MemConfig { return config.DefaultMem() }
 
 // Workloads returns the six applications in the paper's order.
 func Workloads() []Workload { return workloads.All() }
-
-// WorkloadExtras returns the bonus workloads beyond the paper's six
-// (radix, lu) — usable everywhere a paper workload is, but not part of
-// the figure reproductions.
-func WorkloadExtras() []Workload { return workloads.Extras() }
 
 // SyntheticSpec parameterizes a generated workload on the §2
 // (threads × ILP) plane; see Synthetic.
@@ -177,7 +143,7 @@ type Program = prog.Program
 
 // ProgramBuilder authors programs in the bundled ISA: an assembler
 // with labels, loop helpers, global data and synchronization ops. See
-// examples/customkernel for a complete kernel written against it.
+// ExampleSimulateProgram for a complete kernel written against it.
 type ProgramBuilder = prog.Builder
 
 // NewProgram returns an empty ProgramBuilder for a program with the
@@ -222,9 +188,9 @@ const (
 )
 
 // MetricsFrame is one interval-metrics sample: the deltas and gauges
-// covering [Start, End) cycles of a run. Produced by
-// Simulator.EnableMetrics / OnInterval and the Suite metrics fields;
-// sampling is read-only and leaves results bit-identical.
+// covering [Start, End) cycles of a run. A Suite with MetricsInterval
+// set keeps each run's frames (Suite.Metrics); sampling is read-only and
+// leaves results bit-identical.
 type MetricsFrame = obs.Frame
 
 // MetricsRing retains the most recent MetricsFrames of a run and

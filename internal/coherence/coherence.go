@@ -216,16 +216,6 @@ func (d *Directory) DropSharer(chip int, line int64) {
 	}
 }
 
-// Sharers returns the sharer set and owner of a line (testing aid).
-func (d *Directory) Sharers(line int64) (mask uint32, owner int) {
-	idx, found := d.find(line)
-	if !found {
-		return 0, noOwner
-	}
-	e := &d.slots[idx].e
-	return e.sharers, int(e.owner)
-}
-
 // Lines returns the number of tracked lines (testing aid).
 func (d *Directory) Lines() int { return d.live }
 

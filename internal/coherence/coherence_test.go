@@ -42,21 +42,21 @@ func TestSingleChipLoadPath(t *testing.T) {
 	}
 }
 
+// TestL2HitAfterL1Eviction is Table 3's L2 row as a known answer: two
+// more lines in base's 2-way L1 set evict it (LRU), the larger L2 keeps
+// it, and reloading base is an L2 hit ready after the L1 and L2
+// latencies.
 func TestL2HitAfterL1Eviction(t *testing.T) {
 	s := newSys(t, 1)
+	mem := config.DefaultMem()
 	base := int64(0x10000)
+	stride := int64(mem.L1SizeKB * 1024 / mem.L1Assoc) // next line in the same L1 set
 	s.Load(0, 0, base)
-	// Evict from L1 only (L1 64KB 2-way, 512 sets; same set stride = 512*64).
-	stride := int64(512 * 64)
 	s.Load(1000, 0, base+stride)
 	s.Load(2000, 0, base+2*stride)
-	// base may or may not be evicted depending on LRU; force by touching
-	// the other two again.
-	s.Load(3000, 0, base+stride)
-	s.Load(4000, 0, base+2*stride)
-	_, cls, _ := s.Load(5000, 0, base)
-	if cls != L2Hit && cls != L1Hit {
-		t.Fatalf("class = %v, want a cache hit", cls)
+	ready, cls, _ := s.Load(5000, 0, base)
+	if want := int64(5000 + mem.L1Latency + mem.L2Latency); cls != L2Hit || ready != want {
+		t.Fatalf("reload = %v ready at %d, want %v ready at %d", cls, ready, L2Hit, want)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestDirtyRemoteInterventionAndDowngrade(t *testing.T) {
 
 	// Chip 0 writes the line: fetch exclusive, Modified on chip 0.
 	s.Store(0, 0, addr)
-	if st := s.Chips[0].State(line); st != memsys.Modified {
+	if st := s.Chips[0].L2.Probe(line); st != memsys.Modified {
 		t.Fatalf("chip0 state = %v", st)
 	}
 	_, owner := s.Dir.Sharers(line)
@@ -132,7 +132,7 @@ func TestDirtyRemoteInterventionAndDowngrade(t *testing.T) {
 	if cls != RemoteL2 {
 		t.Fatalf("class = %v, want remote L2", cls)
 	}
-	if st := s.Chips[0].State(line); st != memsys.Shared {
+	if st := s.Chips[0].L2.Probe(line); st != memsys.Shared {
 		t.Fatalf("chip0 after downgrade = %v", st)
 	}
 	mask, owner := s.Dir.Sharers(line)
@@ -156,10 +156,10 @@ func TestStoreUpgradeInvalidatesSharers(t *testing.T) {
 	}
 	// Chip 1 stores: chip 0's copy must die.
 	s.Store(100, 1, addr)
-	if st := s.Chips[0].State(line); st != memsys.Invalid {
+	if st := s.Chips[0].L2.Probe(line); st != memsys.Invalid {
 		t.Fatalf("chip0 state after remote store = %v", st)
 	}
-	if st := s.Chips[1].State(line); st != memsys.Modified {
+	if st := s.Chips[1].L2.Probe(line); st != memsys.Modified {
 		t.Fatalf("chip1 state = %v", st)
 	}
 	mask, owner := s.Dir.Sharers(line)
@@ -187,7 +187,7 @@ func TestExclusiveFetchFromDirtyRemote(t *testing.T) {
 	line := s.Chips[0].Line(addr)
 	s.Store(0, 0, addr)  // chip 0 owns dirty
 	s.Store(50, 1, addr) // chip 1 steals exclusively
-	if st := s.Chips[0].State(line); st != memsys.Invalid {
+	if st := s.Chips[0].L2.Probe(line); st != memsys.Invalid {
 		t.Fatalf("chip0 = %v, want Invalid", st)
 	}
 	mask, owner := s.Dir.Sharers(line)
@@ -234,12 +234,12 @@ func TestDirectoryInvariants(t *testing.T) {
 				if mask != 1<<uint(owner) {
 					return false // dirty line with extra sharers
 				}
-				if s.Chips[owner].State(line) != memsys.Modified {
+				if s.Chips[owner].L2.Probe(line) != memsys.Modified {
 					return false
 				}
 				// Everyone else must not hold the line.
 				for c := 0; c < 4; c++ {
-					if c != owner && s.Chips[c].State(line) != memsys.Invalid {
+					if c != owner && s.Chips[c].L2.Probe(line) != memsys.Invalid {
 						return false
 					}
 				}

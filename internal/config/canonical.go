@@ -62,8 +62,8 @@ func (m MemConfig) appendCanonical(b *strings.Builder) {
 	fmt.Fprintf(b, "mem.netocc=%d\n", m.NetOccupancy)
 }
 
-// AppendCanonical writes the machine's canonical form to b. It never
-// fails; callers wanting validation use Canonical.
+// AppendCanonical writes the machine's canonical form to b. It does not
+// validate: every Machine value has a canonical form.
 func (m Machine) AppendCanonical(b *strings.Builder) {
 	b.WriteString(canonicalVersion)
 	b.WriteByte('\n')
@@ -81,23 +81,10 @@ func (m Machine) AppendCanonical(b *strings.Builder) {
 	}
 }
 
-// Canonical returns the deterministic, field-ordered encoding of the
-// machine's physical configuration (names excluded — see the package
-// rules above), validating it first. Two differently-constructed but
-// physically equal machines produce identical bytes.
-func (m Machine) Canonical() ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	var b strings.Builder
-	m.AppendCanonical(&b)
-	return []byte(b.String()), nil
-}
-
 // Hash returns the SHA-256 of the canonical encoding — the machine half
-// of the serving subsystem's content-addressed cache key. Unlike
-// Canonical it does not validate: every Machine value has a hash, and
-// invalid ones simply never produce cacheable results.
+// of the serving subsystem's content-addressed cache key. Like
+// AppendCanonical it does not validate: every Machine value has a hash,
+// and invalid ones simply never produce cacheable results.
 func (m Machine) Hash() [32]byte {
 	var b strings.Builder
 	m.AppendCanonical(&b)

@@ -128,16 +128,6 @@ func (s *Simulator) SetAssignment(assign []int) error {
 	return nil
 }
 
-// Assignment returns each thread's current cluster GID in thread-id
-// order (tests and tools).
-func (s *Simulator) Assignment() []int {
-	out := make([]int, len(s.threads))
-	for i, t := range s.threads {
-		out[i] = t.cluster.gid
-	}
-	return out
-}
-
 // allocEpoch runs one epoch boundary: build the committed feedback
 // snapshot in fixed order, let the policy propose migrations, validate
 // and accept them, and schedule the next boundary. Runs between cycles.

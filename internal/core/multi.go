@@ -52,7 +52,3 @@ func NewMulti(m config.Machine, progs []*prog.Program) (*Simulator, error) {
 	s.mem, s.mems, s.syncs = mems[0], mems, syncs
 	return s, nil
 }
-
-// MemOf returns job i's private functional memory (multiprogrammed
-// runs; for single-program runs use Mem).
-func (s *Simulator) MemOf(i int) *interp.Memory { return s.mems[i] }

@@ -52,7 +52,7 @@ func TestMultiprogramIsolation(t *testing.T) {
 		for k := int64(0); k < 64; k++ {
 			want += uint64(int64(i)*1000 + k)
 		}
-		if got := sim.MemOf(i).Load(p.SymbolAddr("out")); got != want {
+		if got := sim.mems[i].Load(p.SymbolAddr("out")); got != want {
 			t.Errorf("job %d: out = %d, want %d", i, got, want)
 		}
 	}
@@ -80,7 +80,7 @@ func TestMultiprogramAddressSpacesDisjointInCaches(t *testing.T) {
 	}
 	// Functional isolation is the observable: each job sees only its own
 	// data despite identical addresses.
-	if sim.MemOf(0).Load(jobs[0].SymbolAddr("out")) == sim.MemOf(1).Load(jobs[1].SymbolAddr("out")) {
+	if sim.mems[0].Load(jobs[0].SymbolAddr("out")) == sim.mems[1].Load(jobs[1].SymbolAddr("out")) {
 		t.Fatal("jobs computed identical sums from different data")
 	}
 }

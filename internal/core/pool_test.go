@@ -241,12 +241,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					slept := s.SleepStats().Slept
 					for i := 0; i < measurements; i++ {
 						allocs := testing.AllocsPerRun(1, func() {
-							if err := advance(s, s.Cycle()+window, eventIssue, ff); err != nil {
+							if err := advance(s, s.cycle+window, eventIssue, ff); err != nil {
 								t.Fatal(err)
 							}
 						})
 						if allocs != 0 {
-							t.Errorf("%v allocations in a %d-cycle window ending at cycle %d, want 0", allocs, window, s.Cycle())
+							t.Errorf("%v allocations in a %d-cycle window ending at cycle %d, want 0", allocs, window, s.cycle)
 						}
 					}
 					if s.Done() {

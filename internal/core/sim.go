@@ -209,9 +209,6 @@ func (s *Simulator) place(assign []int) {
 // Mem exposes the functional memory (post-run inspection in tests).
 func (s *Simulator) Mem() *interp.Memory { return s.mem }
 
-// MemSystem exposes the timing memory system (post-run inspection).
-func (s *Simulator) MemSystem() *coherence.System { return s.msys }
-
 // done reports whether every thread has halted and drained. finished
 // is maintained at the commit halt-drain transition, so this is O(1).
 func (s *Simulator) done() bool { return s.finished == len(s.threads) }
@@ -295,9 +292,6 @@ func (s *Simulator) RunTo(target int64) error {
 // Done reports whether every thread has halted and drained (the run
 // completed, as opposed to pausing at a RunTo target).
 func (s *Simulator) Done() bool { return s.done() }
-
-// Cycle returns the current cycle counter.
-func (s *Simulator) Cycle() int64 { return s.cycle }
 
 // run is the shared run loop: target < 0 simulates to completion and
 // returns the result; otherwise it pauses once s.cycle >= target and

@@ -246,7 +246,7 @@ func TestClusterSleepPause(t *testing.T) {
 			t.Fatalf("RunTo(%d) left %d clusters asleep", k, s.nAsleep)
 		}
 		ref := mk()
-		if _, err := (refLoop{}).runTo(ref, s.Cycle()); err != nil {
+		if _, err := (refLoop{}).runTo(ref, s.cycle); err != nil {
 			t.Fatal(err)
 		}
 		ref.ffCycles = s.ffCycles // on the wire, and the one thing that may differ
@@ -259,7 +259,7 @@ func TestClusterSleepPause(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("pause at cycle %d: snapshot differs from the never-sleeping loop's", s.Cycle())
+			t.Fatalf("pause at cycle %d: snapshot differs from the never-sleeping loop's", s.cycle)
 		}
 		// The same loop once more with the audit on, to count the
 		// clusters that slept through the last cycle before the pause.
@@ -275,7 +275,7 @@ func TestClusterSleepPause(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r, err := back.Run(); err != nil || !reflect.DeepEqual(full, r) {
-			t.Fatalf("restored at cycle %d: err %v\n  want: %v\n  got:  %v", s.Cycle(), err, full, r)
+			t.Fatalf("restored at cycle %d: err %v\n  want: %v\n  got:  %v", s.cycle, err, full, r)
 		}
 	}
 	if pausedAsleep < 20 {

@@ -249,14 +249,6 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 	return s, nil
 }
 
-// Fork returns an independent copy of a paused simulator running the
-// same program. Bulk state — interp memory pages and cache tag arrays —
-// is shared copy-on-write with the parent; everything else is copied.
-// Both simulators remain fully usable (and resumable) afterwards.
-func (s *Simulator) Fork() (*Simulator, error) {
-	return s.ForkProgram(s.Program)
-}
-
 // ForkProgram clones a paused simulator, rebinding it to program p2:
 // the warm-up amortization primitive. p2 must either be (fingerprint-)
 // identical to the running program, or share its marked prefix while

@@ -55,7 +55,7 @@ func TestSnapshotRoundTripRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !parent.PrefixValid() {
-		t.Fatalf("warm-up over by cycle %d; enlarge WarmupIters", parent.Cycle())
+		t.Fatalf("warm-up over by cycle %d; enlarge WarmupIters", parent.cycle)
 	}
 
 	// Forks are serialized (they mutate the parent's COW bookkeeping);

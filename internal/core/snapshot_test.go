@@ -54,7 +54,7 @@ type chipCounters struct {
 
 func offCountersOf(s *Simulator) offCounters {
 	var o offCounters
-	sys := s.MemSystem()
+	sys := s.msys
 	for _, c := range sys.Chips {
 		o.Chips = append(o.Chips, chipCounters{
 			L1Hits: c.L1.Hits, L1Misses: c.L1.Misses, L1Evict: c.L1.Evictions, L1Wb: c.L1.WritebackEvictions,
@@ -168,7 +168,7 @@ func TestCheckpointDifferential(t *testing.T) {
 
 					// Fork → child continues; the snapshotted parent also
 					// continues (snapshot and fork must not perturb it).
-					child, err := paused.Fork()
+					child, err := paused.ForkProgram(paused.Program)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -84,22 +84,3 @@ func stackedBar(fractions [stats.NumCategories]float64, width int) string {
 	}
 	return b.String()
 }
-
-// CSV renders the figure as comma-separated values (one row per
-// app × arch cell) for external plotting tools.
-func (f *Figure) CSV() string {
-	var b strings.Builder
-	b.WriteString("app,arch,cycles,normalized")
-	for c := stats.Category(0); c < stats.NumCategories; c++ {
-		fmt.Fprintf(&b, ",%s", c)
-	}
-	b.WriteString("\n")
-	for _, r := range f.Rows {
-		fmt.Fprintf(&b, "%s,%s,%d,%.2f", r.App, r.Arch, r.Cycles, r.Normalized)
-		for c := stats.Category(0); c < stats.NumCategories; c++ {
-			fmt.Fprintf(&b, ",%.4f", r.Breakdown[c])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}

@@ -412,27 +412,6 @@ func TestPaperModelConsistency(t *testing.T) {
 	}
 }
 
-func TestFigureCSV(t *testing.T) {
-	s := NewSuite(workloads.SizeTest)
-	fig, err := s.Figure(context.Background(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csv := fig.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 1+len(fig.Rows) {
-		t.Fatalf("csv lines = %d, want %d", len(lines), 1+len(fig.Rows))
-	}
-	if !strings.HasPrefix(lines[0], "app,arch,cycles,normalized,useful") {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if strings.Count(l, ",") != strings.Count(lines[0], ",") {
-			t.Fatalf("ragged csv row %q", l)
-		}
-	}
-}
-
 // TestConcurrentSuiteDeterminism: the suite runs simulations on
 // goroutines; results must be identical to a second, fresh suite (the
 // simulations themselves are single-goroutine and deterministic).

@@ -24,9 +24,6 @@ func New(n, occupancy int) *Network {
 	return &Network{ports: make([]int64, n), occupancy: int64(occupancy)}
 }
 
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return len(n.ports) }
-
 func (n *Network) acquire(now int64, node int) int64 {
 	start := now
 	if n.ports[node] > start {

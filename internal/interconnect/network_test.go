@@ -43,12 +43,6 @@ func TestDistinctPairsDontConflict(t *testing.T) {
 	}
 }
 
-func TestNodesAccessor(t *testing.T) {
-	if New(3, 1).Nodes() != 3 {
-		t.Fatal("nodes accessor wrong")
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -425,8 +425,8 @@ func TestLoadImageMatchesWordStores(t *testing.T) {
 
 	got := NewMemory()
 	got.LoadImage(p)
-	if got.Pages() != want.Pages() {
-		t.Fatalf("LoadImage touched %d pages, word stores %d", got.Pages(), want.Pages())
+	if len(got.pages) != len(want.pages) {
+		t.Fatalf("LoadImage touched %d pages, word stores %d", len(got.pages), len(want.pages))
 	}
 	for a := int64(prog.DataBase) - pageBytes; a < p.DataEnd+pageBytes; a += prog.WordSize {
 		if g, w := got.Load(a), want.Load(a); g != w {

@@ -120,15 +120,6 @@ func checkAligned(addr int64) {
 // unaligned or negative addresses: those are always kernel bugs.
 func (m *Memory) Load(addr int64) uint64 { return m.self.Load(addr) }
 
-// Store writes the word at addr.
-func (m *Memory) Store(addr int64, v uint64) { m.self.Store(addr, v) }
-
-// Swap exchanges the word at addr with v, returning the old value.
-func (m *Memory) Swap(addr int64, v uint64) uint64 { return m.self.Swap(addr, v) }
-
-// Pages reports how many pages have been touched (diagnostics).
-func (m *Memory) Pages() int { return len(m.pages) }
-
 // View is a per-thread handle on a Memory: it carries its own
 // last-touched-page cache, so each thread's access stream keeps its
 // own locality. Obtain one with NewView; the zero value is not usable.

@@ -38,9 +38,6 @@ func NewBankSet(n, occupancy, lineBytes int) *BankSet {
 	return b
 }
 
-// Banks returns the number of banks.
-func (b *BankSet) Banks() int { return len(b.free) }
-
 // bankFor maps a line address onto a bank (line interleaving).
 func (b *BankSet) bankFor(line int64) int {
 	idx := line >> b.lineShift

@@ -161,15 +161,6 @@ func (c *Cache) writable(ci int) *chunk {
 	return ch
 }
 
-// Sets returns the number of sets (diagnostics).
-func (c *Cache) Sets() int { return c.sets }
-
-// LineBytes returns the line size in bytes.
-func (c *Cache) LineBytes() int64 { return c.lineBytes }
-
-// LineAddr converts a byte address to its line address.
-func (c *Cache) LineAddr(addr int64) int64 { return addr &^ (c.lineBytes - 1) }
-
 // setIndex returns the set number holding line.
 func (c *Cache) setIndex(line int64) int {
 	return int((line >> c.lineShift) & c.setMask)
@@ -314,20 +305,4 @@ func (c *Cache) Insert(line int64, st LineState) Victim {
 	set[lruIdx] = way{line: line, state: st, lru: c.tick}
 	ch.mru[s] = int32(lruIdx)
 	return v
-}
-
-// Resident reports how many lines are currently valid (testing aid).
-func (c *Cache) Resident() int {
-	n := 0
-	for _, ch := range c.chunks {
-		if ch == nil {
-			continue
-		}
-		for i := range ch.ways {
-			if ch.ways[i].state != Invalid {
-				n++
-			}
-		}
-	}
-	return n
 }

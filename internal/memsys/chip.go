@@ -43,9 +43,6 @@ func (c *Chip) Line(addr int64) int64 { return addr &^ (int64(c.Cfg.LineBytes) -
 // Page returns the page number containing addr.
 func (c *Chip) Page(addr int64) int64 { return addr / int64(c.Cfg.PageBytes) }
 
-// State returns the chip-level (L2, by inclusion) state of line.
-func (c *Chip) State(line int64) LineState { return c.L2.Probe(line) }
-
 // Invalidate removes line from both cache levels (remote write).
 func (c *Chip) Invalidate(line int64) {
 	c.L1.SetState(line, Invalid)

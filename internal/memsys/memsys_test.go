@@ -10,8 +10,8 @@ import (
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache("t", 1, 64, 2) // 1KB, 64B lines, 2-way: 8 sets
-	if c.Sets() != 8 {
-		t.Fatalf("sets = %d, want 8", c.Sets())
+	if c.sets != 8 {
+		t.Fatalf("sets = %d, want 8", c.sets)
 	}
 	if st := c.Lookup(0); st != Invalid {
 		t.Fatal("cold lookup should miss")
@@ -166,8 +166,8 @@ func TestTLBHitMissAndCapacity(t *testing.T) {
 		}
 	}
 	tlb.Access(100) // evicts someone
-	if tlb.Resident() != 4 {
-		t.Fatalf("resident = %d, want 4", tlb.Resident())
+	if len(tlb.pages) != 4 {
+		t.Fatalf("resident = %d, want 4", len(tlb.pages))
 	}
 	if !tlb.Access(100) {
 		t.Fatal("just-installed page missed")
@@ -279,7 +279,7 @@ func TestChipDowngradeAndInvalidate(t *testing.T) {
 		t.Fatal("downgrade failed")
 	}
 	c.Invalidate(64)
-	if c.State(64) != Invalid {
+	if c.L2.Probe(64) != Invalid {
 		t.Fatal("invalidate failed")
 	}
 }

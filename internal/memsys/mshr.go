@@ -78,12 +78,6 @@ func (m *MSHRFile) Free(now int64) int {
 	return m.cap - len(m.pending)
 }
 
-// InFlight returns the number of outstanding fills at cycle now.
-func (m *MSHRFile) InFlight(now int64) int {
-	m.retire(now)
-	return len(m.pending)
-}
-
 // Occupancy counts the fills still outstanding at cycle now WITHOUT
 // retiring completed entries — a strictly read-only probe for the
 // observability sampler, which must not perturb the retirement order.

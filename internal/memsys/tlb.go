@@ -55,6 +55,3 @@ func (t *TLB) Access(page int64) bool {
 	t.pages[page] = victim
 	return false
 }
-
-// Resident reports the number of mapped pages (testing aid).
-func (t *TLB) Resident() int { return len(t.pages) }

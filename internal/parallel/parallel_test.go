@@ -68,7 +68,7 @@ func TestBarrierTripsAtN(t *testing.T) {
 	if !s.Released(7, g0) {
 		t.Fatal("not released after 3/3 arrivals")
 	}
-	if s.Waiting(7) != 0 {
+	if s.at(7).count != 0 {
 		t.Fatal("barrier did not reset")
 	}
 }

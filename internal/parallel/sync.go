@@ -66,9 +66,6 @@ func (s *Sync) at(id int64) *object {
 	return &s.objs[id]
 }
 
-// Threads returns the number of barrier participants.
-func (s *Sync) Threads() int { return s.n }
-
 // TryLock attempts to acquire lock id for tid. It returns true on
 // success; a thread already owning the lock panics (the kernels never
 // take a lock recursively).
@@ -119,9 +116,6 @@ func (s *Sync) Arrive(id int64) uint64 {
 
 // Released reports whether barrier id has reached generation target.
 func (s *Sync) Released(id int64, target uint64) bool { return s.at(id).gen >= target }
-
-// Waiting returns the number of threads currently parked at barrier id.
-func (s *Sync) Waiting(id int64) int { return s.at(id).count }
 
 // HeldLocks returns the number of currently held locks (diagnostics and
 // deadlock checks: must be zero at end of run).

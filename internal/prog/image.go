@@ -175,25 +175,6 @@ func (im *Image) repeat(addr, n int64, period []uint64) {
 	im.n += int(n)
 }
 
-// Get returns the word at addr and whether it is present.
-func (im *Image) Get(addr int64) (v uint64, ok bool) {
-	if addr < 0 || addr%WordSize != 0 || im.dense == nil {
-		return 0, false
-	}
-	w := addr / WordSize
-	k, in := im.locate(w)
-	if in {
-		r := &im.reps[k]
-		return r.period[(w-r.start)%int64(len(r.period))], true
-	}
-	d := &im.dense[k]
-	i := w - d.base
-	if i < 0 || i >= int64(len(d.words)) || d.set[i/64]&(1<<(i%64)) == 0 {
-		return 0, false
-	}
-	return d.words[i], true
-}
-
 // Runs calls f for every present word, in ascending address order: once
 // for every maximal run of consecutive present words in a dense extent,
 // and once per period-sized chunk of a repeated extent (the last chunk

@@ -20,7 +20,6 @@ package prog
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -152,9 +151,6 @@ func NewBuilder(name string) *Builder {
 		pool:    make(map[uint64]int64),
 	}
 }
-
-// PC returns the index of the next instruction to be emitted.
-func (b *Builder) PC() int { return len(b.code) }
 
 // MarkPrefix records the current PC as the end of the program's warm-up
 // prefix: every instruction emitted so far becomes part of the prefix
@@ -561,15 +557,4 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
-}
-
-// SymbolsSorted returns the program's symbols ordered by address, for
-// stable diagnostics output.
-func (p *Program) SymbolsSorted() []Symbol {
-	out := make([]Symbol, 0, len(p.Symbols))
-	for _, s := range p.Symbols {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
 }

@@ -129,8 +129,9 @@ func TestSectionsRoundTripAndTruncate(t *testing.T) {
 	checkSection(t, "parallel.Sync", sync, func() section { return parallel.NewSync(4) })
 
 	mem := interp.NewMemory()
+	v := mem.NewView()
 	for _, a := range []int64{0x2000, 0x2008, 0x9ff8, 0x40000} {
-		mem.Store(a, uint64(a)*0x9e3779b97f4a7c15)
+		v.Store(a, uint64(a)*0x9e3779b97f4a7c15)
 	}
 	checkSection(t, "interp.Memory", mem, func() section { return interp.NewMemory() })
 

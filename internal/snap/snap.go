@@ -78,12 +78,6 @@ func (w *Writer) Bytes8(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// String appends a length-prefixed UTF-8 string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
 // Reader consumes a stream produced by Writer. The zero value is not
 // usable; construct with NewReader.
 type Reader struct {

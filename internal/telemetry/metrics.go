@@ -188,9 +188,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
@@ -201,44 +198,6 @@ func (h *Histogram) snapshot() []uint64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts: the bucket holding the target rank bounds the true value, and
-// the estimate interpolates linearly within it. The error is therefore
-// bounded by the bucket width — with ExpBuckets' factor-2 layout, at
-// most 2x — which the property test pins. Returns NaN when empty; the
-// +Inf bucket reports its lower bound (the last finite bound).
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := h.snapshot()
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 || q <= 0 || q > 1 {
-		return math.NaN()
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		if cum+c < rank {
-			cum += c
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if i == len(h.bounds) { // +Inf bucket: no upper bound to interpolate to
-			return lo
-		}
-		hi := h.bounds[i]
-		return lo + (hi-lo)*(float64(rank-cum)/float64(c))
-	}
-	return h.bounds[len(h.bounds)-1] // unreachable: rank <= total
 }
 
 // ExpBuckets returns n exponentially spaced upper bounds starting at

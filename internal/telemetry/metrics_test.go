@@ -128,7 +128,7 @@ func TestHistogramQuantilePinned(t *testing.T) {
 	if got := h.Sum(); got != 11 {
 		t.Errorf("Sum = %v, want 11", got)
 	}
-	if got := h.Count(); got != 4 {
+	if got := h.count.Load(); got != 4 {
 		t.Errorf("Count = %v, want 4", got)
 	}
 }
@@ -270,7 +270,7 @@ func TestConcurrentScrape(t *testing.T) {
 	if want := fmt.Sprintf("ops_total %d\n", workers*iters); !strings.Contains(b.String(), want) {
 		t.Errorf("final scrape lacks %q", want)
 	}
-	if got := h.Count(); got != workers*iters {
+	if got := h.count.Load(); got != workers*iters {
 		t.Errorf("lat count = %d, want %d", got, workers*iters)
 	}
 }

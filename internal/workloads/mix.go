@@ -30,13 +30,6 @@ func (m Mix) pct(n uint64) float64 {
 	return 100 * float64(n) / float64(m.Total)
 }
 
-// String renders the mix as percentages.
-func (m Mix) String() string {
-	return fmt.Sprintf("total=%d int=%.1f%% fp=%.1f%% load=%.1f%% store=%.1f%% branch=%.1f%% sync=%.1f%%",
-		m.Total, m.pct(m.IntOps), m.pct(m.FPOps), m.pct(m.Loads),
-		m.pct(m.Stores), m.pct(m.Branches), m.pct(m.Syncs))
-}
-
 // MeasureMix functionally executes p with the given thread count
 // (parallel.RunFunctional, with its step bound, deadlock and held-lock
 // checks) and folds the executed opcodes into the dynamic instruction

@@ -70,24 +70,6 @@ type Workload struct {
 	ParCap int
 }
 
-// WorkersAt returns how many of the given hardware contexts the
-// workload's dominant parallel loops occupy: min(threads,
-// ParCap × max(1, threads/8)).
-func (w Workload) WorkersAt(threads int) int {
-	if w.ParCap == 0 {
-		return threads
-	}
-	groups := threads / 8
-	if groups < 1 {
-		groups = 1
-	}
-	n := w.ParCap * groups
-	if n > threads {
-		n = threads
-	}
-	return n
-}
-
 // All returns the six applications in the paper's presentation order.
 func All() []Workload {
 	return []Workload{
