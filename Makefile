@@ -86,7 +86,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 16316
+LOC_BUDGET = 16204
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \
@@ -94,9 +94,11 @@ loc-budget:
 	fi; \
 	echo "make loc = $$n (budget $(LOC_BUDGET))"
 
-# The ratchet on unlinked code: every function in a non-test file of a
-# library package is linked by a cmd/ or benchmark/ binary, or listed
-# with its reason in tools/deadcode/allow.txt (tools/deadcode/main.go).
+# The ratchet on unused code: every function in a non-test file of a
+# library package is linked by a cmd/ or benchmark/ binary, and every
+# exported package-level const, var and type there is named by non-test
+# code beside its declaration, or listed with its reason in
+# tools/deadcode/allow.txt (tools/deadcode/main.go).
 deadcode:
 	go run ./tools/deadcode
 

@@ -328,7 +328,9 @@ func (c *cluster) commit(s *Simulator, now int64) bool {
 			}
 			t.committed++
 			s.committed++
-			s.traceEvent(now, c, "C", e)
+			if s.tr != nil {
+				s.traceEvent(now, c, "C", e)
+			}
 			budget--
 			removed = true
 		}
@@ -400,7 +402,9 @@ func (c *cluster) tryIssue(s *Simulator, h handle, now int64, votes *stats.Votes
 	if t := s.threads[e.tid]; t.fifo.front() == h {
 		t.frontEvent = completeAt
 	}
-	s.traceEvent(now, c, "I", e)
+	if s.tr != nil {
+		s.traceEvent(now, c, "I", e)
+	}
 	c.wakeConsumers(h, now)
 	return true
 }
@@ -605,14 +609,18 @@ func (c *cluster) fetchFrom(s *Simulator, t *threadCtx, now int64, budget int, v
 			c.overflow("thread fifo")
 		}
 		t.fetched++
-		s.traceEvent(now, c, "F", e)
+		if s.tr != nil {
+			s.traceEvent(now, c, "F", e)
+		}
 		c.dispatchEvent(h)
 
 		if f&prog.IsBranch != 0 {
 			if c.handleBranch(t, h, f) {
 				// The redirect point: no wrong-path instructions were
 				// fetched, so the squash marks where fetch stops.
-				s.traceEvent(now, c, "S", e)
+				if s.tr != nil {
+					s.traceEvent(now, c, "S", e)
+				}
 				return 0 // mispredicted: fetch blocked until resolve
 			}
 			if e.d.Taken {

@@ -1,15 +1,14 @@
-// Service-side telemetry wiring: one telemetry.Registry per Server
-// exposing the whole job path as OpenMetrics at GET /metrics, one
-// bounded span ring behind GET /v1/trace/{id}, rendered as a Chrome
-// trace_event timeline.
+// Service-side telemetry wiring: one fixed list of metric families
+// per Server, rendered by telemetry.WriteOpenMetrics as OpenMetrics at
+// GET /metrics, and one bounded span ring behind GET /v1/trace/{id},
+// rendered as a Chrome trace_event timeline.
 //
-// Metric families mirror state the server already maintains wherever
-// possible (func-backed collectors over the pool, cache and suite
-// counters) so a scrape reads live values with no double
-// bookkeeping; only the latency histograms are new state. Everything
-// here is read-only with respect to results — TestTelemetryDifferential
-// pins that simulation output is bit-identical with telemetry on or
-// off.
+// Counter and gauge families read state the server already maintains
+// (the pool, cache and suite counters) at scrape time, so there is no
+// double bookkeeping; only the latency histograms are new state.
+// Everything here is read-only with respect to results —
+// TestTelemetryDifferential pins that simulation output is
+// bit-identical with telemetry on or off.
 package service
 
 import (
@@ -22,13 +21,13 @@ import (
 	"clustersmt/internal/telemetry"
 )
 
-// svcTelemetry holds the Server's registry, span ring, and the
-// materialized latency histograms. A nil *svcTelemetry (telemetry
-// disabled) is valid: every method nil-guards, so call sites stay
-// unconditional.
+// svcTelemetry holds the Server's metric families, span ring, and the
+// latency histograms the job path observes. A nil *svcTelemetry
+// (telemetry disabled) is valid: every method nil-guards, so call sites
+// stay unconditional.
 type svcTelemetry struct {
-	reg   *telemetry.Registry
-	spans *telemetry.SpanRing
+	families []telemetry.Family
+	spans    *telemetry.SpanRing
 
 	queueWait  *telemetry.Histogram
 	e2e        *telemetry.Histogram
@@ -36,68 +35,65 @@ type svcTelemetry struct {
 	cacheWrite *telemetry.Histogram
 }
 
-// newSvcTelemetry builds the registry for one server.
+// newSvcTelemetry builds the family list for one server, in name order
+// (the exposition's order).
 func newSvcTelemetry(s *Server) *svcTelemetry {
-	r := telemetry.NewRegistry()
 	t := &svcTelemetry{
-		reg:   r,
-		spans: telemetry.NewSpanRing(0),
-
-		queueWait: r.Histogram("clusterd_job_queue_wait_seconds",
-			"Time jobs spend admitted but not yet running.", telemetry.DefaultLatencyBuckets),
-		e2e: r.Histogram("clusterd_job_e2e_seconds",
-			"End-to-end job latency, submission to terminal state.", telemetry.DefaultLatencyBuckets),
+		spans:      telemetry.NewSpanRing(0),
+		queueWait:  telemetry.NewHistogram(telemetry.DefaultLatencyBuckets),
+		e2e:        telemetry.NewHistogram(telemetry.DefaultLatencyBuckets),
+		simulate:   telemetry.NewHistogram(telemetry.DefaultLatencyBuckets),
+		cacheWrite: telemetry.NewHistogram(telemetry.DefaultLatencyBuckets),
+	}
+	t.families = []telemetry.Family{
+		{Name: "clusterd_build_info", Help: "Build version as a label; value is always 1.",
+			Type: "gauge", Labels: []string{"version"},
+			Collect: func(emit telemetry.Emit) { emit(1, s.version) }},
+		{Name: "clusterd_cache_entries", Help: "Entries resident in the memory LRU.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.cache.Stats().Entries)) }},
+		{Name: "clusterd_cache_hits", Help: "Result cache hits by tier.", Type: "counter", Labels: []string{"tier"},
+			Collect: func(emit telemetry.Emit) {
+				st := s.cache.Stats()
+				emit(float64(st.Hits), TierMemory)
+				emit(float64(st.DiskHits), TierDisk)
+			}},
+		{Name: "clusterd_cache_misses", Help: "Result cache misses.", Type: "counter",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.cache.Stats().Misses)) }},
+		{Name: "clusterd_cache_write_seconds", Help: "Time to fill the result cache after a fresh simulation.",
+			Type: "histogram", Hist: t.cacheWrite},
+		{Name: "clusterd_job_e2e_seconds", Help: "End-to-end job latency, submission to terminal state.",
+			Type: "histogram", Hist: t.e2e},
+		{Name: "clusterd_job_panics", Help: "Jobs failed by a panic in their run (value and stack on the job's trace).",
+			Type: "counter", Collect: func(emit telemetry.Emit) { emit(float64(s.jobPanics.Load())) }},
+		{Name: "clusterd_job_queue_wait_seconds", Help: "Time jobs spend admitted but not yet running.",
+			Type: "histogram", Hist: t.queueWait},
+		{Name: "clusterd_jobs_accepted", Help: "Jobs admitted to the queue.", Type: "counter",
+			Collect: func(emit telemetry.Emit) { a, _, _ := s.pool.Counters(); emit(float64(a)) }},
+		{Name: "clusterd_jobs_completed", Help: "Jobs that reached a terminal state through the pool.", Type: "counter",
+			Collect: func(emit telemetry.Emit) { _, _, c := s.pool.Counters(); emit(float64(c)) }},
+		{Name: "clusterd_jobs_rejected", Help: "Jobs rejected with 429 (queue full or draining).", Type: "counter",
+			Collect: func(emit telemetry.Emit) { _, rej, _ := s.pool.Counters(); emit(float64(rej)) }},
+		{Name: "clusterd_queue_capacity", Help: "Admission FIFO bound.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.pool.Cap())) }},
+		{Name: "clusterd_queue_depth", Help: "Jobs admitted, not yet picked up by a worker.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.pool.Depth())) }},
+		{Name: "clusterd_queue_running", Help: "Jobs currently executing.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.pool.Running())) }},
+		{Name: "clusterd_queue_workers", Help: "Pool worker count.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.pool.Workers())) }},
 		// Every single-program run is at the seed placement; the label
 		// stays so existing scrapers' selectors (policy="static") match.
-		simulate: r.Histogram("clusterd_simulate_seconds",
-			"Wall time of local simulations (singleflight owners only).",
-			telemetry.DefaultLatencyBuckets, "policy", "static"),
-		cacheWrite: r.Histogram("clusterd_cache_write_seconds",
-			"Time to fill the result cache after a fresh simulation.", telemetry.DefaultLatencyBuckets),
+		{Name: "clusterd_simulate_seconds", Help: "Wall time of local simulations (singleflight owners only).",
+			Type: "histogram", Labels: []string{"policy"}, LabelValues: []string{"static"}, Hist: t.simulate},
+		{Name: "clusterd_simulations", Help: "Simulations actually executed on this node.", Type: "counter",
+			Collect: func(emit telemetry.Emit) { emit(float64(s.suite.Simulations())) }},
+		{Name: "clusterd_trace_spans", Help: "Spans retained in the trace ring.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(float64(t.spans.Len())) }},
+		{Name: "clusterd_trace_spans_dropped", Help: "Spans overwritten by ring wraparound.", Type: "counter",
+			Collect: func(emit telemetry.Emit) { emit(float64(t.spans.Dropped())) }},
+		{Name: "clusterd_uptime_seconds", Help: "Seconds since the server started.", Type: "gauge",
+			Collect: func(emit telemetry.Emit) { emit(time.Since(s.started).Seconds()) }},
 	}
-
-	r.CollectFunc("clusterd_build_info", "Build version as a label; value is always 1.",
-		telemetry.TypeGauge, []string{"version"},
-		func(emit func([]string, float64)) { emit([]string{s.version}, 1) })
-	r.GaugeFunc("clusterd_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.started).Seconds() })
-
-	r.CounterFunc("clusterd_jobs_accepted", "Jobs admitted to the queue.",
-		func() float64 { a, _, _ := s.pool.Counters(); return float64(a) })
-	r.CounterFunc("clusterd_jobs_rejected", "Jobs rejected with 429 (queue full or draining).",
-		func() float64 { _, rej, _ := s.pool.Counters(); return float64(rej) })
-	r.CounterFunc("clusterd_jobs_completed", "Jobs that reached a terminal state through the pool.",
-		func() float64 { _, _, c := s.pool.Counters(); return float64(c) })
-	r.CounterFunc("clusterd_job_panics", "Jobs failed by a panic in their run (value and stack on the job's trace).",
-		func() float64 { return float64(s.jobPanics.Load()) })
-	r.GaugeFunc("clusterd_queue_depth", "Jobs admitted, not yet picked up by a worker.",
-		func() float64 { return float64(s.pool.Depth()) })
-	r.GaugeFunc("clusterd_queue_running", "Jobs currently executing.",
-		func() float64 { return float64(s.pool.Running()) })
-	r.GaugeFunc("clusterd_queue_capacity", "Admission FIFO bound.",
-		func() float64 { return float64(s.pool.Cap()) })
-	r.GaugeFunc("clusterd_queue_workers", "Pool worker count.",
-		func() float64 { return float64(s.pool.Workers()) })
-
-	r.CollectFunc("clusterd_cache_hits", "Result cache hits by tier.",
-		telemetry.TypeCounter, []string{"tier"},
-		func(emit func([]string, float64)) {
-			st := s.cache.Stats()
-			emit([]string{TierMemory}, float64(st.Hits))
-			emit([]string{TierDisk}, float64(st.DiskHits))
-		})
-	r.CounterFunc("clusterd_cache_misses", "Result cache misses.",
-		func() float64 { return float64(s.cache.Stats().Misses) })
-	r.GaugeFunc("clusterd_cache_entries", "Entries resident in the memory LRU.",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-
-	r.CounterFunc("clusterd_simulations", "Simulations actually executed on this node.",
-		func() float64 { return float64(s.suite.Simulations()) })
-
-	r.GaugeFunc("clusterd_trace_spans", "Spans retained in the trace ring.",
-		func() float64 { return float64(t.spans.Len()) })
-	r.CounterFunc("clusterd_trace_spans_dropped", "Spans overwritten by ring wraparound.",
-		func() float64 { return float64(t.spans.Dropped()) })
 	return t
 }
 
@@ -150,7 +146,8 @@ func (s *Server) handleMetricsScrape(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: telemetry disabled"))
 		return
 	}
-	s.tel.reg.Handler().ServeHTTP(w, r)
+	w.Header().Set("Content-Type", telemetry.ContentType)
+	_ = telemetry.WriteOpenMetrics(w, s.tel.families)
 }
 
 // traceSpansView is the wire form of a trace's spans — what

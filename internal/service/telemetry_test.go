@@ -245,6 +245,74 @@ func TestMetricsFamilies(t *testing.T) {
 	}
 }
 
+// validMetricName is the Prometheus metric and label name grammar
+// (':' excluded: it is reserved for recording rules).
+func validMetricName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i, r := range s {
+		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_'
+		if !alpha && (i == 0 || r < '0' || r > '9') {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMetricsNaming holds the daemon's own family list to the rules
+// the exposition relies on: valid names and label names, strictly
+// ascending (so unique, and the scrape is in name order), a type the
+// format knows with the matching source, no counter named *_total (the
+// writer appends it), no le label (histogram buckets own it), one
+// value per label name on every sample, and non-empty sorted buckets.
+func TestMetricsNaming(t *testing.T) {
+	srv, _ := newTestServer(t, Options{})
+	prev := ""
+	for _, f := range srv.tel.families {
+		if !validMetricName(f.Name) {
+			t.Errorf("invalid metric name %q", f.Name)
+		}
+		if f.Name <= prev {
+			t.Errorf("%q follows %q: names must be unique and ascending", f.Name, prev)
+		}
+		prev = f.Name
+		for _, l := range f.Labels {
+			if !validMetricName(l) || l == "le" {
+				t.Errorf("%s: invalid label name %q", f.Name, l)
+			}
+		}
+		switch f.Type {
+		case "counter", "gauge":
+			if f.Hist != nil || f.Collect == nil {
+				t.Errorf("%s: a %s needs a Collect and no histogram", f.Name, f.Type)
+				continue
+			}
+			if f.Type == "counter" && strings.HasSuffix(f.Name, "_total") {
+				t.Errorf("counter %q must not end in _total", f.Name)
+			}
+			f.Collect(func(_ float64, values ...string) {
+				if len(values) != len(f.Labels) {
+					t.Errorf("%s: sample with %d label values, want %d", f.Name, len(values), len(f.Labels))
+				}
+			})
+		case "histogram":
+			if f.Hist == nil || f.Collect != nil {
+				t.Errorf("%s: a histogram needs a Hist and no Collect", f.Name)
+				continue
+			}
+			if len(f.LabelValues) != len(f.Labels) {
+				t.Errorf("%s: %d label values, want %d", f.Name, len(f.LabelValues), len(f.Labels))
+			}
+			if b := f.Hist.Bounds; len(b) == 0 || !slices.IsSorted(b) {
+				t.Errorf("%s: buckets %v are empty or unsorted", f.Name, b)
+			}
+		default:
+			t.Errorf("%s: unknown type %q", f.Name, f.Type)
+		}
+	}
+}
+
 // TestMetricsDisabled: with telemetry off, the observability endpoints
 // 404 but the service API is untouched.
 func TestMetricsDisabled(t *testing.T) {

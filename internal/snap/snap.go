@@ -178,9 +178,6 @@ func (r *Reader) Bytes8() []byte {
 	return r.take(n)
 }
 
-// String reads a length-prefixed UTF-8 string.
-func (r *Reader) String() string { return string(r.Bytes8()) }
-
 // Xfer moves state between live objects and a snapshot one field at a
 // time, in whichever direction it was built for: over a Writer every
 // method appends the field it is pointed at, over a Reader it overwrites

@@ -5,8 +5,8 @@ import "math"
 // Quantile estimates the q-quantile (0 < q <= 1) from the bucket
 // counts: the bucket holding the target rank bounds the true value, and
 // the estimate interpolates linearly within it. The error is therefore
-// bounded by the bucket width — with ExpBuckets' factor-2 layout, at
-// most 2x — which the property test pins. Returns NaN when empty; the
+// bounded by the bucket width — with DefaultLatencyBuckets' factor-2
+// layout, at most 2x — which the property test pins. Returns NaN when empty; the
 // +Inf bucket reports its lower bound (the last finite bound).
 func (h *Histogram) Quantile(q float64) float64 {
 	counts := h.snapshot()
@@ -29,13 +29,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = h.bounds[i-1]
+			lo = h.Bounds[i-1]
 		}
-		if i == len(h.bounds) { // +Inf bucket: no upper bound to interpolate to
+		if i == len(h.Bounds) { // +Inf bucket: no upper bound to interpolate to
 			return lo
 		}
-		hi := h.bounds[i]
+		hi := h.Bounds[i]
 		return lo + (hi-lo)*(float64(rank-cum)/float64(c))
 	}
-	return h.bounds[len(h.bounds)-1] // unreachable: rank <= total
+	return h.Bounds[len(h.Bounds)-1] // unreachable: rank <= total
 }

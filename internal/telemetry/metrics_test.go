@@ -12,31 +12,38 @@ import (
 	"testing"
 )
 
-// goldenRegistry builds one registry exercising every family kind:
-// func-backed counters and gauges, collector-backed labeled families of
-// both types, a histogram spanning its finite buckets plus +Inf, and a
-// histogram carrying a constant label.
-func goldenRegistry() *Registry {
-	r := NewRegistry()
-	r.CounterFunc("jobs_done", "Jobs completed.", func() float64 { return 3 })
-	r.CollectFunc("cache_hits", "Cache hits by tier.", TypeCounter, []string{"tier"},
-		func(emit func([]string, float64)) {
-			emit([]string{"memory"}, 5)
-			emit([]string{"disk"}, 1)
-		})
-	r.GaugeFunc("queue_depth", "Jobs waiting.", func() float64 { return 2 })
-	r.GaugeFunc("uptime_seconds", "Seconds since start.", func() float64 { return 1.5 })
-	r.CollectFunc("member_up", "Fleet member liveness.", TypeGauge, []string{"member"},
-		func(emit func([]string, float64)) {
-			emit([]string{"w2"}, 0)
-			emit([]string{"w1"}, 1)
-		})
-	h := r.Histogram("latency_seconds", "Job latency.", []float64{0.1, 1, 10})
+// scalar is a Collect emitting one unlabeled sample.
+func scalar(v float64) func(Emit) { return func(emit Emit) { emit(v) } }
+
+// goldenFamilies is one family list exercising every family kind, in
+// name order: unlabeled counters and gauges, labeled families of both
+// types emitting out of label order, a histogram spanning its finite
+// buckets plus +Inf, and a histogram carrying a constant label.
+func goldenFamilies() []Family {
+	latency := NewHistogram([]float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 20} {
-		h.Observe(v)
+		latency.Observe(v)
 	}
-	r.Histogram("simulate_seconds", "Simulation time by policy.", []float64{1, 2}, "policy", "static").Observe(0.5)
-	return r
+	simulate := NewHistogram([]float64{1, 2})
+	simulate.Observe(0.5)
+	return []Family{
+		{Name: "cache_hits", Help: "Cache hits by tier.", Type: "counter", Labels: []string{"tier"},
+			Collect: func(emit Emit) {
+				emit(5, "memory")
+				emit(1, "disk")
+			}},
+		{Name: "jobs_done", Help: "Jobs completed.", Type: "counter", Collect: scalar(3)},
+		{Name: "latency_seconds", Help: "Job latency.", Type: "histogram", Hist: latency},
+		{Name: "member_up", Help: "Fleet member liveness.", Type: "gauge", Labels: []string{"member"},
+			Collect: func(emit Emit) {
+				emit(0, "w2")
+				emit(1, "w1")
+			}},
+		{Name: "queue_depth", Help: "Jobs waiting.", Type: "gauge", Collect: scalar(2)},
+		{Name: "simulate_seconds", Help: "Simulation time by policy.", Type: "histogram",
+			Labels: []string{"policy"}, LabelValues: []string{"static"}, Hist: simulate},
+		{Name: "uptime_seconds", Help: "Seconds since start.", Type: "gauge", Collect: scalar(1.5)},
+	}
 }
 
 // TestOpenMetricsGolden pins the full exposition byte-for-byte against
@@ -45,7 +52,7 @@ func goldenRegistry() *Registry {
 // terminator.
 func TestOpenMetricsGolden(t *testing.T) {
 	var b strings.Builder
-	if err := goldenRegistry().WriteOpenMetrics(&b); err != nil {
+	if err := WriteOpenMetrics(&b, goldenFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile("testdata/metrics.golden")
@@ -62,7 +69,7 @@ func TestOpenMetricsGolden(t *testing.T) {
 // family, samples only after their metadata, and # EOF last.
 func TestOpenMetricsShape(t *testing.T) {
 	var b strings.Builder
-	if err := goldenRegistry().WriteOpenMetrics(&b); err != nil {
+	if err := WriteOpenMetrics(&b, goldenFamilies()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
@@ -83,38 +90,11 @@ func TestOpenMetricsShape(t *testing.T) {
 	}
 }
 
-func TestRegistryPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		fn()
-	}
-	r := NewRegistry()
-	zero := func() float64 { return 0 }
-	r.CounterFunc("ok", "fine", zero)
-	mustPanic("duplicate", func() { r.GaugeFunc("ok", "again", zero) })
-	mustPanic("invalid name", func() { r.CounterFunc("bad-name", "hyphen", zero) })
-	mustPanic("counter _total suffix", func() { r.CounterFunc("c_total", "suffix", zero) })
-	mustPanic("digit first", func() { r.CounterFunc("9lives", "digit", zero) })
-	mustPanic("le label", func() { r.Histogram("c2", "h", []float64{1}, "le", "1") })
-	mustPanic("empty buckets", func() { r.Histogram("h1", "h", nil) })
-	mustPanic("unsorted buckets", func() { r.Histogram("h2", "h", []float64{2, 1}) })
-	mustPanic("collect histogram", func() {
-		r.CollectFunc("h3", "h", TypeHistogram, nil, func(func([]string, float64)) {})
-	})
-	mustPanic("label arity", func() { r.Histogram("c3", "h", []float64{1}, "only-one") })
-}
-
 // TestHistogramQuantilePinned pins exact interpolation results on a
 // hand-checkable histogram: one observation per bucket, so every
 // quantile lands on a bucket boundary.
 func TestHistogramQuantilePinned(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "test", []float64{1, 2, 4, 8})
+	h := NewHistogram([]float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 1.5, 3, 6} {
 		h.Observe(v)
 	}
@@ -134,8 +114,7 @@ func TestHistogramQuantilePinned(t *testing.T) {
 }
 
 func TestHistogramQuantileEdges(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "test", []float64{1, 2})
+	h := NewHistogram([]float64{1, 2})
 	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("empty histogram: want NaN")
 	}
@@ -155,8 +134,7 @@ func TestHistogramQuantileEdges(t *testing.T) {
 // bucket-width error bound the package documents.
 func TestHistogramProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	r := NewRegistry()
-	h := r.Histogram("h", "test", DefaultLatencyBuckets)
+	h := NewHistogram(DefaultLatencyBuckets)
 	const n = 5000
 	values := make([]float64, n)
 	for i := range values {
@@ -203,33 +181,38 @@ func TestHistogramProperty(t *testing.T) {
 	}
 }
 
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(100e-6, 2, 20)
+// TestDefaultLatencyBuckets pins the shared latency layout: 20 sorted
+// factor-2 bounds from 100µs.
+func TestDefaultLatencyBuckets(t *testing.T) {
+	b := DefaultLatencyBuckets
 	if len(b) != 20 || b[0] != 100e-6 {
 		t.Fatalf("unexpected buckets: %v", b)
 	}
 	for i := 1; i < len(b); i++ {
-		if math.Abs(b[i]/b[i-1]-2) > 1e-9 {
+		if b[i] != 2*b[i-1] {
 			t.Fatalf("bucket %d not factor-2: %v / %v", i, b[i], b[i-1])
 		}
 	}
-	if !sort.Float64sAreSorted(b) {
-		t.Fatal("buckets not sorted")
-	}
 }
 
-// TestConcurrentScrape hammers every metric kind from many goroutines
-// while scraping in parallel — the race detector (make race) is the
+// TestConcurrentScrape hammers every family kind from many goroutines
+// while WriteOpenMetrics scrapes the same list in parallel — the race detector (make race) is the
 // assertion; the final scrape sanity-checks totals.
 func TestConcurrentScrape(t *testing.T) {
-	r := NewRegistry()
 	var ops, depth atomic.Int64
-	r.CounterFunc("ops", "ops", func() float64 { return float64(ops.Load()) })
-	r.GaugeFunc("depth", "depth", func() float64 { return float64(depth.Load()) })
-	r.CollectFunc("ops_by", "ops by kind", TypeCounter, []string{"kind"},
-		func(emit func([]string, float64)) { emit([]string{"all"}, float64(ops.Load())) })
-	h := r.Histogram("lat", "latency", DefaultLatencyBuckets)
-	hl := r.Histogram("lat_by", "latency by kind", []float64{1, 2}, "kind", "all")
+	h := NewHistogram(DefaultLatencyBuckets)
+	hl := NewHistogram([]float64{1, 2})
+	families := []Family{
+		{Name: "depth", Help: "depth", Type: "gauge",
+			Collect: func(emit Emit) { emit(float64(depth.Load())) }},
+		{Name: "lat", Help: "latency", Type: "histogram", Hist: h},
+		{Name: "lat_by", Help: "latency by kind", Type: "histogram",
+			Labels: []string{"kind"}, LabelValues: []string{"all"}, Hist: hl},
+		{Name: "ops", Help: "ops", Type: "counter",
+			Collect: func(emit Emit) { emit(float64(ops.Load())) }},
+		{Name: "ops_by", Help: "ops by kind", Type: "counter", Labels: []string{"kind"},
+			Collect: func(emit Emit) { emit(float64(ops.Load()), "all") }},
+	}
 
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
@@ -251,7 +234,7 @@ func TestConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				var b strings.Builder
-				if err := r.WriteOpenMetrics(&b); err != nil {
+				if err := WriteOpenMetrics(&b, families); err != nil {
 					t.Error(err)
 					return
 				}
@@ -264,11 +247,17 @@ func TestConcurrentScrape(t *testing.T) {
 	}
 	wg.Wait()
 	var b strings.Builder
-	if err := r.WriteOpenMetrics(&b); err != nil {
+	if err := WriteOpenMetrics(&b, families); err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("ops_total %d\n", workers*iters); !strings.Contains(b.String(), want) {
-		t.Errorf("final scrape lacks %q", want)
+	for _, want := range []string{
+		fmt.Sprintf("ops_total %d\n", workers*iters),
+		fmt.Sprintf("lat_count %d\n", workers*iters),
+		fmt.Sprintf("lat_by_bucket{kind=\"all\",le=\"+Inf\"} %d\n", workers*iters),
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("final scrape lacks %q", want)
+		}
 	}
 	if got := h.count.Load(); got != workers*iters {
 		t.Errorf("lat count = %d, want %d", got, workers*iters)

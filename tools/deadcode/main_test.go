@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"go/parser"
+	"go/token"
+	"testing"
+)
 
 // TestSymbolKey holds the normaliser to the symbol shapes `go tool nm`
 // prints for this module's binaries built with -gcflags=all=-l.
@@ -40,7 +44,7 @@ func TestSymbolKey(t *testing.T) {
 // the generic methods harness.(*flight).do and obs.(*Buffer).Push are the
 // keys their instantiated symbols normalise to, so neither is reported.
 func TestGenericMethodsLinked(t *testing.T) {
-	decls := declared(run("go", "list", "-f", listFormat, "clustersmt/internal/harness", "clustersmt/internal/obs"))
+	decls, _ := declared(run("go", "list", "-f", listFormat, "clustersmt/internal/harness", "clustersmt/internal/obs"))
 	for _, line := range []string{
 		`  5958a0 T clustersmt/internal/harness.(*flight[go.shape.struct { clustersmt/internal/harness.machine [32]uint8 },go.shape.*uint8]).do`,
 		`  53e7a0 T clustersmt/internal/obs.(*Buffer[go.shape.struct { Index int "json:\"frame\"" }]).Push`,
@@ -48,6 +52,40 @@ func TestGenericMethodsLinked(t *testing.T) {
 		key := symbolKey(line)
 		if _, ok := decls[key]; !ok {
 			t.Errorf("%s: no declared function has key %q", line, key)
+		}
+	}
+}
+
+// TestCountNames holds the second pass's counting to its rules: a
+// selector on an import counts under the import's path (renamed or
+// not), a bare identifier under the file's own package, its
+// declaration included, and a field sharing the name counts too.
+func TestCountNames(t *testing.T) {
+	const src = `package p
+
+import (
+	"example.com/a"
+	bee "example.com/b"
+)
+
+const Own, Spare = 1, 2
+
+var _ = a.X + bee.Y + Own + a.X
+
+func f(s struct{ Own int }) int { return s.Own }
+`
+	file, err := parser.ParseFile(token.NewFileSet(), "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	countNames(got, "example.com/p", file)
+	for key, want := range map[string]int{
+		"example.com/a.X": 2, "example.com/b.Y": 1,
+		"example.com/p.Own": 4, "example.com/p.Spare": 1, "example.com/p.a": 0,
+	} {
+		if got[key] != want {
+			t.Errorf("%s mentioned %d times, want %d (all: %v)", key, got[key], want, got)
 		}
 	}
 }
