@@ -23,7 +23,7 @@
 //
 //	clusterd [-addr :8421] [-size ref] [-workers N] [-queue N]
 //	         [-cache-dir DIR] [-cache-entries N] [-max-cycles N]
-//	         [-warmup-cycles N] [-metrics-interval N] [-port-file PATH]
+//	         [-metrics-interval N] [-port-file PATH]
 //	         [-drain-timeout 30s] [-telemetry=false] [-pprof] [-version]
 package main
 
@@ -72,7 +72,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist results in this directory's append-only results.log (survives restarts; one daemon per directory)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
-	warmupCycles := flag.Int64("warmup-cycles", 0, "fork prefix-declaring workloads from a checkpoint warmed to this cycle (0 = off; held in memory only, never written under -cache-dir)")
 	metricsInterval := flag.Int64("metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	portFile := flag.String("port-file", "", "write the bound port to this file once listening")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain running jobs at shutdown")
@@ -97,7 +96,6 @@ func main() {
 		CacheEntries:    *cacheEntries,
 		CacheDir:        *cacheDir,
 		MaxCycles:       *maxCycles,
-		WarmupCycles:    *warmupCycles,
 		MetricsInterval: *metricsInterval,
 
 		DisableTelemetry: !*telemetry,

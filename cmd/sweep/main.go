@@ -9,16 +9,9 @@
 // repeats a spec, and the whole grid runs concurrently (-parallel
 // bounds the simultaneous simulations).
 //
-// With -warmup-iters the synthetic specs prepend a shared warm-up
-// prefix and -warmup-cycles checkpoints it: the suite warms one parent
-// per (machine, prefix), then forks every grid cell from it instead of
-// re-simulating the warm-up 16 times per architecture (results stay
-// bit-identical; see internal/core/snapshot.go).
-//
 // Usage:
 //
 //	sweep [-archs FA8,FA4,FA2,FA1,SMT2] [-size test] [-parallel N]
-//	      [-warmup-iters N] [-warmup-cycles N]
 //
 // Every cell runs at the seed placement: a grid point has one thread
 // per hardware context, so no allocation policy could move one.
@@ -45,8 +38,6 @@ func main() {
 	archList := flag.String("archs", "FA8,FA4,FA2,FA1,SMT2", "comma-separated architectures to race")
 	sizeName := flag.String("size", "test", "input size: test or ref")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "max simultaneous simulations")
-	warmupIters := flag.Int64("warmup-iters", 0, "prepend a shared warm-up prefix of N serial iterations to every grid cell")
-	warmupCycles := flag.Int64("warmup-cycles", 0, "checkpoint the warm-up at this cycle and fork grid cells from it (0 = off)")
 	showVersion := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 	if *showVersion {
@@ -69,7 +60,6 @@ func main() {
 
 	suite := harness.NewSuite(size)
 	suite.SetParallelism(*parallel)
-	suite.WarmupCycles = *warmupCycles
 
 	// Plane axes: ParCap (threads) × ChainLen (inverse ILP).
 	caps := []int{1, 2, 4, 0} // 0 = all 8 contexts
@@ -82,11 +72,10 @@ func main() {
 	for _, ch := range chains {
 		for _, cp := range caps {
 			grid = append(grid, clustersmt.Synthetic(clustersmt.SyntheticSpec{
-				ParCap:      cp,
-				ChainLen:    ch,
-				IndepOps:    6 - min(6, ch),
-				Iters:       2048,
-				WarmupIters: *warmupIters,
+				ParCap:   cp,
+				ChainLen: ch,
+				IndepOps: 6 - min(6, ch),
+				Iters:    2048,
 			}))
 		}
 	}
@@ -127,10 +116,6 @@ func main() {
 	}
 	fmt.Println("\n(the diagonal structure is the paper's Figure 1: narrow points go to wide")
 	fmt.Println(" clusters, thready points to many clusters, and the clustered SMT covers both)")
-	if *warmupCycles > 0 {
-		forks, _ := suite.WarmForks()
-		fmt.Printf("(warm-up sharing: %d runs forked from warmed checkpoints)\n", forks)
-	}
 }
 
 func ilpLabel(chain int) string {

@@ -91,29 +91,53 @@ func TestMSHRExhaustionRejectsLoad(t *testing.T) {
 	}
 }
 
+// TestRemoteMemoryClass is Table 3's local- and remote-memory rows as
+// known answers. Each load is the first touch of its page on its chip,
+// so with banks and network ports idle it is ready at
+//
+//	issue + TLBMissPenalty (cold page) + L1Latency (the L1 probe before
+//	the L2 bank) + the class's Table 3 latency
+//
+// (30 + 1 + 60 = 91 cycles remote, 30 + 1 + 40 = 71 local, from
+// config.DefaultMem()); an idle network adds no queueing to the remote
+// round trip, and a load homed on its own chip never enters it.
 func TestRemoteMemoryClass(t *testing.T) {
 	s := newSys(t, 4)
+	mem := config.DefaultMem()
+	cold := int64(mem.TLBMissPenalty + mem.L1Latency)
 	// Page-interleaved homes: page 1 is homed on chip 1.
 	addr := int64(s.Cfg.PageBytes) // page 1
 	if h := s.Dir.Home(addr); h != 1 {
 		t.Fatalf("home = %d, want 1", h)
 	}
-	_, cls, _ := s.Load(0, 0, addr)
-	if cls != RemoteMem {
-		t.Fatalf("class = %v, want remote memory", cls)
-	}
-	// Page 0 is homed on chip 0: remote for chip 1.
-	if _, cls2, _ := s.Load(1000, 1, int64(0)); cls2 != RemoteMem {
-		t.Fatalf("page-0 class for chip 1 = %v, want remote memory", cls2)
-	}
-	// Page 5 is homed on chip 1: local for chip 1.
-	if _, cls3, _ := s.Load(2000, 1, addr+int64(s.Cfg.PageBytes)*4); cls3 != LocalMem {
-		t.Fatalf("page-5 class for chip 1 = %v, want local memory", cls3)
+	for _, c := range []struct {
+		name    string
+		now     int64
+		chip    int
+		addr    int64
+		cls     AccessClass
+		latency int
+	}{
+		{"page 1 from chip 0", 0, 0, addr, RemoteMem, mem.RemoteMemLat},
+		{"page 0 from chip 1", 1000, 1, 0, RemoteMem, mem.RemoteMemLat},
+		{"page 5 (homed on chip 1) from chip 1", 2000, 1, addr + int64(s.Cfg.PageBytes)*4, LocalMem, mem.LocalMemLatency},
+	} {
+		ready, cls, ok := s.Load(c.now, c.chip, c.addr)
+		if want := c.now + cold + int64(c.latency); !ok || cls != c.cls || ready != want {
+			t.Errorf("%s: %v ready at %d (ok %v), want %v ready at %d", c.name, cls, ready, ok, c.cls, want)
+		}
 	}
 }
 
+// TestDirtyRemoteInterventionAndDowngrade is Table 3's remote-L2 row as
+// a known answer, plus the protocol effects of the intervention. Chip
+// 1's read of a line chip 0 holds Modified is the first touch of its
+// page on chip 1, so with its banks and the network ports idle it is
+// ready at 100 + TLBMissPenalty + L1Latency + RemoteL2Lat = 100 + 30 +
+// 1 + 75 = 206 (config.DefaultMem()).
 func TestDirtyRemoteInterventionAndDowngrade(t *testing.T) {
 	s := newSys(t, 2)
+	mem := config.DefaultMem()
 	addr := int64(0x40000)
 	line := s.Chips[0].Line(addr)
 
@@ -128,9 +152,9 @@ func TestDirtyRemoteInterventionAndDowngrade(t *testing.T) {
 	}
 
 	// Chip 1 reads: 3-hop RemoteL2, chip 0 downgraded, both sharers.
-	_, cls, _ := s.Load(100, 1, addr)
-	if cls != RemoteL2 {
-		t.Fatalf("class = %v, want remote L2", cls)
+	ready, cls, _ := s.Load(100, 1, addr)
+	if want := int64(100 + mem.TLBMissPenalty + mem.L1Latency + mem.RemoteL2Lat); cls != RemoteL2 || ready != want {
+		t.Fatalf("read = %v ready at %d, want %v ready at %d", cls, ready, RemoteL2, want)
 	}
 	if st := s.Chips[0].L2.Probe(line); st != memsys.Shared {
 		t.Fatalf("chip0 after downgrade = %v", st)

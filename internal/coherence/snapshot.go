@@ -95,21 +95,6 @@ func (st *Stats) XferSnap(x *snap.Xfer) {
 	x.U64(&st.TLBMisses)
 }
 
-// XferSnap transfers the counters and gauges of one snapshot (a
-// sampler's or an allocation epoch's previous boundary, or a frame's
-// memory deltas).
-func (m *MemSnapshot) XferSnap(x *snap.Xfer) {
-	x.U64(&m.Loads)
-	x.U64(&m.Stores)
-	x.U64(&m.LoadRetries)
-	x.U64(&m.L1Hits)
-	x.U64(&m.L1Misses)
-	x.U64(&m.L2Hits)
-	x.U64(&m.L2Misses)
-	x.Int(&m.MSHROccupancy)
-	x.Int(&m.DirLines)
-}
-
 // XferSnap transfers every chip hierarchy, the directory, the network
 // and the machine-wide stats; decoding overlays a freshly built system
 // of the same configuration.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,10 +122,12 @@ func (s *Simulator) SetAssignment(assign []int) error {
 	if s.cycle != 0 || s.committed != 0 {
 		return fmt.Errorf("core: SetAssignment requires a fresh simulator")
 	}
-	if err := validAssignment(len(s.threads), s.clusterInfos(), assign); err != nil {
+	infos := s.clusterInfos()
+	if err := validAssignment(len(s.threads), infos, assign); err != nil {
 		return fmt.Errorf("core: SetAssignment: %w", err)
 	}
 	s.place(assign)
+	s.placed = !slices.Equal(assign, alloc.StaticPlace(len(s.threads), infos))
 	return nil
 }
 

@@ -326,67 +326,48 @@ func TestAllocResidenceInvariants(t *testing.T) {
 	}
 }
 
-// TestAllocSnapshotRoundTrip proves allocator state is part of the
-// checkpoint contract: pause a migrating icount run, snapshot it
-// (retrying past the mid-drain refusal windows), restore into a fresh
-// simulator, and require the restored allocState and the final Results
-// of both runs to be bit-identical — with more epochs firing after the
-// snapshot point, so the restored allocator demonstrably keeps working.
+// TestAllocSnapshotRoundTrip pins that allocator state is outside the
+// checkpoint format: a migrating icount run, paused every 250 cycles,
+// refuses Snapshot and ForkProgram at every pause — before the first
+// epoch, mid-drain and after migrations have moved threads — and the
+// refused attempts leave it running to the Result an unpaused twin
+// reaches.
 func TestAllocSnapshotRoundTrip(t *testing.T) {
 	m := config.LowEnd(config.SMT2)
 	m.Alloc = config.AllocConfig{Policy: "icount", Epoch: 400}
 	p := buildImbalanced(m.Threads(), 4000)
+	twin, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim, err := New(m, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var data []byte
-	for target := int64(450); ; target += 25 {
+	for target := int64(0); target < want.Cycles; target += 250 {
 		if err := sim.RunTo(target); err != nil {
 			t.Fatal(err)
 		}
-		if sim.Done() {
-			t.Fatal("run finished before a snapshot succeeded")
+		if _, err := sim.Snapshot(); !errors.Is(err, ErrSnapshotUnsupported) {
+			t.Fatalf("Snapshot at cycle %d: got %v, want ErrSnapshotUnsupported", sim.cycle, err)
 		}
-		data, err = sim.Snapshot()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, ErrSnapshotUnsupported) {
-			t.Fatal(err)
+		if _, err := sim.ForkProgram(p); !errors.Is(err, ErrSnapshotUnsupported) {
+			t.Fatalf("ForkProgram at cycle %d: got %v, want ErrSnapshotUnsupported", sim.cycle, err)
 		}
 	}
-	preEpochs := sim.alloc.epoch
-	restored, err := Restore(m, p, data)
+	got, err := sim.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// DeepEqual never holds for two non-nil funcs: compare the policy
-	// by code pointer and every other field with it cleared.
-	if reflect.ValueOf(sim.alloc.rebalance).Pointer() != reflect.ValueOf(restored.alloc.rebalance).Pointer() {
-		t.Fatal("restored allocator runs another policy")
+	if got.AllocMigrations == 0 {
+		t.Fatal("no migrations; the refusal after a move is untested")
 	}
-	origState, restState := *sim.alloc, *restored.alloc
-	origState.rebalance, restState.rebalance = nil, nil
-	if !reflect.DeepEqual(origState, restState) {
-		t.Fatalf("allocator state lost in round trip\norig:     %+v\nrestored: %+v", origState, restState)
-	}
-	orig, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, err := restored.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if orig.AllocMigrations == 0 {
-		t.Fatalf("no migrations; the round trip is vacuous")
-	}
-	if orig.AllocEpochs <= preEpochs {
-		t.Fatalf("no epochs fired after the snapshot (pre=%d final=%d); restore untested", preEpochs, orig.AllocEpochs)
-	}
-	if !reflect.DeepEqual(orig, rest) {
-		t.Fatalf("restored run diverged\norig:     %+v\nrestored: %+v", orig, rest)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("refused checkpoints perturbed the run\nwant %+v\ngot  %+v", want, got)
 	}
 }
 

@@ -86,14 +86,6 @@ func (s *Simulator) OnInterval(fn func(obs.Frame)) {
 	s.obs.onFrame = fn
 }
 
-// Metrics returns the frame ring, or nil when metrics are disabled.
-func (s *Simulator) Metrics() *obs.Ring {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.ring
-}
-
 // sample emits the frame covering [o.prevCycle, s.cycle). Called by Run
 // when a step or a machine jump reaches a boundary, and once more at
 // run end for the partial tail. Deltas are differences of cumulative

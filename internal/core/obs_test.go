@@ -235,7 +235,7 @@ func TestOnIntervalChains(t *testing.T) {
 	}
 	seen := 0
 	s.OnInterval(func(obs.Frame) { seen++ })
-	if s.Metrics() == nil || s.obs.interval != DefaultMetricsInterval {
+	if s.obs == nil || s.obs.interval != DefaultMetricsInterval {
 		t.Fatal("OnInterval did not enable metrics at the default interval")
 	}
 	if _, err := s.Run(); err != nil {
@@ -244,7 +244,7 @@ func TestOnIntervalChains(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("callback never fired")
 	}
-	if got := s.Metrics().Len(); got != seen {
+	if got := s.obs.ring.Len(); got != seen {
 		t.Errorf("ring retains %d frames, callback saw %d", got, seen)
 	}
 }

@@ -75,9 +75,11 @@ type Simulator struct {
 	// alloc is the dynamic allocation-policy state (nil for static
 	// placement — the default — and for installed fixed assignments);
 	// migrating lists threads marked for migration and still draining
-	// their in-flight window. See alloc.go.
+	// their in-flight window; placed records that SetAssignment moved a
+	// thread off the seed placement. See alloc.go.
 	alloc     *allocState
 	migrating []*threadCtx
+	placed    bool
 
 	// MaxCycles aborts the run when exceeded (safety net).
 	MaxCycles int64

@@ -8,7 +8,6 @@ import (
 	"clustersmt/internal/config"
 	"clustersmt/internal/interp"
 	"clustersmt/internal/isa"
-	"clustersmt/internal/obs"
 	"clustersmt/internal/prog"
 	"clustersmt/internal/snap"
 	"clustersmt/internal/stats"
@@ -18,17 +17,20 @@ import (
 //
 // Snapshot serializes the complete simulator state — clusters (entry
 // pool, wakeup wheel, predictors, per-thread front-end state),
-// synchronization controller, sampler ring, functional memory and the
-// timing memory system — into a versioned, self-validating binary
-// envelope. Restore rebuilds an equivalent simulator from the bytes;
+// synchronization controller, functional memory and the timing memory
+// system — into a versioned, self-validating binary envelope. It covers
+// one configuration, the one warm-up forking drives: a single-program
+// simulator at the seed placement, under no migrating policy, with
+// sampling off (snapshotSupported). Restore rebuilds an equivalent
+// simulator from the bytes;
 // ForkProgram clones a paused simulator in memory, sharing the interp
 // memory pages and cache tag arrays copy-on-write so a warmed parent
 // can be forked once per sweep variant at near-zero cost.
 //
 // The contract is the house one: bit-identity, not approximation.
 // Running a restored or forked simulator to completion produces a
-// Result (and off-Result memory/coherence counters, and obs frames)
-// reflect.DeepEqual to running the original from scratch — guarded by
+// Result (and off-Result memory/coherence counters) reflect.DeepEqual
+// to running the original from scratch — guarded by
 // TestCheckpointDifferential across every preset × machine.
 //
 // Encoding invariants:
@@ -63,11 +65,14 @@ import (
 // to the encoding must bump it; Restore refuses every other version
 // with ErrSnapshotVersion. Checkpoints are a cache, not an archive: the
 // harness keys persisted ones by version, so after a bump old files are
-// simply never looked up and the warm-up re-runs. Version 9 wakes
-// consumers when their producers issue: an entry carries its unissued
-// producer counts and latest producer completions, and a wheel event
-// names a waiting entry by bare handle, one per entry (no completion
-// events). Version 8 frees a
+// simply never looked up and the warm-up re-runs. Version 10 covers
+// only the seed placement with no allocator and no sampler, so it drops
+// the residence lists, per-thread migration refill cycles, the
+// allocator block and the sampler section with their presence flags.
+// Version 9 wakes consumers when their producers issue: an entry
+// carries its unissued producer counts and latest producer completions,
+// and a wheel event names a waiting entry by bare handle, one per entry
+// (no completion events). Version 8 frees a
 // window entry's slot at commit, so a cluster no longer writes a window
 // list, its queue, zombie and fetch-group counters, a thread's
 // in-window count, or an entry's fetch cycle, branch, misprediction,
@@ -77,16 +82,10 @@ import (
 // presence byte; version 6 named it by the v2 digests (prog's
 // run-length image stream); version 5 dropped the per-chip loop's cycle
 // counter version 4 carried in the core section.
-const SnapshotVersion = 9
+const SnapshotVersion = 10
 
 // snapMagic is "CSMT" as a big-endian u32.
 const snapMagic = 0x43534d54
-
-// maxSnapshotRingCap bounds the sampler ring capacity a checkpoint may
-// declare: the decoder pre-allocates the ring, so the bound is what
-// keeps a crafted payload from demanding an arbitrarily large
-// allocation. Far above DefaultRingCap; Snapshot refuses larger rings.
-const maxSnapshotRingCap = 1 << 16
 
 // Typed snapshot errors, matchable with errors.Is.
 var (
@@ -135,25 +134,25 @@ func (s *Simulator) PrefixValid() bool {
 }
 
 // snapshotSupported reports why this simulator cannot be checkpointed
-// or forked, or nil. The excluded configurations are all explicitly
-// out of scope: multiprogrammed runs (per-job memories and sync
-// controllers) and instruction tracing (the trace writer is an open
-// file).
+// or forked, or nil. The format covers exactly what warm-up forking
+// uses, and everything else is out of scope: multiprogrammed runs
+// (per-job memories and sync controllers), instruction tracing (the
+// trace writer is an open file), sampling (no sampler state is
+// carried), a migrating allocation policy (no allocator state or
+// placement is carried) and a placement SetAssignment installed (the
+// decoder rebuilds the seed placement).
 func (s *Simulator) snapshotSupported() error {
-	if len(s.mems) > 1 {
+	switch {
+	case len(s.mems) > 1:
 		return fmt.Errorf("%w: multiprogrammed simulators", ErrSnapshotUnsupported)
-	}
-	if s.tr != nil {
+	case s.tr != nil:
 		return fmt.Errorf("%w: instruction tracing active", ErrSnapshotUnsupported)
-	}
-	if len(s.migrating) != 0 {
-		// A draining migration resolves within the longest in-flight
-		// latency; callers pausing at an arbitrary cycle simply step past
-		// it. Post-move refill stalls (blockMigrate) snapshot fine.
-		return fmt.Errorf("%w: thread migration draining (mid-epoch state)", ErrSnapshotUnsupported)
-	}
-	if s.obs != nil && s.obs.ring.Cap() > maxSnapshotRingCap {
-		return fmt.Errorf("%w: sampler ring capacity %d exceeds %d", ErrSnapshotUnsupported, s.obs.ring.Cap(), maxSnapshotRingCap)
+	case s.obs != nil:
+		return fmt.Errorf("%w: interval metrics enabled", ErrSnapshotUnsupported)
+	case s.alloc != nil:
+		return fmt.Errorf("%w: allocation policy %q migrates threads", ErrSnapshotUnsupported, s.Machine.Alloc.Policy)
+	case s.placed:
+		return fmt.Errorf("%w: threads off the seed placement", ErrSnapshotUnsupported)
 	}
 	return nil
 }
@@ -218,6 +217,13 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
+	s, err := newShell(m, p, interp.NewMemory(), coherence.NewSystem(m.Chips, m.Mem))
+	if err != nil {
+		return nil, err
+	}
+	if err := s.snapshotSupported(); err != nil {
+		return nil, err // a fresh shell fails only on a migrating policy
+	}
 	if want := m.Hash(); string(mh) != string(want[:]) {
 		return nil, fmt.Errorf("%w: machine configuration differs", ErrSnapshotMismatch)
 	}
@@ -228,10 +234,6 @@ func Restore(m config.Machine, p *prog.Program, data []byte) (*Simulator, error)
 		if want := p.Fingerprint(); string(fp) != string(want[:]) {
 			return nil, fmt.Errorf("%w: program differs and no shared warm-up prefix applies", ErrSnapshotMismatch)
 		}
-	}
-	s, err := newShell(m, p, interp.NewMemory(), coherence.NewSystem(m.Chips, m.Mem))
-	if err != nil {
-		return nil, err
 	}
 	x := r.Xfer()
 	if err := s.decodeCore(x); err != nil {
@@ -383,9 +385,9 @@ func (x *xfer) slots(sl *stats.Slots) {
 
 // encodeCore writes everything except the bulk state (functional
 // memory, timing memory system): simulator scalars, the sync
-// controller, every cluster (entries, threads, predictors) and the
-// sampler. Fork serializes only this section and shares the bulk state
-// copy-on-write instead.
+// controller and every cluster (entries, threads, predictors). Fork
+// serializes only this section and shares the bulk state copy-on-write
+// instead.
 func (s *Simulator) encodeCore(x *snap.Xfer) { s.xferCore(&xfer{Xfer: *x}) }
 
 // decodeCore overlays a core section onto a freshly built shell.
@@ -395,20 +397,6 @@ func (s *Simulator) decodeCore(x *snap.Xfer) error {
 	}
 	if err := x.Err(); err != nil {
 		return snapErr(err)
-	}
-	// With thread state fully decoded, enforce the capacity invariant
-	// the residence-list pass deferred: live (unfinished) threads never
-	// exceed a cluster's hardware contexts.
-	for ci, cl := range s.clusters {
-		live := 0
-		for _, t := range cl.threads {
-			if !t.done() {
-				live++
-			}
-		}
-		if live > cl.cfg.ThreadsPerCluster {
-			return fmt.Errorf("%w: cluster %d holds %d live threads (capacity %d)", ErrSnapshotCorrupt, ci, live, cl.cfg.ThreadsPerCluster)
-		}
 	}
 	return nil
 }
@@ -428,151 +416,15 @@ func (s *Simulator) xferCore(x *xfer) error {
 	if s.finished < 0 || s.finished > len(s.threads) || s.running < 0 || s.running > len(s.threads) {
 		return fmt.Errorf("%w: thread accounting out of range", ErrSnapshotCorrupt)
 	}
-	// The current thread-to-cluster assignment, as each cluster's
-	// thread-id list in residence order. Dynamic policies migrate
-	// threads, so the freshly built shell's seed placement must be
-	// overlaid before the per-cluster sections (which iterate c.threads)
-	// can decode.
-	if err := s.xferAssignment(x); err != nil {
-		return err
-	}
+	// The payload names no placement: the freshly built shell's seed
+	// placement is the one every snapshottable simulator runs at.
 	for _, c := range s.clusters {
 		x.c = c
 		if err := c.xferSnap(x, s.Program, len(s.threads)); err != nil {
 			return err
 		}
 	}
-	// Migration refill state and the allocator's epoch state.
-	for _, t := range s.threads {
-		xi(x, &t.migrateReady)
-	}
-	hasAlloc := s.alloc != nil
-	x.Bool(&hasAlloc)
-	if x.Err() == nil && hasAlloc != (s.alloc != nil) {
-		return fmt.Errorf("%w: allocator state presence disagrees with machine policy", ErrSnapshotCorrupt)
-	}
-	if a := s.alloc; a != nil {
-		xi(x, &a.interval)
-		xi(x, &a.nextAt)
-		xi(x, &a.epoch)
-		xi(x, &a.migrations)
-		for i := range a.prevThreadCommitted {
-			xi(x, &a.prevThreadCommitted[i])
-		}
-		for i := range a.lastMigrated {
-			xi(x, &a.lastMigrated[i])
-		}
-		for i := range a.prevChipMem {
-			a.prevChipMem[i].XferSnap(&x.Xfer)
-		}
-		if x.Err() == nil && a.interval <= 0 {
-			return fmt.Errorf("%w: allocator epoch interval %d", ErrSnapshotCorrupt, a.interval)
-		}
-	}
-	hasObs := s.obs != nil
-	x.Bool(&hasObs)
-	if hasObs {
-		s.xferSampler(x)
-	}
 	return nil
-}
-
-// xferAssignment transfers each cluster's thread-id residence list.
-// Decoding re-homes the shell's threads to match the encoded placement,
-// so the per-cluster sections that follow iterate the same thread order
-// the encoder did.
-func (s *Simulator) xferAssignment(x *xfer) error {
-	var seen []bool // decoding only, as is lists
-	var lists [][]int
-	if x.Decoding() {
-		seen, lists = make([]bool, len(s.threads)), make([][]int, len(s.clusters))
-	}
-	for ci, c := range s.clusters {
-		// Residence lists include finished threads, which stay on the
-		// cluster that retired them, so a cluster that absorbed
-		// migrations can legally list more threads than it has hardware
-		// contexts. Only the total is bounded here; the live-thread
-		// capacity invariant is checked after per-thread state decodes.
-		n := len(c.threads)
-		x.Count(&n, len(s.threads), "cluster residence list")
-		for i := 0; i < n; i++ {
-			var tid int
-			if !x.Decoding() {
-				tid = c.threads[i].id
-			}
-			if x.Int(&tid); !x.Decoding() {
-				continue
-			}
-			if x.Err() != nil {
-				return x.Err()
-			}
-			if tid < 0 || tid >= len(s.threads) || seen[tid] {
-				return fmt.Errorf("%w: thread id %d in cluster %d residence list", ErrSnapshotCorrupt, tid, ci)
-			}
-			seen[tid] = true
-			lists[ci] = append(lists[ci], tid)
-		}
-	}
-	if !x.Decoding() {
-		return nil
-	}
-	if x.Err() != nil {
-		return x.Err()
-	}
-	for tid, ok := range seen {
-		if !ok {
-			return fmt.Errorf("%w: residence lists omit thread %d", ErrSnapshotCorrupt, tid)
-		}
-	}
-	for ci, cl := range s.clusters {
-		cl.threads = cl.threads[:0]
-		for _, tid := range lists[ci] {
-			t := s.threads[tid]
-			t.cluster = cl
-			t.chip = cl.chip
-			cl.threads = append(cl.threads, t)
-		}
-	}
-	return nil
-}
-
-// xferSampler transfers the metrics configuration, the previous-
-// boundary counter snapshot and the frame ring, so a restored run's
-// frames continue tiling the cycle axis exactly where the original's
-// left off. The OnInterval callback is host state and is not
-// serialized; callers re-register after Restore/Fork.
-func (s *Simulator) xferSampler(x *xfer) {
-	o := s.obs
-	if x.Decoding() {
-		o = &sampler{prevCluster: make([][stats.NumCategories]float64, len(s.clusters))}
-	}
-	xi(x, &o.interval)
-	xi(x, &o.nextAt)
-	xi(x, &o.index)
-	xi(x, &o.prevCycle)
-	xi(x, &o.prevCommitted)
-	x.F64(&o.prevRunningAccum)
-	snap.Each(o.prevSlots[:], x.F64)
-	for i := range o.prevCluster {
-		snap.Each(o.prevCluster[i][:], x.F64)
-	}
-	o.prevMem.XferSnap(&x.Xfer)
-	var ringCap int
-	if !x.Decoding() {
-		ringCap = o.ring.Cap()
-	}
-	if x.Int(&ringCap); x.Decoding() {
-		if x.Err() != nil {
-			return
-		}
-		if o.interval <= 0 || ringCap <= 0 || ringCap > maxSnapshotRingCap {
-			x.corrupt("sampler interval %d, ring capacity %d", o.interval, ringCap)
-			return
-		}
-		o.ring = obs.NewRing(ringCap)
-		s.obs = o
-	}
-	o.ring.XferSnap(&x.Xfer, len(s.clusters))
 }
 
 // ---- cluster section ----

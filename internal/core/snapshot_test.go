@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -76,8 +75,8 @@ func offCountersOf(s *Simulator) offCounters {
 	return o
 }
 
-// compareRuns asserts two completed simulators agree on the Result, the
-// off-Result counters and the observability frames.
+// compareRuns asserts two completed simulators agree on the Result and
+// the off-Result counters.
 func compareRuns(t *testing.T, label string, want, got *Result, ws, gs *Simulator) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
@@ -86,26 +85,14 @@ func compareRuns(t *testing.T, label string, want, got *Result, ws, gs *Simulato
 	if wo, go_ := offCountersOf(ws), offCountersOf(gs); !reflect.DeepEqual(wo, go_) {
 		t.Errorf("%s: off-Result counters diverged:\nwant %+v\ngot  %+v", label, wo, go_)
 	}
-	wr, gr := ws.Metrics(), gs.Metrics()
-	if (wr == nil) != (gr == nil) {
-		t.Fatalf("%s: metrics ring presence differs", label)
-	}
-	if wr != nil {
-		if !reflect.DeepEqual(wr.Frames(), gr.Frames()) {
-			t.Errorf("%s: obs frames diverged (%d vs %d frames)", label, len(wr.Frames()), len(gr.Frames()))
-		}
-		if wr.Dropped() != gr.Dropped() {
-			t.Errorf("%s: obs drop accounting diverged: %d vs %d", label, wr.Dropped(), gr.Dropped())
-		}
-	}
 }
 
 // TestCheckpointDifferential is the contract test for checkpoint/
 // restore and fork: on every Table 2 preset, low- and high-end, a run
 // resumed from a mid-run snapshot — and a run forked from a paused
 // parent, and the parent itself continuing — must be bit-identical
-// (reflect.DeepEqual on the full Result, the off-Result memory/coherence
-// counters and the obs frames) to running from scratch. The /parallel
+// (reflect.DeepEqual on the full Result and the off-Result
+// memory/coherence counters) to running from scratch. The /parallel
 // legs set the deprecated, ignored Parallel field on every simulator
 // they pause, restore and fork, and are held to the same sequential
 // run from scratch: setting it must change nothing.
@@ -131,7 +118,6 @@ func TestCheckpointDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						s.EnableMetrics(2048, 64)
 						return s
 					}
 					run := func(s *Simulator) *Result {
@@ -204,7 +190,6 @@ func TestForkCrossVariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parent.EnableMetrics(2048, 64)
 			if err := parent.RunTo(1000); err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +205,6 @@ func TestForkCrossVariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scratch.EnableMetrics(2048, 64)
 			ref, err := scratch.Run()
 			if err != nil {
 				t.Fatal(err)
@@ -409,18 +393,76 @@ func TestSnapshotMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnsupported checks the refused configurations.
+// TestSnapshotUnsupported checks the refused configurations: Snapshot
+// and ForkProgram refuse a multiprogrammed simulator, one that samples,
+// one under a migrating policy and one SetAssignment moved off the seed
+// placement, each after a few cycles of running; Restore refuses a
+// machine whose policy migrates. A seed placement installed through
+// SetAssignment stays snapshottable.
 func TestSnapshotUnsupported(t *testing.T) {
 	m := config.LowEnd(config.SMT4)
 	w := workloads.Synthetic(checkpointSpec())
 	p := w.Build(m.Threads(), m.Chips, workloads.SizeTest)
+	icount := m
+	icount.Alloc = config.AllocConfig{Policy: "icount", Epoch: 400}
+	build := func(t *testing.T, m config.Machine) *Simulator {
+		s, err := New(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for _, c := range []struct {
+		name string
+		sim  func(t *testing.T) *Simulator
+	}{
+		{"multiprogrammed", func(t *testing.T) *Simulator {
+			s, err := NewMulti(m, []*prog.Program{p, p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"sampling", func(t *testing.T) *Simulator {
+			s := build(t, m)
+			s.EnableMetrics(100, 0)
+			return s
+		}},
+		{"migrating policy", func(t *testing.T) *Simulator { return build(t, icount) }},
+		{"SetAssignment", func(t *testing.T) *Simulator {
+			s := build(t, m)
+			a := s.Assignment()
+			a[0], a[len(a)-1] = a[len(a)-1], a[0] // the first and last thread trade clusters
+			if err := s.SetAssignment(a); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.sim(t)
+			if err := s.RunTo(200); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Snapshot(); !errors.Is(err, ErrSnapshotUnsupported) {
+				t.Errorf("Snapshot: got %v, want ErrSnapshotUnsupported", err)
+			}
+			if _, err := s.ForkProgram(s.Program); !errors.Is(err, ErrSnapshotUnsupported) {
+				t.Errorf("ForkProgram: got %v, want ErrSnapshotUnsupported", err)
+			}
+		})
+	}
 
-	multi, err := NewMulti(m, []*prog.Program{p, p})
-	if err != nil {
+	seed := build(t, m)
+	if err := seed.SetAssignment(seed.Assignment()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := multi.Snapshot(); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Fatalf("multiprogrammed: got %v, want ErrSnapshotUnsupported", err)
+	data, err := seed.Snapshot()
+	if err != nil {
+		t.Fatalf("seed placement through SetAssignment: %v", err)
+	}
+	if _, err := Restore(icount, p, data); !errors.Is(err, ErrSnapshotUnsupported) {
+		t.Errorf("Restore on a migrating-policy machine: got %v, want ErrSnapshotUnsupported", err)
 	}
 }
 
@@ -537,7 +579,6 @@ func TestSnapshotLeafViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.EnableMetrics(100, 8)
 	if err := s.RunTo(500); err != nil {
 		t.Fatal(err)
 	}
@@ -550,9 +591,7 @@ func TestSnapshotLeafViolations(t *testing.T) {
 	}
 
 	// Sections are located from the back of the payload: it ends with the
-	// memory system (chips, then directory, network, stats), preceded by
-	// the functional memory, preceded by the core section, whose last
-	// part is the sampler ring.
+	// memory system (chips, then directory, network, stats).
 	size := func(sec interface{ XferSnap(*snap.Xfer) }) int {
 		w := snap.NewWriter()
 		sec.XferSnap(w.Xfer())
@@ -560,9 +599,6 @@ func TestSnapshotLeafViolations(t *testing.T) {
 	}
 	chip0 := s.msys.Chips[0]
 	l1 := len(data) - size(s.msys)
-	w := snap.NewWriter()
-	s.obs.ring.XferSnap(w.Xfer(), len(s.clusters))
-	ring := l1 - size(s.mem) - w.Len()
 	mshr := l1 + size(chip0) - 8 - size(chip0.MSHR) // a chip ends: MSHR file, one counter
 	dir := len(data) - size(&s.msys.Stats) - size(s.msys.Net) - size(s.msys.Dir)
 	// A directory slot is line (8 bytes), sharers (4), owner (1), state
@@ -574,8 +610,8 @@ func TestSnapshotLeafViolations(t *testing.T) {
 			full = dir + slotsAt + slotBytes*i
 		}
 	}
-	if full < 0 || s.obs.ring.Len() == 0 {
-		t.Fatalf("fixture too idle: full directory slot at %d, %d frames", full, s.obs.ring.Len())
+	if full < 0 {
+		t.Fatal("fixture too idle: no full directory slot")
 	}
 	l1Ways := m.Mem.L1SizeKB * 1024 / m.Mem.LineBytes // 17 bytes a way, after the 8-byte way count
 
@@ -584,7 +620,6 @@ func TestSnapshotLeafViolations(t *testing.T) {
 		"sharer mask beyond the chips": func(b []byte) { b[full+8+3] = 0x80 },
 		"L1 MRU hint out of range":     func(b []byte) { b[l1+8+17*l1Ways] = 0xff },
 		"MSHR capacity mismatch":       func(b []byte) { b[mshr]++ },
-		"ring pushed < count":          func(b []byte) { clear(b[ring+16 : ring+24]) },
 	} {
 		bad := append([]byte(nil), data...)
 		hurt(bad)
@@ -593,20 +628,6 @@ func TestSnapshotLeafViolations(t *testing.T) {
 		}
 	}
 
-	// A well-formed payload whose oldest frame lists one cluster more
-	// than the machine has: the ring's accounting (24 bytes) and the
-	// frame's scalars and slots (128) precede the count, and a cluster
-	// entry is chip, cluster and slots (80).
-	at := ring + 24 + 128
-	if n := binary.LittleEndian.Uint64(data[at:]); n != uint64(len(s.clusters)) {
-		t.Fatalf("oldest frame lists %d clusters at byte %d, want %d", n, at, len(s.clusters))
-	}
-	bad := slices.Concat(data[:at+8], make([]byte, 80), data[at+8:])
-	binary.LittleEndian.PutUint64(bad[at:], uint64(len(s.clusters)+1))
-	if _, err := Restore(m, p, bad); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("frame with %d clusters on a %d-cluster machine: got %v, want ErrSnapshotCorrupt",
-			len(s.clusters)+1, len(s.clusters), err)
-	}
 }
 
 // FuzzSnapshotDecode feeds arbitrary bytes to Restore: it must reject

@@ -228,8 +228,11 @@ type Suite struct {
 	// instead of simulating each from cycle zero. Results stay
 	// bit-identical to scratch runs; the win is wall clock when the
 	// warm-up dominates and many variants share it. Workloads without a
-	// prefix, and parents whose warm-up ends before this cycle, fall
-	// back to scratch silently. Set before the first Run.
+	// prefix, parents whose warm-up ends before this cycle, and every
+	// run of a sampling suite (MetricsInterval or OnFrame set: a
+	// checkpoint carries no sampler) fall back to scratch silently. No
+	// command sets it; the sweep-fork benchmark does. Set before the
+	// first Run.
 	WarmupCycles int64
 	// Snapshots, when non-nil, keeps warmed parent checkpoints so a
 	// later suite restores them instead of re-running the warm-up (the
@@ -493,10 +496,9 @@ func (s *Suite) release() { <-s.sem }
 
 // arm applies the suite's per-run settings to a simulator about to run:
 // the cycle bound, the caller's cancellation and, with sampling on, the
-// frame ring it returns (nil otherwise). A forked child already carries
-// the warmed parent's sampler — warm-up frames included, so its ring
-// matches a scratch run's — and re-enabling would reset the sampling
-// phase mid-run.
+// frame ring it returns (nil otherwise). A sampling suite never
+// warm-starts, so every simulator armed with sampling runs from cycle
+// zero.
 func (s *Suite) arm(ctx context.Context, sim *core.Simulator) *obs.Ring {
 	if s.MaxCycles > 0 {
 		sim.MaxCycles = s.MaxCycles
@@ -504,9 +506,6 @@ func (s *Suite) arm(ctx context.Context, sim *core.Simulator) *obs.Ring {
 	sim.Interrupt = ctx.Done()
 	if s.MetricsInterval <= 0 && s.OnFrame == nil {
 		return nil
-	}
-	if ring := sim.Metrics(); ring != nil {
-		return ring
 	}
 	return sim.EnableMetrics(s.MetricsInterval, 0)
 }

@@ -50,14 +50,15 @@ type warmParent struct {
 
 // warmStart returns a simulator for p on m already advanced to
 // WarmupCycles via a shared warmed parent, or (nil, nil) when the
-// scratch path must be used: warm-up sharing disabled, the program
-// declares no prefix, or the warm-up left the prefix before the
-// checkpoint cycle. Results are bit-identical either way — a fork of a
-// prefix-valid checkpoint replays exactly the cycles a scratch run
-// would execute — so every failure mode here falls back silently.
+// scratch path must be used: warm-up sharing disabled, the suite
+// samples (checkpoints carry no sampler), the program declares no
+// prefix, or the warm-up left the prefix before the checkpoint cycle.
+// Results are bit-identical either way — a fork of a prefix-valid
+// checkpoint replays exactly the cycles a scratch run would execute —
+// so every failure mode here falls back silently.
 func (s *Suite) warmStart(ctx context.Context, m config.Machine, p *prog.Program) (*core.Simulator, error) {
 	w := s.WarmupCycles
-	if w <= 0 || p.PrefixLen == 0 {
+	if w <= 0 || p.PrefixLen == 0 || s.MetricsInterval > 0 || s.OnFrame != nil {
 		return nil, nil
 	}
 	if s.MaxCycles > 0 && w >= s.MaxCycles {
@@ -117,10 +118,6 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 	if err != nil {
 		return nil
 	}
-	// Children inherit the sampler through the fork, frames included, so
-	// their rings match a scratch run's byte for byte. The heartbeat
-	// callback is per-child and registered after the fork; the shared
-	// warm-up phase itself emits no heartbeat.
 	s.arm(ctx, sim)
 	if err := sim.RunTo(w); err != nil {
 		return nil
@@ -142,23 +139,17 @@ func (s *Suite) warmParent(ctx context.Context, m config.Machine, p *prog.Progra
 
 // snapshotKey derives the SnapshotStore key for a warmed parent. It
 // covers everything that shapes the checkpoint bytes: machine, prefix,
-// checkpoint cycle, snapshot format version, and the suite's metrics
-// configuration (the sampler state is part of the snapshot, and a
-// restored parent must carry the same sampler a fresh warm-up under
-// this suite would).
+// checkpoint cycle and snapshot format version.
 func (s *Suite) snapshotKey(k warmKey, w int64) string {
 	h := sha256.New()
 	h.Write(k.machine[:])
 	h.Write(k.prefix[:])
-	metricsOn := s.MetricsInterval > 0 || s.OnFrame != nil
-	fmt.Fprintf(h, "|w=%d|snapv=%d|obs=%t,%d",
-		w, core.SnapshotVersion, metricsOn, s.MetricsInterval)
+	fmt.Fprintf(h, "|w=%d|snapv=%d", w, core.SnapshotVersion)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // WarmForks returns how many simulations were started by forking a
-// warmed parent instead of from scratch (the /healthz warm-up count),
-// and how many parents were restored from the SnapshotStore rather
+// warmed parent instead of from scratch, and how many parents were restored from the SnapshotStore rather
 // than warmed by running.
 func (s *Suite) WarmForks() (forks, restores int64) {
 	return s.warmForks.Load(), s.warmRestores.Load()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"clustersmt/internal/config"
+	"clustersmt/internal/core"
 	"clustersmt/internal/obs"
 	"clustersmt/internal/workloads"
 )
@@ -33,40 +34,53 @@ const warmupTestCycles = 1000
 
 // TestWarmupSharingBitIdentical is the harness half of the house gate:
 // a suite that forks every variant from one warmed parent must produce
-// results — and retained metrics frames — bit-identical to a suite that
-// simulates each variant from scratch.
+// results bit-identical to a suite that simulates each variant from
+// scratch. A sampling suite with the same WarmupCycles never forks (a
+// checkpoint carries no sampler): it reports no warm forks, and its
+// results and retained frames equal a scratch sampling suite's.
 func TestWarmupSharingBitIdentical(t *testing.T) {
 	apps := warmupVariants()
+	run := func(t *testing.T, s *Suite, arch config.Arch) map[string]map[string]*core.Result {
+		t.Helper()
+		res, err := s.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for _, arch := range []config.Arch{config.SMT2, config.FA4} {
 		scratch := NewSuite(workloads.SizeTest)
-		scratch.MetricsInterval = 256
 		warm := NewSuite(workloads.SizeTest)
-		warm.MetricsInterval = 256
 		warm.WarmupCycles = warmupTestCycles
-
-		want, err := scratch.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := warm.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, got := run(t, scratch, arch), run(t, warm, arch)
 		if forks, _ := warm.WarmForks(); forks != int64(len(apps)) {
 			t.Fatalf("%s: %d warm forks, want %d (warm-up sharing did not engage)", arch.Name, forks, len(apps))
 		}
+
+		sampledScratch := NewSuite(workloads.SizeTest)
+		sampledScratch.MetricsInterval = 256
+		sampled := NewSuite(workloads.SizeTest)
+		sampled.MetricsInterval = 256
+		sampled.WarmupCycles = warmupTestCycles
+		wantSampled, gotSampled := run(t, sampledScratch, arch), run(t, sampled, arch)
+		if forks, _ := sampled.WarmForks(); forks != 0 {
+			t.Fatalf("%s: a sampling suite forked %d runs, want 0", arch.Name, forks)
+		}
 		for _, app := range apps {
-			w, g := want[app.Name][arch.Name], got[app.Name][arch.Name]
-			if !reflect.DeepEqual(w, g) {
+			w := want[app.Name][arch.Name]
+			if !reflect.DeepEqual(w, got[app.Name][arch.Name]) {
 				t.Errorf("%s on %s: forked result differs from scratch", app.Name, arch.Name)
 			}
-			run := app.Name + "@" + config.LowEnd(arch).Name
-			wr, gr := scratch.Metrics(run), warm.Metrics(run)
+			if !reflect.DeepEqual(w, wantSampled[app.Name][arch.Name]) || !reflect.DeepEqual(w, gotSampled[app.Name][arch.Name]) {
+				t.Errorf("%s on %s: sampled result differs from scratch", app.Name, arch.Name)
+			}
+			name := app.Name + "@" + config.LowEnd(arch).Name
+			wr, gr := sampledScratch.Metrics(name), sampled.Metrics(name)
 			if wr == nil || gr == nil {
-				t.Fatalf("%s: missing metrics ring (scratch=%v warm=%v)", run, wr != nil, gr != nil)
+				t.Fatalf("%s: missing metrics ring (scratch=%v warm=%v)", name, wr != nil, gr != nil)
 			}
 			if !reflect.DeepEqual(wr.Frames(), gr.Frames()) {
-				t.Errorf("%s: forked metrics frames differ from scratch", run)
+				t.Errorf("%s: sampled frames differ from scratch", name)
 			}
 		}
 	}
@@ -233,9 +247,11 @@ func TestWarmupFallbacks(t *testing.T) {
 	})
 }
 
-// TestWarmupFrameConservation checks the heartbeat stream against the
-// retained ring for forked runs: every post-fork frame is delivered
-// once, in order, and warm-up frames appear exactly once in the ring.
+// TestWarmupFrameConservation checks the heartbeat stream of a
+// sampling suite with WarmupCycles set: it runs every variant from
+// cycle zero, so every frame is delivered once, in order, and the
+// retained ring is exactly the heartbeat and equals a scratch suite's.
+// The same suite settings without sampling still fork every variant.
 func TestWarmupFrameConservation(t *testing.T) {
 	apps := warmupVariants()[:2]
 	arch := config.SMT2
@@ -250,17 +266,40 @@ func TestWarmupFrameConservation(t *testing.T) {
 		heartbeat[app+"@"+machine] = append(heartbeat[app+"@"+machine], f)
 		mu.Unlock()
 	}
-	if _, err := warm.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false); err != nil {
+	scratch := NewSuite(workloads.SizeTest)
+	scratch.MetricsInterval = 256
+	for _, s := range []*Suite{warm, scratch} {
+		if _, err := s.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if forks, _ := warm.WarmForks(); forks != 0 {
+		t.Fatalf("a sampling suite forked %d runs, want 0", forks)
+	}
+	runs := warm.MetricsRuns()
+	if len(runs) != len(apps) {
+		t.Fatalf("%d runs retain frames, want %d", len(runs), len(apps))
+	}
+	for _, run := range runs {
+		ring := warm.Metrics(run)
+		frames := ring.Frames()
+		if len(frames) == 0 || ring.Dropped() != 0 {
+			t.Fatalf("%s: %d frames retained, %d dropped; want all of a non-empty run", run, len(frames), ring.Dropped())
+		}
+		if !reflect.DeepEqual(frames, heartbeat[run]) {
+			t.Errorf("%s: %d heartbeat frames are not the %d retained", run, len(heartbeat[run]), len(frames))
+		}
+		if !reflect.DeepEqual(frames, scratch.Metrics(run).Frames()) {
+			t.Errorf("%s: frames differ from a scratch suite's", run)
+		}
+	}
+
+	plain := NewSuite(workloads.SizeTest)
+	plain.WarmupCycles = warmupTestCycles
+	if _, err := plain.RunMatrixContext(context.Background(), apps, []config.Arch{arch}, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, run := range warm.MetricsRuns() {
-		frames := warm.Metrics(run).Frames()
-		hb := heartbeat[run]
-		if len(hb) == 0 || len(hb) >= len(frames) {
-			t.Fatalf("%s: %d heartbeat frames vs %d retained; want a proper non-empty suffix (warm-up frames retained but not re-delivered)", run, len(hb), len(frames))
-		}
-		if !reflect.DeepEqual(frames[len(frames)-len(hb):], hb) {
-			t.Errorf("%s: heartbeat frames are not the ring's tail", run)
-		}
+	if forks, _ := plain.WarmForks(); forks != int64(len(apps)) {
+		t.Fatalf("without sampling: %d warm forks, want %d", forks, len(apps))
 	}
 }

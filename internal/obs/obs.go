@@ -131,9 +131,6 @@ func NewBuffer[T any](capacity int) Buffer[T] {
 	return Buffer[T]{elems: make([]T, capacity)}
 }
 
-// Cap returns the buffer's capacity.
-func (b *Buffer[T]) Cap() int { return len(b.elems) }
-
 // Len returns the number of retained elements.
 func (b *Buffer[T]) Len() int { return b.count }
 

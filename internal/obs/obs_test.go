@@ -57,8 +57,8 @@ func TestRingOverwritesOldest(t *testing.T) {
 }
 
 func TestRingDefaultCap(t *testing.T) {
-	if got := NewRing(0).Cap(); got != DefaultRingCap {
-		t.Fatalf("NewRing(0).Cap() = %d, want %d", got, DefaultRingCap)
+	if got := len(NewRing(0).elems); got != DefaultRingCap {
+		t.Fatalf("NewRing(0) holds %d frames, want %d", got, DefaultRingCap)
 	}
 }
 

@@ -45,14 +45,6 @@ type Options struct {
 	CacheDir string
 	// MaxCycles bounds each simulation (0 = core default).
 	MaxCycles int64
-	// WarmupCycles > 0 enables checkpoint-based warm-up sharing
-	// (harness.Suite.WarmupCycles): workloads declaring a shared
-	// prefix are forked from one warmed parent per (machine, prefix)
-	// instead of simulated from cycle zero. Warmed parents live in
-	// process only: CacheDir's log holds results, so a restarted daemon
-	// serves every earlier result from disk and re-warms once per
-	// (machine, prefix) for new variants.
-	WarmupCycles int64
 	// MetricsInterval > 0 samples interval metrics on every simulation,
 	// served by GET /v1/metrics/{run}.
 	MetricsInterval int64
@@ -86,8 +78,8 @@ type Server struct {
 
 	version string
 
-	// tel is the telemetry state (registry + span ring); nil when
-	// Options.DisableTelemetry — every record path nil-guards.
+	// tel is the telemetry state (families, histograms, span ring); nil
+	// when Options.DisableTelemetry — every record path nil-guards.
 	tel *svcTelemetry
 
 	jobPanics atomic.Uint64 // jobs failed by a panic in their run
@@ -124,13 +116,12 @@ func New(opts Options) (*Server, error) {
 	st := harness.NewSuite(opts.DefaultSize)
 	st.MaxCycles = opts.MaxCycles
 	st.MetricsInterval = opts.MetricsInterval
-	st.WarmupCycles = opts.WarmupCycles
 	st.Store = s.store
 	if s.tel != nil {
 		// Hook fires on singleflight owners only, so the histogram
 		// measures true simulation time — never a cache lookup.
 		st.OnSimulate = func(ctx context.Context, app, machine string, highEnd bool, d time.Duration, err error) {
-			observe(s.tel.simulate, d)
+			s.tel.simulate.Observe(d.Seconds())
 			attrs := map[string]string{"app": app, "machine": machine}
 			if err != nil {
 				attrs["error"] = err.Error()
@@ -183,7 +174,9 @@ func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEn
 	// in the cache's disk_errors; the result itself is still good.
 	start := time.Now()
 	_ = s.cache.Put(key, spec, res)
-	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.cacheWrite }), time.Since(start))
+	if s.tel != nil {
+		s.tel.cacheWrite.Observe(time.Since(start).Seconds())
+	}
 	s.span(telemetry.TraceIDFrom(ctx), "cache-write", start, nil)
 	return res, nil
 }
@@ -196,7 +189,9 @@ func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEn
 // this job.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	wait := time.Since(j.submittedAt())
-	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.queueWait }), wait)
+	if s.tel != nil {
+		s.tel.queueWait.Observe(wait.Seconds())
+	}
 	s.span(j.TraceID, "queue", j.submittedAt(), map[string]string{"job": j.ID})
 	ctx = context.WithValue(telemetry.WithTraceID(ctx, j.TraceID), jobKey{}, j)
 
@@ -247,7 +242,9 @@ const maxFinishedJobs = 1024
 // runJob calls it just before the terminal transition, so a client
 // that sees the job done finds its latency already in the histogram.
 func (s *Server) jobDone(j *Job) {
-	observe(s.hist(func(t *svcTelemetry) *telemetry.Histogram { return t.e2e }), time.Since(j.submittedAt()))
+	if s.tel != nil {
+		s.tel.e2e.Observe(time.Since(j.submittedAt()).Seconds())
+	}
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	s.finished = append(s.finished, j.ID)
@@ -575,7 +572,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	accepted, rejected, completed := s.pool.Counters()
-	warmForks, _ := s.suite.WarmForks()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "ok",
 		"runtime":     s.runtimeInfo(),
@@ -590,10 +586,5 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			"completed": completed,
 		},
 		"cache": s.cache.Stats(),
-		"warmup": map[string]any{
-			"enabled": s.opts.WarmupCycles > 0,
-			"cycles":  s.opts.WarmupCycles,
-			"forks":   warmForks,
-		},
 	})
 }

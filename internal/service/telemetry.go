@@ -22,9 +22,9 @@ import (
 )
 
 // svcTelemetry holds the Server's metric families, span ring, and the
-// latency histograms the job path observes. A nil *svcTelemetry
-// (telemetry disabled) is valid: every method nil-guards, so call sites
-// stay unconditional.
+// latency histograms the job path observes. It is nil with telemetry
+// disabled: Server.span nil-guards, and every histogram call site
+// checks Server.tel first.
 type svcTelemetry struct {
 	families []telemetry.Family
 	spans    *telemetry.SpanRing
@@ -113,22 +113,6 @@ func (s *Server) span(traceID, name string, start time.Time, attrs map[string]st
 		DurUS:   time.Since(start).Microseconds(),
 		Attrs:   attrs,
 	})
-}
-
-// observe is the nil-guarded histogram record.
-func observe(h *telemetry.Histogram, d time.Duration) {
-	if h != nil {
-		h.Observe(d.Seconds())
-	}
-}
-
-// hist returns the named histogram, nil when telemetry is off — pair
-// with observe.
-func (s *Server) hist(pick func(*svcTelemetry) *telemetry.Histogram) *telemetry.Histogram {
-	if s.tel == nil {
-		return nil
-	}
-	return pick(s.tel)
 }
 
 // traceIDForRequest resolves the trace ID for a submission: a valid

@@ -12,136 +12,90 @@ import (
 	"testing"
 	"time"
 
+	"clustersmt/internal/config"
+	"clustersmt/internal/core"
 	"clustersmt/internal/workloads"
 )
 
-// warmupSpec returns the canonical name of one sweep-grid variant
-// carrying a shared 1500-iteration warm-up prefix.
-func warmupSpecName(chain, indep int) string {
-	return workloads.Synthetic(workloads.SyntheticSpec{
-		ChainLen: chain, IndepOps: indep, Iters: 256, WarmupIters: 1500,
-	}).Name
-}
-
-// TestServiceWarmupForksInProcess drives the daemon's warm-up path end
-// to end: jobs submitted by canonical synth(...) name fork from one
-// warmed parent held in process, results stay bit-identical to a
-// warm-up-free daemon, and the cache directory receives one result
-// record per job in its log and nothing else — a checkpoint file
-// already there (as an older build wrote them) is neither read nor
-// touched. A restarted daemon serves
-// the first one's results from disk and re-warms once for a new
-// variant.
-func TestServiceWarmupForksInProcess(t *testing.T) {
+// TestServiceWarmupSynthRunsFromScratch checks that a synth job
+// declaring a warm-up prefix (w<N>) is an ordinary program to the
+// daemon: it is accepted, simulated once from cycle zero with no fork,
+// and its result equals core.New(...).Run() on the same program;
+// /healthz carries no warm-up block. The cache directory receives the
+// one result record in its log and nothing else, and a checkpoint file
+// an older build left there is neither read nor touched.
+func TestServiceWarmupSynthRunsFromScratch(t *testing.T) {
 	dir := t.TempDir()
-	variants := []string{
-		warmupSpecName(0, 4), warmupSpecName(4, 0), warmupSpecName(2, 2),
-	}
-
-	// Reference results from a daemon with warm-up sharing off.
-	_, tsRef := newTestServer(t, Options{})
-	scratch := func(app string) json.RawMessage {
-		t.Helper()
-		status, j, _ := submit(t, tsRef, JobSpec{App: app, Arch: "SMT2"})
-		if status != http.StatusAccepted {
-			t.Fatalf("reference submit %s: status %d", app, status)
-		}
-		done := waitJob(t, tsRef, j.ID)
-		if done.Status != StateDone {
-			t.Fatalf("reference job %s failed: %+v", app, done)
-		}
-		return done.Result
-	}
-
 	planted := filepath.Join(dir, fmt.Sprintf("snap-v8-%064x.bin", 1))
 	plantedData := []byte("checkpoint written by an older build")
 	if err := os.WriteFile(planted, plantedData, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	srvA, err := New(Options{DefaultSize: workloads.SizeTest, CacheDir: dir, WarmupCycles: 1000})
+	spec := workloads.SyntheticSpec{ChainLen: 4, Iters: 256, WarmupIters: 1500}
+	app := workloads.Synthetic(spec)
+	srv, err := New(Options{DefaultSize: workloads.SizeTest, CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsA := httptest.NewServer(srvA.Handler())
-	for _, app := range variants {
-		status, j, _ := submit(t, tsA, JobSpec{App: app, Arch: "SMT2"})
-		if status != http.StatusAccepted {
-			t.Fatalf("submit %s: status %d", app, status)
-		}
-		done := waitJob(t, tsA, j.ID)
-		if done.Status != StateDone {
-			t.Fatalf("job %s failed: %+v", app, done)
-		}
-		if !bytes.Equal(scratch(app), done.Result) {
-			t.Fatalf("%s: warmed daemon's result differs from the warm-up-free daemon's", app)
-		}
+	ts := httptest.NewServer(srv.Handler())
+	status, j, _ := submit(t, ts, JobSpec{App: app.Name, Arch: "SMT2"})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit %s: status %d", app.Name, status)
 	}
-	if forks, restores := srvA.suite.WarmForks(); forks != int64(len(variants)) || restores != 0 {
-		t.Fatalf("daemon A: %d forks / %d restores, want %d / 0", forks, restores, len(variants))
+	done := waitJob(t, ts, j.ID)
+	if done.Status != StateDone {
+		t.Fatalf("job %s failed: %+v", app.Name, done)
+	}
+	if forks, restores := srv.suite.WarmForks(); forks != 0 || restores != 0 {
+		t.Fatalf("%d forks / %d restores, want 0 / 0", forks, restores)
+	}
+	if sims := srv.suite.Simulations(); sims != 1 {
+		t.Fatalf("%d simulations, want 1", sims)
 	}
 
-	// /healthz's warm-up block is the setting and the fork count.
-	resp, err := http.Get(tsA.URL + "/healthz")
+	m := config.LowEnd(config.SMT2)
+	sim, err := core.New(m, app.Build(m.Threads(), m.Chips, workloads.SizeTest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var health struct {
-		Warmup map[string]any `json:"warmup"`
+	want, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, done.Result); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantJSON) {
+		t.Fatalf("%s: job result differs from a direct run\njob    %s\ndirect %s", app.Name, got.Bytes(), wantJSON)
+	}
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health map[string]json.RawMessage
 	err = json.NewDecoder(resp.Body).Decode(&health)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(health.Warmup) != 3 || health.Warmup["enabled"] != true ||
-		health.Warmup["cycles"] != float64(1000) || health.Warmup["forks"] != float64(len(variants)) {
-		t.Fatalf("healthz warmup block %v, want exactly enabled, cycles and forks", health.Warmup)
+	if _, ok := health["warmup"]; ok || health["simulations"] == nil {
+		t.Fatalf("/healthz %s: want simulations and no warmup", health)
 	}
 
-	tsA.Close()
+	ts.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srvA.Close(ctx); err != nil {
+	if err := srv.Close(ctx); err != nil {
 		t.Fatalf("graceful close: %v", err)
 	}
-	logOnly(t, dir, len(variants), filepath.Base(planted))
-
-	// Daemon B inherits the directory: A's results come back from disk,
-	// and a NEW variant re-runs the warm-up once and forks from it.
-	srvB, err := New(Options{DefaultSize: workloads.SizeTest, CacheDir: dir, WarmupCycles: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsB := httptest.NewServer(srvB.Handler())
-	defer tsB.Close()
-	defer srvB.Close(context.Background())
-
-	for _, name := range variants {
-		status, hit, _ := submit(t, tsB, JobSpec{App: name, Arch: "SMT2"})
-		if status != http.StatusOK || !hit.CacheHit || hit.CacheTier != TierDisk {
-			t.Fatalf("%s on B: status %d, %+v; want an inline disk hit", name, status, hit)
-		}
-	}
-	fresh := warmupSpecName(6, 0)
-	status, j, _ := submit(t, tsB, JobSpec{App: fresh, Arch: "SMT2"})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit %s on B: status %d", fresh, status)
-	}
-	done := waitJob(t, tsB, j.ID)
-	if done.Status != StateDone {
-		t.Fatalf("job %s on B failed: %+v", fresh, done)
-	}
-	if forks, restores := srvB.suite.WarmForks(); forks != 1 || restores != 0 {
-		t.Fatalf("daemon B: %d forks / %d restores, want 1 / 0 (one fresh warm-up)", forks, restores)
-	}
-	if sims := srvB.suite.Simulations(); sims != 1 {
-		t.Fatalf("daemon B ran %d simulations, want 1 (the new variant)", sims)
-	}
-	if !bytes.Equal(scratch(fresh), done.Result) {
-		t.Fatalf("%s: forked result differs from scratch", fresh)
-	}
-	logOnly(t, dir, len(variants)+1, filepath.Base(planted))
+	logOnly(t, dir, 1, filepath.Base(planted))
 	if got, err := os.ReadFile(planted); err != nil || !bytes.Equal(got, plantedData) {
 		t.Fatalf("planted checkpoint changed: %q, %v", got, err)
 	}

@@ -9,7 +9,6 @@ import (
 	"clustersmt/internal/config"
 	"clustersmt/internal/interconnect"
 	"clustersmt/internal/interp"
-	"clustersmt/internal/obs"
 	"clustersmt/internal/parallel"
 	"clustersmt/internal/prog"
 	"clustersmt/internal/snap"
@@ -80,26 +79,6 @@ func busySystem() *coherence.System {
 	return s
 }
 
-// ringSection is a ring as a section, its frames listing at most two
-// clusters.
-type ringSection struct{ *obs.Ring }
-
-func (r ringSection) XferSnap(x *snap.Xfer) { r.Ring.XferSnap(x, 2) }
-
-func busyRing() *obs.Ring {
-	r := obs.NewRing(4)
-	for i := 0; i < 6; i++ { // wraps: start != 0, two frames dropped
-		f := obs.Frame{Index: i, Start: int64(100 * i), End: int64(100*i + 100), Cycles: 100, Committed: uint64(40 + i), IPC: 0.4, Running: 2, AvgRunning: 1.5}
-		f.Slots[0], f.Mem.Loads, f.Mem.DirLines = float64(i), uint64(9*i), i
-		if i%2 == 1 {
-			f.Clusters = []obs.ClusterSlots{{Chip: 0, Cluster: 1}, {Chip: 1, Cluster: 0}}
-			f.Clusters[1].Slots[2] = 3.25
-		}
-		r.Push(f)
-	}
-	return r
-}
-
 // TestSectionsRoundTripAndTruncate runs every leaf section of the
 // checkpoint format through checkSection.
 func TestSectionsRoundTripAndTruncate(t *testing.T) {
@@ -147,9 +126,4 @@ func TestSectionsRoundTripAndTruncate(t *testing.T) {
 	th.Exec(new(interp.DynInstr))
 	th.FP[2] = -1.5
 	checkSection(t, "interp.Thread", th, func() section { return interp.NewThread(0, p, interp.NewMemory()) })
-
-	ring := busyRing()
-	checkSection(t, "obs.Ring", ringSection{ring}, func() section { return ringSection{obs.NewRing(4)} })
-	frames := ring.Frames()
-	checkSection(t, "coherence.MemSnapshot", &frames[len(frames)-1].Mem, func() section { return new(coherence.MemSnapshot) })
 }
