@@ -70,7 +70,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent simulations, for jobs and figures alike (0 = GOMAXPROCS)")
 	queueCap := flag.Int("queue", service.DefaultQueueCap, "job queue capacity (full queue returns 429)")
 	cacheDir := flag.String("cache-dir", "", "persist results in this directory's append-only results.log (survives restarts; one daemon per directory)")
-	cacheEntries := flag.Int("cache-entries", 0, "in-memory result cache entries (0 = default)")
+	cacheEntries := flag.Int("cache-entries", 0, "memory-tier result cache entries (0 = 256): which hits skip the disk log; the run memo, not this, bounds memory")
 	maxCycles := flag.Int64("max-cycles", 0, "per-simulation cycle bound (0 = core default)")
 	metricsInterval := flag.Int64("metrics-interval", 0, "sample interval metrics every N cycles (0 = off)")
 	portFile := flag.String("port-file", "", "write the bound port to this file once listening")

@@ -272,8 +272,9 @@ func (s *Simulator) moveThread(t *threadCtx, now int64) {
 			break
 		}
 	}
-	// Keep the round-robin cursor in range for the shrunken list (the
-	// pick arithmetic is modular, but snapshots validate the bound).
+	// Keep the fetch cursor in range for the shrunken list: unlike the
+	// commit cursor (commitRR % n at use), pickFetchThread indexes
+	// threads[fetchRR] unreduced.
 	if n := len(src.threads); n > 0 {
 		src.fetchRR %= n
 	} else {

@@ -71,7 +71,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	// a failure), so the next identical request would re-run. Checked
 	// directly rather than by re-running the full ref-size simulation.
 	s.mu.Lock()
-	_, stillCached := s.cache[key(w.Name, s.Size, config.SMT1, 1)]
+	_, stillCached := s.cache[key(w.Name, s.Size, config.LowEnd(config.SMT1))]
 	s.mu.Unlock()
 	if stillCached {
 		t.Fatal("canceled run left a poisoned cache entry")

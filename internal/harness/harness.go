@@ -11,6 +11,7 @@ package harness
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -36,31 +37,46 @@ var FAFigureArchs = []config.Arch{config.FA8, config.FA4, config.FA2, config.FA1
 // SMTFigureArchs is the architecture set of Figures 7 and 8.
 var SMTFigureArchs = []config.Arch{config.SMT8, config.SMT4, config.SMT2, config.SMT1}
 
-// StoreFunc is the Suite.Store hook signature: given the run's identity
-// in wire-expressible form (canonical app name, Table 2 architecture,
-// machine class, input size) and simulate, the suite's own scratch or
-// warm-start run of it, the hook returns the run's outcome. It may
-// answer from a result store without calling simulate, or call simulate
-// and keep what it returns. A cancellation must be returned
-// errors.Is-compatible with ctx.Err().
-type StoreFunc func(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error)
+// StoreFunc is the Suite.Store hook signature: given the run's key
+// (RunHash), its identity in wire-expressible form (canonical app name,
+// architecture, machine class, input size) and simulate, the suite's
+// own scratch or warm-start run of it, the hook returns the run's
+// outcome. It may answer from a result store without calling simulate,
+// or call simulate and keep what it returns. A cancellation must be
+// returned errors.Is-compatible with ctx.Err().
+type StoreFunc func(ctx context.Context, key [32]byte, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error)
 
+// RunHash is a run's identity: SHA-256 over a versioned, field-ordered
+// encoding of the workload name, the input size and the machine's
+// canonical form (config.Machine.AppendCanonical). It keys the suite's
+// memos and, as a job's hash, the serving subsystem's result cache and
+// log, so these bytes must not drift: a change orphans every stored
+// result. The canonical form leaves names out and carries a dynamic
+// allocation policy and its epoch, so FA8 and SMT8 share one run, two
+// policies never do, and neither does any pair of machines that differ
+// in a physical field.
+func RunHash(app string, size workloads.Size, m config.Machine) [32]byte {
+	var b strings.Builder
+	b.WriteString("clustersmt.Job/v1\n")
+	fmt.Fprintf(&b, "app=%q\n", app)
+	fmt.Fprintf(&b, "size=%s\n", size)
+	m.AppendCanonical(&b)
+	return sha256.Sum256([]byte(b.String()))
+}
+
+// runKey is a memo key: the run's RunHash (its app a single program's
+// name, or a mix's job names joined by "+") and start, "" for a
+// single-program run and a mix's installed start assignment ("seed" for
+// the seed placement) otherwise. size is in the hash too, and kept
+// beside it so a suite can list the runs at its own size (eachFramed).
 type runKey struct {
-	// app is the workload, or a multiprogrammed mix's job names in
-	// order; start is "" for a single-program run, and a mix's installed
-	// start assignment ("seed" for the seed placement) otherwise.
-	app      string
-	start    string
-	size     workloads.Size
-	clusters int
-	issue    int
-	tpc      int
-	chips    int
-	// A mix's normalized allocation policy (a single-program run's is
-	// always the seed placement's, ""): two policies must never share a
-	// cached result.
-	policy string
-	epoch  int64
+	size  workloads.Size
+	hash  [32]byte
+	start string
+}
+
+func key(app string, size workloads.Size, m config.Machine) runKey {
+	return runKey{size: size, hash: RunHash(app, size, m)}
 }
 
 // flight is a cancel-aware singleflight memo, the one mechanism behind
@@ -317,14 +333,9 @@ func (s *Suite) SetParallelism(n int) {
 	s.sem = make(chan struct{}, n)
 }
 
-func key(app string, size workloads.Size, arch config.Arch, chips int) runKey {
-	return runKey{app: app, size: size, clusters: arch.Clusters, issue: arch.IssueWidth,
-		tpc: arch.ThreadsPerCluster, chips: chips}
-}
-
 // Run simulates app on arch (low-end: 1 chip; high-end: 4 chips),
-// returning a cached result when the same physical configuration was
-// already run (FA8 and SMT8 share results by construction).
+// returning a cached result when a machine of the same canonical form
+// was already run (FA8 and SMT8 differ only in name, so they share one).
 func (s *Suite) Run(app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
 	return s.RunContext(context.Background(), app, arch, highEnd)
 }
@@ -351,22 +362,22 @@ func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch con
 	if highEnd {
 		m = config.HighEnd(arch)
 	}
-	k := key(app.Name, s.Size, arch, m.Chips)
-	return s.memo(ctx, k, app.Name, m.Name, func() (outcome, error) { return s.runShared(ctx, app, arch, highEnd, m) })
+	k := key(app.Name, s.Size, m)
+	return s.memo(ctx, k, app.Name, m.Name, func() (outcome, error) { return s.runShared(ctx, k.hash, app, arch, highEnd, m) })
 }
 
 // runShared is the owner side of RunContext's singleflight: it hands
-// the run to the Store hook, when there is one — ahead of the
-// semaphore, so a stored answer never holds a simulation slot — with
-// the local path as the simulation the hook may call. (A function of
-// its own, so that a memo hit does not move m to the heap.) A result
+// the run, under its key, to the Store hook, when there is one — ahead
+// of the semaphore, so a stored answer never holds a simulation slot —
+// with the local path as the simulation the hook may call. (A function
+// of its own, so that a memo hit does not move m to the heap.) A result
 // the hook answers without simulating comes without frames.
-func (s *Suite) runShared(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (outcome, error) {
+func (s *Suite) runShared(ctx context.Context, key [32]byte, app workloads.Workload, arch config.Arch, highEnd bool, m config.Machine) (outcome, error) {
 	if s.Store == nil {
 		return s.runOwned(ctx, app, m)
 	}
 	var o outcome
-	res, err := s.Store(ctx, app.Name, arch, highEnd, s.Size, func() (*core.Result, error) {
+	res, err := s.Store(ctx, key, app.Name, arch, highEnd, s.Size, func() (*core.Result, error) {
 		var err error
 		o, err = s.runOwned(ctx, app, m)
 		return o.res, err
@@ -432,9 +443,7 @@ func (x mix) progs() []*prog.Program {
 // key is the memo key of x on m from the start assignment, written
 // "0-2-1-3", or "seed" for nil, the seed placement.
 func (x mix) key(m config.Machine, start []int) runKey {
-	k := key(x.name, x.size, m.Arch, m.Chips)
-	a := m.Alloc.Normalize()
-	k.policy, k.epoch = a.Policy, a.Epoch
+	k := key(x.name, x.size, m)
 	k.start = cmp.Or(strings.Trim(strings.ReplaceAll(fmt.Sprint(start), " ", "-"), "[]"), "seed")
 	return k
 }
@@ -446,7 +455,8 @@ func (x mix) key(m config.Machine, start []int) runKey {
 // "jobs@machine/policy-e<epoch>/start", one name per key.
 func (s *Suite) runMulti(ctx context.Context, m config.Machine, x mix, start []int) (*core.Result, error) {
 	k := x.key(m, start)
-	machine := fmt.Sprintf("%s/%s-e%d/%s", m.Name, cmp.Or(k.policy, "static"), k.epoch, k.start)
+	a := m.Alloc.Normalize()
+	machine := fmt.Sprintf("%s/%s-e%d/%s", m.Name, cmp.Or(a.Policy, "static"), a.Epoch, k.start)
 	return s.memo(ctx, k, x.name, machine, func() (outcome, error) {
 		return s.simulate(ctx, x.name, machine, m.Chips > 1, start, func() (*core.Simulator, error) {
 			return core.NewMulti(m, x.progs())
@@ -561,8 +571,8 @@ func (s *Suite) Simulations() int64 { return s.sims.Load() }
 // the suite's size ("app@machine", as listed by MetricsRuns), or nil.
 // A run in flight has none yet: its frames are published with its
 // result, and go when its memo entry goes. Note that cached runs
-// simulate once: FA8 and SMT8 share one physical configuration and
-// hence one ring.
+// simulate once: FA8 and SMT8 share one canonical form and hence one
+// ring.
 func (s *Suite) Metrics(run string) (ring *obs.Ring) {
 	s.eachFramed(func(o outcome) {
 		if o.name == run {

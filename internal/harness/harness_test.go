@@ -39,6 +39,35 @@ func TestSuiteCachesRuns(t *testing.T) {
 	if r3 != r1 {
 		t.Fatal("SMT8 did not reuse the FA8 run")
 	}
+
+	// A non-preset machine is a run of its own: an SMT1 variant with the
+	// clustered designs' 8/8/8 units shares SMT1's name, cluster count,
+	// issue width and contexts, but not its result.
+	swim, _ := workloads.ByName("swim")
+	before := s.Simulations()
+	smt1, err := s.Run(swim, config.SMT1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := config.SMT1
+	wide.IntUnits, wide.LdStUnits, wide.FPUnits = 8, 8, 8
+	got, err := s.Run(swim, wide, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSuite(workloads.SizeTest).Run(swim, wide, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == smt1 || got.Cycles != want.Cycles {
+		t.Fatalf("SMT1 with 8/8/8 units: %d cycles, want its own %d (SMT1: %d)", got.Cycles, want.Cycles, smt1.Cycles)
+	}
+	if n := s.Simulations() - before; n != 2 {
+		t.Fatalf("SMT1 and its variant ran %d simulations, want 2", n)
+	}
+	if r, err := s.Run(w, config.SMT8, false); err != nil || r != r1 {
+		t.Fatalf("SMT8 no longer reuses the FA8 run (err %v)", err)
+	}
 }
 
 func TestFigureAccessors(t *testing.T) {

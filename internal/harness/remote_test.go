@@ -31,11 +31,15 @@ func TestRemoteHookServesAndCaches(t *testing.T) {
 
 	var calls atomic.Int64
 	canned := &core.Result{Cycles: 12345}
+	want := RunHash(ocean.Name, workloads.SizeTest, config.LowEnd(config.FA8))
 	s := NewSuite(workloads.SizeTest)
-	s.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
+	s.Store = func(ctx context.Context, k [32]byte, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
 		calls.Add(1)
 		if app != ocean.Name || highEnd || size != workloads.SizeTest {
 			t.Errorf("hook saw (%s, highEnd=%v, %s), want (%s, false, test)", app, highEnd, size, ocean.Name)
+		}
+		if k != want {
+			t.Errorf("hook got key %x, want the run's RunHash %x", k, want)
 		}
 		return canned, nil
 	}
@@ -76,7 +80,7 @@ func TestRemoteHookServesAndCaches(t *testing.T) {
 	// run, and sees the result it returns.
 	var kept *core.Result
 	through := NewSuite(workloads.SizeTest)
-	through.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
+	through.Store = func(ctx context.Context, _ [32]byte, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
 		res, err := simulate()
 		kept = res
 		return res, err
@@ -99,7 +103,7 @@ func TestRemoteHookServesAndCaches(t *testing.T) {
 	var failCalls atomic.Int64
 	failing := NewSuite(workloads.SizeTest)
 	storeErr := errors.New("store exploded")
-	failing.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
+	failing.Store = func(ctx context.Context, _ [32]byte, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
 		failCalls.Add(1)
 		return nil, storeErr
 	}
@@ -123,7 +127,7 @@ func TestRemoteHookCancellation(t *testing.T) {
 	}
 	s := NewSuite(workloads.SizeTest)
 	simulateNow := false
-	s.Store = func(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
+	s.Store = func(ctx context.Context, _ [32]byte, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
 		if simulateNow {
 			return simulate() // second pass: simulate locally
 		}

@@ -8,11 +8,8 @@
 package service
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"strings"
-
 	"clustersmt/internal/config"
+	"clustersmt/internal/harness"
 	"clustersmt/internal/workloads"
 )
 
@@ -74,26 +71,12 @@ func (s JobSpec) Resolve(defaultSize workloads.Size) (*ResolvedJob, error) {
 	return &ResolvedJob{Spec: s, Workload: w, Arch: a, Machine: m, Size: size}, nil
 }
 
-// Hash is the content-addressed cache key: SHA-256 over a versioned,
-// field-ordered encoding of the workload spec and the fully-resolved
-// machine's canonical form (config.Machine.AppendCanonical). Like the
-// machine encoding it keys on physical content only: FA8 and SMT8
-// submissions share a key, as do a blank Size and an explicit server
-// default. MaxCycles is server-wide, not per-job, so it does not
+// Hash is the content-addressed cache key, the job's harness.RunHash.
+// Like the machine encoding it keys on physical content only: FA8 and
+// SMT8 submissions share a key, as do a blank Size and an explicit
+// server default. MaxCycles is server-wide, not per-job, so it does not
 // participate; a daemon serving a different bound should use a
 // different cache directory.
 func (r *ResolvedJob) Hash() [32]byte {
-	var b strings.Builder
-	b.WriteString("clustersmt.Job/v1\n")
-	fmt.Fprintf(&b, "app=%q\n", r.Workload.Name)
-	fmt.Fprintf(&b, "size=%s\n", r.Size)
-	r.Machine.AppendCanonical(&b)
-	return sha256.Sum256([]byte(b.String()))
-}
-
-// HashHex is the lowercase hex form of Hash, used in job ids, disk
-// cache filenames and API responses.
-func (r *ResolvedJob) HashHex() string {
-	h := r.Hash()
-	return fmt.Sprintf("%x", h)
+	return harness.RunHash(r.Workload.Name, r.Size, r.Machine)
 }

@@ -42,8 +42,8 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("%+v resolved to %+v, which does not resolve: %v", spec, rj.Spec, err)
 		}
 		if again.Spec != rj.Spec || again.Hash() != rj.Hash() {
-			t.Fatalf("%+v: normalized %+v (hash %s) resolves to %+v (hash %s)",
-				spec, rj.Spec, rj.HashHex(), again.Spec, again.HashHex())
+			t.Fatalf("%+v: normalized %+v (hash %x) resolves to %+v (hash %x)",
+				spec, rj.Spec, rj.Hash(), again.Spec, again.Hash())
 		}
 	})
 }

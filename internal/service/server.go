@@ -138,30 +138,19 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// jobKey is the context key under which runJob hands its job to the
-// suite's Store hook. The job has just looked its hash up in the cache,
-// so the hook does not look again.
-type jobKey struct{}
+// lookedUp is the context key under which runJob tells the suite's
+// Store hook that the run's key was just looked up in the cache, so the
+// hook does not look again.
+type lookedUp struct{}
 
 // store is the suite's Store hook: the one place results enter the
-// cache. A run for a job is keyed by the job's hash; any other (a
-// figure cell) is resolved to the spec a job for it would carry, so it
-// shares that job's entry, and is looked up first. On a miss the hook
-// simulates and writes the result to both tiers once, observing the
-// write on the owning job's trace.
-func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
-	var key [32]byte
-	var spec JobSpec
-	if j, ok := ctx.Value(jobKey{}).(*Job); ok {
-		key, spec = j.Hash, j.Rj.Spec
-	} else {
-		rj, err := JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()}.Resolve(s.opts.DefaultSize)
-		if err != nil {
-			// A name jobs cannot spell has no key; let the harness
-			// produce the authoritative error.
-			return simulate()
-		}
-		key, spec = rj.Hash(), rj.Spec
+// cache, under the key the harness gives every run (harness.RunHash, a
+// job's hash), so a figure cell and a job for it share one entry. A run
+// is looked up first, unless its job has just done that; on a miss the
+// hook simulates and writes the result to both tiers once, observing
+// the write on the owning job's trace.
+func (s *Server) store(ctx context.Context, key [32]byte, app string, arch config.Arch, highEnd bool, size workloads.Size, simulate func() (*core.Result, error)) (*core.Result, error) {
+	if ctx.Value(lookedUp{}) == nil {
 		if res, _, ok := s.cache.Get(key); ok {
 			return res, nil
 		}
@@ -173,7 +162,7 @@ func (s *Server) store(ctx context.Context, app string, arch config.Arch, highEn
 	// A failed disk write degrades this entry to memory-only, counted
 	// in the cache's disk_errors; the result itself is still good.
 	start := time.Now()
-	_ = s.cache.Put(key, spec, res)
+	_ = s.cache.Put(key, JobSpec{App: app, Arch: arch.Name, HighEnd: highEnd, Size: size.String()}, res)
 	if s.tel != nil {
 		s.tel.cacheWrite.Observe(time.Since(start).Seconds())
 	}
@@ -193,7 +182,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		s.tel.queueWait.Observe(wait.Seconds())
 	}
 	s.span(j.TraceID, "queue", j.submittedAt(), map[string]string{"job": j.ID})
-	ctx = context.WithValue(telemetry.WithTraceID(ctx, j.TraceID), jobKey{}, j)
+	ctx = context.WithValue(telemetry.WithTraceID(ctx, j.TraceID), lookedUp{}, true)
 
 	if res, tier, ok := s.cache.Get(j.Hash); ok {
 		s.jobDone(j)
@@ -314,7 +303,7 @@ func (j *Job) view() jobView {
 	return jobView{
 		ID:        j.ID,
 		Spec:      j.Rj.Spec,
-		Hash:      j.Rj.HashHex(),
+		Hash:      fmt.Sprintf("%x", j.Hash),
 		TraceID:   j.TraceID,
 		Status:    j.state,
 		CacheHit:  j.cacheHit,
