@@ -88,7 +88,7 @@ loc:
 # number cannot drift up unnoticed between ROADMAP re-anchors. A PR that
 # shrinks the tree lowers the budget to its own `make loc`; one that has
 # to grow it raises the budget in the same diff, where review sees it.
-LOC_BUDGET = 15915
+LOC_BUDGET = 15865
 loc-budget:
 	@n=$$($(LOC)); \
 	if [ "$$n" -gt $(LOC_BUDGET) ]; then \

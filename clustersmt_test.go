@@ -117,7 +117,7 @@ func TestFacadeSuite(t *testing.T) {
 // TestFacadeRefusesOracle: "oracle" is the allocation figure's column
 // for a searched start assignment, not a runtime policy, so all three
 // Simulate calls refuse it — through core.New's unknown-policy error,
-// which lists the registered policies — rather than silently run the
+// which lists the known policies — rather than silently run the
 // static placement.
 func TestFacadeRefusesOracle(t *testing.T) {
 	m := clustersmt.LowEnd(clustersmt.SMT2)

@@ -186,7 +186,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Fprintln(out, c.Render())
+			fmt.Fprintln(out, c.RenderMatrix())
 		}
 	}
 	if sel("mix") {

@@ -1,9 +1,9 @@
-// Package alloc is the pluggable thread-to-cluster allocation
-// subsystem. Every thread starts at the seed placement (StaticPlace)
-// whatever the policy; a policy is one Rebalance function, which the
-// core consults at every epoch boundary with a committed per-epoch
-// feedback snapshot sampled from the same counters the obs subsystem
-// exposes. A nil Rebalance never migrates.
+// Package alloc is the thread-to-cluster allocation subsystem: the
+// seed placement and a fixed table of policies. Every thread starts at
+// the seed placement (StaticPlace) whatever the policy; a policy is one
+// Rebalance function, which the core consults at every epoch boundary
+// with a committed per-epoch feedback snapshot sampled from the same
+// counters the obs subsystem exposes. A nil Rebalance never migrates.
 //
 // The package is deliberately dependency-free (no core, no config):
 // policies see only the plain sampled numbers in Snapshot, so they can
@@ -15,7 +15,6 @@ package alloc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -106,34 +105,33 @@ func StaticPlace(threads int, clusters []ClusterInfo) []int {
 	return out
 }
 
-var registry = map[string]Rebalance{}
-
-// Register adds a policy under name; a nil r is a policy that never
-// migrates. It panics on duplicates — registration happens in package
-// init blocks, so a collision is a programming error.
-func Register(name string, r Rebalance) {
-	if _, ok := registry[name]; ok {
-		panic(fmt.Sprintf("alloc: policy %q registered twice", name))
-	}
-	registry[name] = r
+// policies is every policy by name, in sorted order; a nil Rebalance
+// never migrates.
+var policies = []struct {
+	name      string
+	rebalance Rebalance
+}{
+	{"icount", ICount},
+	{"static", nil}, // the seed placement, never migrates: the paper's configuration
+	{"symbiosis", Symbiosis},
 }
 
 // New resolves a policy by name; "" means "static". The result is nil
 // for a policy that never migrates. Unknown names fail fast with the
-// sorted registered list, so a typoed Machine.Alloc.Policy surfaces
+// sorted list of policies, so a typoed Machine.Alloc.Policy surfaces
 // every valid choice.
 func New(name string) (Rebalance, error) {
 	if name == "" {
 		name = "static"
 	}
-	r, ok := registry[name]
-	if !ok {
-		known := make([]string, 0, len(registry))
-		for n := range registry {
-			known = append(known, n)
+	for _, p := range policies {
+		if p.name == name {
+			return p.rebalance, nil
 		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("alloc: unknown policy %q (known: %s)", name, strings.Join(known, ", "))
 	}
-	return r, nil
+	known := make([]string, len(policies))
+	for i, p := range policies {
+		known[i] = p.name
+	}
+	return nil, fmt.Errorf("alloc: unknown policy %q (known: %s)", name, strings.Join(known, ", "))
 }

@@ -68,8 +68,8 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	// The oracle is a figure column (a searched start assignment), not
-	// a runtime policy: the registry refuses it like any unknown name,
-	// listing every registered policy in sorted order.
+	// a runtime policy: New refuses it like any unknown name, listing
+	// every policy of the table in sorted order.
 	for _, name := range []string{"oracle", "nosuch"} {
 		_, err := New(name)
 		want := fmt.Sprintf("alloc: unknown policy %q (known: icount, static, symbiosis)", name)

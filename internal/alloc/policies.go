@@ -13,12 +13,6 @@ package alloc
 // to move again — long enough for its post-move feedback to be real.
 const hysteresisEpochs = 2
 
-func init() {
-	Register("static", nil) // the seed placement, never migrates: the paper's configuration
-	Register("icount", ICount)
-	Register("symbiosis", Symbiosis)
-}
-
 // pickVictim chooses which thread to move off cluster src: the live,
 // unblocked thread with the least epoch progress (it has the least
 // cache and window state to lose), skipping recently migrated threads.

@@ -2,8 +2,7 @@ package config
 
 import (
 	"crypto/sha256"
-	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Canonical encoding: a deterministic, versioned, field-ordered byte
@@ -26,59 +25,70 @@ import (
 //     than silently aliasing old ones.
 const canonicalVersion = "clustersmt.Machine/v1"
 
-func (a Arch) appendCanonical(b *strings.Builder) {
-	fmt.Fprintf(b, "arch.clusters=%d\n", a.Clusters)
-	fmt.Fprintf(b, "arch.issue=%d\n", a.IssueWidth)
-	fmt.Fprintf(b, "arch.tpc=%d\n", a.ThreadsPerCluster)
-	fmt.Fprintf(b, "arch.int=%d\n", a.IntUnits)
-	fmt.Fprintf(b, "arch.ldst=%d\n", a.LdStUnits)
-	fmt.Fprintf(b, "arch.fp=%d\n", a.FPUnits)
-	fmt.Fprintf(b, "arch.window=%d\n", a.WindowEntries)
-	fmt.Fprintf(b, "arch.renint=%d\n", a.RenameInt)
-	fmt.Fprintf(b, "arch.renfp=%d\n", a.RenameFP)
-	fmt.Fprintf(b, "arch.pred=%d\n", a.PredictorSize())
-	fmt.Fprintf(b, "arch.btb=%d\n", a.BTBSize())
+// appendLine appends one "key=value" line with an integer value.
+func appendLine(b []byte, key string, v int64) []byte {
+	b = append(b, key...)
+	b = append(b, '=')
+	b = strconv.AppendInt(b, v, 10)
+	return append(b, '\n')
 }
 
-func (m MemConfig) appendCanonical(b *strings.Builder) {
-	fmt.Fprintf(b, "mem.l1kb=%d\n", m.L1SizeKB)
-	fmt.Fprintf(b, "mem.l2kb=%d\n", m.L2SizeKB)
-	fmt.Fprintf(b, "mem.line=%d\n", m.LineBytes)
-	fmt.Fprintf(b, "mem.l1assoc=%d\n", m.L1Assoc)
-	fmt.Fprintf(b, "mem.l2assoc=%d\n", m.L2Assoc)
-	fmt.Fprintf(b, "mem.fill=%d\n", m.FillTime)
-	fmt.Fprintf(b, "mem.l1banks=%d\n", m.L1Banks)
-	fmt.Fprintf(b, "mem.l2banks=%d\n", m.L2Banks)
-	fmt.Fprintf(b, "mem.occ=%d\n", m.Occupancy)
-	fmt.Fprintf(b, "mem.l1lat=%d\n", m.L1Latency)
-	fmt.Fprintf(b, "mem.l2lat=%d\n", m.L2Latency)
-	fmt.Fprintf(b, "mem.locmem=%d\n", m.LocalMemLatency)
-	fmt.Fprintf(b, "mem.remmem=%d\n", m.RemoteMemLat)
-	fmt.Fprintf(b, "mem.reml2=%d\n", m.RemoteL2Lat)
-	fmt.Fprintf(b, "mem.mshrs=%d\n", m.MSHRs)
-	fmt.Fprintf(b, "mem.tlb=%d\n", m.TLBEntries)
-	fmt.Fprintf(b, "mem.tlbpen=%d\n", m.TLBMissPenalty)
-	fmt.Fprintf(b, "mem.page=%d\n", m.PageBytes)
-	fmt.Fprintf(b, "mem.netocc=%d\n", m.NetOccupancy)
+func (a Arch) appendCanonical(b []byte) []byte {
+	b = appendLine(b, "arch.clusters", int64(a.Clusters))
+	b = appendLine(b, "arch.issue", int64(a.IssueWidth))
+	b = appendLine(b, "arch.tpc", int64(a.ThreadsPerCluster))
+	b = appendLine(b, "arch.int", int64(a.IntUnits))
+	b = appendLine(b, "arch.ldst", int64(a.LdStUnits))
+	b = appendLine(b, "arch.fp", int64(a.FPUnits))
+	b = appendLine(b, "arch.window", int64(a.WindowEntries))
+	b = appendLine(b, "arch.renint", int64(a.RenameInt))
+	b = appendLine(b, "arch.renfp", int64(a.RenameFP))
+	b = appendLine(b, "arch.pred", int64(a.PredictorSize()))
+	return appendLine(b, "arch.btb", int64(a.BTBSize()))
 }
 
-// AppendCanonical writes the machine's canonical form to b. It does not
-// validate: every Machine value has a canonical form.
-func (m Machine) AppendCanonical(b *strings.Builder) {
-	b.WriteString(canonicalVersion)
-	b.WriteByte('\n')
-	fmt.Fprintf(b, "chips=%d\n", m.Chips)
-	m.Arch.appendCanonical(b)
-	m.Mem.appendCanonical(b)
+func (m MemConfig) appendCanonical(b []byte) []byte {
+	b = appendLine(b, "mem.l1kb", int64(m.L1SizeKB))
+	b = appendLine(b, "mem.l2kb", int64(m.L2SizeKB))
+	b = appendLine(b, "mem.line", int64(m.LineBytes))
+	b = appendLine(b, "mem.l1assoc", int64(m.L1Assoc))
+	b = appendLine(b, "mem.l2assoc", int64(m.L2Assoc))
+	b = appendLine(b, "mem.fill", int64(m.FillTime))
+	b = appendLine(b, "mem.l1banks", int64(m.L1Banks))
+	b = appendLine(b, "mem.l2banks", int64(m.L2Banks))
+	b = appendLine(b, "mem.occ", int64(m.Occupancy))
+	b = appendLine(b, "mem.l1lat", int64(m.L1Latency))
+	b = appendLine(b, "mem.l2lat", int64(m.L2Latency))
+	b = appendLine(b, "mem.locmem", int64(m.LocalMemLatency))
+	b = appendLine(b, "mem.remmem", int64(m.RemoteMemLat))
+	b = appendLine(b, "mem.reml2", int64(m.RemoteL2Lat))
+	b = appendLine(b, "mem.mshrs", int64(m.MSHRs))
+	b = appendLine(b, "mem.tlb", int64(m.TLBEntries))
+	b = appendLine(b, "mem.tlbpen", int64(m.TLBMissPenalty))
+	b = appendLine(b, "mem.page", int64(m.PageBytes))
+	return appendLine(b, "mem.netocc", int64(m.NetOccupancy))
+}
+
+// AppendCanonical appends the machine's canonical form to dst and
+// returns the extended slice. It does not validate: every Machine value
+// has a canonical form.
+func (m Machine) AppendCanonical(dst []byte) []byte {
+	b := append(dst, canonicalVersion+"\n"...)
+	b = appendLine(b, "chips", int64(m.Chips))
+	b = m.Arch.appendCanonical(b)
+	b = m.Mem.appendCanonical(b)
 	// Allocation policy: the normalized static form emits nothing, so
 	// every pre-allocation encoding (and hence every persisted cache
 	// entry and snapshot machine hash) stays byte-identical; dynamic
 	// policies append their identity so two policies' machines never
 	// share a hash (core.Restore refuses a checkpoint of another's).
 	if a := m.Alloc.Normalize(); a.Policy != "" {
-		fmt.Fprintf(b, "alloc.policy=%s\n", a.Policy)
-		fmt.Fprintf(b, "alloc.epoch=%d\n", a.Epoch)
+		b = append(b, "alloc.policy="...)
+		b = append(b, a.Policy...)
+		b = append(b, '\n')
+		b = appendLine(b, "alloc.epoch", a.Epoch)
 	}
+	return b
 }
 
 // Hash returns the SHA-256 of the canonical encoding — the machine half
@@ -86,7 +96,6 @@ func (m Machine) AppendCanonical(b *strings.Builder) {
 // AppendCanonical it does not validate: every Machine value has a hash,
 // and invalid ones simply never produce cacheable results.
 func (m Machine) Hash() [32]byte {
-	var b strings.Builder
-	m.AppendCanonical(&b)
-	return sha256.Sum256([]byte(b.String()))
+	var buf [640]byte // a preset's form with a dynamic policy is 481 bytes
+	return sha256.Sum256(m.AppendCanonical(buf[:0]))
 }

@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -94,8 +95,45 @@ func TestCanonicalIsVersioned(t *testing.T) {
 }
 
 // canonical is the machine's canonical form as text.
-func canonical(m Machine) string {
-	var b strings.Builder
-	m.AppendCanonical(&b)
-	return b.String()
+func canonical(m Machine) string { return string(m.AppendCanonical(nil)) }
+
+// TestCanonicalCoversEveryField moves each int field of Machine, Arch
+// and MemConfig, one at a time, and requires the hash to move. The
+// value is moved away from both its current value and the defaults
+// PredictorSize and BTBSize resolve zero to, so a physical field added
+// without a canonical line fails here. Names are presentation and Alloc
+// has its own cases in TestCanonicalDistinguishesConfigs; any other
+// field kind fails until this test learns to move it.
+func TestCanonicalCoversEveryField(t *testing.T) {
+	for _, base := range []Machine{LowEnd(SMT2), HighEnd(FA8)} {
+		want := base.Hash()
+		var walk func(path string, v reflect.Value)
+		walk = func(path string, v reflect.Value) {
+			for i := 0; i < v.NumField(); i++ {
+				f, name := v.Field(i), path+v.Type().Field(i).Name
+				switch {
+				case name == "Name" || name == "Arch.Name" || name == "Alloc":
+				case f.Kind() == reflect.Struct:
+					walk(name+".", f)
+				case f.Kind() == reflect.Int:
+					old := f.Int()
+					moved := old + 1
+					for moved == BranchPredEntries || moved == BTBEntries {
+						moved++
+					}
+					f.SetInt(moved)
+					if base.Hash() == want {
+						t.Errorf("%s: %s %d -> %d left the hash unchanged", base.Name, name, old, moved)
+					}
+					f.SetInt(old)
+				default:
+					t.Errorf("%s: field %s has kind %s; move it in this test", base.Name, name, f.Kind())
+				}
+			}
+		}
+		walk("", reflect.ValueOf(&base).Elem())
+		if base.Hash() != want {
+			t.Fatalf("%s: the walk did not restore the machine", base.Name)
+		}
+	}
 }

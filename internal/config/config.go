@@ -238,7 +238,7 @@ const DefaultAllocEpoch = 10000
 // run does, because with one thread per context the seed placement
 // fills every cluster and leaves a policy nothing to move.
 type AllocConfig struct {
-	// Policy names a registered allocation policy: "static" (or "")
+	// Policy names an allocation policy of alloc's table: "static" (or "")
 	// never migrates, "icount" and "symbiosis" rebalance. Threads start
 	// at the seed placement under every policy. Any other name, the
 	// figure's "oracle" column among them, is refused by core.New.

@@ -13,8 +13,8 @@ import (
 	"clustersmt/internal/isa"
 )
 
-// This file wires the pluggable allocation subsystem (internal/alloc)
-// into the simulator: every thread starts at the seed placement
+// This file wires the allocation subsystem (internal/alloc) into the
+// simulator: every thread starts at the seed placement
 // (alloc.StaticPlace), and — for a policy with a Rebalance function —
 // an epoch loop samples committed feedback
 // between cycles, lets the policy propose migrations, and models each

@@ -191,14 +191,19 @@ func chaosPolicy(s *alloc.Snapshot) []alloc.Migration {
 	return ms
 }
 
-// invariantErrs collects violations observed by checkPolicy mid-run.
-var invariantErrs []string
+// invariantErrs collects violations observed by checkPolicy mid-run,
+// and auditedEpochs counts the snapshots it saw.
+var (
+	invariantErrs []string
+	auditedEpochs int
+)
 
 // checkPolicy wraps ICount and audits every epoch snapshot the core
 // hands a policy: each live thread on exactly one valid cluster, per-
 // cluster live counts within capacity and consistent with the per-
 // thread view.
 func checkPolicy(s *alloc.Snapshot) []alloc.Migration {
+	auditedEpochs++
 	live := make(map[int]int) // cluster GID -> live threads per the thread view
 	valid := make(map[int]alloc.ClusterSample, len(s.Clusters))
 	for _, c := range s.Clusters {
@@ -229,9 +234,18 @@ func checkPolicy(s *alloc.Snapshot) []alloc.Migration {
 	return alloc.ICount(s)
 }
 
-func init() {
-	alloc.Register("chaos-test", chaosPolicy)    // proposes only invalid migrations
-	alloc.Register("invcheck-test", checkPolicy) // icount plus epoch-snapshot invariant auditing
+// newWithPolicy builds m over p with icount armed at the given epoch,
+// then installs r in its place: the test policies below ride on the
+// simulator, outside the alloc package's table.
+func newWithPolicy(t *testing.T, m config.Machine, p *prog.Program, epoch int64, r alloc.Rebalance) *Simulator {
+	t.Helper()
+	m.Alloc = config.AllocConfig{Policy: "icount", Epoch: epoch}
+	s, err := New(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.alloc.rebalance = r
+	return s
 }
 
 // TestAllocInvalidProposalsRejected runs the chaos policy — nothing it
@@ -244,9 +258,7 @@ func TestAllocInvalidProposalsRejected(t *testing.T) {
 		return buildImbalanced(m.Threads(), 2000)
 	}
 	ref := runAlloc(t, m, build, false)
-	mc := m
-	mc.Alloc = config.AllocConfig{Policy: "chaos-test", Epoch: 500}
-	got := runAlloc(t, mc, build, false)
+	got := runSim(t, newWithPolicy(t, m, build(), 500, chaosPolicy), true, false)
 	if got.AllocEpochs == 0 {
 		t.Fatalf("chaos policy never consulted; the rejection check is vacuous")
 	}
@@ -305,13 +317,9 @@ func checkResidence(t *testing.T, s *Simulator) {
 // epoch boundary. Together they pin the "always" in "every runnable
 // thread is always on exactly one cluster".
 func TestAllocResidenceInvariants(t *testing.T) {
-	invariantErrs = nil
+	invariantErrs, auditedEpochs = nil, 0
 	m := config.HighEnd(config.SMT2)
-	m.Alloc = config.AllocConfig{Policy: "invcheck-test", Epoch: 500}
-	sim, err := New(m, buildImbalanced(m.Threads(), 2000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim := newWithPolicy(t, m, buildImbalanced(m.Threads(), 2000), 500, checkPolicy)
 	for target := int64(100); !sim.Done(); target += 100 {
 		if err := sim.RunTo(target); err != nil {
 			t.Fatal(err)
@@ -321,8 +329,8 @@ func TestAllocResidenceInvariants(t *testing.T) {
 	for _, e := range invariantErrs {
 		t.Error(e)
 	}
-	if sim.alloc.migrations == 0 {
-		t.Fatalf("no migrations; the invariant sweep is vacuous")
+	if sim.alloc.migrations == 0 || auditedEpochs == 0 {
+		t.Fatalf("%d migrations over %d audited epochs; the invariant sweep is vacuous", sim.alloc.migrations, auditedEpochs)
 	}
 }
 

@@ -348,3 +348,49 @@ func TestSleepBoundWithoutCompletionEvent(t *testing.T) {
 		})
 	}
 }
+
+// TestRenameStallsNeedSmallPools pins why the `other` slot category
+// reads 0 on every figure bar: every Table 2 preset sizes its rename
+// pools to its window, a rename register lives exactly as long as its
+// window entry, and fetch checks the window before the pools, so a
+// preset never stalls on rename. An SMT1 variant whose pools are
+// smaller than its window does, and its Result — rename stalls, the
+// sleep probe's stallRename bound and the `other` votes included —
+// must equal the scan × stepped reference in every mode.
+func TestRenameStallsNeedSmallPools(t *testing.T) {
+	for _, arch := range config.AllArchs {
+		for _, m := range []config.Machine{config.LowEnd(arch), config.HighEnd(arch)} {
+			for _, w := range workloads.All() {
+				s, err := New(m, w.Build(m.Threads(), m.Chips, workloads.SizeTest))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.RenameStalls != 0 {
+					t.Errorf("%s/%s: %d rename stalls on a preset", w.Name, m.Name, r.RenameStalls)
+				}
+			}
+		}
+	}
+
+	small := config.SMT1
+	small.RenameInt, small.RenameFP = 24, 24 // window 128
+	m := config.LowEnd(small)
+	w, err := workloads.ByName("ocean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *prog.Program { return w.Build(m.Threads(), m.Chips, workloads.SizeTest) }
+	ref, _ := runMode(t, m, build, false, false)
+	if ref.RenameStalls == 0 {
+		t.Fatal("no rename stalls with pools below the window; the differential is vacuous")
+	}
+	for _, md := range diffModes {
+		if got, _ := runMode(t, m, build, md.eventIssue, md.ff); !reflect.DeepEqual(ref, got) {
+			t.Errorf("%s differs from scan+stepped:\n  ref: %v\n  got: %v", md.name, ref, got)
+		}
+	}
+}

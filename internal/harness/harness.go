@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,12 +57,13 @@ type StoreFunc func(ctx context.Context, key [32]byte, app string, arch config.A
 // policies never do, and neither does any pair of machines that differ
 // in a physical field.
 func RunHash(app string, size workloads.Size, m config.Machine) [32]byte {
-	var b strings.Builder
-	b.WriteString("clustersmt.Job/v1\n")
-	fmt.Fprintf(&b, "app=%q\n", app)
-	fmt.Fprintf(&b, "size=%s\n", size)
-	m.AppendCanonical(&b)
-	return sha256.Sum256([]byte(b.String()))
+	var buf [1024]byte // room for a long app name beside any preset machine
+	b := append(buf[:0], "clustersmt.Job/v1\napp="...)
+	b = strconv.AppendQuote(b, app)
+	b = append(b, "\nsize="...)
+	b = append(b, size.String()...)
+	b = append(b, '\n')
+	return sha256.Sum256(m.AppendCanonical(b))
 }
 
 // runKey is a memo key: the run's RunHash (its app a single program's
@@ -657,7 +659,7 @@ type Row struct {
 	App        string
 	Arch       string
 	Cycles     int64
-	Normalized float64 // execution time relative to the figure baseline
+	Normalized float64 // execution time, the figure baseline's = 100 (AdjustClock: wall clock)
 	Breakdown  [stats.NumCategories]float64
 }
 
@@ -681,23 +683,25 @@ func (f *Figure) Get(app, arch string) Row {
 	panic(fmt.Sprintf("harness: figure %q has no row (%s, %s)", f.Title, app, arch))
 }
 
-// Best returns the architecture with the fewest cycles for app.
+// Best returns the architecture with the lowest normalized time for
+// app: the fewest cycles on a plain figure, the least wall clock on
+// AdjustClock's.
 func (f *Figure) Best(app string) string { return f.best(app, "") }
 
 // BestFA returns the best fixed-assignment architecture for app
 // (excludes SMT rows).
 func (f *Figure) BestFA(app string) string { return f.best(app, "FA") }
 
-// best returns the architecture named with prefix that has the fewest
-// cycles for app (the first such row on ties).
+// best returns the architecture named with prefix that has the lowest
+// normalized time for app (the first such row on ties).
 func (f *Figure) best(app, prefix string) string {
-	best, bestCycles := "", int64(0)
+	best, bestTime := "", 0.0
 	for _, r := range f.Rows {
 		if r.App != app || !strings.HasPrefix(r.Arch, prefix) {
 			continue
 		}
-		if best == "" || r.Cycles < bestCycles {
-			best, bestCycles = r.Arch, r.Cycles
+		if best == "" || r.Normalized < bestTime {
+			best, bestTime = r.Arch, r.Normalized
 		}
 	}
 	return best

@@ -344,8 +344,8 @@ func TestPaperConclusionCycleTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, app := range c.Apps {
-			best := c.Get(app, c.Best(app)).AdjustedTime
-			smt2 := c.Get(app, "SMT2").AdjustedTime
+			best := c.Get(app, c.Best(app)).Normalized
+			smt2 := c.Get(app, "SMT2").Normalized
 			if smt2 > 1.02*best {
 				t.Errorf("highEnd=%v %s: SMT2 adjusted time %.0f vs best %s %.0f",
 					highEnd, app, smt2, c.Best(app), best)
@@ -355,17 +355,20 @@ func TestPaperConclusionCycleTime(t *testing.T) {
 }
 
 // TestAdjustClockAlgebra checks the adjustment arithmetic on a
-// synthetic figure.
+// synthetic figure, and that the adjusted rows keep their raw cycles
+// and breakdowns while the input figure is left as it was.
 func TestAdjustClockAlgebra(t *testing.T) {
+	var bd [stats.NumCategories]float64
+	bd[stats.Useful] = 0.5
 	fig := &Figure{
 		Title:    "t",
 		Baseline: "FA8",
 		Apps:     []string{"x"},
 		Archs:    []string{"FA8", "FA2", "SMT1"},
 		Rows: []Row{
-			{App: "x", Arch: "FA8", Cycles: 1000},
-			{App: "x", Arch: "FA2", Cycles: 900},
-			{App: "x", Arch: "SMT1", Cycles: 600},
+			{App: "x", Arch: "FA8", Cycles: 1000, Normalized: 100},
+			{App: "x", Arch: "FA2", Cycles: 900, Normalized: 90},
+			{App: "x", Arch: "SMT1", Cycles: 600, Normalized: 60, Breakdown: bd},
 		},
 	}
 	c := AdjustClock(fig)
@@ -374,14 +377,20 @@ func TestAdjustClockAlgebra(t *testing.T) {
 	if got := c.Get("x", "FA2").Normalized; got != 90 {
 		t.Errorf("FA2 normalized = %v, want 90", got)
 	}
-	if got := c.Get("x", "SMT1").Normalized; got != 120 {
-		t.Errorf("SMT1 normalized = %v, want 120 (600 cycles x 2)", got)
+	if got := c.Get("x", "SMT1"); got.Normalized != 120 || got.Cycles != 600 || got.Breakdown != bd {
+		t.Errorf("SMT1 row = %+v, want normalized 120 (600 cycles x 2) with its cycles and breakdown", got)
 	}
 	if best := c.Best("x"); best != "FA2" {
-		t.Errorf("best = %s", best)
+		t.Errorf("adjusted best = %s, want FA2", best)
 	}
-	if c.Render() == "" {
-		t.Error("empty render")
+	if best := fig.Best("x"); best != "SMT1" || fig.Get("x", "SMT1").Normalized != 60 {
+		t.Errorf("AdjustClock changed its input: best = %s", best)
+	}
+	want := "t — cycle-time adjusted (4-issue clusters at 2x the 8-issue clock)\n" +
+		"app          FA8     FA2    SMT1  winner\n" +
+		"x            100      90     120  FA2\n"
+	if got := c.RenderMatrix(); got != want {
+		t.Errorf("RenderMatrix =\n%s\nwant\n%s", got, want)
 	}
 }
 
