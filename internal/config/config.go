@@ -293,10 +293,24 @@ func (m Machine) Validate() error {
 
 // LowEnd returns the single-chip workstation configuration of §5.
 func LowEnd(a Arch) Machine {
-	return Machine{Name: "low-end/" + a.Name, Chips: 1, Arch: a, Mem: DefaultMem()}
+	m := Preset(a, false)
+	m.Name = "low-end/" + a.Name
+	return m
 }
 
 // HighEnd returns the 4-chip DASH-like multiprocessor of §5.
 func HighEnd(a Arch) Machine {
-	return Machine{Name: "high-end/" + a.Name, Chips: 4, Arch: a, Mem: DefaultMem()}
+	m := Preset(a, true)
+	m.Name = "high-end/" + a.Name
+	return m
+}
+
+// Preset returns HighEnd(a) when highEnd is set, LowEnd(a) otherwise,
+// without the name: everything a run's hash reads, and no string built.
+func Preset(a Arch, highEnd bool) Machine {
+	m := Machine{Chips: 1, Arch: a, Mem: DefaultMem()}
+	if highEnd {
+		m.Chips = 4
+	}
+	return m
 }

@@ -64,12 +64,12 @@ func newWheel(capacity int) wheel { return wheel{ev: make([]wheelEvent, 0, capac
 // push schedules slot x for re-evaluation at the given cycle, reporting
 // false when the wheel is full.
 func (w *wheel) push(cycle int64, x handle) bool {
-	h := w.ev
-	i := len(h)
-	if i == cap(h) {
+	i := len(w.ev)
+	if i == cap(w.ev) {
 		return false
 	}
-	h = h[:i+1]
+	w.ev = w.ev[:i+1]
+	h := w.ev
 	for i > 0 {
 		p := (i - 1) / 2
 		if h[p].cycle <= cycle {
@@ -79,7 +79,6 @@ func (w *wheel) push(cycle int64, x handle) bool {
 		i = p
 	}
 	h[i] = wheelEvent{cycle: cycle, h: x}
-	w.ev = h
 	return true
 }
 
@@ -98,7 +97,7 @@ func (w *wheel) pop() wheelEvent {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h = h[:n]
+	w.ev = w.ev[:n]
 	i := 0
 	for {
 		small := 2*i + 1
@@ -117,7 +116,6 @@ func (w *wheel) pop() wheelEvent {
 	if n > 0 {
 		h[i] = last
 	}
-	w.ev = h
 	return top
 }
 
@@ -198,22 +196,22 @@ func (c *cluster) evaluate(h handle, now int64) {
 // The ready set is small — entries leave it the cycle their FU is free
 // — so a binary search plus short memmove beats a heap.
 func (c *cluster) insertReady(h handle, seq uint64) {
-	list := c.ready
-	lo, hi := 0, len(list)
+	n := len(c.ready)
+	lo, hi := 0, n
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); c.pool[list[mid]].seq > seq {
+		if mid := int(uint(lo+hi) >> 1); c.pool[c.ready[mid]].seq > seq {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if len(list) == cap(list) {
+	if n == cap(c.ready) {
 		c.overflow("ready list")
 	}
-	list = list[:len(list)+1]
-	copy(list[lo+1:], list[lo:])
+	c.ready = c.ready[:n+1]
+	list := c.ready
+	copy(list[lo+1:], list[lo:n])
 	list[lo] = h
-	c.ready = list
 }
 
 // dispatchEvent registers a freshly fetched entry with the wakeup
@@ -302,21 +300,23 @@ func (c *cluster) wheelPush(cycle int64, h handle) {
 func (c *cluster) issue(s *Simulator, now int64, votes *stats.Votes) int {
 	c.drainEvents(now)
 	issued := 0
-	kept := c.ready[:0]
-	for i, h := range c.ready {
+	list := c.ready
+	kept := 0
+	for i, h := range list {
 		if issued >= c.cfg.IssueWidth {
-			// Writes into kept trail i, so this forward copy is safe.
-			kept = append(kept, c.ready[i:]...)
+			// Writes at kept trail i, so this forward copy is safe.
+			kept += copy(list[kept:], list[i:])
 			break
 		}
 		if c.tryIssue(s, h, now, votes) {
 			c.pool[h].queued = qNone
 			issued++
 		} else {
-			kept = append(kept, h)
+			list[kept] = h
+			kept++
 		}
 	}
-	c.ready = kept
+	c.ready = c.ready[:kept]
 	votes[stats.Memory] += float64(c.waitMemN)
 	votes[stats.Data] += float64(c.waitDataN)
 	return issued

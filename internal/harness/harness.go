@@ -360,12 +360,18 @@ func canceled(err error) bool {
 // like results (a failing configuration simulates once, not once per
 // figure that includes it). Every error names the run, once.
 func (s *Suite) RunContext(ctx context.Context, app workloads.Workload, arch config.Arch, highEnd bool) (*core.Result, error) {
-	m := config.LowEnd(arch)
-	if highEnd {
-		m = config.HighEnd(arch)
+	// RunHash reads no machine name, so a memo hit builds none: the
+	// machine is named when its run is simulated or an error names it.
+	k := key(app.Name, s.Size, config.Preset(arch, highEnd))
+	named := func() config.Machine {
+		if highEnd {
+			return config.HighEnd(arch)
+		}
+		return config.LowEnd(arch)
 	}
-	k := key(app.Name, s.Size, m)
-	return s.memo(ctx, k, app.Name, m.Name, func() (outcome, error) { return s.runShared(ctx, k.hash, app, arch, highEnd, m) })
+	return s.memo(ctx, k, app.Name, func() string { return named().Name }, func() (outcome, error) {
+		return s.runShared(ctx, k.hash, app, arch, highEnd, named())
+	})
 }
 
 // runShared is the owner side of RunContext's singleflight: it hands
@@ -390,9 +396,9 @@ func (s *Suite) runShared(ctx context.Context, key [32]byte, app workloads.Workl
 
 // memo is the one route of every run: fn is the owner side of k's
 // singleflight in the result memo, and every error names the run (app
-// on machine), once.
-func (s *Suite) memo(ctx context.Context, k runKey, app, machine string, fn func() (outcome, error)) (*core.Result, error) {
-	named := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", app, machine, err) }
+// on machine, which is asked for only then), once.
+func (s *Suite) memo(ctx context.Context, k runKey, app string, machine func() string, fn func() (outcome, error)) (*core.Result, error) {
+	named := func(err error) error { return fmt.Errorf("harness: %s on %s: %w", app, machine(), err) }
 	o, err := s.do(ctx, k, func() (outcome, error) {
 		o, err := fn()
 		if err != nil {
@@ -459,7 +465,7 @@ func (s *Suite) runMulti(ctx context.Context, m config.Machine, x mix, start []i
 	k := x.key(m, start)
 	a := m.Alloc.Normalize()
 	machine := fmt.Sprintf("%s/%s-e%d/%s", m.Name, cmp.Or(a.Policy, "static"), a.Epoch, k.start)
-	return s.memo(ctx, k, x.name, machine, func() (outcome, error) {
+	return s.memo(ctx, k, x.name, func() string { return machine }, func() (outcome, error) {
 		return s.simulate(ctx, x.name, machine, m.Chips > 1, start, func() (*core.Simulator, error) {
 			return core.NewMulti(m, x.progs())
 		})

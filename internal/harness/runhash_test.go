@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"clustersmt/internal/config"
@@ -125,6 +126,40 @@ func BenchmarkSuiteMemoHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := s.RunContext(ctx, w, config.SMT2, false); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSuiteMemoHitAllocs pins the memo hit allocation-free on both
+// machines: RunContext keys the run by the unnamed preset and names the
+// machine only when it runs or an error names it. The unnamed preset is
+// the named one less its name, so the key is the one RunHash gives the
+// named machine.
+func TestSuiteMemoHitAllocs(t *testing.T) {
+	for _, a := range append([]config.Arch{config.SMT8}, config.AllArchs...) {
+		for _, named := range []config.Machine{config.LowEnd(a), config.HighEnd(a)} {
+			p := config.Preset(a, named.Chips > 1)
+			if named.Name = ""; !reflect.DeepEqual(p, named) {
+				t.Fatalf("%s: Preset %+v, named preset less its name %+v", a.Name, p, named)
+			}
+		}
+	}
+	s := NewSuite(workloads.SizeTest)
+	w, err := workloads.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, highEnd := range []bool{false, true} {
+		if _, err := s.RunContext(ctx, w, config.SMT2, highEnd); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := s.RunContext(ctx, w, config.SMT2, highEnd); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("highEnd %v: a memo hit allocates %v times, want 0", highEnd, n)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 
 	"clustersmt/internal/prog"
 )
@@ -21,31 +22,32 @@ const (
 	pageWords = pageBytes / prog.WordSize
 )
 
-// Memory is a sparse, paged, word-granular address space. It is used
-// by one goroutine at a time and takes no locks. Each thread reads and
-// writes through its own View, whose last-touched-page cache skips the
-// page-table lookup on sequential and strided streams; the Memory's
-// own Load, Store and Swap go through its own View, self.
+// Memory is a paged, word-granular address space of maxPages 4 KiB
+// pages (4 GiB). It is used by one goroutine at a time and takes no
+// locks. A page is found in a table indexed by page number — the data
+// segment starts at prog.DataBase and the stacks sit right above it, so
+// the table is dense — which grows by doubling to the highest page
+// written. Each thread reads and writes through its own View.
 //
 // Fork clones the address space copy-on-write: parent and child share
 // page frames until either side first writes a shared page, which the
 // writer privatizes first. A shared frame is thus never mutated, so a
-// forked parent and child may run on different goroutines. gen, bumped
-// by every Fork and every privatization, tells a view that a frame it
-// cached may have been privatized since, by another view or a Fork.
+// forked parent and child may run on different goroutines. cow, a
+// bitset beside the table, marks the pages whose frame is shared.
+//
+// Nothing on the access path writes a pointer into the heap: reads and
+// writes of a present, private page only index the two tables.
 type Memory struct {
-	pages map[int64]*[pageWords]uint64
-	cow   map[int64]struct{} // page numbers whose frame is shared with another Memory
-	gen   uint64             // bumped on Fork and on every copy-on-write break
-	self  View
+	pages []*[pageWords]uint64 // by page number; nil = never written
+	cow   []uint64             // bit pn: pages[pn] is shared with another Memory
 }
 
+// maxPages bounds the address space; a wider address is a kernel bug
+// (and a corrupt checkpoint's page number is refused, not allocated).
+const maxPages = 1 << 20
+
 // NewMemory returns an empty address space.
-func NewMemory() *Memory {
-	m := &Memory{pages: make(map[int64]*[pageWords]uint64)}
-	m.self = m.NewView()
-	return m
-}
+func NewMemory() *Memory { return &Memory{} }
 
 // LoadImage installs a program's initial data segment, copying each run
 // of the image a page at a time. Only pages holding a present word are
@@ -53,7 +55,8 @@ func NewMemory() *Memory {
 func (m *Memory) LoadImage(p *prog.Program) {
 	p.Init.Runs(func(addr int64, vals []uint64) {
 		for len(vals) > 0 {
-			n := copy(m.self.page(addr, true)[(addr%pageBytes)/prog.WordSize:], vals)
+			checkAddr(addr)
+			n := copy(m.lookup(addr>>pageShift, true)[(addr%pageBytes)/prog.WordSize:], vals)
 			vals = vals[n:]
 			addr += int64(n) * prog.WordSize
 		}
@@ -66,30 +69,34 @@ func (m *Memory) LoadImage(p *prog.Program) {
 // Fork must not race with accesses to m, nor with another Fork of m
 // (the simulator only forks a paused instance).
 func (m *Memory) Fork() *Memory {
-	child := &Memory{
-		pages: make(map[int64]*[pageWords]uint64, len(m.pages)),
-		cow:   make(map[int64]struct{}, len(m.pages)),
-	}
-	child.self = child.NewView()
-	if m.cow == nil {
-		m.cow = make(map[int64]struct{}, len(m.pages))
-	}
 	for pn, pg := range m.pages {
-		child.pages[pn] = pg
-		child.cow[pn] = struct{}{}
-		m.cow[pn] = struct{}{}
+		if pg != nil {
+			m.cow[pn>>6] |= 1 << (pn & 63)
+		}
 	}
-	m.gen++ // cached frame pointers are no longer known-private
-	return child
+	return &Memory{pages: slices.Clone(m.pages), cow: slices.Clone(m.cow)}
 }
 
-// lookup returns the page frame for page number pn. When write is set
-// the returned frame is private and writable: a missing page is
-// allocated and a copy-on-write page is privatized first. For reads a
-// shared frame may be returned; it is immutable until privatized, and
-// privatization never mutates the old frame, so a read-cached pointer
-// only goes stale (missing later writes), which gen detects.
+// shared reports whether page pn's frame is shared with another Memory.
+func (m *Memory) shared(pn int64) bool { return m.cow[pn>>6]&(1<<(pn&63)) != 0 }
+
+// lookup returns the page frame for page number pn, off the fast path
+// of page. When write is set the returned frame is private and
+// writable: a missing page is allocated (growing the table) and a
+// copy-on-write page is privatized first. For reads a shared frame may
+// be returned; it is immutable until privatized.
 func (m *Memory) lookup(pn int64, write bool) *[pageWords]uint64 {
+	if pn >= int64(len(m.pages)) {
+		if !write {
+			return nil
+		}
+		n := max(64, len(m.pages))
+		for int64(n) <= pn {
+			n *= 2
+		}
+		m.pages = append(m.pages, make([]*[pageWords]uint64, n-len(m.pages))...)
+		m.cow = append(m.cow, make([]uint64, n/64-len(m.cow))...)
+	}
 	pg := m.pages[pn]
 	if !write {
 		return pg
@@ -97,61 +104,56 @@ func (m *Memory) lookup(pn int64, write bool) *[pageWords]uint64 {
 	if pg == nil {
 		pg = new([pageWords]uint64)
 		m.pages[pn] = pg
-	} else if _, shared := m.cow[pn]; shared {
+	} else if m.shared(pn) {
 		cp := *pg
 		pg = &cp
 		m.pages[pn] = pg
-		delete(m.cow, pn)
-		m.gen++
+		m.cow[pn>>6] &^= 1 << (pn & 63)
 	}
 	return pg
 }
 
-func checkAligned(addr int64) {
+// checkAddr panics on an unaligned address or one outside the address
+// space: those are always kernel bugs.
+func checkAddr(addr int64) {
 	if addr%prog.WordSize != 0 {
 		panic(fmt.Sprintf("interp: unaligned access at %#x", addr))
 	}
-	if addr < 0 {
-		panic(fmt.Sprintf("interp: negative address %#x", addr))
+	if uint64(addr) >= maxPages*pageBytes {
+		panic(fmt.Sprintf("interp: address %#x outside the address space", addr))
 	}
 }
 
 // Load returns the word at addr (zero if never written). Panics on
-// unaligned or negative addresses: those are always kernel bugs.
-func (m *Memory) Load(addr int64) uint64 { return m.self.Load(addr) }
+// unaligned addresses and on those outside the address space.
+func (m *Memory) Load(addr int64) uint64 { return m.NewView().Load(addr) }
 
-// View is a per-thread handle on a Memory: it carries its own
-// last-touched-page cache, so each thread's access stream keeps its
-// own locality. Obtain one with NewView; the zero value is not usable.
+// View is a per-thread handle on a Memory. Obtain one with NewView;
+// the zero value is not usable.
 type View struct {
-	mem    *Memory
-	lastPN int64
-	lastPG *[pageWords]uint64
-	lastW  bool
-	gen    uint64
+	mem *Memory
 }
 
 // NewView returns a fresh view of the address space.
-func (m *Memory) NewView() View { return View{mem: m, lastPN: -1, gen: m.gen} }
+func (m *Memory) NewView() View { return View{mem: m} }
 
-func (v *View) page(addr int64, write bool) *[pageWords]uint64 {
+// page returns the frame holding addr, private when write is set, or
+// nil for a read of a page never written. A present page, private or
+// read, costs two table reads.
+func (v View) page(addr int64, write bool) *[pageWords]uint64 {
+	m := v.mem
 	pn := addr >> pageShift
-	if g := v.mem.gen; g != v.gen {
-		v.gen, v.lastPN, v.lastPG = g, -1, nil
+	if uint64(pn) < uint64(len(m.pages)) {
+		if pg := m.pages[pn]; pg != nil && (!write || !m.shared(pn)) {
+			return pg
+		}
 	}
-	if pn == v.lastPN && (!write || v.lastW) {
-		return v.lastPG
-	}
-	pg := v.mem.lookup(pn, write)
-	if pg != nil {
-		v.lastPN, v.lastPG, v.lastW = pn, pg, write
-	}
-	return pg
+	return m.lookup(pn, write)
 }
 
 // Load returns the word at addr (zero if never written).
-func (v *View) Load(addr int64) uint64 {
-	checkAligned(addr)
+func (v View) Load(addr int64) uint64 {
+	checkAddr(addr)
 	pg := v.page(addr, false)
 	if pg == nil {
 		return 0
@@ -160,15 +162,15 @@ func (v *View) Load(addr int64) uint64 {
 }
 
 // Store writes the word at addr.
-func (v *View) Store(addr int64, val uint64) {
-	checkAligned(addr)
+func (v View) Store(addr int64, val uint64) {
+	checkAddr(addr)
 	v.page(addr, true)[(addr%pageBytes)/prog.WordSize] = val
 }
 
 // Swap exchanges the word at addr with val, returning the old value.
 // (Atomicity is trivial on one goroutine; the method exists so call
 // sites document their intent.)
-func (v *View) Swap(addr int64, val uint64) uint64 {
+func (v View) Swap(addr int64, val uint64) uint64 {
 	old := v.Load(addr)
 	v.Store(addr, val)
 	return old

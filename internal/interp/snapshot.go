@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"clustersmt/internal/snap"
 )
@@ -12,16 +13,37 @@ import (
 // list in either direction); the envelope version in internal/core
 // guards layout changes.
 
-// XferSnap transfers the full page image, sorted by page number for a
-// stable byte stream. Decoding installs the pages into m, which must be
-// freshly created (existing pages are not cleared).
+// XferSnap transfers the full page image: the count of present pages,
+// then each page's number and words in ascending page order. Decoding
+// installs the pages into m, which must be freshly created, and refuses
+// a page number outside the address space or out of order.
 func (m *Memory) XferSnap(x *snap.Xfer) {
-	snap.Map(x, m.pages, "interp: memory pages", func(pg **[pageWords]uint64) {
-		if x.Decoding() {
-			*pg = new([pageWords]uint64)
+	n := 0
+	for _, pg := range m.pages {
+		if pg != nil {
+			n++
 		}
-		x.U64s((*pg)[:])
-	})
+	}
+	x.Count(&n, math.MaxInt, "interp: memory pages")
+	if !x.Decoding() {
+		for pn, pg := range m.pages {
+			if pg != nil {
+				pn := int64(pn)
+				x.I64(&pn)
+				x.U64s(pg[:])
+			}
+		}
+		return
+	}
+	for last := int64(-1); n > 0 && x.Err() == nil; n-- {
+		var pn int64
+		if x.I64(&pn); pn <= last || pn >= maxPages {
+			x.Fail(fmt.Errorf("interp: memory page %d out of order or outside the address space", pn))
+			return
+		}
+		x.U64s(m.lookup(pn, true)[:])
+		last = pn
+	}
 }
 
 // XferSnap transfers the thread's architectural state: PC, register

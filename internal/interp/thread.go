@@ -35,7 +35,7 @@ type Thread struct {
 
 	code []prog.Decoded // Prog.Decoded
 
-	// view is the thread's private handle on Mem: its own page cache.
+	// view is the thread's handle on Mem.
 	view View
 }
 

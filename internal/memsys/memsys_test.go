@@ -166,8 +166,8 @@ func TestTLBHitMissAndCapacity(t *testing.T) {
 		}
 	}
 	tlb.Access(100) // evicts someone
-	if len(tlb.pages) != 4 {
-		t.Fatalf("resident = %d, want 4", len(tlb.pages))
+	if len(tlb.slots) != 4 {
+		t.Fatalf("resident = %d, want 4", len(tlb.slots))
 	}
 	if !tlb.Access(100) {
 		t.Fatal("just-installed page missed")

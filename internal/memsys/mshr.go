@@ -4,17 +4,18 @@ package memsys
 // merges secondary misses to a line already being fetched (§3.1:
 // "non-blocking with up to 32 outstanding loads").
 //
-// Completed fills retire lazily. Next to the line→ready map sits a
-// min-heap of (ready, line) pairs ordered by fill-complete cycle, so
-// retirement pops only the fills that have actually completed —
-// amortized O(1) per fill — instead of sweeping every pending entry on
-// every Pending/TryAlloc/Free call. The sweep is the definition and the
+// Completed fills retire lazily. Next to the pending fills, an array
+// sorted by line, sits a min-heap of the same (ready, line) pairs
+// ordered by fill-complete cycle, so retirement pops only the fills
+// that have actually completed — amortized O(1) per fill — instead of
+// sweeping every pending entry on every Pending/TryAlloc/Free call.
+// The sweep is the definition and the
 // test oracle (sweepMSHR in mshr_test.go): same entries, same
 // Merges/Rejected/Allocated counts.
 type MSHRFile struct {
 	cap     int
-	pending map[int64]int64 // line -> fill-complete cycle
-	fills   fillHeap        // pending fills ordered by ready
+	pending []fill   // in flight, sorted by line; capacity cap
+	fills   fillHeap // pending fills ordered by ready
 
 	Merges    uint64 // secondary misses piggybacked on a pending fill
 	Rejected  uint64 // allocation attempts refused because the file was full
@@ -28,9 +29,22 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	}
 	return &MSHRFile{
 		cap:     capacity,
-		pending: make(map[int64]int64, capacity),
+		pending: make([]fill, 0, capacity),
 		fills:   make(fillHeap, 0, capacity),
 	}
+}
+
+// find returns the index of line in pending, or where it would go.
+func (m *MSHRFile) find(line int64) (int, bool) {
+	lo, hi := 0, len(m.pending)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); m.pending[mid].line < line {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(m.pending) && m.pending[lo].line == line
 }
 
 // retire removes entries whose fills have completed by now. It pops
@@ -41,8 +55,10 @@ func (m *MSHRFile) retire(now int64) {
 		f := m.fills.pop()
 		// A stale heap entry (the line was re-allocated with a new ready
 		// cycle after an earlier retirement) must not evict the live one.
-		if r, ok := m.pending[f.line]; ok && r == f.ready {
-			delete(m.pending, f.line)
+		if i, ok := m.find(f.line); ok && m.pending[i].ready == f.ready {
+			n := len(m.pending) - 1
+			copy(m.pending[i:], m.pending[i+1:])
+			m.pending = m.pending[:n]
 		}
 	}
 }
@@ -51,22 +67,32 @@ func (m *MSHRFile) retire(now int64) {
 // flight at cycle now.
 func (m *MSHRFile) Pending(now, line int64) (int64, bool) {
 	m.retire(now)
-	ready, ok := m.pending[line]
-	if ok {
-		m.Merges++
+	i, ok := m.find(line)
+	if !ok {
+		return 0, false
 	}
-	return ready, ok
+	m.Merges++
+	return m.pending[i].ready, true
 }
 
 // TryAlloc reserves an entry for line completing at ready. It returns
 // false when the file is full (the load must retry a later cycle).
+// Re-allocating a line in flight moves its fill to ready; the heap
+// keeps the earlier fill, which retires as stale.
 func (m *MSHRFile) TryAlloc(now, line, ready int64) bool {
 	m.retire(now)
-	if len(m.pending) >= m.cap {
+	n := len(m.pending)
+	if n >= m.cap {
 		m.Rejected++
 		return false
 	}
-	m.pending[line] = ready
+	if i, ok := m.find(line); ok {
+		m.pending[i].ready = ready
+	} else {
+		m.pending = m.pending[:n+1]
+		copy(m.pending[i+1:], m.pending[i:n])
+		m.pending[i] = fill{ready: ready, line: line}
+	}
 	m.fills.push(fill{ready: ready, line: line})
 	m.Allocated++
 	return true
@@ -83,8 +109,8 @@ func (m *MSHRFile) Free(now int64) int {
 // observability sampler, which must not perturb the retirement order.
 func (m *MSHRFile) Occupancy(now int64) int {
 	n := 0
-	for _, ready := range m.pending {
-		if ready > now {
+	for _, f := range m.pending {
+		if f.ready > now {
 			n++
 		}
 	}
@@ -100,10 +126,17 @@ type fill struct{ ready, line int64 }
 // frequency).
 type fillHeap []fill
 
+// push and pop resize the heap in place (h = h[:n]), which writes only
+// its length. A line re-allocated while in flight leaves a stale fill
+// behind, so the heap can outgrow the file; grow makes room then.
 func (h *fillHeap) push(f fill) {
-	*h = append(*h, f)
+	i := len(*h)
+	if i == cap(*h) {
+		h.grow()
+	}
+	*h = (*h)[:i+1]
 	s := *h
-	i := len(s) - 1
+	s[i] = f
 	for i > 0 {
 		p := (i - 1) / 2
 		if s[p].ready <= s[i].ready {
@@ -119,8 +152,7 @@ func (h *fillHeap) pop() fill {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s = s[:n]
-	*h = s
+	*h = (*h)[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -139,3 +171,9 @@ func (h *fillHeap) pop() fill {
 	}
 	return top
 }
+
+// grow makes room for more fills; kept out of line, so that push
+// itself never writes the slice's pointer.
+//
+//go:noinline
+func (h *fillHeap) grow() { *h = append(*h, fill{})[:len(*h)] }

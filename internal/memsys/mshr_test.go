@@ -2,7 +2,6 @@ package memsys
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"testing"
 )
@@ -70,13 +69,28 @@ func (m *sweepMSHR) Occupancy(now int64) int {
 	return n
 }
 
+// pendingEqual reports whether the file's pending array holds exactly
+// the oracle's line→ready map, sorted by line with no line twice.
+func pendingEqual(m *MSHRFile, ref *sweepMSHR) bool {
+	if len(m.pending) != len(ref.pending) {
+		return false
+	}
+	for i, f := range m.pending {
+		if r, ok := ref.pending[f.line]; !ok || r != f.ready || (i > 0 && m.pending[i-1].line >= f.line) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestMSHRDifferential drives MSHRFile and the sweep oracle with the
 // same seeded op streams — the pipeline's Pending-then-TryAlloc
 // sequence, bare TryAllocs that re-allocate a line whose earlier fill
 // is still on the heap (the stale-heap-entry case), and the
 // Free/InFlight/Occupancy probes — with out-of-order completion times
 // and time that sometimes stands still. Every answer, the three
-// counters and the pending set itself must agree after every op.
+// counters and the pending set itself (the sorted array against the
+// oracle's map) must agree after every op.
 func TestMSHRDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -121,7 +135,7 @@ func TestMSHRDifferential(t *testing.T) {
 					t.Fatalf("%s: Occupancy(%d) %d, oracle %d", what, at, a, b)
 				}
 			}
-			if !maps.Equal(fast.pending, ref.pending) {
+			if !pendingEqual(fast, ref) {
 				t.Fatalf("%s: pending set %v, oracle %v", what, fast.pending, ref.pending)
 			}
 			if fast.Merges != ref.Merges || fast.Rejected != ref.Rejected || fast.Allocated != ref.Allocated {

@@ -22,7 +22,7 @@ import (
 //     two fills with equal ready cycles pop in layout order, so the heap
 //     layout itself is state.
 //   - TLB slots are written in slot order with the PRNG cursor; the
-//     page->slot map is rebuilt from the slots.
+//     page index is rebuilt from the slots.
 
 // XferSnap transfers the cache's tag arrays, LRU tick and counters;
 // decoding overlays a cache of the same geometry. The wire layout is
@@ -81,20 +81,29 @@ func (c *Cache) XferSnap(x *snap.Xfer) {
 // the raw fill-heap layout.
 func (m *MSHRFile) Clone() *MSHRFile {
 	cp := *m
-	cp.pending = make(map[int64]int64, len(m.pending))
-	for k, v := range m.pending {
-		cp.pending[k] = v
-	}
-	cp.fills = append(fillHeap(nil), m.fills...)
+	cp.pending = append(make([]fill, 0, m.cap), m.pending...)
+	cp.fills = append(make(fillHeap, 0, max(m.cap, len(m.fills))), m.fills...)
 	return &cp
 }
 
-// XferSnap transfers capacity, the pending map (sorted by line), the
-// raw fill-heap array and the counters; decoding overlays a fresh file
-// of the same capacity.
+// XferSnap transfers capacity, the pending fills (a counted list of
+// line, ready pairs in ascending line order), the raw fill-heap array
+// and the counters; decoding overlays a fresh file of the same
+// capacity.
 func (m *MSHRFile) XferSnap(x *snap.Xfer) {
 	x.Const(m.cap, "memsys: MSHR capacity")
-	snap.Map(x, m.pending, "memsys: MSHR pending", x.I64)
+	n := len(m.pending)
+	x.Count(&n, m.cap, "memsys: MSHR pending")
+	m.pending = m.pending[:n]
+	for i := range m.pending {
+		f := &m.pending[i]
+		x.I64(&f.line)
+		x.I64(&f.ready)
+		if i > 0 && f.line <= m.pending[i-1].line {
+			x.Fail(fmt.Errorf("memsys: MSHR pending line %#x out of order", f.line))
+			return
+		}
+	}
 	snap.Slice(x, (*[]fill)(&m.fills), math.MaxInt, "memsys: MSHR fills", func(f *fill) {
 		x.I64(&f.ready)
 		x.I64(&f.line)
@@ -107,26 +116,25 @@ func (m *MSHRFile) XferSnap(x *snap.Xfer) {
 // Clone returns an independent deep copy of the TLB.
 func (t *TLB) Clone() *TLB {
 	cp := *t
-	cp.pages = make(map[int64]int, len(t.pages))
-	for k, v := range t.pages {
-		cp.pages[k] = v
-	}
-	cp.slots = append([]int64(nil), t.slots...)
+	cp.slots = append(make([]int64, 0, t.entries), t.slots...)
+	cp.index = append([]uint32(nil), t.index...)
 	return &cp
 }
 
 // XferSnap transfers the slot array in slot order, the PRNG cursor and
 // the counters; decoding overlays a fresh TLB of the same capacity and
-// rebuilds the page map from the slots.
+// rebuilds the index from the slots.
 func (t *TLB) XferSnap(x *snap.Xfer) {
 	x.Const(t.entries, "memsys: TLB capacity")
 	snap.Slice(x, &t.slots, t.entries, "memsys: TLB slots", x.I64)
 	if x.Decoding() && x.Err() == nil {
 		for i, p := range t.slots {
-			if _, dup := t.pages[p]; dup {
+			b, dup := t.find(p)
+			if dup {
 				x.Fail(fmt.Errorf("memsys: duplicate TLB page %d", p))
+				break
 			}
-			t.pages[p] = i
+			t.index[b] = uint32(i + 1)
 		}
 	}
 	if x.U64(&t.rng); t.rng == 0 {

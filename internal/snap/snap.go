@@ -300,30 +300,3 @@ func Slice[T any](x *Xfer, p *[]T, max int, what string, elem func(*T)) {
 	}
 	Each(*p, elem)
 }
-
-// Map transfers an int64-keyed map as a counted list in ascending key
-// order, so equal maps encode to equal bytes; decoding adds to m.
-func Map[V any](x *Xfer, m map[int64]V, what string, val func(*V)) {
-	n := len(m)
-	x.Count(&n, math.MaxInt, what)
-	if x.w != nil {
-		keys := make([]int64, 0, n)
-		for k := range m {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			v := m[k]
-			x.w.I64(k)
-			val(&v)
-		}
-		return
-	}
-	for ; n > 0 && x.r.err == nil; n-- {
-		k := x.r.I64()
-		var v V
-		if val(&v); x.r.err == nil {
-			m[k] = v
-		}
-	}
-}

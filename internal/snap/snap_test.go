@@ -208,7 +208,6 @@ type xferValues struct {
 	h    [3]uint64
 	i    [2]float64
 	list []int64
-	m    map[int64]int
 }
 
 // xferAll is the one field list: over a Writer it encodes v, over a
@@ -225,17 +224,15 @@ func (v *xferValues) xferAll(x *Xfer) {
 	Each(v.i[:], x.F64)
 	x.Const(7, "test: capacity")
 	Slice(x, &v.list, 4, "test: list", x.I64)
-	Map(x, v.m, "test: map", x.Int)
 }
 
 // TestXferMatchesWriter pins Xfer to the wire widths of the Writer
 // methods it is named after — one list run in both directions — and its
 // composite helpers to their layouts: a bulk run is its elements, a
-// Const is an Int, a Slice or Map is a count then elements, a Map in
-// ascending key order.
+// Const is an Int, a Slice is a count then elements.
 func TestXferMatchesWriter(t *testing.T) {
 	v := xferValues{0xab, 0x01020304, 1 << 63, -2, -3, 1.5, true, [3]uint64{1, 2, 3}, [2]float64{0.5, -0.25},
-		[]int64{9, 8}, map[int64]int{5: 50, -1: 10, 3: 30}}
+		[]int64{9, 8}}
 	w := NewWriter()
 	v.xferAll(w.Xfer())
 
@@ -257,17 +254,12 @@ func TestXferMatchesWriter(t *testing.T) {
 	want.Int(2)
 	want.I64(9)
 	want.I64(8)
-	want.Int(3)
-	for _, k := range []int64{-1, 3, 5} {
-		want.I64(k)
-		want.Int(v.m[k])
-	}
 	if !bytes.Equal(w.Bytes(), want.Bytes()) {
 		t.Fatalf("Xfer encoding\n got % x\nwant % x", w.Bytes(), want.Bytes())
 	}
 
 	backing := make([]int64, 1, 4)
-	got := xferValues{list: backing, m: map[int64]int{}}
+	got := xferValues{list: backing}
 	r := NewReader(w.Bytes())
 	if got.xferAll(r.Xfer()); r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("decode: err %v, %d bytes left", r.Err(), r.Remaining())
@@ -301,7 +293,6 @@ func TestXferValidation(t *testing.T) {
 		"Count negative":        {ints(-1, 0, 0), func(x *Xfer) { n := 0; x.Count(&n, 4, "c") }, false},
 		"Count over max":        {ints(2, 0, 0), func(x *Xfer) { n := 0; x.Count(&n, 1, "c") }, false},
 		"Count over bytes left": {ints(9), func(x *Xfer) { n := 0; x.Count(&n, 100, "c") }, true},
-		"Map over bytes left":   {ints(3, 1, 1), func(x *Xfer) { Map(x, map[int64]int{}, "m", x.Int) }, true},
 	} {
 		r := NewReader(tc.data)
 		x := r.Xfer()

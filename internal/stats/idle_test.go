@@ -50,6 +50,34 @@ func TestRecordIdleCyclesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRecordIdleCyclesEveryCategoryMix holds the bulk call to the same
+// contract for every subset of the seven hazard categories voting —
+// odd and even counts, so both the paired and the lone accumulator
+// loops run — from a state with every category already non-zero.
+func TestRecordIdleCyclesEveryCategoryMix(t *testing.T) {
+	for mask := 0; mask < 1<<(NumCategories-1); mask++ {
+		var votes Votes
+		var a Slots
+		for c := Fetch; c < NumCategories; c++ {
+			if mask&(1<<(c-1)) != 0 {
+				votes[c] = float64(c)*0.7 + 0.1
+			}
+		}
+		for c := range a.Counts {
+			a.Counts[c] = 1e6/float64(c+3) + 0.3
+		}
+		b := a
+		const width, n = 7, 333
+		for i := 0; i < n; i++ {
+			a.RecordCycle(width, 0, &votes)
+		}
+		b.RecordIdleCycles(width, n, &votes)
+		if a != b {
+			t.Fatalf("votes %v: bulk %v, stepped %v", votes, b.Counts, a.Counts)
+		}
+	}
+}
+
 func TestRecordIdleCyclesNoVotesFallsToFetch(t *testing.T) {
 	var v Votes
 	var s Slots

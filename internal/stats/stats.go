@@ -122,16 +122,36 @@ func (s *Slots) AddRow(row *[NumCategories]float64) {
 // that n individual RecordCycle(width, 0, votes) calls would: float
 // addition is not associative, and the contract is that slept cycles
 // leave counts bit-identical to cycle-by-cycle stepping. Categories
-// accumulate independently, so each takes its n additions in one run,
-// and a category the row leaves at +0.0 takes none.
+// accumulate independently, so each takes its n additions in order,
+// and a category the row leaves at +0.0 takes none. The non-zero
+// categories go two at a time, each pair's accumulators held in locals
+// (registers, not memory) and their additions interleaved, so the two
+// dependency chains overlap.
 func (s *Slots) RecordIdleCycles(width int, n int64, votes *Votes) {
-	for c, v := range CycleRow(width, 0, votes) {
-		if v == 0 {
-			continue
+	row := CycleRow(width, 0, votes)
+	var cs [NumCategories]int
+	k := 0
+	for c, v := range row {
+		if v != 0 {
+			cs[k] = c
+			k++
 		}
+	}
+	for j := 0; j < k; j += 2 {
+		a, va := s.Counts[cs[j]], row[cs[j]]
+		if j+1 == k {
+			for i := int64(0); i < n; i++ {
+				a += va
+			}
+			s.Counts[cs[j]] = a
+			break
+		}
+		b, vb := s.Counts[cs[j+1]], row[cs[j+1]]
 		for i := int64(0); i < n; i++ {
-			s.Counts[c] += v
+			a += va
+			b += vb
 		}
+		s.Counts[cs[j]], s.Counts[cs[j+1]] = a, b
 	}
 }
 
