@@ -113,7 +113,8 @@ func WorkloadByName(name string) (Workload, error) { return workloads.ByName(nam
 // SimulateProgram and SimulateMultiprogram, it runs m.Alloc's policy
 // (static, icount or symbiosis) and refuses any other name — the
 // allocation figure's "oracle" column is a searched start assignment,
-// not a policy.
+// not a policy. A machine that Machine.Validate refuses is an error from
+// every Simulate call, never a panic.
 func Simulate[A string | Workload](m Machine, app A, size Size) (*Result, error) {
 	var w Workload
 	switch v := any(app).(type) {
@@ -151,7 +152,11 @@ type ProgramBuilder = prog.Builder
 func NewProgram(name string) *ProgramBuilder { return prog.NewBuilder(name) }
 
 // SimulateProgram runs an assembled program on machine m with one
-// software thread per hardware context.
+// software thread per hardware context. A program is checked once, by
+// ProgramBuilder.Build: an instruction it refuses (a register out of
+// range, a sync id outside [0, 1<<16)) is Build's error, naming its pc,
+// and a Program that skipped Build fails its first fetch with an error.
+// Neither panics.
 func SimulateProgram(m Machine, p *Program) (*Result, error) {
 	return run(func() (*core.Simulator, error) { return core.New(m, p) })
 }
@@ -159,14 +164,17 @@ func SimulateProgram(m Machine, p *Program) (*Result, error) {
 // SimulateMultiprogram runs independent sequential jobs, one per
 // hardware context, each in a private address space — the
 // multiprogrammed configuration of the SMT studies the paper builds on.
-// Programs should be built for a single thread.
+// Programs should be built for a single thread. Machines and programs
+// are checked as for SimulateProgram.
 func SimulateMultiprogram(m Machine, jobs []*Program) (*Result, error) {
 	return run(func() (*core.Simulator, error) { return core.NewMulti(m, jobs) })
 }
 
 // RunFunctional executes p on the functional reference machine (no
 // timing) with the given thread count — the fastest way to check that a
-// custom kernel computes what it should before simulating it.
+// custom kernel computes what it should before simulating it. It runs
+// only what Build admitted, as SimulateProgram does: a program Build
+// refuses is an error there, never a panic here.
 func RunFunctional(p *Program, threads int) (*parallel.FunctionalResult, error) {
 	return parallel.RunFunctional(p, threads, 0)
 }

@@ -3,6 +3,7 @@ package clustersmt_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"clustersmt"
@@ -139,6 +140,57 @@ func TestFacadeRefusesOracle(t *testing.T) {
 	} {
 		if r, err := run(); r != nil || err == nil || err.Error() != want {
 			t.Errorf("%s under the oracle policy: %v, %v; want the error %q", name, r, err, want)
+		}
+	}
+}
+
+// TestFacadeRefusesUnbuildableMachines: a machine Validate refuses is an
+// error from every Simulate call, never a panic in a constructor below.
+func TestFacadeRefusesUnbuildableMachines(t *testing.T) {
+	for name, set := range map[string]func(*clustersmt.Machine){
+		"L1 96 KB (768 sets)":    func(m *clustersmt.Machine) { m.Mem.L1SizeKB = 96 },
+		"L2 1536 KB (6144 sets)": func(m *clustersmt.Machine) { m.Mem.L2SizeKB = 1536 },
+		"Occupancy 0":            func(m *clustersmt.Machine) { m.Mem.Occupancy = 0 },
+		"NetOccupancy 0":         func(m *clustersmt.Machine) { m.Mem.NetOccupancy = 0 },
+		"33 chips":               func(m *clustersmt.Machine) { m.Chips = 33 },
+		"PredictorEntries 1000":  func(m *clustersmt.Machine) { m.Arch.PredictorEntries = 1000 },
+		"BTBEntries 1000":        func(m *clustersmt.Machine) { m.Arch.BTBEntries = 1000 },
+	} {
+		m := clustersmt.LowEnd(clustersmt.SMT2)
+		set(&m)
+		if r, err := clustersmt.Simulate(m, "swim", clustersmt.SizeTest); r != nil || err == nil {
+			t.Errorf("Simulate on %s: %v, %v; want an error", name, r, err)
+		}
+	}
+}
+
+// TestFacadeRefusesBadSyncIDs: a lock, unlock or barrier id outside
+// [0, 1<<16) is an error where the program is built, so neither engine
+// ever runs it.
+func TestFacadeRefusesBadSyncIDs(t *testing.T) {
+	for _, id := range []int64{-1, 1 << 16} {
+		for op, emit := range map[string]func(*clustersmt.ProgramBuilder){
+			"lock":    func(b *clustersmt.ProgramBuilder) { b.Lock(id) },
+			"unlock":  func(b *clustersmt.ProgramBuilder) { b.Unlock(id) },
+			"barrier": func(b *clustersmt.ProgramBuilder) { b.Barrier(id) },
+		} {
+			b := clustersmt.NewProgram("bad-sync")
+			b.GlobalWords("nthreads", []uint64{1})
+			emit(b)
+			b.Halt()
+			p, err := b.Build()
+			if err != nil {
+				if !strings.Contains(err.Error(), "sync object id") {
+					t.Errorf("%s #%d: Build: %v", op, id, err)
+				}
+				continue
+			}
+			if _, err := clustersmt.SimulateProgram(clustersmt.LowEnd(clustersmt.FA1), p); err == nil {
+				t.Errorf("%s #%d: SimulateProgram ran it", op, id)
+			}
+			if _, err := clustersmt.RunFunctional(p, 1); err == nil {
+				t.Errorf("%s #%d: RunFunctional ran it", op, id)
+			}
 		}
 	}
 }

@@ -50,7 +50,7 @@ func (a AccessClass) String() string {
 const noOwner = -1
 
 type dirEntry struct {
-	sharers uint32 // bit per chip
+	sharers uint32 // bit per chip, so config.MaxChips is 32
 	owner   int8   // chip holding Modified, or noOwner
 }
 
@@ -95,11 +95,9 @@ type Directory struct {
 	ThreeHops     uint64 // dirty-remote interventions
 }
 
-// NewDirectory returns an empty directory for n chips.
+// NewDirectory returns an empty directory for nchips chips, at most
+// config.MaxChips of them: the sharer set is one bit per chip.
 func NewDirectory(nchips int, pageBytes int64) *Directory {
-	if nchips <= 0 || nchips > 32 {
-		panic(fmt.Sprintf("coherence: unsupported chip count %d", nchips))
-	}
 	d := &Directory{nchips: nchips, pageBytes: pageBytes}
 	d.initTable(dirMinSlots)
 	return d

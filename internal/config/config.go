@@ -86,9 +86,16 @@ func (a Arch) Validate() error {
 		return fmt.Errorf("config: %s: window smaller than issue width", a.Name)
 	case a.RenameInt <= 0 || a.RenameFP <= 0:
 		return fmt.Errorf("config: %s: rename pools must be positive", a.Name)
+	case !pow2(a.PredictorSize()):
+		return fmt.Errorf("config: %s: PredictorEntries %d is not a power of two", a.Name, a.PredictorEntries)
+	case !pow2(a.BTBSize()):
+		return fmt.Errorf("config: %s: BTBEntries %d is not a power of two", a.Name, a.BTBEntries)
 	}
 	return nil
 }
+
+// pow2 reports whether v is a positive power of two.
+func pow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 
 // The seven architectures of Table 2.
 var (
@@ -204,21 +211,28 @@ func DefaultMem() MemConfig {
 	}
 }
 
-// Validate checks a memory configuration for internal consistency.
+// Validate checks a memory configuration for internal consistency. It is
+// the only check: the caches, banks, TLB, MSHR file and network that
+// memsys, coherence and interconnect build from an accepted
+// configuration trust it.
 func (m MemConfig) Validate() error {
 	switch {
 	case m.L1SizeKB <= 0 || m.L2SizeKB <= 0:
 		return fmt.Errorf("config: cache sizes must be positive")
-	case m.LineBytes <= 0 || m.LineBytes&(m.LineBytes-1) != 0:
+	case !pow2(m.LineBytes):
 		return fmt.Errorf("config: line size must be a positive power of two")
 	case m.L1Assoc <= 0 || m.L2Assoc <= 0:
 		return fmt.Errorf("config: associativity must be positive")
-	case m.L1SizeKB*1024%(m.LineBytes*m.L1Assoc) != 0:
-		return fmt.Errorf("config: L1 geometry does not divide into sets")
-	case m.L2SizeKB*1024%(m.LineBytes*m.L2Assoc) != 0:
-		return fmt.Errorf("config: L2 geometry does not divide into sets")
+	case m.L1SizeKB*1024%(m.LineBytes*m.L1Assoc) != 0 || !pow2(m.L1SizeKB*1024/(m.LineBytes*m.L1Assoc)):
+		return fmt.Errorf("config: L1SizeKB %d, LineBytes %d and L1Assoc %d do not give a power-of-two number of whole sets", m.L1SizeKB, m.LineBytes, m.L1Assoc)
+	case m.L2SizeKB*1024%(m.LineBytes*m.L2Assoc) != 0 || !pow2(m.L2SizeKB*1024/(m.LineBytes*m.L2Assoc)):
+		return fmt.Errorf("config: L2SizeKB %d, LineBytes %d and L2Assoc %d do not give a power-of-two number of whole sets", m.L2SizeKB, m.LineBytes, m.L2Assoc)
 	case m.L1Banks <= 0 || m.L2Banks <= 0:
 		return fmt.Errorf("config: bank counts must be positive")
+	case m.Occupancy <= 0:
+		return fmt.Errorf("config: Occupancy must be positive")
+	case m.NetOccupancy <= 0:
+		return fmt.Errorf("config: NetOccupancy must be positive")
 	case m.MSHRs <= 0:
 		return fmt.Errorf("config: MSHR count must be positive")
 	case m.TLBEntries <= 0 || m.PageBytes <= 0:
@@ -280,10 +294,19 @@ type Machine struct {
 // harness creates exactly this many application threads (§4).
 func (m Machine) Threads() int { return m.Chips * m.Arch.ThreadsPerChip() }
 
-// Validate checks the machine description.
+// MaxChips bounds Machine.Chips: the coherence directory keeps one
+// sharer bit per chip in a uint32.
+const MaxChips = 32
+
+// Validate checks the machine description. A machine it accepts builds:
+// core.New, NewMulti and Restore call it, and nothing below them checks
+// again.
 func (m Machine) Validate() error {
 	if m.Chips <= 0 {
 		return fmt.Errorf("config: %s: chip count must be positive", m.Name)
+	}
+	if m.Chips > MaxChips {
+		return fmt.Errorf("config: %s: Chips %d exceeds MaxChips %d", m.Name, m.Chips, MaxChips)
 	}
 	if err := m.Arch.Validate(); err != nil {
 		return err

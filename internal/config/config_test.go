@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestTable2Presets pins every architecture row of Table 2.
 func TestTable2Presets(t *testing.T) {
@@ -116,6 +119,72 @@ func TestMemValidateRejectsBadGeometry(t *testing.T) {
 	m.MSHRs = 0
 	if err := m.Validate(); err == nil {
 		t.Error("zero MSHRs accepted")
+	}
+	// Whole sets that are not a power of two in number, and occupancies
+	// the bank sets and the network cannot charge: each error names its
+	// field.
+	for _, c := range []struct {
+		field string
+		set   func(*MemConfig)
+	}{
+		{"L1SizeKB", func(m *MemConfig) { m.L1SizeKB = 96 }},   // 768 sets
+		{"L2SizeKB", func(m *MemConfig) { m.L2SizeKB = 1536 }}, // 6144 sets
+		{"Occupancy", func(m *MemConfig) { m.Occupancy = 0 }},
+		{"Occupancy", func(m *MemConfig) { m.Occupancy = -1 }},
+		{"NetOccupancy", func(m *MemConfig) { m.NetOccupancy = 0 }},
+		{"NetOccupancy", func(m *MemConfig) { m.NetOccupancy = -1 }},
+	} {
+		m := DefaultMem()
+		c.set(&m)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %s", m, err, c.field)
+		}
+	}
+}
+
+func TestArchValidateRejectsBadTables(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Arch)
+	}{
+		{"PredictorEntries", func(a *Arch) { a.PredictorEntries = 1000 }},
+		{"PredictorEntries", func(a *Arch) { a.PredictorEntries = 3 }},
+		{"BTBEntries", func(a *Arch) { a.BTBEntries = 1000 }},
+	} {
+		a := SMT2
+		c.set(&a)
+		if err := a.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("Validate = %v, want an error naming %s", err, c.field)
+		}
+	}
+	a := SMT2
+	a.PredictorEntries, a.BTBEntries = 512, 4096
+	if err := a.Validate(); err != nil {
+		t.Errorf("power-of-two tables refused: %v", err)
+	}
+}
+
+func TestMachineValidateRejectsTooManyChips(t *testing.T) {
+	m := HighEnd(SMT2)
+	m.Chips = MaxChips
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%d chips refused: %v", MaxChips, err)
+	}
+	m.Chips = MaxChips + 1
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "Chips") {
+		t.Errorf("Validate = %v, want an error naming Chips", err)
+	}
+}
+
+// TestPresetsValidate: every machine a job or figure can name is
+// accepted, so nothing above core.New needs to check one.
+func TestPresetsValidate(t *testing.T) {
+	for _, a := range append([]Arch{SMT8}, AllArchs...) {
+		for _, m := range []Machine{LowEnd(a), HighEnd(a)} {
+			if err := m.Validate(); err != nil {
+				t.Errorf("%s: %v", m.Name, err)
+			}
+		}
 	}
 }
 

@@ -19,11 +19,8 @@ type BranchPredictor struct {
 }
 
 // NewBranchPredictor returns a predictor with the given entry count
-// (power of two), initialized weakly not-taken.
+// (a power of two, config.Arch.Validate), initialized weakly not-taken.
 func NewBranchPredictor(entries int) *BranchPredictor {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("core: predictor entries must be a positive power of two")
-	}
 	c := make([]uint8, entries)
 	for i := range c {
 		c[i] = 1 // weakly not-taken
@@ -63,11 +60,9 @@ type BTB struct {
 	Mispred uint64
 }
 
-// NewBTB returns a BTB with the given entry count (power of two).
+// NewBTB returns a BTB with the given entry count (a power of two,
+// config.Arch.Validate).
 func NewBTB(entries int) *BTB {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		panic("core: BTB entries must be a positive power of two")
-	}
 	return &BTB{entries: entries}
 }
 

@@ -57,15 +57,6 @@ func TestPredictorCountsMispredicts(t *testing.T) {
 	}
 }
 
-func TestPredictorRejectsBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	NewBranchPredictor(12)
-}
-
 func TestBTBLearnsTarget(t *testing.T) {
 	b := NewBTB(16)
 	_, correct := b.PredictAndUpdate(7, 100)

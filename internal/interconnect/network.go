@@ -16,11 +16,8 @@ type Network struct {
 }
 
 // New returns a network for n nodes with the given per-message port
-// occupancy in cycles.
+// occupancy in cycles, both positive (config.Machine.Validate).
 func New(n, occupancy int) *Network {
-	if n <= 0 || occupancy <= 0 {
-		panic("interconnect: need positive nodes and occupancy")
-	}
 	return &Network{ports: make([]int64, n), occupancy: int64(occupancy)}
 }
 

@@ -43,15 +43,6 @@ func TestDistinctPairsDontConflict(t *testing.T) {
 	}
 }
 
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	New(0, 1)
-}
-
 // Property: the returned start (the destination port's service start)
 // is monotone non-decreasing per destination port and never precedes
 // the request.

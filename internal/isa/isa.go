@@ -290,9 +290,15 @@ func (in Instr) String() string {
 	}
 }
 
+// MaxSyncID bounds the sync object id a LOCK, UNLOCK or BARRIER
+// carries in its immediate: ids index a dense table, so an absurd
+// immediate must not size one.
+const MaxSyncID = 1 << 16
+
 // Validate checks structural well-formedness of the instruction
-// (register numbers within file bounds, opcode defined). The timing and
-// functional engines assume validated programs.
+// (register numbers within file bounds, opcode defined, sync ids in
+// [0, MaxSyncID)). The timing and functional engines assume validated
+// programs.
 func (in Instr) Validate() error {
 	if in.Op == OpInvalid || int(in.Op) >= NumOps {
 		return fmt.Errorf("isa: invalid opcode %d", in.Op)
@@ -302,6 +308,9 @@ func (in Instr) Validate() error {
 	}
 	if in.FD >= NumFPRegs || in.FS1 >= NumFPRegs || in.FS2 >= NumFPRegs {
 		return fmt.Errorf("isa: %s: fp register out of range", in)
+	}
+	if in.Info().Sync && (in.Imm < 0 || in.Imm >= MaxSyncID) {
+		return fmt.Errorf("isa: %s: sync object id outside [0, %d)", in, MaxSyncID)
 	}
 	return nil
 }

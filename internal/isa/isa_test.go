@@ -101,6 +101,12 @@ func TestInstrValidate(t *testing.T) {
 		{Op: OpAdd, RD: 32},
 		{Op: OpFadd, FD: 40},
 	}
+	for _, op := range []Op{OpLock, OpUnlock, OpBarrier} {
+		bad = append(bad, Instr{Op: op, Imm: -1}, Instr{Op: op, Imm: MaxSyncID})
+		if err := (Instr{Op: op, Imm: MaxSyncID - 1}).Validate(); err != nil {
+			t.Errorf("%v #%d rejected: %v", op, MaxSyncID-1, err)
+		}
+	}
 	for _, in := range bad {
 		if err := in.Validate(); err == nil {
 			t.Errorf("invalid instruction accepted: %+v", in)

@@ -1,16 +1,16 @@
 package memsys
 
+import "math/bits"
+
 // BankSet models contention on a banked structure: each bank has a
 // next-free cycle, and every access occupies its bank for a fixed
 // number of cycles (Table 3: read/write occupancy 1; fills occupy for
 // the 8-cycle fill time). The line size is fixed at construction so the
-// line→bank map is a shift plus — when the bank count is a power of
-// two — a mask; Table 3's seven banks keep the modulo fallback.
+// line→bank map is a shift and a modulo (Table 3 has seven banks).
 type BankSet struct {
 	free      []int64
 	occupancy int64
-	lineShift uint  // log2(lineBytes)
-	bankMask  int64 // len(free)-1 when a power of two, else -1
+	lineShift uint // log2(lineBytes)
 	nbanks    int64
 
 	// Conflicts counts accesses that had to wait for a busy bank.
@@ -20,31 +20,21 @@ type BankSet struct {
 }
 
 // NewBankSet returns n banks with the given per-access occupancy,
-// interleaved at lineBytes granularity (must be a power of two).
+// interleaved at lineBytes granularity. The geometry is one that
+// config.MemConfig.Validate accepted: n and occupancy positive,
+// lineBytes a power of two.
 func NewBankSet(n, occupancy, lineBytes int) *BankSet {
-	if n <= 0 || occupancy <= 0 {
-		panic("memsys: bank set needs positive banks and occupancy")
-	}
-	b := &BankSet{
+	return &BankSet{
 		free:      make([]int64, n),
 		occupancy: int64(occupancy),
-		lineShift: log2OfPow2("bank interleave", int64(lineBytes)),
-		bankMask:  -1,
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		nbanks:    int64(n),
 	}
-	if n&(n-1) == 0 {
-		b.bankMask = int64(n - 1)
-	}
-	return b
 }
 
 // bankFor maps a line address onto a bank (line interleaving).
 func (b *BankSet) bankFor(line int64) int {
-	idx := line >> b.lineShift
-	if b.bankMask >= 0 {
-		return int(idx & b.bankMask)
-	}
-	return int(idx % b.nbanks)
+	return int((line >> b.lineShift) % b.nbanks)
 }
 
 // Acquire reserves the bank serving line starting no earlier than now

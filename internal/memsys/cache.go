@@ -8,7 +8,10 @@
 // functional front end — so "reading" a line means timing its access.
 package memsys
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineState is the MSI coherence state of a cached line.
 type LineState uint8
@@ -65,8 +68,8 @@ type chunk struct {
 type token struct{ _ byte }
 
 // Cache is a set-associative tag array. Addresses passed in must be
-// line-aligned ("line addresses"). Geometries are powers of two so set
-// selection is a shift and a mask (enforced at construction).
+// line-aligned ("line addresses"). Geometries are powers of two
+// (config.MemConfig.Validate), so set selection is a shift and a mask.
 type Cache struct {
 	name      string
 	sets      int
@@ -91,42 +94,23 @@ type Cache struct {
 	Hits, Misses, Evictions, WritebackEvictions uint64
 }
 
-// log2OfPow2 returns log2(v), panicking unless v is a positive power
-// of two.
-func log2OfPow2(what string, v int64) uint {
-	if v <= 0 || v&(v-1) != 0 {
-		panic(fmt.Sprintf("memsys: %s must be a positive power of two, got %d", what, v))
-	}
-	n := uint(0)
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// NewCache builds a cache with the given geometry. sizeKB must divide
-// evenly into sets of assoc lines, and both the line size and the
-// resulting set count must be powers of two.
+// NewCache builds a cache with the given geometry, one that
+// config.MemConfig.Validate accepted: sizeKB divides evenly into sets of
+// assoc lines, and both the line size and the set count are powers of
+// two.
 func NewCache(name string, sizeKB, lineBytes, assoc int) *Cache {
-	lines := sizeKB * 1024 / lineBytes
-	if lines%assoc != 0 {
-		panic(fmt.Sprintf("memsys: %s: %dKB/%dB/%d-way does not form whole sets", name, sizeKB, lineBytes, assoc))
-	}
-	sets := lines / assoc
-	c := &Cache{
+	sets := sizeKB * 1024 / lineBytes / assoc
+	return &Cache{
 		name:      name,
 		sets:      sets,
 		assoc:     assoc,
 		lineBytes: int64(lineBytes),
-		lineShift: log2OfPow2(name+" line size", int64(lineBytes)),
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setMask:   int64(sets - 1),
 		chunks:    make([]*chunk, (sets+chunkSets-1)/chunkSets),
 		chunkWays: min(sets, chunkSets) * assoc,
 		own:       new(token),
 	}
-	log2OfPow2(name+" set count", int64(sets))
-	return c
 }
 
 // Fork returns a copy-on-write clone of the cache: the clone gets its

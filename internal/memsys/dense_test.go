@@ -1,7 +1,7 @@
 package memsys
 
 import (
-	"fmt"
+	"math/bits"
 
 	"clustersmt/internal/snap"
 )
@@ -13,7 +13,7 @@ import (
 //
 // denseCache is a set-associative tag array. Addresses passed in must be
 // line-aligned ("line addresses"). Geometries are powers of two so set
-// selection is a shift and a mask (enforced at construction).
+// selection is a shift and a mask (enforced by config.MemConfig.Validate).
 type denseCache struct {
 	name      string
 	sets      int
@@ -37,27 +37,20 @@ type denseCache struct {
 	Hits, Misses, Evictions, WritebackEvictions uint64
 }
 
-// newDenseCache builds a cache with the given geometry. sizeKB must divide
-// evenly into sets of assoc lines, and both the line size and the
-// resulting set count must be powers of two.
+// newDenseCache builds a cache with the given geometry, one that
+// config.MemConfig.Validate accepted (see NewCache).
 func newDenseCache(name string, sizeKB, lineBytes, assoc int) *denseCache {
-	lines := sizeKB * 1024 / lineBytes
-	if lines%assoc != 0 {
-		panic(fmt.Sprintf("memsys: %s: %dKB/%dB/%d-way does not form whole sets", name, sizeKB, lineBytes, assoc))
-	}
-	sets := lines / assoc
-	c := &denseCache{
+	sets := sizeKB * 1024 / lineBytes / assoc
+	return &denseCache{
 		name:      name,
 		sets:      sets,
 		assoc:     assoc,
 		lineBytes: int64(lineBytes),
-		lineShift: log2OfPow2(name+" line size", int64(lineBytes)),
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		setMask:   int64(sets - 1),
 		ways:      make([]way, sets*assoc),
 		mru:       make([]int32, sets),
 	}
-	log2OfPow2(name+" set count", int64(sets))
-	return c
 }
 
 // Fork returns a copy-on-write clone of the cache: the clone shares the

@@ -22,11 +22,8 @@ type MSHRFile struct {
 	Allocated uint64
 }
 
-// NewMSHRFile returns a file with the given capacity.
+// NewMSHRFile returns a file with the given positive capacity.
 func NewMSHRFile(capacity int) *MSHRFile {
-	if capacity <= 0 {
-		panic("memsys: MSHR file needs positive capacity")
-	}
 	return &MSHRFile{
 		cap:     capacity,
 		pending: make([]fill, 0, capacity),

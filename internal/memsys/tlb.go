@@ -20,11 +20,8 @@ type TLB struct {
 	Miss    uint64
 }
 
-// NewTLB returns a TLB with the given capacity and PRNG seed.
+// NewTLB returns a TLB with the given positive capacity and PRNG seed.
 func NewTLB(entries int, seed uint64) *TLB {
-	if entries <= 0 {
-		panic("memsys: TLB needs positive capacity")
-	}
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}

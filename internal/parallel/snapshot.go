@@ -3,6 +3,7 @@ package parallel
 import (
 	"fmt"
 
+	"clustersmt/internal/isa"
 	"clustersmt/internal/snap"
 )
 
@@ -37,14 +38,14 @@ func (s *Sync) sparse(x *snap.Xfer, what string, present func(*object) bool, val
 		}
 	}
 	n := len(ids)
-	x.Count(&n, maxID, what)
+	x.Count(&n, isa.MaxSyncID, what)
 	for i := 0; i < n && x.Err() == nil; i++ {
 		var id int64
 		if !x.Decoding() {
 			id = ids[i]
 		}
-		if x.I64(&id); id < 0 || id >= maxID {
-			x.Fail(fmt.Errorf("%s: id %d outside [0, %d)", what, id, maxID))
+		if x.I64(&id); id < 0 || id >= isa.MaxSyncID {
+			x.Fail(fmt.Errorf("%s: id %d outside [0, %d)", what, id, isa.MaxSyncID))
 			return
 		}
 		val(s.at(id))

@@ -16,10 +16,6 @@ import "fmt"
 // NoOwner marks a free lock.
 const NoOwner = -1
 
-// maxID bounds sync object ids: they index a dense table, so an absurd
-// immediate must not size one.
-const maxID = 1 << 16
-
 // Sync is the synchronization controller for one application run. It is
 // deterministic: grant order is decided by the (deterministic) order in
 // which the simulator polls threads.
@@ -55,11 +51,10 @@ func NewSync(n int) *Sync {
 }
 
 // at returns the object at id, growing the table (with free locks and
-// untouched barriers) to reach it.
+// untouched barriers) to reach it. id is in [0, isa.MaxSyncID): ids come
+// from validated instructions (prog.Builder.Build) or a checkpoint that
+// bounds them.
 func (s *Sync) at(id int64) *object {
-	if id < 0 || id >= maxID {
-		panic(fmt.Sprintf("parallel: sync object id %d outside [0, %d)", id, maxID))
-	}
 	for int64(len(s.objs)) <= id {
 		s.objs = append(s.objs, object{})
 	}

@@ -55,6 +55,20 @@ func TestMissingHaltFails(t *testing.T) {
 	}
 }
 
+// TestSyncIDOutOfRangeFails: a sync id the controller's table cannot
+// hold is refused where the program is built, naming its pc.
+func TestSyncIDOutOfRangeFails(t *testing.T) {
+	for _, id := range []int64{-1, isa.MaxSyncID} {
+		b := NewBuilder("t")
+		b.Nop()
+		b.Lock(id)
+		b.Halt()
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "pc 1") {
+			t.Errorf("lock #%d: want an error at pc 1, got %v", id, err)
+		}
+	}
+}
+
 func TestGlobalLayout(t *testing.T) {
 	b := NewBuilder("t")
 	a1 := b.Global("a", 4)

@@ -57,12 +57,11 @@ func (s JobSpec) Resolve(defaultSize workloads.Size) (*ResolvedJob, error) {
 			return nil, err
 		}
 	}
+	// A job names a preset machine, which core.New validates before it
+	// simulates; there is nothing here to check twice.
 	m := config.LowEnd(a)
 	if s.HighEnd {
 		m = config.HighEnd(a)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
 	}
 	// Normalize the spec so equal submissions render equal JSON.
 	s.App = w.Name
